@@ -2,10 +2,12 @@
 
     lefbench <command> <config> [--out report.txt] [--svg dir] [--resolution N]
 
-Commands: validate, homology, floer-ranks, hw, render, all.  Exit codes:
-0 success; 1 unusable input (config errors, validation failures, I/O);
-2 undecidable (the oracle facts do not determine an answer); 3 internal
-inconsistency (the facts contradict each other or the geometry).
+Commands: validate, homology, floer-ranks, hw, render, all.  run_command
+derives the rank analysis once per run and hands it to the report sections
+that read it.  Exit codes: 0 success; 1 unusable input (config errors,
+validation failures, I/O); 2 undecidable (the oracle facts do not determine
+an answer); 3 internal inconsistency (the facts contradict each other or
+the geometry).  Each error class carries its own code (errors.py).
 """
 
 from __future__ import annotations
@@ -17,30 +19,16 @@ from pathlib import Path
 
 from .config import ScenarioConfig, load_config
 from .disc import WrapSpec
-from .errors import (ConfigError, ImageTooLarge, IncompleteBasis,
-                     Inconsistent, InvalidWitness, LefbenchError,
-                     MissingClass, MissingFate, MissingParity, Undecidable,
-                     UnknownPair, UnresolvedSign)
-from .fibration import Fibration, TotalSpaceFiber, total_space_homology
+from .errors import ConfigError, IncompleteBasis, Inconsistent, LefbenchError
+from .fibration import (Fibration, TotalSpaceFiber, total_space_homology,
+                        with_resolution)
 from .fibration import validate as validate_fibration
 from .rank_calculus import ScenarioRanks, UnitFate, analyze
 from .report import Report, homology_lines, hw_value, thimble
 from .svg import diagram_files, stage_svg
 from .tower import build_tower
 
-_UNDECIDED = (Undecidable, UnknownPair, MissingParity, MissingFate,
-              MissingClass, UnresolvedSign, IncompleteBasis)
-_INCONSISTENT = (Inconsistent, InvalidWitness, ImageTooLarge)
-
 COMMANDS = ("validate", "homology", "floer-ranks", "hw", "render", "all")
-
-
-def exit_code_for(e: LefbenchError) -> int:
-    if isinstance(e, _INCONSISTENT):
-        return 3
-    if isinstance(e, _UNDECIDED):
-        return 2
-    return 1
 
 
 # --------------------------------------------------------------------------
@@ -66,8 +54,7 @@ def _section_homology(r: Report, f: Fibration) -> None:
         r.line(key, value)
 
 
-def _section_floer(r: Report, f: Fibration) -> ScenarioRanks:
-    out = analyze(f)
+def _section_floer(r: Report, f: Fibration, out: ScenarioRanks) -> None:
     for fact in f.oracle.fact_lines():
         r.line("fact", fact)
     if isinstance(f.fiber, TotalSpaceFiber):
@@ -84,7 +71,6 @@ def _section_floer(r: Report, f: Fibration) -> ScenarioRanks:
     r.line(f"Hom_FS(Th_1({b}),{thimble(b)})", out.fs.hom_b1b)
     for w in out.fs.warnings:
         r.line("warning", w)
-    return out
 
 
 def _tower_verdict_args(out: ScenarioRanks, label_x: str, label_y: str):
@@ -95,8 +81,8 @@ def _tower_verdict_args(out: ScenarioRanks, label_x: str, label_y: str):
     return {"verdict": out.off_diagonal}
 
 
-def _section_hw(r: Report, f: Fibration, cfg: ScenarioConfig) -> ScenarioRanks:
-    out = analyze(f)
+def _section_hw(r: Report, cfg: ScenarioConfig, out: ScenarioRanks) -> None:
+    f = cfg.fibration
     if not cfg.towers:
         raise IncompleteBasis(
             "the [run] section requests no towers, so no wrapped verdict"
@@ -114,7 +100,8 @@ def _section_hw(r: Report, f: Fibration, cfg: ScenarioConfig) -> ScenarioRanks:
         lx, ly = cx.cycle_label, cy.cycle_label
         name = f"tower {thimble(lx)}:{thimble(ly)}"
         t = build_tower(f, x, y, cfg.wrap.levels, cfg.wrap.delta,
-                        cfg.wrap.bend, **_tower_verdict_args(out, lx, ly))
+                        cfg.wrap.bend, out.fs,
+                        **_tower_verdict_args(out, lx, ly))
         for s in t.stages:
             cert = (str(s.rank_certificate.value)
                     if s.rank_certificate is not None else "none")
@@ -137,7 +124,6 @@ def _section_hw(r: Report, f: Fibration, cfg: ScenarioConfig) -> ScenarioRanks:
         r.line(f"HW({thimble(lx)},{thimble(ly)})", hw_value(t.verdict.nonzero))
     r.line("unit fate", out.fate.value)
     r.line("obstruction", out.obstruction.kind)
-    return out
 
 
 def _section_trace(r: Report, out: ScenarioRanks) -> None:
@@ -179,9 +165,9 @@ def run_command(command: str, cfg: ScenarioConfig,
     elif command == "homology":
         _section_homology(r, cfg.fibration)
     elif command == "floer-ranks":
-        _section_floer(r, cfg.fibration)
+        _section_floer(r, cfg.fibration, analyze(cfg.fibration))
     elif command == "hw":
-        _section_hw(r, cfg.fibration, cfg)
+        _section_hw(r, cfg, analyze(cfg.fibration))
     elif command == "render":
         if svg_dir is None:
             raise ConfigError("the render command needs --svg DIR")
@@ -193,9 +179,10 @@ def run_command(command: str, cfg: ScenarioConfig,
         r.blank()
         _section_homology(r, cfg.fibration)
         r.blank()
-        _section_floer(r, cfg.fibration)
+        out = analyze(cfg.fibration)
+        _section_floer(r, cfg.fibration, out)
         r.blank()
-        out = _section_hw(r, cfg.fibration, cfg)
+        _section_hw(r, cfg, out)
         _section_trace(r, out)
         if svg_dir is not None:
             r.blank()
@@ -204,14 +191,6 @@ def run_command(command: str, cfg: ScenarioConfig,
     else:
         raise ConfigError(f"unknown command {command!r}")
     return r.render(), code
-
-
-def _with_resolution(f: Fibration, n: int) -> Fibration:
-    fiber = f.fiber
-    if isinstance(fiber, TotalSpaceFiber):
-        fiber = TotalSpaceFiber(_with_resolution(fiber.fibration, n))
-    disc = dataclasses.replace(f.disc, boundary_resolution=n)
-    return dataclasses.replace(f, disc=disc, fiber=fiber)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -236,12 +215,12 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.resolution is not None:
             cfg = dataclasses.replace(
-                cfg, fibration=_with_resolution(cfg.fibration,
-                                                args.resolution))
+                cfg, fibration=with_resolution(cfg.fibration,
+                                               args.resolution))
         text, code = run_command(args.command, cfg, args.svg)
     except LefbenchError as e:
         print(f"error[{type(e).__name__}]: {e}", file=sys.stderr)
-        return exit_code_for(e)
+        return e.exit_code
 
     if args.out:
         try:

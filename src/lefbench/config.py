@@ -49,7 +49,7 @@ from pathlib import Path
 
 from .disc import (ArcKind, BoundaryAngle, DiscModel, PlanarArc, Puncture)
 from .errors import ConfigError, LefbenchError
-from .exactgeom import Pt, Q
+from .exactgeom import Pt, Q, min_angular_gap
 from .fibration import (AbstractFiber, Crit, Fibration, HomologyTable,
                         MatchingObject, TotalSpaceFiber)
 from .oracle import (DisjointFact, FiberOracle, IsotopicFact, LabelDecl,
@@ -443,17 +443,12 @@ def parse_config(text: str, source: str = "<config>") -> ScenarioConfig:
 def _check_delta_gap(fibrations, wrap: WrapParams, source: str) -> None:
     """The wrap offset must not collide distinct declared boundary angles."""
     for f in fibrations:
-        angles = sorted({c.path.end.angle for c in f.crits}
-                        | {f.reference_angle.angle})
-        if len(angles) < 2:
-            continue
-        gaps = [b - a for a, b in zip(angles, angles[1:])]
-        gaps.append(1 + angles[0] - angles[-1])
-        if wrap.delta >= min(gaps):
+        gap = min_angular_gap([c.path.end.angle for c in f.crits]
+                              + [f.reference_angle.angle])
+        if gap is not None and wrap.delta >= gap:
             raise ConfigError(
                 f"{source}: wrap delta {wrap.delta} reaches the angular gap"
-                f" {min(gaps)} between declared boundary endpoints of"
-                f" {f.name!r}")
+                f" {gap} between declared boundary endpoints of {f.name!r}")
 
 
 def _parse_wrap(sec: _Section, source: str) -> WrapParams:

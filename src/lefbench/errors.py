@@ -3,6 +3,9 @@
 Every error raised by the library derives from LefbenchError.  Errors that can
 be traced back to a line of a scenario config carry ``source`` ("file:line")
 so the CLI can point at the offending declaration.
+
+``exit_code`` is the CLI exit code each class ends a run with: 1 unusable
+input, 2 undecidable from the oracle facts, 3 internal inconsistency.
 """
 
 from __future__ import annotations
@@ -10,6 +13,8 @@ from __future__ import annotations
 
 class LefbenchError(Exception):
     """Base class for all workbench errors."""
+
+    exit_code = 1
 
     def __init__(self, message: str, source: str | None = None):
         self.source = source
@@ -44,45 +49,55 @@ class SpiralCollision(LefbenchError):
 
 class MissingClass(LefbenchError):
     """A cycle label has no homology class in the fiber data."""
+    exit_code = 2
 
 
 class UnresolvedSign(LefbenchError):
     """The orientation rule cannot orient a matching cycle."""
+    exit_code = 2
 
 
 # ---- floer oracle ----------------------------------------------------------
 
 class UnknownPair(LefbenchError):
     """The oracle holds no rank fact for the requested pair."""
+    exit_code = 2
 
 
 class InvalidWitness(LefbenchError):
     """A not-isomorphic witness fails its rank requirements."""
+    exit_code = 3
 
 
 class MissingParity(LefbenchError):
     """Exactness was demanded but no parity certificate covers the generators."""
+    exit_code = 2
 
 
 # ---- rank calculus ---------------------------------------------------------
 
 class ImageTooLarge(LefbenchError):
     """A triangle's image rank exceeds min of the adjacent ranks."""
+    exit_code = 3
 
 
 class Undecidable(LefbenchError):
     """Isomorphism status required but Unknown."""
+    exit_code = 2
 
 
 class Inconsistent(LefbenchError):
     """Rank bookkeeping contradicts itself (internal inconsistency)."""
+    exit_code = 3
 
 
 class IncompleteBasis(LefbenchError):
     """The obstruction test is missing a diagonal verdict."""
+    exit_code = 2
 
 
 # ---- wrapped tower ---------------------------------------------------------
 
 class MissingFate(LefbenchError):
     """A tower was assembled without a unit-fate or module-rule source."""
+    exit_code = 2

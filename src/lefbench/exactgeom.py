@@ -106,12 +106,6 @@ def circle_point(tau: Fraction) -> Pt:
     return Pt((1 - t * t) / d, 2 * t / d)
 
 
-def ccw_gap(a: Fraction, b: Fraction) -> Fraction:
-    """Counterclockwise angular distance from a to b, in (0, 1] for a != b."""
-    g = angle_norm(b - a)
-    return g if g else ONE
-
-
 def min_angular_gap(angles: Iterable[Fraction]) -> Fraction | None:
     """Smallest circular gap between distinct declared angles (None if < 2)."""
     uniq = sorted({angle_norm(a) for a in angles})

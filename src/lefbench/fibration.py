@@ -15,13 +15,12 @@ the Smith normal form of the attachment matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .disc import ArcKind, BoundaryAngle, DiscModel, PlanarArc, Puncture
-from .errors import (DegenerateTangency, Inconsistent, LefbenchError,
-                     MissingClass, NonEmbeddableInput, SharedBoundaryEndpoint,
-                     UnresolvedSign)
+from .errors import (Inconsistent, LefbenchError, MissingClass,
+                     SharedBoundaryEndpoint, UnresolvedSign)
 from .minpos import intersection_profile, minimal_position
 from .snf import cokernel_invariants, kernel_basis, solve_integer
 
@@ -249,6 +248,16 @@ class Fibration:
         return self.fiber.dim // 2 + 1
 
 
+def with_resolution(f: Fibration, n: int) -> Fibration:
+    """The same fibration, inner fibrations included, over a boundary grid
+    of resolution n."""
+    fiber = f.fiber
+    if isinstance(fiber, TotalSpaceFiber):
+        fiber = TotalSpaceFiber(with_resolution(fiber.fibration, n))
+    disc = replace(f.disc, boundary_resolution=n)
+    return replace(f, disc=disc, fiber=fiber)
+
+
 # --------------------------------------------------------------------------
 # validation
 # --------------------------------------------------------------------------
@@ -353,7 +362,7 @@ def _check_disjoint_paths(f: Fibration, ci: Crit, cj: Crit,
             violation(f"vanishing paths of {ci.puncture!r} and {cj.puncture!r}"
                       " share a non-reference boundary endpoint")
         return
-    except (NonEmbeddableInput, DegenerateTangency, LefbenchError) as exc:
+    except LefbenchError as exc:
         violation(f"vanishing paths of {ci.puncture!r} and {cj.puncture!r}:"
                   f" {exc}")
         return

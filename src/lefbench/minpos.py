@@ -42,7 +42,6 @@ class ArcCrossing:
 class IntersectionProfile:
     interior_crossings: tuple[Pt, ...]
     shared_punctures: tuple[str, ...]
-    shared_boundary_endpoints: tuple[()] = ()
 
     @property
     def crossing_count(self) -> int:

@@ -64,10 +64,7 @@ def pair_of_pants_image_rank(o: FiberOracle, a: str, b: str) -> int:
 
 def seidel_twist_rank(o: FiberOracle, a: str, b: str) -> int:
     """Rank of HF(b, twist_a b) from the twist triangle."""
-    k = o.rank_of(a, b) * o.rank_of(b, a)
-    l = o.rank_of(b, b)
-    f = 0 if k == 0 else pair_of_pants_image_rank(o, a, b)
-    return triangle_rank(k, l, f)
+    return _directed_twist(o, a, b)[2]
 
 
 NONZERO_EV_WARNING = (

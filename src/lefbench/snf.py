@@ -204,14 +204,3 @@ def solve_integer(rows: Sequence[Sequence[int]],
             return None
     x = [sum(sf.right[i][j] * y[j] for j in range(n)) for i in range(n)]
     return tuple(x)
-
-
-def matrix_multiply(a: Sequence[Sequence[int]],
-                    b: Sequence[Sequence[int]]) -> Matrix:
-    if not a:
-        return ()
-    inner = len(b)
-    assert all(len(row) == inner for row in a)
-    width = len(b[0]) if inner else 0
-    return tuple(tuple(sum(row[k] * b[k][j] for k in range(inner))
-                       for j in range(width)) for row in a)

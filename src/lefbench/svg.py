@@ -76,6 +76,7 @@ def stage_svg(f: Fibration, x: str, y: str, spec: WrapSpec) -> str:
     """One wrapped thimble path against its fixed partner."""
     cx, cy = f.crit_for(x), f.crit_for(y)
     moved = wrap(cx.path, spec, f.disc, bend=cx.puncture == cy.puncture)
+    moved.validate(f.disc)
     return _disc_scene(f.disc, [(cy.path, _CRIT), (moved, _WRAPPED)])
 
 

@@ -5,7 +5,8 @@ A stage at wrapping level m records the generator inventory of the complex
 between one thimble wrapped m turns and another held fixed: one fiber block
 per interior crossing of the two base paths, plus the distinguished
 generator u at a shared critical endpoint.  No differentials are computed
-here - exactness certificates come from the rank calculus, and the stage
+here - exactness certificates are read off the directed ranks (FsHomRanks)
+that the caller has already derived with the rank calculus, and the stage
 merely checks that its inventory is large enough and of the right parity to
 carry them.  Tower assembly folds the stages into a single wrapped-group
 verdict driven by the fate of u.
@@ -13,7 +14,6 @@ verdict driven by the fate of u.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -23,8 +23,8 @@ from .errors import (Inconsistent, LefbenchError, MissingFate, Undecidable)
 from .exactgeom import Pt
 from .fibration import Fibration
 from .minpos import intersection_profile, minimal_position
-from .oracle import FiberOracle, RankResult
-from .rank_calculus import TraceStep, UnitFate, fs_hom_ranks, hw_verdict, HWVerdict
+from .oracle import RankResult
+from .rank_calculus import FsHomRanks, TraceStep, UnitFate, hw_verdict, HWVerdict
 from .wrapping import wrap
 
 ORDINARY = "ordinary"
@@ -92,11 +92,14 @@ class WrappedComplexStage:
 
 
 def build_stage(f: Fibration, x: str, y: str, spec: WrapSpec,
-                o: FiberOracle | None = None) -> WrappedComplexStage:
+                fs: FsHomRanks) -> WrappedComplexStage:
     """Inventory of the complex between x's thimble wrapped spec.m turns
-    and y's thimble, both named by their punctures."""
-    if o is None:
-        o = f.oracle
+    and y's thimble, both named by their punctures.
+
+    The rank certificate, where the directed calculus supplies one, is read
+    from ``fs``.  The wrapped spiral is validated once, by minimal_position.
+    """
+    o = f.oracle
     if o is None:
         raise Undecidable(f"fibration {f.name!r} carries no rank oracle")
     cx, cy = f.crit_for(x), f.crit_for(y)
@@ -126,12 +129,12 @@ def build_stage(f: Fibration, x: str, y: str, spec: WrapSpec,
 
     return WrappedComplexStage(
         m=spec.m, generators=tuple(gens),
-        rank_certificate=_certificate(f, o, bend, spec.m),
+        rank_certificate=_certificate(fs, bend, spec.m),
         differential_constraints=tuple(constraints))
 
 
-def _certificate(f: Fibration, o: FiberOracle,
-                 self_pair: bool, m: int) -> RankResult | None:
+def _certificate(fs: FsHomRanks, self_pair: bool,
+                 m: int) -> RankResult | None:
     """Exact rank from the directed calculus, where it supplies one.
 
     The calculus certifies the bottom of a self-tower (the unit alone), the
@@ -140,10 +143,6 @@ def _certificate(f: Fibration, o: FiberOracle,
     """
     wanted = (self_pair and m in (0, 1)) or (not self_pair and m == 1)
     if not wanted:
-        return None
-    try:
-        fs = fs_hom_ranks(f, o)
-    except Undecidable:
         return None
     if self_pair:
         value = fs.hom_bb if m == 0 else fs.hom_b1b
@@ -236,17 +235,9 @@ def assemble_tower(stages: Iterable[WrappedComplexStage],
 
 
 def build_tower(f: Fibration, x: str, y: str, levels: Iterable[int],
-                delta: Fraction, bend: Fraction | None = None,
-                o: FiberOracle | None = None,
+                delta: Fraction, bend: Fraction | None, fs: FsHomRanks,
                 fate: UnitFate | None = None,
                 verdict: HWVerdict | None = None) -> Tower:
-    stages = (build_stage(f, x, y, WrapSpec(m, delta, bend), o)
+    stages = (build_stage(f, x, y, WrapSpec(m, delta, bend), fs)
               for m in sorted(set(levels)))
     return assemble_tower(stages, fate, verdict)
-
-
-def refined(f: Fibration, factor: int = 2) -> Fibration:
-    """The same fibration over a boundary grid refined by ``factor``."""
-    disc = dataclasses.replace(
-        f.disc, boundary_resolution=f.disc.boundary_resolution * factor)
-    return dataclasses.replace(f, disc=disc)

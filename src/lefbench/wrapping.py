@@ -13,6 +13,11 @@ puncture), pass bend=True: the copy leaves the puncture directly toward an
 entry point rotated counterclockwise by spec.bend, so source and copy share
 only the puncture point.  This local left-bend requires the source to be in
 radial normal form (a single straight segment from puncture to boundary).
+
+wrap guards the annulus against punctures but does not validate the spiral
+it returns: each consumer checks it once before use (minimal_position for a
+tower stage, svg.stage_svg for a diagram), so a coarse boundary grid still
+ends in NonEmbeddableInput.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ def _annulus_entry_radius(arc: PlanarArc, disc: DiscModel) -> Fraction:
 
 def wrap(arc: PlanarArc, spec: WrapSpec, disc: DiscModel,
          bend: bool = False) -> PlanarArc:
-    """Wrapped image of a radial-ended arc; see module docstring."""
+    """Unvalidated wrapped image of a radial-ended arc; see module docstring."""
     tau0, _ = radial_split(arc)
     if bend and len(arc.vertices) != 2:
         raise LefbenchError(
@@ -91,7 +96,5 @@ def wrap(arc: PlanarArc, spec: WrapSpec, disc: DiscModel,
 
     level = (arc.wrap_level or 0) + spec.m
     offset = (arc.wrap_offset or Q(0)) + spec.delta
-    out = PlanarArc(vertices, arc.start, BoundaryAngle(angle_norm(end)),
-                    ArcKind.WRAPPED, wrap_level=level, wrap_offset=offset)
-    out.validate(disc)
-    return out
+    return PlanarArc(vertices, arc.start, BoundaryAngle(angle_norm(end)),
+                     ArcKind.WRAPPED, wrap_level=level, wrap_offset=offset)

@@ -277,6 +277,17 @@ def sympy_invariant_factors(rows):
     return out
 
 
+def matrix_multiply(a, b):
+    """Integer matrix product, as a tuple of row tuples."""
+    if not a:
+        return ()
+    inner = len(b)
+    assert all(len(row) == inner for row in a)
+    width = len(b[0]) if inner else 0
+    return tuple(tuple(sum(row[k] * b[k][j] for k in range(inner))
+                       for j in range(width)) for row in a)
+
+
 def attachment_homology(fiber_h, pairing_rows, attach_deg):
     """One-pass homology of attaching cells along a pairing matrix.
 
@@ -314,3 +325,13 @@ def attachment_homology(fiber_h, pairing_rows, attach_deg):
 
 def random_int_matrix(rows, cols, rng, lo=-6, hi=6):
     return [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
+
+
+# ---------------------------------------------------------------------------
+# boundary angles
+# ---------------------------------------------------------------------------
+
+def ccw_gap(a, b):
+    """Counterclockwise angular distance from a to b in turns, in (0, 1]."""
+    g = Fraction(b - a) % 1
+    return g if g else Fraction(1)

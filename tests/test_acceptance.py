@@ -18,10 +18,11 @@ import oracles
 from lefbench.cli import main
 from lefbench.config import load_config
 from lefbench.disc import WrapSpec
-from lefbench.fibration import total_space_homology
+from lefbench.fibration import total_space_homology, with_resolution
 from lefbench.minpos import intersection_profile, minimal_position
-from lefbench.rank_calculus import analyze, seidel_twist_rank, triangle_rank
-from lefbench.tower import build_stage, refined
+from lefbench.rank_calculus import (analyze, fs_hom_ranks, seidel_twist_rank,
+                                    triangle_rank)
+from lefbench.tower import build_stage
 from lefbench.wrapping import wrap
 
 from test_minimal_position import (compute_crossings, eliminate_bigon,
@@ -144,16 +145,21 @@ def test_c6_property_suites(capsys, cfgs):
         # (c) + (d): identical stage inventories across the two scenarios at
         # every level, and certificate parity equals inventory parity
         stages = {}
+        certified = 0
         for v, cfg in cfgs.items():
             f = cfg.fibration
+            fs = fs_hom_ranks(f)
             for x, y in PAIRS:
                 for m in LEVELS:
                     s = build_stage(f, x, y, WrapSpec(m, cfg.wrap.delta,
-                                                      cfg.wrap.bend))
+                                                      cfg.wrap.bend), fs)
                     stages[v, x, y, m] = s
                     if s.rank_certificate is not None:
+                        certified += 1
                         assert s.rank_certificate.value % 2 == s.count % 2
                         assert s.rank_certificate.value <= s.count
+        # b:b and a:a at m = 0, 1 and a:b at m = 1, in both scenarios
+        assert certified == 10
         for x, y in PAIRS:
             for m in LEVELS:
                 assert stages["W0", x, y, m].inventory() == \
@@ -163,7 +169,7 @@ def test_c6_property_suites(capsys, cfgs):
         # profile are unchanged when the boundary grid is twice as fine
         for v, cfg in cfgs.items():
             base = cfg.fibration
-            fine = refined(base, 2)
+            fine = with_resolution(base, 2 * base.disc.boundary_resolution)
             for x, y in PAIRS:
                 for m in LEVELS:
                     spec = WrapSpec(m, cfg.wrap.delta, cfg.wrap.bend)

@@ -1,5 +1,6 @@
 """End-to-end tests for the ``lefbench`` command line tool."""
 
+import inspect
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -8,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
+from lefbench import errors, rank_calculus, wrapping
 from lefbench.cli import main
+from lefbench.disc import PlanarArc
 
 INVALID_CFG = """\
 [disc d]
@@ -129,6 +132,48 @@ def test_resolution_override(capsys):
     assert "unit fate: Survives" in out
 
 
+@pytest.mark.parametrize("command", ["hw", "render", "all"])
+def test_coarse_grid_spiral_is_rejected(command, tmp_path, capsys):
+    # at resolution 8 the wrapped spirals self-intersect; each consumer of a
+    # spiral (tower stage, stage diagram) must check it before use
+    argv = [command, shipped("W1.cfg"), "--resolution", "8"]
+    if command == "render":
+        argv += ["--svg", str(tmp_path)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error[NonEmbeddableInput]:")
+
+
+def _count_calls(monkeypatch, fn, seen):
+    """Append the result of every call of fn to seen, whichever module's
+    binding of fn the call goes through."""
+    def counted(*args, **kwargs):
+        result = fn(*args, **kwargs)
+        seen.append(result)
+        return result
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("lefbench"):
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, counted)
+
+
+def test_hw_derives_each_quantity_once(monkeypatch, capsys):
+    fs_calls, spirals, validated = [], [], []
+    _count_calls(monkeypatch, rank_calculus.fs_hom_ranks, fs_calls)
+    _count_calls(monkeypatch, wrapping.wrap, spirals)
+    check = PlanarArc.validate
+
+    def counted_validate(arc, disc):
+        validated.append(arc)
+        return check(arc, disc)
+    monkeypatch.setattr(PlanarArc, "validate", counted_validate)
+    assert main(["hw", shipped("W1.cfg")]) == 0
+    assert len(fs_calls) == 1
+    assert len(spirals) == 3 * 4                  # three towers x four levels
+    for spiral in spirals:
+        assert sum(arc is spiral for arc in validated) == 1
+
+
 # --------------------------------------------------------------------------
 # rendering
 # --------------------------------------------------------------------------
@@ -243,6 +288,29 @@ def test_tower_names_unknown_puncture(tmp_path, capsys):
     cfg.write_text(text.replace("towers = b:b a:a a:b", "towers = b:z"))
     assert main(["hw", str(cfg)]) == 1
     assert "error[ConfigError]" in capsys.readouterr().err
+
+
+# the exit code each error class ends a run with
+EXIT_CODES = {
+    "LefbenchError": 1, "ConfigError": 1, "NonEmbeddableInput": 1,
+    "DegenerateTangency": 1, "SharedBoundaryEndpoint": 1,
+    "SpiralCollision": 1,
+    "MissingClass": 2, "UnresolvedSign": 2, "UnknownPair": 2,
+    "MissingParity": 2, "Undecidable": 2, "IncompleteBasis": 2,
+    "MissingFate": 2,
+    "InvalidWitness": 3, "ImageTooLarge": 3, "Inconsistent": 3,
+}
+
+
+@pytest.mark.parametrize("cls", [
+    c for _, c in inspect.getmembers(errors, inspect.isclass)
+    if issubclass(c, errors.LefbenchError)], ids=lambda c: c.__name__)
+def test_error_exit_code(cls, monkeypatch, capsys):
+    def fail(*_args):
+        raise cls("boom")
+    monkeypatch.setattr("lefbench.cli.run_command", fail)
+    assert main(["validate", shipped("W0.cfg")]) == EXIT_CODES[cls.__name__]
+    assert capsys.readouterr().err == f"error[{cls.__name__}]: boom\n"
 
 
 def test_usage_errors_exit_one(capsys):

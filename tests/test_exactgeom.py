@@ -5,12 +5,14 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, strategies as st
 
-from lefbench.exactgeom import (Pt, ccw_gap, circle_point, line_intersection,
+from lefbench.exactgeom import (Pt, circle_point, line_intersection,
                                 min_angular_gap, norm2, orient,
                                 point_in_polygon, polygon_area2,
                                 segment_crossing, segment_point_dist2,
                                 segments_overlap_collinear, sgn_eps,
                                 winding_number, pt)
+
+from oracles import ccw_gap
 
 
 # well-known realized boundary points, frozen by hand from the parametrization
@@ -56,6 +58,11 @@ def test_ccw_gap_and_min_gap():
     assert ccw_gap(Q(1, 8), Q(1, 8)) == 1
     assert min_angular_gap([Q(0), Q(1, 2), Q(3, 4)]) == Q(1, 4)
     assert min_angular_gap([Q(0)]) is None
+    # the smallest gap is the shortest counterclockwise step between any two
+    # distinct angles, however they are written
+    angles = [Q(-1, 8), Q(1, 3), Q(5, 4), Q(7, 8), Q(2, 3)]
+    assert min_angular_gap(angles) == min(
+        ccw_gap(a, b) for a in angles for b in angles if (a - b) % 1)
 
 
 def test_sgn_eps_orders_of_vanishing():

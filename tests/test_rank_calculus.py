@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import scen
 from lefbench.disc import ArcKind, BoundaryAngle, DiscModel, PlanarArc, Puncture
 from lefbench.errors import (ImageTooLarge, Inconsistent, IncompleteBasis,
-                             LefbenchError, Undecidable)
+                             LefbenchError, Undecidable, UnknownPair)
 from lefbench.fibration import Crit, Fibration, MatchingObject, TotalSpaceFiber
 from lefbench.oracle import FiberOracle, LabelDecl, RankFact
 from lefbench.rank_calculus import (NONZERO_EV_WARNING, HWVerdict, UnitFate,
@@ -125,6 +125,23 @@ def test_seidel_twist_rank_disjoint_pair():
 def test_seidel_twist_rank_propagates_undecidable():
     with pytest.raises(Undecidable):
         seidel_twist_rank(_two_sphere_oracle(1), "s", "t")
+
+
+def test_seidel_twist_rank_undeclared_self_rank():
+    # a nonzero pair product asks the pants rule first, which needs
+    # rank(y,y) = 2 and says so; with a zero product the triangle itself
+    # reads the missing self-rank
+    o = FiberOracle(
+        label_decls=(LabelDecl("x"), LabelDecl("y")),
+        rank_facts=(RankFact("x", "x", 2, scen.assumed("setup")),
+                    RankFact("x", "y", 1, scen.assumed("setup"))))
+    with pytest.raises(Undecidable, match="rank\\(y,y\\) = 2"):
+        seidel_twist_rank(o, "x", "y")
+    o0 = FiberOracle(
+        label_decls=(LabelDecl("x"), LabelDecl("y")),
+        rank_facts=(RankFact("x", "y", 0, scen.assumed("setup")),))
+    with pytest.raises(UnknownPair):
+        seidel_twist_rank(o0, "x", "y")
 
 
 # --------------------------------------------------------------------------

@@ -9,12 +9,13 @@ import scen
 from lefbench.disc import WrapSpec
 from lefbench.errors import (Inconsistent, LefbenchError, MissingFate,
                              Undecidable)
+from lefbench.fibration import with_resolution
 from lefbench.oracle import RankResult
-from lefbench.rank_calculus import UnitFate, analyze
+from lefbench.rank_calculus import UnitFate, analyze, fs_hom_ranks
 from lefbench.tower import (ARROWS_STAY_IN_BLOCK, CRITICAL_U, NO_ARROWS_AT_U,
                             ORDINARY, ContinuationExists, Generator, Tower,
                             WrappedComplexStage, assemble_tower, build_stage,
-                            build_tower, refined)
+                            build_tower)
 
 DELTA = Q(1, 64)
 BEND = Q(1, 128)
@@ -26,7 +27,7 @@ def _spec(m):
 
 def _stage(variant, x, y, m, f=None):
     f = f if f is not None else scen.full_main_fibration(variant)
-    return build_stage(f, x, y, _spec(m))
+    return build_stage(f, x, y, _spec(m), fs_hom_ranks(f))
 
 
 # --------------------------------------------------------------------------
@@ -85,8 +86,8 @@ def test_w0_w1_inventories_identical():
     f1 = scen.full_main_fibration("W1")
     for pair in (("b", "b"), ("a", "a"), ("a", "b")):
         for m in range(4):
-            s0 = build_stage(f0, *pair, _spec(m))
-            s1 = build_stage(f1, *pair, _spec(m))
+            s0 = build_stage(f0, *pair, _spec(m), fs_hom_ranks(f0))
+            s1 = build_stage(f1, *pair, _spec(m), fs_hom_ranks(f1))
             assert s0.generators == s1.generators
             assert s0.inventory() == s1.inventory()
             assert s0.rank_certificate == s1.rank_certificate
@@ -94,14 +95,16 @@ def test_w0_w1_inventories_identical():
 
 def test_doubled_resolution_keeps_inventory():
     f = scen.full_main_fibration("W1")
-    f2 = refined(f)
+    f2 = with_resolution(f, 2 * f.disc.boundary_resolution)
     assert f2.disc.boundary_resolution == 2 * f.disc.boundary_resolution
+    fs, fs2 = fs_hom_ranks(f), fs_hom_ranks(f2)
     for pair in (("b", "b"), ("a", "b")):
         for m in range(4):
-            coarse = build_stage(f, *pair, _spec(m))
-            fine = build_stage(f2, *pair, _spec(m))
+            coarse = build_stage(f, *pair, _spec(m), fs)
+            fine = build_stage(f2, *pair, _spec(m), fs2)
             assert coarse.inventory() == fine.inventory()
             assert coarse.count == fine.count
+            assert coarse.rank_certificate == fine.rank_certificate
 
 
 # --------------------------------------------------------------------------
@@ -134,10 +137,11 @@ def test_certificate_guards():
 
 def test_build_stage_needs_known_puncture_and_oracle():
     f = scen.full_main_fibration("W0")
+    fs = fs_hom_ranks(f)
     with pytest.raises(LefbenchError):
-        build_stage(f, "c", "b", _spec(0))
+        build_stage(f, "c", "b", _spec(0), fs)
     with pytest.raises(Undecidable):
-        build_stage(scen.main_fibration("W0"), "a", "b", _spec(0))
+        build_stage(scen.main_fibration("W0"), "a", "b", _spec(0), fs)
 
 
 # --------------------------------------------------------------------------
@@ -149,7 +153,8 @@ def test_tower_assembly_scenarios():
         f = scen.full_main_fibration(variant)
         out = analyze(f)
         assert out.fate is fate
-        t = build_tower(f, "b", "b", range(4), DELTA, BEND, fate=out.fate)
+        t = build_tower(f, "b", "b", range(4), DELTA, BEND, out.fs,
+                        fate=out.fate)
         assert t.counts() == ((0, 1), (1, 3), (2, 5), (3, 7))
         assert t.verdict.nonzero == (fate is UnitFate.SURVIVES)
         assert t.continuation == tuple(
@@ -162,10 +167,12 @@ def test_tower_assembly_scenarios():
 
 def test_survivor_tower_gets_stabilization_note():
     f = scen.full_main_fibration("W0")
-    t = build_tower(f, "b", "b", [0, 1], DELTA, BEND, fate=UnitFate.SURVIVES)
+    t = build_tower(f, "b", "b", [0, 1], DELTA, BEND, fs_hom_ranks(f),
+                    fate=UnitFate.SURVIVES)
     assert [s.tag for s in t.verdict.steps] == ["unit-survival", "stabilization"]
-    t1 = build_tower(scen.full_main_fibration("W1"), "b", "b", [0, 1],
-                     DELTA, BEND, fate=UnitFate.DIES)
+    f1 = scen.full_main_fibration("W1")
+    t1 = build_tower(f1, "b", "b", [0, 1], DELTA, BEND, fs_hom_ranks(f1),
+                     fate=UnitFate.DIES)
     assert [s.tag for s in t1.verdict.steps] == ["unit-death"]
 
 
@@ -173,7 +180,7 @@ def test_mixed_tower_counts():
     for variant in ("W0", "W1"):
         f = scen.full_main_fibration(variant)
         out = analyze(f)
-        t = build_tower(f, "a", "b", range(4), DELTA, BEND,
+        t = build_tower(f, "a", "b", range(4), DELTA, BEND, out.fs,
                         verdict=out.off_diagonal)
         assert t.counts() == ((0, 0), (1, 2), (2, 4), (3, 6))
         assert t.verdict.nonzero == (variant == "W0")
@@ -185,7 +192,7 @@ def test_fate_and_verdict_are_exclusive():
     f = scen.full_main_fibration("W0")
     out = analyze(f)
     with pytest.raises(LefbenchError):
-        build_tower(f, "b", "b", [0, 1], DELTA, BEND,
+        build_tower(f, "b", "b", [0, 1], DELTA, BEND, out.fs,
                     fate=out.fate, verdict=out.off_diagonal)
 
 
@@ -199,7 +206,7 @@ def test_trivially_empty_tower_vanishes():
 
 def test_nonempty_tower_without_fate():
     f = scen.full_main_fibration("W1")
-    stages = [build_stage(f, "a", "b", _spec(m)) for m in range(2)]
+    stages = [_stage("W1", "a", "b", m, f) for m in range(2)]
     with pytest.raises(MissingFate):
         assemble_tower(stages)
 
@@ -225,5 +232,6 @@ def test_tower_guards():
 
 def test_fate_dies_marks_unit_image_dead():
     f = scen.full_main_fibration("W1")
-    t = build_tower(f, "b", "b", [0, 1, 2], DELTA, BEND, fate=UnitFate.DIES)
+    t = build_tower(f, "b", "b", [0, 1, 2], DELTA, BEND, fs_hom_ranks(f),
+                    fate=UnitFate.DIES)
     assert all(not c.unit_image_persists for c in t.continuation)

@@ -21,6 +21,13 @@ def main_disc(resolution=16):
                      boundary_resolution=resolution)
 
 
+def wrapped(arc, spec, disc, bend=False):
+    """wrap, then the check every consumer makes before using the spiral."""
+    w = wrap(arc, spec, disc, bend=bend)
+    w.validate(disc)
+    return w
+
+
 def ray_a(disc):
     arc = PlanarArc((pt(Q(-1, 2), 0), pt(-1, 0)),
                     Puncture("a"), BoundaryAngle(Q(1, 2)), ArcKind.VANISHING)
@@ -37,7 +44,7 @@ def ray_b(disc):
 
 def test_wrap_level_zero_only_shifts_the_endpoint():
     disc = main_disc()
-    w = wrap(ray_b(disc), WrapSpec(0, DELTA), disc)
+    w = wrapped(ray_b(disc), WrapSpec(0, DELTA), disc)
     assert w.kind is ArcKind.WRAPPED
     assert w.wrap_level == 0
     assert w.wrap_offset == DELTA
@@ -51,7 +58,7 @@ def test_wrap_level_zero_only_shifts_the_endpoint():
 @pytest.mark.parametrize("m,expected", [(1, 1), (2, 2), (3, 3)])
 def test_wrapped_ray_crosses_opposite_ray_once_per_turn(m, expected):
     disc = main_disc()
-    w = wrap(ray_a(disc), WrapSpec(m, DELTA), disc)
+    w = wrapped(ray_a(disc), WrapSpec(m, DELTA), disc)
     hits = compute_crossings(w, ray_b(disc))
     assert len(hits) == expected
     assert brute_crossing_count(w.vertices, ray_b(disc).vertices) == expected
@@ -65,7 +72,7 @@ def test_wrapped_ray_crosses_opposite_ray_once_per_turn(m, expected):
 def test_bent_self_wrap_crosses_its_source_once_per_turn(m, expected):
     disc = main_disc()
     src = ray_b(disc)
-    w = wrap(src, WrapSpec(m, DELTA, bend=Q(1, 128)), disc, bend=True)
+    w = wrapped(src, WrapSpec(m, DELTA, bend=Q(1, 128)), disc, bend=True)
     assert w.vertices[0] == src.vertices[0]
     hits = compute_crossings(w, src)
     assert len(hits) == expected
@@ -77,15 +84,15 @@ def test_wrapped_crossings_are_pinned_by_punctures():
     """The spiral turns encircle every puncture, so none of the crossings
     with a ray bounds an empty lens: the pair is already minimal."""
     disc = main_disc()
-    w = wrap(ray_a(disc), WrapSpec(3, DELTA), disc)
+    w = wrapped(ray_a(disc), WrapSpec(3, DELTA), disc)
     assert find_empty_bigons(w, ray_b(disc), disc) == []
 
 
 def test_double_wrap_matches_single_wrap_profile():
     disc = main_disc()
-    once = wrap(wrap(ray_b(disc), WrapSpec(1, DELTA), disc),
-                WrapSpec(2, DELTA), disc)
-    flat = wrap(ray_b(disc), WrapSpec(3, 2 * DELTA), disc)
+    once = wrapped(wrapped(ray_b(disc), WrapSpec(1, DELTA), disc),
+                   WrapSpec(2, DELTA), disc)
+    flat = wrapped(ray_b(disc), WrapSpec(3, 2 * DELTA), disc)
     assert once.wrap_level == flat.wrap_level == 3
     assert once.wrap_offset == flat.wrap_offset == 2 * DELTA
     assert once.end == flat.end
@@ -122,14 +129,14 @@ def test_spiral_collision_resolved_by_finer_resolution():
 
     fine = DiscModel(punctures=(("hug", pt(0, Q(99, 100))),),
                      boundary_resolution=64)
-    w = wrap(ray, WrapSpec(1, DELTA), fine)
+    w = wrapped(ray, WrapSpec(1, DELTA), fine)
     assert w.wrap_level == 1
     assert polyline_is_embedded(w.vertices)
 
 
 def test_wrap_keeps_spiral_clear_of_punctures():
     disc = main_disc()
-    w = wrap(ray_a(disc), WrapSpec(2, DELTA), disc)
+    w = wrapped(ray_a(disc), WrapSpec(2, DELTA), disc)
     # every vertex of the spiral proper stays strictly outside the puncture
     # radius, and the arc never meets a puncture other than its own anchor
     for v in w.vertices[1:]:
