@@ -4,10 +4,11 @@
 
 Commands: validate, homology, floer-ranks, hw, render, all.  run_command
 derives the rank analysis once per run and hands it to the report sections
-that read it.  Exit codes: 0 success; 1 unusable input (config errors,
-validation failures, I/O); 2 undecidable (the oracle facts do not determine
-an answer); 3 internal inconsistency (the facts contradict each other or
-the geometry).  Each error class carries its own code (errors.py).
+that read it; ``all --svg`` draws the spirals its towers wrapped.  Exit
+codes: 0 success; 1 unusable input (config errors, validation failures,
+I/O); 2 undecidable (the oracle facts do not determine an answer); 3
+internal inconsistency (the facts contradict each other or the geometry).
+Each error class carries its own code (errors.py).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .fibration import validate as validate_fibration
 from .rank_calculus import ScenarioRanks, UnitFate, analyze
 from .report import Report, homology_lines, hw_value, thimble
 from .svg import diagram_files, stage_svg
-from .tower import build_tower
+from .tower import Tower, build_tower, stage_spiral, tower_crits
 
 COMMANDS = ("validate", "homology", "floer-ranks", "hw", "render", "all")
 
@@ -81,7 +82,8 @@ def _tower_verdict_args(out: ScenarioRanks, label_x: str, label_y: str):
     return {"verdict": out.off_diagonal}
 
 
-def _section_hw(r: Report, cfg: ScenarioConfig, out: ScenarioRanks) -> None:
+def _section_hw(r: Report, cfg: ScenarioConfig,
+                out: ScenarioRanks) -> dict[tuple[str, str], Tower]:
     f = cfg.fibration
     if not cfg.towers:
         raise IncompleteBasis(
@@ -90,18 +92,13 @@ def _section_hw(r: Report, cfg: ScenarioConfig, out: ScenarioRanks) -> None:
     r.line("wrap delta", cfg.wrap.delta)
     r.line("wrap levels", " ".join(str(m) for m in cfg.wrap.levels))
     diagonal = dict(out.diagonal)
+    towers = {}
     for x, y in cfg.towers:
-        cx, cy = f.crit_for(x), f.crit_for(y)
-        if cx is None or cy is None:
-            missing = x if cx is None else y
-            raise ConfigError(
-                f"tower {x}:{y} names puncture {missing!r}, which has no"
-                " critical value")
-        lx, ly = cx.cycle_label, cy.cycle_label
+        lx, ly = (c.cycle_label for c in tower_crits(f, x, y))
         name = f"tower {thimble(lx)}:{thimble(ly)}"
-        t = build_tower(f, x, y, cfg.wrap.levels, cfg.wrap.delta,
-                        cfg.wrap.bend, out.fs,
-                        **_tower_verdict_args(out, lx, ly))
+        t = towers[x, y] = build_tower(f, x, y, cfg.wrap.levels,
+                                       cfg.wrap.delta, cfg.wrap.bend, out.fs,
+                                       **_tower_verdict_args(out, lx, ly))
         for s in t.stages:
             cert = (str(s.rank_certificate.value)
                     if s.rank_certificate is not None else "none")
@@ -124,6 +121,7 @@ def _section_hw(r: Report, cfg: ScenarioConfig, out: ScenarioRanks) -> None:
         r.line(f"HW({thimble(lx)},{thimble(ly)})", hw_value(t.verdict.nonzero))
     r.line("unit fate", out.fate.value)
     r.line("obstruction", out.obstruction.kind)
+    return towers
 
 
 def _section_trace(r: Report, out: ScenarioRanks) -> None:
@@ -133,15 +131,25 @@ def _section_trace(r: Report, out: ScenarioRanks) -> None:
         r.raw(f"  {i}. [{step.tag}] {step.text}")
 
 
-def _render_svgs(cfg: ScenarioConfig, outdir: str) -> list[str]:
+def _render_svgs(cfg: ScenarioConfig, outdir: str,
+                 towers: dict[tuple[str, str], Tower] | None) -> list[str]:
+    """Write the discs and a diagram per stage: the spiral its tower kept,
+    or without towers (``render``) one wrapped and checked here."""
     d = Path(outdir)
     d.mkdir(parents=True, exist_ok=True)
-    files = list(diagram_files(cfg.fibration))
+    f = cfg.fibration
+    files = list(diagram_files(f))
     for x, y in cfg.towers:
+        _, cy = tower_crits(f, x, y)
         for m in cfg.wrap.levels:
-            spec = WrapSpec(m, cfg.wrap.delta, cfg.wrap.bend)
+            if towers is not None:
+                spiral = towers[x, y].stage(m).spiral
+            else:
+                spec = WrapSpec(m, cfg.wrap.delta, cfg.wrap.bend)
+                spiral = stage_spiral(f, x, y, spec)
+                spiral.validate(f.disc)
             files.append((f"{cfg.name}-tower-{x}-{y}-m{m}.svg",
-                          stage_svg(cfg.fibration, x, y, spec)))
+                          stage_svg(f.disc, cy.path, spiral)))
     for name, text in files:
         (d / name).write_text(text, encoding="utf-8")
     return [name for name, _ in files]
@@ -171,7 +179,7 @@ def run_command(command: str, cfg: ScenarioConfig,
     elif command == "render":
         if svg_dir is None:
             raise ConfigError("the render command needs --svg DIR")
-        for name in _render_svgs(cfg, svg_dir):
+        for name in _render_svgs(cfg, svg_dir, None):
             r.line("svg", name)
     elif command == "all":
         if not _section_validate(r, cfg):
@@ -182,11 +190,11 @@ def run_command(command: str, cfg: ScenarioConfig,
         out = analyze(cfg.fibration)
         _section_floer(r, cfg.fibration, out)
         r.blank()
-        _section_hw(r, cfg, out)
+        towers = _section_hw(r, cfg, out)
         _section_trace(r, out)
         if svg_dir is not None:
             r.blank()
-            for name in _render_svgs(cfg, svg_dir):
+            for name in _render_svgs(cfg, svg_dir, towers):
                 r.line("svg", name)
     else:
         raise ConfigError(f"unknown command {command!r}")

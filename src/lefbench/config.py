@@ -182,10 +182,6 @@ def _located(loc: str, err: LefbenchError) -> LefbenchError:
 # section interpreters
 # --------------------------------------------------------------------------
 
-_REPEATABLE = ("puncture ", "homology ", "class ", "crit ", "matching ",
-               "thimble ", "label ", "rank ", "parity ")
-
-
 def _check_duplicates(sec: _Section, source: str) -> None:
     seen: set[str] = set()
     for no, key, _ in sec.lines:

@@ -99,22 +99,17 @@ class WrapSpec:
     """
     m: int
     delta: Fraction
-    bend: Fraction | None = None
+    bend: Fraction
 
     def __post_init__(self):
         object.__setattr__(self, "delta", Q(self.delta))
-        if self.bend is not None:
-            object.__setattr__(self, "bend", Q(self.bend))
+        object.__setattr__(self, "bend", Q(self.bend))
         if self.m < 0:
             raise LefbenchError("wrap level m must be >= 0")
         if not 0 < self.delta < 1:
             raise LefbenchError("wrap offset delta must lie strictly in (0, 1)")
-        if self.bend is not None and not 0 < self.bend < self.delta:
+        if not 0 < self.bend < self.delta:
             raise LefbenchError("bend must lie strictly in (0, delta)")
-
-    @property
-    def bend_or_default(self) -> Fraction:
-        return self.bend if self.bend is not None else self.delta / 2
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """Exception hierarchy for the workbench.
 
-Every error raised by the library derives from LefbenchError.  Errors that can
-be traced back to a line of a scenario config carry ``source`` ("file:line")
-so the CLI can point at the offending declaration.
+Every error raised by the library derives from LefbenchError.  An error traced
+back to a line of a scenario config starts its message with "file:line"
+(config._located), so the CLI points at the offending declaration.
 
 ``exit_code`` is the CLI exit code each class ends a run with: 1 unusable
 input, 2 undecidable from the oracle facts, 3 internal inconsistency.
@@ -15,12 +15,6 @@ class LefbenchError(Exception):
     """Base class for all workbench errors."""
 
     exit_code = 1
-
-    def __init__(self, message: str, source: str | None = None):
-        self.source = source
-        if source:
-            message = f"{source}: {message}"
-        super().__init__(message)
 
 
 class ConfigError(LefbenchError):

@@ -404,12 +404,12 @@ def _check_object(f: Fibration, mo: MatchingObject, violation) -> None:
 # homology of the total space
 # --------------------------------------------------------------------------
 
-def _attachment_matrix(f: Fibration) -> tuple[list[list[int]], int, int]:
+def _attachment_matrix(f: Fibration, table: HomologyTable) \
+        -> tuple[list[list[int]], int, int]:
     """Rows of the boundary map Z^#crits -> middle fiber homology, plus the
     ambient middle rank and the attachment degree."""
     fiber = f.fiber
     k = f.attach_degree
-    table = fiber.homology_table()
     ambient = table.free_rank(k - 1)
     if table.torsion(k - 1):
         raise Inconsistent(
@@ -437,7 +437,7 @@ def total_space_homology(f: Fibration) -> HomologyTable:
     fiber_table = f.fiber.homology_table()
     if not f.crits:
         return fiber_table
-    rows, ambient, k = _attachment_matrix(f)
+    rows, ambient, k = _attachment_matrix(f, fiber_table)
     ker = kernel_basis(rows, ncols=len(f.crits))
     co_free, co_torsion = cokernel_invariants(rows, ambient)
 
@@ -478,9 +478,10 @@ def matching_cycle_class(f: Fibration, mo: MatchingObject) -> tuple[int, ...]:
         raise LefbenchError(
             f"object {mo.name!r} ends at a puncture with no critical value")
 
-    rows, ambient, k = _attachment_matrix(f)
+    fiber_table = f.fiber.homology_table()
+    rows, ambient, k = _attachment_matrix(f, fiber_table)
     ker = kernel_basis(rows, ncols=len(f.crits))
-    fiber_part = (0,) * f.fiber.homology_table().free_rank(k)
+    fiber_part = (0,) * fiber_table.free_rank(k)
 
     idx_l = f.crits.index(crit_l)
     idx_r = f.crits.index(crit_r)

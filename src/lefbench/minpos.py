@@ -373,12 +373,13 @@ def minimal_position(a: PlanarArc, b: PlanarArc,
     a.validate(disc)
     b.validate(disc)
     _check_boundary_endpoints(a, b)
-    guard = len(compute_crossings(a, b)) // 2 + 1
-    for _ in range(guard):
-        bigons = find_empty_bigons(a, b, disc)
+    crossings = compute_crossings(a, b)
+    for _ in range(len(crossings) // 2 + 1):
+        bigons = find_empty_bigons(a, b, disc, crossings)
         if not bigons:
             return a, b
         a, b = eliminate_bigon(a, b, bigons[0], disc)
+        crossings = compute_crossings(a, b)
     return a, b
 
 

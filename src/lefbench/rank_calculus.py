@@ -83,7 +83,7 @@ class FsHomRanks:
         return (self.hom_bb, self.hom_ab, self.hom_b1b)
 
 
-def fs_hom_ranks(f: Fibration, o: FiberOracle | None = None) -> FsHomRanks:
+def fs_hom_ranks(f: Fibration) -> FsHomRanks:
     """The three directed-category ranks at the bottom of the tower.
 
     hom_bb is rank one, generated by the unit at the single self-contact.
@@ -93,8 +93,7 @@ def fs_hom_ranks(f: Fibration, o: FiberOracle | None = None) -> FsHomRanks:
     of hom_ab with image rank one (the evaluation class is nonzero whenever
     the pair rank allows it).
     """
-    if o is None:
-        o = f.oracle
+    o = f.oracle
     if len(f.crits) != 2:
         raise Undecidable(
             "the tower calculus needs exactly two thimbles; got"
@@ -271,15 +270,14 @@ def _directed_twist(o: FiberOracle, twister: str, twistee: str) -> tuple[int, in
     return k, pants, triangle_rank(k, o.rank_of(twistee, twistee), pants)
 
 
-def analyze(f: Fibration, o: FiberOracle | None = None) -> ScenarioRanks:
+def analyze(f: Fibration) -> ScenarioRanks:
     """Run the full rank pipeline for a two-thimble scenario.
 
     The calculus is run once per thimble (each is twisted by the other to
     settle the fate of its own unit).  The reported trace follows the
     distinguished direction: the second thimble twisted by the first.
     """
-    if o is None:
-        o = f.oracle
+    o = f.oracle
     if o is None:
         raise Undecidable(f"fibration {f.name!r} carries no rank oracle")
     if len(f.crits) != 2:
@@ -294,7 +292,7 @@ def analyze(f: Fibration, o: FiberOracle | None = None) -> ScenarioRanks:
         f" {pants} inside rank({b},{b}) = {o.rank_of(b, b)}, so the twisted"
         f" group has rank {k} + {o.rank_of(b, b)} - 2*{pants} = {twist}"))
 
-    fs = fs_hom_ranks(f, o)
+    fs = fs_hom_ranks(f)
     trace.append(TraceStep(
         "evaluation-cone",
         f"the once-wrapped thimble is a cone on the evaluation map, giving"

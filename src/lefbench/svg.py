@@ -1,15 +1,15 @@
 """Scenario diagrams as minimal SVG: every visible element is a plain
 ``<path>``; the y axis is flipped in the coordinates themselves so no
-transforms are needed."""
+transforms are needed.  Drawing only: stage_svg draws a spiral its caller
+has wrapped and checked."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .disc import DiscModel, PlanarArc, WrapSpec
+from .disc import DiscModel, PlanarArc
 from .exactgeom import Pt
 from .fibration import Fibration, TotalSpaceFiber
-from .wrapping import wrap
 
 _HEADER = ('<?xml version="1.0" encoding="UTF-8"?>\n'
            '<svg xmlns="http://www.w3.org/2000/svg" '
@@ -50,13 +50,9 @@ def _cross_d(p: Pt, r: Fraction = Fraction(1, 50)) -> str:
             f"M {x:.6f} {y - float(r):.6f} L {x:.6f} {y + float(r):.6f}")
 
 
-def _arc_paths(arcs: list[tuple[PlanarArc, str]]) -> list[str]:
-    return [_path(_polyline_d(a.vertices), color) for a, color in arcs]
-
-
 def _disc_scene(disc: DiscModel, arcs: list[tuple[PlanarArc, str]]) -> str:
     body = [_HEADER, _path(_circle_d(), _BOUNDARY, "0.008")]
-    body.extend(_arc_paths(arcs))
+    body.extend(_path(_polyline_d(a.vertices), color) for a, color in arcs)
     for _, p in disc.punctures:
         body.append(_path(_cross_d(p), _MARK, "0.008"))
     body.append("</svg>")
@@ -72,12 +68,9 @@ def scenario_svg(f: Fibration) -> str:
     return _disc_scene(f.disc, arcs)
 
 
-def stage_svg(f: Fibration, x: str, y: str, spec: WrapSpec) -> str:
+def stage_svg(disc: DiscModel, fixed: PlanarArc, spiral: PlanarArc) -> str:
     """One wrapped thimble path against its fixed partner."""
-    cx, cy = f.crit_for(x), f.crit_for(y)
-    moved = wrap(cx.path, spec, f.disc, bend=cx.puncture == cy.puncture)
-    moved.validate(f.disc)
-    return _disc_scene(f.disc, [(cy.path, _CRIT), (moved, _WRAPPED)])
+    return _disc_scene(disc, [(fixed, _CRIT), (spiral, _WRAPPED)])
 
 
 def diagram_files(f: Fibration) -> list[tuple[str, str]]:

@@ -4,7 +4,8 @@ complexes.
 A stage at wrapping level m records the generator inventory of the complex
 between one thimble wrapped m turns and another held fixed: one fiber block
 per interior crossing of the two base paths, plus the distinguished
-generator u at a shared critical endpoint.  No differentials are computed
+generator u at a shared critical endpoint; it keeps the spiral it wrapped
+(stage_spiral), which the stage diagrams draw.  No differentials are computed
 here - exactness certificates are read off the directed ranks (FsHomRanks)
 that the caller has already derived with the rank calculus, and the stage
 merely checks that its inventory is large enough and of the right parity to
@@ -18,10 +19,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .disc import WrapSpec
-from .errors import (Inconsistent, LefbenchError, MissingFate, Undecidable)
+from .disc import PlanarArc, WrapSpec
+from .errors import (ConfigError, Inconsistent, LefbenchError, MissingFate,
+                     Undecidable)
 from .exactgeom import Pt
-from .fibration import Fibration
+from .fibration import Crit, Fibration
 from .minpos import intersection_profile, minimal_position
 from .oracle import RankResult
 from .rank_calculus import FsHomRanks, TraceStep, UnitFate, hw_verdict, HWVerdict
@@ -58,6 +60,7 @@ class WrappedComplexStage:
     generators: tuple[Generator, ...]
     rank_certificate: RankResult | None = None
     differential_constraints: tuple[str, ...] = ()
+    spiral: PlanarArc | None = None     # as wrapped, before minimal position
 
     def __post_init__(self):
         if self.m < 0:
@@ -91,6 +94,24 @@ class WrappedComplexStage:
         return tuple(sorted((g.multiplicity, g.tag) for g in self.generators))
 
 
+def tower_crits(f: Fibration, x: str, y: str) -> tuple[Crit, Crit]:
+    """The critical values over the two punctures a tower x:y names."""
+    cx, cy = f.crit_for(x), f.crit_for(y)
+    if cx is None or cy is None:
+        missing = x if cx is None else y
+        raise ConfigError(
+            f"tower {x}:{y} names puncture {missing!r}, which has no"
+            " critical value")
+    return cx, cy
+
+
+def stage_spiral(f: Fibration, x: str, y: str, spec: WrapSpec) -> PlanarArc:
+    """x's vanishing path wrapped spec.m turns, bent off its source on a
+    self-tower; unvalidated, so the caller checks it once before use."""
+    cx, _ = tower_crits(f, x, y)
+    return wrap(cx.path, spec, f.disc, bend=x == y)
+
+
 def build_stage(f: Fibration, x: str, y: str, spec: WrapSpec,
                 fs: FsHomRanks) -> WrappedComplexStage:
     """Inventory of the complex between x's thimble wrapped spec.m turns
@@ -102,14 +123,9 @@ def build_stage(f: Fibration, x: str, y: str, spec: WrapSpec,
     o = f.oracle
     if o is None:
         raise Undecidable(f"fibration {f.name!r} carries no rank oracle")
-    cx, cy = f.crit_for(x), f.crit_for(y)
-    if cx is None or cy is None:
-        missing = x if cx is None else y
-        raise LefbenchError(f"no critical value over puncture {missing!r}")
-
-    bend = cx.puncture == cy.puncture
-    moved = wrap(cx.path, spec, f.disc, bend=bend)
-    a, b = minimal_position(moved, cy.path, f.disc)
+    cx, cy = tower_crits(f, x, y)
+    spiral = stage_spiral(f, x, y, spec)
+    a, b = minimal_position(spiral, cy.path, f.disc)
     profile = intersection_profile(a, b, f.disc)
 
     mult = None
@@ -129,8 +145,8 @@ def build_stage(f: Fibration, x: str, y: str, spec: WrapSpec,
 
     return WrappedComplexStage(
         m=spec.m, generators=tuple(gens),
-        rank_certificate=_certificate(fs, bend, spec.m),
-        differential_constraints=tuple(constraints))
+        rank_certificate=_certificate(fs, x == y, spec.m),
+        differential_constraints=tuple(constraints), spiral=spiral)
 
 
 def _certificate(fs: FsHomRanks, self_pair: bool,
@@ -235,7 +251,7 @@ def assemble_tower(stages: Iterable[WrappedComplexStage],
 
 
 def build_tower(f: Fibration, x: str, y: str, levels: Iterable[int],
-                delta: Fraction, bend: Fraction | None, fs: FsHomRanks,
+                delta: Fraction, bend: Fraction, fs: FsHomRanks,
                 fate: UnitFate | None = None,
                 verdict: HWVerdict | None = None) -> Tower:
     stages = (build_stage(f, x, y, WrapSpec(m, delta, bend), fs)

@@ -15,9 +15,9 @@ only the puncture point.  This local left-bend requires the source to be in
 radial normal form (a single straight segment from puncture to boundary).
 
 wrap guards the annulus against punctures but does not validate the spiral
-it returns: each consumer checks it once before use (minimal_position for a
-tower stage, svg.stage_svg for a diagram), so a coarse boundary grid still
-ends in NonEmbeddableInput.
+it returns.  A stage spiral (tower.stage_spiral) is checked once before use:
+by minimal_position inside a tower stage, or by ``render`` for the spirals it
+wraps itself, so a coarse boundary grid still ends in NonEmbeddableInput.
 """
 
 from __future__ import annotations
@@ -29,14 +29,11 @@ from .errors import LefbenchError, SpiralCollision
 from .exactgeom import Pt, Q, angle_norm, circle_point, norm2, segment_point_dist2
 
 
-def _annulus_entry_radius(arc: PlanarArc, disc: DiscModel) -> Fraction:
+def _annulus_entry_radius(arc: PlanarArc, max_punct: Fraction) -> Fraction:
     """Rational inner radius for the spiral annulus: strictly above every
-    puncture radius and every pre-boundary vertex radius, strictly below 1."""
-    s = Q(0)
-    for _, p in disc.items():
-        s = max(s, norm2(p))
-    for v in arc.vertices[:-1]:
-        s = max(s, norm2(v))
+    puncture radius (max_punct is the largest squared one) and every
+    pre-boundary vertex radius, strictly below 1."""
+    s = max([max_punct] + [norm2(v) for v in arc.vertices[:-1]])
     upper = (1 + s) / 2          # rational upper bound for sqrt(s)
     return (1 + upper) / 2
 
@@ -50,16 +47,15 @@ def wrap(arc: PlanarArc, spec: WrapSpec, disc: DiscModel,
             "left-bend wrapping requires a radial normal form path"
             " (one straight segment from puncture to boundary)")
 
-    r_out = _annulus_entry_radius(arc, disc)
+    max_punct = max((norm2(p) for _, p in disc.items()), default=Q(0))
+    r_out = _annulus_entry_radius(arc, max_punct)
     for name, p in disc.items():
         if norm2(p) >= r_out * r_out:
             raise SpiralCollision(
                 f"puncture {name!r} lies inside the wrapping annulus")
 
-    start = tau0 + (spec.bend_or_default if bend else Q(0))
+    start = tau0 + (spec.bend if bend else Q(0))
     end = tau0 + spec.m + spec.delta
-    if not start < end:
-        raise LefbenchError("wrap sweep is empty; bend must stay below delta")
     r_last = (1 + r_out) / 2
     step = Q(1, disc.boundary_resolution)
 
@@ -85,9 +81,6 @@ def wrap(arc: PlanarArc, spec: WrapSpec, disc: DiscModel,
     else:
         vertices = arc.vertices[:-1] + tuple(spiral) + (tail,)
 
-    max_punct = Q(0)
-    for _, p in disc.items():
-        max_punct = max(max_punct, norm2(p))
     for s0, s1 in zip(spiral, spiral[1:]):
         if segment_point_dist2(Pt(Q(0), Q(0)), s0, s1) <= max_punct:
             raise SpiralCollision(

@@ -1,6 +1,7 @@
 """End-to-end tests for the ``lefbench`` command line tool."""
 
 import inspect
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import lefbench
 from lefbench import errors, rank_calculus, wrapping
 from lefbench.cli import main
 from lefbench.disc import PlanarArc
@@ -157,7 +159,7 @@ def _count_calls(monkeypatch, fn, seen):
                     monkeypatch.setattr(mod, attr, counted)
 
 
-def test_hw_derives_each_quantity_once(monkeypatch, capsys):
+def test_hw_derives_each_quantity_once(monkeypatch, tmp_path, capsys):
     fs_calls, spirals, validated = [], [], []
     _count_calls(monkeypatch, rank_calculus.fs_hom_ranks, fs_calls)
     _count_calls(monkeypatch, wrapping.wrap, spirals)
@@ -167,11 +169,16 @@ def test_hw_derives_each_quantity_once(monkeypatch, capsys):
         validated.append(arc)
         return check(arc, disc)
     monkeypatch.setattr(PlanarArc, "validate", counted_validate)
-    assert main(["hw", shipped("W1.cfg")]) == 0
-    assert len(fs_calls) == 1
-    assert len(spirals) == 3 * 4                  # three towers x four levels
-    for spiral in spirals:
-        assert sum(arc is spiral for arc in validated) == 1
+    # the stage diagrams of all --svg draw the spirals the towers wrapped
+    for argv in (["hw", shipped("W1.cfg")],
+                 ["all", shipped("W0.cfg"), "--svg", str(tmp_path)]):
+        for seen in (fs_calls, spirals, validated):
+            seen.clear()
+        assert main(argv) == 0
+        assert len(fs_calls) == 1
+        assert len(spirals) == 3 * 4              # three towers x four levels
+        for spiral in spirals:
+            assert sum(arc is spiral for arc in validated) == 1
 
 
 # --------------------------------------------------------------------------
@@ -207,6 +214,20 @@ def test_render_is_deterministic(tmp_path):
 def test_render_requires_svg_dir(capsys):
     assert main(["render", shipped("W0.cfg")]) == 1
     assert "error[ConfigError]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("variant", ["W0", "W1"])
+def test_render_and_all_draw_the_same_svgs(variant, tmp_path, capsys):
+    # render wraps its own spirals; all --svg draws the towers' spirals
+    d1, d2 = tmp_path / "render", tmp_path / "all"
+    cfg = shipped(f"{variant}.cfg")
+    assert main(["render", cfg, "--svg", str(d1)]) == 0
+    assert main(["all", cfg, "--svg", str(d2)]) == 0
+    files = sorted(p.name for p in d1.iterdir())
+    assert len(files) == 2 + 3 * 4
+    assert files == sorted(p.name for p in d2.iterdir())
+    for name in files:
+        assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
 
 def test_all_honors_svg(tmp_path, capsys):
@@ -290,6 +311,21 @@ def test_tower_names_unknown_puncture(tmp_path, capsys):
     assert "error[ConfigError]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["render", "hw", "all"])
+def test_every_command_rejects_unknown_tower_puncture(command, tmp_path,
+                                                      capsys):
+    text = Path(shipped("W0.cfg")).read_text()
+    cfg = tmp_path / "bad-tower.cfg"
+    cfg.write_text(text.replace("towers = b:b a:a a:b", "towers = b:b z:a"))
+    argv = [command, str(cfg)]
+    if command == "render":
+        argv += ["--svg", str(tmp_path / "svg")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error[ConfigError]: tower z:a names puncture 'z', which has no"
+        " critical value\n")
+
+
 # the exit code each error class ends a run with
 EXIT_CODES = {
     "LefbenchError": 1, "ConfigError": 1, "NonEmbeddableInput": 1,
@@ -323,8 +359,10 @@ def test_usage_errors_exit_one(capsys):
 
 
 def test_module_invocation():
+    # the child process imports the same sources as this one
+    src = Path(lefbench.__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-m", "lefbench.cli", "validate", shipped("W0.cfg")],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0
     assert "validation: ok" in proc.stdout

@@ -131,15 +131,13 @@ def test_radial_split_rejects_inward_tail():
 
 
 def test_wrap_spec_bounds():
-    WrapSpec(0, Q(1, 64))
     WrapSpec(3, Q(1, 64), bend=Q(1, 128))
     with pytest.raises(LefbenchError):
-        WrapSpec(-1, Q(1, 64))
+        WrapSpec(-1, Q(1, 64), Q(1, 128))
     with pytest.raises(LefbenchError):
-        WrapSpec(1, Q(0))
+        WrapSpec(1, Q(0), Q(1, 128))
     with pytest.raises(LefbenchError):
         WrapSpec(1, Q(1, 64), bend=Q(1, 64))
-    assert WrapSpec(1, Q(1, 32)).bend_or_default == Q(1, 64)
 
 
 def test_boundary_angle_normalizes():

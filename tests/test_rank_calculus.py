@@ -340,8 +340,7 @@ def test_analyze_requires_oracle_and_two_thimbles():
     with pytest.raises(Undecidable):
         analyze(scen.main_fibration("W0", aux_oracle=scen.aux_oracle()))
     with pytest.raises(Undecidable):
-        analyze(scen.aux_fibration("W0", oracle=scen.aux_oracle()),
-                o=scen.aux_oracle())
+        analyze(scen.aux_fibration("W0", oracle=scen.aux_oracle()))
 
 
 def test_trace_steps_render_with_tags():

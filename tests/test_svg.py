@@ -5,6 +5,7 @@ from fractions import Fraction as Q
 
 from lefbench.disc import WrapSpec
 from lefbench.svg import diagram_files, scenario_svg, stage_svg
+from lefbench.tower import stage_spiral
 
 import scen
 
@@ -37,10 +38,17 @@ def test_scenario_svg_element_census():
     assert len(_tags(text)) == 1 + 3 + 2 + 3
 
 
+def _stage_svg(f, x, y, spec):
+    """The diagram of one stage, its spiral checked as every caller does."""
+    spiral = stage_spiral(f, x, y, spec)
+    spiral.validate(f.disc)
+    return stage_svg(f.disc, f.crit_for(y).path, spiral)
+
+
 def test_stage_svg_varies_with_level():
     f = scen.full_main_fibration("W1")
-    d0 = stage_svg(f, "b", "b", WrapSpec(0, Q(1, 64), Q(1, 128)))
-    d2 = stage_svg(f, "b", "b", WrapSpec(2, Q(1, 64), Q(1, 128)))
+    d0 = _stage_svg(f, "b", "b", WrapSpec(0, Q(1, 64), Q(1, 128)))
+    d2 = _stage_svg(f, "b", "b", WrapSpec(2, Q(1, 64), Q(1, 128)))
     assert d0 != d2
     assert set(_tags(d0)) == {f"{_NS}path"}
     # more wrapping means a longer spiral polyline
@@ -49,7 +57,7 @@ def test_stage_svg_varies_with_level():
 
 def test_stage_svg_mixed_pair():
     f = scen.full_main_fibration("W0")
-    text = stage_svg(f, "a", "b", WrapSpec(1, Q(1, 64)))
+    text = _stage_svg(f, "a", "b", WrapSpec(1, Q(1, 64), Q(1, 128)))
     ET.fromstring(text)
 
 

@@ -14,6 +14,7 @@ from lefbench.wrapping import wrap
 from oracles import brute_crossing_count, polyline_is_embedded
 
 DELTA = Q(1, 64)
+BEND = Q(1, 128)
 
 
 def main_disc(resolution=16):
@@ -44,7 +45,7 @@ def ray_b(disc):
 
 def test_wrap_level_zero_only_shifts_the_endpoint():
     disc = main_disc()
-    w = wrapped(ray_b(disc), WrapSpec(0, DELTA), disc)
+    w = wrapped(ray_b(disc), WrapSpec(0, DELTA, BEND), disc)
     assert w.kind is ArcKind.WRAPPED
     assert w.wrap_level == 0
     assert w.wrap_offset == DELTA
@@ -58,7 +59,7 @@ def test_wrap_level_zero_only_shifts_the_endpoint():
 @pytest.mark.parametrize("m,expected", [(1, 1), (2, 2), (3, 3)])
 def test_wrapped_ray_crosses_opposite_ray_once_per_turn(m, expected):
     disc = main_disc()
-    w = wrapped(ray_a(disc), WrapSpec(m, DELTA), disc)
+    w = wrapped(ray_a(disc), WrapSpec(m, DELTA, BEND), disc)
     hits = compute_crossings(w, ray_b(disc))
     assert len(hits) == expected
     assert brute_crossing_count(w.vertices, ray_b(disc).vertices) == expected
@@ -72,7 +73,7 @@ def test_wrapped_ray_crosses_opposite_ray_once_per_turn(m, expected):
 def test_bent_self_wrap_crosses_its_source_once_per_turn(m, expected):
     disc = main_disc()
     src = ray_b(disc)
-    w = wrapped(src, WrapSpec(m, DELTA, bend=Q(1, 128)), disc, bend=True)
+    w = wrapped(src, WrapSpec(m, DELTA, BEND), disc, bend=True)
     assert w.vertices[0] == src.vertices[0]
     hits = compute_crossings(w, src)
     assert len(hits) == expected
@@ -84,15 +85,15 @@ def test_wrapped_crossings_are_pinned_by_punctures():
     """The spiral turns encircle every puncture, so none of the crossings
     with a ray bounds an empty lens: the pair is already minimal."""
     disc = main_disc()
-    w = wrapped(ray_a(disc), WrapSpec(3, DELTA), disc)
+    w = wrapped(ray_a(disc), WrapSpec(3, DELTA, BEND), disc)
     assert find_empty_bigons(w, ray_b(disc), disc) == []
 
 
 def test_double_wrap_matches_single_wrap_profile():
     disc = main_disc()
-    once = wrapped(wrapped(ray_b(disc), WrapSpec(1, DELTA), disc),
-                   WrapSpec(2, DELTA), disc)
-    flat = wrapped(ray_b(disc), WrapSpec(3, 2 * DELTA), disc)
+    once = wrapped(wrapped(ray_b(disc), WrapSpec(1, DELTA, BEND), disc),
+                   WrapSpec(2, DELTA, BEND), disc)
+    flat = wrapped(ray_b(disc), WrapSpec(3, 2 * DELTA, BEND), disc)
     assert once.wrap_level == flat.wrap_level == 3
     assert once.wrap_offset == flat.wrap_offset == 2 * DELTA
     assert once.end == flat.end
@@ -107,7 +108,7 @@ def test_bend_requires_radial_normal_form():
                        Puncture("b"), BoundaryAngle(Q(1, 4)), ArcKind.VANISHING)
     dogleg.validate(disc)
     with pytest.raises(LefbenchError, match="radial normal form"):
-        wrap(dogleg, WrapSpec(1, DELTA), disc, bend=True)
+        wrap(dogleg, WrapSpec(1, DELTA, BEND), disc, bend=True)
 
 
 def test_wrap_rejects_non_radial_tail():
@@ -115,7 +116,7 @@ def test_wrap_rejects_non_radial_tail():
     skew = PlanarArc((pt(Q(1, 2), Q(1, 4)), pt(1, 0)),
                      Puncture("b"), BoundaryAngle(Q(0)), ArcKind.VANISHING)
     with pytest.raises(LefbenchError, match="radial"):
-        wrap(skew, WrapSpec(1, DELTA), disc)
+        wrap(skew, WrapSpec(1, DELTA, BEND), disc)
 
 
 def test_spiral_collision_resolved_by_finer_resolution():
@@ -125,18 +126,18 @@ def test_spiral_collision_resolved_by_finer_resolution():
                     Puncture("hug"), BoundaryAngle(Q(1, 4)), ArcKind.VANISHING)
     ray.validate(coarse)
     with pytest.raises(SpiralCollision, match="resolution"):
-        wrap(ray, WrapSpec(1, DELTA), coarse)
+        wrap(ray, WrapSpec(1, DELTA, BEND), coarse)
 
     fine = DiscModel(punctures=(("hug", pt(0, Q(99, 100))),),
                      boundary_resolution=64)
-    w = wrapped(ray, WrapSpec(1, DELTA), fine)
+    w = wrapped(ray, WrapSpec(1, DELTA, BEND), fine)
     assert w.wrap_level == 1
     assert polyline_is_embedded(w.vertices)
 
 
 def test_wrap_keeps_spiral_clear_of_punctures():
     disc = main_disc()
-    w = wrapped(ray_a(disc), WrapSpec(2, DELTA), disc)
+    w = wrapped(ray_a(disc), WrapSpec(2, DELTA, BEND), disc)
     # every vertex of the spiral proper stays strictly outside the puncture
     # radius, and the arc never meets a puncture other than its own anchor
     for v in w.vertices[1:]:
