@@ -14,8 +14,8 @@ from fractions import Fraction
 from typing import Iterator
 
 from .errors import LefbenchError, NonEmbeddableInput
-from .exactgeom import (Pt, Q, angle_norm, circle_point, norm2, orient,
-                        point_on_segment, segments_overlap_collinear)
+from .exactgeom import (Pt, Q, angle_norm, box_pairs, circle_point, norm2,
+                        orient, point_on_segment, segments_overlap_collinear)
 
 
 class ArcKind(enum.Enum):
@@ -171,8 +171,9 @@ class PlanarArc:
                     f"interior vertex {v} is not strictly inside the disc")
 
         anchored = self.puncture_names()
+        segs = self.segments()
         for name, p in disc.items():
-            for i, (a, b) in enumerate(self.segments()):
+            for i, (a, b) in enumerate(segs):
                 if point_on_segment(p, a, b):
                     at_start = i == 0 and p == vs[0] and name in anchored
                     at_end = i == len(vs) - 2 and p == vs[-1] and name in anchored
@@ -194,25 +195,30 @@ class PlanarArc:
                     f"endpoint vertex {v} does not realize boundary angle {e.angle}")
 
     def _check_embedded(self) -> None:
+        """Reject any contact of two segments beyond consecutive joints.
+
+        Two closed segments can share a point only if their closed bounding
+        boxes meet, so the pairs that exactgeom.box_pairs skips need no
+        test.  Consecutive segments always meet at their joint, and the
+        pairs come in (i, j) order, so the first contact reported is the one
+        a scan over all pairs would report.
+        """
         segs = self.segments()
-        n = len(segs)
-        for i in range(n):
-            a1, a2 = segs[i]
-            for j in range(i + 1, n):
-                b1, b2 = segs[j]
-                if j == i + 1:
-                    # consecutive segments share exactly the joint vertex
-                    if segments_overlap_collinear(a1, a2, b1, b2):
-                        raise NonEmbeddableInput(
-                            f"arc folds back onto itself at vertex {a2}")
-                    continue
-                if _closed_segments_touch(a1, a2, b1, b2):
-                    # closed arc endpoints may coincide only for loops, which
-                    # we do not model
+        for i, j in box_pairs(segs):
+            (a1, a2), (b1, b2) = segs[i], segs[j]
+            if j == i + 1:
+                # consecutive segments share exactly the joint vertex
+                if segments_overlap_collinear(a1, a2, b1, b2):
                     raise NonEmbeddableInput(
-                        f"arc self-intersects between segments {i} and {j}"
-                        " (if this arc is a synthesized spiral, raise the"
-                        " disc boundary_resolution)")
+                        f"arc folds back onto itself at vertex {a2}")
+                continue
+            if _closed_segments_touch(a1, a2, b1, b2):
+                # closed arc endpoints may coincide only for loops, which
+                # we do not model
+                raise NonEmbeddableInput(
+                    f"arc self-intersects between segments {i} and {j}"
+                    " (if this arc is a synthesized spiral, raise the"
+                    " disc boundary_resolution)")
 
     def _check_kind(self) -> None:
         kinds = sorted(type(e).__name__ for e in self.endpoints())

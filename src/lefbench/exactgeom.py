@@ -122,10 +122,46 @@ def min_angular_gap(angles: Iterable[Fraction]) -> Fraction | None:
 
 def point_on_segment(p: Pt, a: Pt, b: Pt) -> bool:
     """Exact: p lies on the closed segment [a, b]."""
-    if orient(a, b, p) != 0:
-        return False
+    # the coordinate ranges are cheaper than the turn and usually decide
     return (min(a.x, b.x) <= p.x <= max(a.x, b.x)
-            and min(a.y, b.y) <= p.y <= max(a.y, b.y))
+            and min(a.y, b.y) <= p.y <= max(a.y, b.y)
+            and orient(a, b, p) == 0)
+
+
+def box_pairs(segs_a: list[tuple[Pt, Pt]],
+              segs_b: list[tuple[Pt, Pt]] | None = None) -> list[tuple[int, int]]:
+    """Index pairs of segments whose closed bounding boxes meet, sorted.
+
+    With one list: the pairs (i, j), i < j, of its segments.  With two: the
+    pairs (i, j) of segment i of segs_a and segment j of segs_b.  A sweep
+    over x (boxes sorted by left edge, an active list per input dropping
+    boxes whose right edge lies strictly left of the sweep line) compares
+    only boxes whose x-ranges meet, then checks their y-ranges.  Exact:
+    edges are compared as Fractions, and boxes that merely touch are kept.
+    Segments whose boxes are strictly apart are separated by a positive gap
+    in x or y, so they share no point, and no infinitesimal shift of either
+    one makes them meet.
+    """
+    sides = [segs_a] if segs_b is None else [segs_a, segs_b]
+    boxes = [[(min(p.x, q.x), max(p.x, q.x), min(p.y, q.y), max(p.y, q.y))
+              for p, q in segs] for segs in sides]
+    events = sorted(((side, k) for side, bs in enumerate(boxes)
+                     for k in range(len(bs))),
+                    key=lambda e: boxes[e[0]][e[1]][0])
+    active: list[list[int]] = [[] for _ in sides]
+    pairs = []
+    for side, k in events:
+        x0, _, y0, y1 = boxes[side][k]
+        other = len(sides) - 1 - side
+        obs = boxes[other]
+        live = active[other] = [m for m in active[other] if obs[m][1] >= x0]
+        for m in live:
+            if obs[m][2] <= y1 and y0 <= obs[m][3]:
+                # segs_a's index first; within one list, the smaller first
+                pairs.append((k, m) if (side, k) < (other, m) else (m, k))
+        active[side].append(k)
+    pairs.sort()
+    return pairs
 
 
 def segments_overlap_collinear(a1: Pt, a2: Pt, b1: Pt, b2: Pt) -> bool:

@@ -1,15 +1,18 @@
 """Minimal position and intersection profiles for disc arcs.
 
-Crossings between two arcs are computed pairwise over their segments with the
-symbolic perturbation of exactgeom (the canonically larger arc plays the
-"later-declared" role and is the one infinitesimally shifted, so results do
-not depend on argument order).  Empty bigons - discs bounded by one sub-arc of
-each curve containing no puncture - are eliminated by rerouting one arc
-alongside the other within a verified corridor.  Every elimination is checked
-exactly after the fact (embeddedness, crossing count drop of exactly two,
-zero winding of the swap loop around every puncture); the corridor width
-shrinks geometrically until the checks pass, so a successful return is
-correct by construction rather than by trusted epsilon bounds.
+Crossings between two arcs are computed with the symbolic perturbation of
+exactgeom (the canonically larger arc plays the "later-declared" role and is
+the one infinitesimally shifted, so results do not depend on argument order)
+over the segment pairs whose closed bounding boxes meet (exactgeom.box_pairs).
+Skipping the other pairs is exact: boxes strictly apart leave a positive gap
+in x or y, which the infinitesimal shift (eps, eps^2) cannot close.  Empty
+bigons - discs bounded by one sub-arc of each curve containing no puncture -
+are eliminated by rerouting one arc alongside the other within a verified
+corridor.  Every elimination is checked exactly after the fact (embeddedness,
+crossing count drop of exactly two, zero winding of the swap loop around
+every puncture); the corridor width shrinks geometrically until the checks
+pass, so a successful return is correct by construction rather than by
+trusted epsilon bounds.
 """
 
 from __future__ import annotations
@@ -20,9 +23,10 @@ from typing import Iterable
 
 from .disc import DiscModel, PlanarArc, Puncture
 from .errors import DegenerateTangency, LefbenchError, SharedBoundaryEndpoint
-from .exactgeom import (Pt, Q, cross, line_intersection, point_in_polygon,
-                        polygon_area2, segment_crossing,
-                        segments_overlap_collinear, sub, winding_number)
+from .exactgeom import (Pt, Q, box_pairs, cross, line_intersection, norm2,
+                        point_in_polygon, point_on_segment, polygon_area2,
+                        segment_crossing, segments_overlap_collinear, sub,
+                        winding_number)
 
 Pos = tuple[int, Fraction]  # (segment index, parameter within segment)
 
@@ -87,17 +91,19 @@ def compute_crossings(a: PlanarArc, b: PlanarArc) -> list[ArcCrossing]:
     segs_a = a.segments()
     segs_b = b.segments()
     found: list[ArcCrossing] = []
-    for i, (a1, a2) in enumerate(segs_a):
-        for j, (b1, b2) in enumerate(segs_b):
-            if (i, j) in incident:
-                if segments_overlap_collinear(a1, a2, b1, b2):
-                    raise DegenerateTangency(
-                        "arcs leave a shared puncture along overlapping"
-                        " collinear segments")
-                continue
-            hit = segment_crossing(a1, a2, b1, b2, shift_b=shift_b)
-            if hit is not None:
-                found.append(ArcCrossing(hit.point, (i, hit.ta), (j, hit.tb)))
+    # pinned pairs share their puncture, so their boxes meet and they are
+    # always tested; pairs come in (i, j) order, the order of the result
+    for i, j in box_pairs(segs_a, segs_b):
+        (a1, a2), (b1, b2) = segs_a[i], segs_b[j]
+        if (i, j) in incident:
+            if segments_overlap_collinear(a1, a2, b1, b2):
+                raise DegenerateTangency(
+                    "arcs leave a shared puncture along overlapping"
+                    " collinear segments")
+            continue
+        hit = segment_crossing(a1, a2, b1, b2, shift_b=shift_b)
+        if hit is not None:
+            found.append(ArcCrossing(hit.point, (i, hit.ta), (j, hit.tb)))
     return found
 
 
@@ -244,7 +250,6 @@ def _arc_embedded(arc: PlanarArc) -> bool:
 
 
 def _vertices_legal(pts: Iterable[Pt], disc: DiscModel) -> bool:
-    from .exactgeom import norm2, point_on_segment
     pl = list(pts)
     for v in pl:
         if norm2(v) >= 1:
@@ -256,14 +261,16 @@ def _vertices_legal(pts: Iterable[Pt], disc: DiscModel) -> bool:
     return True
 
 
-def eliminate_bigon(a: PlanarArc, b: PlanarArc, bigon: Bigon,
-                    disc: DiscModel) -> tuple[PlanarArc, PlanarArc]:
+def eliminate_bigon(a: PlanarArc, b: PlanarArc, bigon: Bigon, disc: DiscModel,
+                    count: int) -> tuple[PlanarArc, PlanarArc, list[ArcCrossing]]:
     """Remove one empty bigon by isotoping one arc across it.
 
-    The canonically larger arc is rerouted: its portion between the two
-    corner crossings is replaced by a polyline hugging the other arc's side of
-    the lens from the outside.  The construction is retried with a shrinking
-    corridor width until the exact verification passes.
+    count is the number of crossings of a and b.  The canonically larger arc
+    is rerouted: its portion between the two corner crossings is replaced by
+    a polyline hugging the other arc's side of the lens from the outside.
+    The construction is retried with a shrinking corridor width until the
+    exact verification passes.  Returns the new pair in argument order with
+    its crossings, as compute_crossings of that pair gives them.
     """
     if a.canonical_key() > b.canonical_key():
         moved, kept, m_side = a, b, 0
@@ -293,7 +300,6 @@ def eliminate_bigon(a: PlanarArc, b: PlanarArc, bigon: Bigon,
     if eps0 == 0:
         eps0 = Q(1, 64)
 
-    old_count = len(compute_crossings(moved, kept))
     for attempt in range(64):
         # alternate the offset side between shrinks: a flattened lens gives
         # the area sign no information about which side is "outside"
@@ -322,29 +328,32 @@ def eliminate_bigon(a: PlanarArc, b: PlanarArc, bigon: Bigon,
         new_vs = (moved.vertices[:s_before + 1] + tuple(mid_dedup)
                   + moved.vertices[s_after + 1:])
         candidate = moved.with_vertices(new_vs)
-
-        if _verify_surgery(candidate, moved, kept, disc, old_count,
-                           m_lo, m_hi, mid_dedup):
-            if m_side == 0:
-                return candidate, kept
-            return kept, candidate
+        pair = (candidate, kept) if m_side == 0 else (kept, candidate)
+        crossings = _verify_surgery(pair, candidate, moved, disc, count,
+                                    m_lo, m_hi, mid_dedup)
+        if crossings is not None:
+            return *pair, crossings
     raise DegenerateTangency("bigon surgery did not stabilize; the input"
                              " configuration is too degenerate to reroute")
 
 
-def _verify_surgery(candidate: PlanarArc, moved: PlanarArc, kept: PlanarArc,
-                    disc: DiscModel, old_count: int, m_lo: Pos, m_hi: Pos,
-                    new_middle: list[Pt]) -> bool:
+def _verify_surgery(pair: tuple[PlanarArc, PlanarArc], candidate: PlanarArc,
+                    moved: PlanarArc, disc: DiscModel, old_count: int,
+                    m_lo: Pos, m_hi: Pos,
+                    new_middle: list[Pt]) -> list[ArcCrossing] | None:
+    """The crossings of pair (the candidate with the kept arc, in the
+    caller's order) when the surgery is legal, embedded, drops exactly two
+    crossings and sweeps no puncture; None otherwise."""
     if not _vertices_legal(new_middle, disc):
-        return False
+        return None
     if not _arc_embedded(candidate):
-        return False
+        return None
     try:
-        new_crossings = compute_crossings(candidate, kept)
+        new_crossings = compute_crossings(*pair)
     except DegenerateTangency:
-        return False
+        return None
     if len(new_crossings) != old_count - 2:
-        return False
+        return None
     # isotopy check: the swap loop (old portion against new portion) must not
     # enclose any puncture
     old_middle = _subpath(moved, m_lo, m_hi)
@@ -358,8 +367,8 @@ def _verify_surgery(candidate: PlanarArc, moved: PlanarArc, kept: PlanarArc,
         closed = closed[:-1]
     for _, p in disc.items():
         if winding_number(p, closed) != 0:
-            return False
-    return True
+            return None
+    return new_crossings
 
 
 # --------------------------------------------------------------------------
@@ -378,8 +387,7 @@ def minimal_position(a: PlanarArc, b: PlanarArc,
         bigons = find_empty_bigons(a, b, disc, crossings)
         if not bigons:
             return a, b
-        a, b = eliminate_bigon(a, b, bigons[0], disc)
-        crossings = compute_crossings(a, b)
+        a, b, crossings = eliminate_bigon(a, b, bigons[0], disc, len(crossings))
     return a, b
 
 

@@ -4,7 +4,10 @@ Everything in this module is written from scratch in the most naive way that
 could possibly work: quadratic segment sweeps, dense GF(2) linear algebra on
 bitmask rows, and sympy for Smith normal forms.  Nothing here imports from
 ``lefbench`` internals, on purpose -- these are the other side of every
-dual-route check in the test suite.
+dual-route check in the test suite.  The one exception is the last section:
+the library's embedding check and crossing computation as they were before
+the box-pruned sweep, scanning every segment pair with the library's own
+predicates, so that a comparison isolates the pruning.
 """
 
 from __future__ import annotations
@@ -335,3 +338,66 @@ def ccw_gap(a, b):
     """Counterclockwise angular distance from a to b in turns, in (0, 1]."""
     g = Fraction(b - a) % 1
     return g if g else Fraction(1)
+
+
+# ---------------------------------------------------------------------------
+# all-pairs references for the box-pruned sweep
+# ---------------------------------------------------------------------------
+
+def all_pairs_check_embedded(arc):
+    """PlanarArc._check_embedded over every segment pair."""
+    from lefbench.disc import _closed_segments_touch
+    from lefbench.errors import NonEmbeddableInput
+    from lefbench.exactgeom import segments_overlap_collinear
+
+    segs = arc.segments()
+    n = len(segs)
+    for i in range(n):
+        a1, a2 = segs[i]
+        for j in range(i + 1, n):
+            b1, b2 = segs[j]
+            if j == i + 1:
+                # consecutive segments share exactly the joint vertex
+                if segments_overlap_collinear(a1, a2, b1, b2):
+                    raise NonEmbeddableInput(
+                        f"arc folds back onto itself at vertex {a2}")
+                continue
+            if _closed_segments_touch(a1, a2, b1, b2):
+                # closed arc endpoints may coincide only for loops, which
+                # we do not model
+                raise NonEmbeddableInput(
+                    f"arc self-intersects between segments {i} and {j}"
+                    " (if this arc is a synthesized spiral, raise the"
+                    " disc boundary_resolution)")
+
+
+def all_pairs_crossings(a, b):
+    """minpos.compute_crossings over every segment pair."""
+    from lefbench.errors import DegenerateTangency
+    from lefbench.exactgeom import segment_crossing, segments_overlap_collinear
+    from lefbench.minpos import (ArcCrossing, _endpoint_segment_indices,
+                                 _shared_anchor_points)
+
+    shift_b = not (a.canonical_key() > b.canonical_key())
+
+    incident: set[tuple[int, int]] = set()
+    for s in _shared_anchor_points(a, b):
+        for i in _endpoint_segment_indices(a, s):
+            for j in _endpoint_segment_indices(b, s):
+                incident.add((i, j))
+
+    segs_a = a.segments()
+    segs_b = b.segments()
+    found = []
+    for i, (a1, a2) in enumerate(segs_a):
+        for j, (b1, b2) in enumerate(segs_b):
+            if (i, j) in incident:
+                if segments_overlap_collinear(a1, a2, b1, b2):
+                    raise DegenerateTangency(
+                        "arcs leave a shared puncture along overlapping"
+                        " collinear segments")
+                continue
+            hit = segment_crossing(a1, a2, b1, b2, shift_b=shift_b)
+            if hit is not None:
+                found.append(ArcCrossing(hit.point, (i, hit.ta), (j, hit.tb)))
+    return found

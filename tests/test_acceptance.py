@@ -120,11 +120,13 @@ def test_c6_property_suites(capsys, cfgs):
             rng = random.Random(seed)
             disc, f, g = random_band_pair(rng)
             rf, rg = f, g
+            crossings = compute_crossings(rf, rg)
             while True:
-                bigons = find_empty_bigons(rf, rg, disc)
+                bigons = find_empty_bigons(rf, rg, disc, crossings)
                 if not bigons:
                     break
-                rf, rg = eliminate_bigon(rf, rg, rng.choice(bigons), disc)
+                rf, rg, crossings = eliminate_bigon(
+                    rf, rg, rng.choice(bigons), disc, len(crossings))
             cf, cg = minimal_position(f, g, disc)
             assert len(compute_crossings(rf, rg)) == len(compute_crossings(cf, cg))
 

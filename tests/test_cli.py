@@ -39,6 +39,9 @@ fibration = bad
 """
 
 
+GOLDEN = Path(__file__).parent / "golden" / "w1_all.txt"
+
+
 def shipped(name: str) -> str:
     return str(resources.files("lefbench") / "scenarios" / name)
 
@@ -132,6 +135,16 @@ def test_resolution_override(capsys):
     assert main(["all", shipped("W0.cfg"), "--resolution", "32"]) == 0
     out = capsys.readouterr().out
     assert "unit fate: Survives" in out
+
+
+@pytest.mark.parametrize("resolution", [9, 16, 32, 64])
+def test_w1_report_is_grid_independent(resolution, tmp_path):
+    # every boundary grid fine enough to embed the spirals gives the same
+    # report, byte for byte
+    target = tmp_path / "w1_all.txt"
+    assert main(["all", shipped("W1.cfg"), "--resolution", str(resolution),
+                 "--out", str(target)]) == 0
+    assert target.read_bytes() == GOLDEN.read_bytes()
 
 
 @pytest.mark.parametrize("command", ["hw", "render", "all"])

@@ -3,11 +3,27 @@
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lefbench.disc import (ArcKind, BoundaryAngle, DiscModel, PlanarArc,
                            Puncture, WrapSpec, radial_split)
 from lefbench.errors import LefbenchError, NonEmbeddableInput
 from lefbench.exactgeom import pt
+
+from oracles import all_pairs_check_embedded, polyline_is_embedded
+
+# a coarse grid: boxes often touch exactly, and collinear, T- and endpoint
+# contacts are common
+GRID_POINTS = st.builds(lambda x, y: pt(Q(x, 4), Q(y, 4)),
+                        st.integers(-4, 4), st.integers(-4, 4))
+
+
+def no_zero_length(vertices):
+    return all(p != q for p, q in zip(vertices, vertices[1:]))
+
+
+GRID_POLYLINES = st.lists(GRID_POINTS, min_size=2,
+                          max_size=9).filter(no_zero_length)
 
 
 def two_puncture_disc():
@@ -88,6 +104,24 @@ def test_fold_back_is_rejected():
                     Puncture("q"), BoundaryAngle(Q(0)), ArcKind.VANISHING)
     with pytest.raises(NonEmbeddableInput, match="folds back"):
         arc.validate(disc)
+
+
+def _embedding_error(check, arc):
+    try:
+        check(arc)
+    except NonEmbeddableInput as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=250, deadline=None)
+@given(GRID_POLYLINES)
+def test_box_pruned_embedding_check_matches_oracles(vertices):
+    arc = PlanarArc(tuple(vertices), BoundaryAngle(Q(1, 2)), BoundaryAngle(Q(0)))
+    got = _embedding_error(PlanarArc._check_embedded, arc)
+    assert (got is None) == polyline_is_embedded(vertices)
+    # the same first contact is reported as by the scan over all pairs
+    assert got == _embedding_error(all_pairs_check_embedded, arc)
 
 
 def test_kind_constraints():

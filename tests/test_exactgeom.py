@@ -5,7 +5,7 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, strategies as st
 
-from lefbench.exactgeom import (Pt, circle_point, line_intersection,
+from lefbench.exactgeom import (Pt, box_pairs, circle_point, line_intersection,
                                 min_angular_gap, norm2, orient,
                                 point_in_polygon, polygon_area2,
                                 segment_crossing, segment_point_dist2,
@@ -160,3 +160,28 @@ def test_segment_crossing_symmetric_under_role_flip(x1, y1, x2, y2):
         assert flipped is not None
         assert flipped.point == direct.point
         assert (flipped.ta, flipped.tb) == (direct.tb, direct.ta)
+
+
+GRID_SEGMENTS = st.tuples(
+    *[st.builds(lambda x, y: pt(Q(x, 4), Q(y, 4)),
+                st.integers(-4, 4), st.integers(-4, 4))] * 2)
+
+
+def _boxes_meet(s, t):
+    (p, q), (u, v) = s, t
+    return (max(min(p.x, q.x), min(u.x, v.x)) <= min(max(p.x, q.x), max(u.x, v.x))
+            and max(min(p.y, q.y), min(u.y, v.y))
+            <= min(max(p.y, q.y), max(u.y, v.y)))
+
+
+@given(st.lists(GRID_SEGMENTS, max_size=12),
+       st.one_of(st.none(), st.lists(GRID_SEGMENTS, max_size=12)))
+def test_box_pairs_are_exactly_the_meeting_boxes(segs_a, segs_b):
+    if segs_b is None:
+        expect = [(i, j) for i in range(len(segs_a))
+                  for j in range(i + 1, len(segs_a))
+                  if _boxes_meet(segs_a[i], segs_a[j])]
+    else:
+        expect = [(i, j) for i in range(len(segs_a)) for j in range(len(segs_b))
+                  if _boxes_meet(segs_a[i], segs_b[j])]
+    assert box_pairs(segs_a, segs_b) == expect

@@ -8,15 +8,18 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from lefbench.disc import ArcKind, BoundaryAngle, DiscModel, PlanarArc, Puncture
-from lefbench.errors import DegenerateTangency, SharedBoundaryEndpoint
-from lefbench.exactgeom import pt
+from lefbench.errors import (DegenerateTangency, LefbenchError,
+                             SharedBoundaryEndpoint)
+from lefbench.exactgeom import point_on_segment, pt
 from lefbench.minpos import (compute_crossings, eliminate_bigon,
                              find_empty_bigons, intersection_profile,
                              minimal_position)
 
-from oracles import brute_crossing_count
+from oracles import GenericityError, all_pairs_crossings, brute_crossing_count
+from test_disc import GRID_POLYLINES, no_zero_length
 
 
 def disc_pq(extra=()):
@@ -161,6 +164,48 @@ def test_shared_boundary_endpoint_rejected():
 
 
 # ---------------------------------------------------------------------------
+# box-pruned crossings against the all-pairs references
+# ---------------------------------------------------------------------------
+
+ANCHOR = pt(0, 0)
+
+
+def _crossings_or_error(fn, a, b):
+    try:
+        return fn(a, b)
+    except LefbenchError as exc:
+        return type(exc)
+
+
+@settings(max_examples=250, deadline=None)
+@given(GRID_POLYLINES, GRID_POLYLINES, st.booleans())
+def test_box_pruned_crossings_match_oracles(va, vb, pinned):
+    """Random grid polylines, optionally pinned together at a shared
+    puncture at their first vertex."""
+    if pinned:
+        va, vb = [ANCHOR] + va[1:], [ANCHOR] + vb[1:]
+        assume(no_zero_length(va) and no_zero_length(vb))
+        start_a = start_b = Puncture("p")
+    else:
+        start_a, start_b = BoundaryAngle(Q(1, 2)), BoundaryAngle(Q(1, 4))
+    a = PlanarArc(tuple(va), start_a, BoundaryAngle(Q(0)))
+    b = PlanarArc(tuple(vb), start_b, BoundaryAngle(Q(3, 4)))
+
+    got = _crossings_or_error(compute_crossings, a, b)
+    assert got == _crossings_or_error(all_pairs_crossings, a, b)
+    if isinstance(got, type):
+        return
+    if pinned and any(point_on_segment(ANCHOR, p, q)
+                      for arc in (a, b) for p, q in arc.segments()[1:]):
+        return  # the naive counter would excuse these contacts too
+    try:
+        expected = brute_crossing_count(va, vb, [ANCHOR] if pinned else [])
+    except GenericityError:
+        return
+    assert len(got) == expected
+
+
+# ---------------------------------------------------------------------------
 # randomized order-independence of bigon elimination
 # ---------------------------------------------------------------------------
 
@@ -204,12 +249,16 @@ def test_random_elimination_order_reaches_parity(seed):
 
     # randomized elimination order
     rf, rg = f, g
+    crossings = compute_crossings(rf, rg)
     while True:
-        bigons = find_empty_bigons(rf, rg, disc)
+        bigons = find_empty_bigons(rf, rg, disc, crossings)
         if not bigons:
             break
-        rf, rg = eliminate_bigon(rf, rg, rng.choice(bigons), disc)
-    final = len(compute_crossings(rf, rg))
+        rf, rg, crossings = eliminate_bigon(rf, rg, rng.choice(bigons), disc,
+                                            len(crossings))
+        # the surgery hands back the crossings of the new pair, in its order
+        assert crossings == compute_crossings(rf, rg)
+    final = len(crossings)
     assert final == start % 2
 
     # canonical order agrees
