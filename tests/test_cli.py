@@ -40,6 +40,7 @@ fibration = bad
 
 
 GOLDEN = Path(__file__).parent / "golden" / "w1_all.txt"
+GOLDEN_W0 = Path(__file__).parent / "golden" / "w0_all.txt"
 
 
 def shipped(name: str) -> str:
@@ -137,6 +138,14 @@ def test_resolution_override(capsys):
     assert "unit fate: Survives" in out
 
 
+def test_w0_report_matches_golden(tmp_path):
+    # pins every "unit image persists" note and nonzero HW line; the W1
+    # golden pins the "dies" notes and the vanishing ones
+    target = tmp_path / "w0_all.txt"
+    assert main(["all", shipped("W0.cfg"), "--out", str(target)]) == 0
+    assert target.read_bytes() == GOLDEN_W0.read_bytes()
+
+
 @pytest.mark.parametrize("resolution", [9, 16, 32, 64])
 def test_w1_report_is_grid_independent(resolution, tmp_path):
     # every boundary grid fine enough to embed the spirals gives the same
@@ -173,8 +182,9 @@ def _count_calls(monkeypatch, fn, seen):
 
 
 def test_hw_derives_each_quantity_once(monkeypatch, tmp_path, capsys):
-    fs_calls, spirals, validated = [], [], []
+    fs_calls, verdicts, spirals, validated = [], [], [], []
     _count_calls(monkeypatch, rank_calculus.fs_hom_ranks, fs_calls)
+    _count_calls(monkeypatch, rank_calculus.hw_verdict, verdicts)
     _count_calls(monkeypatch, wrapping.wrap, spirals)
     check = PlanarArc.validate
 
@@ -185,10 +195,13 @@ def test_hw_derives_each_quantity_once(monkeypatch, tmp_path, capsys):
     # the stage diagrams of all --svg draw the spirals the towers wrapped
     for argv in (["hw", shipped("W1.cfg")],
                  ["all", shipped("W0.cfg"), "--svg", str(tmp_path)]):
-        for seen in (fs_calls, spirals, validated):
+        for seen in (fs_calls, verdicts, spirals, validated):
             seen.clear()
         assert main(argv) == 0
         assert len(fs_calls) == 1
+        # one verdict per diagonal thimble, derived by the rank calculus;
+        # the towers report it and derive none of their own
+        assert len(verdicts) == 2
         assert len(spirals) == 3 * 4              # three towers x four levels
         for spiral in spirals:
             assert sum(arc is spiral for arc in validated) == 1
@@ -346,7 +359,6 @@ EXIT_CODES = {
     "SpiralCollision": 1,
     "MissingClass": 2, "UnresolvedSign": 2, "UnknownPair": 2,
     "MissingParity": 2, "Undecidable": 2, "IncompleteBasis": 2,
-    "MissingFate": 2,
     "InvalidWitness": 3, "ImageTooLarge": 3, "Inconsistent": 3,
 }
 

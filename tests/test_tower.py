@@ -7,13 +7,11 @@ import pytest
 
 import scen
 from lefbench.disc import WrapSpec
-from lefbench.errors import (Inconsistent, LefbenchError, MissingFate,
-                             Undecidable)
+from lefbench.errors import Inconsistent, LefbenchError, Undecidable
 from lefbench.fibration import with_resolution
 from lefbench.oracle import RankResult
-from lefbench.rank_calculus import UnitFate, analyze, fs_hom_ranks
-from lefbench.tower import (ARROWS_STAY_IN_BLOCK, CRITICAL_U, NO_ARROWS_AT_U,
-                            ORDINARY, ContinuationExists, Generator, Tower,
+from lefbench.rank_calculus import fs_hom_ranks
+from lefbench.tower import (CRITICAL_U, ORDINARY, Generator,
                             WrappedComplexStage, assemble_tower, build_stage,
                             build_tower)
 
@@ -44,8 +42,6 @@ def test_self_tower_inventory(variant, thimble):
         ordinary = [g for g in s.generators if g.tag == ORDINARY]
         assert len(ordinary) == m
         assert all(g.multiplicity == 2 for g in ordinary)
-        assert NO_ARROWS_AT_U in s.differential_constraints
-        assert (ARROWS_STAY_IN_BLOCK in s.differential_constraints) == (m > 0)
 
 
 @pytest.mark.parametrize("variant", ["W0", "W1"])
@@ -149,89 +145,41 @@ def test_build_stage_needs_known_puncture_and_oracle():
 # --------------------------------------------------------------------------
 
 def test_tower_assembly_scenarios():
-    for variant, fate in (("W0", UnitFate.SURVIVES), ("W1", UnitFate.DIES)):
+    for variant in ("W0", "W1"):
         f = scen.full_main_fibration(variant)
-        out = analyze(f)
-        assert out.fate is fate
-        t = build_tower(f, "b", "b", range(4), DELTA, BEND, out.fs,
-                        fate=out.fate)
+        t = build_tower(f, "b", "b", range(4), DELTA, BEND, fs_hom_ranks(f))
         assert t.counts() == ((0, 1), (1, 3), (2, 5), (3, 7))
-        assert t.verdict.nonzero == (fate is UnitFate.SURVIVES)
-        assert t.continuation == tuple(
-            ContinuationExists(m, m + 1, fate is UnitFate.SURVIVES)
-            for m in range(3))
+        assert all(s.u_count == 1 for s in t.stages)
         assert t.stage(2).count == 5
         with pytest.raises(KeyError):
             t.stage(9)
 
 
-def test_survivor_tower_gets_stabilization_note():
-    f = scen.full_main_fibration("W0")
-    t = build_tower(f, "b", "b", [0, 1], DELTA, BEND, fs_hom_ranks(f),
-                    fate=UnitFate.SURVIVES)
-    assert [s.tag for s in t.verdict.steps] == ["unit-survival", "stabilization"]
-    f1 = scen.full_main_fibration("W1")
-    t1 = build_tower(f1, "b", "b", [0, 1], DELTA, BEND, fs_hom_ranks(f1),
-                     fate=UnitFate.DIES)
-    assert [s.tag for s in t1.verdict.steps] == ["unit-death"]
-
-
 def test_mixed_tower_counts():
     for variant in ("W0", "W1"):
         f = scen.full_main_fibration(variant)
-        out = analyze(f)
-        t = build_tower(f, "a", "b", range(4), DELTA, BEND, out.fs,
-                        verdict=out.off_diagonal)
+        t = build_tower(f, "a", "b", [3, 1, 0, 2, 1], DELTA, BEND,
+                        fs_hom_ranks(f))
         assert t.counts() == ((0, 0), (1, 2), (2, 4), (3, 6))
-        assert t.verdict.nonzero == (variant == "W0")
-        assert t.fate is None
-        assert all(not c.unit_image_persists for c in t.continuation)
-
-
-def test_fate_and_verdict_are_exclusive():
-    f = scen.full_main_fibration("W0")
-    out = analyze(f)
-    with pytest.raises(LefbenchError):
-        build_tower(f, "b", "b", [0, 1], DELTA, BEND, out.fs,
-                    fate=out.fate, verdict=out.off_diagonal)
-
-
-def test_trivially_empty_tower_vanishes():
-    stages = (WrappedComplexStage(0, ()), WrappedComplexStage(1, ()))
-    t = assemble_tower(stages)
-    assert not t.verdict.nonzero
-    assert [s.tag for s in t.verdict.steps] == ["empty-tower"]
-    assert t.fate is None
-
-
-def test_nonempty_tower_without_fate():
-    f = scen.full_main_fibration("W1")
-    stages = [_stage("W1", "a", "b", m, f) for m in range(2)]
-    with pytest.raises(MissingFate):
-        assemble_tower(stages)
+        assert all(s.u_count == 0 for s in t.stages)
 
 
 def test_fate_without_unit_is_inconsistent():
+    # a self-tower's verdict is the fate of its unit, so it must contain u;
+    # a mixed tower has no unit to carry
+    stages = (WrappedComplexStage(0, ()), WrappedComplexStage(1, (_gen(2),)))
     with pytest.raises(Inconsistent):
-        assemble_tower((WrappedComplexStage(0, ()),), fate=UnitFate.DIES)
+        assemble_tower(stages, self_pair=True)
+    assert assemble_tower(stages, self_pair=False).counts() == ((0, 0), (1, 2))
 
 
 def test_tower_guards():
     with pytest.raises(LefbenchError):
-        assemble_tower(())
+        assemble_tower((), self_pair=False)
     s = WrappedComplexStage(0, ())
     with pytest.raises(LefbenchError):
-        assemble_tower((s, WrappedComplexStage(0, ())))
+        assemble_tower((s, WrappedComplexStage(0, ())), self_pair=False)
     shrink = (WrappedComplexStage(0, (_gen(2), _gen(2))),
               WrappedComplexStage(1, (_gen(2),)))
     with pytest.raises(Inconsistent):
-        assemble_tower(shrink)
-    with pytest.raises(LefbenchError):
-        ContinuationExists(2, 2, True)
-
-
-def test_fate_dies_marks_unit_image_dead():
-    f = scen.full_main_fibration("W1")
-    t = build_tower(f, "b", "b", [0, 1, 2], DELTA, BEND, fs_hom_ranks(f),
-                    fate=UnitFate.DIES)
-    assert all(not c.unit_image_persists for c in t.continuation)
+        assemble_tower(shrink, self_pair=False)
