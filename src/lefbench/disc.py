@@ -14,8 +14,9 @@ from fractions import Fraction
 from typing import Iterator
 
 from .errors import LefbenchError, NonEmbeddableInput
-from .exactgeom import (Pt, Q, angle_norm, box_pairs, circle_point, norm2,
-                        orient, point_on_segment, segments_overlap_collinear)
+from .exactgeom import (ORIGIN, Hpt, Pt, Q, angle_norm, box_pairs,
+                        circle_point, homog, norm2, orient, point_on_segment,
+                        segments_overlap_collinear)
 
 
 class ArcKind(enum.Enum):
@@ -158,30 +159,34 @@ class PlanarArc:
         vs = self.vertices
         if len(vs) < 2:
             raise LefbenchError("arc needs at least two vertices")
+        # homogeneous integer vertices, built once for every check below;
+        # equal points give equal triples
+        hs = [homog(v) for v in vs]
         for i in range(len(vs) - 1):
-            if vs[i] == vs[i + 1]:
+            if hs[i] == hs[i + 1]:
                 raise LefbenchError(f"zero-length segment at vertex {i}")
 
         self._check_endpoint(disc, self.start, vs[0])
         self._check_endpoint(disc, self.end, vs[-1])
 
-        for v in vs[1:-1]:
-            if norm2(v) >= 1:
+        for v, (x, y, w) in zip(vs[1:-1], hs[1:-1]):
+            if x * x + y * y >= w * w:
                 raise LefbenchError(
                     f"interior vertex {v} is not strictly inside the disc")
 
         anchored = self.puncture_names()
-        segs = self.segments()
+        segs = list(zip(hs, hs[1:]))
         for name, p in disc.items():
+            hp = homog(p)
             for i, (a, b) in enumerate(segs):
-                if point_on_segment(p, a, b):
+                if point_on_segment(hp, a, b):
                     at_start = i == 0 and p == vs[0] and name in anchored
                     at_end = i == len(vs) - 2 and p == vs[-1] and name in anchored
                     if not (at_start or at_end):
                         raise LefbenchError(
                             f"arc passes through puncture {name!r} at {p}")
 
-        self._check_embedded()
+        self._check_embedded(hs)
         self._check_kind()
 
     def _check_endpoint(self, disc: DiscModel, e: Endpoint, v: Pt) -> None:
@@ -194,23 +199,25 @@ class PlanarArc:
                 raise LefbenchError(
                     f"endpoint vertex {v} does not realize boundary angle {e.angle}")
 
-    def _check_embedded(self) -> None:
+    def _check_embedded(self, hs: list[Hpt]) -> None:
         """Reject any contact of two segments beyond consecutive joints.
 
-        Two closed segments can share a point only if their closed bounding
-        boxes meet, so the pairs that exactgeom.box_pairs skips need no
-        test.  Consecutive segments always meet at their joint, and the
-        pairs come in (i, j) order, so the first contact reported is the one
-        a scan over all pairs would report.
+        hs holds the vertices in homogeneous integer form.  Two closed
+        segments can share a point only if their closed bounding boxes meet,
+        so the pairs that exactgeom.box_pairs skips need no test.
+        Consecutive segments always meet at their joint, and the pairs come
+        in (i, j) order, so the first contact reported is the one a scan
+        over all pairs would report.
         """
-        segs = self.segments()
+        segs = list(zip(hs, hs[1:]))
         for i, j in box_pairs(segs):
             (a1, a2), (b1, b2) = segs[i], segs[j]
             if j == i + 1:
                 # consecutive segments share exactly the joint vertex
                 if segments_overlap_collinear(a1, a2, b1, b2):
                     raise NonEmbeddableInput(
-                        f"arc folds back onto itself at vertex {a2}")
+                        f"arc folds back onto itself at vertex"
+                        f" {self.vertices[j]}")
                 continue
             if _closed_segments_touch(a1, a2, b1, b2):
                 # closed arc endpoints may coincide only for loops, which
@@ -234,14 +241,20 @@ class PlanarArc:
             raise LefbenchError("wrapped arc must carry its wrap level and offset")
 
 
-def _closed_segments_touch(a1: Pt, a2: Pt, b1: Pt, b2: Pt) -> bool:
+def _closed_segments_touch(a1: Hpt, a2: Hpt, b1: Hpt, b2: Hpt) -> bool:
     """Exact: the closed segments share at least one point."""
     d1 = orient(a1, a2, b1)
     d2 = orient(a1, a2, b2)
+    if d1 == d2 != 0:
+        # b lies strictly on one side of a's line
+        return False
     d3 = orient(b1, b2, a1)
     d4 = orient(b1, b2, a2)
+    if d3 == d4 != 0:
+        return False
     if d1 != d2 and d3 != d4:
         return True
+    # collinear, or a zero-length segment: an endpoint must lie on the other
     for p, a, b in ((b1, a1, a2), (b2, a1, a2), (a1, b1, b2), (a2, b1, b2)):
         if point_on_segment(p, a, b):
             return True
@@ -259,8 +272,7 @@ def radial_split(arc: PlanarArc) -> tuple[Fraction, Fraction]:
         raise LefbenchError("arc does not end on the boundary")
     vb = arc.vertices[-1]
     vp = arc.vertices[-2]
-    origin = Pt(Q(0), Q(0))
-    if orient(origin, vb, vp) != 0:
+    if orient(ORIGIN, homog(vb), homog(vp)) != 0:
         raise LefbenchError("terminal segment of the arc is not radial")
     # vp = c * vb with |vb| = 1, so c is the (rational) dot product
     c = vp.x * vb.x + vp.y * vb.y

@@ -1,32 +1,44 @@
 """Exact rational plane geometry primitives.
 
-All predicates run on fractions.Fraction coordinates and return exact signs;
-no floating point enters any decision.  Degenerate contacts between two
-different polylines are resolved by a deterministic symbolic perturbation:
-one of the two arcs is treated as translated by the infinitesimal vector
-(eps, eps^2), eps > 0, so every orientation sign is the first nonzero
-coefficient of the polynomial  base + c1*eps + c2*eps^2.
+Points are NamedTuples of Fractions (Pt), and so is everything the library
+reports or stores: arc vertices, crossing points and their parameters.  The
+segment predicates, which decide every sign, run on homogeneous integer
+points instead: (X, Y, W) with W > 0 is the point (X/W, Y/W) (``homog``
+builds it from a Pt, with W the lcm of the two denominators).  A turn is
+the sign of the 3x3 determinant of three such rows and a comparison of two
+coordinates is one cross-multiplication, so no predicate takes a gcd; no
+floating point enters any decision.  A Fraction is built only for a value
+that leaves this layer, such as the point and parameters of a crossing.
 
-Points are NamedTuples of Fractions.  Boundary points of the unit disc are
-realized from exact rational "angles" (fractions of a full counterclockwise
-turn) through the rational parametrization
+Degenerate contacts between two different polylines are resolved by a
+deterministic symbolic perturbation: one of the two arcs is treated as
+translated by the infinitesimal vector (eps, eps^2), eps > 0, so every
+orientation sign is the first nonzero coefficient of the polynomial
+base + c1*eps + c2*eps^2.
+
+Boundary points of the unit disc are realized from exact rational "angles"
+(fractions of a full counterclockwise turn) through the rational
+parametrization
     t |-> ((1 - t^2)/(1 + t^2), 2t/(1 + t^2)),
 with a monotone piecewise-Moebius map from turn fraction to parameter t.  The
 realized point of angle tau is therefore an exact rational point on the unit
-circle; realized points are ordered counterclockwise exactly as their angles,
-although arc length is not proportional to the angle fraction.
+circle (``circle_hpoint`` gives its integer form); realized points are
+ordered counterclockwise exactly as their angles, although arc length is not
+proportional to the angle fraction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, NamedTuple
 
 Q = Fraction
 
 ZERO = Q(0)
-ONE = Q(1)
-HALF = Q(1, 2)
+
+# the floor key of a coordinate x is floor(x * 2^_KEY_BITS)
+_KEY_BITS = 64
 
 
 class Pt(NamedTuple):
@@ -57,26 +69,22 @@ def norm2(a: Pt) -> Fraction:
     return a.x * a.x + a.y * a.y
 
 
-def sgn(v: Fraction) -> int:
-    if v > 0:
-        return 1
-    if v < 0:
-        return -1
-    return 0
+# homogeneous integer point (X, Y, W), W > 0: the point (X/W, Y/W)
+Hpt = tuple[int, int, int]
+
+ORIGIN = (0, 0, 1)
 
 
-def orient(a: Pt, b: Pt, c: Pt) -> int:
-    """Sign of the turn a->b->c: +1 left (ccw), -1 right, 0 collinear."""
-    return sgn(cross(sub(b, a), sub(c, a)))
+def homog(p: Pt) -> Hpt:
+    """The homogeneous form of p over the lcm of its denominators.
 
-
-def sgn_eps(base: Fraction, c1: Fraction, c2: Fraction) -> int:
-    """Sign of base + c1*eps + c2*eps^2 for an infinitesimal eps > 0."""
-    if base:
-        return sgn(base)
-    if c1:
-        return sgn(c1)
-    return sgn(c2)
+    Fractions are reduced, so equal points give equal triples."""
+    x, y = p
+    xd, yd = x.denominator, y.denominator
+    if xd == yd:
+        return (x.numerator, y.numerator, xd)
+    w = xd // gcd(xd, yd) * yd
+    return (x.numerator * (w // xd), y.numerator * (w // yd), w)
 
 
 # --------------------------------------------------------------------------
@@ -88,22 +96,31 @@ def angle_norm(tau: Fraction) -> Fraction:
     return Q(tau) % 1
 
 
+def circle_hpoint(a: int, d: int) -> Hpt:
+    """Homogeneous integer form of circle_point(a / d), d > 0.
+
+    The parameter t = p/q of the angle gives (q^2 - p^2, 2pq, q^2 + p^2),
+    not reduced.
+    """
+    a %= d
+    if 2 * a == d:
+        return (-1, 0, 1)
+    if 2 * a < d:
+        p, q = 2 * a, d - 2 * a         # t = 2 tau / (1 - 2 tau)
+    else:
+        p, q = 2 * (a - d), 2 * a - d   # t = 2 s / (1 + 2 s), s = tau - 1
+    return (q * q - p * p, 2 * p * q, q * q + p * p)
+
+
 def circle_point(tau: Fraction) -> Pt:
     """Exact rational point of the unit circle at turn fraction tau.
 
     Monotone in tau: realized points advance strictly counterclockwise from
     (1, 0) at tau = 0 through (0, 1), (-1, 0), (0, -1).
     """
-    tau = angle_norm(tau)
-    if tau == HALF:
-        return Pt(-ONE, ZERO)
-    if tau < HALF:
-        t = 2 * tau / (1 - 2 * tau)
-    else:
-        s = tau - 1
-        t = 2 * s / (1 + 2 * s)
-    d = 1 + t * t
-    return Pt((1 - t * t) / d, 2 * t / d)
+    tau = Q(tau)
+    x, y, w = circle_hpoint(tau.numerator, tau.denominator)
+    return Pt(Q(x, w), Q(y, w))
 
 
 def min_angular_gap(angles: Iterable[Fraction]) -> Fraction | None:
@@ -117,46 +134,97 @@ def min_angular_gap(angles: Iterable[Fraction]) -> Fraction | None:
 
 
 # --------------------------------------------------------------------------
-# segment predicates
+# segment predicates on homogeneous integer points
 # --------------------------------------------------------------------------
 
-def point_on_segment(p: Pt, a: Pt, b: Pt) -> bool:
+def _coord_lt(p: Hpt, q: Hpt, i: int) -> bool:
+    """Coordinate i (0 = x, 1 = y) of p is below that of q."""
+    return p[i] * q[2] < q[i] * p[2]
+
+
+def orient(a: Hpt, b: Hpt, c: Hpt) -> int:
+    """Sign of the turn a->b->c: +1 left (ccw), -1 right, 0 collinear.
+
+    The determinant of the three rows (X, Y, W) is the turn's cross product
+    times the positive aw * bw * cw, so it has the turn's sign.
+    """
+    ax, ay, aw = a
+    bx, by, bw = b
+    cx, cy, cw = c
+    d = (ax * (by * cw - cy * bw) - ay * (bx * cw - cx * bw)
+         + aw * (bx * cy - cx * by))
+    return (d > 0) - (d < 0)
+
+
+def point_on_segment(p: Hpt, a: Hpt, b: Hpt) -> bool:
     """Exact: p lies on the closed segment [a, b]."""
-    # the coordinate ranges are cheaper than the turn and usually decide
-    return (min(a.x, b.x) <= p.x <= max(a.x, b.x)
-            and min(a.y, b.y) <= p.y <= max(a.y, b.y)
+    px, py, pw = p
+    ax, ay, aw = a
+    bx, by, bw = b
+    # p lies between a and b in a coordinate when p - a and p - b do not
+    # share a strict sign there; the ranges are cheaper than the turn and
+    # usually decide
+    return ((px * aw - ax * pw) * (px * bw - bx * pw) <= 0
+            and (py * aw - ay * pw) * (py * bw - by * pw) <= 0
             and orient(a, b, p) == 0)
 
 
-def box_pairs(segs_a: list[tuple[Pt, Pt]],
-              segs_b: list[tuple[Pt, Pt]] | None = None) -> list[tuple[int, int]]:
+def _box(p: Hpt, q: Hpt) -> tuple:
+    """Closed bounding box of [p, q]: the floor keys of its edges x0, x1,
+    y0, y1, then the edges themselves as (numerator, denominator) pairs."""
+    (px, py, pw), (qx, qy, qw) = p, q
+    x0n, x0d, x1n, x1d = ((px, pw, qx, qw) if px * qw <= qx * pw
+                          else (qx, qw, px, pw))
+    y0n, y0d, y1n, y1d = ((py, pw, qy, qw) if py * qw <= qy * pw
+                          else (qy, qw, py, pw))
+    return ((x0n << _KEY_BITS) // x0d, (x1n << _KEY_BITS) // x1d,
+            (y0n << _KEY_BITS) // y0d, (y1n << _KEY_BITS) // y1d,
+            (x0n, x0d, x1n, x1d, y0n, y0d, y1n, y1d))
+
+
+def _edges_meet(e: tuple, f: tuple) -> bool:
+    """Exact: the boxes with edges e and f (as from _box) meet."""
+    x0n, x0d, x1n, x1d, y0n, y0d, y1n, y1d = e
+    u0n, u0d, u1n, u1d, v0n, v0d, v1n, v1d = f
+    return (x0n * u1d <= u1n * x0d and u0n * x1d <= x1n * u0d
+            and y0n * v1d <= v1n * y0d and v0n * y1d <= y1n * v0d)
+
+
+def box_pairs(segs_a: list[tuple[Hpt, Hpt]],
+              segs_b: list[tuple[Hpt, Hpt]] | None = None
+              ) -> list[tuple[int, int]]:
     """Index pairs of segments whose closed bounding boxes meet, sorted.
 
     With one list: the pairs (i, j), i < j, of its segments.  With two: the
     pairs (i, j) of segment i of segs_a and segment j of segs_b.  A sweep
     over x (boxes sorted by left edge, an active list per input dropping
-    boxes whose right edge lies strictly left of the sweep line) compares
-    only boxes whose x-ranges meet, then checks their y-ranges.  Exact:
-    edges are compared as Fractions, and boxes that merely touch are kept.
-    Segments whose boxes are strictly apart are separated by a positive gap
-    in x or y, so they share no point, and no infinitesimal shift of either
-    one makes them meet.
+    boxes that end left of the sweep line) compares only boxes whose
+    x-ranges may meet.
+
+    The sort, the drop and a first test in y use the floor key
+    floor(c * 2^64) of each edge c.  The key is monotone: a box whose right
+    edge has a smaller key than the current left edge ends strictly left of
+    every box still to come, so dropping it loses no pair, and boxes whose
+    keys are apart are apart.  Boxes whose keys meet are decided exactly,
+    cross-multiplying numerators and denominators, and boxes that merely
+    touch are kept.  Segments whose boxes are strictly apart are separated
+    by a positive gap in x or y, so they share no point, and no
+    infinitesimal shift of either one makes them meet.
     """
     sides = [segs_a] if segs_b is None else [segs_a, segs_b]
-    boxes = [[(min(p.x, q.x), max(p.x, q.x), min(p.y, q.y), max(p.y, q.y))
-              for p, q in segs] for segs in sides]
-    events = sorted(((side, k) for side, bs in enumerate(boxes)
-                     for k in range(len(bs))),
-                    key=lambda e: boxes[e[0]][e[1]][0])
+    boxes = [[_box(p, q) for p, q in segs] for segs in sides]
+    events = sorted((box[0], side, k) for side, bs in enumerate(boxes)
+                    for k, box in enumerate(bs))
     active: list[list[int]] = [[] for _ in sides]
     pairs = []
-    for side, k in events:
-        x0, _, y0, y1 = boxes[side][k]
+    for kx0, side, k in events:
+        _, _, ky0, ky1, edges = boxes[side][k]
         other = len(sides) - 1 - side
         obs = boxes[other]
-        live = active[other] = [m for m in active[other] if obs[m][1] >= x0]
+        live = active[other] = [m for m in active[other] if obs[m][1] >= kx0]
         for m in live:
-            if obs[m][2] <= y1 and y0 <= obs[m][3]:
+            _, _, my0, my1, medges = obs[m]
+            if my0 <= ky1 and ky0 <= my1 and _edges_meet(edges, medges):
                 # segs_a's index first; within one list, the smaller first
                 pairs.append((k, m) if (side, k) < (other, m) else (m, k))
         active[side].append(k)
@@ -164,17 +232,19 @@ def box_pairs(segs_a: list[tuple[Pt, Pt]],
     return pairs
 
 
-def segments_overlap_collinear(a1: Pt, a2: Pt, b1: Pt, b2: Pt) -> bool:
+def segments_overlap_collinear(a1: Hpt, a2: Hpt, b1: Hpt, b2: Hpt) -> bool:
     """True when the two segments are collinear and share more than a point."""
-    if orient(a1, a2, b1) != 0 or orient(a1, a2, b2) != 0:
+    # b2 first: consecutive segments of a chain share b1 = a2
+    if orient(a1, a2, b2) != 0 or orient(a1, a2, b1) != 0:
         return False
-    d = sub(a2, a1)
-    # project onto the carrier line
-    ta = sorted([ZERO, dot(d, d)])
-    tb = sorted([dot(d, sub(b1, a1)), dot(d, sub(b2, a1))])
-    lo = max(ta[0], tb[0])
-    hi = min(ta[1], tb[1])
-    return lo < hi
+    # all four points lie on one line; order them along a coordinate in which
+    # a1 and a2 differ (any, if a is a single point: it then overlaps nothing)
+    i = 0 if a1[0] * a2[2] != a2[0] * a1[2] else 1
+    alo, ahi = (a1, a2) if _coord_lt(a1, a2, i) else (a2, a1)
+    blo, bhi = (b1, b2) if _coord_lt(b1, b2, i) else (b2, b1)
+    # max(alo, blo) < min(ahi, bhi)
+    return (_coord_lt(alo, ahi, i) and _coord_lt(alo, bhi, i)
+            and _coord_lt(blo, ahi, i) and _coord_lt(blo, bhi, i))
 
 
 def line_intersection(a1: Pt, a2: Pt, b1: Pt, b2: Pt) -> Pt:
@@ -200,21 +270,18 @@ class Crossing(NamedTuple):
     tb: Fraction
 
 
-def _orient_coeffs_target_shifted(a1: Pt, a2: Pt, q: Pt) -> tuple[Fraction, Fraction, Fraction]:
-    # orient(a1, a2, q + (eps, eps^2)) as polynomial in eps
-    d = sub(a2, a1)
-    base = cross(d, sub(q, a1))
-    return base, -d.y, d.x
+def _shift_sign(p: Hpt, q: Hpt) -> int:
+    """Sign of orient(p, q, r + (eps, eps^2)) when r lies on the line pq:
+    the eps coefficient -dy, else the eps^2 coefficient dx, of d = q - p
+    (0 when p == q).  Shifting the segment instead of r negates it."""
+    dy = q[1] * p[2] - p[1] * q[2]
+    if dy:
+        return -1 if dy > 0 else 1
+    dx = q[0] * p[2] - p[0] * q[2]
+    return (dx > 0) - (dx < 0)
 
 
-def _orient_coeffs_base_shifted(b1: Pt, b2: Pt, p: Pt) -> tuple[Fraction, Fraction, Fraction]:
-    # orient(b1 + e, b2 + e, p) with e = (eps, eps^2)
-    d = sub(b2, b1)
-    base = cross(d, sub(p, b1))
-    return base, d.y, -d.x
-
-
-def segment_crossing(a1: Pt, a2: Pt, b1: Pt, b2: Pt,
+def segment_crossing(a1: Hpt, a2: Hpt, b1: Hpt, b2: Hpt,
                      shift_b: bool) -> Crossing | None:
     """Proper crossing of two segments under the symbolic perturbation.
 
@@ -223,7 +290,9 @@ def segment_crossing(a1: Pt, a2: Pt, b1: Pt, b2: Pt,
     configuration has no tangencies, so the answer is always a clean
     yes/no; collinear overlaps resolve to "no crossing" (parallel translates
     never meet) and T-contacts resolve one way or the other consistently
-    across all segment pairs of the same arc pair.
+    across all segment pairs of the same arc pair.  Each orientation is the
+    first nonzero coefficient of base + c1*eps + c2*eps^2; the point and
+    parameters of a crossing are the only Fractions built.
     """
     if not shift_b:
         # shifting arc A by +e is the same picture as shifting arc B by -e;
@@ -233,38 +302,59 @@ def segment_crossing(a1: Pt, a2: Pt, b1: Pt, b2: Pt,
             return None
         return Crossing(res.point, res.tb, res.ta)
 
-    o1 = sgn_eps(*_orient_coeffs_target_shifted(a1, a2, b1))
-    o2 = sgn_eps(*_orient_coeffs_target_shifted(a1, a2, b2))
+    o1 = orient(a1, a2, b1)
+    o2 = orient(a1, a2, b2)
+    if not (o1 and o2):
+        tie = _shift_sign(a1, a2)
+        o1, o2 = o1 or tie, o2 or tie
     if o1 == o2:
         return None
-    o3 = sgn_eps(*_orient_coeffs_base_shifted(b1, b2, a1))
-    o4 = sgn_eps(*_orient_coeffs_base_shifted(b1, b2, a2))
+    o3 = orient(b1, b2, a1)
+    o4 = orient(b1, b2, a2)
+    if not (o3 and o4):
+        tie = -_shift_sign(b1, b2)
+        o3, o4 = o3 or tie, o4 or tie
     if o3 == o4:
         return None
-    da = sub(a2, a1)
-    db = sub(b2, b1)
-    den = cross(da, db)
+    x1, y1, w1 = a1
+    x2, y2, w2 = a2
+    x3, y3, w3 = b1
+    x4, y4, w4 = b2
+    dax, day = x2 * w1 - x1 * w2, y2 * w1 - y1 * w2    # (a2 - a1) w1 w2
+    dbx, dby = x4 * w3 - x3 * w4, y4 * w3 - y3 * w4    # (b2 - b1) w3 w4
+    ex, ey = x3 * w1 - x1 * w3, y3 * w1 - y1 * w3      # (b1 - a1) w1 w3
     # crossing of the perturbed pair implies the carrier lines are not
     # parallel (parallel translates keep o1 == o2), so den != 0
-    ta = cross(sub(b1, a1), db) / den
-    tb = cross(sub(b1, a1), da) / den
-    point = Pt(a1.x + ta * da.x, a1.y + ta * da.y)
+    den = dax * dby - day * dbx
+    num_a = ex * dby - ey * dbx
+    ta = Q(num_a * w2, den * w3)
+    tb = Q((ex * day - ey * dax) * w4, den * w1)
+    # a1 + ta (a2 - a1), over the denominator w1 w3 den
+    d = w1 * w3 * den
+    point = Pt(Q(x1 * w3 * den + num_a * dax, d),
+               Q(y1 * w3 * den + num_a * day, d))
     return Crossing(point, ta, tb)
 
 
-def segment_point_dist2(p: Pt, a: Pt, b: Pt) -> Fraction:
-    """Exact squared distance from p to the closed segment [a, b]."""
-    d = sub(b, a)
-    dd = norm2(d)
-    if dd == 0:
-        return norm2(sub(p, a))
-    t = dot(sub(p, a), d) / dd
-    if t <= 0:
-        return norm2(sub(p, a))
-    if t >= 1:
-        return norm2(sub(p, b))
-    q = Pt(a.x + t * d.x, a.y + t * d.y)
-    return norm2(sub(p, q))
+def segment_near_origin(a: Hpt, b: Hpt, r2: Fraction) -> bool:
+    """Exact: the closed segment [a, b] comes within squared distance r2
+    of the origin.
+
+    The nearest point is a when the direction d = b - a points away from the
+    origin at a (or d = 0), b when it points toward the origin past b, and
+    otherwise the foot of the perpendicular, at squared distance
+    cross(a, d)^2 / |d|^2.  All three cases compare integers.
+    """
+    ax, ay, aw = a
+    bx, by, bw = b
+    rn, rd = r2.numerator, r2.denominator
+    dx, dy = bx * aw - ax * bw, by * aw - ay * bw      # (b - a) aw bw
+    if dx * ax + dy * ay >= 0:
+        return (ax * ax + ay * ay) * rd <= rn * aw * aw
+    if dx * bx + dy * by <= 0:
+        return (bx * bx + by * by) * rd <= rn * bw * bw
+    c = ax * dy - ay * dx
+    return c * c * rd <= rn * aw * aw * (dx * dx + dy * dy)
 
 
 # --------------------------------------------------------------------------
@@ -300,14 +390,15 @@ def point_in_polygon(p: Pt, poly: list[Pt]) -> bool:
 
 def winding_number(p: Pt, closed: list[Pt]) -> int:
     """Winding number of a closed rational polyline around p (p off the curve)."""
+    hp = homog(p)
     wn = 0
     n = len(closed)
     for i in range(n):
         a, b = closed[i], closed[(i + 1) % n]
         if a.y <= p.y:
-            if b.y > p.y and orient(a, b, p) > 0:
+            if b.y > p.y and orient(homog(a), homog(b), hp) > 0:
                 wn += 1
         else:
-            if b.y <= p.y and orient(a, b, p) < 0:
+            if b.y <= p.y and orient(homog(a), homog(b), hp) < 0:
                 wn -= 1
     return wn

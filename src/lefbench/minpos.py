@@ -23,10 +23,10 @@ from typing import Iterable
 
 from .disc import DiscModel, PlanarArc, Puncture
 from .errors import DegenerateTangency, LefbenchError, SharedBoundaryEndpoint
-from .exactgeom import (Pt, Q, box_pairs, cross, line_intersection, norm2,
-                        point_in_polygon, point_on_segment, polygon_area2,
-                        segment_crossing, segments_overlap_collinear, sub,
-                        winding_number)
+from .exactgeom import (Pt, Q, box_pairs, cross, homog, line_intersection,
+                        norm2, point_in_polygon, point_on_segment,
+                        polygon_area2, segment_crossing,
+                        segments_overlap_collinear, sub, winding_number)
 
 Pos = tuple[int, Fraction]  # (segment index, parameter within segment)
 
@@ -88,8 +88,11 @@ def compute_crossings(a: PlanarArc, b: PlanarArc) -> list[ArcCrossing]:
             for j in _endpoint_segment_indices(b, s):
                 incident.add((i, j))
 
-    segs_a = a.segments()
-    segs_b = b.segments()
+    # homogeneous integer vertices, built once for every predicate below
+    ha = [homog(v) for v in a.vertices]
+    hb = [homog(v) for v in b.vertices]
+    segs_a = list(zip(ha, ha[1:]))
+    segs_b = list(zip(hb, hb[1:]))
     found: list[ArcCrossing] = []
     # pinned pairs share their puncture, so their boxes meet and they are
     # always tested; pairs come in (i, j) order, the order of the result
@@ -243,7 +246,7 @@ def _step_from(arc: PlanarArc, pos: Pos, eps: Fraction,
 
 def _arc_embedded(arc: PlanarArc) -> bool:
     try:
-        arc._check_embedded()
+        arc._check_embedded([homog(v) for v in arc.vertices])
         return True
     except LefbenchError:
         return False
@@ -254,9 +257,11 @@ def _vertices_legal(pts: Iterable[Pt], disc: DiscModel) -> bool:
     for v in pl:
         if norm2(v) >= 1:
             return False
+    hs = [homog(v) for v in pl]
     for _, p in disc.items():
-        for a, b in zip(pl, pl[1:]):
-            if point_on_segment(p, a, b):
+        hp = homog(p)
+        for a, b in zip(hs, hs[1:]):
+            if point_on_segment(hp, a, b):
                 return False
     return True
 

@@ -14,6 +14,13 @@ entry point rotated counterclockwise by spec.bend, so source and copy share
 only the puncture point.  This local left-bend requires the source to be in
 radial normal form (a single straight segment from puncture to boundary).
 
+The spiral is computed on integers: every angle is a numerator over one
+denominator per spiral, the radius is affine in the angle, and each vertex
+is the integer circle point (exactgeom.circle_hpoint) scaled by the radius,
+one homogeneous triple.  The check that no chord dips to a puncture's radius
+compares integers; the vertices become Fraction points only for the
+returned arc.
+
 wrap guards the annulus against punctures but does not validate the spiral
 it returns.  A stage spiral (tower.stage_spiral) is checked once before use:
 by minimal_position inside a tower stage, or by ``render`` for the spirals it
@@ -23,10 +30,12 @@ wraps itself, so a coarse boundary grid still ends in NonEmbeddableInput.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .disc import ArcKind, BoundaryAngle, DiscModel, PlanarArc, WrapSpec, radial_split
 from .errors import LefbenchError, SpiralCollision
-from .exactgeom import Pt, Q, circle_point, norm2, segment_point_dist2
+from .exactgeom import (Pt, Q, circle_hpoint, circle_point, norm2,
+                        segment_near_origin)
 
 
 def _annulus_entry_radius(arc: PlanarArc, max_punct: Fraction) -> Fraction:
@@ -56,36 +65,40 @@ def wrap(arc: PlanarArc, spec: WrapSpec, disc: DiscModel,
 
     start = tau0 + (spec.bend if bend else Q(0))
     end = tau0 + spec.m + spec.delta
-    r_last = (1 + r_out) / 2
-    step = Q(1, disc.boundary_resolution)
 
-    # vertices sit on a half-step-shifted grid so that no spiral vertex can
-    # land exactly on a boundary ray of the declared angle grid
-    angles = [start]
-    k = 0
-    while start + step / 2 + k * step < end:
-        angles.append(start + step / 2 + k * step)
-        k += 1
-    angles.append(end)
+    # Angles over one denominator den: start, then a half-step-shifted grid
+    # (so that no spiral vertex can land exactly on a boundary ray of the
+    # declared angle grid), then end.  Steps are 2 * half.
+    den = lcm(start.denominator, end.denominator, 2 * disc.boundary_resolution)
+    half = den // (2 * disc.boundary_resolution)
+    a0 = start.numerator * (den // start.denominator)
+    a_end = end.numerator * (den // end.denominator)
+    angles = [a0, *range(a0 + half, a_end, 2 * half), a_end]
 
-    span = end - start
+    # The radius climbs affinely in the angle from r_out to r_last =
+    # (1 + r_out) / 2: r = (2 n span + (d - n)(a - a0)) / (2 d span) for
+    # r_out = n / d.  Vertex = r * circle point, as one integer triple.
+    n, d = r_out.numerator, r_out.denominator
+    span = a_end - a0
+    r_den = 2 * d * span
     spiral = []
-    for ang in angles:
-        r = r_out + (r_last - r_out) * (ang - start) / span
-        c = circle_point(ang)
-        spiral.append(Pt(r * c.x, r * c.y))
+    for a in angles:
+        r = 2 * n * span + (d - n) * (a - a0)
+        cx, cy, cw = circle_hpoint(a, den)
+        spiral.append((r * cx, r * cy, r_den * cw))
     tail = circle_point(end)
 
-    if bend:
-        vertices = (arc.vertices[0],) + tuple(spiral) + (tail,)
-    else:
-        vertices = arc.vertices[:-1] + tuple(spiral) + (tail,)
-
     for s0, s1 in zip(spiral, spiral[1:]):
-        if segment_point_dist2(Pt(Q(0), Q(0)), s0, s1) <= max_punct:
+        if segment_near_origin(s0, s1, max_punct):
             raise SpiralCollision(
                 "spiral chords dip to puncture radius;"
                 " raise the disc boundary_resolution")
+
+    points = tuple(Pt(Q(x, w), Q(y, w)) for x, y, w in spiral)
+    if bend:
+        vertices = (arc.vertices[0],) + points + (tail,)
+    else:
+        vertices = arc.vertices[:-1] + points + (tail,)
 
     level = (arc.wrap_level or 0) + spec.m
     offset = (arc.wrap_offset or Q(0)) + spec.delta

@@ -4,16 +4,22 @@ Everything in this module is written from scratch in the most naive way that
 could possibly work: quadratic segment sweeps, dense GF(2) linear algebra on
 bitmask rows, and sympy for Smith normal forms.  Nothing here imports from
 ``lefbench`` internals, on purpose -- these are the other side of every
-dual-route check in the test suite.  The one exception is the last section:
-the library's embedding check and crossing computation as they were before
-the box-pruned sweep, scanning every segment pair with the library's own
-predicates, so that a comparison isolates the pruning.
+dual-route check in the test suite.  The exceptions are the last two
+sections: the library's segment predicates as they were before its integer
+kernel, on ``Fraction`` points (the reference the homogeneous-integer
+predicates must agree with), and the library's embedding check and crossing
+computation as they were before the box-pruned sweep, scanning every
+segment pair with those ``Fraction`` predicates, so that a comparison
+isolates both the pruning and the integer arithmetic.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+
+# the Fraction point type and vector helpers, for the Fraction predicates
+from lefbench.exactgeom import Crossing, Pt, cross, dot, norm2, sub
 
 
 class GenericityError(AssertionError):
@@ -341,14 +347,179 @@ def ccw_gap(a, b):
 
 
 # ---------------------------------------------------------------------------
+# Fraction geometry: the library's predicates and spiral before its integer
+# kernel
+# ---------------------------------------------------------------------------
+
+ZERO = Fraction(0)
+HALF = Fraction(1, 2)
+
+
+def circle_point(tau: Fraction) -> Pt:
+    """Exact rational point of the unit circle at turn fraction tau."""
+    tau = Fraction(tau) % 1
+    if tau == HALF:
+        return Pt(-Fraction(1), ZERO)
+    if tau < HALF:
+        t = 2 * tau / (1 - 2 * tau)
+    else:
+        s = tau - 1
+        t = 2 * s / (1 + 2 * s)
+    d = 1 + t * t
+    return Pt((1 - t * t) / d, 2 * t / d)
+
+
+def spiral_vertices(start, end, r_out, resolution):
+    """The vertices of a wrapped spiral from angle start to end, climbing
+    from radius r_out to (1 + r_out)/2, one Fraction at a time."""
+    r_last = (1 + r_out) / 2
+    step = Fraction(1, resolution)
+    angles = [start]
+    k = 0
+    while start + step / 2 + k * step < end:
+        angles.append(start + step / 2 + k * step)
+        k += 1
+    angles.append(end)
+    span = end - start
+    spiral = []
+    for ang in angles:
+        r = r_out + (r_last - r_out) * (ang - start) / span
+        c = circle_point(ang)
+        spiral.append(Pt(r * c.x, r * c.y))
+    return spiral
+
+
+def sgn(v: Fraction) -> int:
+    if v > 0:
+        return 1
+    if v < 0:
+        return -1
+    return 0
+
+
+def orient(a: Pt, b: Pt, c: Pt) -> int:
+    """Sign of the turn a->b->c: +1 left (ccw), -1 right, 0 collinear."""
+    return sgn(cross(sub(b, a), sub(c, a)))
+
+
+def sgn_eps(base: Fraction, c1: Fraction, c2: Fraction) -> int:
+    """Sign of base + c1*eps + c2*eps^2 for an infinitesimal eps > 0."""
+    if base:
+        return sgn(base)
+    if c1:
+        return sgn(c1)
+    return sgn(c2)
+
+
+def point_on_segment(p: Pt, a: Pt, b: Pt) -> bool:
+    """Exact: p lies on the closed segment [a, b]."""
+    # the coordinate ranges are cheaper than the turn and usually decide
+    return (min(a.x, b.x) <= p.x <= max(a.x, b.x)
+            and min(a.y, b.y) <= p.y <= max(a.y, b.y)
+            and orient(a, b, p) == 0)
+
+
+def segments_overlap_collinear(a1: Pt, a2: Pt, b1: Pt, b2: Pt) -> bool:
+    """True when the two segments are collinear and share more than a point."""
+    if orient(a1, a2, b1) != 0 or orient(a1, a2, b2) != 0:
+        return False
+    d = sub(a2, a1)
+    # project onto the carrier line
+    ta = sorted([ZERO, dot(d, d)])
+    tb = sorted([dot(d, sub(b1, a1)), dot(d, sub(b2, a1))])
+    lo = max(ta[0], tb[0])
+    hi = min(ta[1], tb[1])
+    return lo < hi
+
+
+def _orient_coeffs_target_shifted(a1: Pt, a2: Pt, q: Pt) -> tuple[Fraction, Fraction, Fraction]:
+    # orient(a1, a2, q + (eps, eps^2)) as polynomial in eps
+    d = sub(a2, a1)
+    base = cross(d, sub(q, a1))
+    return base, -d.y, d.x
+
+
+def _orient_coeffs_base_shifted(b1: Pt, b2: Pt, p: Pt) -> tuple[Fraction, Fraction, Fraction]:
+    # orient(b1 + e, b2 + e, p) with e = (eps, eps^2)
+    d = sub(b2, b1)
+    base = cross(d, sub(p, b1))
+    return base, d.y, -d.x
+
+
+def segment_crossing(a1: Pt, a2: Pt, b1: Pt, b2: Pt,
+                     shift_b: bool) -> Crossing | None:
+    """Proper crossing of two segments under the symbolic perturbation.
+
+    When shift_b is True the second segment's arc is the perturbed one
+    (translated by (eps, eps^2)); otherwise the first.  The perturbed
+    configuration has no tangencies, so the answer is always a clean
+    yes/no; collinear overlaps resolve to "no crossing" (parallel translates
+    never meet) and T-contacts resolve one way or the other consistently
+    across all segment pairs of the same arc pair.
+    """
+    if not shift_b:
+        # shifting arc A by +e is the same picture as shifting arc B by -e;
+        # flip roles so only one code path exists.
+        res = segment_crossing(b1, b2, a1, a2, shift_b=True)
+        if res is None:
+            return None
+        return Crossing(res.point, res.tb, res.ta)
+
+    o1 = sgn_eps(*_orient_coeffs_target_shifted(a1, a2, b1))
+    o2 = sgn_eps(*_orient_coeffs_target_shifted(a1, a2, b2))
+    if o1 == o2:
+        return None
+    o3 = sgn_eps(*_orient_coeffs_base_shifted(b1, b2, a1))
+    o4 = sgn_eps(*_orient_coeffs_base_shifted(b1, b2, a2))
+    if o3 == o4:
+        return None
+    da = sub(a2, a1)
+    db = sub(b2, b1)
+    den = cross(da, db)
+    # crossing of the perturbed pair implies the carrier lines are not
+    # parallel (parallel translates keep o1 == o2), so den != 0
+    ta = cross(sub(b1, a1), db) / den
+    tb = cross(sub(b1, a1), da) / den
+    point = Pt(a1.x + ta * da.x, a1.y + ta * da.y)
+    return Crossing(point, ta, tb)
+
+
+def segment_point_dist2(p: Pt, a: Pt, b: Pt) -> Fraction:
+    """Exact squared distance from p to the closed segment [a, b]."""
+    d = sub(b, a)
+    dd = norm2(d)
+    if dd == 0:
+        return norm2(sub(p, a))
+    t = dot(sub(p, a), d) / dd
+    if t <= 0:
+        return norm2(sub(p, a))
+    if t >= 1:
+        return norm2(sub(p, b))
+    q = Pt(a.x + t * d.x, a.y + t * d.y)
+    return norm2(sub(p, q))
+
+
+def _closed_segments_touch(a1: Pt, a2: Pt, b1: Pt, b2: Pt) -> bool:
+    """Exact: the closed segments share at least one point."""
+    d1 = orient(a1, a2, b1)
+    d2 = orient(a1, a2, b2)
+    d3 = orient(b1, b2, a1)
+    d4 = orient(b1, b2, a2)
+    if d1 != d2 and d3 != d4:
+        return True
+    for p, a, b in ((b1, a1, a2), (b2, a1, a2), (a1, b1, b2), (a2, b1, b2)):
+        if point_on_segment(p, a, b):
+            return True
+    return False
+
+
+# ---------------------------------------------------------------------------
 # all-pairs references for the box-pruned sweep
 # ---------------------------------------------------------------------------
 
 def all_pairs_check_embedded(arc):
     """PlanarArc._check_embedded over every segment pair."""
-    from lefbench.disc import _closed_segments_touch
     from lefbench.errors import NonEmbeddableInput
-    from lefbench.exactgeom import segments_overlap_collinear
 
     segs = arc.segments()
     n = len(segs)
@@ -374,7 +545,6 @@ def all_pairs_check_embedded(arc):
 def all_pairs_crossings(a, b):
     """minpos.compute_crossings over every segment pair."""
     from lefbench.errors import DegenerateTangency
-    from lefbench.exactgeom import segment_crossing, segments_overlap_collinear
     from lefbench.minpos import (ArcCrossing, _endpoint_segment_indices,
                                  _shared_anchor_points)
 

@@ -167,6 +167,32 @@ def test_coarse_grid_spiral_is_rejected(command, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error[NonEmbeddableInput]:")
 
 
+_CHORDS_DIP = ("error[SpiralCollision]: spiral chords dip to puncture radius;"
+               " raise the disc boundary_resolution\n")
+
+
+def _self_intersects(j):
+    return (f"error[NonEmbeddableInput]: arc self-intersects between segments"
+            f" 0 and {j} (if this arc is a synthesized spiral, raise the disc"
+            f" boundary_resolution)\n")
+
+
+# resolution -> stderr of ``hw`` on W0 and on W1
+COARSE_GRID_ERRORS = {1: _CHORDS_DIP, 2: _CHORDS_DIP, 3: _CHORDS_DIP,
+                      4: _CHORDS_DIP, 5: _self_intersects(6),
+                      6: _self_intersects(7), 7: _self_intersects(8),
+                      8: _self_intersects(9)}
+
+
+@pytest.mark.parametrize("scenario", ["W0.cfg", "W1.cfg"])
+@pytest.mark.parametrize("resolution", sorted(COARSE_GRID_ERRORS))
+def test_coarse_grid_failure_bytes(scenario, resolution, capsys):
+    # the chord check of wrap decides 1-4, the embedding check of the first
+    # stage spiral 5-8: pinned byte for byte, first reported pair included
+    assert main(["hw", shipped(scenario), "--resolution", str(resolution)]) == 1
+    assert capsys.readouterr() == ("", COARSE_GRID_ERRORS[resolution])
+
+
 def _count_calls(monkeypatch, fn, seen):
     """Append the result of every call of fn to seen, whichever module's
     binding of fn the call goes through."""

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from lefbench.disc import (ArcKind, BoundaryAngle, DiscModel, PlanarArc,
                            Puncture, WrapSpec, radial_split)
 from lefbench.errors import LefbenchError, NonEmbeddableInput
-from lefbench.exactgeom import pt
+from lefbench.exactgeom import homog, pt
 
 from oracles import all_pairs_check_embedded, polyline_is_embedded
 
@@ -75,10 +75,12 @@ def test_boundary_endpoint_must_be_realized_exactly():
 
 def test_interior_vertex_must_stay_inside():
     disc = two_puncture_disc()
-    arc = PlanarArc((pt(Q(1, 2), 0), pt(2, 2), pt(1, 0)),
-                    Puncture("q"), BoundaryAngle(Q(0)), ArcKind.VANISHING)
-    with pytest.raises(LefbenchError, match="strictly inside"):
-        arc.validate(disc)
+    # outside, and exactly on the unit circle
+    for v in (pt(2, 2), pt(Q(3, 5), Q(4, 5))):
+        arc = PlanarArc((pt(Q(1, 2), 0), v, pt(1, 0)),
+                        Puncture("q"), BoundaryAngle(Q(0)), ArcKind.VANISHING)
+        with pytest.raises(LefbenchError, match="strictly inside"):
+            arc.validate(disc)
 
 
 def test_arc_may_not_pass_through_a_puncture():
@@ -118,7 +120,8 @@ def _embedding_error(check, arc):
 @given(GRID_POLYLINES)
 def test_box_pruned_embedding_check_matches_oracles(vertices):
     arc = PlanarArc(tuple(vertices), BoundaryAngle(Q(1, 2)), BoundaryAngle(Q(0)))
-    got = _embedding_error(PlanarArc._check_embedded, arc)
+    got = _embedding_error(
+        lambda a: a._check_embedded([homog(v) for v in a.vertices]), arc)
     assert (got is None) == polyline_is_embedded(vertices)
     # the same first contact is reported as by the scan over all pairs
     assert got == _embedding_error(all_pairs_check_embedded, arc)

@@ -1,18 +1,35 @@
-"""Exact plane-geometry primitives: realized angles, perturbed predicates."""
+"""Exact plane-geometry primitives: realized angles, perturbed predicates.
+
+The segment predicates run on homogeneous integer points; each one is
+checked against its Fraction reference in ``oracles``.
+"""
 
 from fractions import Fraction as Q
+from importlib import resources
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from lefbench.exactgeom import (Pt, box_pairs, circle_point, line_intersection,
+import oracles
+from lefbench.config import load_config
+from lefbench.disc import WrapSpec, _closed_segments_touch
+from lefbench.exactgeom import (Pt, _shift_sign, box_pairs, circle_hpoint,
+                                circle_point, homog, line_intersection,
                                 min_angular_gap, norm2, orient,
-                                point_in_polygon, polygon_area2,
-                                segment_crossing, segment_point_dist2,
-                                segments_overlap_collinear, sgn_eps,
-                                winding_number, pt)
+                                point_in_polygon, point_on_segment,
+                                polygon_area2, segment_crossing,
+                                segment_near_origin,
+                                segments_overlap_collinear, winding_number,
+                                pt)
+from lefbench.fibration import with_resolution
+from lefbench.tower import stage_spiral
+from lefbench.wrapping import _annulus_entry_radius, wrap
 
-from oracles import ccw_gap
+from oracles import ccw_gap, segment_point_dist2, sgn_eps
+
+
+def h(*points):
+    return [homog(p) for p in points]
 
 
 # well-known realized boundary points, frozen by hand from the parametrization
@@ -50,7 +67,7 @@ def test_circle_point_on_unit_circle(tau):
 @given(st.lists(rational_angles, min_size=3, max_size=3, unique=True))
 def test_circle_point_preserves_ccw_order(taus):
     a, b, c = sorted(taus)
-    assert orient(circle_point(a), circle_point(b), circle_point(c)) == 1
+    assert orient(*h(circle_point(a), circle_point(b), circle_point(c))) == 1
 
 
 def test_ccw_gap_and_min_gap():
@@ -73,7 +90,7 @@ def test_sgn_eps_orders_of_vanishing():
 
 
 def test_segment_crossing_transverse_x():
-    hit = segment_crossing(pt(-1, -1), pt(1, 1), pt(-1, 1), pt(1, -1),
+    hit = segment_crossing(*h(pt(-1, -1), pt(1, 1), pt(-1, 1), pt(1, -1)),
                            shift_b=True)
     assert hit is not None
     assert hit.point == pt(0, 0)
@@ -81,15 +98,14 @@ def test_segment_crossing_transverse_x():
 
 
 def test_segment_crossing_disjoint():
-    assert segment_crossing(pt(0, 0), pt(1, 0), pt(0, 1), pt(1, 1),
+    assert segment_crossing(*h(pt(0, 0), pt(1, 0), pt(0, 1), pt(1, 1)),
                             shift_b=True) is None
 
 
 def test_segment_crossing_t_contact_is_deterministic():
     # horizontal segment ending exactly on a vertical one: the perturbation
     # pushes the contact to one definite side per shifted arc
-    a1, a2 = pt(0, -1), pt(0, 1)
-    b1, b2 = pt(-1, 0), pt(0, 0)
+    a1, a2, b1, b2 = h(pt(0, -1), pt(0, 1), pt(-1, 0), pt(0, 0))
     shifted_b = segment_crossing(a1, a2, b1, b2, shift_b=True)
     shifted_a = segment_crossing(a1, a2, b1, b2, shift_b=False)
     # b moves toward +x: its endpoint pokes past the vertical line -> crossing
@@ -99,8 +115,7 @@ def test_segment_crossing_t_contact_is_deterministic():
 
 
 def test_segment_crossing_collinear_overlap_resolves_to_none():
-    a1, a2 = pt(-1, 0), pt(1, 0)
-    b1, b2 = pt(0, 0), pt(2, 0)
+    a1, a2, b1, b2 = h(pt(-1, 0), pt(1, 0), pt(0, 0), pt(2, 0))
     assert segments_overlap_collinear(a1, a2, b1, b2)
     assert segment_crossing(a1, a2, b1, b2, shift_b=True) is None
     assert segment_crossing(a1, a2, b1, b2, shift_b=False) is None
@@ -108,9 +123,9 @@ def test_segment_crossing_collinear_overlap_resolves_to_none():
 
 def test_segment_crossing_shared_endpoint_no_spurious_hit():
     # two segments radiating from one point cross zero times either way
-    o = pt(0, 0)
+    o, e1, e2 = h(pt(0, 0), pt(1, 0), pt(0, 1))
     for flag in (True, False):
-        assert segment_crossing(o, pt(1, 0), o, pt(0, 1), shift_b=flag) is None
+        assert segment_crossing(o, e1, o, e2, shift_b=flag) is None
 
 
 def test_line_intersection_exact():
@@ -148,8 +163,7 @@ def test_segment_point_dist2():
 def test_segment_crossing_symmetric_under_role_flip(x1, y1, x2, y2):
     """Swapping segment roles while keeping the same shifted arc must report
     the same crossing point with swapped parameters."""
-    a1, a2 = pt(-1, Q(-1, 3)), pt(1, Q(1, 7))
-    b1, b2 = Pt(x1, y1), Pt(x2, y2)
+    a1, a2, b1, b2 = h(pt(-1, Q(-1, 3)), pt(1, Q(1, 7)), Pt(x1, y1), Pt(x2, y2))
     if (b1 == b2):
         return
     direct = segment_crossing(a1, a2, b1, b2, shift_b=True)
@@ -162,9 +176,9 @@ def test_segment_crossing_symmetric_under_role_flip(x1, y1, x2, y2):
         assert (flipped.ta, flipped.tb) == (direct.tb, direct.ta)
 
 
-GRID_SEGMENTS = st.tuples(
-    *[st.builds(lambda x, y: pt(Q(x, 4), Q(y, 4)),
-                st.integers(-4, 4), st.integers(-4, 4))] * 2)
+GRID_POINT = st.builds(lambda x, y: pt(Q(x, 4), Q(y, 4)),
+                       st.integers(-4, 4), st.integers(-4, 4))
+GRID_SEGMENTS = st.tuples(GRID_POINT, GRID_POINT)
 
 
 def _boxes_meet(s, t):
@@ -174,9 +188,17 @@ def _boxes_meet(s, t):
             <= min(max(p.y, q.y), max(u.y, v.y)))
 
 
+def _hsegs(segs):
+    return None if segs is None else [tuple(h(p, q)) for p, q in segs]
+
+
 @given(st.lists(GRID_SEGMENTS, max_size=12),
        st.one_of(st.none(), st.lists(GRID_SEGMENTS, max_size=12)))
 def test_box_pairs_are_exactly_the_meeting_boxes(segs_a, segs_b):
+    _check_box_pairs(segs_a, segs_b)
+
+
+def _check_box_pairs(segs_a, segs_b):
     if segs_b is None:
         expect = [(i, j) for i in range(len(segs_a))
                   for j in range(i + 1, len(segs_a))
@@ -184,4 +206,179 @@ def test_box_pairs_are_exactly_the_meeting_boxes(segs_a, segs_b):
     else:
         expect = [(i, j) for i in range(len(segs_a)) for j in range(len(segs_b))
                   if _boxes_meet(segs_a[i], segs_b[j])]
-    assert box_pairs(segs_a, segs_b) == expect
+    assert box_pairs(_hsegs(segs_a), _hsegs(segs_b)) == expect
+
+
+# coordinates closer together than the 2^-64 resolution of box_pairs' floor
+# keys: the sort and the drop see ties, the exact test must tell them apart
+TINY = Q(1, 2 ** 70)
+NEAR = [c + d for c in (Q(-1, 3), Q(0), Q(1, 3)) for d in (-TINY, Q(0), TINY)]
+NEAR_SEGMENTS = st.tuples(*[st.builds(Pt, st.sampled_from(NEAR),
+                                      st.sampled_from(NEAR))] * 2)
+
+
+@given(st.lists(NEAR_SEGMENTS, max_size=12),
+       st.one_of(st.none(), st.lists(NEAR_SEGMENTS, max_size=12)))
+def test_box_pairs_tell_apart_edges_within_one_key(segs_a, segs_b):
+    _check_box_pairs(segs_a, segs_b)
+
+
+# --------------------------------------------------------------------------
+# integer predicates against their Fraction references
+# --------------------------------------------------------------------------
+
+# four points drawn from a pool of at most five: shared endpoints,
+# zero-length segments, collinear and touching quadruples are common
+POOLED = st.lists(GRID_POINT, min_size=1, max_size=5).flatmap(
+    lambda pool: st.tuples(*[st.sampled_from(pool)] * 4))
+QUADS = st.one_of(st.tuples(*[GRID_POINT] * 4), POOLED)
+# a homogeneous form need not be the reduced one: scale each point by k > 0
+SCALES = st.tuples(*[st.integers(1, 7)] * 4)
+ONES = (1, 1, 1, 1)
+
+
+def _scaled(points, scales):
+    return [(x * k, y * k, w * k)
+            for (x, y, w), k in zip(h(*points), scales)]
+
+
+def _agree(a1, a2, b1, b2, h1, h2, h3, h4):
+    """Every integer predicate on (h1..h4) gives its reference's answer on
+    the Fraction points (a1, a2, b1, b2) they represent."""
+    assert orient(h1, h2, h3) == oracles.orient(a1, a2, b1)
+    assert orient(h3, h4, h1) == oracles.orient(b1, b2, a1)
+    assert point_on_segment(h3, h1, h2) == oracles.point_on_segment(b1, a1, a2)
+    assert point_on_segment(h1, h3, h4) == oracles.point_on_segment(a1, b1, b2)
+    assert (_closed_segments_touch(h1, h2, h3, h4)
+            == oracles._closed_segments_touch(a1, a2, b1, b2))
+    assert (segments_overlap_collinear(h1, h2, h3, h4)
+            == oracles.segments_overlap_collinear(a1, a2, b1, b2))
+    for shift_b in (True, False):
+        assert (segment_crossing(h1, h2, h3, h4, shift_b)
+                == oracles.segment_crossing(a1, a2, b1, b2, shift_b))
+
+
+# degenerate quadruples that random draws reach rarely
+@example((pt(0, 0), pt(1, 0), pt(Q(1, 2), 0), pt(Q(1, 2), 0)), ONES)
+@example((pt(Q(1, 2), 0), pt(Q(1, 2), 0), pt(0, 0), pt(1, 0)), ONES)
+@example((pt(0, 0), pt(1, 0), pt(1, 0), pt(2, 0)), ONES)
+@example((pt(0, 0), pt(1, 0), pt(Q(1, 2), 0), pt(2, 0)), ONES)
+@example((pt(0, -1), pt(0, 1), pt(-1, 0), pt(0, 0)), ONES)
+@given(QUADS, SCALES)
+def test_integer_predicates_agree_with_fraction_references(quad, scales):
+    _agree(*quad, *_scaled(quad, scales))
+
+
+@given(QUADS, SCALES)
+def test_perturbed_signs_agree_with_fraction_references(quad, scales):
+    # each orientation segment_crossing decides on is the first nonzero
+    # coefficient of base + c1*eps + c2*eps^2, with q or the segment shifted
+    a1, a2, q, _ = quad
+    h1, h2, hq, _ = _scaled(quad, scales)
+    turn = orient(h1, h2, hq)
+    assert (turn or _shift_sign(h1, h2)) == sgn_eps(
+        *oracles._orient_coeffs_target_shifted(a1, a2, q))
+    assert (turn or -_shift_sign(h1, h2)) == sgn_eps(
+        *oracles._orient_coeffs_base_shifted(a1, a2, q))
+
+
+# --------------------------------------------------------------------------
+# real spiral segments
+# --------------------------------------------------------------------------
+
+W1 = load_config(str(resources.files("lefbench") / "scenarios" / "W1.cfg"))
+
+
+def w1_spirals(resolution, m=2):
+    """The W1 stage spirals of towers b:b (bent) and a:b at level m."""
+    f = with_resolution(W1.fibration, resolution)
+    spec = WrapSpec(m, W1.wrap.delta, W1.wrap.bend)
+    return f, [stage_spiral(f, x, y, spec) for x, y in (("b", "b"), ("a", "b"))]
+
+
+def _near_pairs(n, resolution):
+    """Segment index pairs of one spiral that come close: neighbours, and
+    segments about one turn apart."""
+    for i in range(n):
+        for j in (i + 1, i + 2, i + resolution - 1, i + resolution,
+                  i + resolution + 1):
+            if j < n:
+                yield i, j
+
+
+@pytest.mark.parametrize("resolution", [16, 64, 256])
+def test_integer_predicates_agree_on_spiral_segments(resolution):
+    f, spirals = w1_spirals(resolution)
+    paths = [c.path for c in f.crits]
+    for spiral in spirals:
+        vs = spiral.vertices
+        hs = h(*vs)
+        stride = 1 if resolution < 256 else 5
+        for i, j in _near_pairs(len(vs) - 1, resolution):
+            if i % stride == 0:
+                _agree(vs[i], vs[i + 1], vs[j], vs[j + 1],
+                       hs[i], hs[i + 1], hs[j], hs[j + 1])
+        # against every segment of the fixed vanishing paths
+        for path in paths:
+            ps = path.vertices
+            hp = h(*ps)
+            for i in range(0, len(vs) - 1, stride):
+                for k in range(len(ps) - 1):
+                    _agree(vs[i], vs[i + 1], ps[k], ps[k + 1],
+                           hs[i], hs[i + 1], hp[k], hp[k + 1])
+
+
+@pytest.mark.parametrize("resolution", [16, 64, 256])
+def test_spiral_chord_check_agrees_with_distance(resolution):
+    f, spirals = w1_spirals(resolution)
+    origin = pt(0, 0)
+    max_punct = max(norm2(p) for _, p in f.disc.items())
+    for spiral in spirals:
+        vs = spiral.vertices[1:-1]
+        hs = h(*vs)
+        stride = 1 if resolution < 256 else 5
+        for i in range(0, len(vs) - 1, stride):
+            d2 = segment_point_dist2(origin, vs[i], vs[i + 1])
+            for r2 in (max_punct, d2, d2 - TINY, d2 + TINY):
+                assert (segment_near_origin(hs[i], hs[i + 1], r2)
+                        == (d2 <= r2))
+
+
+@given(QUADS, SCALES, st.fractions(min_value=0, max_value=2,
+                                   max_denominator=64))
+def test_chord_check_agrees_with_distance_on_the_grid(quad, scales, r2):
+    # grid chords meet the radius exactly when r2 is their own distance
+    a, b, _, _ = quad
+    ha, hb, _, _ = _scaled(quad, scales)
+    d2 = segment_point_dist2(pt(0, 0), a, b)
+    for r in (r2, d2):
+        assert segment_near_origin(ha, hb, r) == (d2 <= r)
+
+
+@given(st.integers(-2000, 2000), st.integers(1, 1000))
+def test_circle_hpoint_is_the_reference_circle_point(a, d):
+    x, y, w = circle_hpoint(a, d)
+    assert w > 0
+    assert Pt(Q(x, w), Q(y, w)) == oracles.circle_point(Q(a, d))
+    assert circle_point(Q(a, d)) == oracles.circle_point(Q(a, d))
+
+
+@pytest.mark.parametrize("resolution", [5, 16, 64, 256])
+@pytest.mark.parametrize("m", [0, 1, 3])
+@pytest.mark.parametrize("bend", [False, True])
+def test_wrap_builds_the_reference_spiral(resolution, m, bend):
+    f = with_resolution(W1.fibration, resolution)
+    spec = WrapSpec(m, W1.wrap.delta, W1.wrap.bend)
+    for crit in f.crits:
+        arc = crit.path
+        if bend and len(arc.vertices) != 2:
+            continue
+        w = wrap(arc, spec, f.disc, bend=bend)
+        tau0 = arc.end.angle
+        start = tau0 + (spec.bend if bend else 0)
+        max_punct = max(norm2(p) for _, p in f.disc.items())
+        r_out = _annulus_entry_radius(arc, max_punct)
+        expect = oracles.spiral_vertices(start, tau0 + m + spec.delta, r_out,
+                                         resolution)
+        head = 1 if bend else len(arc.vertices) - 1
+        assert list(w.vertices[head:-1]) == expect

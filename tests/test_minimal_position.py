@@ -13,12 +13,13 @@ from hypothesis import assume, given, settings, strategies as st
 from lefbench.disc import ArcKind, BoundaryAngle, DiscModel, PlanarArc, Puncture
 from lefbench.errors import (DegenerateTangency, LefbenchError,
                              SharedBoundaryEndpoint)
-from lefbench.exactgeom import point_on_segment, pt
+from lefbench.exactgeom import pt
 from lefbench.minpos import (compute_crossings, eliminate_bigon,
                              find_empty_bigons, intersection_profile,
                              minimal_position)
 
-from oracles import GenericityError, all_pairs_crossings, brute_crossing_count
+from oracles import (GenericityError, all_pairs_crossings, brute_crossing_count,
+                     point_on_segment)
 from test_disc import GRID_POLYLINES, no_zero_length
 
 
