@@ -3,13 +3,16 @@
 The base of every fibration is the closed unit disc with finitely many
 punctures (marked interior points, the critical values).  Arcs are embedded
 rational polylines whose endpoints are either punctures or exact boundary
-angles; see exactgeom.circle_point for how angles are realized.
+angles; see exactgeom.circle_point for how angles are realized.  An arc
+builds its homogeneous integer vertices once (hverts) and validates once
+per disc.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterator
 
@@ -40,7 +43,7 @@ class BoundaryAngle:
     def __post_init__(self):
         object.__setattr__(self, "angle", angle_norm(Q(self.angle)))
 
-    @property
+    @cached_property
     def point(self) -> Pt:
         return circle_point(self.angle)
 
@@ -83,6 +86,11 @@ class DiscModel:
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.punctures)
+
+    @cached_property
+    def hpoints(self) -> tuple[Hpt, ...]:
+        """The punctures' homogeneous integer points, in declaration order."""
+        return tuple(homog(p) for _, p in self.punctures)
 
     def items(self) -> Iterator[tuple[str, Pt]]:
         return iter(self.punctures)
@@ -145,6 +153,11 @@ class PlanarArc:
     def boundary_angles(self) -> set[Fraction]:
         return {e.angle for e in self.endpoints() if isinstance(e, BoundaryAngle)}
 
+    @cached_property
+    def hverts(self) -> tuple[Hpt, ...]:
+        """The vertices as homogeneous integer triples (exactgeom.homog)."""
+        return tuple(homog(v) for v in self.vertices)
+
     def canonical_key(self):
         """Deterministic total order key, independent of construction order."""
         return tuple((v.x, v.y) for v in self.vertices)
@@ -156,12 +169,19 @@ class PlanarArc:
     # -- validation ------------------------------------------------------
 
     def validate(self, disc: DiscModel) -> None:
+        """Raise LefbenchError unless the arc is legal in disc.  A pass is
+        recorded against disc, by identity (arcs and discs are frozen), so a
+        repeat call returns at once; a failure records nothing."""
+        if self.__dict__.get("_valid_in") is disc:
+            return
+        self._check(disc)
+        self.__dict__["_valid_in"] = disc
+
+    def _check(self, disc: DiscModel) -> None:
         vs = self.vertices
         if len(vs) < 2:
             raise LefbenchError("arc needs at least two vertices")
-        # homogeneous integer vertices, built once for every check below;
-        # equal points give equal triples
-        hs = [homog(v) for v in vs]
+        hs = self.hverts
         for i in range(len(vs) - 1):
             if hs[i] == hs[i + 1]:
                 raise LefbenchError(f"zero-length segment at vertex {i}")
@@ -176,8 +196,7 @@ class PlanarArc:
 
         anchored = self.puncture_names()
         segs = list(zip(hs, hs[1:]))
-        for name, p in disc.items():
-            hp = homog(p)
+        for (name, p), hp in zip(disc.punctures, disc.hpoints):
             for i, (a, b) in enumerate(segs):
                 if point_on_segment(hp, a, b):
                     at_start = i == 0 and p == vs[0] and name in anchored
@@ -186,7 +205,7 @@ class PlanarArc:
                         raise LefbenchError(
                             f"arc passes through puncture {name!r} at {p}")
 
-        self._check_embedded(hs)
+        self._check_embedded()
         self._check_kind()
 
     def _check_endpoint(self, disc: DiscModel, e: Endpoint, v: Pt) -> None:
@@ -199,16 +218,16 @@ class PlanarArc:
                 raise LefbenchError(
                     f"endpoint vertex {v} does not realize boundary angle {e.angle}")
 
-    def _check_embedded(self, hs: list[Hpt]) -> None:
+    def _check_embedded(self) -> None:
         """Reject any contact of two segments beyond consecutive joints.
 
-        hs holds the vertices in homogeneous integer form.  Two closed
-        segments can share a point only if their closed bounding boxes meet,
-        so the pairs that exactgeom.box_pairs skips need no test.
+        Two closed segments can share a point only if their closed bounding
+        boxes meet, so the pairs that exactgeom.box_pairs skips need no test.
         Consecutive segments always meet at their joint, and the pairs come
         in (i, j) order, so the first contact reported is the one a scan
         over all pairs would report.
         """
+        hs = self.hverts
         segs = list(zip(hs, hs[1:]))
         for i, j in box_pairs(segs):
             (a1, a2), (b1, b2) = segs[i], segs[j]
@@ -272,7 +291,7 @@ def radial_split(arc: PlanarArc) -> tuple[Fraction, Fraction]:
         raise LefbenchError("arc does not end on the boundary")
     vb = arc.vertices[-1]
     vp = arc.vertices[-2]
-    if orient(ORIGIN, homog(vb), homog(vp)) != 0:
+    if orient(ORIGIN, arc.hverts[-1], arc.hverts[-2]) != 0:
         raise LefbenchError("terminal segment of the arc is not radial")
     # vp = c * vb with |vb| = 1, so c is the (rational) dot product
     c = vp.x * vb.x + vp.y * vb.y

@@ -370,20 +370,20 @@ def polygon_area2(poly: list[Pt]) -> Fraction:
     return s
 
 
-def point_in_polygon(p: Pt, poly: list[Pt]) -> bool:
+def point_in_polygon(p: Hpt, poly: list[Hpt]) -> bool:
     """Strict interior test (even-odd rule), assuming p is not on an edge.
 
     Uses the half-open rule on a horizontal ray toward +x, which is exact and
-    immune to ray-through-vertex double counting.
+    immune to ray-through-vertex double counting: an edge straddling p's
+    height meets the ray exactly when p lies strictly left of it upward.
     """
+    px, py, pw = p
     inside = False
-    n = len(poly)
-    for i in range(n):
-        a, b = poly[i], poly[(i + 1) % n]
-        if (a.y > p.y) != (b.y > p.y):
-            # x coordinate of the edge at height p.y
-            xi = a.x + (p.y - a.y) * (b.x - a.x) / (b.y - a.y)
-            if xi > p.x:
+    for a, b in zip(poly, poly[1:] + poly[:1]):
+        b_above = b[1] * pw > py * b[2]
+        if (a[1] * pw > py * a[2]) != b_above:
+            o = orient(a, b, p)
+            if o != 0 and (o > 0) == b_above:
                 inside = not inside
     return inside
 

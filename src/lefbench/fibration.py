@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 from .disc import ArcKind, BoundaryAngle, DiscModel, PlanarArc, Puncture
 from .errors import (Inconsistent, LefbenchError, MissingClass,
                      SharedBoundaryEndpoint, UnresolvedSign)
-from .minpos import intersection_profile, minimal_position
+from .minpos import intersection_profile
 from .snf import cokernel_invariants, kernel_basis, solve_integer
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids a cycle
@@ -350,8 +350,7 @@ def validate(f: Fibration) -> ValidationReport:
 def _check_disjoint_paths(f: Fibration, ci: Crit, cj: Crit,
                           violation, note) -> None:
     try:
-        a, b = minimal_position(ci.path, cj.path, f.disc)
-        profile = intersection_profile(a, b, f.disc)
+        profile = intersection_profile(ci.path, cj.path, f.disc)
     except SharedBoundaryEndpoint:
         shared = ci.path.boundary_angles() & cj.path.boundary_angles()
         if shared == {f.reference_angle.angle}:

@@ -6,13 +6,15 @@ the one infinitesimally shifted, so results do not depend on argument order)
 over the segment pairs whose closed bounding boxes meet (exactgeom.box_pairs).
 Skipping the other pairs is exact: boxes strictly apart leave a positive gap
 in x or y, which the infinitesimal shift (eps, eps^2) cannot close.  Empty
-bigons - discs bounded by one sub-arc of each curve containing no puncture -
-are eliminated by rerouting one arc alongside the other within a verified
-corridor.  Every elimination is checked exactly after the fact (embeddedness,
-crossing count drop of exactly two, zero winding of the swap loop around
-every puncture); the corridor width shrinks geometrically until the checks
-pass, so a successful return is correct by construction rather than by
-trusted epsilon bounds.
+bigons - discs bounded by one sub-arc of each curve containing no puncture,
+tested on homogeneous integer points - are eliminated by rerouting one arc
+alongside the other within a verified corridor.  Every elimination is
+checked exactly after the fact (embeddedness, crossing count drop of exactly
+two, zero winding of the swap loop around every puncture); the corridor
+width shrinks geometrically until the checks pass, so a successful return is
+correct by construction rather than by trusted epsilon bounds.
+intersection_profile reduces a pair and counts the crossings the reduction
+found, so each pair's crossings are searched once.
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ from typing import Iterable
 
 from .disc import DiscModel, PlanarArc, Puncture
 from .errors import DegenerateTangency, LefbenchError, SharedBoundaryEndpoint
-from .exactgeom import (Pt, Q, box_pairs, cross, homog, line_intersection,
-                        norm2, point_in_polygon, point_on_segment,
-                        polygon_area2, segment_crossing,
+from .exactgeom import (Hpt, Pt, Q, box_pairs, cross, homog,
+                        line_intersection, norm2, point_in_polygon,
+                        point_on_segment, polygon_area2, segment_crossing,
                         segments_overlap_collinear, sub, winding_number)
 
 Pos = tuple[int, Fraction]  # (segment index, parameter within segment)
@@ -88,9 +90,7 @@ def compute_crossings(a: PlanarArc, b: PlanarArc) -> list[ArcCrossing]:
             for j in _endpoint_segment_indices(b, s):
                 incident.add((i, j))
 
-    # homogeneous integer vertices, built once for every predicate below
-    ha = [homog(v) for v in a.vertices]
-    hb = [homog(v) for v in b.vertices]
+    ha, hb = a.hverts, b.hverts
     segs_a = list(zip(ha, ha[1:]))
     segs_b = list(zip(hb, hb[1:]))
     found: list[ArcCrossing] = []
@@ -147,16 +147,22 @@ def _subpath(arc: PlanarArc, lo: Pos, hi: Pos) -> list[Pt]:
     return out
 
 
-def _lens_polygon(a: PlanarArc, b: PlanarArc, x: ArcCrossing,
-                  y: ArcCrossing) -> list[Pt]:
-    a_lo, a_hi = sorted([x.a_pos, y.a_pos])
-    b_lo, b_hi = sorted([x.b_pos, y.b_pos])
-    side_a = _subpath(a, a_lo, a_hi)
-    side_b = _subpath(b, b_lo, b_hi)
+def _lens(a: PlanarArc, b: PlanarArc, x: ArcCrossing,
+          y: ArcCrossing) -> list[Hpt]:
+    """The lens of crossings x and y as homogeneous integer points: along a
+    from corner to corner, then back along b.  A crossing's point is the
+    point at its position on either arc, exactly.  A repeated point only
+    adds a zero-length edge, which no interior test counts."""
+    sides = []
+    for side, arc in enumerate((a, b)):
+        lo, hi = sorted((x, y), key=lambda c: c.pos(side))
+        (s, _), (t, _) = lo.pos(side), hi.pos(side)
+        sides.append([homog(lo.point), *arc.hverts[s + 1: t + 1],
+                      homog(hi.point)])
+    side_a, side_b = sides
     if side_a[0] != side_b[0]:
         side_b = side_b[::-1]
-    poly = side_a + side_b[::-1][1:-1]
-    return poly
+    return side_a + side_b[::-1][1:-1]
 
 
 def find_empty_bigons(a: PlanarArc, b: PlanarArc, disc: DiscModel,
@@ -174,9 +180,9 @@ def find_empty_bigons(a: PlanarArc, b: PlanarArc, disc: DiscModel,
     for x, y in zip(by_a, by_a[1:]):
         if abs(b_index[id(x)] - b_index[id(y)]) != 1:
             continue
-        poly = _lens_polygon(a, b, x, y)
+        poly = _lens(a, b, x, y)
         # a flattened (zero-area) lens bounds no region, hence is empty
-        if any(point_in_polygon(p, poly) for _, p in disc.items()):
+        if any(point_in_polygon(p, poly) for p in disc.hpoints):
             continue
         bigons.append(Bigon(x, y))
     return bigons
@@ -246,7 +252,7 @@ def _step_from(arc: PlanarArc, pos: Pos, eps: Fraction,
 
 def _arc_embedded(arc: PlanarArc) -> bool:
     try:
-        arc._check_embedded([homog(v) for v in arc.vertices])
+        arc._check_embedded()
         return True
     except LefbenchError:
         return False
@@ -258,8 +264,7 @@ def _vertices_legal(pts: Iterable[Pt], disc: DiscModel) -> bool:
         if norm2(v) >= 1:
             return False
     hs = [homog(v) for v in pl]
-    for _, p in disc.items():
-        hp = homog(p)
+    for hp in disc.hpoints:
         for a, b in zip(hs, hs[1:]):
             if point_on_segment(hp, a, b):
                 return False
@@ -380,10 +385,11 @@ def _verify_surgery(pair: tuple[PlanarArc, PlanarArc], candidate: PlanarArc,
 # public operations
 # --------------------------------------------------------------------------
 
-def minimal_position(a: PlanarArc, b: PlanarArc,
-                     disc: DiscModel) -> tuple[PlanarArc, PlanarArc]:
+def _reduce(a: PlanarArc, b: PlanarArc, disc: DiscModel
+            ) -> tuple[PlanarArc, PlanarArc, list[ArcCrossing]]:
     """Isotope the pair (rel endpoints, avoiding punctures) until no empty
-    bigon remains.  Returns the reduced pair in argument order."""
+    bigon remains.  Returns the reduced pair in argument order with its
+    crossings; each crossing search runs once per pair."""
     a.validate(disc)
     b.validate(disc)
     _check_boundary_endpoints(a, b)
@@ -391,20 +397,26 @@ def minimal_position(a: PlanarArc, b: PlanarArc,
     for _ in range(len(crossings) // 2 + 1):
         bigons = find_empty_bigons(a, b, disc, crossings)
         if not bigons:
-            return a, b
+            break
         a, b, crossings = eliminate_bigon(a, b, bigons[0], disc, len(crossings))
-    return a, b
+    return a, b, crossings
+
+
+def minimal_position(a: PlanarArc, b: PlanarArc,
+                     disc: DiscModel) -> tuple[PlanarArc, PlanarArc]:
+    """The pair isotoped into minimal position, in argument order."""
+    return _reduce(a, b, disc)[:2]
 
 
 def intersection_profile(a: PlanarArc, b: PlanarArc,
                          disc: DiscModel) -> IntersectionProfile:
-    """Crossing data of two arcs already in minimal position.
+    """Crossing data of the pair in minimal position.
 
-    Interior crossing points are reported sorted by coordinates; shared
-    puncture endpoints by name.  Symmetric in the two arcs.
+    Both arcs are validated and the pair is reduced first.  Interior
+    crossing points are reported sorted by coordinates; shared puncture
+    endpoints by name.  Symmetric in the two arcs.
     """
-    _check_boundary_endpoints(a, b)
-    crossings = compute_crossings(a, b)
+    _, _, crossings = _reduce(a, b, disc)
     pts = tuple(sorted((c.point for c in crossings)))
     shared = tuple(sorted(a.puncture_names() & b.puncture_names()))
     return IntersectionProfile(pts, shared)

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 from .errors import (Inconsistent, InvalidWitness, LefbenchError,
                      MissingParity, UnknownPair)
-from .minpos import intersection_profile, minimal_position
+from .minpos import intersection_profile
 
 if TYPE_CHECKING:  # pragma: no cover
     from .fibration import Fibration, MatchingObject
@@ -314,8 +314,7 @@ def matching_floer_rank(f: "Fibration", x: "MatchingObject",
     all, a single nonzero block (the block computes a fiber Floer group on
     its own), or an all-same parity certificate covering the pair.
     """
-    a, b = minimal_position(x.path, y.path, f.disc)
-    profile = intersection_profile(a, b, f.disc)
+    profile = intersection_profile(x.path, y.path, f.disc)
 
     blocks = [o.rank_of(x.principal_label, y.principal_label)
               for _ in profile.interior_crossings]

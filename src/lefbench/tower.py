@@ -29,7 +29,7 @@ from .disc import PlanarArc, WrapSpec
 from .errors import ConfigError, Inconsistent, LefbenchError, Undecidable
 from .exactgeom import Pt
 from .fibration import Crit, Fibration
-from .minpos import intersection_profile, minimal_position
+from .minpos import intersection_profile
 from .oracle import RankResult
 from .rank_calculus import FsHomRanks
 from .wrapping import wrap
@@ -116,15 +116,15 @@ def build_stage(f: Fibration, x: str, y: str, spec: WrapSpec,
     and y's thimble, both named by their punctures.
 
     The rank certificate, where the directed calculus supplies one, is read
-    from ``fs``.  The wrapped spiral is validated once, by minimal_position.
+    from ``fs``.  The wrapped spiral is validated once, by
+    intersection_profile.
     """
     o = f.oracle
     if o is None:
         raise Undecidable(f"fibration {f.name!r} carries no rank oracle")
     cx, cy = tower_crits(f, x, y)
     spiral = stage_spiral(f, x, y, spec)
-    a, b = minimal_position(spiral, cy.path, f.disc)
-    profile = intersection_profile(a, b, f.disc)
+    profile = intersection_profile(spiral, cy.path, f.disc)
 
     mult = None
     gens: list[Generator] = []

@@ -23,8 +23,9 @@ returned arc.
 
 wrap guards the annulus against punctures but does not validate the spiral
 it returns.  A stage spiral (tower.stage_spiral) is checked once before use:
-by minimal_position inside a tower stage, or by ``render`` for the spirals it
-wraps itself, so a coarse boundary grid still ends in NonEmbeddableInput.
+by intersection_profile inside a tower stage, or by ``render`` for the
+spirals it wraps itself, so a coarse boundary grid still ends in
+NonEmbeddableInput.
 """
 
 from __future__ import annotations

@@ -571,3 +571,59 @@ def all_pairs_crossings(a, b):
             if hit is not None:
                 found.append(ArcCrossing(hit.point, (i, hit.ta), (j, hit.tb)))
     return found
+
+
+# ---------------------------------------------------------------------------
+# Fraction lens test: minpos.find_empty_bigons before its integer lens
+# ---------------------------------------------------------------------------
+
+def point_in_polygon(p: Pt, poly: list[Pt]) -> bool:
+    """Strict interior test (even-odd rule), assuming p is not on an edge.
+
+    Uses the half-open rule on a horizontal ray toward +x, which is exact and
+    immune to ray-through-vertex double counting.
+    """
+    inside = False
+    n = len(poly)
+    for i in range(n):
+        a, b = poly[i], poly[(i + 1) % n]
+        if (a.y > p.y) != (b.y > p.y):
+            # x coordinate of the edge at height p.y
+            xi = a.x + (p.y - a.y) * (b.x - a.x) / (b.y - a.y)
+            if xi > p.x:
+                inside = not inside
+    return inside
+
+
+def _lens_polygon(a, b, x, y) -> list[Pt]:
+    from lefbench.minpos import _subpath
+
+    a_lo, a_hi = sorted([x.a_pos, y.a_pos])
+    b_lo, b_hi = sorted([x.b_pos, y.b_pos])
+    side_a = _subpath(a, a_lo, a_hi)
+    side_b = _subpath(b, b_lo, b_hi)
+    if side_a[0] != side_b[0]:
+        side_b = side_b[::-1]
+    poly = side_a + side_b[::-1][1:-1]
+    return poly
+
+
+def fraction_empty_bigons(a, b, disc, crossings):
+    """minpos.find_empty_bigons, building and testing each lens in
+    Fraction."""
+    from lefbench.minpos import Bigon
+
+    if len(crossings) < 2:
+        return []
+    by_a = sorted(crossings, key=lambda c: c.a_pos)
+    by_b = sorted(crossings, key=lambda c: c.b_pos)
+    b_index = {id(c): k for k, c in enumerate(by_b)}
+    bigons = []
+    for x, y in zip(by_a, by_a[1:]):
+        if abs(b_index[id(x)] - b_index[id(y)]) != 1:
+            continue
+        poly = _lens_polygon(a, b, x, y)
+        if any(point_in_polygon(p, poly) for _, p in disc.items()):
+            continue
+        bigons.append(Bigon(x, y))
+    return bigons

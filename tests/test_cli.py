@@ -2,6 +2,7 @@
 
 import inspect
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import lefbench
-from lefbench import errors, rank_calculus, wrapping
+from lefbench import errors, minpos, oracle, rank_calculus, tower, wrapping
 from lefbench.cli import main
 from lefbench.disc import PlanarArc
 
@@ -208,20 +209,30 @@ def _count_calls(monkeypatch, fn, seen):
 
 
 def test_hw_derives_each_quantity_once(monkeypatch, tmp_path, capsys):
-    fs_calls, verdicts, spirals, validated = [], [], [], []
+    fs_calls, verdicts, spirals, validated, checked = [], [], [], [], []
+    stages, ranks, crossings = [], [], []
     _count_calls(monkeypatch, rank_calculus.fs_hom_ranks, fs_calls)
     _count_calls(monkeypatch, rank_calculus.hw_verdict, verdicts)
     _count_calls(monkeypatch, wrapping.wrap, spirals)
-    check = PlanarArc.validate
+    _count_calls(monkeypatch, tower.build_stage, stages)
+    _count_calls(monkeypatch, oracle.matching_floer_rank, ranks)
+    _count_calls(monkeypatch, minpos.compute_crossings, crossings)
+    validate, check = PlanarArc.validate, PlanarArc._check
 
     def counted_validate(arc, disc):
         validated.append(arc)
+        return validate(arc, disc)
+
+    def counted_check(arc, disc):
+        checked.append((arc, disc))
         return check(arc, disc)
     monkeypatch.setattr(PlanarArc, "validate", counted_validate)
+    monkeypatch.setattr(PlanarArc, "_check", counted_check)
     # the stage diagrams of all --svg draw the spirals the towers wrapped
     for argv in (["hw", shipped("W1.cfg")],
                  ["all", shipped("W0.cfg"), "--svg", str(tmp_path)]):
-        for seen in (fs_calls, verdicts, spirals, validated):
+        for seen in (fs_calls, verdicts, spirals, validated, checked, stages,
+                     ranks, crossings):
             seen.clear()
         assert main(argv) == 0
         assert len(fs_calls) == 1
@@ -231,6 +242,14 @@ def test_hw_derives_each_quantity_once(monkeypatch, tmp_path, capsys):
         assert len(spirals) == 3 * 4              # three towers x four levels
         for spiral in spirals:
             assert sum(arc is spiral for arc in validated) == 1
+        # a passed check is remembered: the full check runs once per
+        # distinct (arc, disc), however often the arc is validated
+        pairs = {(id(arc), id(disc)) for arc, disc in checked}
+        assert len(pairs) == len(checked) < len(validated)
+        if argv[0] == "hw":
+            # no surgeries: one crossing search per stage and per rank
+            assert len(stages) == 3 * 4 and ranks
+            assert len(crossings) == len(stages) + len(ranks)
 
 
 # --------------------------------------------------------------------------
@@ -301,6 +320,86 @@ def test_validation_failure_exit_one(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "validation: FAILED" in out
     assert "violation: [bad] vanishing path of 'p'" in out
+
+
+# p's vanishing path runs through q, and r's path crosses it: the same
+# failing arc is checked by itself and again against each other path
+THROUGH_PUNCTURE_CFG = """\
+[disc d]
+puncture p = -1/2 0
+puncture q = 1/4 0
+puncture r = 0 1/2
+resolution = 16
+
+[fiber F]
+dim = 2
+homology 0 = 1
+homology 1 = 1
+class c = 1
+
+[fibration through]
+disc = d
+fiber = F
+reference-angle = 1/4
+crit p = c | 0
+crit q = c | 7/8
+crit r = c | 3/4
+
+[run]
+fibration = through
+"""
+
+
+_SMOOTHING = ("note: [{}] corner smoothing along the boundary is a no-op at"
+              " this combinatorial level\n")
+
+
+def _validate_ok(name, *inner):
+    notes = "".join(_SMOOTHING.format(n) for n in (name,) + inner)
+    return (f"scenario: {name}\ncommand: validate\nviolations: 0\n{notes}"
+            "validation: ok\n")
+
+
+# config -> (exit code, stdout of ``validate``)
+VALIDATE_BYTES = {
+    "W0": (0, _validate_ok("main-W0", "aux-W0")),
+    "W1": (0, _validate_ok("main-W1", "aux-W1")),
+    "ts3": (0, _validate_ok("ts3")),
+    "empty-fibration": (0, _validate_ok("no-crits")),
+    "invalid": (1, (
+        "scenario: bad\ncommand: validate\nviolations: 3\n"
+        "violation: [bad] vanishing path of 'p': arc passes through puncture"
+        " 'q' at (1/2, 0)\n"
+        "violation: [bad] vanishing path of 'q': arc passes through puncture"
+        " 'p' at (-1/2, 0)\n"
+        "violation: [bad] vanishing paths of 'p' and 'q': arc passes through"
+        " puncture 'q' at (1/2, 0)\n"
+        + _SMOOTHING.format("bad") + "validation: FAILED\n")),
+    "through-puncture": (1, (
+        "scenario: through\ncommand: validate\nviolations: 3\n"
+        "violation: [through] vanishing path of 'p': arc passes through"
+        " puncture 'q' at (1/4, 0)\n"
+        "violation: [through] vanishing paths of 'p' and 'q': arc passes"
+        " through puncture 'q' at (1/4, 0)\n"
+        "violation: [through] vanishing paths of 'p' and 'r': arc passes"
+        " through puncture 'q' at (1/4, 0)\n"
+        + _SMOOTHING.format("through") + "validation: FAILED\n")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALIDATE_BYTES))
+def test_validate_bytes(name, tmp_path, capsys):
+    # a failing arc raises the same error each time it is checked, and the
+    # report lists the violations in the order the checks meet them
+    fixtures = {"invalid": INVALID_CFG, "through-puncture": THROUGH_PUNCTURE_CFG}
+    if name in fixtures:
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(fixtures[name])
+    else:
+        cfg = shipped(f"{name}.cfg")
+    code, out = VALIDATE_BYTES[name]
+    assert main(["validate", str(cfg)]) == code
+    assert capsys.readouterr() == (out, "")
 
 
 def test_all_aborts_on_validation_failure(tmp_path, capsys):
@@ -398,6 +497,38 @@ def test_error_exit_code(cls, monkeypatch, capsys):
     monkeypatch.setattr("lefbench.cli.run_command", fail)
     assert main(["validate", shipped("W0.cfg")]) == EXIT_CODES[cls.__name__]
     assert capsys.readouterr().err == f"error[{cls.__name__}]: boom\n"
+
+
+# a rational token of a config: a signed integer or fraction standing alone
+RATIONAL = re.compile(r"(?<![\w/.-])-?\d+(?:/\d+)?(?![\w/.])")
+
+
+def config_mutants(text):
+    """Each line deleted in turn, then each rational token replaced by 0,
+    -1 and 7/3."""
+    lines = text.splitlines(keepends=True)
+    for i in range(len(lines)):
+        yield "".join(lines[:i] + lines[i + 1:])
+    for m in RATIONAL.finditer(text):
+        for token in ("0", "-1", "7/3"):
+            yield text[:m.start()] + token + text[m.end():]
+
+
+@pytest.mark.parametrize("scenario", ["W0", "W1"])
+def test_mutated_configs_end_in_exit_code(scenario, tmp_path, capsys):
+    # any input ends in exit 0-3: a failed validation report or one
+    # LefbenchError line, and no other exception escapes main
+    text = Path(shipped(f"{scenario}.cfg")).read_text()
+    cfg = tmp_path / "mutant.cfg"
+    mutants = list(config_mutants(text))
+    assert len(mutants) > 150
+    for k, mutant in enumerate(mutants):
+        cfg.write_text(mutant)
+        code = main(["all", str(cfg)])
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2, 3), k
+        if code and "validation: FAILED" not in out:
+            assert err.startswith("error[") and err.count("\n") == 1, k
 
 
 def test_usage_errors_exit_one(capsys):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from lefbench.disc import (ArcKind, BoundaryAngle, DiscModel, PlanarArc,
                            Puncture, WrapSpec, radial_split)
 from lefbench.errors import LefbenchError, NonEmbeddableInput
-from lefbench.exactgeom import homog, pt
+from lefbench.exactgeom import pt
 
 from oracles import all_pairs_check_embedded, polyline_is_embedded
 
@@ -120,8 +120,7 @@ def _embedding_error(check, arc):
 @given(GRID_POLYLINES)
 def test_box_pruned_embedding_check_matches_oracles(vertices):
     arc = PlanarArc(tuple(vertices), BoundaryAngle(Q(1, 2)), BoundaryAngle(Q(0)))
-    got = _embedding_error(
-        lambda a: a._check_embedded([homog(v) for v in a.vertices]), arc)
+    got = _embedding_error(PlanarArc._check_embedded, arc)
     assert (got is None) == polyline_is_embedded(vertices)
     # the same first contact is reported as by the scan over all pairs
     assert got == _embedding_error(all_pairs_check_embedded, arc)

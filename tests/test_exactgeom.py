@@ -139,8 +139,8 @@ def test_polygon_primitives():
     square = [pt(0, 0), pt(2, 0), pt(2, 2), pt(0, 2)]
     assert polygon_area2(square) == 8
     assert polygon_area2(square[::-1]) == -8
-    assert point_in_polygon(pt(1, 1), square)
-    assert not point_in_polygon(pt(3, 1), square)
+    assert point_in_polygon(homog(pt(1, 1)), h(*square))
+    assert not point_in_polygon(homog(pt(3, 1)), h(*square))
     assert winding_number(pt(1, 1), square) == 1
     assert winding_number(pt(1, 1), square[::-1]) == -1
     assert winding_number(pt(3, 1), square) == 0
@@ -149,7 +149,7 @@ def test_polygon_primitives():
 def test_degenerate_polygon_contains_nothing():
     flat = [pt(0, 0), pt(1, 0)]
     assert polygon_area2(flat) == 0
-    assert not point_in_polygon(pt(Q(1, 2), 0), flat)
+    assert not point_in_polygon(homog(pt(Q(1, 2), 0)), h(*flat))
 
 
 def test_segment_point_dist2():
@@ -280,6 +280,23 @@ def test_perturbed_signs_agree_with_fraction_references(quad, scales):
         *oracles._orient_coeffs_target_shifted(a1, a2, q))
     assert (turn or -_shift_sign(h1, h2)) == sgn_eps(
         *oracles._orient_coeffs_base_shifted(a1, a2, q))
+
+
+# polygons whose vertices come from a small pool: points level with a
+# vertex, on an edge or on an edge's line are common
+POLYGONS = st.lists(GRID_POINT, min_size=1, max_size=4).flatmap(
+    lambda pool: st.tuples(st.lists(st.sampled_from(pool), min_size=2,
+                                    max_size=7), GRID_POINT))
+
+
+@example(([pt(0, 0), pt(1, 1), pt(0, 1)], pt(Q(1, 2), Q(1, 2))), 1)  # on an edge
+@example(([pt(0, 0), pt(1, 1), pt(0, 2)], pt(Q(-1, 2), 1)), 1)  # ray via a vertex
+@given(POLYGONS, st.integers(1, 7))
+def test_point_in_polygon_agrees_with_fraction_reference(case, scale):
+    poly, p = case
+    scaled = [(x * scale, y * scale, w * scale) for x, y, w in h(*poly)]
+    assert (point_in_polygon(homog(p), scaled)
+            == oracles.point_in_polygon(p, poly))
 
 
 # --------------------------------------------------------------------------

@@ -19,8 +19,8 @@ from lefbench.minpos import (compute_crossings, eliminate_bigon,
                              minimal_position)
 
 from oracles import (GenericityError, all_pairs_crossings, brute_crossing_count,
-                     point_on_segment)
-from test_disc import GRID_POLYLINES, no_zero_length
+                     fraction_empty_bigons, point_on_segment)
+from test_disc import GRID_POINTS, GRID_POLYLINES, no_zero_length
 
 
 def disc_pq(extra=()):
@@ -204,6 +204,72 @@ def test_box_pruned_crossings_match_oracles(va, vb, pinned):
     except GenericityError:
         return
     assert len(got) == expected
+
+
+# ---------------------------------------------------------------------------
+# the integer lens test against the Fraction reference
+# ---------------------------------------------------------------------------
+
+INSIDE_POINTS = st.lists(
+    GRID_POINTS.filter(lambda p: p.x * p.x + p.y * p.y < 1),
+    max_size=5, unique=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(GRID_POLYLINES, GRID_POLYLINES, st.booleans(), INSIDE_POINTS)
+def test_integer_lens_test_matches_fraction_reference(va, vb, pinned, points):
+    """Random grid arcs, optionally pinned at a shared puncture, and grid
+    punctures: on the grid a puncture often lies on a lens edge or level
+    with a lens vertex."""
+    if pinned:
+        va, vb = [ANCHOR] + va[1:], [ANCHOR] + vb[1:]
+        assume(no_zero_length(va) and no_zero_length(vb))
+        points = [ANCHOR] + [p for p in points if p != ANCHOR]
+        start_a = start_b = Puncture("n0")
+    else:
+        start_a, start_b = BoundaryAngle(Q(1, 2)), BoundaryAngle(Q(1, 4))
+    disc = DiscModel(
+        punctures=tuple((f"n{k}", p) for k, p in enumerate(points)))
+    a = PlanarArc(tuple(va), start_a, BoundaryAngle(Q(0)))
+    b = PlanarArc(tuple(vb), start_b, BoundaryAngle(Q(3, 4)))
+    try:
+        crossings = compute_crossings(a, b)
+    except DegenerateTangency:
+        return
+    assert (find_empty_bigons(a, b, disc, crossings)
+            == fraction_empty_bigons(a, b, disc, crossings))
+
+
+# straight a and a b dipping below it form one pentagonal lens:
+# (-1/3, 0) -> (1/3, 0) along a, back along b through (1/4, -1/4),
+# (0, -1/2) and (-1/4, -1/4); its right edges run down, its left edges up
+LENS_A = PlanarArc((pt(-1, 0), pt(1, 0)),
+                   BoundaryAngle(Q(1, 2)), BoundaryAngle(Q(0)))
+LENS_B = PlanarArc((pt(Q(-1, 2), Q(1, 2)), pt(Q(-1, 4), Q(-1, 4)),
+                    pt(0, Q(-1, 2)), pt(Q(1, 4), Q(-1, 4)),
+                    pt(Q(1, 2), Q(1, 2))),
+                   BoundaryAngle(Q(3, 8)), BoundaryAngle(Q(1, 8)))
+
+
+@pytest.mark.parametrize("puncture, empty", [
+    (None, True),
+    (pt(0, Q(-1, 4)), False),                 # inside
+    (pt(Q(-1, 2), Q(-1, 4)), True),           # ray through two side vertices
+    (pt(Q(-1, 2), Q(-1, 2)), True),           # ray through the bottom vertex
+    (pt(Q(3, 8), Q(-1, 8)), True),            # on a lens edge's line, outside
+    # on a lens edge: the half-open ray counts the edges right of the
+    # puncture and skips the one it lies on
+    (pt(Q(1, 8), Q(-3, 8)), True),            # on a downward edge
+    (pt(Q(-1, 8), Q(-3, 8)), False),          # on an upward edge
+])
+def test_lens_test_pinned_cases(puncture, empty):
+    disc = DiscModel(punctures=() if puncture is None else (("z", puncture),))
+    crossings = compute_crossings(LENS_A, LENS_B)
+    assert sorted(c.point for c in crossings) == [pt(Q(-1, 3), 0),
+                                                  pt(Q(1, 3), 0)]
+    bigons = find_empty_bigons(LENS_A, LENS_B, disc, crossings)
+    assert len(bigons) == (1 if empty else 0)
+    assert bigons == fraction_empty_bigons(LENS_A, LENS_B, disc, crossings)
 
 
 # ---------------------------------------------------------------------------
