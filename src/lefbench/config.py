@@ -49,7 +49,7 @@ from pathlib import Path
 
 from .disc import (ArcKind, BoundaryAngle, DiscModel, PlanarArc, Puncture)
 from .errors import ConfigError, LefbenchError
-from .exactgeom import Pt, Q, min_angular_gap
+from .exactgeom import Pt, Q, homog, min_angular_gap
 from .fibration import (AbstractFiber, Crit, Fibration, HomologyTable,
                         MatchingObject, TotalSpaceFiber)
 from .oracle import (DisjointFact, FiberOracle, IsotopicFact, LabelDecl,
@@ -519,13 +519,13 @@ def _build_fibration(raw, discs, fibers, built, raw_objects, oracles,
     for no, punc, label, angle, mids in raw.crits:
         cloc = f"{source}:{no}"
         try:
-            start = disc.point_of(punc)
+            start = disc.hpoint_of(punc)
         except LefbenchError as e:
             raise _located(cloc, e) from None
         end = BoundaryAngle(angle)
         try:
-            path = PlanarArc((start,) + mids + (end.point,), Puncture(punc),
-                             end, ArcKind.VANISHING)
+            path = PlanarArc((start, *map(homog, mids), end.hpoint),
+                             Puncture(punc), end, ArcKind.VANISHING)
         except LefbenchError as e:
             raise _located(cloc, e) from None
         crits.append(Crit(punc, path, label))
@@ -547,7 +547,8 @@ def _build_fibration(raw, discs, fibers, built, raw_objects, oracles,
             continue
         p, q = anchors
         try:
-            arc = PlanarArc((disc.point_of(p),) + mids + (disc.point_of(q),),
+            arc = PlanarArc((disc.hpoint_of(p), *map(homog, mids),
+                             disc.hpoint_of(q)),
                             Puncture(p), Puncture(q), ArcKind.MATCHING)
         except LefbenchError as e:
             raise _located(oloc, e) from None

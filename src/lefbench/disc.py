@@ -4,8 +4,9 @@ The base of every fibration is the closed unit disc with finitely many
 punctures (marked interior points, the critical values).  Arcs are embedded
 rational polylines whose endpoints are either punctures or exact boundary
 angles; see exactgeom.circle_point for how angles are realized.  An arc
-builds its homogeneous integer vertices once (hverts) and validates once
-per disc.
+stores its vertices as reduced homogeneous integer triples (hverts) and
+builds its Fraction points (vertices) and its segment boxes on first use;
+it validates once per disc.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from typing import Iterator
 
 from .errors import LefbenchError, NonEmbeddableInput
 from .exactgeom import (ORIGIN, Hpt, Pt, Q, angle_norm, box_pairs,
-                        circle_point, homog, norm2, orient, point_on_segment,
+                        circle_hpoint, circle_point, homog, norm2, orient,
+                        point_on_segment, reduced, segment_box,
                         segments_overlap_collinear)
 
 
@@ -46,6 +48,12 @@ class BoundaryAngle:
     @cached_property
     def point(self) -> Pt:
         return circle_point(self.angle)
+
+    @cached_property
+    def hpoint(self) -> Hpt:
+        """point as a reduced homogeneous triple (exactgeom.homog)."""
+        return reduced(*circle_hpoint(self.angle.numerator,
+                                      self.angle.denominator))
 
 
 Endpoint = Puncture | BoundaryAngle
@@ -77,11 +85,17 @@ class DiscModel:
         if self.boundary_resolution < 1:
             raise LefbenchError("boundary_resolution must be a positive integer")
 
-    def point_of(self, name: str) -> Pt:
-        for n, p in self.punctures:
+    def _index(self, name: str) -> int:
+        for i, (n, _) in enumerate(self.punctures):
             if n == name:
-                return p
+                return i
         raise LefbenchError(f"unknown puncture {name!r}")
+
+    def point_of(self, name: str) -> Pt:
+        return self.punctures[self._index(name)][1]
+
+    def hpoint_of(self, name: str) -> Hpt:
+        return self.hpoints[self._index(name)]
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -125,13 +139,15 @@ class WrapSpec:
 class PlanarArc:
     """Embedded polyline arc in the punctured disc.
 
-    vertices run from the start endpoint to the end endpoint; the first and
-    last vertex are exactly the endpoint anchors.  Interior vertices are
-    strictly inside the disc and never sit on a puncture; no segment passes
-    through a puncture.  Construction does not validate (arcs are assembled
-    piecewise by config loading and wrapping); ``validate`` checks the lot.
+    hverts are the vertices as reduced homogeneous integer triples
+    (exactgeom.homog of each point), from the start endpoint to the end
+    endpoint; the first and last vertex are exactly the endpoint anchors.
+    Interior vertices are strictly inside the disc and never sit on a
+    puncture; no segment passes through a puncture.  Construction does not
+    validate (arcs are assembled piecewise by config loading, wrapping and
+    surgery); ``validate`` checks the lot.
     """
-    vertices: tuple[Pt, ...]
+    hverts: tuple[Hpt, ...]
     start: Endpoint
     end: Endpoint
     kind: ArcKind = ArcKind.PATH
@@ -140,9 +156,16 @@ class PlanarArc:
 
     # -- basic geometry ------------------------------------------------
 
-    def segments(self) -> list[tuple[Pt, Pt]]:
-        return [(self.vertices[i], self.vertices[i + 1])
-                for i in range(len(self.vertices) - 1)]
+    @cached_property
+    def vertices(self) -> tuple[Pt, ...]:
+        """The vertices as Fraction points, built on first use."""
+        return tuple(Pt(Q(x, w), Q(y, w)) for x, y, w in self.hverts)
+
+    @cached_property
+    def boxes(self) -> list[tuple]:
+        """exactgeom.segment_box of each segment, for box_pairs."""
+        hs = self.hverts
+        return [segment_box(p, q) for p, q in zip(hs, hs[1:])]
 
     def endpoints(self) -> tuple[Endpoint, Endpoint]:
         return (self.start, self.end)
@@ -152,19 +175,6 @@ class PlanarArc:
 
     def boundary_angles(self) -> set[Fraction]:
         return {e.angle for e in self.endpoints() if isinstance(e, BoundaryAngle)}
-
-    @cached_property
-    def hverts(self) -> tuple[Hpt, ...]:
-        """The vertices as homogeneous integer triples (exactgeom.homog)."""
-        return tuple(homog(v) for v in self.vertices)
-
-    def canonical_key(self):
-        """Deterministic total order key, independent of construction order."""
-        return tuple((v.x, v.y) for v in self.vertices)
-
-    def with_vertices(self, vertices: tuple[Pt, ...]) -> "PlanarArc":
-        return PlanarArc(vertices, self.start, self.end, self.kind,
-                         self.wrap_level, self.wrap_offset)
 
     # -- validation ------------------------------------------------------
 
@@ -178,29 +188,28 @@ class PlanarArc:
         self.__dict__["_valid_in"] = disc
 
     def _check(self, disc: DiscModel) -> None:
-        vs = self.vertices
-        if len(vs) < 2:
-            raise LefbenchError("arc needs at least two vertices")
         hs = self.hverts
-        for i in range(len(vs) - 1):
+        if len(hs) < 2:
+            raise LefbenchError("arc needs at least two vertices")
+        for i in range(len(hs) - 1):
             if hs[i] == hs[i + 1]:
                 raise LefbenchError(f"zero-length segment at vertex {i}")
 
-        self._check_endpoint(disc, self.start, vs[0])
-        self._check_endpoint(disc, self.end, vs[-1])
+        self._check_endpoint(disc, self.start, 0)
+        self._check_endpoint(disc, self.end, -1)
 
-        for v, (x, y, w) in zip(vs[1:-1], hs[1:-1]):
+        for i, (x, y, w) in enumerate(hs[1:-1], 1):
             if x * x + y * y >= w * w:
-                raise LefbenchError(
-                    f"interior vertex {v} is not strictly inside the disc")
+                raise LefbenchError(f"interior vertex {self.vertices[i]}"
+                                    " is not strictly inside the disc")
 
         anchored = self.puncture_names()
         segs = list(zip(hs, hs[1:]))
         for (name, p), hp in zip(disc.punctures, disc.hpoints):
             for i, (a, b) in enumerate(segs):
                 if point_on_segment(hp, a, b):
-                    at_start = i == 0 and p == vs[0] and name in anchored
-                    at_end = i == len(vs) - 2 and p == vs[-1] and name in anchored
+                    at_start = i == 0 and hp == hs[0] and name in anchored
+                    at_end = i == len(hs) - 2 and hp == hs[-1] and name in anchored
                     if not (at_start or at_end):
                         raise LefbenchError(
                             f"arc passes through puncture {name!r} at {p}")
@@ -208,15 +217,16 @@ class PlanarArc:
         self._check_embedded()
         self._check_kind()
 
-    def _check_endpoint(self, disc: DiscModel, e: Endpoint, v: Pt) -> None:
+    def _check_endpoint(self, disc: DiscModel, e: Endpoint, i: int) -> None:
         if isinstance(e, Puncture):
-            if disc.point_of(e.name) != v:
-                raise LefbenchError(
-                    f"endpoint vertex {v} does not match puncture {e.name!r}")
+            if disc.hpoint_of(e.name) != self.hverts[i]:
+                raise LefbenchError(f"endpoint vertex {self.vertices[i]}"
+                                    f" does not match puncture {e.name!r}")
         else:
-            if e.point != v:
+            if e.hpoint != self.hverts[i]:
                 raise LefbenchError(
-                    f"endpoint vertex {v} does not realize boundary angle {e.angle}")
+                    f"endpoint vertex {self.vertices[i]} does not realize"
+                    f" boundary angle {e.angle}")
 
     def _check_embedded(self) -> None:
         """Reject any contact of two segments beyond consecutive joints.
@@ -229,7 +239,7 @@ class PlanarArc:
         """
         hs = self.hverts
         segs = list(zip(hs, hs[1:]))
-        for i, j in box_pairs(segs):
+        for i, j in box_pairs(self.boxes):
             (a1, a2), (b1, b2) = segs[i], segs[j]
             if j == i + 1:
                 # consecutive segments share exactly the joint vertex

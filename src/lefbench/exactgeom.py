@@ -1,14 +1,14 @@
 """Exact rational plane geometry primitives.
 
-Points are NamedTuples of Fractions (Pt), and so is everything the library
-reports or stores: arc vertices, crossing points and their parameters.  The
-segment predicates, which decide every sign, run on homogeneous integer
-points instead: (X, Y, W) with W > 0 is the point (X/W, Y/W) (``homog``
-builds it from a Pt, with W the lcm of the two denominators).  A turn is
-the sign of the 3x3 determinant of three such rows and a comparison of two
-coordinates is one cross-multiplication, so no predicate takes a gcd; no
-floating point enters any decision.  A Fraction is built only for a value
-that leaves this layer, such as the point and parameters of a crossing.
+Points are homogeneous integer triples: (X, Y, W) with W > 0 is the point
+(X/W, Y/W).  Arcs store the reduced form, gcd(X, Y, W) == 1, one triple per
+point, so equal points give equal triples (``homog`` builds it from a Pt of
+Fractions, ``reduced`` from any triple).  The segment predicates, which
+decide every sign, take any triples: a turn is the sign of the 3x3
+determinant of three rows and a comparison of two coordinates is one
+cross-multiplication, so no predicate takes a gcd; no floating point enters
+any decision.  NamedTuples of Fractions (Pt) are built only for values that
+leave this layer: config input, reported crossings and messages.
 
 Degenerate contacts between two different polylines are resolved by a
 deterministic symbolic perturbation: one of the two arcs is treated as
@@ -85,6 +85,12 @@ def homog(p: Pt) -> Hpt:
         return (x.numerator, y.numerator, xd)
     w = xd // gcd(xd, yd) * yd
     return (x.numerator * (w // xd), y.numerator * (w // yd), w)
+
+
+def reduced(x: int, y: int, w: int) -> Hpt:
+    """The triple (x, y, w), w > 0, over gcd(x, y, w): homog of its point."""
+    g = gcd(x, y, w)
+    return (x // g, y // g, w // g)
 
 
 # --------------------------------------------------------------------------
@@ -169,7 +175,7 @@ def point_on_segment(p: Hpt, a: Hpt, b: Hpt) -> bool:
             and orient(a, b, p) == 0)
 
 
-def _box(p: Hpt, q: Hpt) -> tuple:
+def segment_box(p: Hpt, q: Hpt) -> tuple:
     """Closed bounding box of [p, q]: the floor keys of its edges x0, x1,
     y0, y1, then the edges themselves as (numerator, denominator) pairs."""
     (px, py, pw), (qx, qy, qw) = p, q
@@ -183,23 +189,22 @@ def _box(p: Hpt, q: Hpt) -> tuple:
 
 
 def _edges_meet(e: tuple, f: tuple) -> bool:
-    """Exact: the boxes with edges e and f (as from _box) meet."""
+    """Exact: the boxes with edges e and f (as from segment_box) meet."""
     x0n, x0d, x1n, x1d, y0n, y0d, y1n, y1d = e
     u0n, u0d, u1n, u1d, v0n, v0d, v1n, v1d = f
     return (x0n * u1d <= u1n * x0d and u0n * x1d <= x1n * u0d
             and y0n * v1d <= v1n * y0d and v0n * y1d <= y1n * v0d)
 
 
-def box_pairs(segs_a: list[tuple[Hpt, Hpt]],
-              segs_b: list[tuple[Hpt, Hpt]] | None = None
-              ) -> list[tuple[int, int]]:
+def box_pairs(boxes_a: list[tuple],
+              boxes_b: list[tuple] | None = None) -> list[tuple[int, int]]:
     """Index pairs of segments whose closed bounding boxes meet, sorted.
 
-    With one list: the pairs (i, j), i < j, of its segments.  With two: the
-    pairs (i, j) of segment i of segs_a and segment j of segs_b.  A sweep
-    over x (boxes sorted by left edge, an active list per input dropping
-    boxes that end left of the sweep line) compares only boxes whose
-    x-ranges may meet.
+    The boxes are segment_box of each segment.  With one list: the pairs
+    (i, j), i < j, of its segments.  With two: the pairs (i, j) of segment i
+    of boxes_a and segment j of boxes_b.  A sweep over x (boxes sorted by
+    left edge, an active list per input dropping boxes that end left of the
+    sweep line) compares only boxes whose x-ranges may meet.
 
     The sort, the drop and a first test in y use the floor key
     floor(c * 2^64) of each edge c.  The key is monotone: a box whose right
@@ -211,21 +216,20 @@ def box_pairs(segs_a: list[tuple[Hpt, Hpt]],
     by a positive gap in x or y, so they share no point, and no
     infinitesimal shift of either one makes them meet.
     """
-    sides = [segs_a] if segs_b is None else [segs_a, segs_b]
-    boxes = [[_box(p, q) for p, q in segs] for segs in sides]
+    boxes = [boxes_a] if boxes_b is None else [boxes_a, boxes_b]
     events = sorted((box[0], side, k) for side, bs in enumerate(boxes)
                     for k, box in enumerate(bs))
-    active: list[list[int]] = [[] for _ in sides]
+    active: list[list[int]] = [[] for _ in boxes]
     pairs = []
     for kx0, side, k in events:
         _, _, ky0, ky1, edges = boxes[side][k]
-        other = len(sides) - 1 - side
+        other = len(boxes) - 1 - side
         obs = boxes[other]
         live = active[other] = [m for m in active[other] if obs[m][1] >= kx0]
         for m in live:
             _, _, my0, my1, medges = obs[m]
             if my0 <= ky1 and ky0 <= my1 and _edges_meet(edges, medges):
-                # segs_a's index first; within one list, the smaller first
+                # boxes_a's index first; within one list, the smaller first
                 pairs.append((k, m) if (side, k) < (other, m) else (m, k))
         active[side].append(k)
     pairs.sort()

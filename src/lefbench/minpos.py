@@ -19,14 +19,14 @@ found, so each pair's crossings are searched once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable
+from functools import cached_property
 
 from .disc import DiscModel, PlanarArc, Puncture
 from .errors import DegenerateTangency, LefbenchError, SharedBoundaryEndpoint
 from .exactgeom import (Hpt, Pt, Q, box_pairs, cross, homog,
-                        line_intersection, norm2, point_in_polygon,
+                        line_intersection, point_in_polygon,
                         point_on_segment, polygon_area2, segment_crossing,
                         segments_overlap_collinear, sub, winding_number)
 
@@ -39,6 +39,11 @@ class ArcCrossing:
     point: Pt
     a_pos: Pos
     b_pos: Pos
+
+    @cached_property
+    def hpoint(self) -> Hpt:
+        """point as a reduced homogeneous triple (exactgeom.homog)."""
+        return homog(self.point)
 
     def pos(self, side: int) -> Pos:
         return self.a_pos if side == 0 else self.b_pos
@@ -54,23 +59,33 @@ class IntersectionProfile:
         return len(self.interior_crossings)
 
 
-def _shared_anchor_points(a: PlanarArc, b: PlanarArc) -> set[Pt]:
+def _shared_anchor_points(a: PlanarArc, b: PlanarArc) -> set[Hpt]:
     shared = a.puncture_names() & b.puncture_names()
     pts = set()
     for arc in (a, b):
-        for end, v in ((arc.start, arc.vertices[0]), (arc.end, arc.vertices[-1])):
+        for end, v in ((arc.start, arc.hverts[0]), (arc.end, arc.hverts[-1])):
             if isinstance(end, Puncture) and end.name in shared:
                 pts.add(v)
     return pts
 
 
-def _endpoint_segment_indices(arc: PlanarArc, anchor: Pt) -> list[int]:
+def _endpoint_segment_indices(arc: PlanarArc, anchor: Hpt) -> list[int]:
     out = []
-    if arc.vertices[0] == anchor:
+    if arc.hverts[0] == anchor:
         out.append(0)
-    if arc.vertices[-1] == anchor:
-        out.append(len(arc.vertices) - 2)
+    if arc.hverts[-1] == anchor:
+        out.append(len(arc.hverts) - 2)
     return out
+
+
+def _canonically_after(ha: tuple[Hpt, ...], hb: tuple[Hpt, ...]) -> bool:
+    """The vertex sequence ha comes after hb in the canonical order: by the
+    first vertex where they differ, x then y, and else the longer last."""
+    for (ax, ay, aw), (bx, by, bw) in zip(ha, hb):
+        d = ax * bw - bx * aw or ay * bw - by * aw
+        if d:
+            return d > 0
+    return len(ha) > len(hb)
 
 
 def compute_crossings(a: PlanarArc, b: PlanarArc) -> list[ArcCrossing]:
@@ -82,7 +97,7 @@ def compute_crossings(a: PlanarArc, b: PlanarArc) -> list[ArcCrossing]:
     shared puncture cannot be resolved by translating one arc, hence
     DegenerateTangency.
     """
-    shift_b = not (a.canonical_key() > b.canonical_key())
+    shift_b = not _canonically_after(a.hverts, b.hverts)
 
     incident: set[tuple[int, int]] = set()
     for s in _shared_anchor_points(a, b):
@@ -96,7 +111,7 @@ def compute_crossings(a: PlanarArc, b: PlanarArc) -> list[ArcCrossing]:
     found: list[ArcCrossing] = []
     # pinned pairs share their puncture, so their boxes meet and they are
     # always tested; pairs come in (i, j) order, the order of the result
-    for i, j in box_pairs(segs_a, segs_b):
+    for i, j in box_pairs(a.boxes, b.boxes):
         (a1, a2), (b1, b2) = segs_a[i], segs_b[j]
         if (i, j) in incident:
             if segments_overlap_collinear(a1, a2, b1, b2):
@@ -157,8 +172,7 @@ def _lens(a: PlanarArc, b: PlanarArc, x: ArcCrossing,
     for side, arc in enumerate((a, b)):
         lo, hi = sorted((x, y), key=lambda c: c.pos(side))
         (s, _), (t, _) = lo.pos(side), hi.pos(side)
-        sides.append([homog(lo.point), *arc.hverts[s + 1: t + 1],
-                      homog(hi.point)])
+        sides.append([lo.hpoint, *arc.hverts[s + 1: t + 1], hi.hpoint])
     side_a, side_b = sides
     if side_a[0] != side_b[0]:
         side_b = side_b[::-1]
@@ -258,17 +272,10 @@ def _arc_embedded(arc: PlanarArc) -> bool:
         return False
 
 
-def _vertices_legal(pts: Iterable[Pt], disc: DiscModel) -> bool:
-    pl = list(pts)
-    for v in pl:
-        if norm2(v) >= 1:
-            return False
-    hs = [homog(v) for v in pl]
-    for hp in disc.hpoints:
-        for a, b in zip(hs, hs[1:]):
-            if point_on_segment(hp, a, b):
-                return False
-    return True
+def _vertices_legal(hs: tuple[Hpt, ...], disc: DiscModel) -> bool:
+    return (all(x * x + y * y < w * w for x, y, w in hs)
+            and not any(point_on_segment(hp, a, b) for hp in disc.hpoints
+                        for a, b in zip(hs, hs[1:])))
 
 
 def eliminate_bigon(a: PlanarArc, b: PlanarArc, bigon: Bigon, disc: DiscModel,
@@ -282,7 +289,7 @@ def eliminate_bigon(a: PlanarArc, b: PlanarArc, bigon: Bigon, disc: DiscModel,
     exact verification passes.  Returns the new pair in argument order with
     its crossings, as compute_crossings of that pair gives them.
     """
-    if a.canonical_key() > b.canonical_key():
+    if _canonically_after(a.hverts, b.hverts):
         moved, kept, m_side = a, b, 0
     else:
         moved, kept, m_side = b, a, 1
@@ -335,9 +342,11 @@ def eliminate_bigon(a: PlanarArc, b: PlanarArc, bigon: Bigon, disc: DiscModel,
         for p in middle[1:]:
             if p != mid_dedup[-1]:
                 mid_dedup.append(p)
-        new_vs = (moved.vertices[:s_before + 1] + tuple(mid_dedup)
-                  + moved.vertices[s_after + 1:])
-        candidate = moved.with_vertices(new_vs)
+        mid_h = tuple(map(homog, mid_dedup))
+        if not _vertices_legal(mid_h, disc):
+            continue
+        candidate = replace(moved, hverts=moved.hverts[:s_before + 1] + mid_h
+                            + moved.hverts[s_after + 1:])
         pair = (candidate, kept) if m_side == 0 else (kept, candidate)
         crossings = _verify_surgery(pair, candidate, moved, disc, count,
                                     m_lo, m_hi, mid_dedup)
@@ -352,10 +361,8 @@ def _verify_surgery(pair: tuple[PlanarArc, PlanarArc], candidate: PlanarArc,
                     m_lo: Pos, m_hi: Pos,
                     new_middle: list[Pt]) -> list[ArcCrossing] | None:
     """The crossings of pair (the candidate with the kept arc, in the
-    caller's order) when the surgery is legal, embedded, drops exactly two
+    caller's order) when the rerouted arc is embedded, drops exactly two
     crossings and sweeps no puncture; None otherwise."""
-    if not _vertices_legal(new_middle, disc):
-        return None
     if not _arc_embedded(candidate):
         return None
     try:

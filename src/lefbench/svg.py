@@ -1,14 +1,15 @@
 """Scenario diagrams as minimal SVG: every visible element is a plain
 ``<path>``; the y axis is flipped in the coordinates themselves so no
-transforms are needed.  Drawing only: stage_svg draws a spiral its caller
-has wrapped and checked."""
+transforms are needed.  Coordinates come from the homogeneous integer
+points of arcs and punctures: x / w is correctly rounded, as float() of the
+Fraction x/w is, so the printed digits do not depend on the form of the
+point.  Drawing only: stage_svg draws a spiral its caller has wrapped and
+checked."""
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .disc import DiscModel, PlanarArc
-from .exactgeom import Pt
+from .exactgeom import Hpt
 from .fibration import Fibration, TotalSpaceFiber
 
 _HEADER = ('<?xml version="1.0" encoding="UTF-8"?>\n'
@@ -22,12 +23,9 @@ _WRAPPED = "#2e7d32"
 _MARK = "#000000"
 
 
-def _f(x: Fraction | float) -> str:
-    return f"{float(x):.6f}"
-
-
-def _xy(p: Pt) -> str:
-    return f"{_f(p.x)} {_f(-p.y)}"
+def _xy(p: Hpt) -> str:
+    x, y, w = p
+    return f"{x / w:.6f} {-y / w:.6f}"
 
 
 def _path(d: str, stroke: str, width: str = "0.012") -> str:
@@ -44,16 +42,16 @@ def _circle_d() -> str:
     return "M 1 0 A 1 1 0 0 0 -1 0 A 1 1 0 0 0 1 0 Z"
 
 
-def _cross_d(p: Pt, r: Fraction = Fraction(1, 50)) -> str:
-    x, y = float(p.x), float(-p.y)
-    return (f"M {x - float(r):.6f} {y:.6f} L {x + float(r):.6f} {y:.6f} "
-            f"M {x:.6f} {y - float(r):.6f} L {x:.6f} {y + float(r):.6f}")
+def _cross_d(p: Hpt, r: float = 1 / 50) -> str:
+    x, y = p[0] / p[2], -p[1] / p[2]
+    return (f"M {x - r:.6f} {y:.6f} L {x + r:.6f} {y:.6f} "
+            f"M {x:.6f} {y - r:.6f} L {x:.6f} {y + r:.6f}")
 
 
 def _disc_scene(disc: DiscModel, arcs: list[tuple[PlanarArc, str]]) -> str:
     body = [_HEADER, _path(_circle_d(), _BOUNDARY, "0.008")]
-    body.extend(_path(_polyline_d(a.vertices), color) for a, color in arcs)
-    for _, p in disc.punctures:
+    body.extend(_path(_polyline_d(a.hverts), color) for a, color in arcs)
+    for p in disc.hpoints:
         body.append(_path(_cross_d(p), _MARK, "0.008"))
     body.append("</svg>")
     return "\n".join(body) + "\n"

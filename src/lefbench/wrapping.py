@@ -17,9 +17,11 @@ radial normal form (a single straight segment from puncture to boundary).
 The spiral is computed on integers: every angle is a numerator over one
 denominator per spiral, the radius is affine in the angle, and each vertex
 is the integer circle point (exactgeom.circle_hpoint) scaled by the radius,
-one homogeneous triple.  The check that no chord dips to a puncture's radius
-compares integers; the vertices become Fraction points only for the
-returned arc.
+one homogeneous triple, reduced as the returned arc stores it.  The check
+that no chord dips to a puncture's radius compares integers; the spiral
+builds no Fraction point.  What depends only on the source arc and the disc
+(its boundary angle, the annulus entry radius and the puncture guard) is
+derived once per (arc, disc).
 
 wrap guards the annulus against punctures but does not validate the spiral
 it returns.  A stage spiral (tower.stage_spiral) is checked once before use:
@@ -35,34 +37,38 @@ from math import lcm
 
 from .disc import ArcKind, BoundaryAngle, DiscModel, PlanarArc, WrapSpec, radial_split
 from .errors import LefbenchError, SpiralCollision
-from .exactgeom import (Pt, Q, circle_hpoint, circle_point, norm2,
-                        segment_near_origin)
+from .exactgeom import Q, circle_hpoint, norm2, reduced, segment_near_origin
 
 
-def _annulus_entry_radius(arc: PlanarArc, max_punct: Fraction) -> Fraction:
-    """Rational inner radius for the spiral annulus: strictly above every
-    puncture radius (max_punct is the largest squared one) and every
-    pre-boundary vertex radius, strictly below 1."""
+def _annulus(arc: PlanarArc, disc: DiscModel) -> tuple[Fraction, ...]:
+    """(boundary angle, annulus entry radius r_out, largest squared puncture
+    radius) of arc in disc; r_out is rational, above every puncture and
+    pre-boundary vertex radius and below 1.  A pass is recorded against disc
+    by identity, like PlanarArc.validate; a failure records nothing."""
+    seen = arc.__dict__.get("_annulus")
+    if seen is not None and seen[0] is disc:
+        return seen[1]
+    tau0, _ = radial_split(arc)
+    max_punct = max((norm2(p) for _, p in disc.items()), default=Q(0))
     s = max([max_punct] + [norm2(v) for v in arc.vertices[:-1]])
     upper = (1 + s) / 2          # rational upper bound for sqrt(s)
-    return (1 + upper) / 2
+    r_out = (1 + upper) / 2
+    for name, p in disc.items():
+        if norm2(p) >= r_out * r_out:
+            raise SpiralCollision(
+                f"puncture {name!r} lies inside the wrapping annulus")
+    arc.__dict__["_annulus"] = disc, (tau0, r_out, max_punct)
+    return tau0, r_out, max_punct
 
 
 def wrap(arc: PlanarArc, spec: WrapSpec, disc: DiscModel,
          bend: bool = False) -> PlanarArc:
     """Unvalidated wrapped image of a radial-ended arc; see module docstring."""
-    tau0, _ = radial_split(arc)
-    if bend and len(arc.vertices) != 2:
+    tau0, r_out, max_punct = _annulus(arc, disc)
+    if bend and len(arc.hverts) != 2:
         raise LefbenchError(
             "left-bend wrapping requires a radial normal form path"
             " (one straight segment from puncture to boundary)")
-
-    max_punct = max((norm2(p) for _, p in disc.items()), default=Q(0))
-    r_out = _annulus_entry_radius(arc, max_punct)
-    for name, p in disc.items():
-        if norm2(p) >= r_out * r_out:
-            raise SpiralCollision(
-                f"puncture {name!r} lies inside the wrapping annulus")
 
     start = tau0 + (spec.bend if bend else Q(0))
     end = tau0 + spec.m + spec.delta
@@ -78,7 +84,7 @@ def wrap(arc: PlanarArc, spec: WrapSpec, disc: DiscModel,
 
     # The radius climbs affinely in the angle from r_out to r_last =
     # (1 + r_out) / 2: r = (2 n span + (d - n)(a - a0)) / (2 d span) for
-    # r_out = n / d.  Vertex = r * circle point, as one integer triple.
+    # r_out = n / d.  Vertex = r * circle point, as one reduced triple.
     n, d = r_out.numerator, r_out.denominator
     span = a_end - a0
     r_den = 2 * d * span
@@ -86,8 +92,7 @@ def wrap(arc: PlanarArc, spec: WrapSpec, disc: DiscModel,
     for a in angles:
         r = 2 * n * span + (d - n) * (a - a0)
         cx, cy, cw = circle_hpoint(a, den)
-        spiral.append((r * cx, r * cy, r_den * cw))
-    tail = circle_point(end)
+        spiral.append(reduced(r * cx, r * cy, r_den * cw))
 
     for s0, s1 in zip(spiral, spiral[1:]):
         if segment_near_origin(s0, s1, max_punct):
@@ -95,13 +100,9 @@ def wrap(arc: PlanarArc, spec: WrapSpec, disc: DiscModel,
                 "spiral chords dip to puncture radius;"
                 " raise the disc boundary_resolution")
 
-    points = tuple(Pt(Q(x, w), Q(y, w)) for x, y, w in spiral)
-    if bend:
-        vertices = (arc.vertices[0],) + points + (tail,)
-    else:
-        vertices = arc.vertices[:-1] + points + (tail,)
-
+    tail = BoundaryAngle(end)
+    head = arc.hverts[:1] if bend else arc.hverts[:-1]
     level = (arc.wrap_level or 0) + spec.m
     offset = (arc.wrap_offset or Q(0)) + spec.delta
-    return PlanarArc(vertices, arc.start, BoundaryAngle(end),
+    return PlanarArc(head + tuple(spiral) + (tail.hpoint,), arc.start, tail,
                      ArcKind.WRAPPED, wrap_level=level, wrap_offset=offset)

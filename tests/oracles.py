@@ -517,11 +517,23 @@ def _closed_segments_touch(a1: Pt, a2: Pt, b1: Pt, b2: Pt) -> bool:
 # all-pairs references for the box-pruned sweep
 # ---------------------------------------------------------------------------
 
+def segments(arc):
+    """The arc's segments as pairs of Fraction points."""
+    vs = arc.vertices
+    return list(zip(vs, vs[1:]))
+
+
+def canonical_key(arc):
+    """The canonical order of arcs as a key: the tuple of the vertices'
+    Fraction coordinates (reference for minpos._canonically_after)."""
+    return tuple((v.x, v.y) for v in arc.vertices)
+
+
 def all_pairs_check_embedded(arc):
     """PlanarArc._check_embedded over every segment pair."""
     from lefbench.errors import NonEmbeddableInput
 
-    segs = arc.segments()
+    segs = segments(arc)
     n = len(segs)
     for i in range(n):
         a1, a2 = segs[i]
@@ -548,7 +560,7 @@ def all_pairs_crossings(a, b):
     from lefbench.minpos import (ArcCrossing, _endpoint_segment_indices,
                                  _shared_anchor_points)
 
-    shift_b = not (a.canonical_key() > b.canonical_key())
+    shift_b = not (canonical_key(a) > canonical_key(b))
 
     incident: set[tuple[int, int]] = set()
     for s in _shared_anchor_points(a, b):
@@ -556,8 +568,8 @@ def all_pairs_crossings(a, b):
             for j in _endpoint_segment_indices(b, s):
                 incident.add((i, j))
 
-    segs_a = a.segments()
-    segs_b = b.segments()
+    segs_a = segments(a)
+    segs_b = segments(b)
     found = []
     for i, (a1, a2) in enumerate(segs_a):
         for j, (b1, b2) in enumerate(segs_b):

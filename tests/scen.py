@@ -9,7 +9,7 @@ from fractions import Fraction as Q
 
 from lefbench.disc import (ArcKind, BoundaryAngle, DiscModel, PlanarArc,
                            Puncture)
-from lefbench.exactgeom import Pt
+from lefbench.exactgeom import Pt, homog
 from lefbench.fibration import (AbstractFiber, Crit, Fibration, HomologyTable,
                                 MatchingObject, TotalSpaceFiber)
 from lefbench.oracle import (ALL_SAME, DisjointFact, FiberOracle, IsotopicFact,
@@ -29,16 +29,21 @@ def pt(x, y) -> Pt:
     return Pt(Q(x), Q(y))
 
 
+def arc_through(points, *fields) -> PlanarArc:
+    """The arc through the given Fraction points; fields follow hverts."""
+    return PlanarArc(tuple(map(homog, points)), *fields)
+
+
 def vanishing(disc: DiscModel, name: str, angle, *mid) -> PlanarArc:
     """Straight-ish vanishing path from puncture ``name`` out to ``angle``."""
     end = BoundaryAngle(Q(angle))
     vs = (disc.point_of(name),) + tuple(mid) + (end.point,)
-    return PlanarArc(vs, Puncture(name), end, ArcKind.VANISHING)
+    return arc_through(vs, Puncture(name), end, ArcKind.VANISHING)
 
 
 def matching(disc: DiscModel, a: str, b: str, *mid) -> PlanarArc:
     vs = (disc.point_of(a),) + tuple(mid) + (disc.point_of(b),)
-    return PlanarArc(vs, Puncture(a), Puncture(b), ArcKind.MATCHING)
+    return arc_through(vs, Puncture(a), Puncture(b), ArcKind.MATCHING)
 
 
 def circle_fiber() -> AbstractFiber:

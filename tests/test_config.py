@@ -10,6 +10,8 @@ import scen
 from lefbench.config import (ScenarioConfig, WrapParams, emit_config,
                              load_config, parse_config, shipped_scenario)
 from lefbench.errors import ConfigError, Inconsistent, LefbenchError
+from lefbench.exactgeom import homog
+from lefbench.fibration import TotalSpaceFiber
 
 
 def _doc(body: str) -> str:
@@ -55,6 +57,26 @@ def test_shipped_ts3():
     assert cfg.fibration == scen.ts3_fibration()
     assert cfg.towers == ()
     assert cfg.wrap == WrapParams()
+
+
+@pytest.mark.parametrize("name", ["W0", "W1", "ts3", "empty-fibration"])
+def test_loaded_arcs_store_reduced_triples(name):
+    f = load_config(shipped_scenario(name)).fibration
+    while True:
+        for arc in [c.path for c in f.crits] + [mo.path for mo in f.objects]:
+            assert arc.hverts == tuple(homog(v) for v in arc.vertices)
+        if not isinstance(f.fiber, TotalSpaceFiber):
+            break
+        f = f.fiber.fibration
+
+
+def test_crit_path_keeps_its_middle_vertices():
+    cfg = parse_config(BASE.replace("crit p = c | 1/2",
+                                    "crit p = c | 1/2 | 0 -1/3 ; 1/4 -2/3"))
+    path = cfg.fibration.crits[0].path
+    assert path.vertices == (scen.pt(0, 0), scen.pt(0, Q(-1, 3)),
+                             scen.pt(Q(1, 4), Q(-2, 3)), scen.pt(-1, 0))
+    assert path.hverts == tuple(homog(v) for v in path.vertices)
 
 
 def test_shipped_empty_fibration():

@@ -11,6 +11,7 @@ from lefbench.errors import LefbenchError, NonEmbeddableInput
 from lefbench.exactgeom import pt
 
 from oracles import all_pairs_check_embedded, polyline_is_embedded
+from scen import arc_through
 
 # a coarse grid: boxes often touch exactly, and collinear, T- and endpoint
 # contacts are common
@@ -52,23 +53,23 @@ def test_point_of_unknown_puncture():
 
 def test_matching_arc_validates():
     disc = two_puncture_disc()
-    arc = PlanarArc((pt(Q(-1, 2), 0), pt(0, Q(1, 4)), pt(Q(1, 2), 0)),
-                    Puncture("p"), Puncture("q"), ArcKind.MATCHING)
+    arc = arc_through((pt(Q(-1, 2), 0), pt(0, Q(1, 4)), pt(Q(1, 2), 0)),
+                      Puncture("p"), Puncture("q"), ArcKind.MATCHING)
     arc.validate(disc)
 
 
 def test_endpoint_anchor_must_match_vertex():
     disc = two_puncture_disc()
-    arc = PlanarArc((pt(0, 0), pt(Q(1, 2), 0)),
-                    Puncture("p"), Puncture("q"), ArcKind.MATCHING)
+    arc = arc_through((pt(0, 0), pt(Q(1, 2), 0)),
+                      Puncture("p"), Puncture("q"), ArcKind.MATCHING)
     with pytest.raises(LefbenchError, match="does not match puncture"):
         arc.validate(disc)
 
 
 def test_boundary_endpoint_must_be_realized_exactly():
     disc = two_puncture_disc()
-    arc = PlanarArc((pt(Q(1, 2), 0), pt(Q(99, 100), 0)),
-                    Puncture("q"), BoundaryAngle(Q(0)), ArcKind.VANISHING)
+    arc = arc_through((pt(Q(1, 2), 0), pt(Q(99, 100), 0)),
+                      Puncture("q"), BoundaryAngle(Q(0)), ArcKind.VANISHING)
     with pytest.raises(LefbenchError, match="realize boundary angle"):
         arc.validate(disc)
 
@@ -77,33 +78,35 @@ def test_interior_vertex_must_stay_inside():
     disc = two_puncture_disc()
     # outside, and exactly on the unit circle
     for v in (pt(2, 2), pt(Q(3, 5), Q(4, 5))):
-        arc = PlanarArc((pt(Q(1, 2), 0), v, pt(1, 0)),
-                        Puncture("q"), BoundaryAngle(Q(0)), ArcKind.VANISHING)
+        arc = arc_through((pt(Q(1, 2), 0), v, pt(1, 0)),
+                          Puncture("q"), BoundaryAngle(Q(0)),
+                          ArcKind.VANISHING)
         with pytest.raises(LefbenchError, match="strictly inside"):
             arc.validate(disc)
 
 
 def test_arc_may_not_pass_through_a_puncture():
     disc = two_puncture_disc()
-    arc = PlanarArc((pt(-1, 0), pt(1, 0)),
-                    BoundaryAngle(Q(1, 2)), BoundaryAngle(Q(0)))
+    arc = arc_through((pt(-1, 0), pt(1, 0)),
+                      BoundaryAngle(Q(1, 2)), BoundaryAngle(Q(0)))
     with pytest.raises(LefbenchError, match="passes through puncture"):
         arc.validate(disc)
 
 
 def test_self_crossing_arc_is_rejected():
     disc = two_puncture_disc()
-    arc = PlanarArc((pt(-1, 0), pt(Q(1, 4), Q(1, 4)), pt(Q(1, 4), Q(-1, 4)),
-                     pt(Q(-1, 4), Q(1, 4)), pt(1, 0)),
-                    BoundaryAngle(Q(1, 2)), BoundaryAngle(Q(0)))
+    arc = arc_through((pt(-1, 0), pt(Q(1, 4), Q(1, 4)), pt(Q(1, 4), Q(-1, 4)),
+                       pt(Q(-1, 4), Q(1, 4)), pt(1, 0)),
+                      BoundaryAngle(Q(1, 2)), BoundaryAngle(Q(0)))
     with pytest.raises(NonEmbeddableInput, match="self-intersects"):
         arc.validate(disc)
 
 
 def test_fold_back_is_rejected():
     disc = two_puncture_disc()
-    arc = PlanarArc((pt(Q(1, 2), 0), pt(Q(3, 4), 0), pt(Q(5, 8), 0), pt(1, 0)),
-                    Puncture("q"), BoundaryAngle(Q(0)), ArcKind.VANISHING)
+    arc = arc_through(
+        (pt(Q(1, 2), 0), pt(Q(3, 4), 0), pt(Q(5, 8), 0), pt(1, 0)),
+        Puncture("q"), BoundaryAngle(Q(0)), ArcKind.VANISHING)
     with pytest.raises(NonEmbeddableInput, match="folds back"):
         arc.validate(disc)
 
@@ -119,7 +122,8 @@ def _embedding_error(check, arc):
 @settings(max_examples=250, deadline=None)
 @given(GRID_POLYLINES)
 def test_box_pruned_embedding_check_matches_oracles(vertices):
-    arc = PlanarArc(tuple(vertices), BoundaryAngle(Q(1, 2)), BoundaryAngle(Q(0)))
+    arc = arc_through(tuple(vertices),
+                      BoundaryAngle(Q(1, 2)), BoundaryAngle(Q(0)))
     got = _embedding_error(PlanarArc._check_embedded, arc)
     assert (got is None) == polyline_is_embedded(vertices)
     # the same first contact is reported as by the scan over all pairs
@@ -128,40 +132,41 @@ def test_box_pruned_embedding_check_matches_oracles(vertices):
 
 def test_kind_constraints():
     disc = two_puncture_disc()
-    bad = PlanarArc((pt(Q(-1, 2), 0), pt(Q(1, 2), 0)),
-                    Puncture("p"), Puncture("q"), ArcKind.VANISHING)
+    bad = arc_through((pt(Q(-1, 2), 0), pt(Q(1, 2), 0)),
+                      Puncture("p"), Puncture("q"), ArcKind.VANISHING)
     with pytest.raises(LefbenchError, match="one puncture and one boundary"):
         bad.validate(disc)
-    bad2 = PlanarArc((pt(0, 1), pt(0, -1)),
-                     BoundaryAngle(Q(1, 4)), BoundaryAngle(Q(3, 4)),
-                     ArcKind.MATCHING)
+    bad2 = arc_through((pt(0, 1), pt(0, -1)),
+                       BoundaryAngle(Q(1, 4)), BoundaryAngle(Q(3, 4)),
+                       ArcKind.MATCHING)
     with pytest.raises(LefbenchError, match="two puncture endpoints"):
         bad2.validate(disc)
-    bad3 = PlanarArc((pt(Q(1, 2), 0), pt(1, 0)),
-                     Puncture("q"), BoundaryAngle(Q(0)), ArcKind.WRAPPED)
+    bad3 = arc_through((pt(Q(1, 2), 0), pt(1, 0)),
+                       Puncture("q"), BoundaryAngle(Q(0)), ArcKind.WRAPPED)
     with pytest.raises(LefbenchError, match="wrap level"):
         bad3.validate(disc)
 
 
 def test_radial_split_reads_angle_and_radius():
-    arc = PlanarArc((pt(Q(1, 2), 0), pt(1, 0)),
-                    Puncture("q"), BoundaryAngle(Q(0)), ArcKind.VANISHING)
+    arc = arc_through((pt(Q(1, 2), 0), pt(1, 0)),
+                      Puncture("q"), BoundaryAngle(Q(0)), ArcKind.VANISHING)
     assert radial_split(arc) == (Q(0), Q(1, 2))
-    down = PlanarArc((pt(0, 0), pt(0, -1)),
-                     Puncture("c"), BoundaryAngle(Q(3, 4)), ArcKind.VANISHING)
+    down = arc_through((pt(0, 0), pt(0, -1)),
+                       Puncture("c"), BoundaryAngle(Q(3, 4)),
+                       ArcKind.VANISHING)
     assert radial_split(down) == (Q(3, 4), Q(0))
 
 
 def test_radial_split_rejects_non_radial_tail():
-    arc = PlanarArc((pt(Q(1, 2), Q(1, 4)), pt(1, 0)),
-                    Puncture("q"), BoundaryAngle(Q(0)), ArcKind.VANISHING)
+    arc = arc_through((pt(Q(1, 2), Q(1, 4)), pt(1, 0)),
+                      Puncture("q"), BoundaryAngle(Q(0)), ArcKind.VANISHING)
     with pytest.raises(LefbenchError, match="not radial"):
         radial_split(arc)
 
 
 def test_radial_split_rejects_inward_tail():
-    arc = PlanarArc((pt(Q(-1, 2), 0), pt(1, 0)),
-                    Puncture("p"), BoundaryAngle(Q(0)))
+    arc = arc_through((pt(Q(-1, 2), 0), pt(1, 0)),
+                      Puncture("p"), BoundaryAngle(Q(0)))
     with pytest.raises(LefbenchError, match="outward"):
         radial_split(arc)
 

@@ -17,13 +17,13 @@ from lefbench.exactgeom import (Pt, _shift_sign, box_pairs, circle_hpoint,
                                 circle_point, homog, line_intersection,
                                 min_angular_gap, norm2, orient,
                                 point_in_polygon, point_on_segment,
-                                polygon_area2, segment_crossing,
-                                segment_near_origin,
+                                polygon_area2, segment_box,
+                                segment_crossing, segment_near_origin,
                                 segments_overlap_collinear, winding_number,
                                 pt)
 from lefbench.fibration import with_resolution
 from lefbench.tower import stage_spiral
-from lefbench.wrapping import _annulus_entry_radius, wrap
+from lefbench.wrapping import _annulus, wrap
 
 from oracles import ccw_gap, segment_point_dist2, sgn_eps
 
@@ -188,8 +188,8 @@ def _boxes_meet(s, t):
             <= min(max(p.y, q.y), max(u.y, v.y)))
 
 
-def _hsegs(segs):
-    return None if segs is None else [tuple(h(p, q)) for p, q in segs]
+def _hboxes(segs):
+    return None if segs is None else [segment_box(*h(p, q)) for p, q in segs]
 
 
 @given(st.lists(GRID_SEGMENTS, max_size=12),
@@ -206,7 +206,7 @@ def _check_box_pairs(segs_a, segs_b):
     else:
         expect = [(i, j) for i in range(len(segs_a)) for j in range(len(segs_b))
                   if _boxes_meet(segs_a[i], segs_b[j])]
-    assert box_pairs(_hsegs(segs_a), _hsegs(segs_b)) == expect
+    assert box_pairs(_hboxes(segs_a), _hboxes(segs_b)) == expect
 
 
 # coordinates closer together than the 2^-64 resolution of box_pairs' floor
@@ -393,9 +393,10 @@ def test_wrap_builds_the_reference_spiral(resolution, m, bend):
         w = wrap(arc, spec, f.disc, bend=bend)
         tau0 = arc.end.angle
         start = tau0 + (spec.bend if bend else 0)
-        max_punct = max(norm2(p) for _, p in f.disc.items())
-        r_out = _annulus_entry_radius(arc, max_punct)
+        _, r_out, _ = _annulus(arc, f.disc)
         expect = oracles.spiral_vertices(start, tau0 + m + spec.delta, r_out,
                                          resolution)
         head = 1 if bend else len(arc.vertices) - 1
         assert list(w.vertices[head:-1]) == expect
+        # the stored triples are exactly the reduced form of each point
+        assert w.hverts == tuple(homog(v) for v in w.vertices)

@@ -5,7 +5,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from lefbench.disc import ArcKind, BoundaryAngle, DiscModel, PlanarArc, Puncture
+from lefbench.disc import ArcKind, BoundaryAngle, DiscModel, Puncture
 from lefbench.errors import (Inconsistent, LefbenchError, MissingClass,
                              UnresolvedSign)
 from lefbench.fibration import (AbstractFiber, Crit, Fibration, HomologyTable,
@@ -14,8 +14,9 @@ from lefbench.fibration import (AbstractFiber, Crit, Fibration, HomologyTable,
                                 validate)
 
 from oracles import attachment_homology
-from scen import (aux_fibration, circle_fiber, empty_fibration, main_fibration,
-                  matching, pt, sphere_fiber, ts3_fibration, vanishing)
+from scen import (arc_through, aux_fibration, circle_fiber, empty_fibration,
+                  main_fibration, matching, pt, sphere_fiber, ts3_fibration,
+                  vanishing)
 
 
 # --------------------------------------------------------------------------
@@ -127,8 +128,9 @@ def test_path_through_third_puncture_flagged():
     crits = (Crit("a", vanishing(disc3, "a", Q(1, 2)), "zs"),
              Crit("b", vanishing(disc3, "b", Q(0)), "zs"),
              Crit("c", vanishing(disc3, "c", Q(3, 4)), "zs"))
-    mo = MatchingObject("zero-section", through.with_vertices(
-        (disc3.point_of("a"), disc3.point_of("b"))), "zs", "zs")
+    mo = MatchingObject("zero-section", arc_through(
+        (disc3.point_of("a"), disc3.point_of("b")), through.start,
+        through.end, through.kind), "zs", "zs")
     bad = Fibration("ts3x", disc3, sphere_fiber(), crits,
                     BoundaryAngle(Q(0)), objects=(mo,))
     report = validate(bad)
@@ -311,9 +313,9 @@ def test_matching_classes_of_a_and_b_agree():
 
 def test_cancelling_pair_gives_zero():
     f = ts3_fibration()
-    loop = PlanarArc((f.disc.point_of("a"), pt(0, Q(1, 4)),
-                      f.disc.point_of("a")),
-                     Puncture("a"), Puncture("a"), ArcKind.MATCHING)
+    loop = arc_through((f.disc.point_of("a"), pt(0, Q(1, 4)),
+                        f.disc.point_of("a")),
+                       Puncture("a"), Puncture("a"), ArcKind.MATCHING)
     mo = MatchingObject("null", loop, "zs", "zs")
     assert matching_cycle_class(f, mo) == (0,)
 

@@ -10,16 +10,18 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from lefbench.disc import ArcKind, BoundaryAngle, DiscModel, PlanarArc, Puncture
+from lefbench.disc import ArcKind, BoundaryAngle, DiscModel, Puncture
 from lefbench.errors import (DegenerateTangency, LefbenchError,
                              SharedBoundaryEndpoint)
-from lefbench.exactgeom import pt
-from lefbench.minpos import (compute_crossings, eliminate_bigon,
-                             find_empty_bigons, intersection_profile,
-                             minimal_position)
+from lefbench.exactgeom import homog, pt
+from lefbench.minpos import (_canonically_after, compute_crossings,
+                             eliminate_bigon, find_empty_bigons,
+                             intersection_profile, minimal_position)
 
 from oracles import (GenericityError, all_pairs_crossings, brute_crossing_count,
-                     fraction_empty_bigons, point_on_segment)
+                     canonical_key, fraction_empty_bigons, point_on_segment,
+                     segments)
+from scen import arc_through
 from test_disc import GRID_POINTS, GRID_POLYLINES, no_zero_length
 
 
@@ -29,17 +31,18 @@ def disc_pq(extra=()):
 
 
 def matching(disc, vertices, a="p", b="q"):
-    arc = PlanarArc(tuple(vertices), Puncture(a), Puncture(b), ArcKind.MATCHING)
+    arc = arc_through(tuple(vertices),
+                      Puncture(a), Puncture(b), ArcKind.MATCHING)
     arc.validate(disc)
     return arc
 
 
 def test_two_diameters_cross_once():
     disc = DiscModel(punctures=(("w", pt(Q(1, 4), Q(1, 8))),))
-    horizontal = PlanarArc((pt(-1, 0), pt(1, 0)),
-                           BoundaryAngle(Q(1, 2)), BoundaryAngle(Q(0)))
-    vertical = PlanarArc((pt(0, 1), pt(0, -1)),
-                         BoundaryAngle(Q(1, 4)), BoundaryAngle(Q(3, 4)))
+    horizontal = arc_through((pt(-1, 0), pt(1, 0)),
+                             BoundaryAngle(Q(1, 2)), BoundaryAngle(Q(0)))
+    vertical = arc_through((pt(0, 1), pt(0, -1)),
+                           BoundaryAngle(Q(1, 4)), BoundaryAngle(Q(3, 4)))
     prof = intersection_profile(horizontal, vertical, disc)
     assert prof.crossing_count == 1
     assert prof.interior_crossings == (pt(0, 0),)
@@ -107,7 +110,7 @@ def subdivide(arc):
     for a, b in zip(vs, vs[1:]):
         out.append(pt((a.x + b.x) / 2, (a.y + b.y) / 2))
         out.append(b)
-    return arc.with_vertices(tuple(out))
+    return arc_through(out, arc.start, arc.end, arc.kind)
 
 
 def test_profile_invariant_under_refinement():
@@ -139,12 +142,12 @@ def test_unpinned_collinear_overlap_resolves():
     perturbation turns the overlap into two transverse corner crossings and
     bigon elimination then pulls the arcs apart."""
     disc = DiscModel(punctures=(("w", pt(0, Q(1, 2))),))
-    a = PlanarArc((pt(-1, 0), pt(Q(-1, 2), Q(-1, 4)), pt(Q(1, 2), Q(-1, 4)),
-                   pt(1, 0)),
-                  BoundaryAngle(Q(1, 2)), BoundaryAngle(Q(0)))
-    b = PlanarArc((pt(Q(-4, 5), Q(-3, 5)), pt(Q(-3, 4), Q(-1, 4)),
-                   pt(Q(3, 4), Q(-1, 4)), pt(Q(4, 5), Q(-3, 5))),
-                  BoundaryAngle(Q(5, 8)), BoundaryAngle(Q(7, 8)))
+    a = arc_through((pt(-1, 0), pt(Q(-1, 2), Q(-1, 4)), pt(Q(1, 2), Q(-1, 4)),
+                     pt(1, 0)),
+                    BoundaryAngle(Q(1, 2)), BoundaryAngle(Q(0)))
+    b = arc_through((pt(Q(-4, 5), Q(-3, 5)), pt(Q(-3, 4), Q(-1, 4)),
+                     pt(Q(3, 4), Q(-1, 4)), pt(Q(4, 5), Q(-3, 5))),
+                    BoundaryAngle(Q(5, 8)), BoundaryAngle(Q(7, 8)))
     a.validate(disc)
     b.validate(disc)
     crossings = compute_crossings(a, b)
@@ -156,10 +159,10 @@ def test_unpinned_collinear_overlap_resolves():
 
 def test_shared_boundary_endpoint_rejected():
     disc = disc_pq()
-    a = PlanarArc((pt(Q(1, 2), 0), pt(1, 0)),
-                  Puncture("q"), BoundaryAngle(Q(0)), ArcKind.VANISHING)
-    b = PlanarArc((pt(Q(-1, 2), 0), pt(0, Q(-1, 2)), pt(1, 0)),
-                  Puncture("p"), BoundaryAngle(Q(0)), ArcKind.VANISHING)
+    a = arc_through((pt(Q(1, 2), 0), pt(1, 0)),
+                    Puncture("q"), BoundaryAngle(Q(0)), ArcKind.VANISHING)
+    b = arc_through((pt(Q(-1, 2), 0), pt(0, Q(-1, 2)), pt(1, 0)),
+                    Puncture("p"), BoundaryAngle(Q(0)), ArcKind.VANISHING)
     with pytest.raises(SharedBoundaryEndpoint):
         intersection_profile(a, b, disc)
 
@@ -189,15 +192,15 @@ def test_box_pruned_crossings_match_oracles(va, vb, pinned):
         start_a = start_b = Puncture("p")
     else:
         start_a, start_b = BoundaryAngle(Q(1, 2)), BoundaryAngle(Q(1, 4))
-    a = PlanarArc(tuple(va), start_a, BoundaryAngle(Q(0)))
-    b = PlanarArc(tuple(vb), start_b, BoundaryAngle(Q(3, 4)))
+    a = arc_through(tuple(va), start_a, BoundaryAngle(Q(0)))
+    b = arc_through(tuple(vb), start_b, BoundaryAngle(Q(3, 4)))
 
     got = _crossings_or_error(compute_crossings, a, b)
     assert got == _crossings_or_error(all_pairs_crossings, a, b)
     if isinstance(got, type):
         return
     if pinned and any(point_on_segment(ANCHOR, p, q)
-                      for arc in (a, b) for p, q in arc.segments()[1:]):
+                      for arc in (a, b) for p, q in segments(arc)[1:]):
         return  # the naive counter would excuse these contacts too
     try:
         expected = brute_crossing_count(va, vb, [ANCHOR] if pinned else [])
@@ -230,8 +233,8 @@ def test_integer_lens_test_matches_fraction_reference(va, vb, pinned, points):
         start_a, start_b = BoundaryAngle(Q(1, 2)), BoundaryAngle(Q(1, 4))
     disc = DiscModel(
         punctures=tuple((f"n{k}", p) for k, p in enumerate(points)))
-    a = PlanarArc(tuple(va), start_a, BoundaryAngle(Q(0)))
-    b = PlanarArc(tuple(vb), start_b, BoundaryAngle(Q(3, 4)))
+    a = arc_through(tuple(va), start_a, BoundaryAngle(Q(0)))
+    b = arc_through(tuple(vb), start_b, BoundaryAngle(Q(3, 4)))
     try:
         crossings = compute_crossings(a, b)
     except DegenerateTangency:
@@ -243,12 +246,12 @@ def test_integer_lens_test_matches_fraction_reference(va, vb, pinned, points):
 # straight a and a b dipping below it form one pentagonal lens:
 # (-1/3, 0) -> (1/3, 0) along a, back along b through (1/4, -1/4),
 # (0, -1/2) and (-1/4, -1/4); its right edges run down, its left edges up
-LENS_A = PlanarArc((pt(-1, 0), pt(1, 0)),
-                   BoundaryAngle(Q(1, 2)), BoundaryAngle(Q(0)))
-LENS_B = PlanarArc((pt(Q(-1, 2), Q(1, 2)), pt(Q(-1, 4), Q(-1, 4)),
-                    pt(0, Q(-1, 2)), pt(Q(1, 4), Q(-1, 4)),
-                    pt(Q(1, 2), Q(1, 2))),
-                   BoundaryAngle(Q(3, 8)), BoundaryAngle(Q(1, 8)))
+LENS_A = arc_through((pt(-1, 0), pt(1, 0)),
+                     BoundaryAngle(Q(1, 2)), BoundaryAngle(Q(0)))
+LENS_B = arc_through((pt(Q(-1, 2), Q(1, 2)), pt(Q(-1, 4), Q(-1, 4)),
+                      pt(0, Q(-1, 2)), pt(Q(1, 4), Q(-1, 4)),
+                      pt(Q(1, 2), Q(1, 2))),
+                     BoundaryAngle(Q(3, 8)), BoundaryAngle(Q(1, 8)))
 
 
 @pytest.mark.parametrize("puncture, empty", [
@@ -294,10 +297,10 @@ def random_band_pair(rng):
 
     disc = DiscModel(punctures=(("fL", pt(xs[0], f[0])), ("fR", pt(xs[-1], f[-1])),
                                 ("gL", pt(xs[0], g[0])), ("gR", pt(xs[-1], g[-1]))))
-    fa = PlanarArc(tuple(pt(x, y) for x, y in zip(xs, f)),
-                   Puncture("fL"), Puncture("fR"), ArcKind.MATCHING)
-    ga = PlanarArc(tuple(pt(x, y) for x, y in zip(xs, g)),
-                   Puncture("gL"), Puncture("gR"), ArcKind.MATCHING)
+    fa = arc_through(tuple(pt(x, y) for x, y in zip(xs, f)),
+                     Puncture("fL"), Puncture("fR"), ArcKind.MATCHING)
+    ga = arc_through(tuple(pt(x, y) for x, y in zip(xs, g)),
+                     Puncture("gL"), Puncture("gR"), ArcKind.MATCHING)
     fa.validate(disc)
     ga.validate(disc)
     return disc, fa, ga
@@ -323,6 +326,9 @@ def test_random_elimination_order_reaches_parity(seed):
             break
         rf, rg, crossings = eliminate_bigon(rf, rg, rng.choice(bigons), disc,
                                             len(crossings))
+        # the rerouted arc stores the reduced triples of its points
+        for arc in (rf, rg):
+            assert arc.hverts == tuple(homog(v) for v in arc.vertices)
         # the surgery hands back the crossings of the new pair, in its order
         assert crossings == compute_crossings(rf, rg)
     final = len(crossings)
@@ -331,3 +337,29 @@ def test_random_elimination_order_reaches_parity(seed):
     # canonical order agrees
     cf, cg = minimal_position(f, g, disc)
     assert len(compute_crossings(cf, cg)) == final
+
+
+# ---------------------------------------------------------------------------
+# the integer canonical order against the Fraction tuple order
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(GRID_POLYLINES, GRID_POLYLINES, st.sampled_from(["any", "equal", "prefix"]),
+       st.integers(0, 8), st.lists(st.integers(1, 12), min_size=9, max_size=9))
+def test_integer_canonical_order_matches_tuple_reference(va, vb, shape, cut,
+                                                         scales):
+    """k/4-grid arcs, equal arcs and arcs of which one is a prefix of the
+    other; the order must also hold on triples that are not reduced."""
+    if shape == "equal":
+        vb = va
+    elif shape == "prefix":
+        vb = va[:max(cut, 1)]
+    a = arc_through(va, BoundaryAngle(Q(1, 2)), BoundaryAngle(Q(0)))
+    b = arc_through(vb, BoundaryAngle(Q(1, 4)), BoundaryAngle(Q(0)))
+    scaled_a = tuple((x * s, y * s, w * s) for (x, y, w), s in zip(a.hverts, scales))
+    scaled_b = tuple((x * s, y * s, w * s)
+                     for (x, y, w), s in zip(b.hverts, scales[::-1]))
+    for p, q, hp, hq in ((a, b, scaled_a, scaled_b), (b, a, scaled_b, scaled_a)):
+        expect = canonical_key(p) > canonical_key(q)
+        assert _canonically_after(p.hverts, q.hverts) == expect
+        assert _canonically_after(hp, hq) == expect

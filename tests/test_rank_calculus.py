@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scen
-from lefbench.disc import ArcKind, BoundaryAngle, DiscModel, PlanarArc, Puncture
+from lefbench.disc import ArcKind, BoundaryAngle, DiscModel, Puncture
 from lefbench.errors import (ImageTooLarge, Inconsistent, IncompleteBasis,
                              LefbenchError, Undecidable, UnknownPair)
 from lefbench.fibration import Crit, Fibration, MatchingObject, TotalSpaceFiber
@@ -169,8 +169,8 @@ def _bifibration(inner_disc, inner_objects, inner_oracle):
 
 
 def _matching_between(disc, name, p, q, label):
-    arc = PlanarArc((disc.point_of(p), disc.point_of(q)),
-                    Puncture(p), Puncture(q), ArcKind.MATCHING)
+    arc = scen.arc_through((disc.point_of(p), disc.point_of(q)),
+                           Puncture(p), Puncture(q), ArcKind.MATCHING)
     return MatchingObject(name, arc, label, label)
 
 

@@ -4,14 +4,15 @@ from fractions import Fraction as Q
 
 import pytest
 
-from lefbench.disc import (ArcKind, BoundaryAngle, DiscModel, PlanarArc,
-                           Puncture, WrapSpec)
+from lefbench.disc import ArcKind, BoundaryAngle, DiscModel, Puncture, WrapSpec
 from lefbench.errors import LefbenchError, SpiralCollision
 from lefbench.exactgeom import norm2, pt
 from lefbench.minpos import compute_crossings, find_empty_bigons
+from lefbench import wrapping
 from lefbench.wrapping import wrap
 
 from oracles import brute_crossing_count, polyline_is_embedded
+from scen import arc_through
 
 DELTA = Q(1, 64)
 BEND = Q(1, 128)
@@ -30,15 +31,16 @@ def wrapped(arc, spec, disc, bend=False):
 
 
 def ray_a(disc):
-    arc = PlanarArc((pt(Q(-1, 2), 0), pt(-1, 0)),
-                    Puncture("a"), BoundaryAngle(Q(1, 2)), ArcKind.VANISHING)
+    arc = arc_through((pt(Q(-1, 2), 0), pt(-1, 0)),
+                      Puncture("a"), BoundaryAngle(Q(1, 2)),
+                      ArcKind.VANISHING)
     arc.validate(disc)
     return arc
 
 
 def ray_b(disc):
-    arc = PlanarArc((pt(Q(1, 2), 0), pt(1, 0)),
-                    Puncture("b"), BoundaryAngle(Q(0)), ArcKind.VANISHING)
+    arc = arc_through((pt(Q(1, 2), 0), pt(1, 0)),
+                      Puncture("b"), BoundaryAngle(Q(0)), ArcKind.VANISHING)
     arc.validate(disc)
     return arc
 
@@ -104,8 +106,9 @@ def test_double_wrap_matches_single_wrap_profile():
 
 def test_bend_requires_radial_normal_form():
     disc = main_disc()
-    dogleg = PlanarArc((pt(Q(1, 2), 0), pt(0, Q(1, 2)), pt(0, 1)),
-                       Puncture("b"), BoundaryAngle(Q(1, 4)), ArcKind.VANISHING)
+    dogleg = arc_through((pt(Q(1, 2), 0), pt(0, Q(1, 2)), pt(0, 1)),
+                         Puncture("b"), BoundaryAngle(Q(1, 4)),
+                         ArcKind.VANISHING)
     dogleg.validate(disc)
     with pytest.raises(LefbenchError, match="radial normal form"):
         wrap(dogleg, WrapSpec(1, DELTA, BEND), disc, bend=True)
@@ -113,17 +116,41 @@ def test_bend_requires_radial_normal_form():
 
 def test_wrap_rejects_non_radial_tail():
     disc = main_disc()
-    skew = PlanarArc((pt(Q(1, 2), Q(1, 4)), pt(1, 0)),
-                     Puncture("b"), BoundaryAngle(Q(0)), ArcKind.VANISHING)
+    skew = arc_through((pt(Q(1, 2), Q(1, 4)), pt(1, 0)),
+                       Puncture("b"), BoundaryAngle(Q(0)), ArcKind.VANISHING)
     with pytest.raises(LefbenchError, match="radial"):
         wrap(skew, WrapSpec(1, DELTA, BEND), disc)
+
+
+def test_wrap_setup_is_derived_once_per_disc(monkeypatch):
+    seen = []
+    split = wrapping.radial_split
+    monkeypatch.setattr(wrapping, "radial_split",
+                        lambda arc: seen.append(arc) or split(arc))
+    disc = main_disc()
+    ray = ray_b(disc)
+    spec = WrapSpec(1, DELTA, BEND)
+    first = wrap(ray, spec, disc)
+    assert wrap(ray, spec, disc) == first
+    wrap(ray, WrapSpec(2, DELTA, BEND), disc, bend=True)
+    assert len(seen) == 1            # once per (arc, disc), not per wrap
+    assert wrap(ray, spec, main_disc()) == first     # an equal disc
+    assert len(seen) == 2
+    # a failing set-up records nothing: the error comes back every time
+    skew = arc_through((pt(Q(1, 2), Q(1, 4)), pt(1, 0)),
+                       Puncture("b"), BoundaryAngle(Q(0)))
+    for _ in range(2):
+        with pytest.raises(LefbenchError, match="radial"):
+            wrap(skew, spec, disc)
+    assert len(seen) == 4
 
 
 def test_spiral_collision_resolved_by_finer_resolution():
     coarse = DiscModel(punctures=(("hug", pt(0, Q(99, 100))),),
                        boundary_resolution=16)
-    ray = PlanarArc((pt(0, Q(99, 100)), pt(0, 1)),
-                    Puncture("hug"), BoundaryAngle(Q(1, 4)), ArcKind.VANISHING)
+    ray = arc_through((pt(0, Q(99, 100)), pt(0, 1)),
+                      Puncture("hug"), BoundaryAngle(Q(1, 4)),
+                      ArcKind.VANISHING)
     ray.validate(coarse)
     with pytest.raises(SpiralCollision, match="resolution"):
         wrap(ray, WrapSpec(1, DELTA, BEND), coarse)
