@@ -91,8 +91,8 @@ def _section_hw(r: Report, cfg: ScenarioConfig,
         t = towers[x, y] = build_tower(f, x, y, cfg.wrap.levels,
                                        cfg.wrap.delta, cfg.wrap.bend, out.fs)
         for s in t.stages:
-            cert = (str(s.rank_certificate.value)
-                    if s.rank_certificate is not None else "none")
+            cert = ("none" if s.rank_certificate is None
+                    else s.rank_certificate)
             r.line(f"{name} stage m={s.m}",
                    f"{s.count} generator(s), u {s.u_count},"
                    f" certificate {cert}")

@@ -1,4 +1,4 @@
-"""Scenario configuration files: parsing and emission.
+"""Scenario configuration files: parsing.
 
 A config is a line-oriented text document. Blank lines and lines starting
 with ``#`` are ignored.  Every other line belongs to the most recent
@@ -44,7 +44,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from importlib import resources
 from pathlib import Path
 
 from .disc import (ArcKind, BoundaryAngle, DiscModel, PlanarArc, Puncture)
@@ -573,145 +572,3 @@ def load_config(path: str | Path) -> ScenarioConfig:
         raise ConfigError(f"{path}: cannot read config ({e})") from None
     return parse_config(text, source=str(path))
 
-
-def shipped_scenario(name: str) -> Path:
-    """Path of a scenario file shipped inside the package."""
-    base = resources.files("lefbench") / "scenarios" / f"{name}.cfg"
-    with resources.as_file(base) as p:
-        if not p.exists():
-            raise ConfigError(f"no shipped scenario named {name!r}")
-        return p
-
-
-# --------------------------------------------------------------------------
-# emission
-# --------------------------------------------------------------------------
-
-def _fmt_q(x: Fraction) -> str:
-    return str(Fraction(x))
-
-
-def _fmt_pt(p: Pt) -> str:
-    return f"{_fmt_q(p.x)} {_fmt_q(p.y)}"
-
-
-def _fmt_pts(pts) -> str:
-    return " ; ".join(_fmt_pt(p) for p in pts)
-
-
-def _emit_disc(name: str, disc: DiscModel, out: list[str]) -> None:
-    out.append(f"[disc {name}]")
-    for pname, p in disc.punctures:
-        out.append(f"puncture {pname} = {_fmt_pt(p)}")
-    out.append(f"resolution = {disc.boundary_resolution}")
-    out.append("")
-
-
-def _emit_fiber(fiber: AbstractFiber, out: list[str]) -> None:
-    out.append(f"[fiber {fiber.name}]")
-    out.append(f"dim = {fiber.dim}")
-    for deg, free, torsion in fiber.homology.groups:
-        nums = " ".join(str(n) for n in (free,) + torsion)
-        out.append(f"homology {deg} = {nums}")
-    for label, vec in fiber.cycle_classes:
-        out.append(f"class {label} = {' '.join(str(c) for c in vec)}")
-    out.append("")
-
-
-def _prov_note(p: Provenance) -> str:
-    return f"!{p.kind} {p.slug}"
-
-
-def _emit_oracle(name: str, o: FiberOracle, out: list[str]) -> None:
-    out.append(f"[oracle {name}]")
-    for d in o.label_decls:
-        out.append(f"label {d.name} = {'sphere' if d.sphere else 'plain'}")
-    for r in o.rank_facts:
-        out.append(f"rank {r.i} {r.j} = {r.value} {_prov_note(r.provenance)}")
-    for rel in o.relations:
-        if isinstance(rel, DisjointFact):
-            body = f"disjoint {rel.i} {rel.j}"
-        elif isinstance(rel, IsotopicFact):
-            body = f"isotopic {rel.i} {rel.j}"
-        else:
-            body = f"witness {rel.i} {rel.j} {rel.witness}"
-        out.append(f"relation = {body} {_prov_note(rel.provenance)}")
-    for p in o.parity_facts:
-        out.append(
-            f"parity {p.i} {p.j} = {p.parity} {_prov_note(p.provenance)}")
-    out.append("")
-
-
-def _emit_fibration(f: Fibration, fiber_ref: str, out: list[str]) -> None:
-    out.append(f"[fibration {f.name}]")
-    out.append(f"disc = {f.name}-disc")
-    out.append(f"fiber = {fiber_ref}")
-    out.append(f"reference-angle = {_fmt_q(f.reference_angle.angle)}")
-    for c in f.crits:
-        mids = c.path.vertices[1:-1]
-        tail = f" | {_fmt_pts(mids)}" if mids else ""
-        out.append(f"crit {c.puncture} = {c.cycle_label} |"
-                   f" {_fmt_q(c.path.end.angle)}{tail}")
-    out.append("")
-    if f.objects:
-        by_path = {c.path: c for c in f.crits}
-        out.append(f"[objects {f.name}]")
-        for mo in f.objects:
-            if mo.is_thimble:
-                if mo.path not in by_path:
-                    raise LefbenchError(
-                        f"thimble object {mo.name!r} does not share the path"
-                        " of any critical value; it cannot be serialized")
-                out.append(
-                    f"thimble {mo.name} = crit {by_path[mo.path].puncture}")
-                continue
-            mids = mo.path.vertices[1:-1]
-            tail = f" | {_fmt_pts(mids)}" if mids else ""
-            out.append(f"matching {mo.name} = {mo.path.start.name}"
-                       f" {mo.path.end.name}{tail}")
-        out.append("")
-
-
-def emit_config(cfg: ScenarioConfig) -> str:
-    """Render a config document that parses back to equal module inputs."""
-    chain: list[Fibration] = []
-    cur = cfg.fibration
-    while True:
-        chain.append(cur)
-        if isinstance(cur.fiber, TotalSpaceFiber):
-            cur = cur.fiber.fibration
-        else:
-            break
-    chain.reverse()
-
-    out: list[str] = []
-    emitted_fibers: dict[str, AbstractFiber] = {}
-    for f in chain:
-        _emit_disc(f"{f.name}-disc", f.disc, out)
-        if isinstance(f.fiber, AbstractFiber):
-            prev = emitted_fibers.get(f.fiber.name)
-            if prev is None:
-                _emit_fiber(f.fiber, out)
-                emitted_fibers[f.fiber.name] = f.fiber
-            elif prev != f.fiber:
-                raise LefbenchError(
-                    f"two distinct fibers share the name {f.fiber.name!r}")
-            ref = f.fiber.name
-        else:
-            ref = f"total-space {f.fiber.fibration.name}"
-        _emit_fibration(f, ref, out)
-        if f.oracle is not None:
-            _emit_oracle(f.name, f.oracle, out)
-
-    out.append("[wrap]")
-    out.append(f"delta = {_fmt_q(cfg.wrap.delta)}")
-    out.append(f"bend = {_fmt_q(cfg.wrap.bend)}")
-    out.append(f"levels = {' '.join(str(m) for m in cfg.wrap.levels)}")
-    out.append("")
-    out.append("[run]")
-    out.append(f"fibration = {cfg.fibration.name}")
-    if cfg.towers:
-        out.append(
-            f"towers = {' '.join(f'{x}:{y}' for x, y in cfg.towers)}")
-    out.append("")
-    return "\n".join(out)

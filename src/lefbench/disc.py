@@ -3,7 +3,7 @@
 The base of every fibration is the closed unit disc with finitely many
 punctures (marked interior points, the critical values).  Arcs are embedded
 rational polylines whose endpoints are either punctures or exact boundary
-angles; see exactgeom.circle_point for how angles are realized.  An arc
+angles; see exactgeom.circle_hpoint for how angles are realized.  An arc
 stores its vertices as reduced homogeneous integer triples (hverts) and
 builds its Fraction points (vertices) and its segment boxes on first use;
 it validates once per disc.
@@ -19,9 +19,8 @@ from typing import Iterator
 
 from .errors import LefbenchError, NonEmbeddableInput
 from .exactgeom import (ORIGIN, Hpt, Pt, Q, angle_norm, box_pairs,
-                        circle_hpoint, circle_point, homog, norm2, orient,
-                        point_on_segment, reduced, segment_box,
-                        segments_overlap_collinear)
+                        circle_hpoint, homog, norm2, orient, point_on_segment,
+                        reduced, segment_box, segments_overlap_collinear)
 
 
 class ArcKind(enum.Enum):
@@ -46,12 +45,8 @@ class BoundaryAngle:
         object.__setattr__(self, "angle", angle_norm(Q(self.angle)))
 
     @cached_property
-    def point(self) -> Pt:
-        return circle_point(self.angle)
-
-    @cached_property
     def hpoint(self) -> Hpt:
-        """point as a reduced homogeneous triple (exactgeom.homog)."""
+        """The realized boundary point as a reduced homogeneous triple."""
         return reduced(*circle_hpoint(self.angle.numerator,
                                       self.angle.denominator))
 

@@ -22,7 +22,7 @@ parametrization
     t |-> ((1 - t^2)/(1 + t^2), 2t/(1 + t^2)),
 with a monotone piecewise-Moebius map from turn fraction to parameter t.  The
 realized point of angle tau is therefore an exact rational point on the unit
-circle (``circle_hpoint`` gives its integer form); realized points are
+circle, given in integer form by ``circle_hpoint``; realized points are
 ordered counterclockwise exactly as their angles, although arc length is not
 proportional to the angle fraction.
 """
@@ -49,20 +49,12 @@ class Pt(NamedTuple):
         return f"({self.x}, {self.y})"
 
 
-def pt(x, y) -> Pt:
-    return Pt(Q(x), Q(y))
-
-
 def sub(a: Pt, b: Pt) -> Pt:
     return Pt(a.x - b.x, a.y - b.y)
 
 
 def cross(a: Pt, b: Pt) -> Fraction:
     return a.x * b.y - a.y * b.x
-
-
-def dot(a: Pt, b: Pt) -> Fraction:
-    return a.x * b.x + a.y * b.y
 
 
 def norm2(a: Pt) -> Fraction:
@@ -103,10 +95,12 @@ def angle_norm(tau: Fraction) -> Fraction:
 
 
 def circle_hpoint(a: int, d: int) -> Hpt:
-    """Homogeneous integer form of circle_point(a / d), d > 0.
+    """Exact rational point of the unit circle at turn fraction a / d, d > 0,
+    as a homogeneous integer triple.
 
-    The parameter t = p/q of the angle gives (q^2 - p^2, 2pq, q^2 + p^2),
-    not reduced.
+    Monotone in the angle: realized points advance strictly counterclockwise
+    from (1, 0) at angle 0 through (0, 1), (-1, 0), (0, -1).  The parameter
+    t = p/q of the angle gives (q^2 - p^2, 2pq, q^2 + p^2), not reduced.
     """
     a %= d
     if 2 * a == d:
@@ -116,17 +110,6 @@ def circle_hpoint(a: int, d: int) -> Hpt:
     else:
         p, q = 2 * (a - d), 2 * a - d   # t = 2 s / (1 + 2 s), s = tau - 1
     return (q * q - p * p, 2 * p * q, q * q + p * p)
-
-
-def circle_point(tau: Fraction) -> Pt:
-    """Exact rational point of the unit circle at turn fraction tau.
-
-    Monotone in tau: realized points advance strictly counterclockwise from
-    (1, 0) at tau = 0 through (0, 1), (-1, 0), (0, -1).
-    """
-    tau = Q(tau)
-    x, y, w = circle_hpoint(tau.numerator, tau.denominator)
-    return Pt(Q(x, w), Q(y, w))
 
 
 def min_angular_gap(angles: Iterable[Fraction]) -> Fraction | None:

@@ -162,10 +162,6 @@ class TotalSpaceFiber:
     def dim(self) -> int:
         return self.fibration.fiber.dim + 2
 
-    @property
-    def middle_degree(self) -> int:
-        return self.dim // 2
-
     def homology_table(self) -> HomologyTable:
         return total_space_homology(self.fibration)
 
@@ -210,10 +206,6 @@ class MatchingObject:
     path: PlanarArc
     left_cycle: str
     right_cycle: str
-
-    @property
-    def is_thimble(self) -> bool:
-        return self.path.kind is not ArcKind.MATCHING
 
     @property
     def principal_label(self) -> str:

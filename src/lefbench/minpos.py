@@ -143,18 +143,12 @@ class Bigon:
     second: ArcCrossing
 
 
-def _point_at(arc: PlanarArc, pos: Pos) -> Pt:
-    s, t = pos
-    v0, v1 = arc.vertices[s], arc.vertices[s + 1]
-    return Pt(v0.x + t * (v1.x - v0.x), v0.y + t * (v1.y - v0.y))
-
-
-def _subpath(arc: PlanarArc, lo: Pos, hi: Pos) -> list[Pt]:
-    """Polyline of arc between two positions, lo <= hi, endpoints included."""
-    pts = [_point_at(arc, lo)]
-    for v in arc.vertices[lo[0] + 1: hi[0] + 1]:
-        pts.append(v)
-    pts.append(_point_at(arc, hi))
+def _subpath(arc: PlanarArc, lo: ArcCrossing, hi: ArcCrossing,
+             side: int) -> list[Pt]:
+    """Polyline of arc (side 0 or 1 of the crossings) from crossing lo to
+    crossing hi, lo before hi along it, both corner points included."""
+    pts = [lo.point, *arc.vertices[lo.pos(side)[0] + 1: hi.pos(side)[0] + 1],
+           hi.point]
     out = [pts[0]]
     for p in pts[1:]:
         if p != out[-1]:
@@ -180,11 +174,10 @@ def _lens(a: PlanarArc, b: PlanarArc, x: ArcCrossing,
 
 
 def find_empty_bigons(a: PlanarArc, b: PlanarArc, disc: DiscModel,
-                      crossings: list[ArcCrossing] | None = None) -> list[Bigon]:
-    """All bigons whose corners are adjacent on both arcs and whose interior
-    contains no puncture, in deterministic order along a."""
-    if crossings is None:
-        crossings = compute_crossings(a, b)
+                      crossings: list[ArcCrossing]) -> list[Bigon]:
+    """All bigons of a and b, whose crossings are given (compute_crossings),
+    with corners adjacent on both arcs and no puncture inside, in
+    deterministic order along a."""
     if len(crossings) < 2:
         return []
     by_a = sorted(crossings, key=lambda c: c.a_pos)
@@ -299,13 +292,14 @@ def eliminate_bigon(a: PlanarArc, b: PlanarArc, bigon: Bigon, disc: DiscModel,
     if x.pos(m_side) > y.pos(m_side):
         x, y = y, x
     m_lo, m_hi = x.pos(m_side), y.pos(m_side)
-    k_lo, k_hi = sorted([x.pos(k_side), y.pos(k_side)])
 
-    kept_sub = _subpath(kept, k_lo, k_hi)
-    if kept_sub[0] != _point_at(moved, m_lo):
+    # a crossing's point is the point at its position on either arc
+    k_lo, k_hi = sorted((x, y), key=lambda c: c.pos(k_side))
+    kept_sub = _subpath(kept, k_lo, k_hi, k_side)
+    if kept_sub[0] != x.point:
         kept_sub = kept_sub[::-1]
 
-    moved_sub = _subpath(moved, m_lo, m_hi)
+    moved_sub = _subpath(moved, x, y, m_side)
     lens = kept_sub + moved_sub[::-1][1:-1]
     # offset away from the lens: lens interior is left of kept_sub travel
     # exactly when the polygon (kept_sub then moved_sub reversed) is ccw
@@ -348,8 +342,8 @@ def eliminate_bigon(a: PlanarArc, b: PlanarArc, bigon: Bigon, disc: DiscModel,
         candidate = replace(moved, hverts=moved.hverts[:s_before + 1] + mid_h
                             + moved.hverts[s_after + 1:])
         pair = (candidate, kept) if m_side == 0 else (kept, candidate)
-        crossings = _verify_surgery(pair, candidate, moved, disc, count,
-                                    m_lo, m_hi, mid_dedup)
+        crossings = _verify_surgery(pair, candidate, moved_sub, disc, count,
+                                    mid_dedup)
         if crossings is not None:
             return *pair, crossings
     raise DegenerateTangency("bigon surgery did not stabilize; the input"
@@ -357,12 +351,12 @@ def eliminate_bigon(a: PlanarArc, b: PlanarArc, bigon: Bigon, disc: DiscModel,
 
 
 def _verify_surgery(pair: tuple[PlanarArc, PlanarArc], candidate: PlanarArc,
-                    moved: PlanarArc, disc: DiscModel, old_count: int,
-                    m_lo: Pos, m_hi: Pos,
+                    old_middle: list[Pt], disc: DiscModel, old_count: int,
                     new_middle: list[Pt]) -> list[ArcCrossing] | None:
     """The crossings of pair (the candidate with the kept arc, in the
     caller's order) when the rerouted arc is embedded, drops exactly two
-    crossings and sweeps no puncture; None otherwise."""
+    crossings and sweeps no puncture; None otherwise.  old_middle is the
+    moved arc's polyline between the corners, which new_middle replaces."""
     if not _arc_embedded(candidate):
         return None
     try:
@@ -371,10 +365,8 @@ def _verify_surgery(pair: tuple[PlanarArc, PlanarArc], candidate: PlanarArc,
         return None
     if len(new_crossings) != old_count - 2:
         return None
-    # isotopy check: the swap loop (old portion against new portion) must not
-    # enclose any puncture
-    old_middle = _subpath(moved, m_lo, m_hi)
-    # close old portion against new portion through the shared step-off points
+    # isotopy check: the swap loop (old portion against new portion, closed
+    # through the shared step-off points) must not enclose any puncture
     loop = [new_middle[0]] + old_middle + [new_middle[-1]] + new_middle[::-1]
     closed = [loop[0]]
     for p in loop[1:]:

@@ -98,17 +98,6 @@ class IsoStatus:
     witness: str | None = None
 
 
-@dataclass(frozen=True)
-class RankResult:
-    """Either an exact homology rank or only an upper bound (the generator
-    count, when no vanishing-differential certificate applies)."""
-    exact: bool
-    value: int
-
-    def render(self) -> str:
-        return f"{'exact' if self.exact else 'bound'} {self.value}"
-
-
 def _pair(i: str, j: str) -> tuple[str, str]:
     return (i, j) if i <= j else (j, i)
 
@@ -203,7 +192,6 @@ class FiberOracle:
         object.__setattr__(self, "_parity", parity)
         object.__setattr__(self, "_not_iso", not_iso)
         object.__setattr__(self, "_labels", labels)
-        object.__setattr__(self, "_spheres", frozenset(sphere))
 
         for rel in self.relations:
             if isinstance(rel, WitnessFact):
@@ -231,10 +219,6 @@ class FiberOracle:
     @property
     def labels(self) -> frozenset:
         return self._labels
-
-    @property
-    def sphere_labels(self) -> frozenset:
-        return self._spheres
 
     def _rep(self, label: str) -> str:
         if label not in self._labels:
@@ -303,16 +287,16 @@ class FiberOracle:
 # --------------------------------------------------------------------------
 
 def matching_floer_rank(f: "Fibration", x: "MatchingObject",
-                        y: "MatchingObject", o: FiberOracle,
-                        demand_exact: bool = False) -> RankResult:
-    """Floer rank between two objects presented over base paths.
+                        y: "MatchingObject", o: FiberOracle) -> int:
+    """Exact Floer rank between two objects presented over base paths.
 
     Puts the two paths in minimal position, then counts one generator block
     per interior crossing (of size rank_of on the objects' cycle labels) and
-    one generator per shared critical endpoint.  The count is promoted to an
-    exact rank when the differential provably vanishes: no generators at
-    all, a single nonzero block (the block computes a fiber Floer group on
-    its own), or an all-same parity certificate covering the pair.
+    one generator per shared critical endpoint.  The count is the rank when
+    the differential provably vanishes: no generators at all, a single
+    nonzero block (the block computes a fiber Floer group on its own), or an
+    all-same parity certificate covering the pair.  Otherwise the count only
+    bounds the rank, and MissingParity is raised.
     """
     profile = intersection_profile(x.path, y.path, f.disc)
 
@@ -322,11 +306,10 @@ def matching_floer_rank(f: "Fibration", x: "MatchingObject",
     count = sum(blocks)
     nonzero = [v for v in blocks if v]
 
-    exact = (count == 0 or len(nonzero) == 1
-             or o.parity_of(x.principal_label, y.principal_label) == ALL_SAME)
-    if demand_exact and not exact:
+    if not (count == 0 or len(nonzero) == 1
+            or o.parity_of(x.principal_label, y.principal_label) == ALL_SAME):
         raise MissingParity(
             f"promoting the generator count for ({x.name},{y.name}) to an"
             " exact rank needs an all-same parity certificate for"
             f" ({x.principal_label},{y.principal_label})")
-    return RankResult(exact, count)
+    return count

@@ -25,9 +25,6 @@ class TraceStep:
     tag: str
     text: str
 
-    def render(self) -> str:
-        return f"[{self.tag}] {self.text}"
-
 
 def triangle_rank(k: int, l: int, f: int) -> int:
     """Rank of the third object in an exact triangle with edge ranks k, l
@@ -62,11 +59,6 @@ def pair_of_pants_image_rank(o: FiberOracle, a: str, b: str) -> int:
         " certified in no other case")
 
 
-def seidel_twist_rank(o: FiberOracle, a: str, b: str) -> int:
-    """Rank of HF(b, twist_a b) from the twist triangle."""
-    return _directed_twist(o, a, b)[2]
-
-
 NONZERO_EV_WARNING = (
     "NonzeroEvViolation: the evaluation class must be nonzero, but the"
     " thimble pair has rank 0, forcing a zero evaluation map")
@@ -79,16 +71,13 @@ class FsHomRanks:
     hom_b1b: int
     warnings: tuple[str, ...] = ()
 
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.hom_bb, self.hom_ab, self.hom_b1b)
-
 
 def fs_hom_ranks(f: Fibration) -> FsHomRanks:
     """The three directed-category ranks at the bottom of the tower.
 
     hom_bb is rank one, generated by the unit at the single self-contact.
     hom_ab is computed geometrically from the matching data in the fiber
-    (demanded exact) and cross-checked against the declared rank when one
+    (an exact rank, or MissingParity) and cross-checked against the declared rank when one
     exists.  hom_b1b is the evaluation-cone triangle applied to the square
     of hom_ab with image rank one (the evaluation class is nonzero whenever
     the pair rank allows it).
@@ -112,8 +101,7 @@ def fs_hom_ranks(f: Fibration) -> FsHomRanks:
         raise MissingClass(
             f"labels {label_a!r}, {label_b!r} do not both name objects on"
             f" {aux.name!r}")
-    hom_ab = matching_floer_rank(aux, x, y, aux.oracle,
-                                 demand_exact=True).value
+    hom_ab = matching_floer_rank(aux, x, y, aux.oracle)
     if o is not None and o.rank_known(label_a, label_b):
         declared = o.rank_of(label_a, label_b)
         if declared != hom_ab:
@@ -158,9 +146,6 @@ def unit_fate(rank_total: int, rank_quotient: int) -> UnitFate:
 class HWVerdict:
     nonzero: bool
     steps: tuple[TraceStep, ...]
-
-    def render(self) -> str:
-        return "nonzero" if self.nonzero else "zero"
 
 
 def hw_verdict(fate: UnitFate) -> HWVerdict:

@@ -135,13 +135,6 @@ def smith_form(rows: Sequence[Sequence[int]]) -> SmithForm:
                      _to_matrix(u), _to_matrix(v))
 
 
-def invariant_factors(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Nonzero diagonal invariants d1 | d2 | ... of an integer matrix."""
-    if not rows or not rows[0]:
-        return ()
-    return smith_form(rows).invariant_factors
-
-
 def kernel_basis(rows: Sequence[Sequence[int]],
                  ncols: int | None = None) -> tuple[tuple[int, ...], ...]:
     """Lattice basis of {x : rows @ x = 0} (x runs over columns of ``rows``).

@@ -8,10 +8,10 @@ generator u at a shared critical endpoint; it keeps the spiral it wrapped
 (stage_spiral), which the stage diagrams draw.  No differentials are computed
 here, though two rules constrain them: no arrow joins u to any other
 generator, and arrows between ordinary generators stay within the fiber
-block over a single base crossing.  Exactness certificates are read off the
-directed ranks (FsHomRanks) that the caller has already derived with the
-rank calculus, and the stage merely checks that its inventory is large
-enough and of the right parity to carry them.
+block over a single base crossing.  A stage's rank certificate is an exact
+rank, read off the directed ranks (FsHomRanks) that the caller has already
+derived with the rank calculus, and the stage merely checks that its
+inventory is large enough and of the right parity to carry it.
 
 A tower holds the stages of one pair in level order, checked to grow with
 the level and, on a self-tower, to contain u.  It settles no verdict: the
@@ -30,7 +30,6 @@ from .errors import ConfigError, Inconsistent, LefbenchError, Undecidable
 from .exactgeom import Pt
 from .fibration import Crit, Fibration
 from .minpos import intersection_profile
-from .oracle import RankResult
 from .rank_calculus import FsHomRanks
 from .wrapping import wrap
 
@@ -57,23 +56,19 @@ class Generator:
 class WrappedComplexStage:
     m: int
     generators: tuple[Generator, ...]
-    rank_certificate: RankResult | None = None
-    spiral: PlanarArc | None = None     # as wrapped, before minimal position
+    rank_certificate: int | None = None  # an exact rank
+    spiral: PlanarArc | None = None      # as wrapped, before minimal position
 
     def __post_init__(self):
         if self.m < 0:
             raise LefbenchError("wrapping level is nonnegative")
         cert = self.rank_certificate
-        if cert is not None:
-            if not cert.exact:
-                raise LefbenchError(
-                    "only exact ranks certify a stage; a bound certifies"
-                    " nothing")
-            if cert.value > self.count or (cert.value - self.count) % 2:
-                raise Inconsistent(
-                    f"stage m={self.m} has {self.count} generators but a"
-                    f" rank certificate of {cert.value}; the certified rank"
-                    " must not exceed the count and must match its parity")
+        if cert is not None and (cert > self.count
+                                 or (cert - self.count) % 2):
+            raise Inconsistent(
+                f"stage m={self.m} has {self.count} generators but a rank"
+                f" certificate of {cert}; the certified rank must not"
+                " exceed the count and must match its parity")
 
     @property
     def count(self) -> int:
@@ -82,14 +77,6 @@ class WrappedComplexStage:
     @property
     def u_count(self) -> int:
         return sum(1 for g in self.generators if g.tag == CRITICAL_U)
-
-    def inventory(self) -> tuple[tuple[int, str], ...]:
-        """Combinatorial content: the sorted (multiplicity, tag) multiset.
-
-        Stable under refinement of the boundary grid, which moves crossing
-        points slightly but cannot change what they contribute.
-        """
-        return tuple(sorted((g.multiplicity, g.tag) for g in self.generators))
 
 
 def tower_crits(f: Fibration, x: str, y: str) -> tuple[Crit, Crit]:
@@ -140,8 +127,7 @@ def build_stage(f: Fibration, x: str, y: str, spec: WrapSpec,
         rank_certificate=_certificate(fs, x == y, spec.m), spiral=spiral)
 
 
-def _certificate(fs: FsHomRanks, self_pair: bool,
-                 m: int) -> RankResult | None:
+def _certificate(fs: FsHomRanks, self_pair: bool, m: int) -> int | None:
     """Exact rank from the directed calculus, where it supplies one.
 
     The calculus certifies the bottom of a self-tower (the unit alone), the
@@ -152,10 +138,8 @@ def _certificate(fs: FsHomRanks, self_pair: bool,
     if not wanted:
         return None
     if self_pair:
-        value = fs.hom_bb if m == 0 else fs.hom_b1b
-    else:
-        value = fs.hom_ab
-    return RankResult(True, value)
+        return fs.hom_bb if m == 0 else fs.hom_b1b
+    return fs.hom_ab
 
 
 @dataclass(frozen=True)
@@ -167,9 +151,6 @@ class Tower:
             if s.m == m:
                 return s
         raise KeyError(m)
-
-    def counts(self) -> tuple[tuple[int, int], ...]:
-        return tuple((s.m, s.count) for s in self.stages)
 
 
 def assemble_tower(stages: Iterable[WrappedComplexStage],

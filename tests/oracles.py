@@ -19,7 +19,7 @@ import random
 from fractions import Fraction
 
 # the Fraction point type and vector helpers, for the Fraction predicates
-from lefbench.exactgeom import Crossing, Pt, cross, dot, norm2, sub
+from lefbench.exactgeom import Crossing, Pt, cross, norm2, sub
 
 
 class GenericityError(AssertionError):
@@ -389,6 +389,10 @@ def spiral_vertices(start, end, r_out, resolution):
     return spiral
 
 
+def dot(a: Pt, b: Pt) -> Fraction:
+    return a.x * b.x + a.y * b.y
+
+
 def sgn(v: Fraction) -> int:
     if v > 0:
         return 1
@@ -607,9 +611,26 @@ def point_in_polygon(p: Pt, poly: list[Pt]) -> bool:
     return inside
 
 
-def _lens_polygon(a, b, x, y) -> list[Pt]:
-    from lefbench.minpos import _subpath
+def point_at(arc, pos) -> Pt:
+    """The point at position (segment index, parameter) on arc; a crossing's
+    point (minpos.ArcCrossing.point) is this point on either arc."""
+    s, t = pos
+    v0, v1 = arc.vertices[s], arc.vertices[s + 1]
+    return Pt(v0.x + t * (v1.x - v0.x), v0.y + t * (v1.y - v0.y))
 
+
+def _subpath(arc, lo, hi) -> list[Pt]:
+    """Polyline of arc between two positions, lo <= hi, ends included."""
+    pts = [point_at(arc, lo), *arc.vertices[lo[0] + 1: hi[0] + 1],
+           point_at(arc, hi)]
+    out = [pts[0]]
+    for p in pts[1:]:
+        if p != out[-1]:
+            out.append(p)
+    return out
+
+
+def _lens_polygon(a, b, x, y) -> list[Pt]:
     a_lo, a_hi = sorted([x.a_pos, y.a_pos])
     b_lo, b_hi = sorted([x.b_pos, y.b_pos])
     side_a = _subpath(a, a_lo, a_hi)

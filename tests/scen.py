@@ -1,8 +1,9 @@
 """Programmatic twins of the shipped scenario configs.
 
 Test modules build fibrations directly from these helpers so unit tests do
-not depend on the config parser; the config round-trip tests later assert
-that parsing the shipped files yields exactly these objects.
+not depend on the config parser; test_config.py (test_shipped_main_scenarios
+and its siblings) asserts that parsing the shipped files yields exactly these
+objects.
 """
 
 from fractions import Fraction as Q
@@ -15,6 +16,7 @@ from lefbench.fibration import (AbstractFiber, Crit, Fibration, HomologyTable,
 from lefbench.oracle import (ALL_SAME, DisjointFact, FiberOracle, IsotopicFact,
                              LabelDecl, ParityFact, Provenance, RankFact,
                              WitnessFact)
+from oracles import circle_point
 
 
 def cited(slug: str) -> Provenance:
@@ -37,7 +39,7 @@ def arc_through(points, *fields) -> PlanarArc:
 def vanishing(disc: DiscModel, name: str, angle, *mid) -> PlanarArc:
     """Straight-ish vanishing path from puncture ``name`` out to ``angle``."""
     end = BoundaryAngle(Q(angle))
-    vs = (disc.point_of(name),) + tuple(mid) + (end.point,)
+    vs = (disc.point_of(name),) + tuple(mid) + (circle_point(end.angle),)
     return arc_through(vs, Puncture(name), end, ArcKind.VANISHING)
 
 

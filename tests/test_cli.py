@@ -1,15 +1,18 @@
 """End-to-end tests for the ``lefbench`` command line tool."""
 
 import inspect
+import io
 import os
 import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lefbench
 from lefbench import errors, minpos, oracle, rank_calculus, tower, wrapping
@@ -529,6 +532,51 @@ def test_mutated_configs_end_in_exit_code(scenario, tmp_path, capsys):
         assert code in (0, 1, 2, 3), k
         if code and "validation: FAILED" not in out:
             assert err.startswith("error[") and err.count("\n") == 1, k
+
+
+# one random edit of a config: (kind, index, replacement token); the index
+# is taken modulo the number of lines or rational tokens
+EDITS = st.tuples(
+    st.sampled_from(["delete", "duplicate", "replace"]),
+    st.integers(0, 10 ** 4),
+    st.one_of(st.sampled_from(["0", "-1", "7/3", ""]),
+              st.fractions(-2, 2, max_denominator=64).map(str)))
+
+
+def apply_edit(text, edit):
+    kind, k, token = edit
+    if kind == "replace":
+        hits = list(RATIONAL.finditer(text))
+        if not hits:
+            return text
+        m = hits[k % len(hits)]
+        return text[:m.start()] + token + text[m.end():]
+    lines = text.splitlines(keepends=True)
+    i = k % len(lines)
+    repeat = [] if kind == "delete" else [lines[i]]
+    return "".join(lines[:i] + repeat + lines[i:])
+
+
+@settings(max_examples=150, deadline=None)
+@given(scenario=st.sampled_from(["W0", "W1"]),
+       edits=st.lists(EDITS, min_size=1, max_size=4))
+def test_random_config_edits_end_in_exit_code(tmp_path_factory, scenario,
+                                              edits):
+    # the exception contract of test_mutated_configs_end_in_exit_code, over
+    # random sequences of line deletions, line duplications and token
+    # replacements
+    text = Path(shipped(f"{scenario}.cfg")).read_text()
+    for e in edits:
+        text = apply_edit(text, e)
+    cfg = tmp_path_factory.getbasetemp() / "edited.cfg"
+    cfg.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["all", str(cfg)])
+    assert code in (0, 1, 2, 3)
+    if code and "validation: FAILED" not in out.getvalue():
+        message = err.getvalue()
+        assert message.startswith("error[") and message.count("\n") == 1, message
 
 
 def test_usage_errors_exit_one(capsys):

@@ -8,10 +8,9 @@ from hypothesis import given, settings, strategies as st
 from lefbench.disc import (ArcKind, BoundaryAngle, DiscModel, PlanarArc,
                            Puncture, WrapSpec, radial_split)
 from lefbench.errors import LefbenchError, NonEmbeddableInput
-from lefbench.exactgeom import pt
 
 from oracles import all_pairs_check_embedded, polyline_is_embedded
-from scen import arc_through
+from scen import arc_through, pt
 
 # a coarse grid: boxes often touch exactly, and collinear, T- and endpoint
 # contacts are common

@@ -14,22 +14,28 @@ import oracles
 from lefbench.config import load_config
 from lefbench.disc import WrapSpec, _closed_segments_touch
 from lefbench.exactgeom import (Pt, _shift_sign, box_pairs, circle_hpoint,
-                                circle_point, homog, line_intersection,
-                                min_angular_gap, norm2, orient,
-                                point_in_polygon, point_on_segment,
-                                polygon_area2, segment_box,
+                                homog, line_intersection, min_angular_gap,
+                                norm2, orient, point_in_polygon,
+                                point_on_segment, polygon_area2, segment_box,
                                 segment_crossing, segment_near_origin,
-                                segments_overlap_collinear, winding_number,
-                                pt)
+                                segments_overlap_collinear, winding_number)
 from lefbench.fibration import with_resolution
 from lefbench.tower import stage_spiral
 from lefbench.wrapping import _annulus, wrap
 
 from oracles import ccw_gap, segment_point_dist2, sgn_eps
+from scen import pt
 
 
 def h(*points):
     return [homog(p) for p in points]
+
+
+def circle_point(tau):
+    """The realized boundary point of angle tau (circle_hpoint) as a Pt."""
+    tau = Q(tau)
+    x, y, w = circle_hpoint(tau.numerator, tau.denominator)
+    return Pt(Q(x, w), Q(y, w))
 
 
 # well-known realized boundary points, frozen by hand from the parametrization
@@ -377,7 +383,6 @@ def test_circle_hpoint_is_the_reference_circle_point(a, d):
     x, y, w = circle_hpoint(a, d)
     assert w > 0
     assert Pt(Q(x, w), Q(y, w)) == oracles.circle_point(Q(a, d))
-    assert circle_point(Q(a, d)) == oracles.circle_point(Q(a, d))
 
 
 @pytest.mark.parametrize("resolution", [5, 16, 64, 256])

@@ -364,7 +364,7 @@ def test_unresolved_sign_cases():
 def test_total_space_fiber_reports_classes():
     f = main_fibration("W1")
     fiber = f.fiber
-    assert fiber.dim == 4 and fiber.middle_degree == 2
+    assert fiber.dim == 4
     assert fiber.cycle_class("A") == fiber.cycle_class("B")
     assert fiber.has_label("L")
     with pytest.raises(MissingClass):

@@ -13,15 +13,15 @@ from hypothesis import assume, given, settings, strategies as st
 from lefbench.disc import ArcKind, BoundaryAngle, DiscModel, Puncture
 from lefbench.errors import (DegenerateTangency, LefbenchError,
                              SharedBoundaryEndpoint)
-from lefbench.exactgeom import homog, pt
+from lefbench.exactgeom import homog
 from lefbench.minpos import (_canonically_after, compute_crossings,
                              eliminate_bigon, find_empty_bigons,
                              intersection_profile, minimal_position)
 
 from oracles import (GenericityError, all_pairs_crossings, brute_crossing_count,
-                     canonical_key, fraction_empty_bigons, point_on_segment,
-                     segments)
-from scen import arc_through
+                     canonical_key, fraction_empty_bigons, point_at,
+                     point_on_segment, segments)
+from scen import arc_through, pt
 from test_disc import GRID_POINTS, GRID_POLYLINES, no_zero_length
 
 
@@ -79,7 +79,8 @@ def test_pushed_off_copy_reduces_to_disjoint():
     assert brute_crossing_count(straight.vertices, wiggle.vertices,
                                 anchors) == 2
 
-    bigons = find_empty_bigons(straight, wiggle, disc)
+    bigons = find_empty_bigons(straight, wiggle, disc,
+                               compute_crossings(straight, wiggle))
     assert len(bigons) == 1
 
     a2, b2 = minimal_position(straight, wiggle, disc)
@@ -92,7 +93,8 @@ def test_pushed_off_copy_reduces_to_disjoint():
 def test_puncture_inside_lens_blocks_elimination():
     disc, straight, wiggle = wiggle_pair(extra_punctures=(("z", pt(0, Q(-1, 8))),))
     assert len(compute_crossings(straight, wiggle)) == 2
-    assert find_empty_bigons(straight, wiggle, disc) == []
+    assert find_empty_bigons(straight, wiggle, disc,
+                             compute_crossings(straight, wiggle)) == []
     a2, b2 = minimal_position(straight, wiggle, disc)
     assert intersection_profile(a2, b2, disc).crossing_count == 2
 
@@ -321,6 +323,10 @@ def test_random_elimination_order_reaches_parity(seed):
     rf, rg = f, g
     crossings = compute_crossings(rf, rg)
     while True:
+        # bigon surgery reads each corner's point from its crossing: the
+        # point at the crossing's position on either arc
+        for c in crossings:
+            assert c.point == point_at(rf, c.a_pos) == point_at(rg, c.b_pos)
         bigons = find_empty_bigons(rf, rg, disc, crossings)
         if not bigons:
             break

@@ -8,18 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scen
+from lefbench.cli import _section_trace
 from lefbench.disc import ArcKind, BoundaryAngle, DiscModel, Puncture
 from lefbench.errors import (ImageTooLarge, Inconsistent, IncompleteBasis,
                              LefbenchError, Undecidable, UnknownPair)
 from lefbench.fibration import Crit, Fibration, MatchingObject, TotalSpaceFiber
 from lefbench.oracle import FiberOracle, LabelDecl, RankFact
-from lefbench.rank_calculus import (NONZERO_EV_WARNING, HWVerdict, UnitFate,
-                                    analyze, closed_lagrangian_obstruction,
+from lefbench.rank_calculus import (NONZERO_EV_WARNING, FsHomRanks, UnitFate,
+                                    _directed_twist, analyze,
+                                    closed_lagrangian_obstruction,
                                     fs_hom_ranks, hw_verdict,
                                     off_diagonal_verdict,
-                                    pair_of_pants_image_rank,
-                                    seidel_twist_rank, triangle_rank,
+                                    pair_of_pants_image_rank, triangle_rank,
                                     unit_fate)
+from lefbench.report import Report
 from oracles import (cone_homology_rank, homology_rank, induced_map_rank,
                      random_chain_map, random_differential)
 
@@ -111,20 +113,20 @@ def test_pants_image_rank_needs_rank_two_target():
 
 
 def test_seidel_twist_rank_scenarios():
-    assert seidel_twist_rank(scen.main_oracle("W0"), "A", "B") == 2
-    assert seidel_twist_rank(scen.main_oracle("W1"), "A", "B") == 4
+    assert _directed_twist(scen.main_oracle("W0"), "A", "B")[2] == 2
+    assert _directed_twist(scen.main_oracle("W1"), "A", "B")[2] == 4
 
 
 def test_seidel_twist_rank_disjoint_pair():
     # zero tensor factor: no iso status needed, the image is forced zero
     from lefbench.oracle import DisjointFact
     o = _two_sphere_oracle(0, [DisjointFact("s", "t", scen.cited("apart"))])
-    assert seidel_twist_rank(o, "s", "t") == 2
+    assert _directed_twist(o, "s", "t")[2] == 2
 
 
 def test_seidel_twist_rank_propagates_undecidable():
     with pytest.raises(Undecidable):
-        seidel_twist_rank(_two_sphere_oracle(1), "s", "t")
+        _directed_twist(_two_sphere_oracle(1), "s", "t")
 
 
 def test_seidel_twist_rank_undeclared_self_rank():
@@ -136,12 +138,12 @@ def test_seidel_twist_rank_undeclared_self_rank():
         rank_facts=(RankFact("x", "x", 2, scen.assumed("setup")),
                     RankFact("x", "y", 1, scen.assumed("setup"))))
     with pytest.raises(Undecidable, match="rank\\(y,y\\) = 2"):
-        seidel_twist_rank(o, "x", "y")
+        _directed_twist(o, "x", "y")
     o0 = FiberOracle(
         label_decls=(LabelDecl("x"), LabelDecl("y")),
         rank_facts=(RankFact("x", "y", 0, scen.assumed("setup")),))
     with pytest.raises(UnknownPair):
-        seidel_twist_rank(o0, "x", "y")
+        _directed_twist(o0, "x", "y")
 
 
 # --------------------------------------------------------------------------
@@ -151,7 +153,7 @@ def test_seidel_twist_rank_undeclared_self_rank():
 def test_fs_hom_ranks_scenarios():
     for variant in ("W0", "W1"):
         fs = fs_hom_ranks(scen.full_main_fibration(variant))
-        assert fs.as_tuple() == (1, 2, 3)
+        assert fs == FsHomRanks(1, 2, 3)
         assert fs.warnings == ()
 
 
@@ -183,8 +185,7 @@ def test_fs_hom_ranks_zero_pair_warns():
                _matching_between(disc, "B", "p3", "p4", "belt"))
     f = _bifibration(disc, objects, scen.aux_oracle())
     fs = fs_hom_ranks(f)
-    assert fs.as_tuple() == (1, 0, 1)
-    assert fs.warnings == (NONZERO_EV_WARNING,)
+    assert fs == FsHomRanks(1, 0, 1, (NONZERO_EV_WARNING,))
 
 
 def test_fs_hom_ranks_single_crossing_rank_one():
@@ -200,8 +201,7 @@ def test_fs_hom_ranks_single_crossing_rank_one():
     f = _bifibration(disc, objects, oracle)
     fs = fs_hom_ranks(f)
     # the evaluation cone collapses: 1 + 1 - 2*1
-    assert fs.as_tuple() == (1, 1, 0)
-    assert fs.warnings == ()
+    assert fs == FsHomRanks(1, 1, 0)
 
 
 def test_fs_hom_ranks_cross_check_against_declared_rank():
@@ -257,7 +257,6 @@ def test_hw_verdict_from_fate():
     alive = hw_verdict(UnitFate.SURVIVES)
     assert alive.nonzero
     assert [s.tag for s in alive.steps] == ["unit-survival"]
-    assert dead.render() == "zero" and alive.render() == "nonzero"
 
 
 def test_off_diagonal_module_rule():
@@ -305,7 +304,7 @@ def test_analyze_w0():
     assert out.labels == ("A", "B")
     assert out.hf_pair == 2
     assert out.twist == 2
-    assert out.fs.as_tuple() == (1, 2, 3)
+    assert out.fs == FsHomRanks(1, 2, 3)
     assert out.fate is UnitFate.SURVIVES
     assert dict(out.diagonal).keys() == {"A", "B"}
     assert all(v.nonzero for _, v in out.diagonal)
@@ -320,7 +319,7 @@ def test_analyze_w1():
     out = analyze(scen.full_main_fibration("W1"))
     assert out.hf_pair == 2
     assert out.twist == 4
-    assert out.fs.as_tuple() == (1, 2, 3)
+    assert out.fs == FsHomRanks(1, 2, 3)
     assert out.fate is UnitFate.DIES
     assert all(not v.nonzero for _, v in out.diagonal)
     assert not out.off_diagonal.nonzero
@@ -344,7 +343,12 @@ def test_analyze_requires_oracle_and_two_thimbles():
 
 
 def test_trace_steps_render_with_tags():
+    # the report's PROOF TRACE block is the one rendering of a trace step
     out = analyze(scen.full_main_fibration("W1"))
-    lines = [s.render() for s in out.trace]
-    assert lines[0].startswith("[twist-triangle] ")
-    assert all(line.startswith("[") and "] " in line for line in lines)
+    r = Report()
+    _section_trace(r, out)
+    lines = r.render().splitlines()
+    assert lines[0] == "PROOF TRACE"
+    assert lines[1:] == [f"  {i}. [{s.tag}] {s.text}"
+                         for i, s in enumerate(out.trace, 1)]
+    assert lines[1].startswith("  1. [twist-triangle] ")

@@ -6,13 +6,13 @@ import pytest
 
 from lefbench.disc import ArcKind, BoundaryAngle, DiscModel, Puncture, WrapSpec
 from lefbench.errors import LefbenchError, SpiralCollision
-from lefbench.exactgeom import norm2, pt
+from lefbench.exactgeom import norm2
 from lefbench.minpos import compute_crossings, find_empty_bigons
 from lefbench import wrapping
 from lefbench.wrapping import wrap
 
 from oracles import brute_crossing_count, polyline_is_embedded
-from scen import arc_through
+from scen import arc_through, pt
 
 DELTA = Q(1, 64)
 BEND = Q(1, 128)
@@ -88,7 +88,8 @@ def test_wrapped_crossings_are_pinned_by_punctures():
     with a ray bounds an empty lens: the pair is already minimal."""
     disc = main_disc()
     w = wrapped(ray_a(disc), WrapSpec(3, DELTA, BEND), disc)
-    assert find_empty_bigons(w, ray_b(disc), disc) == []
+    b = ray_b(disc)
+    assert find_empty_bigons(w, b, disc, compute_crossings(w, b)) == []
 
 
 def test_double_wrap_matches_single_wrap_profile():
