@@ -35,8 +35,6 @@ from typing import Iterable, NamedTuple
 
 Q = Fraction
 
-ZERO = Q(0)
-
 # the floor key of a coordinate x is floor(x * 2^_KEY_BITS)
 _KEY_BITS = 64
 
@@ -47,14 +45,6 @@ class Pt(NamedTuple):
 
     def __repr__(self) -> str:  # keeps pytest diffs readable
         return f"({self.x}, {self.y})"
-
-
-def sub(a: Pt, b: Pt) -> Pt:
-    return Pt(a.x - b.x, a.y - b.y)
-
-
-def cross(a: Pt, b: Pt) -> Fraction:
-    return a.x * b.y - a.y * b.x
 
 
 def norm2(a: Pt) -> Fraction:
@@ -234,17 +224,6 @@ def segments_overlap_collinear(a1: Hpt, a2: Hpt, b1: Hpt, b2: Hpt) -> bool:
             and _coord_lt(blo, ahi, i) and _coord_lt(blo, bhi, i))
 
 
-def line_intersection(a1: Pt, a2: Pt, b1: Pt, b2: Pt) -> Pt:
-    """Intersection point of two non-parallel lines (exact)."""
-    da = sub(a2, a1)
-    db = sub(b2, b1)
-    den = cross(da, db)
-    if den == 0:
-        raise ZeroDivisionError("parallel lines")
-    t = cross(sub(b1, a1), db) / den
-    return Pt(a1.x + t * da.x, a1.y + t * da.y)
-
-
 class Crossing(NamedTuple):
     """A transverse crossing event between segment [a1,a2] and [b1,b2].
 
@@ -348,15 +327,6 @@ def segment_near_origin(a: Hpt, b: Hpt, r2: Fraction) -> bool:
 # polygons
 # --------------------------------------------------------------------------
 
-def polygon_area2(poly: list[Pt]) -> Fraction:
-    """Twice the signed area (positive for counterclockwise)."""
-    s = ZERO
-    n = len(poly)
-    for i in range(n):
-        s += cross(poly[i], poly[(i + 1) % n])
-    return s
-
-
 def point_in_polygon(p: Hpt, poly: list[Hpt]) -> bool:
     """Strict interior test (even-odd rule), assuming p is not on an edge.
 
@@ -375,17 +345,14 @@ def point_in_polygon(p: Hpt, poly: list[Hpt]) -> bool:
     return inside
 
 
-def winding_number(p: Pt, closed: list[Pt]) -> int:
-    """Winding number of a closed rational polyline around p (p off the curve)."""
-    hp = homog(p)
+def winding_number(p: Hpt, closed: list[Hpt]) -> int:
+    """Winding number of a closed polyline around p (p off the curve)."""
+    px, py, pw = p
     wn = 0
-    n = len(closed)
-    for i in range(n):
-        a, b = closed[i], closed[(i + 1) % n]
-        if a.y <= p.y:
-            if b.y > p.y and orient(homog(a), homog(b), hp) > 0:
+    for a, b in zip(closed, closed[1:] + closed[:1]):
+        if a[1] * pw <= py * a[2]:
+            if b[1] * pw > py * b[2] and orient(a, b, p) > 0:
                 wn += 1
-        else:
-            if b.y <= p.y and orient(homog(a), homog(b), hp) < 0:
-                wn -= 1
+        elif b[1] * pw <= py * b[2] and orient(a, b, p) < 0:
+            wn -= 1
     return wn

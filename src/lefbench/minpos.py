@@ -6,15 +6,17 @@ the one infinitesimally shifted, so results do not depend on argument order)
 over the segment pairs whose closed bounding boxes meet (exactgeom.box_pairs).
 Skipping the other pairs is exact: boxes strictly apart leave a positive gap
 in x or y, which the infinitesimal shift (eps, eps^2) cannot close.  Empty
-bigons - discs bounded by one sub-arc of each curve containing no puncture,
-tested on homogeneous integer points - are eliminated by rerouting one arc
-alongside the other within a verified corridor.  Every elimination is
-checked exactly after the fact (embeddedness, crossing count drop of exactly
-two, zero winding of the swap loop around every puncture); the corridor
-width shrinks geometrically until the checks pass, so a successful return is
-correct by construction rather than by trusted epsilon bounds.
-intersection_profile reduces a pair and counts the crossings the reduction
-found, so each pair's crossings are searched once.
+bigons - discs bounded by one sub-arc of each curve containing no puncture -
+are found lazily, one lens at a time, and eliminated one at a time by
+rerouting one arc alongside the other within a verified corridor.  Lenses,
+corridors and the checks on them all run on homogeneous integer points;
+Fractions remain only for crossing points and parameters and for scalars.
+Every elimination is checked exactly after the fact (embeddedness, crossing
+count drop of exactly two, zero winding of the swap loop around every
+puncture); the corridor width shrinks geometrically until the checks pass,
+so a successful return is correct by construction rather than by trusted
+epsilon bounds.  intersection_profile reduces a pair and counts the
+crossings the reduction found, so each pair's crossings are searched once.
 """
 
 from __future__ import annotations
@@ -22,13 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
+from typing import Iterator
 
 from .disc import DiscModel, PlanarArc, Puncture
 from .errors import DegenerateTangency, LefbenchError, SharedBoundaryEndpoint
-from .exactgeom import (Hpt, Pt, Q, box_pairs, cross, homog,
-                        line_intersection, point_in_polygon,
-                        point_on_segment, polygon_area2, segment_crossing,
-                        segments_overlap_collinear, sub, winding_number)
+from .exactgeom import (Hpt, Pt, Q, box_pairs, homog, point_in_polygon,
+                        point_on_segment, reduced, segment_crossing,
+                        segments_overlap_collinear, winding_number)
 
 Pos = tuple[int, Fraction]  # (segment index, parameter within segment)
 
@@ -143,12 +145,8 @@ class Bigon:
     second: ArcCrossing
 
 
-def _subpath(arc: PlanarArc, lo: ArcCrossing, hi: ArcCrossing,
-             side: int) -> list[Pt]:
-    """Polyline of arc (side 0 or 1 of the crossings) from crossing lo to
-    crossing hi, lo before hi along it, both corner points included."""
-    pts = [lo.point, *arc.vertices[lo.pos(side)[0] + 1: hi.pos(side)[0] + 1],
-           hi.point]
+def _without_repeats(pts: list[Hpt]) -> list[Hpt]:
+    """pts with each run of equal consecutive points kept once."""
     out = [pts[0]]
     for p in pts[1:]:
         if p != out[-1]:
@@ -156,17 +154,24 @@ def _subpath(arc: PlanarArc, lo: ArcCrossing, hi: ArcCrossing,
     return out
 
 
+def _subpath(arc: PlanarArc, lo: ArcCrossing, hi: ArcCrossing,
+             side: int) -> list[Hpt]:
+    """Polyline of arc (side 0 or 1 of the crossings) from crossing lo to
+    crossing hi, lo before hi along it, both corner points included.  A
+    crossing's point is the point at its position on either arc, exactly."""
+    (s, _), (t, _) = lo.pos(side), hi.pos(side)
+    return _without_repeats([lo.hpoint, *arc.hverts[s + 1: t + 1],
+                             hi.hpoint])
+
+
 def _lens(a: PlanarArc, b: PlanarArc, x: ArcCrossing,
           y: ArcCrossing) -> list[Hpt]:
-    """The lens of crossings x and y as homogeneous integer points: along a
-    from corner to corner, then back along b.  A crossing's point is the
-    point at its position on either arc, exactly.  A repeated point only
-    adds a zero-length edge, which no interior test counts."""
+    """The lens of crossings x and y: along a from corner to corner, then
+    back along b."""
     sides = []
     for side, arc in enumerate((a, b)):
         lo, hi = sorted((x, y), key=lambda c: c.pos(side))
-        (s, _), (t, _) = lo.pos(side), hi.pos(side)
-        sides.append([lo.hpoint, *arc.hverts[s + 1: t + 1], hi.hpoint])
+        sides.append(_subpath(arc, lo, hi, side))
     side_a, side_b = sides
     if side_a[0] != side_b[0]:
         side_b = side_b[::-1]
@@ -174,87 +179,115 @@ def _lens(a: PlanarArc, b: PlanarArc, x: ArcCrossing,
 
 
 def find_empty_bigons(a: PlanarArc, b: PlanarArc, disc: DiscModel,
-                      crossings: list[ArcCrossing]) -> list[Bigon]:
-    """All bigons of a and b, whose crossings are given (compute_crossings),
-    with corners adjacent on both arcs and no puncture inside, in
-    deterministic order along a."""
+                      crossings: list[ArcCrossing]) -> Iterator[Bigon]:
+    """The bigons of a and b, whose crossings are given (compute_crossings),
+    with corners adjacent on both arcs and no puncture inside, lazily in
+    deterministic order along a: each lens is built and tested only when
+    the next bigon is asked for."""
     if len(crossings) < 2:
-        return []
+        return
     by_a = sorted(crossings, key=lambda c: c.a_pos)
     by_b = sorted(crossings, key=lambda c: c.b_pos)
     b_index = {id(c): k for k, c in enumerate(by_b)}
-    bigons = []
     for x, y in zip(by_a, by_a[1:]):
         if abs(b_index[id(x)] - b_index[id(y)]) != 1:
             continue
         poly = _lens(a, b, x, y)
         # a flattened (zero-area) lens bounds no region, hence is empty
-        if any(point_in_polygon(p, poly) for p in disc.hpoints):
-            continue
-        bigons.append(Bigon(x, y))
-    return bigons
+        if not any(point_in_polygon(p, poly) for p in disc.hpoints):
+            yield Bigon(x, y)
 
 
 # --------------------------------------------------------------------------
 # bigon surgery
 # --------------------------------------------------------------------------
+# Every point of the corridor is a reduced triple (exactgeom.reduced), so it
+# equals the triple homog gives for the same rational point.  Fractions
+# remain only for scalars: the corridor width eps, the step parameter along
+# a segment, the lens extent and the lens area.
 
-def _l1(v: Pt) -> Fraction:
-    return abs(v.x) + abs(v.y)
+def _direction(p: Hpt, q: Hpt) -> tuple[int, int]:
+    """q - p scaled by the positive p_w * q_w."""
+    return q[0] * p[2] - p[0] * q[2], q[1] * p[2] - p[1] * q[2]
 
 
-def _offset_chain(pts: list[Pt], side: int, eps: Fraction) -> list[Pt]:
+def _offset(d: tuple[int, int], side: int, eps: Fraction) -> Hpt:
+    """The vector normal to direction d, to its left (side +1) or right
+    (side -1), of L1 length eps (as the triple (X, Y, W), W > 0: the vector
+    (X/W, Y/W)); the scale of d cancels."""
+    dx, dy = d
+    en = eps.numerator if side > 0 else -eps.numerator
+    return (-dy * en, dx * en, eps.denominator * (abs(dx) + abs(dy)))
+
+
+def _shift(p: Hpt, o: Hpt) -> Hpt:
+    """The point p moved by the vector o, not reduced."""
+    return (p[0] * o[2] + o[0] * p[2], p[1] * o[2] + o[1] * p[2], p[2] * o[2])
+
+
+def _mitre(p: Hpt, d: tuple[int, int], q: Hpt, e: tuple[int, int]) -> Hpt:
+    """The reduced point where the line through p along d meets the line
+    through q along e, d and e not parallel: the cross product of the two
+    homogeneous lines, each the cross product of its point with the point
+    at infinity of its direction."""
+    l0, l1, l2 = -p[2] * d[1], p[2] * d[0], p[0] * d[1] - p[1] * d[0]
+    m0, m1, m2 = -q[2] * e[1], q[2] * e[0], q[0] * e[1] - q[1] * e[0]
+    x, y, w = l1 * m2 - l2 * m1, l2 * m0 - l0 * m2, l0 * m1 - l1 * m0
+    return reduced(x, y, w) if w > 0 else reduced(-x, -y, -w)
+
+
+def _offset_chain(pts: list[Hpt], side: int, eps: Fraction) -> list[Hpt]:
     """Polyline parallel to pts on the given side (+1 = left of travel).
 
-    Segment copies are displaced by roughly eps; interior joints are mitered
-    (intersection of the two adjacent offset lines), which keeps the chain
-    embedded at reflex joints where a bevel pair would cross itself."""
-    offs = []
-    for w0, w1 in zip(pts, pts[1:]):
-        d = sub(w1, w0)
-        n = Pt(-d.y, d.x) if side > 0 else Pt(d.y, -d.x)
-        sc = eps / _l1(d)
-        offs.append(Pt(n.x * sc, n.y * sc))
-
-    def shift(p: Pt, o: Pt) -> Pt:
-        return Pt(p.x + o.x, p.y + o.y)
-
-    out = [shift(pts[0], offs[0])]
+    Segment copies are displaced by eps in L1 length; interior joints are
+    mitred (the meet of the two adjacent offset lines), which keeps the chain
+    embedded at reflex joints where a bevel pair would cross itself.  Where
+    the two segments are parallel, their copies meet at the offset joint."""
+    dirs = [_direction(p, q) for p, q in zip(pts, pts[1:])]
+    offs = [_offset(d, side, eps) for d in dirs]
+    out = [reduced(*_shift(pts[0], offs[0]))]
     for i in range(len(offs) - 1):
         joint = pts[i + 1]
-        a0, a1 = shift(pts[i], offs[i]), shift(joint, offs[i])
-        b0, b1 = shift(joint, offs[i + 1]), shift(pts[i + 2], offs[i + 1])
-        if cross(sub(a1, a0), sub(b1, b0)) == 0:
-            q = a1 if a1 == b0 else shift(joint, offs[i])
+        (dx0, dy0), (dx1, dy1) = dirs[i], dirs[i + 1]
+        a1 = _shift(joint, offs[i])
+        if dx0 * dy1 - dy0 * dx1 == 0:
+            q = reduced(*a1)
         else:
-            q = line_intersection(a0, a1, b0, b1)
+            q = _mitre(a1, dirs[i], _shift(joint, offs[i + 1]), dirs[i + 1])
         if q != out[-1]:
             out.append(q)
-    last = shift(pts[-1], offs[-1])
+    last = reduced(*_shift(pts[-1], offs[-1]))
     if last != out[-1]:
         out.append(last)
     return out
 
 
 def _step_from(arc: PlanarArc, pos: Pos, eps: Fraction,
-               forward: bool) -> tuple[Pt, int]:
+               forward: bool) -> tuple[Hpt, int]:
     """A point on arc strictly before (forward=False) or after (forward=True)
-    pos, within distance eps of it.  Returns (point, index of the segment the
-    point lies on)."""
+    pos, within L1 distance eps of it.  Returns (point, index of the segment
+    the point lies on)."""
     s, t = pos
-    if forward:
-        if t == 1:
-            s, t = s + 1, Q(0)
-        v0, v1 = arc.vertices[s], arc.vertices[s + 1]
-        step = min((1 - t) / 2, eps / _l1(sub(v1, v0)))
-        t2 = t + step
-    else:
-        if t == 0:
-            s, t = s - 1, Q(1)
-        v0, v1 = arc.vertices[s], arc.vertices[s + 1]
-        step = min(t / 2, eps / _l1(sub(v1, v0)))
-        t2 = t - step
-    return Pt(v0.x + t2 * (v1.x - v0.x), v0.y + t2 * (v1.y - v0.y)), s
+    if forward and t == 1:
+        s, t = s + 1, Q(0)
+    elif not forward and t == 0:
+        s, t = s - 1, Q(1)
+    v0, v1 = arc.hverts[s], arc.hverts[s + 1]
+    (x0, y0, w0), (x1, y1, w1) = v0, v1
+    dx, dy = _direction(v0, v1)
+    # eps over the segment's L1 length (|dx| + |dy|) / (w0 w1)
+    reach = Q(eps.numerator * w0 * w1, eps.denominator * (abs(dx) + abs(dy)))
+    t2 = t + min((1 - t) / 2, reach) if forward else t - min(t / 2, reach)
+    # (1 - t2) v0 + t2 v1 for t2 = p / q
+    p, q = t2.numerator, t2.denominator
+    return reduced((q - p) * x0 * w1 + p * x1 * w0,
+                   (q - p) * y0 * w1 + p * y1 * w0, q * w0 * w1), s
+
+
+def _area2(poly: list[Hpt]) -> Fraction:
+    """Twice the signed area of a polygon (positive for counterclockwise)."""
+    return sum((Q(x0 * y1 - y0 * x1, w0 * w1) for (x0, y0, w0), (x1, y1, w1)
+                in zip(poly, poly[1:] + poly[:1])), Q(0))
 
 
 def _arc_embedded(arc: PlanarArc) -> bool:
@@ -278,9 +311,11 @@ def eliminate_bigon(a: PlanarArc, b: PlanarArc, bigon: Bigon, disc: DiscModel,
     count is the number of crossings of a and b.  The canonically larger arc
     is rerouted: its portion between the two corner crossings is replaced by
     a polyline hugging the other arc's side of the lens from the outside.
-    The construction is retried with a shrinking corridor width until the
-    exact verification passes.  Returns the new pair in argument order with
-    its crossings, as compute_crossings of that pair gives them.
+    The corridor is built on homogeneous integer points, from the corners'
+    triples (ArcCrossing.hpoint) and the arcs' hverts.  The construction is
+    retried with a shrinking corridor width until the exact verification
+    passes.  Returns the new pair in argument order with its crossings, as
+    compute_crossings of that pair gives them.
     """
     if _canonically_after(a.hverts, b.hverts):
         moved, kept, m_side = a, b, 0
@@ -293,20 +328,19 @@ def eliminate_bigon(a: PlanarArc, b: PlanarArc, bigon: Bigon, disc: DiscModel,
         x, y = y, x
     m_lo, m_hi = x.pos(m_side), y.pos(m_side)
 
-    # a crossing's point is the point at its position on either arc
     k_lo, k_hi = sorted((x, y), key=lambda c: c.pos(k_side))
     kept_sub = _subpath(kept, k_lo, k_hi, k_side)
-    if kept_sub[0] != x.point:
+    if kept_sub[0] != x.hpoint:
         kept_sub = kept_sub[::-1]
 
     moved_sub = _subpath(moved, x, y, m_side)
     lens = kept_sub + moved_sub[::-1][1:-1]
     # offset away from the lens: lens interior is left of kept_sub travel
     # exactly when the polygon (kept_sub then moved_sub reversed) is ccw
-    side = -1 if polygon_area2(lens) > 0 else 1
+    side = -1 if _area2(lens) > 0 else 1
 
-    xs = [p.x for p in lens]
-    ys = [p.y for p in lens]
+    xs = [Q(px, pw) for px, _, pw in lens]
+    ys = [Q(py, pw) for _, py, pw in lens]
     eps0 = min(max(max(xs) - min(xs), max(ys) - min(ys)), Q(1)) / 16
     if eps0 == 0:
         eps0 = Q(1, 64)
@@ -326,24 +360,18 @@ def eliminate_bigon(a: PlanarArc, b: PlanarArc, bigon: Bigon, disc: DiscModel,
             # straight kept side: a single offset midpoint carries the route
             # across on the chosen side
             k0, k1 = kept_sub[0], kept_sub[-1]
-            d = sub(k1, k0)
-            n = Pt(-d.y, d.x) if side_now > 0 else Pt(d.y, -d.x)
-            sc = eps / _l1(d)
-            chain = [Pt((k0.x + k1.x) / 2 + n.x * sc,
-                        (k0.y + k1.y) / 2 + n.y * sc)]
-        middle = [p_before] + chain + [p_after]
-        mid_dedup = [middle[0]]
-        for p in middle[1:]:
-            if p != mid_dedup[-1]:
-                mid_dedup.append(p)
-        mid_h = tuple(map(homog, mid_dedup))
-        if not _vertices_legal(mid_h, disc):
+            (x0, y0, w0), (x1, y1, w1) = k0, k1
+            mid = (x0 * w1 + x1 * w0, y0 * w1 + y1 * w0, 2 * w0 * w1)
+            chain = [reduced(*_shift(mid, _offset(_direction(k0, k1),
+                                                  side_now, eps)))]
+        middle = tuple(_without_repeats([p_before, *chain, p_after]))
+        if not _vertices_legal(middle, disc):
             continue
-        candidate = replace(moved, hverts=moved.hverts[:s_before + 1] + mid_h
+        candidate = replace(moved, hverts=moved.hverts[:s_before + 1] + middle
                             + moved.hverts[s_after + 1:])
         pair = (candidate, kept) if m_side == 0 else (kept, candidate)
         crossings = _verify_surgery(pair, candidate, moved_sub, disc, count,
-                                    mid_dedup)
+                                    middle)
         if crossings is not None:
             return *pair, crossings
     raise DegenerateTangency("bigon surgery did not stabilize; the input"
@@ -351,8 +379,8 @@ def eliminate_bigon(a: PlanarArc, b: PlanarArc, bigon: Bigon, disc: DiscModel,
 
 
 def _verify_surgery(pair: tuple[PlanarArc, PlanarArc], candidate: PlanarArc,
-                    old_middle: list[Pt], disc: DiscModel, old_count: int,
-                    new_middle: list[Pt]) -> list[ArcCrossing] | None:
+                    old_middle: list[Hpt], disc: DiscModel, old_count: int,
+                    new_middle: tuple[Hpt, ...]) -> list[ArcCrossing] | None:
     """The crossings of pair (the candidate with the kept arc, in the
     caller's order) when the rerouted arc is embedded, drops exactly two
     crossings and sweeps no puncture; None otherwise.  old_middle is the
@@ -367,16 +395,12 @@ def _verify_surgery(pair: tuple[PlanarArc, PlanarArc], candidate: PlanarArc,
         return None
     # isotopy check: the swap loop (old portion against new portion, closed
     # through the shared step-off points) must not enclose any puncture
-    loop = [new_middle[0]] + old_middle + [new_middle[-1]] + new_middle[::-1]
-    closed = [loop[0]]
-    for p in loop[1:]:
-        if p != closed[-1]:
-            closed.append(p)
+    closed = _without_repeats([new_middle[0], *old_middle, new_middle[-1],
+                               *new_middle[::-1]])
     if closed[0] == closed[-1]:
         closed = closed[:-1]
-    for _, p in disc.items():
-        if winding_number(p, closed) != 0:
-            return None
+    if any(winding_number(p, closed) != 0 for p in disc.hpoints):
+        return None
     return new_crossings
 
 
@@ -394,10 +418,10 @@ def _reduce(a: PlanarArc, b: PlanarArc, disc: DiscModel
     _check_boundary_endpoints(a, b)
     crossings = compute_crossings(a, b)
     for _ in range(len(crossings) // 2 + 1):
-        bigons = find_empty_bigons(a, b, disc, crossings)
-        if not bigons:
+        bigon = next(find_empty_bigons(a, b, disc, crossings), None)
+        if bigon is None:
             break
-        a, b, crossings = eliminate_bigon(a, b, bigons[0], disc, len(crossings))
+        a, b, crossings = eliminate_bigon(a, b, bigon, disc, len(crossings))
     return a, b, crossings
 
 

@@ -4,13 +4,14 @@ Everything in this module is written from scratch in the most naive way that
 could possibly work: quadratic segment sweeps, dense GF(2) linear algebra on
 bitmask rows, and sympy for Smith normal forms.  Nothing here imports from
 ``lefbench`` internals, on purpose -- these are the other side of every
-dual-route check in the test suite.  The exceptions are the last two
-sections: the library's segment predicates as they were before its integer
-kernel, on ``Fraction`` points (the reference the homogeneous-integer
-predicates must agree with), and the library's embedding check and crossing
-computation as they were before the box-pruned sweep, scanning every
-segment pair with those ``Fraction`` predicates, so that a comparison
-isolates both the pruning and the integer arithmetic.
+dual-route check in the test suite.  The exceptions are the last sections,
+which keep the library's own code as it was before its integer kernel, on
+``Fraction`` points: the segment predicates (the reference the
+homogeneous-integer predicates must agree with); the embedding check and
+crossing computation as they were before the box-pruned sweep, scanning
+every segment pair with those predicates, so that a comparison isolates
+both the pruning and the integer arithmetic; the lens test; and the bigon
+surgery's corridor.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-# the Fraction point type and vector helpers, for the Fraction predicates
-from lefbench.exactgeom import Crossing, Pt, cross, norm2, sub
+# the Fraction point type, for the Fraction predicates
+from lefbench.exactgeom import Crossing, Pt, norm2
 
 
 class GenericityError(AssertionError):
@@ -389,6 +390,14 @@ def spiral_vertices(start, end, r_out, resolution):
     return spiral
 
 
+def sub(a: Pt, b: Pt) -> Pt:
+    return Pt(a.x - b.x, a.y - b.y)
+
+
+def cross(a: Pt, b: Pt) -> Fraction:
+    return a.x * b.y - a.y * b.x
+
+
 def dot(a: Pt, b: Pt) -> Fraction:
     return a.x * b.x + a.y * b.y
 
@@ -660,3 +669,179 @@ def fraction_empty_bigons(a, b, disc, crossings):
             continue
         bigons.append(Bigon(x, y))
     return bigons
+
+
+# ---------------------------------------------------------------------------
+# Fraction bigon surgery: minpos.eliminate_bigon before its integer corridor
+# ---------------------------------------------------------------------------
+
+def line_intersection(a1: Pt, a2: Pt, b1: Pt, b2: Pt) -> Pt:
+    """Intersection point of two non-parallel lines (exact)."""
+    da = sub(a2, a1)
+    db = sub(b2, b1)
+    den = cross(da, db)
+    if den == 0:
+        raise ZeroDivisionError("parallel lines")
+    t = cross(sub(b1, a1), db) / den
+    return Pt(a1.x + t * da.x, a1.y + t * da.y)
+
+
+def polygon_area2(poly: list[Pt]) -> Fraction:
+    """Twice the signed area (positive for counterclockwise)."""
+    s = ZERO
+    n = len(poly)
+    for i in range(n):
+        s += cross(poly[i], poly[(i + 1) % n])
+    return s
+
+
+def winding_number(p: Pt, closed: list[Pt]) -> int:
+    """Winding number of a closed rational polyline around p (p off the curve)."""
+    wn = 0
+    n = len(closed)
+    for i in range(n):
+        a, b = closed[i], closed[(i + 1) % n]
+        if a.y <= p.y:
+            if b.y > p.y and orient(a, b, p) > 0:
+                wn += 1
+        else:
+            if b.y <= p.y and orient(a, b, p) < 0:
+                wn -= 1
+    return wn
+
+
+def _l1(v: Pt) -> Fraction:
+    return abs(v.x) + abs(v.y)
+
+
+def _offset_chain(pts: list[Pt], side: int, eps: Fraction) -> list[Pt]:
+    """Polyline parallel to pts on the given side (+1 = left of travel),
+    its segment copies displaced by eps in L1 length and its interior
+    joints mitred."""
+    offs = []
+    for w0, w1 in zip(pts, pts[1:]):
+        d = sub(w1, w0)
+        n = Pt(-d.y, d.x) if side > 0 else Pt(d.y, -d.x)
+        sc = eps / _l1(d)
+        offs.append(Pt(n.x * sc, n.y * sc))
+
+    def shift(p: Pt, o: Pt) -> Pt:
+        return Pt(p.x + o.x, p.y + o.y)
+
+    out = [shift(pts[0], offs[0])]
+    for i in range(len(offs) - 1):
+        joint = pts[i + 1]
+        a0, a1 = shift(pts[i], offs[i]), shift(joint, offs[i])
+        b0, b1 = shift(joint, offs[i + 1]), shift(pts[i + 2], offs[i + 1])
+        if cross(sub(a1, a0), sub(b1, b0)) == 0:
+            q = a1
+        else:
+            q = line_intersection(a0, a1, b0, b1)
+        if q != out[-1]:
+            out.append(q)
+    last = shift(pts[-1], offs[-1])
+    if last != out[-1]:
+        out.append(last)
+    return out
+
+
+def _step_from(arc, pos, eps: Fraction, forward: bool) -> tuple[Pt, int]:
+    """A point on arc strictly before (forward=False) or after (forward=True)
+    pos, within L1 distance eps of it, and the index of its segment."""
+    s, t = pos
+    if forward:
+        if t == 1:
+            s, t = s + 1, ZERO
+        v0, v1 = arc.vertices[s], arc.vertices[s + 1]
+        step = min((1 - t) / 2, eps / _l1(sub(v1, v0)))
+        t2 = t + step
+    else:
+        if t == 0:
+            s, t = s - 1, Fraction(1)
+        v0, v1 = arc.vertices[s], arc.vertices[s + 1]
+        step = min(t / 2, eps / _l1(sub(v1, v0)))
+        t2 = t - step
+    return Pt(v0.x + t2 * (v1.x - v0.x), v0.y + t2 * (v1.y - v0.y)), s
+
+
+def _without_repeats(pts):
+    out = [pts[0]]
+    for p in pts[1:]:
+        if p != out[-1]:
+            out.append(p)
+    return out
+
+
+def fraction_eliminate_bigon(a, b, bigon, disc, count):
+    """minpos.eliminate_bigon, building its corridor on Fraction points:
+    the corner sub-paths from the corners' positions, the step-off points,
+    the offset chain, the lens area and the swap loop's winding numbers."""
+    from dataclasses import replace
+
+    from lefbench.errors import DegenerateTangency
+    from lefbench.exactgeom import homog
+    from lefbench.minpos import (_arc_embedded, _canonically_after,
+                                 _vertices_legal, compute_crossings)
+
+    if _canonically_after(a.hverts, b.hverts):
+        moved, kept, m_side = a, b, 0
+    else:
+        moved, kept, m_side = b, a, 1
+    k_side = 1 - m_side
+
+    x, y = bigon.first, bigon.second
+    if x.pos(m_side) > y.pos(m_side):
+        x, y = y, x
+    m_lo, m_hi = x.pos(m_side), y.pos(m_side)
+
+    k_lo, k_hi = sorted((x.pos(k_side), y.pos(k_side)))
+    kept_sub = _subpath(kept, k_lo, k_hi)
+    if kept_sub[0] != point_at(moved, m_lo):
+        kept_sub = kept_sub[::-1]
+    moved_sub = _subpath(moved, m_lo, m_hi)
+    lens = kept_sub + moved_sub[::-1][1:-1]
+    side = -1 if polygon_area2(lens) > 0 else 1
+
+    xs = [p.x for p in lens]
+    ys = [p.y for p in lens]
+    eps0 = min(max(max(xs) - min(xs), max(ys) - min(ys)), Fraction(1)) / 16
+    if eps0 == 0:
+        eps0 = Fraction(1, 64)
+
+    for attempt in range(64):
+        side_now = side if attempt % 2 == 0 else -side
+        eps = eps0 / 4 ** (attempt // 2)
+        p_before, s_before = _step_from(moved, m_lo, eps, forward=False)
+        p_after, s_after = _step_from(moved, m_hi, eps, forward=True)
+        chain = _offset_chain(kept_sub, side_now, eps)[1:-1]
+        if not chain:
+            k0, k1 = kept_sub[0], kept_sub[-1]
+            d = sub(k1, k0)
+            n = Pt(-d.y, d.x) if side_now > 0 else Pt(d.y, -d.x)
+            sc = eps / _l1(d)
+            chain = [Pt((k0.x + k1.x) / 2 + n.x * sc,
+                        (k0.y + k1.y) / 2 + n.y * sc)]
+        middle = _without_repeats([p_before] + chain + [p_after])
+        mid_h = tuple(map(homog, middle))
+        if not _vertices_legal(mid_h, disc):
+            continue
+        candidate = replace(moved, hverts=moved.hverts[:s_before + 1] + mid_h
+                            + moved.hverts[s_after + 1:])
+        pair = (candidate, kept) if m_side == 0 else (kept, candidate)
+        if not _arc_embedded(candidate):
+            continue
+        try:
+            crossings = compute_crossings(*pair)
+        except DegenerateTangency:
+            continue
+        if len(crossings) != count - 2:
+            continue
+        closed = _without_repeats([middle[0]] + moved_sub + [middle[-1]]
+                                  + middle[::-1])
+        if closed[0] == closed[-1]:
+            closed = closed[:-1]
+        if any(winding_number(p, closed) != 0 for _, p in disc.items()):
+            continue
+        return *pair, crossings
+    raise DegenerateTangency("bigon surgery did not stabilize; the input"
+                             " configuration is too degenerate to reroute")

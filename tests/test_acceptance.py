@@ -123,7 +123,7 @@ def test_c6_property_suites(capsys, cfgs):
             rf, rg = f, g
             crossings = compute_crossings(rf, rg)
             while True:
-                bigons = find_empty_bigons(rf, rg, disc, crossings)
+                bigons = list(find_empty_bigons(rf, rg, disc, crossings))
                 if not bigons:
                     break
                 rf, rg, crossings = eliminate_bigon(

@@ -14,16 +14,17 @@ import oracles
 from lefbench.config import load_config
 from lefbench.disc import WrapSpec, _closed_segments_touch
 from lefbench.exactgeom import (Pt, _shift_sign, box_pairs, circle_hpoint,
-                                homog, line_intersection, min_angular_gap,
-                                norm2, orient, point_in_polygon,
-                                point_on_segment, polygon_area2, segment_box,
-                                segment_crossing, segment_near_origin,
+                                homog, min_angular_gap, norm2, orient,
+                                point_in_polygon, point_on_segment,
+                                segment_box, segment_crossing,
+                                segment_near_origin,
                                 segments_overlap_collinear, winding_number)
 from lefbench.fibration import with_resolution
 from lefbench.tower import stage_spiral
 from lefbench.wrapping import _annulus, wrap
 
-from oracles import ccw_gap, segment_point_dist2, sgn_eps
+from oracles import (ccw_gap, line_intersection, polygon_area2,
+                     segment_point_dist2, sgn_eps)
 from scen import pt
 
 
@@ -147,9 +148,9 @@ def test_polygon_primitives():
     assert polygon_area2(square[::-1]) == -8
     assert point_in_polygon(homog(pt(1, 1)), h(*square))
     assert not point_in_polygon(homog(pt(3, 1)), h(*square))
-    assert winding_number(pt(1, 1), square) == 1
-    assert winding_number(pt(1, 1), square[::-1]) == -1
-    assert winding_number(pt(3, 1), square) == 0
+    assert winding_number(homog(pt(1, 1)), h(*square)) == 1
+    assert winding_number(homog(pt(1, 1)), h(*square[::-1])) == -1
+    assert winding_number(homog(pt(3, 1)), h(*square)) == 0
 
 
 def test_degenerate_polygon_contains_nothing():

@@ -14,14 +14,16 @@ from lefbench.disc import ArcKind, BoundaryAngle, DiscModel, Puncture
 from lefbench.errors import (DegenerateTangency, LefbenchError,
                              SharedBoundaryEndpoint)
 from lefbench.exactgeom import homog
+from lefbench import minpos
 from lefbench.minpos import (_canonically_after, compute_crossings,
                              eliminate_bigon, find_empty_bigons,
                              intersection_profile, minimal_position)
 
 from oracles import (GenericityError, all_pairs_crossings, brute_crossing_count,
-                     canonical_key, fraction_empty_bigons, point_at,
-                     point_on_segment, segments)
-from scen import arc_through, pt
+                     canonical_key, fraction_eliminate_bigon,
+                     fraction_empty_bigons, point_at, point_on_segment,
+                     segments)
+from scen import arc_through, aux_disc, pt
 from test_disc import GRID_POINTS, GRID_POLYLINES, no_zero_length
 
 
@@ -79,8 +81,8 @@ def test_pushed_off_copy_reduces_to_disjoint():
     assert brute_crossing_count(straight.vertices, wiggle.vertices,
                                 anchors) == 2
 
-    bigons = find_empty_bigons(straight, wiggle, disc,
-                               compute_crossings(straight, wiggle))
+    bigons = list(find_empty_bigons(straight, wiggle, disc,
+                                    compute_crossings(straight, wiggle)))
     assert len(bigons) == 1
 
     a2, b2 = minimal_position(straight, wiggle, disc)
@@ -93,8 +95,8 @@ def test_pushed_off_copy_reduces_to_disjoint():
 def test_puncture_inside_lens_blocks_elimination():
     disc, straight, wiggle = wiggle_pair(extra_punctures=(("z", pt(0, Q(-1, 8))),))
     assert len(compute_crossings(straight, wiggle)) == 2
-    assert find_empty_bigons(straight, wiggle, disc,
-                             compute_crossings(straight, wiggle)) == []
+    assert list(find_empty_bigons(straight, wiggle, disc,
+                                  compute_crossings(straight, wiggle))) == []
     a2, b2 = minimal_position(straight, wiggle, disc)
     assert intersection_profile(a2, b2, disc).crossing_count == 2
 
@@ -241,7 +243,7 @@ def test_integer_lens_test_matches_fraction_reference(va, vb, pinned, points):
         crossings = compute_crossings(a, b)
     except DegenerateTangency:
         return
-    assert (find_empty_bigons(a, b, disc, crossings)
+    assert (list(find_empty_bigons(a, b, disc, crossings))
             == fraction_empty_bigons(a, b, disc, crossings))
 
 
@@ -272,7 +274,7 @@ def test_lens_test_pinned_cases(puncture, empty):
     crossings = compute_crossings(LENS_A, LENS_B)
     assert sorted(c.point for c in crossings) == [pt(Q(-1, 3), 0),
                                                   pt(Q(1, 3), 0)]
-    bigons = find_empty_bigons(LENS_A, LENS_B, disc, crossings)
+    bigons = list(find_empty_bigons(LENS_A, LENS_B, disc, crossings))
     assert len(bigons) == (1 if empty else 0)
     assert bigons == fraction_empty_bigons(LENS_A, LENS_B, disc, crossings)
 
@@ -327,7 +329,7 @@ def test_random_elimination_order_reaches_parity(seed):
         # point at the crossing's position on either arc
         for c in crossings:
             assert c.point == point_at(rf, c.a_pos) == point_at(rg, c.b_pos)
-        bigons = find_empty_bigons(rf, rg, disc, crossings)
+        bigons = list(find_empty_bigons(rf, rg, disc, crossings))
         if not bigons:
             break
         rf, rg, crossings = eliminate_bigon(rf, rg, rng.choice(bigons), disc,
@@ -343,6 +345,85 @@ def test_random_elimination_order_reaches_parity(seed):
     # canonical order agrees
     cf, cg = minimal_position(f, g, disc)
     assert len(compute_crossings(cf, cg)) == final
+
+
+# ---------------------------------------------------------------------------
+# the integer corridor against the Fraction reference
+# ---------------------------------------------------------------------------
+
+def zigzag_pair(k, rng):
+    """The W0 disc, its matching B, and a matching A through k interior
+    vertices strictly increasing in x inside B's straight middle stretch,
+    alternately above and below it, first and last above (as the
+    bigon-surgery benchmark workload builds them).  No puncture lies
+    between A and B, so each of the (k - 1) / 2 surgeries removes two of
+    the k - 1 crossings."""
+    disc = aux_disc("W0")
+    left, right = pt(Q(-1, 4), 0), pt(Q(1, 4), 0)
+    b = matching(disc, [left, pt(Q(-3, 20), Q(-1, 5)),
+                        pt(Q(3, 20), Q(-1, 5)), right], "c-left", "c-right")
+    highs, lows = (-7, -3, -1, 1, 3, 7, 9), (-13, -11, -9)   # B: -8
+    mids = [pt(Q(-3, 20) + Q(3, 10) * Q(i, k + 1),
+               Q(rng.choice(highs if i % 2 else lows), 40))
+            for i in range(1, k + 1)]
+    a = matching(disc, [left, *mids, right], "c-left", "c-right")
+    return disc, a, b
+
+
+def reduce_against_reference(a, b, disc, pick):
+    """Remove bigons (the one pick chooses from the list) until none is
+    left, checking that each surgery gives the Fraction reference's pair
+    and crossings; returns the final crossing count."""
+    crossings = compute_crossings(a, b)
+    while bigons := list(find_empty_bigons(a, b, disc, crossings)):
+        bigon = pick(bigons)
+        got = eliminate_bigon(a, b, bigon, disc, len(crossings))
+        want = fraction_eliminate_bigon(a, b, bigon, disc, len(crossings))
+        assert [arc.hverts for arc in got[:2]] == [arc.hverts
+                                                   for arc in want[:2]]
+        assert got[2] == want[2]
+        a, b, crossings = got
+    return len(crossings)
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_surgery_matches_fraction_reference_on_band_pairs(seed):
+    rng = random.Random(seed)
+    disc, f, g = random_band_pair(rng)
+    start = len(compute_crossings(f, g))
+    assert reduce_against_reference(f, g, disc, rng.choice) == start % 2
+
+
+@pytest.mark.parametrize("k", range(9, 22, 2))
+def test_surgery_matches_fraction_reference_on_zigzags(k):
+    disc, a, b = zigzag_pair(k, random.Random(k))
+    assert len(compute_crossings(a, b)) == k - 1
+    assert reduce_against_reference(a, b, disc, lambda bigons: bigons[0]) == 0
+
+
+def test_zigzag_reduction_builds_one_lens_per_surgery(monkeypatch):
+    """Reducing the k = 21 zig-zag takes 10 surgeries: the lazy bigon search
+    builds the first lens of each crossing list, which is empty, and no
+    more; no surgery builds an arc's Fraction points."""
+    disc, a, b = zigzag_pair(21, random.Random(0))
+    lenses, arcs = [], []
+    real_lens, real_eliminate = minpos._lens, minpos.eliminate_bigon
+
+    def lens(*args):
+        lenses.append(args)
+        return real_lens(*args)
+
+    def eliminate(*args):
+        out = real_eliminate(*args)
+        arcs.extend(out[:2])
+        return out
+
+    monkeypatch.setattr(minpos, "_lens", lens)
+    monkeypatch.setattr(minpos, "eliminate_bigon", eliminate)
+    assert intersection_profile(a, b, disc).crossing_count == 0
+    assert len(lenses) == 10
+    assert len(arcs) == 20
+    assert all("vertices" not in arc.__dict__ for arc in arcs)
 
 
 # ---------------------------------------------------------------------------

@@ -89,7 +89,7 @@ def test_wrapped_crossings_are_pinned_by_punctures():
     disc = main_disc()
     w = wrapped(ray_a(disc), WrapSpec(3, DELTA, BEND), disc)
     b = ray_b(disc)
-    assert find_empty_bigons(w, b, disc, compute_crossings(w, b)) == []
+    assert list(find_empty_bigons(w, b, disc, compute_crossings(w, b))) == []
 
 
 def test_double_wrap_matches_single_wrap_profile():
