@@ -15,8 +15,14 @@ Every elimination is checked exactly after the fact (embeddedness, crossing
 count drop of exactly two, zero winding of the swap loop around every
 puncture); the corridor width shrinks geometrically until the checks pass,
 so a successful return is correct by construction rather than by trusted
-epsilon bounds.  intersection_profile reduces a pair and counts the
-crossings the reduction found, so each pair's crossings are searched once.
+epsilon bounds.  The check covers exactly the segments the reroute changed:
+the arc was embedded before, and a segment that did not change keeps its
+contacts with every other unchanged segment and its crossings with the
+other arc, which are only re-indexed.  When the rerouted arc no longer
+comes canonically after the other, the perturbation changes sides and
+every crossing is searched again.  intersection_profile reduces a pair and
+counts the crossings the reduction found, so each pair's crossings are
+searched once per reduction and again only after such a flip.
 """
 
 from __future__ import annotations
@@ -27,10 +33,12 @@ from functools import cached_property
 from typing import Iterator
 
 from .disc import DiscModel, PlanarArc, Puncture
-from .errors import DegenerateTangency, LefbenchError, SharedBoundaryEndpoint
+from .errors import (DegenerateTangency, NonEmbeddableInput,
+                     SharedBoundaryEndpoint)
 from .exactgeom import (Hpt, Pt, Q, box_pairs, homog, point_in_polygon,
-                        point_on_segment, reduced, segment_crossing,
-                        segments_overlap_collinear, winding_number)
+                        point_on_segment, reduced, segment_box,
+                        segment_crossing, segments_overlap_collinear,
+                        winding_number)
 
 Pos = tuple[int, Fraction]  # (segment index, parameter within segment)
 
@@ -99,8 +107,18 @@ def compute_crossings(a: PlanarArc, b: PlanarArc) -> list[ArcCrossing]:
     shared puncture cannot be resolved by translating one arc, hence
     DegenerateTangency.
     """
-    shift_b = not _canonically_after(a.hverts, b.hverts)
+    # pinned pairs share their puncture, so their boxes meet and they are
+    # always tested; pairs come in (i, j) order, the order of the result
+    return _crossings_on(a, b, box_pairs(a.boxes, b.boxes),
+                         not _canonically_after(a.hverts, b.hverts))
 
+
+def _crossings_on(a: PlanarArc, b: PlanarArc, pairs: list[tuple[int, int]],
+                  shift_b: bool) -> list[ArcCrossing]:
+    """The crossings of a and b on the segment pairs (i of a, j of b), in
+    pairs' order, under the perturbation shift_b; a segment pair holds at
+    most one crossing.  compute_crossings passes every pair whose boxes
+    meet."""
     incident: set[tuple[int, int]] = set()
     for s in _shared_anchor_points(a, b):
         for i in _endpoint_segment_indices(a, s):
@@ -108,13 +126,9 @@ def compute_crossings(a: PlanarArc, b: PlanarArc) -> list[ArcCrossing]:
                 incident.add((i, j))
 
     ha, hb = a.hverts, b.hverts
-    segs_a = list(zip(ha, ha[1:]))
-    segs_b = list(zip(hb, hb[1:]))
     found: list[ArcCrossing] = []
-    # pinned pairs share their puncture, so their boxes meet and they are
-    # always tested; pairs come in (i, j) order, the order of the result
-    for i, j in box_pairs(a.boxes, b.boxes):
-        (a1, a2), (b1, b2) = segs_a[i], segs_b[j]
+    for i, j in pairs:
+        a1, a2, b1, b2 = ha[i], ha[i + 1], hb[j], hb[j + 1]
         if (i, j) in incident:
             if segments_overlap_collinear(a1, a2, b1, b2):
                 raise DegenerateTangency(
@@ -290,14 +304,6 @@ def _area2(poly: list[Hpt]) -> Fraction:
                 in zip(poly, poly[1:] + poly[:1])), Q(0))
 
 
-def _arc_embedded(arc: PlanarArc) -> bool:
-    try:
-        arc._check_embedded()
-        return True
-    except LefbenchError:
-        return False
-
-
 def _vertices_legal(hs: tuple[Hpt, ...], disc: DiscModel) -> bool:
     return (all(x * x + y * y < w * w for x, y, w in hs)
             and not any(point_on_segment(hp, a, b) for hp in disc.hpoints
@@ -305,16 +311,19 @@ def _vertices_legal(hs: tuple[Hpt, ...], disc: DiscModel) -> bool:
 
 
 def eliminate_bigon(a: PlanarArc, b: PlanarArc, bigon: Bigon, disc: DiscModel,
-                    count: int) -> tuple[PlanarArc, PlanarArc, list[ArcCrossing]]:
+                    crossings: list[ArcCrossing]
+                    ) -> tuple[PlanarArc, PlanarArc, list[ArcCrossing]]:
     """Remove one empty bigon by isotoping one arc across it.
 
-    count is the number of crossings of a and b.  The canonically larger arc
-    is rerouted: its portion between the two corner crossings is replaced by
-    a polyline hugging the other arc's side of the lens from the outside.
-    The corridor is built on homogeneous integer points, from the corners'
+    crossings are the crossings of a and b (compute_crossings), bigon's
+    corners among them; a and b are embedded.  The canonically larger arc is
+    rerouted: its portion between the two corner crossings is replaced by a
+    polyline hugging the other arc's side of the lens from the outside.  The
+    corridor is built on homogeneous integer points, from the corners'
     triples (ArcCrossing.hpoint) and the arcs' hverts.  The construction is
     retried with a shrinking corridor width until the exact verification
-    passes.  Returns the new pair in argument order with its crossings, as
+    (_verify_splice) passes; it examines only the segments the reroute
+    changed.  Returns the new pair in argument order with its crossings, as
     compute_crossings of that pair gives them.
     """
     if _canonically_after(a.hverts, b.hverts):
@@ -352,56 +361,133 @@ def eliminate_bigon(a: PlanarArc, b: PlanarArc, bigon: Bigon, disc: DiscModel,
         eps = eps0 / 4 ** (attempt // 2)
         p_before, s_before = _step_from(moved, m_lo, eps, forward=False)
         p_after, s_after = _step_from(moved, m_hi, eps, forward=True)
-        # hug only the interior joints of the kept side: the step-off points
-        # themselves take over at the corners, where a full offset of the
-        # corner point may land behind the step-off and fold the route back
-        chain = _offset_chain(kept_sub, side_now, eps)[1:-1]
-        if not chain:
-            # straight kept side: a single offset midpoint carries the route
-            # across on the chosen side
-            k0, k1 = kept_sub[0], kept_sub[-1]
-            (x0, y0, w0), (x1, y1, w1) = k0, k1
-            mid = (x0 * w1 + x1 * w0, y0 * w1 + y1 * w0, 2 * w0 * w1)
-            chain = [reduced(*_shift(mid, _offset(_direction(k0, k1),
-                                                  side_now, eps)))]
+        if len(kept_sub) == 1:
+            # both corners are one point of the kept arc (a T-contact the
+            # perturbation resolves into two crossings): there is no side
+            # to hug, and the step-off points are joined directly
+            chain = []
+        else:
+            # hug only the interior joints of the kept side: the step-off
+            # points themselves take over at the corners, where a full
+            # offset of the corner point may land behind the step-off and
+            # fold the route back
+            chain = _offset_chain(kept_sub, side_now, eps)[1:-1]
+            if not chain:
+                # straight kept side: a single offset midpoint carries the
+                # route across on the chosen side
+                k0, k1 = kept_sub[0], kept_sub[-1]
+                (x0, y0, w0), (x1, y1, w1) = k0, k1
+                mid = (x0 * w1 + x1 * w0, y0 * w1 + y1 * w0, 2 * w0 * w1)
+                chain = [reduced(*_shift(mid, _offset(_direction(k0, k1),
+                                                      side_now, eps)))]
         middle = tuple(_without_repeats([p_before, *chain, p_after]))
         if not _vertices_legal(middle, disc):
             continue
         candidate = replace(moved, hverts=moved.hverts[:s_before + 1] + middle
                             + moved.hverts[s_after + 1:])
-        pair = (candidate, kept) if m_side == 0 else (kept, candidate)
-        crossings = _verify_surgery(pair, candidate, moved_sub, disc, count,
-                                    middle)
-        if crossings is not None:
-            return *pair, crossings
+        new_crossings = _verify_splice(candidate, moved, kept, m_side,
+                                       s_before, middle, moved_sub,
+                                       crossings, disc)
+        if new_crossings is not None:
+            return ((candidate, kept, new_crossings) if m_side == 0
+                    else (kept, candidate, new_crossings))
     raise DegenerateTangency("bigon surgery did not stabilize; the input"
                              " configuration is too degenerate to reroute")
 
 
-def _verify_surgery(pair: tuple[PlanarArc, PlanarArc], candidate: PlanarArc,
-                    old_middle: list[Hpt], disc: DiscModel, old_count: int,
-                    new_middle: tuple[Hpt, ...]) -> list[ArcCrossing] | None:
-    """The crossings of pair (the candidate with the kept arc, in the
-    caller's order) when the rerouted arc is embedded, drops exactly two
-    crossings and sweeps no puncture; None otherwise.  old_middle is the
-    moved arc's polyline between the corners, which new_middle replaces."""
-    if not _arc_embedded(candidate):
-        return None
+def _verify_splice(candidate: PlanarArc, moved: PlanarArc, kept: PlanarArc,
+                   m_side: int, s_before: int, middle: tuple[Hpt, ...],
+                   old_middle: list[Hpt], crossings: list[ArcCrossing],
+                   disc: DiscModel) -> list[ArcCrossing] | None:
+    """The crossings of the candidate with the kept arc, as compute_crossings
+    of the pair (in the caller's order, the candidate on side m_side) gives
+    them, when the rerouted arc is embedded, has exactly two crossings fewer
+    and sweeps no puncture; None otherwise.
+
+    candidate is moved with the stretch after vertex s_before replaced by
+    middle (whose ends are the step-off points), that is moved's segments up
+    to s_before - 1, then the changed segments lo = s_before .. hi =
+    s_before + len(middle) (the two truncated end pieces and the new
+    middle), then moved's segments after the stretch, their indices moved
+    by d = len(candidate.hverts) - len(moved.hverts).  old_middle is moved's
+    polyline between the corners, and crossings are the crossings of moved
+    and kept.  moved must be embedded.
+
+    Only pairs with a changed segment are examined, which is complete: two
+    unchanged segments are a pair of moved's segments, equally far apart
+    along it, so moved's embedding already clears them; and an unchanged
+    segment meets kept exactly as it did in moved, since segment_crossing
+    and the pinned pairs depend only on the four endpoints and the side of
+    the perturbation.  The candidate's spliced boxes are cached on it.
+    """
+    lo, hi = s_before, s_before + len(middle)
+    d = len(candidate.hverts) - len(moved.hverts)
+    hs = candidate.hverts
+    changed = [segment_box(p, q)
+               for p, q in zip(hs[lo:hi + 1], hs[lo + 1:hi + 2])]
+    old_boxes = moved.boxes
+    boxes = candidate.__dict__["boxes"] = (old_boxes[:lo] + changed
+                                           + old_boxes[hi + 1 - d:])
+
+    # every pair (i, j), i < j, with a changed segment; a pair of two
+    # changed segments comes once from each of them
+    pairs = [(i, j) if i < j else (j, i)
+             for i, j in ((c + lo, j) for c, j in box_pairs(changed, boxes))
+             if i < j or j < lo]
     try:
-        new_crossings = compute_crossings(*pair)
+        candidate._check_embedded(pairs)
+    except NonEmbeddableInput:
+        return None
+
+    pair = (candidate, kept) if m_side == 0 else (kept, candidate)
+    shift_b = not _canonically_after(pair[0].hverts, pair[1].hverts)
+    try:
+        if shift_b != (m_side == 1):
+            # the candidate no longer comes canonically after the kept arc,
+            # so the perturbation moves the kept arc instead and may resolve
+            # a degenerate contact outside the stretch the other way: every
+            # crossing is searched again
+            new_crossings = compute_crossings(*pair)
+        else:
+            new_crossings = _splice_crossings(pair, m_side, lo, hi, d,
+                                              changed, crossings, shift_b)
     except DegenerateTangency:
         return None
-    if len(new_crossings) != old_count - 2:
+    if len(new_crossings) != len(crossings) - 2:
         return None
     # isotopy check: the swap loop (old portion against new portion, closed
     # through the shared step-off points) must not enclose any puncture
-    closed = _without_repeats([new_middle[0], *old_middle, new_middle[-1],
-                               *new_middle[::-1]])
+    closed = _without_repeats([middle[0], *old_middle, middle[-1],
+                               *middle[::-1]])
     if closed[0] == closed[-1]:
         closed = closed[:-1]
     if any(winding_number(p, closed) != 0 for p in disc.hpoints):
         return None
     return new_crossings
+
+
+def _splice_crossings(pair: tuple[PlanarArc, PlanarArc], m_side: int,
+                      lo: int, hi: int, d: int, changed: list[tuple],
+                      crossings: list[ArcCrossing],
+                      shift_b: bool) -> list[ArcCrossing]:
+    """The crossings of pair, the candidate on side m_side (see
+    _verify_splice), under the perturbation of the moved arc's crossings:
+    the old ones on unchanged segments, re-indexed, and the changed
+    segments' own, in the order of (a segment, b segment), which is
+    compute_crossings' order."""
+    out = []
+    for c in crossings:
+        s, t = c.pos(m_side)
+        if s < lo:
+            out.append(c)
+        elif s > hi - d:
+            out.append(ArcCrossing(c.point, (s + d, t), c.b_pos) if m_side == 0
+                       else ArcCrossing(c.point, c.a_pos, (s + d, t)))
+    met = box_pairs(changed, pair[1 - m_side].boxes)
+    out += _crossings_on(*pair, [(c + lo, j) if m_side == 0 else (j, c + lo)
+                                 for c, j in met], shift_b)
+    out.sort(key=lambda c: (c.a_pos[0], c.b_pos[0]))
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -421,7 +507,7 @@ def _reduce(a: PlanarArc, b: PlanarArc, disc: DiscModel
         bigon = next(find_empty_bigons(a, b, disc, crossings), None)
         if bigon is None:
             break
-        a, b, crossings = eliminate_bigon(a, b, bigon, disc, len(crossings))
+        a, b, crossings = eliminate_bigon(a, b, bigon, disc, crossings)
     return a, b, crossings
 
 

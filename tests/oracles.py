@@ -11,7 +11,7 @@ homogeneous-integer predicates must agree with); the embedding check and
 crossing computation as they were before the box-pruned sweep, scanning
 every segment pair with those predicates, so that a comparison isolates
 both the pruning and the integer arithmetic; the lens test; and the bigon
-surgery's corridor.
+surgery's corridor, with the check of each surgery over the whole pair.
 """
 
 from __future__ import annotations
@@ -772,7 +772,48 @@ def _without_repeats(pts):
     return out
 
 
-def fraction_eliminate_bigon(a, b, bigon, disc, count):
+def _arc_embedded(arc) -> bool:
+    from lefbench.errors import LefbenchError
+
+    try:
+        arc._check_embedded()
+        return True
+    except LefbenchError:
+        return False
+
+
+def full_verify_surgery(pair, candidate, old_middle, disc, old_count,
+                        new_middle):
+    """minpos._verify_splice over the whole pair: the crossings of pair (the
+    candidate with the kept arc, in the caller's order) when the rerouted
+    arc is embedded, drops exactly two crossings and sweeps no puncture;
+    None otherwise.  Every segment pair of the candidate is checked and
+    every crossing searched again.  old_middle is the moved arc's polyline
+    between the corners, which new_middle replaces (homogeneous triples)."""
+    from lefbench.errors import DegenerateTangency
+    from lefbench.exactgeom import winding_number as int_winding_number
+    from lefbench.minpos import compute_crossings
+
+    if not _arc_embedded(candidate):
+        return None
+    try:
+        new_crossings = compute_crossings(*pair)
+    except DegenerateTangency:
+        return None
+    if len(new_crossings) != old_count - 2:
+        return None
+    # isotopy check: the swap loop (old portion against new portion, closed
+    # through the shared step-off points) must not enclose any puncture
+    closed = _without_repeats([new_middle[0], *old_middle, new_middle[-1],
+                               *new_middle[::-1]])
+    if closed[0] == closed[-1]:
+        closed = closed[:-1]
+    if any(int_winding_number(p, closed) != 0 for p in disc.hpoints):
+        return None
+    return new_crossings
+
+
+def fraction_eliminate_bigon(a, b, bigon, disc, crossings):
     """minpos.eliminate_bigon, building its corridor on Fraction points:
     the corner sub-paths from the corners' positions, the step-off points,
     the offset chain, the lens area and the swap loop's winding numbers."""
@@ -780,8 +821,8 @@ def fraction_eliminate_bigon(a, b, bigon, disc, count):
 
     from lefbench.errors import DegenerateTangency
     from lefbench.exactgeom import homog
-    from lefbench.minpos import (_arc_embedded, _canonically_after,
-                                 _vertices_legal, compute_crossings)
+    from lefbench.minpos import (_canonically_after, _vertices_legal,
+                                 compute_crossings)
 
     if _canonically_after(a.hverts, b.hverts):
         moved, kept, m_side = a, b, 0
@@ -813,14 +854,18 @@ def fraction_eliminate_bigon(a, b, bigon, disc, count):
         eps = eps0 / 4 ** (attempt // 2)
         p_before, s_before = _step_from(moved, m_lo, eps, forward=False)
         p_after, s_after = _step_from(moved, m_hi, eps, forward=True)
-        chain = _offset_chain(kept_sub, side_now, eps)[1:-1]
-        if not chain:
-            k0, k1 = kept_sub[0], kept_sub[-1]
-            d = sub(k1, k0)
-            n = Pt(-d.y, d.x) if side_now > 0 else Pt(d.y, -d.x)
-            sc = eps / _l1(d)
-            chain = [Pt((k0.x + k1.x) / 2 + n.x * sc,
-                        (k0.y + k1.y) / 2 + n.y * sc)]
+        if len(kept_sub) == 1:
+            # both corners at one point of the kept arc: no side to hug
+            chain = []
+        else:
+            chain = _offset_chain(kept_sub, side_now, eps)[1:-1]
+            if not chain:
+                k0, k1 = kept_sub[0], kept_sub[-1]
+                d = sub(k1, k0)
+                n = Pt(-d.y, d.x) if side_now > 0 else Pt(d.y, -d.x)
+                sc = eps / _l1(d)
+                chain = [Pt((k0.x + k1.x) / 2 + n.x * sc,
+                            (k0.y + k1.y) / 2 + n.y * sc)]
         middle = _without_repeats([p_before] + chain + [p_after])
         mid_h = tuple(map(homog, middle))
         if not _vertices_legal(mid_h, disc):
@@ -831,10 +876,10 @@ def fraction_eliminate_bigon(a, b, bigon, disc, count):
         if not _arc_embedded(candidate):
             continue
         try:
-            crossings = compute_crossings(*pair)
+            new_crossings = compute_crossings(*pair)
         except DegenerateTangency:
             continue
-        if len(crossings) != count - 2:
+        if len(new_crossings) != len(crossings) - 2:
             continue
         closed = _without_repeats([middle[0]] + moved_sub + [middle[-1]]
                                   + middle[::-1])
@@ -842,6 +887,6 @@ def fraction_eliminate_bigon(a, b, bigon, disc, count):
             closed = closed[:-1]
         if any(winding_number(p, closed) != 0 for _, p in disc.items()):
             continue
-        return *pair, crossings
+        return *pair, new_crossings
     raise DegenerateTangency("bigon surgery did not stabilize; the input"
                              " configuration is too degenerate to reroute")

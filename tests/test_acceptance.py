@@ -127,7 +127,7 @@ def test_c6_property_suites(capsys, cfgs):
                 if not bigons:
                     break
                 rf, rg, crossings = eliminate_bigon(
-                    rf, rg, rng.choice(bigons), disc, len(crossings))
+                    rf, rg, rng.choice(bigons), disc, crossings)
             cf, cg = minimal_position(f, g, disc)
             assert len(compute_crossings(rf, rg)) == len(compute_crossings(cf, cg))
 

@@ -436,6 +436,25 @@ def test_hw_without_towers_exit_two(tmp_path, capsys):
     assert "error[IncompleteBasis]" in capsys.readouterr().err
 
 
+def test_t_contact_matching_paths_reduce(tmp_path, capsys):
+    # B's middle vertex touches A's straight middle: a bigon whose two
+    # corners are one point of A.  Surgery cuts off B's tip, and the W0
+    # values stand.
+    text = Path(shipped("W0.cfg")).read_text()
+    cfg = tmp_path / "t-contact.cfg"
+    cfg.write_text(text.replace(
+        "matching A = c-left c-right | -3/20 1/5 ; 3/20 1/5",
+        "matching A = c-left c-right | -1/8 1/10 ; 1/8 1/10").replace(
+        "matching B = c-left c-right | -3/20 -1/5 ; 3/20 -1/5",
+        "matching B = c-left c-right | -1/16 -1/5 ; 0 1/10 ; 1/16 -1/5"))
+    assert main(["floer-ranks", str(cfg)]) == 0
+    out = capsys.readouterr().out
+    for line in ("HF(A,B): 2", "HF(B, tw_A B): 2",
+                 "Hom_FS(Th(B),Th(B)): 1", "Hom_FS(Th(A),Th(B)): 2",
+                 "Hom_FS(Th_1(B),Th(B)): 3"):
+        assert line + "\n" in out
+
+
 def test_inconsistent_oracle_exit_three(tmp_path, capsys):
     text = Path(shipped("W1.cfg")).read_text()
     cfg = tmp_path / "bad-rank.cfg"

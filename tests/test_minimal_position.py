@@ -5,6 +5,8 @@ tests/oracles.py, which shares no code with the library.
 """
 
 import random
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
@@ -21,8 +23,8 @@ from lefbench.minpos import (_canonically_after, compute_crossings,
 
 from oracles import (GenericityError, all_pairs_crossings, brute_crossing_count,
                      canonical_key, fraction_eliminate_bigon,
-                     fraction_empty_bigons, point_at, point_on_segment,
-                     segments)
+                     fraction_empty_bigons, full_verify_surgery, point_at,
+                     point_on_segment, segments)
 from scen import arc_through, aux_disc, pt
 from test_disc import GRID_POINTS, GRID_POLYLINES, no_zero_length
 
@@ -333,7 +335,7 @@ def test_random_elimination_order_reaches_parity(seed):
         if not bigons:
             break
         rf, rg, crossings = eliminate_bigon(rf, rg, rng.choice(bigons), disc,
-                                            len(crossings))
+                                            crossings)
         # the rerouted arc stores the reduced triples of its points
         for arc in (rf, rg):
             assert arc.hverts == tuple(homog(v) for v in arc.vertices)
@@ -377,8 +379,8 @@ def reduce_against_reference(a, b, disc, pick):
     crossings = compute_crossings(a, b)
     while bigons := list(find_empty_bigons(a, b, disc, crossings)):
         bigon = pick(bigons)
-        got = eliminate_bigon(a, b, bigon, disc, len(crossings))
-        want = fraction_eliminate_bigon(a, b, bigon, disc, len(crossings))
+        got = eliminate_bigon(a, b, bigon, disc, crossings)
+        want = fraction_eliminate_bigon(a, b, bigon, disc, crossings)
         assert [arc.hverts for arc in got[:2]] == [arc.hverts
                                                    for arc in want[:2]]
         assert got[2] == want[2]
@@ -386,8 +388,38 @@ def reduce_against_reference(a, b, disc, pick):
     return len(crossings)
 
 
+@pytest.fixture
+def splice_gate(monkeypatch):
+    """Check every surgery attempt, accepted or rejected: the local check
+    (minpos._verify_splice) must give the verdict and crossing list of the
+    whole-pair reference (oracles.full_verify_surgery), and the boxes it
+    splices must be the candidate's own.  Counts the accepted surgeries by
+    moved side and those whose candidate leaves the canonical order."""
+    accepted = Counter()
+    local = minpos._verify_splice
+
+    def gate(candidate, moved, kept, m_side, s_before, middle, old_middle,
+             crossings, disc):
+        fresh = replace(candidate)      # no boxes cached
+        got = local(candidate, moved, kept, m_side, s_before, middle,
+                    old_middle, crossings, disc)
+        pair = (fresh, kept) if m_side == 0 else (kept, fresh)
+        assert got == full_verify_surgery(pair, fresh, old_middle, disc,
+                                          len(crossings), middle)
+        assert candidate.boxes == fresh.boxes
+        if got is not None:
+            accepted[f"m_side {m_side}"] += 1
+            if _canonically_after(pair[0].hverts, pair[1].hverts) != (
+                    m_side == 0):
+                accepted["order flipped"] += 1
+        return got
+
+    monkeypatch.setattr(minpos, "_verify_splice", gate)
+    return accepted
+
+
 @pytest.mark.parametrize("seed", range(100))
-def test_surgery_matches_fraction_reference_on_band_pairs(seed):
+def test_surgery_matches_fraction_reference_on_band_pairs(seed, splice_gate):
     rng = random.Random(seed)
     disc, f, g = random_band_pair(rng)
     start = len(compute_crossings(f, g))
@@ -395,10 +427,70 @@ def test_surgery_matches_fraction_reference_on_band_pairs(seed):
 
 
 @pytest.mark.parametrize("k", range(9, 22, 2))
-def test_surgery_matches_fraction_reference_on_zigzags(k):
+def test_surgery_matches_fraction_reference_on_zigzags(k, splice_gate):
     disc, a, b = zigzag_pair(k, random.Random(k))
     assert len(compute_crossings(a, b)) == k - 1
     assert reduce_against_reference(a, b, disc, lambda bigons: bigons[0]) == 0
+
+
+def shared_ends_pair(rng):
+    """Two matching arcs from s = (0, 0) to t = (3/5, 0), each through 1-5
+    interior vertices drawn on the 1/100 grid.  Arcs that share their
+    first vertex are ordered by the next one, which a surgery near s can
+    change, so this family reaches the search after a flipped order."""
+    disc = DiscModel(punctures=(("s", pt(0, 0)), ("t", pt(Q(3, 5), 0))))
+    arcs = []
+    for _ in range(2):
+        mids = [pt(Q(rng.randint(-20, 80), 100), Q(rng.randint(-30, 30), 100))
+                for _ in range(rng.randint(1, 5))]
+        arcs.append(arc_through((pt(0, 0), *mids, pt(Q(3, 5), 0)),
+                                Puncture("s"), Puncture("t"),
+                                ArcKind.MATCHING))
+    return disc, *arcs
+
+
+def test_local_surgery_check_matches_full_recheck_on_shared_ends(splice_gate):
+    reduced_pairs = 0
+    for seed in range(1000):
+        rng = random.Random(seed)
+        disc, a, b = shared_ends_pair(rng)
+        try:
+            a.validate(disc)
+            b.validate(disc)
+            crossings = compute_crossings(a, b)
+        except LefbenchError:
+            continue
+        while bigons := list(find_empty_bigons(a, b, disc, crossings)):
+            a, b, crossings = eliminate_bigon(a, b, rng.choice(bigons), disc,
+                                              crossings)
+        reduced_pairs += 1
+    assert reduced_pairs > 300
+    # both moved sides, and the recomputation after a flipped order
+    assert splice_gate["m_side 0"] and splice_gate["m_side 1"]
+    assert splice_gate["order flipped"]
+
+
+def test_t_contact_bigon_has_one_point_kept_side(splice_gate):
+    """B's vertex (0, 1/10) touches A's straight middle: the perturbation
+    resolves the contact into two crossings at that one point, so the kept
+    side of the bigon's lens is a single point.  The surgery joins its
+    step-off points directly."""
+    disc = aux_disc("W0")
+    left, right = pt(Q(-1, 4), 0), pt(Q(1, 4), 0)
+    a = matching(disc, [left, pt(Q(-1, 8), Q(1, 10)), pt(Q(1, 8), Q(1, 10)),
+                        right], "c-left", "c-right")
+    b = matching(disc, [left, pt(Q(-1, 16), Q(-1, 5)), pt(0, Q(1, 10)),
+                        pt(Q(1, 16), Q(-1, 5)), right], "c-left", "c-right")
+    crossings = compute_crossings(a, b)
+    assert [c.point for c in crossings] == [pt(0, Q(1, 10))] * 2
+    bigon = next(find_empty_bigons(a, b, disc, crossings))
+    got = eliminate_bigon(a, b, bigon, disc, crossings)
+    want = fraction_eliminate_bigon(a, b, bigon, disc, crossings)
+    assert got[0] == a and got[2] == want[2] == []
+    assert got[1].hverts == want[1].hverts
+    # B's tip is cut off by one straight segment below A
+    assert len(got[1].hverts) == len(b.hverts) + 1
+    assert intersection_profile(a, b, disc).crossing_count == 0
 
 
 def test_zigzag_reduction_builds_one_lens_per_surgery(monkeypatch):
