@@ -123,8 +123,6 @@ def _render_svgs(cfg: ScenarioConfig, outdir: str,
                  towers: dict[tuple[str, str], Tower] | None) -> list[str]:
     """Write the discs and a diagram per stage: the spiral its tower kept,
     or without towers (``render``) one wrapped and checked here."""
-    d = Path(outdir)
-    d.mkdir(parents=True, exist_ok=True)
     f = cfg.fibration
     files = list(diagram_files(f))
     for x, y in cfg.towers:
@@ -138,8 +136,14 @@ def _render_svgs(cfg: ScenarioConfig, outdir: str,
                 spiral.validate(f.disc)
             files.append((f"{cfg.name}-tower-{x}-{y}-m{m}.svg",
                           stage_svg(f.disc, cy.path, spiral)))
-    for name, text in files:
-        (d / name).write_text(text, encoding="utf-8")
+    d = Path(outdir)
+    try:
+        d.mkdir(parents=True, exist_ok=True)
+        for name, text in files:
+            (d / name).write_text(text, encoding="utf-8")
+    except OSError as e:
+        raise ConfigError(f"--svg {outdir}: cannot write diagrams ({e})"
+                          ) from None
     return [name for name, _ in files]
 
 

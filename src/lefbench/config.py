@@ -568,7 +568,7 @@ def load_config(path: str | Path) -> ScenarioConfig:
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"{path}: cannot read config ({e})") from None
     return parse_config(text, source=str(path))
 

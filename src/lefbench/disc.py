@@ -86,9 +86,6 @@ class DiscModel:
                 return i
         raise LefbenchError(f"unknown puncture {name!r}")
 
-    def point_of(self, name: str) -> Pt:
-        return self.punctures[self._index(name)][1]
-
     def hpoint_of(self, name: str) -> Hpt:
         return self.hpoints[self._index(name)]
 

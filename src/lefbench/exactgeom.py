@@ -3,12 +3,13 @@
 Points are homogeneous integer triples: (X, Y, W) with W > 0 is the point
 (X/W, Y/W).  Arcs store the reduced form, gcd(X, Y, W) == 1, one triple per
 point, so equal points give equal triples (``homog`` builds it from a Pt of
-Fractions, ``reduced`` from any triple).  The segment predicates, which
-decide every sign, take any triples: a turn is the sign of the 3x3
-determinant of three rows and a comparison of two coordinates is one
+Fractions, ``reduced`` from any triple with W != 0).  The segment
+predicates, which decide every sign, take any triples: a turn is the sign of
+the 3x3 determinant of three rows and a comparison of two coordinates is one
 cross-multiplication, so no predicate takes a gcd; no floating point enters
-any decision.  NamedTuples of Fractions (Pt) are built only for values that
-leave this layer: config input, reported crossings and messages.
+any decision.  A crossing of two segments is a reduced triple too, with its
+positions along the segments as Fractions.  NamedTuples of Fractions (Pt)
+are built only for config input and messages.
 
 Degenerate contacts between two different polylines are resolved by a
 deterministic symbolic perturbation: one of the two arcs is treated as
@@ -70,8 +71,11 @@ def homog(p: Pt) -> Hpt:
 
 
 def reduced(x: int, y: int, w: int) -> Hpt:
-    """The triple (x, y, w), w > 0, over gcd(x, y, w): homog of its point."""
+    """The triple (x, y, w), w != 0, over gcd(x, y, w) with the sign of w:
+    homog of its point."""
     g = gcd(x, y, w)
+    if w < 0:
+        g = -g
     return (x // g, y // g, w // g)
 
 
@@ -227,11 +231,11 @@ def segments_overlap_collinear(a1: Hpt, a2: Hpt, b1: Hpt, b2: Hpt) -> bool:
 class Crossing(NamedTuple):
     """A transverse crossing event between segment [a1,a2] and [b1,b2].
 
-    ta/tb are exact parameters along the respective segments (0..1); for
-    contacts that the symbolic perturbation resolves into crossings they are
-    the eps -> 0 limit values.
+    hpoint is the crossing as a reduced triple; ta/tb are exact parameters
+    along the respective segments (0..1).  For contacts that the symbolic
+    perturbation resolves into crossings they are the eps -> 0 limit values.
     """
-    point: Pt
+    hpoint: Hpt
     ta: Fraction
     tb: Fraction
 
@@ -257,8 +261,8 @@ def segment_crossing(a1: Hpt, a2: Hpt, b1: Hpt, b2: Hpt,
     yes/no; collinear overlaps resolve to "no crossing" (parallel translates
     never meet) and T-contacts resolve one way or the other consistently
     across all segment pairs of the same arc pair.  Each orientation is the
-    first nonzero coefficient of base + c1*eps + c2*eps^2; the point and
-    parameters of a crossing are the only Fractions built.
+    first nonzero coefficient of base + c1*eps + c2*eps^2; the parameters
+    of a crossing are the only Fractions built.
     """
     if not shift_b:
         # shifting arc A by +e is the same picture as shifting arc B by -e;
@@ -266,7 +270,7 @@ def segment_crossing(a1: Hpt, a2: Hpt, b1: Hpt, b2: Hpt,
         res = segment_crossing(b1, b2, a1, a2, shift_b=True)
         if res is None:
             return None
-        return Crossing(res.point, res.tb, res.ta)
+        return Crossing(res.hpoint, res.tb, res.ta)
 
     o1 = orient(a1, a2, b1)
     o2 = orient(a1, a2, b2)
@@ -296,10 +300,9 @@ def segment_crossing(a1: Hpt, a2: Hpt, b1: Hpt, b2: Hpt,
     ta = Q(num_a * w2, den * w3)
     tb = Q((ex * day - ey * dax) * w4, den * w1)
     # a1 + ta (a2 - a1), over the denominator w1 w3 den
-    d = w1 * w3 * den
-    point = Pt(Q(x1 * w3 * den + num_a * dax, d),
-               Q(y1 * w3 * den + num_a * day, d))
-    return Crossing(point, ta, tb)
+    return Crossing(reduced(x1 * w3 * den + num_a * dax,
+                            y1 * w3 * den + num_a * day, w1 * w3 * den),
+                    ta, tb)
 
 
 def segment_near_origin(a: Hpt, b: Hpt, r2: Fraction) -> bool:

@@ -9,8 +9,8 @@ in x or y, which the infinitesimal shift (eps, eps^2) cannot close.  Empty
 bigons - discs bounded by one sub-arc of each curve containing no puncture -
 are found lazily, one lens at a time, and eliminated one at a time by
 rerouting one arc alongside the other within a verified corridor.  Lenses,
-corridors and the checks on them all run on homogeneous integer points;
-Fractions remain only for crossing points and parameters and for scalars.
+corridors, crossings and the checks on them all run on homogeneous integer
+points; Fractions remain only for positions along segments and for scalars.
 Every elimination is checked exactly after the fact (embeddedness, crossing
 count drop of exactly two, zero winding of the swap loop around every
 puncture); the corridor width shrinks geometrically until the checks pass,
@@ -22,38 +22,33 @@ other arc, which are only re-indexed.  When the rerouted arc no longer
 comes canonically after the other, the perturbation changes sides and
 every crossing is searched again.  intersection_profile reduces a pair and
 counts the crossings the reduction found, so each pair's crossings are
-searched once per reduction and again only after such a flip.
+searched once per reduction and again only after such a flip; the
+profile keeps only that count and the shared punctures.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterator
 
 from .disc import DiscModel, PlanarArc, Puncture
 from .errors import (DegenerateTangency, NonEmbeddableInput,
                      SharedBoundaryEndpoint)
-from .exactgeom import (Hpt, Pt, Q, box_pairs, homog, point_in_polygon,
-                        point_on_segment, reduced, segment_box,
-                        segment_crossing, segments_overlap_collinear,
-                        winding_number)
+from .exactgeom import (Hpt, Q, box_pairs, point_in_polygon, point_on_segment,
+                        reduced, segment_box, segment_crossing,
+                        segments_overlap_collinear, winding_number)
 
 Pos = tuple[int, Fraction]  # (segment index, parameter within segment)
 
 
 @dataclass(frozen=True)
 class ArcCrossing:
-    """One transverse crossing event between two arcs."""
-    point: Pt
+    """One transverse crossing event between two arcs: its point as a
+    reduced triple and its position on each arc."""
+    hpoint: Hpt
     a_pos: Pos
     b_pos: Pos
-
-    @cached_property
-    def hpoint(self) -> Hpt:
-        """point as a reduced homogeneous triple (exactgeom.homog)."""
-        return homog(self.point)
 
     def pos(self, side: int) -> Pos:
         return self.a_pos if side == 0 else self.b_pos
@@ -61,12 +56,8 @@ class ArcCrossing:
 
 @dataclass(frozen=True)
 class IntersectionProfile:
-    interior_crossings: tuple[Pt, ...]
+    crossing_count: int
     shared_punctures: tuple[str, ...]
-
-    @property
-    def crossing_count(self) -> int:
-        return len(self.interior_crossings)
 
 
 def _shared_anchor_points(a: PlanarArc, b: PlanarArc) -> set[Hpt]:
@@ -137,7 +128,7 @@ def _crossings_on(a: PlanarArc, b: PlanarArc, pairs: list[tuple[int, int]],
             continue
         hit = segment_crossing(a1, a2, b1, b2, shift_b=shift_b)
         if hit is not None:
-            found.append(ArcCrossing(hit.point, (i, hit.ta), (j, hit.tb)))
+            found.append(ArcCrossing(hit.hpoint, (i, hit.ta), (j, hit.tb)))
     return found
 
 
@@ -246,8 +237,7 @@ def _mitre(p: Hpt, d: tuple[int, int], q: Hpt, e: tuple[int, int]) -> Hpt:
     at infinity of its direction."""
     l0, l1, l2 = -p[2] * d[1], p[2] * d[0], p[0] * d[1] - p[1] * d[0]
     m0, m1, m2 = -q[2] * e[1], q[2] * e[0], q[0] * e[1] - q[1] * e[0]
-    x, y, w = l1 * m2 - l2 * m1, l2 * m0 - l0 * m2, l0 * m1 - l1 * m0
-    return reduced(x, y, w) if w > 0 else reduced(-x, -y, -w)
+    return reduced(l1 * m2 - l2 * m1, l2 * m0 - l0 * m2, l0 * m1 - l1 * m0)
 
 
 def _offset_chain(pts: list[Hpt], side: int, eps: Fraction) -> list[Hpt]:
@@ -481,8 +471,9 @@ def _splice_crossings(pair: tuple[PlanarArc, PlanarArc], m_side: int,
         if s < lo:
             out.append(c)
         elif s > hi - d:
-            out.append(ArcCrossing(c.point, (s + d, t), c.b_pos) if m_side == 0
-                       else ArcCrossing(c.point, c.a_pos, (s + d, t)))
+            out.append(ArcCrossing(c.hpoint, (s + d, t), c.b_pos)
+                       if m_side == 0
+                       else ArcCrossing(c.hpoint, c.a_pos, (s + d, t)))
     met = box_pairs(changed, pair[1 - m_side].boxes)
     out += _crossings_on(*pair, [(c + lo, j) if m_side == 0 else (j, c + lo)
                                  for c, j in met], shift_b)
@@ -521,11 +512,10 @@ def intersection_profile(a: PlanarArc, b: PlanarArc,
                          disc: DiscModel) -> IntersectionProfile:
     """Crossing data of the pair in minimal position.
 
-    Both arcs are validated and the pair is reduced first.  Interior
-    crossing points are reported sorted by coordinates; shared puncture
-    endpoints by name.  Symmetric in the two arcs.
+    Both arcs are validated and the pair is reduced first.  Reports the
+    number of interior crossings and the shared puncture endpoints by name.
+    Symmetric in the two arcs.
     """
     _, _, crossings = _reduce(a, b, disc)
-    pts = tuple(sorted((c.point for c in crossings)))
     shared = tuple(sorted(a.puncture_names() & b.puncture_names()))
-    return IntersectionProfile(pts, shared)
+    return IntersectionProfile(len(crossings), shared)

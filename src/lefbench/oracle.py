@@ -299,14 +299,12 @@ def matching_floer_rank(f: "Fibration", x: "MatchingObject",
     bounds the rank, and MissingParity is raised.
     """
     profile = intersection_profile(x.path, y.path, f.disc)
+    n, shared = profile.crossing_count, len(profile.shared_punctures)
+    block = o.rank_of(x.principal_label, y.principal_label) if n else 0
+    count = n * block + shared
+    nonzero_blocks = (n if block else 0) + shared
 
-    blocks = [o.rank_of(x.principal_label, y.principal_label)
-              for _ in profile.interior_crossings]
-    blocks.extend(1 for _ in profile.shared_punctures)
-    count = sum(blocks)
-    nonzero = [v for v in blocks if v]
-
-    if not (count == 0 or len(nonzero) == 1
+    if not (count == 0 or nonzero_blocks == 1
             or o.parity_of(x.principal_label, y.principal_label) == ALL_SAME):
         raise MissingParity(
             f"promoting the generator count for ({x.name},{y.name}) to an"

@@ -1,17 +1,18 @@
 """Stage-by-stage bookkeeping for the direct system of wrapped thimble
 complexes.
 
-A stage at wrapping level m records the generator inventory of the complex
-between one thimble wrapped m turns and another held fixed: one fiber block
-per interior crossing of the two base paths, plus the distinguished
-generator u at a shared critical endpoint; it keeps the spiral it wrapped
-(stage_spiral), which the stage diagrams draw.  No differentials are computed
-here, though two rules constrain them: no arrow joins u to any other
-generator, and arrows between ordinary generators stay within the fiber
-block over a single base crossing.  A stage's rank certificate is an exact
-rank, read off the directed ranks (FsHomRanks) that the caller has already
-derived with the rank calculus, and the stage merely checks that its
-inventory is large enough and of the right parity to carry it.
+A stage at wrapping level m counts the generators of the complex between
+one thimble wrapped m turns and another held fixed: one fiber block per
+interior crossing of the two base paths, each of the rank of the thimbles'
+labels, plus the distinguished generator u at a shared critical endpoint;
+it keeps the spiral it wrapped (stage_spiral), which the stage diagrams
+draw.  No differentials are computed here, though two rules constrain them:
+no arrow joins u to any other generator, and arrows between ordinary
+generators stay within the fiber block over a single base crossing.  A
+stage's rank certificate is an exact rank, read off the directed ranks
+(FsHomRanks) that the caller has already derived with the rank calculus,
+and the stage merely checks that its generator count is large enough and of
+the right parity to carry it.
 
 A tower holds the stages of one pair in level order, checked to grow with
 the level and, on a self-tower, to contain u.  It settles no verdict: the
@@ -27,39 +28,23 @@ from typing import Iterable
 
 from .disc import PlanarArc, WrapSpec
 from .errors import ConfigError, Inconsistent, LefbenchError, Undecidable
-from .exactgeom import Pt
 from .fibration import Crit, Fibration
 from .minpos import intersection_profile
 from .rank_calculus import FsHomRanks
 from .wrapping import wrap
 
-ORDINARY = "ordinary"
-CRITICAL_U = "critical_u"
-
-
-@dataclass(frozen=True)
-class Generator:
-    point: Pt
-    multiplicity: int
-    tag: str
-
-    def __post_init__(self):
-        if self.tag not in (ORDINARY, CRITICAL_U):
-            raise LefbenchError(f"unknown generator tag {self.tag!r}")
-        if self.multiplicity < 1:
-            raise LefbenchError("generators carry positive multiplicity")
-        if self.tag == CRITICAL_U and self.multiplicity != 1:
-            raise LefbenchError("the critical generator is a single class")
-
-
 @dataclass(frozen=True)
 class WrappedComplexStage:
     m: int
-    generators: tuple[Generator, ...]
+    crossings: int                       # interior crossings of the paths
+    block: int                           # generators over each crossing
+    u_count: int                         # shared critical endpoints
     rank_certificate: int | None = None  # an exact rank
     spiral: PlanarArc | None = None      # as wrapped, before minimal position
 
     def __post_init__(self):
+        if self.crossings and self.block < 1:
+            raise LefbenchError("generators carry positive multiplicity")
         if self.m < 0:
             raise LefbenchError("wrapping level is nonnegative")
         cert = self.rank_certificate
@@ -72,11 +57,7 @@ class WrappedComplexStage:
 
     @property
     def count(self) -> int:
-        return sum(g.multiplicity for g in self.generators)
-
-    @property
-    def u_count(self) -> int:
-        return sum(1 for g in self.generators if g.tag == CRITICAL_U)
+        return self.crossings * self.block + self.u_count
 
 
 def tower_crits(f: Fibration, x: str, y: str) -> tuple[Crit, Crit]:
@@ -99,10 +80,11 @@ def stage_spiral(f: Fibration, x: str, y: str, spec: WrapSpec) -> PlanarArc:
 
 def build_stage(f: Fibration, x: str, y: str, spec: WrapSpec,
                 fs: FsHomRanks) -> WrappedComplexStage:
-    """Inventory of the complex between x's thimble wrapped spec.m turns
-    and y's thimble, both named by their punctures.
+    """Generator counts of the complex between x's thimble wrapped spec.m
+    turns and y's thimble, both named by their punctures.
 
-    The rank certificate, where the directed calculus supplies one, is read
+    The block rank is asked of the oracle only when the paths cross.  The
+    rank certificate, where the directed calculus supplies one, is read
     from ``fs``.  The wrapped spiral is validated once, by
     intersection_profile.
     """
@@ -113,17 +95,11 @@ def build_stage(f: Fibration, x: str, y: str, spec: WrapSpec,
     spiral = stage_spiral(f, x, y, spec)
     profile = intersection_profile(spiral, cy.path, f.disc)
 
-    mult = None
-    gens: list[Generator] = []
-    for p in profile.interior_crossings:
-        if mult is None:
-            mult = o.rank_of(cx.cycle_label, cy.cycle_label)
-        gens.append(Generator(p, mult, ORDINARY))
-    for name in profile.shared_punctures:
-        gens.append(Generator(f.disc.point_of(name), 1, CRITICAL_U))
-
+    n = profile.crossing_count
     return WrappedComplexStage(
-        m=spec.m, generators=tuple(gens),
+        m=spec.m, crossings=n,
+        block=o.rank_of(cx.cycle_label, cy.cycle_label) if n else 0,
+        u_count=len(profile.shared_punctures),
         rank_certificate=_certificate(fs, x == y, spec.m), spiral=spiral)
 
 
@@ -158,7 +134,7 @@ def assemble_tower(stages: Iterable[WrappedComplexStage],
     """Order the stages of one pair into a tower and check them.
 
     The tower needs at least one stage and one stage per level; wrapping
-    only adds crossings, so inventories never shrink; and a self-tower
+    only adds crossings, so generator counts never shrink; and a self-tower
     (``self_pair``), whose verdict is the fate of its unit, must contain u.
     """
     ordered = tuple(sorted(stages, key=lambda s: s.m))

@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import NamedTuple
 
 # the Fraction point type, for the Fraction predicates
-from lefbench.exactgeom import Crossing, Pt, norm2
+from lefbench.exactgeom import Pt, norm2
 
 
 class GenericityError(AssertionError):
@@ -459,6 +460,13 @@ def _orient_coeffs_base_shifted(b1: Pt, b2: Pt, p: Pt) -> tuple[Fraction, Fracti
     return base, d.y, -d.x
 
 
+class Crossing(NamedTuple):
+    """exactgeom.Crossing with its point as a Fraction point."""
+    point: Pt
+    ta: Fraction
+    tb: Fraction
+
+
 def segment_crossing(a1: Pt, a2: Pt, b1: Pt, b2: Pt,
                      shift_b: bool) -> Crossing | None:
     """Proper crossing of two segments under the symbolic perturbation.
@@ -570,6 +578,7 @@ def all_pairs_check_embedded(arc):
 def all_pairs_crossings(a, b):
     """minpos.compute_crossings over every segment pair."""
     from lefbench.errors import DegenerateTangency
+    from lefbench.exactgeom import homog
     from lefbench.minpos import (ArcCrossing, _endpoint_segment_indices,
                                  _shared_anchor_points)
 
@@ -594,7 +603,8 @@ def all_pairs_crossings(a, b):
                 continue
             hit = segment_crossing(a1, a2, b1, b2, shift_b=shift_b)
             if hit is not None:
-                found.append(ArcCrossing(hit.point, (i, hit.ta), (j, hit.tb)))
+                found.append(ArcCrossing(homog(hit.point), (i, hit.ta),
+                                         (j, hit.tb)))
     return found
 
 
@@ -622,7 +632,7 @@ def point_in_polygon(p: Pt, poly: list[Pt]) -> bool:
 
 def point_at(arc, pos) -> Pt:
     """The point at position (segment index, parameter) on arc; a crossing's
-    point (minpos.ArcCrossing.point) is this point on either arc."""
+    point (minpos.ArcCrossing.hpoint) is this point on either arc."""
     s, t = pos
     v0, v1 = arc.vertices[s], arc.vertices[s + 1]
     return Pt(v0.x + t * (v1.x - v0.x), v0.y + t * (v1.y - v0.y))

@@ -31,6 +31,18 @@ def pt(x, y) -> Pt:
     return Pt(Q(x), Q(y))
 
 
+def point(hp) -> Pt:
+    """The Fraction point of a homogeneous triple, such as a crossing's
+    hpoint."""
+    x, y, w = hp
+    return Pt(Q(x, w), Q(y, w))
+
+
+def point_of(disc: DiscModel, name: str) -> Pt:
+    """The Fraction point of puncture ``name``."""
+    return point(disc.hpoint_of(name))
+
+
 def arc_through(points, *fields) -> PlanarArc:
     """The arc through the given Fraction points; fields follow hverts."""
     return PlanarArc(tuple(map(homog, points)), *fields)
@@ -39,12 +51,12 @@ def arc_through(points, *fields) -> PlanarArc:
 def vanishing(disc: DiscModel, name: str, angle, *mid) -> PlanarArc:
     """Straight-ish vanishing path from puncture ``name`` out to ``angle``."""
     end = BoundaryAngle(Q(angle))
-    vs = (disc.point_of(name),) + tuple(mid) + (circle_point(end.angle),)
+    vs = (point_of(disc, name),) + tuple(mid) + (circle_point(end.angle),)
     return arc_through(vs, Puncture(name), end, ArcKind.VANISHING)
 
 
 def matching(disc: DiscModel, a: str, b: str, *mid) -> PlanarArc:
-    vs = (disc.point_of(a),) + tuple(mid) + (disc.point_of(b),)
+    vs = (point_of(disc, a),) + tuple(mid) + (point_of(disc, b),)
     return arc_through(vs, Puncture(a), Puncture(b), ArcKind.MATCHING)
 
 

@@ -414,10 +414,28 @@ def test_all_aborts_on_validation_failure(tmp_path, capsys):
     assert "euler" not in out            # later sections never ran
 
 
-def test_missing_config_exit_one(capsys):
-    assert main(["all", "/no/such/file.cfg"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error[ConfigError]:")
+def test_missing_config_exit_one(tmp_path, capsys):
+    # a file that is not UTF-8 text cannot be read either
+    undecodable = tmp_path / "utf16.cfg"
+    undecodable.write_bytes(b"\xff\xfe" + "[disc]\n".encode("utf-16-le"))
+    for argv in (["all", "/no/such/file.cfg"], ["validate", str(undecodable)]):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error[ConfigError]:") and err.count("\n") == 1
+
+
+def test_unwritable_svg_dir_exit_one(tmp_path, capsys):
+    # --svg names an existing file, or a directory under one
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    for argv in (["render", shipped("W1.cfg"), "--svg", str(blocker)],
+                 ["all", shipped("W0.cfg"), "--svg", str(blocker / "svg")]):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error[ConfigError]: --svg ")
+        assert err.count("\n") == 1
 
 
 def test_undecidable_exit_two(capsys):

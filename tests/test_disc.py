@@ -47,7 +47,7 @@ def test_disc_rejects_boundary_puncture():
 
 def test_point_of_unknown_puncture():
     with pytest.raises(LefbenchError, match="unknown"):
-        two_puncture_disc().point_of("nope")
+        two_puncture_disc().hpoint_of("nope")
 
 
 def test_matching_arc_validates():

@@ -100,7 +100,7 @@ def test_segment_crossing_transverse_x():
     hit = segment_crossing(*h(pt(-1, -1), pt(1, 1), pt(-1, 1), pt(1, -1)),
                            shift_b=True)
     assert hit is not None
-    assert hit.point == pt(0, 0)
+    assert hit.hpoint == (0, 0, 1)
     assert hit.ta == Q(1, 2) and hit.tb == Q(1, 2)
 
 
@@ -116,7 +116,7 @@ def test_segment_crossing_t_contact_is_deterministic():
     shifted_b = segment_crossing(a1, a2, b1, b2, shift_b=True)
     shifted_a = segment_crossing(a1, a2, b1, b2, shift_b=False)
     # b moves toward +x: its endpoint pokes past the vertical line -> crossing
-    assert shifted_b is not None and shifted_b.point == pt(0, 0)
+    assert shifted_b is not None and shifted_b.hpoint == (0, 0, 1)
     # a moves toward +x: the vertical line recedes from b -> no contact
     assert shifted_a is None
 
@@ -169,7 +169,7 @@ def test_segment_point_dist2():
        st.fractions(max_denominator=64), st.fractions(max_denominator=64))
 def test_segment_crossing_symmetric_under_role_flip(x1, y1, x2, y2):
     """Swapping segment roles while keeping the same shifted arc must report
-    the same crossing point with swapped parameters."""
+    the same crossing point, the reference's, with swapped parameters."""
     a1, a2, b1, b2 = h(pt(-1, Q(-1, 3)), pt(1, Q(1, 7)), Pt(x1, y1), Pt(x2, y2))
     if (b1 == b2):
         return
@@ -179,7 +179,9 @@ def test_segment_crossing_symmetric_under_role_flip(x1, y1, x2, y2):
         assert flipped is None
     else:
         assert flipped is not None
-        assert flipped.point == direct.point
+        ref = oracles.segment_crossing(pt(-1, Q(-1, 3)), pt(1, Q(1, 7)),
+                                       Pt(x1, y1), Pt(x2, y2), shift_b=True)
+        assert flipped.hpoint == direct.hpoint == homog(ref.point)
         assert (flipped.ta, flipped.tb) == (direct.tb, direct.ta)
 
 
@@ -261,8 +263,9 @@ def _agree(a1, a2, b1, b2, h1, h2, h3, h4):
     assert (segments_overlap_collinear(h1, h2, h3, h4)
             == oracles.segments_overlap_collinear(a1, a2, b1, b2))
     for shift_b in (True, False):
-        assert (segment_crossing(h1, h2, h3, h4, shift_b)
-                == oracles.segment_crossing(a1, a2, b1, b2, shift_b))
+        ref = oracles.segment_crossing(a1, a2, b1, b2, shift_b)
+        assert segment_crossing(h1, h2, h3, h4, shift_b) == (
+            None if ref is None else (homog(ref.point), ref.ta, ref.tb))
 
 
 # degenerate quadruples that random draws reach rarely

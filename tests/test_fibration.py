@@ -15,8 +15,8 @@ from lefbench.fibration import (AbstractFiber, Crit, Fibration, HomologyTable,
 
 from oracles import attachment_homology
 from scen import (arc_through, aux_fibration, circle_fiber, empty_fibration,
-                  main_fibration, matching, pt, sphere_fiber, ts3_fibration,
-                  vanishing)
+                  main_fibration, matching, point_of, pt, sphere_fiber,
+                  ts3_fibration, vanishing)
 
 
 # --------------------------------------------------------------------------
@@ -129,7 +129,7 @@ def test_path_through_third_puncture_flagged():
              Crit("b", vanishing(disc3, "b", Q(0)), "zs"),
              Crit("c", vanishing(disc3, "c", Q(3, 4)), "zs"))
     mo = MatchingObject("zero-section", arc_through(
-        (disc3.point_of("a"), disc3.point_of("b")), through.start,
+        (point_of(disc3, "a"), point_of(disc3, "b")), through.start,
         through.end, through.kind), "zs", "zs")
     bad = Fibration("ts3x", disc3, sphere_fiber(), crits,
                     BoundaryAngle(Q(0)), objects=(mo,))
@@ -313,8 +313,8 @@ def test_matching_classes_of_a_and_b_agree():
 
 def test_cancelling_pair_gives_zero():
     f = ts3_fibration()
-    loop = arc_through((f.disc.point_of("a"), pt(0, Q(1, 4)),
-                        f.disc.point_of("a")),
+    loop = arc_through((point_of(f.disc, "a"), pt(0, Q(1, 4)),
+                        point_of(f.disc, "a")),
                        Puncture("a"), Puncture("a"), ArcKind.MATCHING)
     mo = MatchingObject("null", loop, "zs", "zs")
     assert matching_cycle_class(f, mo) == (0,)

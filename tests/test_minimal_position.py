@@ -17,15 +17,16 @@ from lefbench.errors import (DegenerateTangency, LefbenchError,
                              SharedBoundaryEndpoint)
 from lefbench.exactgeom import homog
 from lefbench import minpos
-from lefbench.minpos import (_canonically_after, compute_crossings,
-                             eliminate_bigon, find_empty_bigons,
-                             intersection_profile, minimal_position)
+from lefbench.minpos import (IntersectionProfile, _canonically_after,
+                             compute_crossings, eliminate_bigon,
+                             find_empty_bigons, intersection_profile,
+                             minimal_position)
 
 from oracles import (GenericityError, all_pairs_crossings, brute_crossing_count,
                      canonical_key, fraction_eliminate_bigon,
                      fraction_empty_bigons, full_verify_surgery, point_at,
                      point_on_segment, segments)
-from scen import arc_through, aux_disc, pt
+from scen import arc_through, aux_disc, point, pt
 from test_disc import GRID_POINTS, GRID_POLYLINES, no_zero_length
 
 
@@ -48,9 +49,9 @@ def test_two_diameters_cross_once():
     vertical = arc_through((pt(0, 1), pt(0, -1)),
                            BoundaryAngle(Q(1, 4)), BoundaryAngle(Q(3, 4)))
     prof = intersection_profile(horizontal, vertical, disc)
-    assert prof.crossing_count == 1
-    assert prof.interior_crossings == (pt(0, 0),)
-    assert prof.shared_punctures == ()
+    assert prof == IntersectionProfile(1, ())
+    assert [point(c.hpoint) for c in compute_crossings(horizontal, vertical)
+            ] == [pt(0, 0)]
     assert brute_crossing_count(horizontal.vertices, vertical.vertices) == 1
 
 
@@ -157,8 +158,8 @@ def test_unpinned_collinear_overlap_resolves():
     a.validate(disc)
     b.validate(disc)
     crossings = compute_crossings(a, b)
-    assert sorted(c.point for c in crossings) == [pt(Q(-1, 2), Q(-1, 4)),
-                                                  pt(Q(1, 2), Q(-1, 4))]
+    assert sorted(point(c.hpoint) for c in crossings) == [
+        pt(Q(-1, 2), Q(-1, 4)), pt(Q(1, 2), Q(-1, 4))]
     a2, b2 = minimal_position(a, b, disc)
     assert intersection_profile(a2, b2, disc).crossing_count == 0
 
@@ -274,8 +275,8 @@ LENS_B = arc_through((pt(Q(-1, 2), Q(1, 2)), pt(Q(-1, 4), Q(-1, 4)),
 def test_lens_test_pinned_cases(puncture, empty):
     disc = DiscModel(punctures=() if puncture is None else (("z", puncture),))
     crossings = compute_crossings(LENS_A, LENS_B)
-    assert sorted(c.point for c in crossings) == [pt(Q(-1, 3), 0),
-                                                  pt(Q(1, 3), 0)]
+    assert sorted(point(c.hpoint) for c in crossings) == [pt(Q(-1, 3), 0),
+                                                          pt(Q(1, 3), 0)]
     bigons = list(find_empty_bigons(LENS_A, LENS_B, disc, crossings))
     assert len(bigons) == (1 if empty else 0)
     assert bigons == fraction_empty_bigons(LENS_A, LENS_B, disc, crossings)
@@ -330,7 +331,8 @@ def test_random_elimination_order_reaches_parity(seed):
         # bigon surgery reads each corner's point from its crossing: the
         # point at the crossing's position on either arc
         for c in crossings:
-            assert c.point == point_at(rf, c.a_pos) == point_at(rg, c.b_pos)
+            assert (point(c.hpoint) == point_at(rf, c.a_pos)
+                    == point_at(rg, c.b_pos))
         bigons = list(find_empty_bigons(rf, rg, disc, crossings))
         if not bigons:
             break
@@ -482,7 +484,7 @@ def test_t_contact_bigon_has_one_point_kept_side(splice_gate):
     b = matching(disc, [left, pt(Q(-1, 16), Q(-1, 5)), pt(0, Q(1, 10)),
                         pt(Q(1, 16), Q(-1, 5)), right], "c-left", "c-right")
     crossings = compute_crossings(a, b)
-    assert [c.point for c in crossings] == [pt(0, Q(1, 10))] * 2
+    assert [point(c.hpoint) for c in crossings] == [pt(0, Q(1, 10))] * 2
     bigon = next(find_empty_bigons(a, b, disc, crossings))
     got = eliminate_bigon(a, b, bigon, disc, crossings)
     want = fraction_eliminate_bigon(a, b, bigon, disc, crossings)

@@ -171,7 +171,7 @@ def _bifibration(inner_disc, inner_objects, inner_oracle):
 
 
 def _matching_between(disc, name, p, q, label):
-    arc = scen.arc_through((disc.point_of(p), disc.point_of(q)),
+    arc = scen.arc_through((scen.point_of(disc, p), scen.point_of(disc, q)),
                            Puncture(p), Puncture(q), ArcKind.MATCHING)
     return MatchingObject(name, arc, label, label)
 

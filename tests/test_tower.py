@@ -1,4 +1,4 @@
-"""Wrapped-complex stage inventories and tower assembly on the shipped
+"""Wrapped-complex stage counts and tower assembly on the shipped
 scenarios, plus the bookkeeping guards."""
 
 from fractions import Fraction as Q
@@ -9,9 +9,9 @@ import scen
 from lefbench.disc import WrapSpec
 from lefbench.errors import Inconsistent, LefbenchError, Undecidable
 from lefbench.fibration import with_resolution
+from lefbench.minpos import compute_crossings, minimal_position
 from lefbench.rank_calculus import fs_hom_ranks
-from lefbench.tower import (CRITICAL_U, ORDINARY, Generator,
-                            WrappedComplexStage, assemble_tower, build_stage,
+from lefbench.tower import (WrappedComplexStage, assemble_tower, build_stage,
                             build_tower)
 
 DELTA = Q(1, 64)
@@ -28,10 +28,17 @@ def _stage(variant, x, y, m, f=None):
 
 
 def inventory(stage):
-    """A stage's combinatorial content: the sorted (multiplicity, tag)
-    multiset, stable under refinement of the boundary grid, which moves
-    crossing points slightly but cannot change what they contribute."""
-    return sorted((g.multiplicity, g.tag) for g in stage.generators)
+    """A stage's combinatorial content: its crossings, block rank and u,
+    stable under refinement of the boundary grid, which moves crossing
+    points slightly but cannot change what they contribute."""
+    return stage.crossings, stage.block, stage.u_count
+
+
+def crossing_points(f, stage, y):
+    """The crossing points of a stage's pair, its spiral against y's
+    vanishing path, in minimal position."""
+    a, b = minimal_position(stage.spiral, f.crit_for(y).path, f.disc)
+    return sorted(scen.point(c.hpoint) for c in compute_crossings(a, b))
 
 
 def counts(tower):
@@ -48,10 +55,8 @@ def test_self_tower_inventory(variant, thimble):
     for m in range(4):
         s = _stage(variant, thimble, thimble, m)
         assert s.count == 2 * m + 1
-        assert s.u_count == 1
-        ordinary = [g for g in s.generators if g.tag == ORDINARY]
-        assert len(ordinary) == m
-        assert all(g.multiplicity == 2 for g in ordinary)
+        # the block rank is asked for only when the paths cross
+        assert inventory(s) == (m, 2 if m else 0, 1)
 
 
 @pytest.mark.parametrize("variant", ["W0", "W1"])
@@ -59,10 +64,8 @@ def test_mixed_tower_inventory(variant):
     for m in range(4):
         s = _stage(variant, "a", "b", m)
         assert s.count == 2 * m
-        assert s.u_count == 0
-        assert all(g.multiplicity == 2 and g.tag == ORDINARY
-                   for g in s.generators)
-    assert _stage(variant, "a", "b", 0).generators == ()
+        assert inventory(s) == (m, 2 if m else 0, 0)
+    assert _stage(variant, "a", "b", 0).count == 0
 
 
 def test_stage_certificates():
@@ -94,7 +97,8 @@ def test_w0_w1_inventories_identical():
         for m in range(4):
             s0 = build_stage(f0, *pair, _spec(m), fs_hom_ranks(f0))
             s1 = build_stage(f1, *pair, _spec(m), fs_hom_ranks(f1))
-            assert s0.generators == s1.generators
+            assert (crossing_points(f0, s0, pair[1])
+                    == crossing_points(f1, s1, pair[1]))
             assert inventory(s0) == inventory(s1)
             assert s0.rank_certificate == s1.rank_certificate
 
@@ -117,26 +121,27 @@ def test_doubled_resolution_keeps_inventory():
 # stage guards
 # --------------------------------------------------------------------------
 
-def _gen(mult=2, tag=ORDINARY):
-    return Generator(scen.pt(0, Q(1, 4)), mult, tag)
+def _counts(m, crossings, cert=None):
+    """A stage of crossings fiber blocks of rank 2, without u."""
+    return WrappedComplexStage(m, crossings, 2 if crossings else 0, 0, cert)
 
 
 def test_generator_guards():
-    with pytest.raises(LefbenchError):
-        Generator(scen.pt(0, 0), 2, "mystery")
-    with pytest.raises(LefbenchError):
-        Generator(scen.pt(0, 0), 0, ORDINARY)
-    with pytest.raises(LefbenchError):
-        Generator(scen.pt(0, 0), 2, CRITICAL_U)
+    # crossings over a fiber block of rank 0 would carry no generators
+    with pytest.raises(LefbenchError,
+                       match="^generators carry positive multiplicity$"):
+        WrappedComplexStage(1, 1, 0, 0)
+    assert WrappedComplexStage(0, 0, 0, 1).count == 1
+    assert WrappedComplexStage(2, 2, 3, 1).count == 7
 
 
 def test_certificate_guards():
     with pytest.raises(Inconsistent):
-        WrappedComplexStage(1, (_gen(2),), 1)   # parity
+        _counts(1, 1, 1)   # parity
     with pytest.raises(Inconsistent):
-        WrappedComplexStage(1, (_gen(2),), 4)   # too big
+        _counts(1, 1, 4)   # too big
     with pytest.raises(LefbenchError):
-        WrappedComplexStage(-1, ())
+        _counts(-1, 0)
 
 
 def test_build_stage_needs_known_puncture_and_oracle():
@@ -175,7 +180,7 @@ def test_mixed_tower_counts():
 def test_fate_without_unit_is_inconsistent():
     # a self-tower's verdict is the fate of its unit, so it must contain u;
     # a mixed tower has no unit to carry
-    stages = (WrappedComplexStage(0, ()), WrappedComplexStage(1, (_gen(2),)))
+    stages = (_counts(0, 0), _counts(1, 1))
     with pytest.raises(Inconsistent):
         assemble_tower(stages, self_pair=True)
     assert counts(assemble_tower(stages, self_pair=False)) == [(0, 0), (1, 2)]
@@ -184,10 +189,8 @@ def test_fate_without_unit_is_inconsistent():
 def test_tower_guards():
     with pytest.raises(LefbenchError):
         assemble_tower((), self_pair=False)
-    s = WrappedComplexStage(0, ())
     with pytest.raises(LefbenchError):
-        assemble_tower((s, WrappedComplexStage(0, ())), self_pair=False)
-    shrink = (WrappedComplexStage(0, (_gen(2), _gen(2))),
-              WrappedComplexStage(1, (_gen(2),)))
+        assemble_tower((_counts(0, 0), _counts(0, 0)), self_pair=False)
+    shrink = (_counts(0, 2), _counts(1, 1))
     with pytest.raises(Inconsistent):
         assemble_tower(shrink, self_pair=False)

@@ -12,7 +12,7 @@ from lefbench import wrapping
 from lefbench.wrapping import wrap
 
 from oracles import brute_crossing_count, polyline_is_embedded
-from scen import arc_through, pt
+from scen import arc_through, point, pt
 
 DELTA = Q(1, 64)
 BEND = Q(1, 128)
@@ -66,8 +66,8 @@ def test_wrapped_ray_crosses_opposite_ray_once_per_turn(m, expected):
     assert len(hits) == expected
     assert brute_crossing_count(w.vertices, ray_b(disc).vertices) == expected
     # every crossing sits on the positive x axis between puncture and boundary
-    for c in hits:
-        assert c.point.y == 0 and Q(1, 2) < c.point.x < 1
+    for p in (point(c.hpoint) for c in hits):
+        assert p.y == 0 and Q(1, 2) < p.x < 1
     assert polyline_is_embedded(w.vertices)
 
 
