@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .disc import (ArcKind, BoundaryAngle, DiscModel, PlanarArc, Puncture)
+from .disc import BoundaryAngle, DiscModel, PlanarArc, Puncture
 from .errors import ConfigError, LefbenchError
 from .exactgeom import Pt, Q, homog, min_angular_gap
 from .fibration import (AbstractFiber, Crit, Fibration, HomologyTable,
@@ -522,11 +522,8 @@ def _build_fibration(raw, discs, fibers, built, raw_objects, oracles,
         except LefbenchError as e:
             raise _located(cloc, e) from None
         end = BoundaryAngle(angle)
-        try:
-            path = PlanarArc((start, *map(homog, mids), end.hpoint),
-                             Puncture(punc), end, ArcKind.VANISHING)
-        except LefbenchError as e:
-            raise _located(cloc, e) from None
+        path = PlanarArc((start, *map(homog, mids), end.hpoint),
+                         Puncture(punc), end)
         crits.append(Crit(punc, path, label))
     by_puncture = {c.puncture: c for c in crits}
 
@@ -545,12 +542,8 @@ def _build_fibration(raw, discs, fibers, built, raw_objects, oracles,
                                           crit.cycle_label))
             continue
         p, q = anchors
-        try:
-            arc = PlanarArc((disc.hpoint_of(p), *map(homog, mids),
-                             disc.hpoint_of(q)),
-                            Puncture(p), Puncture(q), ArcKind.MATCHING)
-        except LefbenchError as e:
-            raise _located(oloc, e) from None
+        arc = PlanarArc((disc.hpoint_of(p), *map(homog, mids),
+                         disc.hpoint_of(q)), Puncture(p), Puncture(q))
         objects.append(MatchingObject(name, arc, by_puncture[p].cycle_label,
                                       by_puncture[q].cycle_label))
 

@@ -11,7 +11,6 @@ it validates once per disc.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -21,13 +20,6 @@ from .errors import LefbenchError, NonEmbeddableInput
 from .exactgeom import (ORIGIN, Hpt, Pt, Q, angle_norm, box_pairs,
                         circle_hpoint, homog, norm2, orient, point_on_segment,
                         reduced, segment_box, segments_overlap_collinear)
-
-
-class ArcKind(enum.Enum):
-    PATH = "path"                  # no endpoint constraints (test arcs)
-    VANISHING = "vanishing"        # one puncture end, one boundary end
-    MATCHING = "matching"          # two puncture ends
-    WRAPPED = "wrapped"            # vanishing shape, produced by wrap()
 
 
 @dataclass(frozen=True)
@@ -134,17 +126,17 @@ class PlanarArc:
     hverts are the vertices as reduced homogeneous integer triples
     (exactgeom.homog of each point), from the start endpoint to the end
     endpoint; the first and last vertex are exactly the endpoint anchors.
-    Interior vertices are strictly inside the disc and never sit on a
-    puncture; no segment passes through a puncture.  Construction does not
-    validate (arcs are assembled piecewise by config loading, wrapping and
-    surgery); ``validate`` checks the lot.
+    The endpoints alone say what the arc is: a vanishing path runs from a
+    puncture to a boundary angle, a matching path joins two punctures, and
+    a wrapped path (wrapping.wrap) is a vanishing path.  Interior vertices
+    are strictly inside the disc and never sit on a puncture; no segment
+    passes through a puncture.  Construction does not validate (arcs are
+    assembled piecewise by config loading, wrapping and surgery);
+    ``validate`` checks the lot.
     """
     hverts: tuple[Hpt, ...]
     start: Endpoint
     end: Endpoint
-    kind: ArcKind = ArcKind.PATH
-    wrap_level: int | None = None
-    wrap_offset: Fraction | None = None
 
     # -- basic geometry ------------------------------------------------
 
@@ -155,7 +147,9 @@ class PlanarArc:
 
     @cached_property
     def boxes(self) -> list[tuple]:
-        """exactgeom.segment_box of each segment, for box_pairs."""
+        """exactgeom.segment_box of each segment: the input of box_pairs
+        (the arc's own pairs) and box_pairs_between (pairs with another
+        arc)."""
         hs = self.hverts
         return [segment_box(p, q) for p, q in zip(hs, hs[1:])]
 
@@ -207,7 +201,6 @@ class PlanarArc:
                             f"arc passes through puncture {name!r} at {p}")
 
         self._check_embedded()
-        self._check_kind()
 
     def _check_endpoint(self, disc: DiscModel, e: Endpoint, i: int) -> None:
         if isinstance(e, Puncture):
@@ -249,19 +242,6 @@ class PlanarArc:
                     f"arc self-intersects between segments {i} and {j}"
                     " (if this arc is a synthesized spiral, raise the"
                     " disc boundary_resolution)")
-
-    def _check_kind(self) -> None:
-        kinds = sorted(type(e).__name__ for e in self.endpoints())
-        if self.kind in (ArcKind.VANISHING, ArcKind.WRAPPED):
-            if kinds != ["BoundaryAngle", "Puncture"]:
-                raise LefbenchError(
-                    f"{self.kind.value} arc needs one puncture and one boundary endpoint")
-        elif self.kind is ArcKind.MATCHING:
-            if kinds != ["Puncture", "Puncture"]:
-                raise LefbenchError("matching arc needs two puncture endpoints")
-        if self.kind is ArcKind.WRAPPED and (
-                self.wrap_level is None or self.wrap_offset is None):
-            raise LefbenchError("wrapped arc must carry its wrap level and offset")
 
 
 def _closed_segments_touch(a1: Hpt, a2: Hpt, b1: Hpt, b2: Hpt) -> bool:

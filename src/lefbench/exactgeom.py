@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 Q = Fraction
 
@@ -165,52 +165,57 @@ def segment_box(p: Hpt, q: Hpt) -> tuple:
             (x0n, x0d, x1n, x1d, y0n, y0d, y1n, y1d))
 
 
-def _edges_meet(e: tuple, f: tuple) -> bool:
-    """Exact: the boxes with edges e and f (as from segment_box) meet."""
-    x0n, x0d, x1n, x1d, y0n, y0d, y1n, y1d = e
-    u0n, u0d, u1n, u1d, v0n, v0d, v1n, v1d = f
+def boxes_meet(p: tuple, q: tuple) -> bool:
+    """Exact: the closed boxes p and q (as from segment_box) meet.
+
+    The floor key floor(c * 2^64) of each edge c is monotone, so boxes whose
+    keys are apart are apart.  Boxes whose keys meet are decided exactly,
+    cross-multiplying numerators and denominators; boxes that merely touch
+    meet.  Segments whose boxes are strictly apart are separated by a
+    positive gap in x or y, so they share no point, and no infinitesimal
+    shift of either one makes them meet.
+    """
+    if p[1] < q[0] or q[1] < p[0] or p[3] < q[2] or q[3] < p[2]:
+        return False
+    x0n, x0d, x1n, x1d, y0n, y0d, y1n, y1d = p[4]
+    u0n, u0d, u1n, u1d, v0n, v0d, v1n, v1d = q[4]
     return (x0n * u1d <= u1n * x0d and u0n * x1d <= x1n * u0d
             and y0n * v1d <= v1n * y0d and v0n * y1d <= y1n * v0d)
 
 
-def box_pairs(boxes_a: list[tuple],
-              boxes_b: list[tuple] | None = None) -> list[tuple[int, int]]:
-    """Index pairs of segments whose closed bounding boxes meet, sorted.
+def box_pairs(boxes: list[tuple]) -> list[tuple[int, int]]:
+    """The index pairs (i, j), i < j, of the segments whose closed bounding
+    boxes (segment_box of each segment) meet, sorted.
 
-    The boxes are segment_box of each segment.  With one list: the pairs
-    (i, j), i < j, of its segments.  With two: the pairs (i, j) of segment i
-    of boxes_a and segment j of boxes_b.  A sweep over x (boxes sorted by
-    left edge, an active list per input dropping boxes that end left of the
-    sweep line) compares only boxes whose x-ranges may meet.
-
-    The sort, the drop and a first test in y use the floor key
-    floor(c * 2^64) of each edge c.  The key is monotone: a box whose right
-    edge has a smaller key than the current left edge ends strictly left of
-    every box still to come, so dropping it loses no pair, and boxes whose
-    keys are apart are apart.  Boxes whose keys meet are decided exactly,
-    cross-multiplying numerators and denominators, and boxes that merely
-    touch are kept.  Segments whose boxes are strictly apart are separated
-    by a positive gap in x or y, so they share no point, and no
-    infinitesimal shift of either one makes them meet.
+    A sweep over x (boxes sorted by the floor key of their left edge, an
+    active list dropping boxes whose right edge's key is below the sweep
+    line) passes only boxes whose x-ranges may meet to boxes_meet.  The key
+    is monotone: a box whose right edge has a smaller key than the current
+    left edge ends strictly left of every box still to come, so dropping it
+    loses no pair.
     """
-    boxes = [boxes_a] if boxes_b is None else [boxes_a, boxes_b]
-    events = sorted((box[0], side, k) for side, bs in enumerate(boxes)
-                    for k, box in enumerate(bs))
-    active: list[list[int]] = [[] for _ in boxes]
+    active: list[int] = []
     pairs = []
-    for kx0, side, k in events:
-        _, _, ky0, ky1, edges = boxes[side][k]
-        other = len(boxes) - 1 - side
-        obs = boxes[other]
-        live = active[other] = [m for m in active[other] if obs[m][1] >= kx0]
-        for m in live:
-            _, _, my0, my1, medges = obs[m]
-            if my0 <= ky1 and ky0 <= my1 and _edges_meet(edges, medges):
-                # boxes_a's index first; within one list, the smaller first
-                pairs.append((k, m) if (side, k) < (other, m) else (m, k))
-        active[side].append(k)
+    for kx0, k in sorted((box[0], k) for k, box in enumerate(boxes)):
+        box = boxes[k]
+        active = [m for m in active if boxes[m][1] >= kx0]
+        for m in active:
+            if boxes_meet(box, boxes[m]):
+                pairs.append((m, k) if m < k else (k, m))
+        active.append(k)
     pairs.sort()
     return pairs
+
+
+def box_pairs_between(boxes_a: list[tuple], boxes_b: list[tuple]
+                      ) -> Iterator[tuple[int, int]]:
+    """The index pairs (i, j) of a box of boxes_a and a box of boxes_b that
+    meet (boxes_meet), in (i, j) order.  Every pair is tested: one of the two
+    lists is short wherever two arcs are compared."""
+    for i, p in enumerate(boxes_a):
+        for j, q in enumerate(boxes_b):
+            if boxes_meet(p, q):
+                yield i, j
 
 
 def segments_overlap_collinear(a1: Hpt, a2: Hpt, b1: Hpt, b2: Hpt) -> bool:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .disc import ArcKind, BoundaryAngle, DiscModel, PlanarArc, Puncture
+from .disc import BoundaryAngle, DiscModel, PlanarArc, Puncture
 from .errors import (Inconsistent, LefbenchError, MissingClass,
                      SharedBoundaryEndpoint, UnresolvedSign)
 from .minpos import intersection_profile
@@ -197,10 +197,11 @@ class Crit:
 class MatchingObject:
     """A Lagrangian object presented over a base path.
 
-    A matching object proper has a MATCHING path between two critical
-    punctures and carries the labels of the two transported vanishing cycles.
-    A thimble presented as an object has a VANISHING path and a single label
-    (stored on both slots).
+    A matching object proper has a path between two critical punctures and
+    carries the labels of the two transported vanishing cycles.  A thimble
+    presented as an object has a vanishing path (puncture to boundary) and a
+    single label (stored on both slots).  The path's endpoints alone tell
+    the two apart.
     """
     name: str
     path: PlanarArc
@@ -304,9 +305,6 @@ def validate(f: Fibration) -> ValidationReport:
         if c.puncture not in f.disc.names:
             violation(f"critical value at undeclared puncture {c.puncture!r}")
             continue
-        if c.path.kind not in (ArcKind.VANISHING, ArcKind.PATH):
-            violation(f"vanishing path of {c.puncture!r} has kind"
-                      f" {c.path.kind.value!r}")
         try:
             c.path.validate(f.disc)
         except LefbenchError as exc:
@@ -371,7 +369,7 @@ def _check_object(f: Fibration, mo: MatchingObject, violation) -> None:
     except LefbenchError as exc:
         violation(f"object {mo.name!r}: {exc}")
         return
-    for label in {mo.left_cycle, mo.right_cycle}:
+    for label in dict.fromkeys((mo.left_cycle, mo.right_cycle)):
         if not _label_declared(f, label):
             violation(f"object {mo.name!r}: cycle label {label!r} is not"
                       " declared")
@@ -379,12 +377,13 @@ def _check_object(f: Fibration, mo: MatchingObject, violation) -> None:
         if f.crit_for(name) is None:
             violation(f"object {mo.name!r}: endpoint puncture {name!r} is"
                       " not a critical value")
-    if mo.path.kind is ArcKind.MATCHING and mo.left_cycle != mo.right_cycle:
-        isotopic = False
-        if f.oracle is not None:
-            status = f.oracle.isomorphic_objects(mo.left_cycle, mo.right_cycle)
-            isotopic = status.kind == "yes"
-        if not isotopic:
+    if not mo.path.boundary_angles() and mo.left_cycle != mo.right_cycle:
+        # a matching path (no boundary end) closes up only over isotopic
+        # labels; the oracle is asked about the labels it declares, and an
+        # undeclared one is reported above
+        o, labels = f.oracle, (mo.left_cycle, mo.right_cycle)
+        if not (o is not None and o.labels.issuperset(labels)
+                and o.isomorphic_objects(*labels).kind == "yes"):
             violation(f"object {mo.name!r}: cycle labels {mo.left_cycle!r},"
                       f" {mo.right_cycle!r} are not declared isotopic, so the"
                       " two thimbles do not close up to a matching cycle")
@@ -456,7 +455,7 @@ def matching_cycle_class(f: Fibration, mo: MatchingObject) -> tuple[int, ...]:
     Orientation data invisible to the combinatorics raises UnresolvedSign
     rather than guessing.
     """
-    if mo.path.kind is not ArcKind.MATCHING:
+    if mo.path.boundary_angles():
         raise LefbenchError(
             f"object {mo.name!r} is a thimble; only matching objects carry a"
             " closed middle-degree class")

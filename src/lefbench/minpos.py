@@ -3,26 +3,27 @@
 Crossings between two arcs are computed with the symbolic perturbation of
 exactgeom (the canonically larger arc plays the "later-declared" role and is
 the one infinitesimally shifted, so results do not depend on argument order)
-over the segment pairs whose closed bounding boxes meet (exactgeom.box_pairs).
-Skipping the other pairs is exact: boxes strictly apart leave a positive gap
-in x or y, which the infinitesimal shift (eps, eps^2) cannot close.  Empty
-bigons - discs bounded by one sub-arc of each curve containing no puncture -
-are found lazily, one lens at a time, and eliminated one at a time by
-rerouting one arc alongside the other within a verified corridor.  Lenses,
-corridors, crossings and the checks on them all run on homogeneous integer
-points; Fractions remain only for positions along segments and for scalars.
-Every elimination is checked exactly after the fact (embeddedness, crossing
-count drop of exactly two, zero winding of the swap loop around every
-puncture); the corridor width shrinks geometrically until the checks pass,
-so a successful return is correct by construction rather than by trusted
-epsilon bounds.  The check covers exactly the segments the reroute changed:
-the arc was embedded before, and a segment that did not change keeps its
-contacts with every other unchanged segment and its crossings with the
-other arc, which are only re-indexed.  When the rerouted arc no longer
-comes canonically after the other, the perturbation changes sides and
-every crossing is searched again.  intersection_profile reduces a pair and
-counts the crossings the reduction found, so each pair's crossings are
-searched once per reduction and again only after such a flip; the
+over the segment pairs whose closed bounding boxes meet, each pair tested
+directly (exactgeom.box_pairs_between): wherever two arcs are compared, one
+side is a few segments.  Skipping the other pairs is exact: boxes strictly
+apart leave a positive gap in x or y, which the infinitesimal shift (eps,
+eps^2) cannot close.  Empty bigons - discs bounded by one sub-arc of each
+curve containing no puncture - are found lazily, one lens at a time, and
+eliminated one at a time by rerouting one arc alongside the other within a
+verified corridor.  Lenses, corridors, crossings and the checks on them all
+run on homogeneous integer points; Fractions remain only for positions along
+segments and for scalars.  Every elimination is checked exactly after the
+fact (embeddedness, crossing count drop of exactly two, zero winding of the
+swap loop around every puncture); the corridor width shrinks geometrically
+until the checks pass, so a successful return is correct by construction
+rather than by trusted epsilon bounds.  The check covers exactly the segments
+the reroute changed: the arc was embedded before, and a segment that did not
+change keeps its contacts with every other unchanged segment and its
+crossings with the other arc, which are only re-indexed.  When the rerouted
+arc no longer comes canonically after the other, the perturbation changes
+sides and every crossing is searched again.  intersection_profile reduces a
+pair and counts the crossings the reduction found, so each pair's crossings
+are searched once per reduction and again only after such a flip; the
 profile keeps only that count and the shared punctures.
 """
 
@@ -30,13 +31,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterator
+from itertools import chain
+from typing import Iterable, Iterator
 
 from .disc import DiscModel, PlanarArc, Puncture
 from .errors import (DegenerateTangency, NonEmbeddableInput,
                      SharedBoundaryEndpoint)
-from .exactgeom import (Hpt, Q, box_pairs, point_in_polygon, point_on_segment,
-                        reduced, segment_box, segment_crossing,
+from .exactgeom import (Hpt, Q, box_pairs_between, boxes_meet,
+                        point_in_polygon, point_on_segment, reduced,
+                        segment_box, segment_crossing,
                         segments_overlap_collinear, winding_number)
 
 Pos = tuple[int, Fraction]  # (segment index, parameter within segment)
@@ -100,11 +103,12 @@ def compute_crossings(a: PlanarArc, b: PlanarArc) -> list[ArcCrossing]:
     """
     # pinned pairs share their puncture, so their boxes meet and they are
     # always tested; pairs come in (i, j) order, the order of the result
-    return _crossings_on(a, b, box_pairs(a.boxes, b.boxes),
+    return _crossings_on(a, b, box_pairs_between(a.boxes, b.boxes),
                          not _canonically_after(a.hverts, b.hverts))
 
 
-def _crossings_on(a: PlanarArc, b: PlanarArc, pairs: list[tuple[int, int]],
+def _crossings_on(a: PlanarArc, b: PlanarArc,
+                  pairs: Iterable[tuple[int, int]],
                   shift_b: bool) -> list[ArcCrossing]:
     """The crossings of a and b on the segment pairs (i of a, j of b), in
     pairs' order, under the perturbation shift_b; a segment pair holds at
@@ -403,7 +407,9 @@ def _verify_splice(candidate: PlanarArc, moved: PlanarArc, kept: PlanarArc,
     polyline between the corners, and crossings are the crossings of moved
     and kept.  moved must be embedded.
 
-    Only pairs with a changed segment are examined, which is complete: two
+    Only pairs with a changed segment are examined, each once: a changed
+    box is tested directly (exactgeom.boxes_meet) against the candidate's
+    boxes before the stretch and after itself.  That is complete: two
     unchanged segments are a pair of moved's segments, equally far apart
     along it, so moved's embedding already clears them; and an unchanged
     segment meets kept exactly as it did in moved, since segment_crossing
@@ -419,11 +425,12 @@ def _verify_splice(candidate: PlanarArc, moved: PlanarArc, kept: PlanarArc,
     boxes = candidate.__dict__["boxes"] = (old_boxes[:lo] + changed
                                            + old_boxes[hi + 1 - d:])
 
-    # every pair (i, j), i < j, with a changed segment; a pair of two
-    # changed segments comes once from each of them
-    pairs = [(i, j) if i < j else (j, i)
-             for i, j in ((c + lo, j) for c, j in box_pairs(changed, boxes))
-             if i < j or j < lo]
+    # every pair (i, j), i < j, with a changed segment: each changed
+    # segment against the segments before the stretch and after itself
+    pairs = [(j, i) if j < lo else (i, j)
+             for i in range(lo, hi + 1)
+             for j in chain(range(lo), range(i + 1, len(boxes)))
+             if boxes_meet(boxes[i], boxes[j])]
     try:
         candidate._check_embedded(pairs)
     except NonEmbeddableInput:
@@ -474,7 +481,7 @@ def _splice_crossings(pair: tuple[PlanarArc, PlanarArc], m_side: int,
             out.append(ArcCrossing(c.hpoint, (s + d, t), c.b_pos)
                        if m_side == 0
                        else ArcCrossing(c.hpoint, c.a_pos, (s + d, t)))
-    met = box_pairs(changed, pair[1 - m_side].boxes)
+    met = box_pairs_between(changed, pair[1 - m_side].boxes)
     out += _crossings_on(*pair, [(c + lo, j) if m_side == 0 else (j, c + lo)
                                  for c, j in met], shift_b)
     out.sort(key=lambda c: (c.a_pos[0], c.b_pos[0]))

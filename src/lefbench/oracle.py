@@ -159,9 +159,9 @@ class FiberOracle:
                 need(rel.i), need(rel.j)
                 record(rel.i, rel.j, 0,
                        f"disjointness [{rel.provenance.render()}]")
-        sphere = {d.name for d in self.label_decls if d.sphere}
-        for s in sphere:
-            record(s, s, 2, "sphere self-rank")
+        for d in self.label_decls:
+            if d.sphere:
+                record(d.name, d.name, 2, "sphere self-rank")
 
         parity: dict[tuple[str, str], tuple[str, Provenance]] = {}
         for fact in self.parity_facts:

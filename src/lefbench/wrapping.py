@@ -35,7 +35,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .disc import ArcKind, BoundaryAngle, DiscModel, PlanarArc, WrapSpec, radial_split
+from .disc import BoundaryAngle, DiscModel, PlanarArc, WrapSpec, radial_split
 from .errors import LefbenchError, SpiralCollision
 from .exactgeom import Q, circle_hpoint, norm2, reduced, segment_near_origin
 
@@ -102,7 +102,4 @@ def wrap(arc: PlanarArc, spec: WrapSpec, disc: DiscModel,
 
     tail = BoundaryAngle(end)
     head = arc.hverts[:1] if bend else arc.hverts[:-1]
-    level = (arc.wrap_level or 0) + spec.m
-    offset = (arc.wrap_offset or Q(0)) + spec.delta
-    return PlanarArc(head + tuple(spiral) + (tail.hpoint,), arc.start, tail,
-                     ArcKind.WRAPPED, wrap_level=level, wrap_offset=offset)
+    return PlanarArc(head + tuple(spiral) + (tail.hpoint,), arc.start, tail)

@@ -8,8 +8,7 @@ objects.
 
 from fractions import Fraction as Q
 
-from lefbench.disc import (ArcKind, BoundaryAngle, DiscModel, PlanarArc,
-                           Puncture)
+from lefbench.disc import BoundaryAngle, DiscModel, PlanarArc, Puncture
 from lefbench.exactgeom import Pt, homog
 from lefbench.fibration import (AbstractFiber, Crit, Fibration, HomologyTable,
                                 MatchingObject, TotalSpaceFiber)
@@ -52,12 +51,12 @@ def vanishing(disc: DiscModel, name: str, angle, *mid) -> PlanarArc:
     """Straight-ish vanishing path from puncture ``name`` out to ``angle``."""
     end = BoundaryAngle(Q(angle))
     vs = (point_of(disc, name),) + tuple(mid) + (circle_point(end.angle),)
-    return arc_through(vs, Puncture(name), end, ArcKind.VANISHING)
+    return arc_through(vs, Puncture(name), end)
 
 
 def matching(disc: DiscModel, a: str, b: str, *mid) -> PlanarArc:
     vs = (point_of(disc, a),) + tuple(mid) + (point_of(disc, b),)
-    return arc_through(vs, Puncture(a), Puncture(b), ArcKind.MATCHING)
+    return arc_through(vs, Puncture(a), Puncture(b))
 
 
 def circle_fiber() -> AbstractFiber:

@@ -633,3 +633,63 @@ def test_module_invocation():
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0
     assert "validation: ok" in proc.stdout
+
+
+# a matching object whose cycle labels the oracle does not declare
+UNDECLARED_LABELS_CFG = """\
+[disc d]
+puncture l = -1/2 0
+puncture r = 1/2 0
+
+[fiber f]
+dim = 2
+homology 0 = 1
+homology 1 = 1
+class p = 1
+class q = 1
+
+[fibration F]
+disc = d
+fiber = f
+reference-angle = 0
+crit l = p | 1/2
+crit r = q | 0
+
+[objects F]
+matching M = l r | 0 1/4
+
+[oracle F]
+label z = sphere
+
+[run]
+fibration = F
+"""
+
+
+def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
+    # validate reports undeclared labels as violations, and a contradiction
+    # of both sphere self-ranks names the first declared label, whatever
+    # the order of string hashes
+    undeclared = tmp_path / "undeclared.cfg"
+    undeclared.write_text(UNDECLARED_LABELS_CFG)
+    contradiction = tmp_path / "contradiction.cfg"
+    w0 = Path(shipped("W0.cfg")).read_text()
+    assert "rank A B = 2 " in w0
+    contradiction.write_text(w0.replace("rank A B = 2 ", "rank A B = 0 "))
+    src = Path(lefbench.__file__).resolve().parents[1]
+    for cfg, code in ((undeclared, 1), (contradiction, 3)):
+        runs = {(proc.returncode, proc.stdout, proc.stderr) for proc in (
+            subprocess.run(
+                [sys.executable, "-m", "lefbench.cli", "validate", str(cfg)],
+                capture_output=True, text=True,
+                env={**os.environ, "PYTHONPATH": str(src),
+                     "PYTHONHASHSEED": str(seed)})
+            for seed in range(1, 7))}
+        assert len(runs) == 1
+        [(got, out, err)] = runs
+        assert got == code
+        if code == 1:
+            assert "violations: 5\n" in out and err == ""
+        else:
+            assert out == "" and err.startswith(
+                "error[Inconsistent]: ") and "rank(A,A) forced to both 0" in err

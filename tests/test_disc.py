@@ -5,8 +5,8 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lefbench.disc import (ArcKind, BoundaryAngle, DiscModel, PlanarArc,
-                           Puncture, WrapSpec, radial_split)
+from lefbench.disc import (BoundaryAngle, DiscModel, PlanarArc, Puncture,
+                           WrapSpec, radial_split)
 from lefbench.errors import LefbenchError, NonEmbeddableInput
 
 from oracles import all_pairs_check_embedded, polyline_is_embedded
@@ -53,14 +53,14 @@ def test_point_of_unknown_puncture():
 def test_matching_arc_validates():
     disc = two_puncture_disc()
     arc = arc_through((pt(Q(-1, 2), 0), pt(0, Q(1, 4)), pt(Q(1, 2), 0)),
-                      Puncture("p"), Puncture("q"), ArcKind.MATCHING)
+                      Puncture("p"), Puncture("q"))
     arc.validate(disc)
 
 
 def test_endpoint_anchor_must_match_vertex():
     disc = two_puncture_disc()
     arc = arc_through((pt(0, 0), pt(Q(1, 2), 0)),
-                      Puncture("p"), Puncture("q"), ArcKind.MATCHING)
+                      Puncture("p"), Puncture("q"))
     with pytest.raises(LefbenchError, match="does not match puncture"):
         arc.validate(disc)
 
@@ -68,7 +68,7 @@ def test_endpoint_anchor_must_match_vertex():
 def test_boundary_endpoint_must_be_realized_exactly():
     disc = two_puncture_disc()
     arc = arc_through((pt(Q(1, 2), 0), pt(Q(99, 100), 0)),
-                      Puncture("q"), BoundaryAngle(Q(0)), ArcKind.VANISHING)
+                      Puncture("q"), BoundaryAngle(Q(0)))
     with pytest.raises(LefbenchError, match="realize boundary angle"):
         arc.validate(disc)
 
@@ -78,8 +78,7 @@ def test_interior_vertex_must_stay_inside():
     # outside, and exactly on the unit circle
     for v in (pt(2, 2), pt(Q(3, 5), Q(4, 5))):
         arc = arc_through((pt(Q(1, 2), 0), v, pt(1, 0)),
-                          Puncture("q"), BoundaryAngle(Q(0)),
-                          ArcKind.VANISHING)
+                          Puncture("q"), BoundaryAngle(Q(0)))
         with pytest.raises(LefbenchError, match="strictly inside"):
             arc.validate(disc)
 
@@ -105,7 +104,7 @@ def test_fold_back_is_rejected():
     disc = two_puncture_disc()
     arc = arc_through(
         (pt(Q(1, 2), 0), pt(Q(3, 4), 0), pt(Q(5, 8), 0), pt(1, 0)),
-        Puncture("q"), BoundaryAngle(Q(0)), ArcKind.VANISHING)
+        Puncture("q"), BoundaryAngle(Q(0)))
     with pytest.raises(NonEmbeddableInput, match="folds back"):
         arc.validate(disc)
 
@@ -129,36 +128,18 @@ def test_box_pruned_embedding_check_matches_oracles(vertices):
     assert got == _embedding_error(all_pairs_check_embedded, arc)
 
 
-def test_kind_constraints():
-    disc = two_puncture_disc()
-    bad = arc_through((pt(Q(-1, 2), 0), pt(Q(1, 2), 0)),
-                      Puncture("p"), Puncture("q"), ArcKind.VANISHING)
-    with pytest.raises(LefbenchError, match="one puncture and one boundary"):
-        bad.validate(disc)
-    bad2 = arc_through((pt(0, 1), pt(0, -1)),
-                       BoundaryAngle(Q(1, 4)), BoundaryAngle(Q(3, 4)),
-                       ArcKind.MATCHING)
-    with pytest.raises(LefbenchError, match="two puncture endpoints"):
-        bad2.validate(disc)
-    bad3 = arc_through((pt(Q(1, 2), 0), pt(1, 0)),
-                       Puncture("q"), BoundaryAngle(Q(0)), ArcKind.WRAPPED)
-    with pytest.raises(LefbenchError, match="wrap level"):
-        bad3.validate(disc)
-
-
 def test_radial_split_reads_angle_and_radius():
     arc = arc_through((pt(Q(1, 2), 0), pt(1, 0)),
-                      Puncture("q"), BoundaryAngle(Q(0)), ArcKind.VANISHING)
+                      Puncture("q"), BoundaryAngle(Q(0)))
     assert radial_split(arc) == (Q(0), Q(1, 2))
     down = arc_through((pt(0, 0), pt(0, -1)),
-                       Puncture("c"), BoundaryAngle(Q(3, 4)),
-                       ArcKind.VANISHING)
+                       Puncture("c"), BoundaryAngle(Q(3, 4)))
     assert radial_split(down) == (Q(3, 4), Q(0))
 
 
 def test_radial_split_rejects_non_radial_tail():
     arc = arc_through((pt(Q(1, 2), Q(1, 4)), pt(1, 0)),
-                      Puncture("q"), BoundaryAngle(Q(0)), ArcKind.VANISHING)
+                      Puncture("q"), BoundaryAngle(Q(0)))
     with pytest.raises(LefbenchError, match="not radial"):
         radial_split(arc)
 

@@ -13,9 +13,9 @@ from hypothesis import example, given, strategies as st
 import oracles
 from lefbench.config import load_config
 from lefbench.disc import WrapSpec, _closed_segments_touch
-from lefbench.exactgeom import (Pt, _shift_sign, box_pairs, circle_hpoint,
-                                homog, min_angular_gap, norm2, orient,
-                                point_in_polygon, point_on_segment,
+from lefbench.exactgeom import (Pt, _shift_sign, box_pairs, box_pairs_between,
+                                circle_hpoint, homog, min_angular_gap, norm2,
+                                orient, point_in_polygon, point_on_segment,
                                 segment_box, segment_crossing,
                                 segment_near_origin,
                                 segments_overlap_collinear, winding_number)
@@ -212,14 +212,17 @@ def _check_box_pairs(segs_a, segs_b):
         expect = [(i, j) for i in range(len(segs_a))
                   for j in range(i + 1, len(segs_a))
                   if _boxes_meet(segs_a[i], segs_a[j])]
+        assert box_pairs(_hboxes(segs_a)) == expect
     else:
         expect = [(i, j) for i in range(len(segs_a)) for j in range(len(segs_b))
                   if _boxes_meet(segs_a[i], segs_b[j])]
-    assert box_pairs(_hboxes(segs_a), _hboxes(segs_b)) == expect
+        assert list(box_pairs_between(_hboxes(segs_a),
+                                      _hboxes(segs_b))) == expect
 
 
-# coordinates closer together than the 2^-64 resolution of box_pairs' floor
-# keys: the sort and the drop see ties, the exact test must tell them apart
+# coordinates closer together than the 2^-64 resolution of the boxes' floor
+# keys: the sweep's sort and drop and the key test see ties, the exact test
+# must tell them apart
 TINY = Q(1, 2 ** 70)
 NEAR = [c + d for c in (Q(-1, 3), Q(0), Q(1, 3)) for d in (-TINY, Q(0), TINY)]
 NEAR_SEGMENTS = st.tuples(*[st.builds(Pt, st.sampled_from(NEAR),

@@ -1,11 +1,12 @@
 """Fibration schema, validation, and handle-attachment homology."""
 
 import itertools
+from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
 
-from lefbench.disc import ArcKind, BoundaryAngle, DiscModel, Puncture
+from lefbench.disc import BoundaryAngle, DiscModel, Puncture
 from lefbench.errors import (Inconsistent, LefbenchError, MissingClass,
                              UnresolvedSign)
 from lefbench.fibration import (AbstractFiber, Crit, Fibration, HomologyTable,
@@ -130,7 +131,7 @@ def test_path_through_third_puncture_flagged():
              Crit("c", vanishing(disc3, "c", Q(3, 4)), "zs"))
     mo = MatchingObject("zero-section", arc_through(
         (point_of(disc3, "a"), point_of(disc3, "b")), through.start,
-        through.end, through.kind), "zs", "zs")
+        through.end), "zs", "zs")
     bad = Fibration("ts3x", disc3, sphere_fiber(), crits,
                     BoundaryAngle(Q(0)), objects=(mo,))
     report = validate(bad)
@@ -144,6 +145,11 @@ def test_undeclared_label_flagged():
                     f.reference_angle)
     report = validate(bad)
     assert any("not declared" in v for v in report.violations)
+    # a thimble carries its one label on both slots: reported once
+    thimble = MatchingObject("T", f.crits[0].path, "mystery", "mystery")
+    report = validate(replace(f, objects=(thimble,)))
+    assert [v for v in report.violations if "object 'T'" in v] == [
+        f"[{f.name}] object 'T': cycle label 'mystery' is not declared"]
 
 
 def test_object_endpoint_without_crit_flagged():
@@ -315,7 +321,7 @@ def test_cancelling_pair_gives_zero():
     f = ts3_fibration()
     loop = arc_through((point_of(f.disc, "a"), pt(0, Q(1, 4)),
                         point_of(f.disc, "a")),
-                       Puncture("a"), Puncture("a"), ArcKind.MATCHING)
+                       Puncture("a"), Puncture("a"))
     mo = MatchingObject("null", loop, "zs", "zs")
     assert matching_cycle_class(f, mo) == (0,)
 

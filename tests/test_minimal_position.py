@@ -12,7 +12,7 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from lefbench.disc import ArcKind, BoundaryAngle, DiscModel, Puncture
+from lefbench.disc import BoundaryAngle, DiscModel, Puncture
 from lefbench.errors import (DegenerateTangency, LefbenchError,
                              SharedBoundaryEndpoint)
 from lefbench.exactgeom import homog
@@ -36,8 +36,7 @@ def disc_pq(extra=()):
 
 
 def matching(disc, vertices, a="p", b="q"):
-    arc = arc_through(tuple(vertices),
-                      Puncture(a), Puncture(b), ArcKind.MATCHING)
+    arc = arc_through(tuple(vertices), Puncture(a), Puncture(b))
     arc.validate(disc)
     return arc
 
@@ -117,7 +116,7 @@ def subdivide(arc):
     for a, b in zip(vs, vs[1:]):
         out.append(pt((a.x + b.x) / 2, (a.y + b.y) / 2))
         out.append(b)
-    return arc_through(out, arc.start, arc.end, arc.kind)
+    return arc_through(out, arc.start, arc.end)
 
 
 def test_profile_invariant_under_refinement():
@@ -167,9 +166,9 @@ def test_unpinned_collinear_overlap_resolves():
 def test_shared_boundary_endpoint_rejected():
     disc = disc_pq()
     a = arc_through((pt(Q(1, 2), 0), pt(1, 0)),
-                    Puncture("q"), BoundaryAngle(Q(0)), ArcKind.VANISHING)
+                    Puncture("q"), BoundaryAngle(Q(0)))
     b = arc_through((pt(Q(-1, 2), 0), pt(0, Q(-1, 2)), pt(1, 0)),
-                    Puncture("p"), BoundaryAngle(Q(0)), ArcKind.VANISHING)
+                    Puncture("p"), BoundaryAngle(Q(0)))
     with pytest.raises(SharedBoundaryEndpoint):
         intersection_profile(a, b, disc)
 
@@ -305,9 +304,9 @@ def random_band_pair(rng):
     disc = DiscModel(punctures=(("fL", pt(xs[0], f[0])), ("fR", pt(xs[-1], f[-1])),
                                 ("gL", pt(xs[0], g[0])), ("gR", pt(xs[-1], g[-1]))))
     fa = arc_through(tuple(pt(x, y) for x, y in zip(xs, f)),
-                     Puncture("fL"), Puncture("fR"), ArcKind.MATCHING)
+                     Puncture("fL"), Puncture("fR"))
     ga = arc_through(tuple(pt(x, y) for x, y in zip(xs, g)),
-                     Puncture("gL"), Puncture("gR"), ArcKind.MATCHING)
+                     Puncture("gL"), Puncture("gR"))
     fa.validate(disc)
     ga.validate(disc)
     return disc, fa, ga
@@ -435,6 +434,41 @@ def test_surgery_matches_fraction_reference_on_zigzags(k, splice_gate):
     assert reduce_against_reference(a, b, disc, lambda bigons: bigons[0]) == 0
 
 
+def test_splice_check_sees_the_segments_before_the_stretch():
+    # moved runs d -> c -> b -> a along y = 0; kept dips across its segment
+    # c -> b twice.  Each reroute of c -> b leaves at (3/16, 0), passes over
+    # kept and rejoins at (-3/16, 0), so both drop the two crossings and
+    # sweep no puncture; the detour also crosses the unchanged segment
+    # d -> c twice, so only the embedding check can reject it
+    disc = DiscModel(punctures=(("d", pt(Q(3, 4), 0)), ("a", pt(Q(-3, 4), 0)),
+                                ("u", pt(Q(-1, 8), Q(-1, 2))),
+                                ("v", pt(Q(1, 8), Q(-1, 2)))))
+    moved = arc_through((pt(Q(3, 4), 0), pt(Q(1, 4), 0), pt(Q(-1, 4), 0),
+                         pt(Q(-3, 4), 0)), Puncture("d"), Puncture("a"))
+    kept = arc_through((pt(Q(-1, 8), Q(-1, 2)), pt(Q(-1, 8), Q(1, 4)),
+                        pt(Q(1, 8), Q(1, 4)), pt(Q(1, 8), Q(-1, 2))),
+                       Puncture("u"), Puncture("v"))
+    moved.validate(disc)
+    kept.validate(disc)
+    crossings = compute_crossings(moved, kept)
+    assert len(crossings) == 2
+    ends = [pt(Q(3, 16), 0), pt(Q(-3, 16), 0)]
+    over = [pt(Q(3, 16), Q(3, 8)), pt(Q(-3, 16), Q(3, 8))]
+    detour = [pt(Q(3, 16), Q(3, 8)), pt(Q(1, 2), Q(3, 8)),
+              pt(Q(1, 2), Q(-1, 8)), pt(Q(5, 8), Q(3, 8)),
+              pt(Q(-3, 16), Q(1, 2))]
+    for route, embedded in ((over, True), (detour, False)):
+        middle = tuple(map(homog, [ends[0], *route, ends[1]]))
+        candidate = replace(moved, hverts=moved.hverts[:2] + middle
+                            + moved.hverts[2:])
+        got = minpos._verify_splice(candidate, moved, kept, 0, 1, middle,
+                                    list(map(homog, ends)), crossings, disc)
+        assert got == full_verify_surgery(
+            (candidate, kept), replace(candidate), list(map(homog, ends)),
+            disc, 2, middle)
+        assert (got == []) == embedded and (got is None) != embedded
+
+
 def shared_ends_pair(rng):
     """Two matching arcs from s = (0, 0) to t = (3/5, 0), each through 1-5
     interior vertices drawn on the 1/100 grid.  Arcs that share their
@@ -446,8 +480,7 @@ def shared_ends_pair(rng):
         mids = [pt(Q(rng.randint(-20, 80), 100), Q(rng.randint(-30, 30), 100))
                 for _ in range(rng.randint(1, 5))]
         arcs.append(arc_through((pt(0, 0), *mids, pt(Q(3, 5), 0)),
-                                Puncture("s"), Puncture("t"),
-                                ArcKind.MATCHING))
+                                Puncture("s"), Puncture("t")))
     return disc, *arcs
 
 

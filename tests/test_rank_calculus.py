@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import scen
 from lefbench.cli import _section_trace
-from lefbench.disc import ArcKind, BoundaryAngle, DiscModel, Puncture
+from lefbench.disc import BoundaryAngle, DiscModel, Puncture
 from lefbench.errors import (ImageTooLarge, Inconsistent, IncompleteBasis,
                              LefbenchError, Undecidable, UnknownPair)
 from lefbench.fibration import Crit, Fibration, MatchingObject, TotalSpaceFiber
@@ -172,7 +172,7 @@ def _bifibration(inner_disc, inner_objects, inner_oracle):
 
 def _matching_between(disc, name, p, q, label):
     arc = scen.arc_through((scen.point_of(disc, p), scen.point_of(disc, q)),
-                           Puncture(p), Puncture(q), ArcKind.MATCHING)
+                           Puncture(p), Puncture(q))
     return MatchingObject(name, arc, label, label)
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from lefbench.disc import ArcKind, BoundaryAngle, DiscModel, Puncture, WrapSpec
+from lefbench.disc import BoundaryAngle, DiscModel, Puncture, WrapSpec
 from lefbench.errors import LefbenchError, SpiralCollision
 from lefbench.exactgeom import norm2
 from lefbench.minpos import compute_crossings, find_empty_bigons
@@ -32,25 +32,21 @@ def wrapped(arc, spec, disc, bend=False):
 
 def ray_a(disc):
     arc = arc_through((pt(Q(-1, 2), 0), pt(-1, 0)),
-                      Puncture("a"), BoundaryAngle(Q(1, 2)),
-                      ArcKind.VANISHING)
+                      Puncture("a"), BoundaryAngle(Q(1, 2)))
     arc.validate(disc)
     return arc
 
 
 def ray_b(disc):
     arc = arc_through((pt(Q(1, 2), 0), pt(1, 0)),
-                      Puncture("b"), BoundaryAngle(Q(0)), ArcKind.VANISHING)
+                      Puncture("b"), BoundaryAngle(Q(0)))
     arc.validate(disc)
     return arc
 
 
-def test_wrap_level_zero_only_shifts_the_endpoint():
+def test_wrap_at_level_zero_only_shifts_the_endpoint():
     disc = main_disc()
     w = wrapped(ray_b(disc), WrapSpec(0, DELTA, BEND), disc)
-    assert w.kind is ArcKind.WRAPPED
-    assert w.wrap_level == 0
-    assert w.wrap_offset == DELTA
     assert w.end == BoundaryAngle(DELTA)
     assert w.vertices[0] == pt(Q(1, 2), 0)
     assert norm2(w.vertices[-1]) == 1
@@ -97,8 +93,6 @@ def test_double_wrap_matches_single_wrap_profile():
     once = wrapped(wrapped(ray_b(disc), WrapSpec(1, DELTA, BEND), disc),
                    WrapSpec(2, DELTA, BEND), disc)
     flat = wrapped(ray_b(disc), WrapSpec(3, 2 * DELTA, BEND), disc)
-    assert once.wrap_level == flat.wrap_level == 3
-    assert once.wrap_offset == flat.wrap_offset == 2 * DELTA
     assert once.end == flat.end
     target = ray_a(disc)
     assert (len(compute_crossings(once, target))
@@ -108,8 +102,7 @@ def test_double_wrap_matches_single_wrap_profile():
 def test_bend_requires_radial_normal_form():
     disc = main_disc()
     dogleg = arc_through((pt(Q(1, 2), 0), pt(0, Q(1, 2)), pt(0, 1)),
-                         Puncture("b"), BoundaryAngle(Q(1, 4)),
-                         ArcKind.VANISHING)
+                         Puncture("b"), BoundaryAngle(Q(1, 4)))
     dogleg.validate(disc)
     with pytest.raises(LefbenchError, match="radial normal form"):
         wrap(dogleg, WrapSpec(1, DELTA, BEND), disc, bend=True)
@@ -118,7 +111,7 @@ def test_bend_requires_radial_normal_form():
 def test_wrap_rejects_non_radial_tail():
     disc = main_disc()
     skew = arc_through((pt(Q(1, 2), Q(1, 4)), pt(1, 0)),
-                       Puncture("b"), BoundaryAngle(Q(0)), ArcKind.VANISHING)
+                       Puncture("b"), BoundaryAngle(Q(0)))
     with pytest.raises(LefbenchError, match="radial"):
         wrap(skew, WrapSpec(1, DELTA, BEND), disc)
 
@@ -150,8 +143,7 @@ def test_spiral_collision_resolved_by_finer_resolution():
     coarse = DiscModel(punctures=(("hug", pt(0, Q(99, 100))),),
                        boundary_resolution=16)
     ray = arc_through((pt(0, Q(99, 100)), pt(0, 1)),
-                      Puncture("hug"), BoundaryAngle(Q(1, 4)),
-                      ArcKind.VANISHING)
+                      Puncture("hug"), BoundaryAngle(Q(1, 4)))
     ray.validate(coarse)
     with pytest.raises(SpiralCollision, match="resolution"):
         wrap(ray, WrapSpec(1, DELTA, BEND), coarse)
@@ -159,7 +151,6 @@ def test_spiral_collision_resolved_by_finer_resolution():
     fine = DiscModel(punctures=(("hug", pt(0, Q(99, 100))),),
                      boundary_resolution=64)
     w = wrapped(ray, WrapSpec(1, DELTA, BEND), fine)
-    assert w.wrap_level == 1
     assert polyline_is_embedded(w.vertices)
 
 
