@@ -9,20 +9,23 @@ fibration and their classes are computed rather than declared.
 
 Homology of the total space comes from the handle description: thicken the
 fiber, then attach one (dim fiber / 2 + 1)-cell per critical value along its
-vanishing cycle class.  Only two degrees can change, and both are read off
-the Smith normal form of the attachment matrix.
+vanishing cycle class.  Each fibration derives that handle model once: the
+fiber's homology, the attachment degree and one Smith form of the attachment
+matrix.  The two degrees that can change, and the classes of matching
+objects, are all read from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .disc import BoundaryAngle, DiscModel, PlanarArc, Puncture
 from .errors import (Inconsistent, LefbenchError, MissingClass,
                      SharedBoundaryEndpoint, UnresolvedSign)
 from .minpos import intersection_profile
-from .snf import cokernel_invariants, kernel_basis, solve_integer
+from .snf import SmithForm, smith_form
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids a cycle
     from .oracle import FiberOracle
@@ -133,9 +136,6 @@ class AbstractFiber:
     def middle_degree(self) -> int:
         return self.dim // 2
 
-    def homology_table(self) -> HomologyTable:
-        return self.homology
-
     def cycle_class(self, label: str) -> tuple[int, ...]:
         for name, vec in self.cycle_classes:
             if name == label:
@@ -162,7 +162,8 @@ class TotalSpaceFiber:
     def dim(self) -> int:
         return self.fibration.fiber.dim + 2
 
-    def homology_table(self) -> HomologyTable:
+    @property
+    def homology(self) -> HomologyTable:
         return total_space_homology(self.fibration)
 
     def cycle_class(self, label: str) -> tuple[int, ...]:
@@ -208,10 +209,6 @@ class MatchingObject:
     left_cycle: str
     right_cycle: str
 
-    @property
-    def principal_label(self) -> str:
-        return self.left_cycle
-
 
 @dataclass(frozen=True)
 class Fibration:
@@ -235,9 +232,27 @@ class Fibration:
                 return mo
         return None
 
-    @property
-    def attach_degree(self) -> int:
-        return self.fiber.dim // 2 + 1
+    @cached_property
+    def handle_model(self) -> "HandleModel":
+        """The handle description of the total space, derived on first read.
+        A failure caches nothing, so the next read raises it again."""
+        table = self.fiber.homology
+        k = self.fiber.dim // 2 + 1
+        ambient = table.free_rank(k - 1)
+        if table.torsion(k - 1):
+            raise Inconsistent(
+                f"fiber {self.fiber.name!r} has torsion in degree {k - 1};"
+                " the attachment calculus here requires a free target")
+        classes = []
+        for c in self.crits:
+            vec = self.fiber.cycle_class(c.cycle_label)
+            if len(vec) != ambient:
+                raise Inconsistent(
+                    f"class of {c.cycle_label!r} has length {len(vec)},"
+                    f" expected {ambient}")
+            classes.append(vec)
+        rows = [[vec[i] for vec in classes] for i in range(ambient)]
+        return HandleModel(table, k, smith_form(rows, len(classes)))
 
 
 def with_resolution(f: Fibration, n: int) -> Fibration:
@@ -255,22 +270,9 @@ def with_resolution(f: Fibration, n: int) -> Fibration:
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ReportEntry:
-    severity: str   # "violation" | "note"
-    message: str
-
-
-@dataclass(frozen=True)
 class ValidationReport:
-    entries: tuple[ReportEntry, ...]
-
-    @property
-    def violations(self) -> tuple[str, ...]:
-        return tuple(e.message for e in self.entries if e.severity == "violation")
-
-    @property
-    def notes(self) -> tuple[str, ...]:
-        return tuple(e.message for e in self.entries if e.severity == "note")
+    violations: tuple[str, ...]
+    notes: tuple[str, ...]
 
     @property
     def ok(self) -> bool:
@@ -286,18 +288,20 @@ def _label_declared(f: Fibration, label: str) -> bool:
 
 
 def validate(f: Fibration) -> ValidationReport:
-    """Check every structural invariant; violations become report entries.
+    """Check every structural invariant; each failure is a violation.
 
-    A bifibration validates its inner fibration as well; inner entries are
-    prefixed with the inner fibration's name.
+    A bifibration validates its inner fibration as well; inner violations
+    and notes follow the outer ones, prefixed with the inner fibration's
+    name.
     """
-    entries: list[ReportEntry] = []
+    violations: list[str] = []
+    notes: list[str] = []
 
     def violation(msg: str) -> None:
-        entries.append(ReportEntry("violation", f"[{f.name}] {msg}"))
+        violations.append(f"[{f.name}] {msg}")
 
     def note(msg: str) -> None:
-        entries.append(ReportEntry("note", f"[{f.name}] {msg}"))
+        notes.append(f"[{f.name}] {msg}")
 
     by_puncture: dict[str, int] = {}
     for c in f.crits:
@@ -332,9 +336,10 @@ def validate(f: Fibration) -> ValidationReport:
 
     if isinstance(f.fiber, TotalSpaceFiber):
         inner = validate(f.fiber.fibration)
-        entries.extend(inner.entries)
+        violations.extend(inner.violations)
+        notes.extend(inner.notes)
 
-    return ValidationReport(tuple(entries))
+    return ValidationReport(tuple(violations), tuple(notes))
 
 
 def _check_disjoint_paths(f: Fibration, ci: Crit, cj: Crit,
@@ -393,51 +398,39 @@ def _check_object(f: Fibration, mo: MatchingObject, violation) -> None:
 # homology of the total space
 # --------------------------------------------------------------------------
 
-def _attachment_matrix(f: Fibration, table: HomologyTable) \
-        -> tuple[list[list[int]], int, int]:
-    """Rows of the boundary map Z^#crits -> middle fiber homology, plus the
-    ambient middle rank and the attachment degree."""
-    fiber = f.fiber
-    k = f.attach_degree
-    ambient = table.free_rank(k - 1)
-    if table.torsion(k - 1):
-        raise Inconsistent(
-            f"fiber {fiber.name!r} has torsion in degree {k - 1}; the"
-            " attachment calculus here requires a free target")
-    classes = []
-    for c in f.crits:
-        vec = fiber.cycle_class(c.cycle_label)
-        if len(vec) != ambient:
-            raise Inconsistent(
-                f"class of {c.cycle_label!r} has length {len(vec)},"
-                f" expected {ambient}")
-        classes.append(vec)
-    rows = [[classes[j][i] for j in range(len(classes))] for i in range(ambient)]
-    return rows, ambient, k
+@dataclass(frozen=True)
+class HandleModel:
+    """The fiber's homology, the attachment degree k = dim fiber / 2 + 1,
+    and the Smith form of the attachment matrix: column j is the vanishing
+    cycle class of critical value j in the free part of H_{k-1}(fiber)."""
+    fiber_homology: HomologyTable
+    k: int
+    smith: SmithForm
 
 
 def total_space_homology(f: Fibration) -> HomologyTable:
     """Integral homology of the fiber with one k-cell per critical value
     attached along its vanishing cycle class, k = dim fiber / 2 + 1.
 
-    Cross-checks the Euler characteristic against the cell count on every
-    call and refuses to return on a mismatch.
+    Read from the handle model: H_k gains the kernel of the attachment
+    matrix (n - rank classes for n critical values), and H_{k-1} becomes
+    its cokernel (free rank ambient - rank, torsion the invariant factors
+    above 1).  Cross-checks the Euler characteristic against the cell count
+    on every call and refuses to return on a mismatch.
     """
-    fiber_table = f.fiber.homology_table()
     if not f.crits:
-        return fiber_table
-    rows, ambient, k = _attachment_matrix(f, fiber_table)
-    ker = kernel_basis(rows, ncols=len(f.crits))
-    co_free, co_torsion = cokernel_invariants(rows, ambient)
-
+        return f.fiber.homology
+    model = f.handle_model
+    table, k, sf = model.fiber_homology, model.k, model.smith
     groups: dict[int, tuple[int, tuple[int, ...]]] = {
-        deg: (free, torsion) for deg, free, torsion in fiber_table.groups}
+        deg: (free, torsion) for deg, free, torsion in table.groups}
     free_k, tors_k = groups.get(k, (0, ()))
-    groups[k] = (free_k + len(ker), tors_k)
-    groups[k - 1] = (co_free, tuple(co_torsion))
+    groups[k] = (free_k + len(f.crits) - sf.rank, tors_k)
+    groups[k - 1] = (table.free_rank(k - 1) - sf.rank,
+                     tuple(d for d in sf.invariant_factors if d > 1))
 
     out = HomologyTable.of(groups)
-    expected = fiber_table.euler() + (-1) ** k * len(f.crits)
+    expected = table.euler() + (-1) ** k * len(f.crits)
     if out.euler() != expected:
         raise Inconsistent(
             f"Euler characteristic mismatch for {f.name!r}:"
@@ -449,9 +442,12 @@ def matching_cycle_class(f: Fibration, mo: MatchingObject) -> tuple[int, ...]:
     """Class of a matching object in the middle homology of the total space.
 
     The basis is: free middle-degree generators of the fiber first, then the
-    kernel basis of the attachment matrix.  The object's class is a signed
-    sum of the two cells indexed by its endpoint critical values; the sign
+    kernel basis of the attachment matrix (the columns of the Smith form's
+    column basis V from ``rank`` on).  The object's class is a signed sum of
+    the two cells indexed by its endpoint critical values; the sign
     convention puts +1 on the cell entered through the path's end puncture.
+    Its kernel coordinates are those of ``right_inv @ cells`` from ``rank``
+    on.
     Orientation data invisible to the combinatorics raises UnresolvedSign
     rather than guessing.
     """
@@ -467,16 +463,15 @@ def matching_cycle_class(f: Fibration, mo: MatchingObject) -> tuple[int, ...]:
         raise LefbenchError(
             f"object {mo.name!r} ends at a puncture with no critical value")
 
-    fiber_table = f.fiber.homology_table()
-    rows, ambient, k = _attachment_matrix(f, fiber_table)
-    ker = kernel_basis(rows, ncols=len(f.crits))
-    fiber_part = (0,) * fiber_table.free_rank(k)
+    model = f.handle_model
+    sf = model.smith
+    fiber_part = (0,) * model.fiber_homology.free_rank(model.k)
 
     idx_l = f.crits.index(crit_l)
     idx_r = f.crits.index(crit_r)
     if idx_l == idx_r:
         # the two halves run over the same cell with opposite orientations
-        return fiber_part + (0,) * len(ker)
+        return fiber_part + (0,) * (len(f.crits) - sf.rank)
 
     cl = f.fiber.cycle_class(mo.left_cycle)
     cr = f.fiber.cycle_class(mo.right_cycle)
@@ -494,14 +489,9 @@ def matching_cycle_class(f: Fibration, mo: MatchingObject) -> tuple[int, ...]:
             f"object {mo.name!r}: endpoint cycle classes {cl} and {cr} are"
             " neither equal nor opposite, so the thimbles do not close up")
 
-    if not ker:
+    coords = [sum(a * b for a, b in zip(row, cells)) for row in sf.right_inv]
+    if any(coords[:sf.rank]):
         raise Inconsistent(
-            f"object {mo.name!r}: attachment matrix has trivial kernel yet a"
-            " cell cycle was produced")
-    basis_rows = [[vec[i] for vec in ker] for i in range(len(f.crits))]
-    coords = solve_integer(basis_rows, cells)
-    if coords is None:
-        raise Inconsistent(
-            f"object {mo.name!r}: cell cycle is not an integer combination"
-            " of the kernel basis")
-    return fiber_part + tuple(coords)
+            f"object {mo.name!r}: cell cycle is not in the kernel of the"
+            " attachment matrix")
+    return fiber_part + tuple(coords[sf.rank:])

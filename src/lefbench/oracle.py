@@ -300,14 +300,14 @@ def matching_floer_rank(f: "Fibration", x: "MatchingObject",
     """
     profile = intersection_profile(x.path, y.path, f.disc)
     n, shared = profile.crossing_count, len(profile.shared_punctures)
-    block = o.rank_of(x.principal_label, y.principal_label) if n else 0
+    block = o.rank_of(x.left_cycle, y.left_cycle) if n else 0
     count = n * block + shared
     nonzero_blocks = (n if block else 0) + shared
 
     if not (count == 0 or nonzero_blocks == 1
-            or o.parity_of(x.principal_label, y.principal_label) == ALL_SAME):
+            or o.parity_of(x.left_cycle, y.left_cycle) == ALL_SAME):
         raise MissingParity(
             f"promoting the generator count for ({x.name},{y.name}) to an"
             " exact rank needs an all-same parity certificate for"
-            f" ({x.principal_label},{y.principal_label})")
+            f" ({x.left_cycle},{y.left_cycle})")
     return count

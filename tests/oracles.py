@@ -288,6 +288,28 @@ def sympy_invariant_factors(rows):
     return out
 
 
+def sympy_integer_inverse(rows):
+    """Inverse of a square integer matrix, via sympy, as a tuple of row
+    tuples; AssertionError unless the matrix is unimodular."""
+    from sympy import Matrix
+    m = Matrix(rows)
+    assert abs(m.det()) == 1, rows
+    inv = m.inv()
+    return tuple(tuple(int(inv[i, j]) for j in range(m.cols))
+                 for i in range(m.rows))
+
+
+def sympy_maximal_minor_gcd(rows):
+    """gcd of the r x r minors of an m x r integer matrix, via sympy; it is
+    1 exactly when the r columns extend to a basis of Z^m."""
+    from itertools import combinations
+    from math import gcd
+    from sympy import Matrix
+    m = Matrix(rows)
+    return gcd(*(int(m.extract(list(sub), list(range(m.cols))).det())
+                 for sub in combinations(range(m.rows), m.cols)))
+
+
 def matrix_multiply(a, b):
     """Integer matrix product, as a tuple of row tuples."""
     if not a:

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lefbench
-from lefbench import errors, minpos, oracle, rank_calculus, tower, wrapping
+from lefbench import (errors, minpos, oracle, rank_calculus, snf, tower,
+                      wrapping)
 from lefbench.cli import main
 from lefbench.disc import PlanarArc
 
@@ -253,6 +254,16 @@ def test_hw_derives_each_quantity_once(monkeypatch, tmp_path, capsys):
             # no surgeries: one crossing search per stage and per rank
             assert len(stages) == 3 * 4 and ranks
             assert len(crossings) == len(stages) + len(ranks)
+
+
+def test_all_reduces_one_attachment_matrix_per_fibration(monkeypatch,
+                                                         capsys):
+    # the homology section and the inner matching classes it needs read
+    # one handle model per fibration of the bifibration
+    forms = []
+    _count_calls(monkeypatch, snf.smith_form, forms)
+    assert main(["all", shipped("W1.cfg")]) == 0
+    assert len(forms) == 2
 
 
 # --------------------------------------------------------------------------

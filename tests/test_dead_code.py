@@ -3,9 +3,12 @@
 Every top-level function and class in ``src/lefbench/``, and every method
 and property of a top-level class except the dunder methods, must be
 referenced somewhere in the package besides its own definition; a helper
-that only a test needs lives in ``tests/``.  References are read from the
-syntax tree (names and attribute accesses), so a mention in a comment or a
-docstring does not count, and neither does an import.
+that only a test needs lives in ``tests/``.  Every annotated class-level
+field of a top-level class (a dataclass field) must be read as an
+attribute somewhere in the package: one that only its constructor touches
+is dead.  References are read from the syntax tree (names and attribute
+accesses), so a mention in a comment or a docstring does not count, and
+neither does an import.
 """
 
 import ast
@@ -21,6 +24,17 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "lefbench"
 ALLOWED = {"minimal_position", "_Parser.error"}
 
 
+def _fields(tree: ast.Module):
+    """(qualified name, name) of each annotated class-level field of a
+    top-level class."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if (isinstance(member, ast.AnnAssign)
+                        and isinstance(member.target, ast.Name)):
+                    yield f"{node.name}.{member.target.id}", member.target.id
+
+
 def _definitions(tree: ast.Module):
     """(qualified name, name) of each top-level def and class and of each
     method and property of a top-level class, dunder methods skipped."""
@@ -34,11 +48,15 @@ def _definitions(tree: ast.Module):
                     yield f"{node.name}.{member.name}", member.name
 
 
+def _parse(src: Path) -> dict[str, ast.Module]:
+    return {p.name: ast.parse(p.read_text(encoding="utf-8"))
+            for p in sorted(src.glob("*.py"))}
+
+
 def unreferenced_definitions(src: Path) -> list[str]:
     """module:name of each definition (_definitions) that nothing in src
     uses."""
-    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
-             for p in sorted(src.glob("*.py"))}
+    trees = _parse(src)
     used = Counter()
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -52,6 +70,21 @@ def unreferenced_definitions(src: Path) -> list[str]:
             if not used[name] and qualified not in ALLOWED]
 
 
+def unread_fields(src: Path) -> list[str]:
+    """module:Class.field of each annotated field (_fields) that nothing in
+    src reads as an attribute (``obj.field``)."""
+    trees = _parse(src)
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)}
+    return [f"{module}:{qualified}"
+            for module, tree in trees.items()
+            for qualified, name in _fields(tree) if name not in read]
+
+
 def test_every_top_level_definition_is_used_in_the_package():
     assert len(list(SRC.glob("*.py"))) > 10
     assert unreferenced_definitions(SRC) == []
+
+
+def test_every_field_is_read_in_the_package():
+    assert unread_fields(SRC) == []

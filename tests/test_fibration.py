@@ -14,7 +14,7 @@ from lefbench.fibration import (AbstractFiber, Crit, Fibration, HomologyTable,
                                 matching_cycle_class, total_space_homology,
                                 validate)
 
-from oracles import attachment_homology
+from oracles import attachment_homology, sympy_integer_inverse
 from scen import (arc_through, aux_fibration, circle_fiber, empty_fibration,
                   main_fibration, matching, point_of, pt, sphere_fiber,
                   ts3_fibration, vanishing)
@@ -194,7 +194,7 @@ def test_bifibration_validation_recurses():
 
 def test_empty_fibration_keeps_fiber_homology():
     f = empty_fibration()
-    assert total_space_homology(f) == f.fiber.homology_table()
+    assert total_space_homology(f) == f.fiber.homology
 
 
 def test_ts3_homology_is_a_three_sphere():
@@ -267,11 +267,21 @@ def test_torsion_in_attach_target_refused():
     f = ts3_fibration()
     crits = (Crit("a", f.crits[0].path, "z"),)
     bad = Fibration("t", f.disc, fib, crits, f.reference_angle)
-    with pytest.raises(Inconsistent):
-        total_space_homology(bad)
+    # a failed handle model caches nothing: every read raises again
+    for _ in range(2):
+        with pytest.raises(Inconsistent, match="torsion in degree 1"):
+            total_space_homology(bad)
+        with pytest.raises(Inconsistent, match="torsion in degree 1"):
+            bad.handle_model
+    # with nothing attached the fiber's table stands, torsion included:
+    # the handle model is never derived
+    bare = Fibration("t", f.disc, fib, (), f.reference_angle)
+    assert total_space_homology(bare) == fib.homology
 
 
-def test_random_abstract_attachments_match_oracle():
+def _random_attachments():
+    """Sixty fibrations, each over a fiber with H_1 free of rank 0-3 and
+    with a random vanishing cycle class per critical value."""
     import random
     rng = random.Random(4096)
     for _ in range(60):
@@ -289,13 +299,48 @@ def test_random_abstract_attachments_match_oracle():
             (lab, pt(Q(i + 1, ncrits + 2), 0)) for i, lab in enumerate(labels)))
         crits = tuple(
             Crit(lab, vanishing(disc, lab, Q(0)), lab) for lab in labels)
-        f = Fibration("rnd", disc, fib, crits, BoundaryAngle(Q(1, 2)))
+        yield Fibration("rnd", disc, fib, crits, BoundaryAngle(Q(1, 2)))
+
+
+def test_random_abstract_attachments_match_oracle():
+    for f in _random_attachments():
         t = total_space_homology(f)
         want = attachment_homology(
-            {0: (1, []), 1: (width, [])},
-            [list(vec) for _, vec in classes], 2)
+            {0: (1, []), 1: (f.fiber.homology.free_rank(1), [])},
+            [list(vec) for _, vec in f.fiber.cycle_classes], 2)
         assert {d: (fr, tuple(tor)) for d, (fr, tor) in want.items()} == \
             {d: (fr, tor) for d, fr, tor in t.groups}
+
+
+def test_random_matching_classes_rebuild_their_cell_cycles():
+    # kernel coordinates times the kernel columns, those of right_inv^-1
+    # from rank on, give back the cell cycle: -1, +1 over equal classes,
+    # +1, +1 over opposite ones
+    pairs = 0
+    for f in _random_attachments():
+        classes = [vec for _, vec in f.fiber.cycle_classes]
+        sf = f.handle_model.smith
+        kernel = [row[sf.rank:] for row in sympy_integer_inverse(sf.right_inv)]
+        for (i, ci), (j, cj) in itertools.permutations(enumerate(f.crits), 2):
+            mo = MatchingObject("m", matching(f.disc, ci.puncture, cj.puncture),
+                                ci.cycle_label, cj.cycle_label)
+            if not any(classes[i]) and not any(classes[j]):
+                with pytest.raises(UnresolvedSign):
+                    matching_cycle_class(f, mo)
+                continue
+            opposite = classes[i] == tuple(-x for x in classes[j])
+            if classes[i] != classes[j] and not opposite:
+                continue
+            coords = matching_cycle_class(f, mo)
+            assert len(coords) == len(f.crits) - sf.rank
+            cells = [0] * len(f.crits)
+            cells[i], cells[j] = (1 if opposite else -1), 1
+            assert [sum(a * b for a, b in zip(row, coords))
+                    for row in kernel] == cells
+            pairs += 1
+    # the seed gives five pairs of equal or opposite nonzero classes, each
+    # taken in both orders
+    assert pairs == 10
 
 
 # --------------------------------------------------------------------------
@@ -304,8 +349,7 @@ def test_random_abstract_attachments_match_oracle():
 
 def test_zero_section_class_generates_top_homology():
     f = ts3_fibration()
-    cls = matching_cycle_class(f, f.objects[0])
-    assert cls in ((1,), (-1,))
+    assert matching_cycle_class(f, f.objects[0]) == (1,)
 
 
 def test_matching_classes_of_a_and_b_agree():
@@ -313,8 +357,7 @@ def test_matching_classes_of_a_and_b_agree():
         aux = aux_fibration(variant)
         a = matching_cycle_class(aux, aux.object_named("A"))
         b = matching_cycle_class(aux, aux.object_named("B"))
-        assert a == b
-        assert len(a) == 2 and any(a)
+        assert a == b == (1, 0)
 
 
 def test_cancelling_pair_gives_zero():
