@@ -19,7 +19,6 @@ import sys
 from pathlib import Path
 
 from .config import ScenarioConfig, load_config
-from .disc import WrapSpec
 from .errors import ConfigError, IncompleteBasis, LefbenchError
 from .fibration import (Fibration, TotalSpaceFiber, total_space_homology,
                         with_resolution)
@@ -28,6 +27,7 @@ from .rank_calculus import ScenarioRanks, analyze
 from .report import Report, homology_lines, hw_value, thimble
 from .svg import diagram_files, stage_svg
 from .tower import Tower, build_tower, stage_spiral, tower_crits
+from .wrapping import source_annulus
 
 COMMANDS = ("validate", "homology", "floer-ranks", "hw", "render", "all")
 
@@ -38,13 +38,30 @@ COMMANDS = ("validate", "homology", "floer-ranks", "hw", "render", "all")
 
 def _section_validate(r: Report, cfg: ScenarioConfig) -> bool:
     report = validate_fibration(cfg.fibration)
-    r.line("violations", len(report.violations))
-    for v in report.violations:
+    violations = report.violations or tuple(_unwrappable_towers(cfg))
+    r.line("violations", len(violations))
+    for v in violations:
         r.line("violation", v)
     for n in report.notes:
         r.line("note", n)
-    r.line("validation", "ok" if report.ok else "FAILED")
-    return report.ok
+    r.line("validation", "FAILED" if violations else "ok")
+    return not violations
+
+
+def _unwrappable_towers(cfg: ScenarioConfig):
+    """On a fibration that validates, a violation per [run] tower whose
+    source fails the checks wrap makes before it builds a spiral.  A source
+    with no critical value is left to tower_crits."""
+    f = cfg.fibration
+    for x, y in cfg.towers:
+        cx = f.crit_for(x)
+        if cx is None:
+            continue
+        try:
+            source_annulus(cx.path, f.disc, bend=x == y)
+        except LefbenchError as e:
+            yield (f"[{f.name}] tower {x}:{y}: vanishing path of {x!r}"
+                   f" cannot be wrapped: {e}")
 
 
 def _section_homology(r: Report, f: Fibration) -> None:
@@ -86,10 +103,10 @@ def _section_hw(r: Report, cfg: ScenarioConfig,
     diagonal = dict(out.diagonal)
     towers = {}
     for x, y in cfg.towers:
-        lx, ly = (c.cycle_label for c in tower_crits(f, x, y))
+        cx, cy = tower_crits(f, x, y)
+        lx, ly = cx.cycle_label, cy.cycle_label
         name = f"tower {thimble(lx)}:{thimble(ly)}"
-        t = towers[x, y] = build_tower(f, x, y, cfg.wrap.levels,
-                                       cfg.wrap.delta, cfg.wrap.bend, out.fs)
+        t = towers[x, y] = build_tower(f, cx, cy, cfg.wrap, out.fs)
         for s in t.stages:
             cert = ("none" if s.rank_certificate is None
                     else s.rank_certificate)
@@ -126,13 +143,12 @@ def _render_svgs(cfg: ScenarioConfig, outdir: str,
     f = cfg.fibration
     files = list(diagram_files(f))
     for x, y in cfg.towers:
-        _, cy = tower_crits(f, x, y)
+        cx, cy = tower_crits(f, x, y)
         for m in cfg.wrap.levels:
             if towers is not None:
                 spiral = towers[x, y].stage(m).spiral
             else:
-                spec = WrapSpec(m, cfg.wrap.delta, cfg.wrap.bend)
-                spiral = stage_spiral(f, x, y, spec)
+                spiral = stage_spiral(f, cx, cy, m, cfg.wrap)
                 spiral.validate(f.disc)
             files.append((f"{cfg.name}-tower-{x}-{y}-m{m}.svg",
                           stage_svg(f.disc, cy.path, spiral)))

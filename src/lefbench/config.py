@@ -48,20 +48,14 @@ from pathlib import Path
 
 from .disc import BoundaryAngle, DiscModel, PlanarArc, Puncture
 from .errors import ConfigError, LefbenchError
-from .exactgeom import Pt, Q, homog, min_angular_gap
+from .exactgeom import Pt, homog, min_angular_gap
 from .fibration import (AbstractFiber, Crit, Fibration, HomologyTable,
                         MatchingObject, TotalSpaceFiber)
 from .oracle import (DisjointFact, FiberOracle, IsotopicFact, LabelDecl,
                      ParityFact, Provenance, RankFact, WitnessFact)
+from .wrapping import WrapParams
 
 _RATIONAL = re.compile(r"[+-]?\d+(/\d+)?\Z")
-
-
-@dataclass(frozen=True)
-class WrapParams:
-    delta: Fraction = Q(1, 64)
-    bend: Fraction = Q(1, 128)
-    levels: tuple[int, ...] = (0, 1, 2, 3)
 
 
 @dataclass(frozen=True)
@@ -436,11 +430,12 @@ def parse_config(text: str, source: str = "<config>") -> ScenarioConfig:
 
 
 def _check_delta_gap(fibrations, wrap: WrapParams, source: str) -> None:
-    """The wrap offset must not collide distinct declared boundary angles."""
+    """The wrap offset must stay below the smallest gap between declared
+    boundary angles, a full turn if there is one."""
     for f in fibrations:
         gap = min_angular_gap([c.path.end.angle for c in f.crits]
                               + [f.reference_angle.angle])
-        if gap is not None and wrap.delta >= gap:
+        if wrap.delta >= gap:
             raise ConfigError(
                 f"{source}: wrap delta {wrap.delta} reaches the angular gap"
                 f" {gap} between declared boundary endpoints of {f.name!r}")

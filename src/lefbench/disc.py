@@ -81,10 +81,6 @@ class DiscModel:
     def hpoint_of(self, name: str) -> Hpt:
         return self.hpoints[self._index(name)]
 
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.punctures)
-
     @cached_property
     def hpoints(self) -> tuple[Hpt, ...]:
         """The punctures' homogeneous integer points, in declaration order."""
@@ -92,31 +88,6 @@ class DiscModel:
 
     def items(self) -> Iterator[tuple[str, Pt]]:
         return iter(self.punctures)
-
-
-@dataclass(frozen=True)
-class WrapSpec:
-    """How far to wrap: m full counterclockwise turns plus offset delta.
-
-    delta must stay strictly below the minimal angular gap between declared
-    boundary endpoints of the scenario; config loading enforces that, wrap()
-    itself only needs delta > 0.  bend is the extra counterclockwise offset
-    applied to a wrapped copy near a shared puncture (the local left-bend);
-    it must be strictly smaller than delta.
-    """
-    m: int
-    delta: Fraction
-    bend: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "delta", Q(self.delta))
-        object.__setattr__(self, "bend", Q(self.bend))
-        if self.m < 0:
-            raise LefbenchError("wrap level m must be >= 0")
-        if not 0 < self.delta < 1:
-            raise LefbenchError("wrap offset delta must lie strictly in (0, 1)")
-        if not 0 < self.bend < self.delta:
-            raise LefbenchError("bend must lie strictly in (0, delta)")
 
 
 @dataclass(frozen=True)

@@ -106,14 +106,12 @@ def circle_hpoint(a: int, d: int) -> Hpt:
     return (q * q - p * p, 2 * p * q, q * q + p * p)
 
 
-def min_angular_gap(angles: Iterable[Fraction]) -> Fraction | None:
-    """Smallest circular gap between distinct declared angles (None if < 2)."""
+def min_angular_gap(angles: Iterable[Fraction]) -> Fraction:
+    """Smallest circular gap between the distinct angles of a non-empty
+    list: a full turn (1) when there is only one."""
     uniq = sorted({angle_norm(a) for a in angles})
-    if len(uniq) < 2:
-        return None
-    gaps = [uniq[i + 1] - uniq[i] for i in range(len(uniq) - 1)]
-    gaps.append(1 - uniq[-1] + uniq[0])
-    return min(gaps)
+    gaps = [b - a for a, b in zip(uniq, uniq[1:])]
+    return min(gaps + [1 - uniq[-1] + uniq[0]])
 
 
 # --------------------------------------------------------------------------

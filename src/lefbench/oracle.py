@@ -92,12 +92,6 @@ class ParityFact:
     provenance: Provenance
 
 
-@dataclass(frozen=True)
-class IsoStatus:
-    kind: str            # "yes" | "no" | "unknown"
-    witness: str | None = None
-
-
 def _pair(i: str, j: str) -> tuple[str, str]:
     return (i, j) if i <= j else (j, i)
 
@@ -176,18 +170,17 @@ class FiberOracle:
                     f"conflicting parity declarations for ({fact.i},{fact.j})")
             parity[key] = (fact.parity, fact.provenance)
 
-        not_iso: dict[tuple[str, str], WitnessFact] = {}
+        not_iso: set[tuple[str, str]] = set()
         for rel in self.relations:
             if isinstance(rel, WitnessFact):
                 need(rel.i), need(rel.j), need(rel.witness)
-                key = _pair(find(rel.i), find(rel.j))
                 if find(rel.i) == find(rel.j):
                     raise Inconsistent(
                         f"labels {rel.i!r}, {rel.j!r} declared both isotopic"
                         " and non-isomorphic")
-                not_iso[key] = rel
+                not_iso.add(_pair(find(rel.i), find(rel.j)))
 
-        object.__setattr__(self, "_find", dict(parent))
+        object.__setattr__(self, "_rep_of", {n: find(n) for n in names})
         object.__setattr__(self, "_table", table)
         object.__setattr__(self, "_parity", parity)
         object.__setattr__(self, "_not_iso", not_iso)
@@ -221,12 +214,10 @@ class FiberOracle:
         return self._labels
 
     def _rep(self, label: str) -> str:
-        if label not in self._labels:
-            raise UnknownPair(f"undeclared cycle label {label!r}")
-        x = label
-        while self._find[x] != x:
-            x = self._find[x]
-        return x
+        try:
+            return self._rep_of[label]
+        except KeyError:
+            raise UnknownPair(f"undeclared cycle label {label!r}") from None
 
     def rank_of(self, i: str, j: str) -> int:
         key = _pair(self._rep(i), self._rep(j))
@@ -243,14 +234,12 @@ class FiberOracle:
         hit = self._parity.get(_pair(self._rep(i), self._rep(j)))
         return hit[0] if hit else None
 
-    def isomorphic_objects(self, i: str, j: str) -> IsoStatus:
+    def isomorphic_objects(self, i: str, j: str) -> str:
+        """'yes', 'no' (a witnessed non-isomorphism) or 'unknown'."""
         ri, rj = self._rep(i), self._rep(j)
         if ri == rj:
-            return IsoStatus("yes")
-        fact = self._not_iso.get(_pair(ri, rj))
-        if fact is not None:
-            return IsoStatus("no", fact.witness)
-        return IsoStatus("unknown")
+            return "yes"
+        return "no" if _pair(ri, rj) in self._not_iso else "unknown"
 
     def fact_lines(self) -> tuple[str, ...]:
         """Deterministic rendering of every declared fact, for reports."""

@@ -14,24 +14,25 @@ stage's rank certificate is an exact rank, read off the directed ranks
 and the stage merely checks that its generator count is large enough and of
 the right parity to carry it.
 
-A tower holds the stages of one pair in level order, checked to grow with
-the level and, on a self-tower, to contain u.  It settles no verdict: the
-fate of u decides each wrapped group once, in rank_calculus.analyze, and the
-report reads it from there.
+A tower x:y is built from the two Crits that tower_crits resolves once (a
+self-tower is one crit twice), with wrap parameters the config has checked
+and an oracle that analyze has required.  It holds its stages in level
+order, checked to grow with the level and, on a self-tower, to contain u.
+It settles no verdict: the fate of u decides each wrapped group once, in
+rank_calculus.analyze, and the report reads it from there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable
 
-from .disc import PlanarArc, WrapSpec
-from .errors import ConfigError, Inconsistent, LefbenchError, Undecidable
+from .disc import PlanarArc
+from .errors import ConfigError, Inconsistent, LefbenchError
 from .fibration import Crit, Fibration
 from .minpos import intersection_profile
 from .rank_calculus import FsHomRanks
-from .wrapping import wrap
+from .wrapping import WrapParams, wrap
 
 @dataclass(frozen=True)
 class WrappedComplexStage:
@@ -45,8 +46,6 @@ class WrappedComplexStage:
     def __post_init__(self):
         if self.crossings and self.block < 1:
             raise LefbenchError("generators carry positive multiplicity")
-        if self.m < 0:
-            raise LefbenchError("wrapping level is nonnegative")
         cert = self.rank_certificate
         if cert is not None and (cert > self.count
                                  or (cert - self.count) % 2):
@@ -71,36 +70,33 @@ def tower_crits(f: Fibration, x: str, y: str) -> tuple[Crit, Crit]:
     return cx, cy
 
 
-def stage_spiral(f: Fibration, x: str, y: str, spec: WrapSpec) -> PlanarArc:
-    """x's vanishing path wrapped spec.m turns, bent off its source on a
-    self-tower; unvalidated, so the caller checks it once before use."""
-    cx, _ = tower_crits(f, x, y)
-    return wrap(cx.path, spec, f.disc, bend=x == y)
+def stage_spiral(f: Fibration, cx: Crit, cy: Crit, m: int,
+                 params: WrapParams) -> PlanarArc:
+    """cx's vanishing path wrapped m turns, bent off its source on a
+    self-tower (cy is cx); unvalidated, so the caller checks it once before
+    use."""
+    return wrap(cx.path, m, params, f.disc, bend=cx == cy)
 
 
-def build_stage(f: Fibration, x: str, y: str, spec: WrapSpec,
+def build_stage(f: Fibration, cx: Crit, cy: Crit, m: int, params: WrapParams,
                 fs: FsHomRanks) -> WrappedComplexStage:
-    """Generator counts of the complex between x's thimble wrapped spec.m
-    turns and y's thimble, both named by their punctures.
+    """Generator counts of the complex between cx's thimble wrapped m turns
+    and cy's thimble.
 
     The block rank is asked of the oracle only when the paths cross.  The
     rank certificate, where the directed calculus supplies one, is read
     from ``fs``.  The wrapped spiral is validated once, by
     intersection_profile.
     """
-    o = f.oracle
-    if o is None:
-        raise Undecidable(f"fibration {f.name!r} carries no rank oracle")
-    cx, cy = tower_crits(f, x, y)
-    spiral = stage_spiral(f, x, y, spec)
+    spiral = stage_spiral(f, cx, cy, m, params)
     profile = intersection_profile(spiral, cy.path, f.disc)
 
     n = profile.crossing_count
     return WrappedComplexStage(
-        m=spec.m, crossings=n,
-        block=o.rank_of(cx.cycle_label, cy.cycle_label) if n else 0,
+        m=m, crossings=n,
+        block=f.oracle.rank_of(cx.cycle_label, cy.cycle_label) if n else 0,
         u_count=len(profile.shared_punctures),
-        rank_certificate=_certificate(fs, x == y, spec.m), spiral=spiral)
+        rank_certificate=_certificate(fs, cx == cy, m), spiral=spiral)
 
 
 def _certificate(fs: FsHomRanks, self_pair: bool, m: int) -> int | None:
@@ -131,17 +127,13 @@ class Tower:
 
 def assemble_tower(stages: Iterable[WrappedComplexStage],
                    self_pair: bool) -> Tower:
-    """Order the stages of one pair into a tower and check them.
+    """The tower of one pair's stages, given in level order, checked.
 
-    The tower needs at least one stage and one stage per level; wrapping
-    only adds crossings, so generator counts never shrink; and a self-tower
-    (``self_pair``), whose verdict is the fate of its unit, must contain u.
+    Wrapping only adds crossings, so generator counts never shrink; and a
+    self-tower (``self_pair``), whose verdict is the fate of its unit, must
+    contain u.
     """
-    ordered = tuple(sorted(stages, key=lambda s: s.m))
-    if not ordered:
-        raise LefbenchError("a tower needs at least one stage")
-    if len({s.m for s in ordered}) != len(ordered):
-        raise LefbenchError("duplicate wrapping level")
+    ordered = tuple(stages)
     for lo, hi in zip(ordered, ordered[1:]):
         if hi.count < lo.count:
             raise Inconsistent(
@@ -154,9 +146,9 @@ def assemble_tower(stages: Iterable[WrappedComplexStage],
     return Tower(ordered)
 
 
-def build_tower(f: Fibration, x: str, y: str, levels: Iterable[int],
-                delta: Fraction, bend: Fraction, fs: FsHomRanks) -> Tower:
-    """The checked stages of the tower x:y, one per wrapping level."""
-    stages = (build_stage(f, x, y, WrapSpec(m, delta, bend), fs)
-              for m in sorted(set(levels)))
-    return assemble_tower(stages, x == y)
+def build_tower(f: Fibration, cx: Crit, cy: Crit, params: WrapParams,
+                fs: FsHomRanks) -> Tower:
+    """The checked stages of the tower cx:cy, one per wrapping level."""
+    stages = (build_stage(f, cx, cy, m, params, fs)
+              for m in sorted(params.levels))
+    return assemble_tower(stages, cx == cy)

@@ -1,18 +1,21 @@
 """Wrapping of thimble paths: boundary-endpoint spiraling.
 
-wrap(a, spec, disc) advances the boundary endpoint of a radial-ended arc
-counterclockwise by spec.m full turns plus spec.delta, realizing the image as
-an embedded polyline spiral supported in an outer annulus that is clear of
-every puncture and of the arc's own pre-annulus part.  The spiral climbs
+wrap(a, m, params, disc) advances the boundary endpoint of a radial-ended
+arc counterclockwise by m full turns plus params.delta, realizing the image
+as an embedded polyline spiral supported in an outer annulus that is clear
+of every puncture and of the arc's own pre-annulus part.  The spiral climbs
 strictly monotonically from the annulus entry radius to (1 + entry)/2 and
 finishes with a radial tail to the circle, so a wrapped path is itself a
 legal input to wrap (successive wraps compose).
 
 For a wrapped copy that must be compared against its own source (shared
 puncture), pass bend=True: the copy leaves the puncture directly toward an
-entry point rotated counterclockwise by spec.bend, so source and copy share
+entry point rotated counterclockwise by params.bend, so source and copy share
 only the puncture point.  This local left-bend requires the source to be in
 radial normal form (a single straight segment from puncture to boundary).
+source_annulus is wrap's check of its source; ``validate`` runs it on each
+tower's source too.  WrapParams is the config's [wrap] section, which
+loading checks once (config._parse_wrap, config._check_delta_gap).
 
 The spiral is computed on integers: every angle is a numerator over one
 denominator per spiral, the radius is affine in the angle, and each vertex
@@ -32,46 +35,58 @@ NonEmbeddableInput.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .disc import BoundaryAngle, DiscModel, PlanarArc, WrapSpec, radial_split
+from .disc import BoundaryAngle, DiscModel, PlanarArc, radial_split
 from .errors import LefbenchError, SpiralCollision
 from .exactgeom import Q, circle_hpoint, norm2, reduced, segment_near_origin
 
 
-def _annulus(arc: PlanarArc, disc: DiscModel) -> tuple[Fraction, ...]:
+@dataclass(frozen=True)
+class WrapParams:
+    """The [wrap] section: each wrapped copy turns m full turns plus delta,
+    a copy bent off its shared puncture starts bend further on, and a tower
+    has one stage per level m."""
+    delta: Fraction = Q(1, 64)
+    bend: Fraction = Q(1, 128)
+    levels: tuple[int, ...] = (0, 1, 2, 3)
+
+
+def source_annulus(arc: PlanarArc, disc: DiscModel,
+                   bend: bool = False) -> tuple[Fraction, ...]:
     """(boundary angle, annulus entry radius r_out, largest squared puncture
-    radius) of arc in disc; r_out is rational, above every puncture and
-    pre-boundary vertex radius and below 1.  A pass is recorded against disc
-    by identity, like PlanarArc.validate; a failure records nothing."""
+    radius) of arc in disc; raises unless wrap accepts arc as a source, one
+    straight segment if it is to be bent off its puncture.  r_out is
+    rational, above every puncture and pre-boundary vertex radius and below
+    1.  The annulus is recorded against disc by identity, like
+    PlanarArc.validate; a failure records nothing."""
     seen = arc.__dict__.get("_annulus")
-    if seen is not None and seen[0] is disc:
-        return seen[1]
-    tau0, _ = radial_split(arc)
-    max_punct = max((norm2(p) for _, p in disc.items()), default=Q(0))
-    s = max([max_punct] + [norm2(v) for v in arc.vertices[:-1]])
-    upper = (1 + s) / 2          # rational upper bound for sqrt(s)
-    r_out = (1 + upper) / 2
-    for name, p in disc.items():
-        if norm2(p) >= r_out * r_out:
-            raise SpiralCollision(
-                f"puncture {name!r} lies inside the wrapping annulus")
-    arc.__dict__["_annulus"] = disc, (tau0, r_out, max_punct)
-    return tau0, r_out, max_punct
-
-
-def wrap(arc: PlanarArc, spec: WrapSpec, disc: DiscModel,
-         bend: bool = False) -> PlanarArc:
-    """Unvalidated wrapped image of a radial-ended arc; see module docstring."""
-    tau0, r_out, max_punct = _annulus(arc, disc)
+    if seen is None or seen[0] is not disc:
+        tau0, _ = radial_split(arc)
+        max_punct = max((norm2(p) for _, p in disc.items()), default=Q(0))
+        s = max([max_punct] + [norm2(v) for v in arc.vertices[:-1]])
+        upper = (1 + s) / 2          # rational upper bound for sqrt(s)
+        r_out = (1 + upper) / 2
+        for name, p in disc.items():
+            if norm2(p) >= r_out * r_out:
+                raise SpiralCollision(
+                    f"puncture {name!r} lies inside the wrapping annulus")
+        seen = arc.__dict__["_annulus"] = disc, (tau0, r_out, max_punct)
     if bend and len(arc.hverts) != 2:
         raise LefbenchError(
             "left-bend wrapping requires a radial normal form path"
             " (one straight segment from puncture to boundary)")
+    return seen[1]
 
-    start = tau0 + (spec.bend if bend else Q(0))
-    end = tau0 + spec.m + spec.delta
+
+def wrap(arc: PlanarArc, m: int, params: WrapParams, disc: DiscModel,
+         bend: bool = False) -> PlanarArc:
+    """Unvalidated wrapped image of a radial-ended arc; see module docstring."""
+    tau0, r_out, max_punct = source_annulus(arc, disc, bend)
+    start = tau0 + (params.bend if bend else Q(0))
+    end = tau0 + m + params.delta
 
     # Angles over one denominator den: start, then a half-step-shifted grid
     # (so that no spiral vertex can land exactly on a boundary ray of the

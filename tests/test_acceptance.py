@@ -17,12 +17,11 @@ import pytest
 import oracles
 from lefbench.cli import main
 from lefbench.config import load_config
-from lefbench.disc import WrapSpec
 from lefbench.fibration import total_space_homology, with_resolution
 from lefbench.minpos import intersection_profile, minimal_position
 from lefbench.rank_calculus import (FsHomRanks, _directed_twist, analyze,
                                     fs_hom_ranks, triangle_rank)
-from lefbench.tower import build_stage
+from lefbench.tower import build_stage, tower_crits
 from lefbench.wrapping import wrap
 
 from test_minimal_position import (compute_crossings, eliminate_bigon,
@@ -154,8 +153,7 @@ def test_c6_property_suites(capsys, cfgs):
             fs = fs_hom_ranks(f)
             for x, y in PAIRS:
                 for m in LEVELS:
-                    s = build_stage(f, x, y, WrapSpec(m, cfg.wrap.delta,
-                                                      cfg.wrap.bend), fs)
+                    s = build_stage(f, *tower_crits(f, x, y), m, cfg.wrap, fs)
                     stages[v, x, y, m] = s
                     if s.rank_certificate is not None:
                         certified += 1
@@ -175,11 +173,10 @@ def test_c6_property_suites(capsys, cfgs):
             fine = with_resolution(base, 2 * base.disc.boundary_resolution)
             for x, y in PAIRS:
                 for m in LEVELS:
-                    spec = WrapSpec(m, cfg.wrap.delta, cfg.wrap.bend)
                     got = []
                     for fib in (base, fine):
-                        moved = wrap(fib.crit_for(x).path, spec, fib.disc,
-                                     bend=x == y)
+                        moved = wrap(fib.crit_for(x).path, m, cfg.wrap,
+                                     fib.disc, bend=x == y)
                         a, b = minimal_position(moved, fib.crit_for(y).path,
                                                 fib.disc)
                         p = intersection_profile(a, b, fib.disc)

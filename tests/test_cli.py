@@ -1,5 +1,6 @@
 """End-to-end tests for the ``lefbench`` command line tool."""
 
+import hashlib
 import inspect
 import io
 import os
@@ -46,6 +47,7 @@ fibration = bad
 
 GOLDEN = Path(__file__).parent / "golden" / "w1_all.txt"
 GOLDEN_W0 = Path(__file__).parent / "golden" / "w0_all.txt"
+GOLDEN_MUTANTS = Path(__file__).parent / "golden" / "mutants.txt"
 
 
 def shipped(name: str) -> str:
@@ -528,6 +530,44 @@ def test_every_command_rejects_unknown_tower_puncture(command, tmp_path,
         " critical value\n")
 
 
+def _violation(x, y, why):
+    return (f"violation: [main-W0] tower {x}:{y}: vanishing path of {x!r}"
+            f" cannot be wrapped: {why}\n")
+
+
+@pytest.mark.parametrize("puncture, value, lines", [
+    # the straight path from a to the boundary point at angle 7/3 (= 1/3)
+    # is legal, but it does not lie on a ray from the origin
+    ("a", "A | 7/3",
+     [_violation(x, y, "terminal segment of the arc is not radial")
+      for x, y in (("a", "a"), ("a", "b"))]),
+    # radial, but two segments: a self-tower cannot bend it off b
+    ("b", "B | 0 | 3/4 0",
+     [_violation("b", "b", "left-bend wrapping requires a radial normal"
+                 " form path (one straight segment from puncture to"
+                 " boundary)")]),
+], ids=["not-radial", "two-segments"])
+def test_validate_refuses_tower_sources_wrap_refuses(puncture, value, lines,
+                                                     tmp_path, capsys):
+    # validate and all report what hw would end on, tower by tower
+    text = Path(shipped("W0.cfg")).read_text()
+    cfg = tmp_path / "unwrappable.cfg"
+    cfg.write_text(re.sub(rf"^crit {puncture} = .*$",
+                          f"crit {puncture} = {value}", text,
+                          flags=re.MULTILINE))
+    for command in ("validate", "all"):
+        assert main([command, str(cfg)]) == 1
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert f"violations: {len(lines)}\n" in out
+        assert [line + "\n" for line in out.splitlines()
+                if line.startswith("violation:")] == lines
+        assert out.endswith("validation: FAILED\n")
+    assert main(["hw", str(cfg)]) == 1
+    assert capsys.readouterr().err == (
+        "error[LefbenchError]: " + lines[0].split("wrapped: ")[1])
+
+
 # the exit code each error class ends a run with
 EXIT_CODES = {
     "LefbenchError": 1, "ConfigError": 1, "NonEmbeddableInput": 1,
@@ -565,14 +605,24 @@ def config_mutants(text):
             yield text[:m.start()] + token + text[m.end():]
 
 
+def mutant_outcome(scenario, k, code, out, err, cfg):
+    """The golden line of mutant k: scenario, index, exit code, and the
+    sha256 of stdout + stderr with the config path written as mutant.cfg."""
+    digest = hashlib.sha256(
+        (out + err).replace(str(cfg), "mutant.cfg").encode()).hexdigest()
+    return f"{scenario} {k} {code} {digest}"
+
+
 @pytest.mark.parametrize("scenario", ["W0", "W1"])
 def test_mutated_configs_end_in_exit_code(scenario, tmp_path, capsys):
     # any input ends in exit 0-3: a failed validation report or one
-    # LefbenchError line, and no other exception escapes main
+    # LefbenchError line, and no other exception escapes main; each
+    # mutant's exit code and output bytes are pinned in GOLDEN_MUTANTS
     text = Path(shipped(f"{scenario}.cfg")).read_text()
     cfg = tmp_path / "mutant.cfg"
     mutants = list(config_mutants(text))
     assert len(mutants) > 150
+    outcomes = []
     for k, mutant in enumerate(mutants):
         cfg.write_text(mutant)
         code = main(["all", str(cfg)])
@@ -580,6 +630,10 @@ def test_mutated_configs_end_in_exit_code(scenario, tmp_path, capsys):
         assert code in (0, 1, 2, 3), k
         if code and "validation: FAILED" not in out:
             assert err.startswith("error[") and err.count("\n") == 1, k
+        outcomes.append(mutant_outcome(scenario, k, code, out, err, cfg))
+    pinned = [line for line in GOLDEN_MUTANTS.read_text().splitlines()
+              if line.split()[0] == scenario]
+    assert outcomes == pinned
 
 
 # one random edit of a config: (kind, index, replacement token); the index

@@ -8,10 +8,11 @@ from importlib import resources
 import pytest
 
 import scen
-from lefbench.config import WrapParams, load_config, parse_config
+from lefbench.config import load_config, parse_config
 from lefbench.errors import ConfigError, Inconsistent, LefbenchError
 from lefbench.exactgeom import homog
 from lefbench.fibration import TotalSpaceFiber
+from lefbench.wrapping import WrapParams
 
 
 def shipped(name: str) -> str:
@@ -103,7 +104,7 @@ def _expect_error(text, needle, lineno=None, exc=ConfigError, source="t.cfg"):
     with pytest.raises(exc) as e:
         parse_config(_doc(text), source=source)
     msg = str(e.value)
-    assert needle in msg, msg
+    assert needle in msg and msg.startswith(f"{source}:"), msg
     if lineno is not None:
         assert f"{source}:{lineno}:" in msg, msg
 
@@ -147,6 +148,10 @@ def test_duplicate_key():
         puncture p = 0 0
         puncture p = 1/4 0
         """, "duplicate key", lineno=3)
+    # one vanishing path per puncture: a repeated crit line is refused here
+    _expect_error(BASE.replace("crit p = c | 1/2",
+                               "crit p = c | 1/2\ncrit p = c | 1/4"),
+                  "duplicate key 'crit p'", lineno=15)
 
 
 def test_missing_provenance():
@@ -209,14 +214,21 @@ def test_bad_tower_token():
 def test_wrap_guards():
     _expect_error(BASE + "[wrap]\ndelta = 1/64\nbend = 1/2\n",
                   "0 < bend < delta", lineno=18)
-    _expect_error(BASE + "[wrap]\nlevels = 1 1\n", "distinct nonnegative",
-                  lineno=19)
+    for levels in ("1 1", "0 -1", ""):
+        _expect_error(BASE + f"[wrap]\nlevels = {levels}\n",
+                      "distinct nonnegative", lineno=19)
 
 
 def test_delta_must_clear_endpoint_gaps():
     # boundary endpoints at 0 (reference) and 1/2 leave a gap of 1/2
     _expect_error(BASE + "[wrap]\ndelta = 1/2\nbend = 1/4\n",
-                  "reaches the angular gap")
+                  "reaches the angular gap 1/2")
+    # one declared angle leaves a full turn: delta stays below 1
+    one_angle = BASE.replace("crit p = c | 1/2", "crit p = c | 0")
+    parse_config(one_angle + "[wrap]\ndelta = 63/64\nbend = 1/2\n")
+    for delta in ("1", "2"):
+        _expect_error(one_angle + f"[wrap]\ndelta = {delta}\nbend = 1/2\n",
+                      "reaches the angular gap 1 ")
 
 
 def test_objects_for_unknown_fibration():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lefbench.disc import (BoundaryAngle, DiscModel, PlanarArc, Puncture,
-                           WrapSpec, radial_split)
+                           radial_split)
 from lefbench.errors import LefbenchError, NonEmbeddableInput
 
 from oracles import all_pairs_check_embedded, polyline_is_embedded
@@ -149,16 +149,6 @@ def test_radial_split_rejects_inward_tail():
                       Puncture("p"), BoundaryAngle(Q(0)))
     with pytest.raises(LefbenchError, match="outward"):
         radial_split(arc)
-
-
-def test_wrap_spec_bounds():
-    WrapSpec(3, Q(1, 64), bend=Q(1, 128))
-    with pytest.raises(LefbenchError):
-        WrapSpec(-1, Q(1, 64), Q(1, 128))
-    with pytest.raises(LefbenchError):
-        WrapSpec(1, Q(0), Q(1, 128))
-    with pytest.raises(LefbenchError):
-        WrapSpec(1, Q(1, 64), bend=Q(1, 64))
 
 
 def test_boundary_angle_normalizes():

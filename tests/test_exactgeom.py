@@ -12,7 +12,7 @@ from hypothesis import example, given, strategies as st
 
 import oracles
 from lefbench.config import load_config
-from lefbench.disc import WrapSpec, _closed_segments_touch
+from lefbench.disc import _closed_segments_touch
 from lefbench.exactgeom import (Pt, _shift_sign, box_pairs, box_pairs_between,
                                 circle_hpoint, homog, min_angular_gap, norm2,
                                 orient, point_in_polygon, point_on_segment,
@@ -20,8 +20,8 @@ from lefbench.exactgeom import (Pt, _shift_sign, box_pairs, box_pairs_between,
                                 segment_near_origin,
                                 segments_overlap_collinear, winding_number)
 from lefbench.fibration import with_resolution
-from lefbench.tower import stage_spiral
-from lefbench.wrapping import _annulus, wrap
+from lefbench.tower import stage_spiral, tower_crits
+from lefbench.wrapping import source_annulus, wrap
 
 from oracles import (ccw_gap, line_intersection, polygon_area2,
                      segment_point_dist2, sgn_eps)
@@ -81,7 +81,7 @@ def test_ccw_gap_and_min_gap():
     assert ccw_gap(Q(7, 8), Q(1, 8)) == Q(1, 4)
     assert ccw_gap(Q(1, 8), Q(1, 8)) == 1
     assert min_angular_gap([Q(0), Q(1, 2), Q(3, 4)]) == Q(1, 4)
-    assert min_angular_gap([Q(0)]) is None
+    assert min_angular_gap([Q(0)]) == 1
     # the smallest gap is the shortest counterclockwise step between any two
     # distinct angles, however they are written
     angles = [Q(-1, 8), Q(1, 3), Q(5, 4), Q(7, 8), Q(2, 3)]
@@ -322,8 +322,8 @@ W1 = load_config(str(resources.files("lefbench") / "scenarios" / "W1.cfg"))
 def w1_spirals(resolution, m=2):
     """The W1 stage spirals of towers b:b (bent) and a:b at level m."""
     f = with_resolution(W1.fibration, resolution)
-    spec = WrapSpec(m, W1.wrap.delta, W1.wrap.bend)
-    return f, [stage_spiral(f, x, y, spec) for x, y in (("b", "b"), ("a", "b"))]
+    return f, [stage_spiral(f, *tower_crits(f, x, y), m, W1.wrap)
+               for x, y in (("b", "b"), ("a", "b"))]
 
 
 def _near_pairs(n, resolution):
@@ -397,16 +397,16 @@ def test_circle_hpoint_is_the_reference_circle_point(a, d):
 @pytest.mark.parametrize("bend", [False, True])
 def test_wrap_builds_the_reference_spiral(resolution, m, bend):
     f = with_resolution(W1.fibration, resolution)
-    spec = WrapSpec(m, W1.wrap.delta, W1.wrap.bend)
+    params = W1.wrap
     for crit in f.crits:
         arc = crit.path
         if bend and len(arc.vertices) != 2:
             continue
-        w = wrap(arc, spec, f.disc, bend=bend)
+        w = wrap(arc, m, params, f.disc, bend=bend)
         tau0 = arc.end.angle
-        start = tau0 + (spec.bend if bend else 0)
-        _, r_out, _ = _annulus(arc, f.disc)
-        expect = oracles.spiral_vertices(start, tau0 + m + spec.delta, r_out,
+        start = tau0 + (params.bend if bend else 0)
+        _, r_out, _ = source_annulus(arc, f.disc)
+        expect = oracles.spiral_vertices(start, tau0 + m + params.delta, r_out,
                                          resolution)
         head = 1 if bend else len(arc.vertices) - 1
         assert list(w.vertices[head:-1]) == expect

