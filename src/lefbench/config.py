@@ -365,6 +365,7 @@ def parse_config(text: str, source: str = "<config>") -> ScenarioConfig:
     towers: tuple[tuple[str, str], ...] = ()
     run_line = None
     wrap_line = None
+    delta_line = None
 
     def _unique(table: dict, name: str, lineno: int, what: str):
         if name in table:
@@ -396,6 +397,8 @@ def parse_config(text: str, source: str = "<config>") -> ScenarioConfig:
                     f"{source}:{sec.lineno}: duplicate [wrap] section")
             wrap_line = sec.lineno
             wrap = _parse_wrap(sec, source)
+            delta_line = next((no for no, key, _ in sec.lines
+                               if key == "delta"), None)
         elif sec.kind == "run":
             if run_line is not None:
                 raise ConfigError(
@@ -425,20 +428,22 @@ def parse_config(text: str, source: str = "<config>") -> ScenarioConfig:
         raise ConfigError(
             f"{source}:{run_line}: [run] names unknown fibration"
             f" {run_fibration!r}")
-    _check_delta_gap(built.values(), wrap, source)
+    for raw in raw_fibs:
+        _check_delta_gap(built[raw.name], wrap,
+                         f"{source}:{delta_line or raw.lineno}")
     return ScenarioConfig(built[run_fibration], wrap, towers)
 
 
-def _check_delta_gap(fibrations, wrap: WrapParams, source: str) -> None:
+def _check_delta_gap(f: Fibration, wrap: WrapParams, loc: str) -> None:
     """The wrap offset must stay below the smallest gap between declared
-    boundary angles, a full turn if there is one."""
-    for f in fibrations:
-        gap = min_angular_gap([c.path.end.angle for c in f.crits]
-                              + [f.reference_angle.angle])
-        if wrap.delta >= gap:
-            raise ConfigError(
-                f"{source}: wrap delta {wrap.delta} reaches the angular gap"
-                f" {gap} between declared boundary endpoints of {f.name!r}")
+    boundary angles, a full turn if there is one.  loc cites the delta
+    line, or the fibration's header when delta is the default."""
+    gap = min_angular_gap([c.path.end.angle for c in f.crits]
+                          + [f.reference_angle.angle])
+    if wrap.delta >= gap:
+        raise ConfigError(
+            f"{loc}: wrap delta {wrap.delta} reaches the angular gap"
+            f" {gap} between declared boundary endpoints of {f.name!r}")
 
 
 def _parse_wrap(sec: _Section, source: str) -> WrapParams:

@@ -184,20 +184,18 @@ class PlanarArc:
                     f"endpoint vertex {self.vertices[i]} does not realize"
                     f" boundary angle {e.angle}")
 
-    def _check_embedded(self,
-                        pairs: list[tuple[int, int]] | None = None) -> None:
+    def _check_embedded(self) -> None:
         """Reject any contact of two segments beyond consecutive joints.
 
-        pairs are the segment index pairs (i, j), i < j, to test; by default
-        every pair whose closed bounding boxes meet.  Two closed segments can
-        share a point only if their boxes meet, so the pairs that
-        exactgeom.box_pairs skips need no test.  Consecutive segments always
-        meet at their joint, and the default pairs come in (i, j) order, so
-        the first contact reported is the one a scan over all pairs would
-        report.
+        Only the segment pairs (i, j), i < j, whose closed bounding boxes
+        meet are tested: two closed segments can share a point only if their
+        boxes meet, so the pairs that exactgeom.box_pairs skips need no
+        test.  Consecutive segments always meet at their joint, and the
+        pairs come in (i, j) order, so the first contact reported is the one
+        a scan over all pairs would report.
         """
         hs = self.hverts
-        for i, j in box_pairs(self.boxes) if pairs is None else pairs:
+        for i, j in box_pairs(self.boxes):
             a1, a2, b1, b2 = hs[i], hs[i + 1], hs[j], hs[j + 1]
             if j == i + 1:
                 # consecutive segments share exactly the joint vertex

@@ -333,24 +333,6 @@ def segment_near_origin(a: Hpt, b: Hpt, r2: Fraction) -> bool:
 # polygons
 # --------------------------------------------------------------------------
 
-def point_in_polygon(p: Hpt, poly: list[Hpt]) -> bool:
-    """Strict interior test (even-odd rule), assuming p is not on an edge.
-
-    Uses the half-open rule on a horizontal ray toward +x, which is exact and
-    immune to ray-through-vertex double counting: an edge straddling p's
-    height meets the ray exactly when p lies strictly left of it upward.
-    """
-    px, py, pw = p
-    inside = False
-    for a, b in zip(poly, poly[1:] + poly[:1]):
-        b_above = b[1] * pw > py * b[2]
-        if (a[1] * pw > py * a[2]) != b_above:
-            o = orient(a, b, p)
-            if o != 0 and (o > 0) == b_above:
-                inside = not inside
-    return inside
-
-
 def winding_number(p: Hpt, closed: list[Hpt]) -> int:
     """Winding number of a closed polyline around p (p off the curve)."""
     px, py, pw = p

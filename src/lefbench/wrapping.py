@@ -23,8 +23,8 @@ is the integer circle point (exactgeom.circle_hpoint) scaled by the radius,
 one homogeneous triple, reduced as the returned arc stores it.  The check
 that no chord dips to a puncture's radius compares integers; the spiral
 builds no Fraction point.  What depends only on the source arc and the disc
-(its boundary angle, the annulus entry radius and the puncture guard) is
-derived once per (arc, disc).
+(its boundary angle, the annulus entry radius and the largest squared
+puncture radius) is derived once per (arc, disc).
 
 wrap guards the annulus against punctures but does not validate the spiral
 it returns.  A stage spiral (tower.stage_spiral) is checked once before use:
@@ -60,8 +60,10 @@ def source_annulus(arc: PlanarArc, disc: DiscModel,
     radius) of arc in disc; raises unless wrap accepts arc as a source, one
     straight segment if it is to be bent off its puncture.  r_out is
     rational, above every puncture and pre-boundary vertex radius and below
-    1.  The annulus is recorded against disc by identity, like
-    PlanarArc.validate; a failure records nothing."""
+    1: with s the largest of their squared radii, (1 + s)/2 >= sqrt(s) and
+    r_out = (1 + (1 + s)/2)/2 > sqrt(s) for s < 1.  The annulus is
+    recorded against disc by identity, like PlanarArc.validate; a failure
+    records nothing."""
     seen = arc.__dict__.get("_annulus")
     if seen is None or seen[0] is not disc:
         tau0, _ = radial_split(arc)
@@ -69,10 +71,6 @@ def source_annulus(arc: PlanarArc, disc: DiscModel,
         s = max([max_punct] + [norm2(v) for v in arc.vertices[:-1]])
         upper = (1 + s) / 2          # rational upper bound for sqrt(s)
         r_out = (1 + upper) / 2
-        for name, p in disc.items():
-            if norm2(p) >= r_out * r_out:
-                raise SpiralCollision(
-                    f"puncture {name!r} lies inside the wrapping annulus")
         seen = arc.__dict__["_annulus"] = disc, (tau0, r_out, max_punct)
     if bend and len(arc.hverts) != 2:
         raise LefbenchError(

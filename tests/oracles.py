@@ -11,7 +11,9 @@ homogeneous-integer predicates must agree with); the embedding check and
 crossing computation as they were before the box-pruned sweep, scanning
 every segment pair with those predicates, so that a comparison isolates
 both the pruning and the integer arithmetic; the lens test; and the bigon
-surgery's corridor, with the check of each surgery over the whole pair.
+surgery that reroutes one arc across each lens, with each surgery checked
+over the whole pair: the geometric reference for the library's reduction
+of the crossing list.
 """
 
 from __future__ import annotations
@@ -631,26 +633,8 @@ def all_pairs_crossings(a, b):
 
 
 # ---------------------------------------------------------------------------
-# Fraction lens test: minpos.find_empty_bigons before its integer lens
+# Fraction lens test: minpos.find_empty_bigons on Fraction points
 # ---------------------------------------------------------------------------
-
-def point_in_polygon(p: Pt, poly: list[Pt]) -> bool:
-    """Strict interior test (even-odd rule), assuming p is not on an edge.
-
-    Uses the half-open rule on a horizontal ray toward +x, which is exact and
-    immune to ray-through-vertex double counting.
-    """
-    inside = False
-    n = len(poly)
-    for i in range(n):
-        a, b = poly[i], poly[(i + 1) % n]
-        if (a.y > p.y) != (b.y > p.y):
-            # x coordinate of the edge at height p.y
-            xi = a.x + (p.y - a.y) * (b.x - a.x) / (b.y - a.y)
-            if xi > p.x:
-                inside = not inside
-    return inside
-
 
 def point_at(arc, pos) -> Pt:
     """The point at position (segment index, parameter) on arc; a crossing's
@@ -683,8 +667,8 @@ def _lens_polygon(a, b, x, y) -> list[Pt]:
 
 
 def fraction_empty_bigons(a, b, disc, crossings):
-    """minpos.find_empty_bigons, building and testing each lens in
-    Fraction."""
+    """minpos.find_empty_bigons, building each lens and its winding
+    numbers in Fraction."""
     from lefbench.minpos import Bigon
 
     if len(crossings) < 2:
@@ -697,14 +681,14 @@ def fraction_empty_bigons(a, b, disc, crossings):
         if abs(b_index[id(x)] - b_index[id(y)]) != 1:
             continue
         poly = _lens_polygon(a, b, x, y)
-        if any(point_in_polygon(p, poly) for _, p in disc.items()):
+        if any(winding_number(p, poly) for _, p in disc.items()):
             continue
         bigons.append(Bigon(x, y))
     return bigons
 
 
 # ---------------------------------------------------------------------------
-# Fraction bigon surgery: minpos.eliminate_bigon before its integer corridor
+# Fraction bigon surgery: each bigon removed by rerouting one arc
 # ---------------------------------------------------------------------------
 
 def line_intersection(a1: Pt, a2: Pt, b1: Pt, b2: Pt) -> Pt:
@@ -814,47 +798,30 @@ def _arc_embedded(arc) -> bool:
         return False
 
 
-def full_verify_surgery(pair, candidate, old_middle, disc, old_count,
-                        new_middle):
-    """minpos._verify_splice over the whole pair: the crossings of pair (the
-    candidate with the kept arc, in the caller's order) when the rerouted
-    arc is embedded, drops exactly two crossings and sweeps no puncture;
-    None otherwise.  Every segment pair of the candidate is checked and
-    every crossing searched again.  old_middle is the moved arc's polyline
-    between the corners, which new_middle replaces (homogeneous triples)."""
-    from lefbench.errors import DegenerateTangency
-    from lefbench.exactgeom import winding_number as int_winding_number
-    from lefbench.minpos import compute_crossings
-
-    if not _arc_embedded(candidate):
-        return None
-    try:
-        new_crossings = compute_crossings(*pair)
-    except DegenerateTangency:
-        return None
-    if len(new_crossings) != old_count - 2:
-        return None
-    # isotopy check: the swap loop (old portion against new portion, closed
-    # through the shared step-off points) must not enclose any puncture
-    closed = _without_repeats([new_middle[0], *old_middle, new_middle[-1],
-                               *new_middle[::-1]])
-    if closed[0] == closed[-1]:
-        closed = closed[:-1]
-    if any(int_winding_number(p, closed) != 0 for p in disc.hpoints):
-        return None
-    return new_crossings
+def _vertices_legal(pts: list[Pt], disc) -> bool:
+    """The vertices lie strictly inside the unit circle and no segment
+    between consecutive ones passes through a puncture."""
+    return (all(norm2(v) < 1 for v in pts)
+            and not any(point_on_segment(p, a, b) for _, p in disc.items()
+                        for a, b in zip(pts, pts[1:])))
 
 
 def fraction_eliminate_bigon(a, b, bigon, disc, crossings):
-    """minpos.eliminate_bigon, building its corridor on Fraction points:
-    the corner sub-paths from the corners' positions, the step-off points,
-    the offset chain, the lens area and the swap loop's winding numbers."""
+    """Remove one empty bigon of a and b (crossings as compute_crossings
+    gives them) by rerouting the canonically larger arc between the two
+    corners along the outside of the other arc's side of the lens, in a
+    corridor of width eps built on Fraction points: the step-off points
+    before and after the corners, the mitred offset chain and the lens
+    area.  The width shrinks until the whole pair checks out: the rerouted
+    arc is embedded, the pair has exactly two crossings fewer
+    (compute_crossings over the new pair) and the swap loop winds around
+    no puncture.  Returns the new pair in argument order with its
+    crossings."""
     from dataclasses import replace
 
     from lefbench.errors import DegenerateTangency
     from lefbench.exactgeom import homog
-    from lefbench.minpos import (_canonically_after, _vertices_legal,
-                                 compute_crossings)
+    from lefbench.minpos import _canonically_after, compute_crossings
 
     if _canonically_after(a.hverts, b.hverts):
         moved, kept, m_side = a, b, 0
@@ -899,9 +866,9 @@ def fraction_eliminate_bigon(a, b, bigon, disc, crossings):
                 chain = [Pt((k0.x + k1.x) / 2 + n.x * sc,
                             (k0.y + k1.y) / 2 + n.y * sc)]
         middle = _without_repeats([p_before] + chain + [p_after])
-        mid_h = tuple(map(homog, middle))
-        if not _vertices_legal(mid_h, disc):
+        if not _vertices_legal(middle, disc):
             continue
+        mid_h = tuple(map(homog, middle))
         candidate = replace(moved, hverts=moved.hverts[:s_before + 1] + mid_h
                             + moved.hverts[s_after + 1:])
         pair = (candidate, kept) if m_side == 0 else (kept, candidate)

@@ -119,16 +119,11 @@ def test_c6_property_suites(capsys, cfgs):
         for seed in range(100):
             rng = random.Random(seed)
             disc, f, g = random_band_pair(rng)
-            rf, rg = f, g
-            crossings = compute_crossings(rf, rg)
-            while True:
-                bigons = list(find_empty_bigons(rf, rg, disc, crossings))
-                if not bigons:
-                    break
-                rf, rg, crossings = eliminate_bigon(
-                    rf, rg, rng.choice(bigons), disc, crossings)
-            cf, cg = minimal_position(f, g, disc)
-            assert len(compute_crossings(rf, rg)) == len(compute_crossings(cf, cg))
+            crossings = compute_crossings(f, g)
+            while bigons := list(find_empty_bigons(f, g, disc, crossings)):
+                _, _, crossings = eliminate_bigon(
+                    f, g, rng.choice(bigons), disc, crossings)
+            assert len(crossings) == len(minimal_position(f, g, disc))
 
         # (b) the exact-triangle rank formula agrees with a brute mapping-cone
         # homology computation on 1000 random GF(2) complexes of rank <= 6
@@ -177,9 +172,8 @@ def test_c6_property_suites(capsys, cfgs):
                     for fib in (base, fine):
                         moved = wrap(fib.crit_for(x).path, m, cfg.wrap,
                                      fib.disc, bend=x == y)
-                        a, b = minimal_position(moved, fib.crit_for(y).path,
-                                                fib.disc)
-                        p = intersection_profile(a, b, fib.disc)
+                        p = intersection_profile(
+                            moved, fib.crit_for(y).path, fib.disc)
                         got.append((p.crossing_count, p.shared_punctures))
                     assert got[0] == got[1]
 

@@ -76,6 +76,22 @@ def test_all_w0(capsys):
     assert "[unit-survival]" in out and "[sphere-witness]" in out
 
 
+def test_w0_with_matching_b_redrawn_above_the_axis(tmp_path, capsys):
+    # no puncture lies between the redrawn B and the shipped one, so the
+    # two are isotopic rel endpoints and HF(A,B) keeps rank 2; the redrawn
+    # B crosses A once, and that crossing goes as a half-bigon
+    text = Path(shipped("W0.cfg")).read_text()
+    cfg = tmp_path / "b-above.cfg"
+    cfg.write_text(re.sub(
+        r"^matching B = .*$",
+        "matching B = c-left c-right | -1/5 3/10 ; 1/10 1/10", text,
+        flags=re.MULTILINE))
+    for command in ("floer-ranks", "all"):
+        assert main([command, str(cfg)]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and "HF(A,B): 2\n" in out
+
+
 def test_all_w1(capsys):
     assert main(["all", shipped("W1.cfg")]) == 0
     out = capsys.readouterr().out

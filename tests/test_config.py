@@ -220,15 +220,21 @@ def test_wrap_guards():
 
 
 def test_delta_must_clear_endpoint_gaps():
-    # boundary endpoints at 0 (reference) and 1/2 leave a gap of 1/2
+    # boundary endpoints at 0 (reference) and 1/2 leave a gap of 1/2; the
+    # error cites the delta line
     _expect_error(BASE + "[wrap]\ndelta = 1/2\nbend = 1/4\n",
-                  "reaches the angular gap 1/2")
+                  "reaches the angular gap 1/2", lineno=19)
+    _expect_error(BASE + "[wrap]\nbend = 1/4\ndelta = 1/2\n",
+                  "reaches the angular gap 1/2", lineno=20)
+    # the default delta 1/64 against a gap of 1/128: the fibration's header
+    _expect_error(BASE.replace("crit p = c | 1/2", "crit p = c | 1/128"),
+                  "wrap delta 1/64 reaches the angular gap 1/128", lineno=10)
     # one declared angle leaves a full turn: delta stays below 1
     one_angle = BASE.replace("crit p = c | 1/2", "crit p = c | 0")
     parse_config(one_angle + "[wrap]\ndelta = 63/64\nbend = 1/2\n")
     for delta in ("1", "2"):
         _expect_error(one_angle + f"[wrap]\ndelta = {delta}\nbend = 1/2\n",
-                      "reaches the angular gap 1 ")
+                      "reaches the angular gap 1 ", lineno=19)
 
 
 def test_objects_for_unknown_fibration():

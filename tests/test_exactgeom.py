@@ -15,7 +15,7 @@ from lefbench.config import load_config
 from lefbench.disc import _closed_segments_touch
 from lefbench.exactgeom import (Pt, _shift_sign, box_pairs, box_pairs_between,
                                 circle_hpoint, homog, min_angular_gap, norm2,
-                                orient, point_in_polygon, point_on_segment,
+                                orient, point_on_segment,
                                 segment_box, segment_crossing,
                                 segment_near_origin,
                                 segments_overlap_collinear, winding_number)
@@ -146,8 +146,6 @@ def test_polygon_primitives():
     square = [pt(0, 0), pt(2, 0), pt(2, 2), pt(0, 2)]
     assert polygon_area2(square) == 8
     assert polygon_area2(square[::-1]) == -8
-    assert point_in_polygon(homog(pt(1, 1)), h(*square))
-    assert not point_in_polygon(homog(pt(3, 1)), h(*square))
     assert winding_number(homog(pt(1, 1)), h(*square)) == 1
     assert winding_number(homog(pt(1, 1)), h(*square[::-1])) == -1
     assert winding_number(homog(pt(3, 1)), h(*square)) == 0
@@ -156,7 +154,7 @@ def test_polygon_primitives():
 def test_degenerate_polygon_contains_nothing():
     flat = [pt(0, 0), pt(1, 0)]
     assert polygon_area2(flat) == 0
-    assert not point_in_polygon(homog(pt(Q(1, 2), 0)), h(*flat))
+    assert winding_number(homog(pt(Q(1, 2), 1)), h(*flat)) == 0
 
 
 def test_segment_point_dist2():
@@ -305,11 +303,11 @@ POLYGONS = st.lists(GRID_POINT, min_size=1, max_size=4).flatmap(
 @example(([pt(0, 0), pt(1, 1), pt(0, 1)], pt(Q(1, 2), Q(1, 2))), 1)  # on an edge
 @example(([pt(0, 0), pt(1, 1), pt(0, 2)], pt(Q(-1, 2), 1)), 1)  # ray via a vertex
 @given(POLYGONS, st.integers(1, 7))
-def test_point_in_polygon_agrees_with_fraction_reference(case, scale):
+def test_winding_number_agrees_with_fraction_reference(case, scale):
     poly, p = case
     scaled = [(x * scale, y * scale, w * scale) for x, y, w in h(*poly)]
-    assert (point_in_polygon(homog(p), scaled)
-            == oracles.point_in_polygon(p, poly))
+    assert (winding_number(homog(p), scaled)
+            == oracles.winding_number(p, poly))
 
 
 # --------------------------------------------------------------------------

@@ -1,12 +1,11 @@
 """Crossing computation, bigon elimination, intersection profiles.
 
 Expected counts here are frozen from the naive quadratic sweep in
-tests/oracles.py, which shares no code with the library.
+tests/oracles.py, which shares no code with the library, or read from the
+bigon surgery there, which reroutes one arc across each lens.
 """
 
 import random
-from collections import Counter
-from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
@@ -15,7 +14,6 @@ from hypothesis import assume, given, settings, strategies as st
 from lefbench.disc import BoundaryAngle, DiscModel, Puncture
 from lefbench.errors import (DegenerateTangency, LefbenchError,
                              SharedBoundaryEndpoint)
-from lefbench.exactgeom import homog
 from lefbench import minpos
 from lefbench.minpos import (IntersectionProfile, _canonically_after,
                              compute_crossings, eliminate_bigon,
@@ -24,8 +22,8 @@ from lefbench.minpos import (IntersectionProfile, _canonically_after,
 
 from oracles import (GenericityError, all_pairs_crossings, brute_crossing_count,
                      canonical_key, fraction_eliminate_bigon,
-                     fraction_empty_bigons, full_verify_surgery, point_at,
-                     point_on_segment, segments)
+                     fraction_empty_bigons, point_at, point_on_segment,
+                     segments)
 from scen import arc_through, aux_disc, point, pt
 from test_disc import GRID_POINTS, GRID_POLYLINES, no_zero_length
 
@@ -83,24 +81,40 @@ def test_pushed_off_copy_reduces_to_disjoint():
     assert brute_crossing_count(straight.vertices, wiggle.vertices,
                                 anchors) == 2
 
-    bigons = list(find_empty_bigons(straight, wiggle, disc,
-                                    compute_crossings(straight, wiggle)))
+    crossings = compute_crossings(straight, wiggle)
+    bigons = list(find_empty_bigons(straight, wiggle, disc, crossings))
     assert len(bigons) == 1
 
-    a2, b2 = minimal_position(straight, wiggle, disc)
-    prof = intersection_profile(a2, b2, disc)
+    assert minimal_position(straight, wiggle, disc) == []
+    prof = intersection_profile(straight, wiggle, disc)
     assert prof.crossing_count == 0
     assert prof.shared_punctures == ("p", "q")
+    # the reference surgery reroutes one arc off the other
+    a2, b2, left = fraction_eliminate_bigon(straight, wiggle, bigons[0], disc,
+                                            crossings)
+    assert left == []
     assert brute_crossing_count(a2.vertices, b2.vertices, anchors) == 0
 
 
 def test_puncture_inside_lens_blocks_elimination():
-    disc, straight, wiggle = wiggle_pair(extra_punctures=(("z", pt(0, Q(-1, 8))),))
-    assert len(compute_crossings(straight, wiggle)) == 2
-    assert list(find_empty_bigons(straight, wiggle, disc,
-                                  compute_crossings(straight, wiggle))) == []
-    a2, b2 = minimal_position(straight, wiggle, disc)
-    assert intersection_profile(a2, b2, disc).crossing_count == 2
+    """a runs straight from u to v; b runs from s down under a and back up
+    to t, crossing it twice.  The arcs share no puncture, so their one lens
+    is the only bigon: z inside it keeps both crossings, z below it none."""
+    for z, count in ((pt(0, Q(-1, 8)), 2), (pt(0, Q(-3, 8)), 0)):
+        disc = DiscModel(punctures=(
+            ("u", pt(Q(-3, 4), 0)), ("v", pt(Q(3, 4), 0)),
+            ("s", pt(Q(-1, 2), Q(1, 2))), ("t", pt(Q(1, 2), Q(1, 2))),
+            ("z", z)))
+        straight = matching(disc, [pt(Q(-3, 4), 0), pt(Q(3, 4), 0)], "u", "v")
+        dip = matching(disc, [pt(Q(-1, 2), Q(1, 2)), pt(Q(-1, 4), Q(-1, 4)),
+                              pt(Q(1, 4), Q(-1, 4)), pt(Q(1, 2), Q(1, 2))],
+                       "s", "t")
+        crossings = compute_crossings(straight, dip)
+        assert len(crossings) == 2
+        bigons = list(find_empty_bigons(straight, dip, disc, crossings))
+        assert len(bigons) == (0 if count else 1)
+        profile = intersection_profile(straight, dip, disc)
+        assert profile.crossing_count == count
 
 
 def test_profile_is_symmetric():
@@ -159,8 +173,8 @@ def test_unpinned_collinear_overlap_resolves():
     crossings = compute_crossings(a, b)
     assert sorted(point(c.hpoint) for c in crossings) == [
         pt(Q(-1, 2), Q(-1, 4)), pt(Q(1, 2), Q(-1, 4))]
-    a2, b2 = minimal_position(a, b, disc)
-    assert intersection_profile(a2, b2, disc).crossing_count == 0
+    assert minimal_position(a, b, disc) == []
+    assert intersection_profile(a, b, disc).crossing_count == 0
 
 
 def test_shared_boundary_endpoint_rejected():
@@ -324,34 +338,27 @@ def test_random_elimination_order_reaches_parity(seed):
     assert brute_crossing_count(f.vertices, g.vertices) == start
 
     # randomized elimination order
-    rf, rg = f, g
-    crossings = compute_crossings(rf, rg)
-    while True:
-        # bigon surgery reads each corner's point from its crossing: the
-        # point at the crossing's position on either arc
-        for c in crossings:
-            assert (point(c.hpoint) == point_at(rf, c.a_pos)
-                    == point_at(rg, c.b_pos))
-        bigons = list(find_empty_bigons(rf, rg, disc, crossings))
-        if not bigons:
-            break
-        rf, rg, crossings = eliminate_bigon(rf, rg, rng.choice(bigons), disc,
-                                            crossings)
-        # the rerouted arc stores the reduced triples of its points
-        for arc in (rf, rg):
-            assert arc.hverts == tuple(homog(v) for v in arc.vertices)
-        # the surgery hands back the crossings of the new pair, in its order
-        assert crossings == compute_crossings(rf, rg)
+    crossings = compute_crossings(f, g)
+    # each lens is built from the corners' points: the point at the
+    # crossing's position on either arc
+    for c in crossings:
+        assert point(c.hpoint) == point_at(f, c.a_pos) == point_at(g, c.b_pos)
+    while bigons := list(find_empty_bigons(f, g, disc, crossings)):
+        bigon = rng.choice(bigons)
+        rf, rg, left = eliminate_bigon(f, g, bigon, disc, crossings)
+        # no arc is rerouted: the bigon's two corners leave the list
+        assert (rf, rg) == (f, g) and len(left) == len(crossings) - 2
+        assert bigon.first not in left and bigon.second not in left
+        crossings = left
     final = len(crossings)
     assert final == start % 2
 
     # canonical order agrees
-    cf, cg = minimal_position(f, g, disc)
-    assert len(compute_crossings(cf, cg)) == final
+    assert len(minimal_position(f, g, disc)) == final
 
 
 # ---------------------------------------------------------------------------
-# the integer corridor against the Fraction reference
+# the crossing-list reduction against the geometric bigon surgery
 # ---------------------------------------------------------------------------
 
 def zigzag_pair(k, rng):
@@ -373,107 +380,39 @@ def zigzag_pair(k, rng):
     return disc, a, b
 
 
-def reduce_against_reference(a, b, disc, pick):
-    """Remove bigons (the one pick chooses from the list) until none is
-    left, checking that each surgery gives the Fraction reference's pair
-    and crossings; returns the final crossing count."""
+def reduce_by_reference(a, b, disc, pick):
+    """Remove bigons geometrically (oracles: the Fraction lens test, and the
+    one pick chooses rerouted by the Fraction surgery, checked over the
+    whole pair) until none is left; returns the final crossing count."""
     crossings = compute_crossings(a, b)
-    while bigons := list(find_empty_bigons(a, b, disc, crossings)):
-        bigon = pick(bigons)
-        got = eliminate_bigon(a, b, bigon, disc, crossings)
-        want = fraction_eliminate_bigon(a, b, bigon, disc, crossings)
-        assert [arc.hverts for arc in got[:2]] == [arc.hverts
-                                                   for arc in want[:2]]
-        assert got[2] == want[2]
-        a, b, crossings = got
+    while bigons := fraction_empty_bigons(a, b, disc, crossings):
+        a, b, crossings = fraction_eliminate_bigon(a, b, pick(bigons), disc,
+                                                   crossings)
     return len(crossings)
 
 
-@pytest.fixture
-def splice_gate(monkeypatch):
-    """Check every surgery attempt, accepted or rejected: the local check
-    (minpos._verify_splice) must give the verdict and crossing list of the
-    whole-pair reference (oracles.full_verify_surgery), and the boxes it
-    splices must be the candidate's own.  Counts the accepted surgeries by
-    moved side and those whose candidate leaves the canonical order."""
-    accepted = Counter()
-    local = minpos._verify_splice
-
-    def gate(candidate, moved, kept, m_side, s_before, middle, old_middle,
-             crossings, disc):
-        fresh = replace(candidate)      # no boxes cached
-        got = local(candidate, moved, kept, m_side, s_before, middle,
-                    old_middle, crossings, disc)
-        pair = (fresh, kept) if m_side == 0 else (kept, fresh)
-        assert got == full_verify_surgery(pair, fresh, old_middle, disc,
-                                          len(crossings), middle)
-        assert candidate.boxes == fresh.boxes
-        if got is not None:
-            accepted[f"m_side {m_side}"] += 1
-            if _canonically_after(pair[0].hverts, pair[1].hverts) != (
-                    m_side == 0):
-                accepted["order flipped"] += 1
-        return got
-
-    monkeypatch.setattr(minpos, "_verify_splice", gate)
-    return accepted
-
-
 @pytest.mark.parametrize("seed", range(100))
-def test_surgery_matches_fraction_reference_on_band_pairs(seed, splice_gate):
+def test_surgery_matches_fraction_reference_on_band_pairs(seed):
     rng = random.Random(seed)
     disc, f, g = random_band_pair(rng)
-    start = len(compute_crossings(f, g))
-    assert reduce_against_reference(f, g, disc, rng.choice) == start % 2
+    count = intersection_profile(f, g, disc).crossing_count
+    assert reduce_by_reference(f, g, disc, rng.choice) == count
 
 
 @pytest.mark.parametrize("k", range(9, 22, 2))
-def test_surgery_matches_fraction_reference_on_zigzags(k, splice_gate):
+def test_surgery_matches_fraction_reference_on_zigzags(k):
     disc, a, b = zigzag_pair(k, random.Random(k))
     assert len(compute_crossings(a, b)) == k - 1
-    assert reduce_against_reference(a, b, disc, lambda bigons: bigons[0]) == 0
-
-
-def test_splice_check_sees_the_segments_before_the_stretch():
-    # moved runs d -> c -> b -> a along y = 0; kept dips across its segment
-    # c -> b twice.  Each reroute of c -> b leaves at (3/16, 0), passes over
-    # kept and rejoins at (-3/16, 0), so both drop the two crossings and
-    # sweep no puncture; the detour also crosses the unchanged segment
-    # d -> c twice, so only the embedding check can reject it
-    disc = DiscModel(punctures=(("d", pt(Q(3, 4), 0)), ("a", pt(Q(-3, 4), 0)),
-                                ("u", pt(Q(-1, 8), Q(-1, 2))),
-                                ("v", pt(Q(1, 8), Q(-1, 2)))))
-    moved = arc_through((pt(Q(3, 4), 0), pt(Q(1, 4), 0), pt(Q(-1, 4), 0),
-                         pt(Q(-3, 4), 0)), Puncture("d"), Puncture("a"))
-    kept = arc_through((pt(Q(-1, 8), Q(-1, 2)), pt(Q(-1, 8), Q(1, 4)),
-                        pt(Q(1, 8), Q(1, 4)), pt(Q(1, 8), Q(-1, 2))),
-                       Puncture("u"), Puncture("v"))
-    moved.validate(disc)
-    kept.validate(disc)
-    crossings = compute_crossings(moved, kept)
-    assert len(crossings) == 2
-    ends = [pt(Q(3, 16), 0), pt(Q(-3, 16), 0)]
-    over = [pt(Q(3, 16), Q(3, 8)), pt(Q(-3, 16), Q(3, 8))]
-    detour = [pt(Q(3, 16), Q(3, 8)), pt(Q(1, 2), Q(3, 8)),
-              pt(Q(1, 2), Q(-1, 8)), pt(Q(5, 8), Q(3, 8)),
-              pt(Q(-3, 16), Q(1, 2))]
-    for route, embedded in ((over, True), (detour, False)):
-        middle = tuple(map(homog, [ends[0], *route, ends[1]]))
-        candidate = replace(moved, hverts=moved.hverts[:2] + middle
-                            + moved.hverts[2:])
-        got = minpos._verify_splice(candidate, moved, kept, 0, 1, middle,
-                                    list(map(homog, ends)), crossings, disc)
-        assert got == full_verify_surgery(
-            (candidate, kept), replace(candidate), list(map(homog, ends)),
-            disc, 2, middle)
-        assert (got == []) == embedded and (got is None) != embedded
+    assert intersection_profile(a, b, disc).crossing_count == 0
+    assert reduce_by_reference(a, b, disc, lambda bigons: bigons[0]) == 0
 
 
 def shared_ends_pair(rng):
     """Two matching arcs from s = (0, 0) to t = (3/5, 0), each through 1-5
-    interior vertices drawn on the 1/100 grid.  Arcs that share their
-    first vertex are ordered by the next one, which a surgery near s can
-    change, so this family reaches the search after a flipped order."""
+    interior vertices drawn on the 1/100 grid, in a disc whose only
+    punctures are s and t.  All such arcs are isotopic rel endpoints, so
+    minimal position leaves no crossing; a crossing near s or t can only
+    go as a half-bigon."""
     disc = DiscModel(punctures=(("s", pt(0, 0)), ("t", pt(Q(3, 5), 0))))
     arcs = []
     for _ in range(2):
@@ -484,32 +423,43 @@ def shared_ends_pair(rng):
     return disc, *arcs
 
 
-def test_local_surgery_check_matches_full_recheck_on_shared_ends(splice_gate):
-    reduced_pairs = 0
+def test_shared_ends_pairs_have_no_crossing_in_minimal_position():
+    counted = 0
     for seed in range(1000):
-        rng = random.Random(seed)
-        disc, a, b = shared_ends_pair(rng)
+        disc, a, b = shared_ends_pair(random.Random(seed))
         try:
             a.validate(disc)
             b.validate(disc)
-            crossings = compute_crossings(a, b)
+            compute_crossings(a, b)
         except LefbenchError:
             continue
-        while bigons := list(find_empty_bigons(a, b, disc, crossings)):
-            a, b, crossings = eliminate_bigon(a, b, rng.choice(bigons), disc,
-                                              crossings)
-        reduced_pairs += 1
-    assert reduced_pairs > 300
-    # both moved sides, and the recomputation after a flipped order
-    assert splice_gate["m_side 0"] and splice_gate["m_side 1"]
-    assert splice_gate["order flipped"]
+        assert intersection_profile(a, b, disc).crossing_count == 0, seed
+        counted += 1
+    assert counted > 300
 
 
-def test_t_contact_bigon_has_one_point_kept_side(splice_gate):
+def test_half_bigon_at_one_shared_puncture():
+    """a leaves p radially to the boundary; b leaves p, crosses a once at
+    (3/8, 0) and turns back over p to the boundary.  The half-lens of p and
+    that crossing holds no puncture (q lies below it), so the arcs can be
+    pulled apart."""
+    disc = DiscModel(punctures=(("p", pt(0, 0)), ("q", pt(0, Q(-1, 2)))))
+    a = arc_through((pt(0, 0), point(BoundaryAngle(Q(0)).hpoint)),
+                    Puncture("p"), BoundaryAngle(Q(0)))
+    b = arc_through((pt(0, 0), pt(Q(1, 4), Q(-1, 8)), pt(Q(1, 2), Q(1, 8)),
+                     pt(0, Q(1, 2)), point(BoundaryAngle(Q(1, 4)).hpoint)),
+                    Puncture("p"), BoundaryAngle(Q(1, 4)))
+    assert [point(c.hpoint) for c in compute_crossings(a, b)] == [
+        pt(Q(3, 8), 0)]
+    assert list(find_empty_bigons(a, b, disc, compute_crossings(a, b))) == []
+    assert intersection_profile(a, b, disc) == IntersectionProfile(0, ("p",))
+
+
+def test_t_contact_bigon_has_one_point_kept_side():
     """B's vertex (0, 1/10) touches A's straight middle: the perturbation
     resolves the contact into two crossings at that one point, so the kept
-    side of the bigon's lens is a single point.  The surgery joins its
-    step-off points directly."""
+    side of the bigon's lens is a single point.  The reference surgery
+    joins its step-off points directly."""
     disc = aux_disc("W0")
     left, right = pt(Q(-1, 4), 0), pt(Q(1, 4), 0)
     a = matching(disc, [left, pt(Q(-1, 8), Q(1, 10)), pt(Q(1, 8), Q(1, 10)),
@@ -519,21 +469,21 @@ def test_t_contact_bigon_has_one_point_kept_side(splice_gate):
     crossings = compute_crossings(a, b)
     assert [point(c.hpoint) for c in crossings] == [pt(0, Q(1, 10))] * 2
     bigon = next(find_empty_bigons(a, b, disc, crossings))
-    got = eliminate_bigon(a, b, bigon, disc, crossings)
+    assert eliminate_bigon(a, b, bigon, disc, crossings) == (a, b, [])
     want = fraction_eliminate_bigon(a, b, bigon, disc, crossings)
-    assert got[0] == a and got[2] == want[2] == []
-    assert got[1].hverts == want[1].hverts
+    assert want[0] == a and want[2] == []
     # B's tip is cut off by one straight segment below A
-    assert len(got[1].hverts) == len(b.hverts) + 1
+    assert len(want[1].hverts) == len(b.hverts) + 1
     assert intersection_profile(a, b, disc).crossing_count == 0
 
 
 def test_zigzag_reduction_builds_one_lens_per_surgery(monkeypatch):
-    """Reducing the k = 21 zig-zag takes 10 surgeries: the lazy bigon search
+    """Reducing the k = 21 zig-zag takes (k - 1) / 2 = 10 eliminate_bigon
+    calls, as the bigon-surgery benchmark counts them: the lazy bigon search
     builds the first lens of each crossing list, which is empty, and no
-    more; no surgery builds an arc's Fraction points."""
+    more; the reduction builds no arc's Fraction points."""
     disc, a, b = zigzag_pair(21, random.Random(0))
-    lenses, arcs = [], []
+    lenses, calls = [], []
     real_lens, real_eliminate = minpos._lens, minpos.eliminate_bigon
 
     def lens(*args):
@@ -541,16 +491,15 @@ def test_zigzag_reduction_builds_one_lens_per_surgery(monkeypatch):
         return real_lens(*args)
 
     def eliminate(*args):
-        out = real_eliminate(*args)
-        arcs.extend(out[:2])
-        return out
+        calls.append(len(lenses))
+        return real_eliminate(*args)
 
     monkeypatch.setattr(minpos, "_lens", lens)
     monkeypatch.setattr(minpos, "eliminate_bigon", eliminate)
     assert intersection_profile(a, b, disc).crossing_count == 0
+    assert calls == list(range(1, 11))
     assert len(lenses) == 10
-    assert len(arcs) == 20
-    assert all("vertices" not in arc.__dict__ for arc in arcs)
+    assert "vertices" not in a.__dict__ and "vertices" not in b.__dict__
 
 
 # ---------------------------------------------------------------------------

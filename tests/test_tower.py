@@ -6,7 +6,7 @@ import pytest
 import scen
 from lefbench.errors import Inconsistent, LefbenchError
 from lefbench.fibration import with_resolution
-from lefbench.minpos import compute_crossings, minimal_position
+from lefbench.minpos import minimal_position
 from lefbench.rank_calculus import fs_hom_ranks
 from lefbench.tower import (WrappedComplexStage, assemble_tower, build_stage,
                             build_tower, tower_crits)
@@ -34,8 +34,8 @@ def inventory(stage):
 def crossing_points(f, stage, y):
     """The crossing points of a stage's pair, its spiral against y's
     vanishing path, in minimal position."""
-    a, b = minimal_position(stage.spiral, f.crit_for(y).path, f.disc)
-    return sorted(scen.point(c.hpoint) for c in compute_crossings(a, b))
+    return sorted(scen.point(c.hpoint) for c in minimal_position(
+        stage.spiral, f.crit_for(y).path, f.disc))
 
 
 def counts(tower):
