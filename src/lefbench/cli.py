@@ -19,6 +19,7 @@ import sys
 from pathlib import Path
 
 from .config import ScenarioConfig, load_config
+from .disc import PlanarArc
 from .errors import ConfigError, IncompleteBasis, LefbenchError
 from .fibration import (Fibration, TotalSpaceFiber, total_space_homology,
                         with_resolution)
@@ -26,7 +27,7 @@ from .fibration import validate as validate_fibration
 from .rank_calculus import ScenarioRanks, analyze
 from .report import Report, homology_lines, hw_value, thimble
 from .svg import diagram_files, stage_svg
-from .tower import Tower, build_tower, stage_spiral, tower_crits
+from .tower import build_tower, stage_spiral, tower_crits
 from .wrapping import source_annulus
 
 COMMANDS = ("validate", "homology", "floer-ranks", "hw", "render", "all")
@@ -92,7 +93,7 @@ def _section_floer(r: Report, f: Fibration, out: ScenarioRanks) -> None:
 
 
 def _section_hw(r: Report, cfg: ScenarioConfig,
-                out: ScenarioRanks) -> dict[tuple[str, str], Tower]:
+                out: ScenarioRanks) -> dict[tuple[str, str, int], PlanarArc]:
     f = cfg.fibration
     if not cfg.towers:
         raise IncompleteBasis(
@@ -101,13 +102,14 @@ def _section_hw(r: Report, cfg: ScenarioConfig,
     r.line("wrap delta", cfg.wrap.delta)
     r.line("wrap levels", " ".join(str(m) for m in cfg.wrap.levels))
     diagonal = dict(out.diagonal)
-    towers = {}
+    spirals = {}
     for x, y in cfg.towers:
         cx, cy = tower_crits(f, x, y)
         lx, ly = cx.cycle_label, cy.cycle_label
         name = f"tower {thimble(lx)}:{thimble(ly)}"
-        t = towers[x, y] = build_tower(f, cx, cy, cfg.wrap, out.fs)
-        for s in t.stages:
+        stages = build_tower(f, cx, cy, cfg.wrap, out.fs)
+        for s in stages:
+            spirals[x, y, s.m] = s.spiral
             cert = ("none" if s.rank_certificate is None
                     else s.rank_certificate)
             r.line(f"{name} stage m={s.m}",
@@ -121,12 +123,12 @@ def _section_hw(r: Report, cfg: ScenarioConfig,
                     + ("persists" if verdict.nonzero else "dies"))
         else:
             verdict, note = out.off_diagonal, "exists"
-        for lo, hi in zip(t.stages, t.stages[1:]):
+        for lo, hi in zip(stages, stages[1:]):
             r.line(f"{name} continuation {lo.m}->{hi.m}", note)
         r.line(f"HW({thimble(lx)},{thimble(ly)})", hw_value(verdict.nonzero))
     r.line("unit fate", out.fate.value)
     r.line("obstruction", out.obstruction.kind)
-    return towers
+    return spirals
 
 
 def _section_trace(r: Report, out: ScenarioRanks) -> None:
@@ -137,16 +139,17 @@ def _section_trace(r: Report, out: ScenarioRanks) -> None:
 
 
 def _render_svgs(cfg: ScenarioConfig, outdir: str,
-                 towers: dict[tuple[str, str], Tower] | None) -> list[str]:
-    """Write the discs and a diagram per stage: the spiral its tower kept,
-    or without towers (``render``) one wrapped and checked here."""
+                 spirals: dict[tuple[str, str, int], PlanarArc] | None
+                 ) -> list[str]:
+    """Write the discs and a diagram per stage: the spiral its tower stage
+    kept, or without spirals (``render``) one wrapped and checked here."""
     f = cfg.fibration
     files = list(diagram_files(f))
     for x, y in cfg.towers:
         cx, cy = tower_crits(f, x, y)
         for m in cfg.wrap.levels:
-            if towers is not None:
-                spiral = towers[x, y].stage(m).spiral
+            if spirals is not None:
+                spiral = spirals[x, y, m]
             else:
                 spiral = stage_spiral(f, cx, cy, m, cfg.wrap)
                 spiral.validate(f.disc)
@@ -198,11 +201,11 @@ def run_command(command: str, cfg: ScenarioConfig,
         out = analyze(cfg.fibration)
         _section_floer(r, cfg.fibration, out)
         r.blank()
-        towers = _section_hw(r, cfg, out)
+        spirals = _section_hw(r, cfg, out)
         _section_trace(r, out)
         if svg_dir is not None:
             r.blank()
-            for name in _render_svgs(cfg, svg_dir, towers):
+            for name in _render_svgs(cfg, svg_dir, spirals):
                 r.line("svg", name)
     else:
         raise ConfigError(f"unknown command {command!r}")

@@ -6,7 +6,9 @@ bracketed section header and has the form ``key = value``.  All numbers are
 exact rationals written as ``p/q`` (or plain integers); floating point is
 rejected.  Points are ``x y`` pairs; vertex lists separate points with
 ``;``.  Oracle facts end with a mandatory provenance note ``!cited slug``
-or ``!assumed slug``.
+or ``!assumed slug``.  Whitespace inside a key counts as one space; a key
+(``relation`` aside), a homology degree and a tower appear once each.  The
+wrap delta lies above wrapping.BEND and below the least boundary angle gap.
 
 Sections::
 
@@ -28,7 +30,6 @@ Sections::
                        relation = witness I J W !PROV SLUG
                        parity I J = all-same|mixed !PROV SLUG
     [wrap]             delta = p/q
-                       bend = p/q
                        levels = 0 1 2 3
     [run]              fibration = NAME
                        towers = x:y [x:y ...]
@@ -53,7 +54,7 @@ from .fibration import (AbstractFiber, Crit, Fibration, HomologyTable,
                         MatchingObject, TotalSpaceFiber)
 from .oracle import (DisjointFact, FiberOracle, IsotopicFact, LabelDecl,
                      ParityFact, Provenance, RankFact, WitnessFact)
-from .wrapping import WrapParams
+from .wrapping import BEND, WrapParams
 
 _RATIONAL = re.compile(r"[+-]?\d+(/\d+)?\Z")
 
@@ -120,7 +121,7 @@ def _split_sections(text: str, source: str) -> list[_Section]:
         if "=" not in line:
             raise ConfigError(f"{source}:{no}: expected 'key = value'")
         key, _, value = line.partition("=")
-        current.lines.append((no, key.strip(), value.strip()))
+        current.lines.append((no, " ".join(key.split()), value.strip()))
     return sections
 
 
@@ -205,7 +206,7 @@ def _parse_disc(sec: _Section, source: str) -> DiscModel:
 
 def _parse_fiber(sec: _Section, source: str) -> AbstractFiber:
     dim = None
-    homology: dict[int, tuple[int, tuple[int, ...]]] = {}
+    homology: list[tuple[int, int, tuple[int, ...]]] = []
     classes: list[tuple[str, tuple[int, ...]]] = []
     for no, key, value in sec.lines:
         loc = f"{source}:{no}"
@@ -217,7 +218,7 @@ def _parse_fiber(sec: _Section, source: str) -> AbstractFiber:
             nums = [_int(t, loc) for t in value.split()]
             if not nums:
                 raise ConfigError(f"{loc}: homology line needs a free rank")
-            homology[deg] = (nums[0], tuple(nums[1:]))
+            homology.append((deg, nums[0], tuple(nums[1:])))
         elif words[0] == "class" and len(words) == 2:
             classes.append((words[1],
                             tuple(_int(t, loc) for t in value.split())))
@@ -226,7 +227,7 @@ def _parse_fiber(sec: _Section, source: str) -> AbstractFiber:
     if dim is None:
         raise ConfigError(f"{source}:{sec.lineno}: fiber needs 'dim'")
     try:
-        return AbstractFiber(sec.name, dim, HomologyTable.of(homology),
+        return AbstractFiber(sec.name, dim, HomologyTable(tuple(homology)),
                              tuple(classes))
     except LefbenchError as e:
         raise _located(f"{source}:{sec.lineno}", e) from None
@@ -447,13 +448,15 @@ def _check_delta_gap(f: Fibration, wrap: WrapParams, loc: str) -> None:
 
 
 def _parse_wrap(sec: _Section, source: str) -> WrapParams:
-    delta, bend, levels = WrapParams.delta, WrapParams.bend, WrapParams.levels
+    delta, levels = WrapParams.delta, WrapParams.levels
     for no, key, value in sec.lines:
         loc = f"{source}:{no}"
         if key == "delta":
             delta = _rational(value, loc)
-        elif key == "bend":
-            bend = _rational(value, loc)
+            if delta <= BEND:
+                raise ConfigError(
+                    f"{loc}: wrap delta {delta} must exceed {BEND}, the"
+                    " offset of a self-tower's bent copy")
         elif key == "levels":
             levels = tuple(_int(t, loc) for t in value.split())
             if not levels or any(m < 0 for m in levels) \
@@ -462,10 +465,7 @@ def _parse_wrap(sec: _Section, source: str) -> WrapParams:
                     f"{loc}: levels are distinct nonnegative integers")
         else:
             raise ConfigError(f"{loc}: unknown wrap key {key!r}")
-    if not (0 < bend < delta):
-        raise ConfigError(
-            f"{source}:{sec.lineno}: need 0 < bend < delta")
-    return WrapParams(delta, bend, levels)
+    return WrapParams(delta, levels)
 
 
 def _parse_run(sec: _Section, source: str) \
@@ -483,6 +483,8 @@ def _parse_run(sec: _Section, source: str) \
                 if not sep or not x or not y:
                     raise ConfigError(
                         f"{loc}: tower {token!r} is not of the form x:y")
+                if (x, y) in pairs:
+                    raise ConfigError(f"{loc}: duplicate tower {token!r}")
                 pairs.append((x, y))
             towers = tuple(pairs)
         else:

@@ -14,12 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterator
 
 from .errors import LefbenchError, NonEmbeddableInput
-from .exactgeom import (ORIGIN, Hpt, Pt, Q, angle_norm, box_pairs,
-                        circle_hpoint, homog, norm2, orient, point_on_segment,
-                        reduced, segment_box, segments_overlap_collinear)
+from .exactgeom import (Hpt, Pt, Q, angle_norm, box_pairs, circle_hpoint,
+                        homog, norm2, orient, point_on_segment, reduced,
+                        segment_box, segments_overlap_collinear)
 
 
 @dataclass(frozen=True)
@@ -72,22 +71,16 @@ class DiscModel:
         if self.boundary_resolution < 1:
             raise LefbenchError("boundary_resolution must be a positive integer")
 
-    def _index(self, name: str) -> int:
-        for i, (n, _) in enumerate(self.punctures):
-            if n == name:
-                return i
-        raise LefbenchError(f"unknown puncture {name!r}")
-
     def hpoint_of(self, name: str) -> Hpt:
-        return self.hpoints[self._index(name)]
+        for (n, _), hp in zip(self.punctures, self.hpoints):
+            if n == name:
+                return hp
+        raise LefbenchError(f"unknown puncture {name!r}")
 
     @cached_property
     def hpoints(self) -> tuple[Hpt, ...]:
         """The punctures' homogeneous integer points, in declaration order."""
         return tuple(homog(p) for _, p in self.punctures)
-
-    def items(self) -> Iterator[tuple[str, Pt]]:
-        return iter(self.punctures)
 
 
 @dataclass(frozen=True)
@@ -232,24 +225,3 @@ def _closed_segments_touch(a1: Hpt, a2: Hpt, b1: Hpt, b2: Hpt) -> bool:
             return True
     return False
 
-
-def radial_split(arc: PlanarArc) -> tuple[Fraction, Fraction]:
-    """For an arc ending at the boundary with a radial terminal segment,
-    return (angle, radius of the penultimate vertex along that ray).
-
-    Raises when the terminal segment is not exactly radial (collinear with
-    the origin, pointing outward).
-    """
-    if not isinstance(arc.end, BoundaryAngle):
-        raise LefbenchError("arc does not end on the boundary")
-    vb = arc.vertices[-1]
-    vp = arc.vertices[-2]
-    if orient(ORIGIN, arc.hverts[-1], arc.hverts[-2]) != 0:
-        raise LefbenchError("terminal segment of the arc is not radial")
-    # vp = c * vb with |vb| = 1, so c is the (rational) dot product
-    c = vp.x * vb.x + vp.y * vb.y
-    if not 0 <= c < 1:
-        raise LefbenchError("terminal segment must point outward along the ray")
-    if Pt(c * vb.x, c * vb.y) != vp:
-        raise LefbenchError("terminal segment of the arc is not radial")
-    return arc.end.angle, c

@@ -187,15 +187,13 @@ def find_empty_bigons(a: PlanarArc, b: PlanarArc, disc: DiscModel,
             yield Bigon(x, y)
 
 
-def eliminate_bigon(a: PlanarArc, b: PlanarArc, bigon: Bigon, disc: DiscModel,
-                    crossings: list[ArcCrossing]
-                    ) -> tuple[PlanarArc, PlanarArc, list[ArcCrossing]]:
-    """Remove one empty bigon (find_empty_bigons) of a and b, whose
-    crossings are given: the pair in argument order, unchanged, and the
-    crossings without the bigon's two corners.  The isotopy across the lens
-    that this stands for moves no other crossing along either arc."""
+def eliminate_bigon(bigon: Bigon, crossings: list[ArcCrossing]
+                    ) -> list[ArcCrossing]:
+    """The crossings of a pair without the two corners of one of its empty
+    bigons (find_empty_bigons): the isotopy across the lens that this
+    stands for moves no other crossing along either arc."""
     corners = (bigon.first, bigon.second)
-    return a, b, [c for c in crossings if c not in corners]
+    return [c for c in crossings if c not in corners]
 
 
 def _half_bigon(a: PlanarArc, b: PlanarArc, disc: DiscModel,
@@ -235,7 +233,7 @@ def _reduce(a: PlanarArc, b: PlanarArc, disc: DiscModel
     _check_boundary_endpoints(a, b)
     crossings = compute_crossings(a, b)
     while bigon := next(find_empty_bigons(a, b, disc, crossings), None):
-        a, b, crossings = eliminate_bigon(a, b, bigon, disc, crossings)
+        crossings = eliminate_bigon(bigon, crossings)
     while crossings and (c := _half_bigon(a, b, disc, crossings)):
         crossings = [x for x in crossings if x is not c]
     return crossings

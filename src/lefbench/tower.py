@@ -16,8 +16,9 @@ the right parity to carry it.
 
 A tower x:y is built from the two Crits that tower_crits resolves once (a
 self-tower is one crit twice), with wrap parameters the config has checked
-and an oracle that analyze has required.  It holds its stages in level
-order, checked to grow with the level and, on a self-tower, to contain u.
+and an oracle that analyze has required.  It is the tuple of its stages
+in level order, checked to grow with the level and, on a self-tower, to
+contain u.
 It settles no verdict: the fate of u decides each wrapped group once, in
 rank_calculus.analyze, and the report reads it from there.
 """
@@ -114,19 +115,8 @@ def _certificate(fs: FsHomRanks, self_pair: bool, m: int) -> int | None:
     return fs.hom_ab
 
 
-@dataclass(frozen=True)
-class Tower:
-    stages: tuple[WrappedComplexStage, ...]
-
-    def stage(self, m: int) -> WrappedComplexStage:
-        for s in self.stages:
-            if s.m == m:
-                return s
-        raise KeyError(m)
-
-
 def assemble_tower(stages: Iterable[WrappedComplexStage],
-                   self_pair: bool) -> Tower:
+                   self_pair: bool) -> tuple[WrappedComplexStage, ...]:
     """The tower of one pair's stages, given in level order, checked.
 
     Wrapping only adds crossings, so generator counts never shrink; and a
@@ -143,12 +133,12 @@ def assemble_tower(stages: Iterable[WrappedComplexStage],
         raise Inconsistent(
             "a self-tower needs the critical generator u, but no stage"
             " contains it")
-    return Tower(ordered)
+    return ordered
 
 
 def build_tower(f: Fibration, cx: Crit, cy: Crit, params: WrapParams,
-                fs: FsHomRanks) -> Tower:
-    """The checked stages of the tower cx:cy, one per wrapping level."""
+                fs: FsHomRanks) -> tuple[WrappedComplexStage, ...]:
+    """The checked stages of the tower cx:cy, one per level, in order."""
     stages = (build_stage(f, cx, cy, m, params, fs)
               for m in sorted(params.levels))
     return assemble_tower(stages, cx == cy)

@@ -10,12 +10,13 @@ legal input to wrap (successive wraps compose).
 
 For a wrapped copy that must be compared against its own source (shared
 puncture), pass bend=True: the copy leaves the puncture directly toward an
-entry point rotated counterclockwise by params.bend, so source and copy share
-only the puncture point.  This local left-bend requires the source to be in
+entry point rotated counterclockwise by BEND, so source and copy share only
+the puncture point.  This local left-bend requires the source to be in
 radial normal form (a single straight segment from puncture to boundary).
 source_annulus is wrap's check of its source; ``validate`` runs it on each
 tower's source too.  WrapParams is the config's [wrap] section, which
-loading checks once (config._parse_wrap, config._check_delta_gap).
+loading checks once (config._parse_wrap, config._check_delta_gap): delta
+exceeds BEND, so that a bent copy still turns forward at level 0.
 
 The spiral is computed on integers: every angle is a numerator over one
 denominator per spiral, the radius is affine in the angle, and each vertex
@@ -39,39 +40,51 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .disc import BoundaryAngle, DiscModel, PlanarArc, radial_split
+from .disc import BoundaryAngle, DiscModel, PlanarArc
 from .errors import LefbenchError, SpiralCollision
-from .exactgeom import Q, circle_hpoint, norm2, reduced, segment_near_origin
+from .exactgeom import (ORIGIN, Q, circle_hpoint, orient, reduced,
+                        segment_near_origin)
+
+# how much further on a copy bent off its shared puncture starts
+BEND = Q(1, 128)
 
 
 @dataclass(frozen=True)
 class WrapParams:
     """The [wrap] section: each wrapped copy turns m full turns plus delta,
-    a copy bent off its shared puncture starts bend further on, and a tower
-    has one stage per level m."""
+    and a tower has one stage per level m."""
     delta: Fraction = Q(1, 64)
-    bend: Fraction = Q(1, 128)
     levels: tuple[int, ...] = (0, 1, 2, 3)
 
 
 def source_annulus(arc: PlanarArc, disc: DiscModel,
                    bend: bool = False) -> tuple[Fraction, ...]:
     """(boundary angle, annulus entry radius r_out, largest squared puncture
-    radius) of arc in disc; raises unless wrap accepts arc as a source, one
-    straight segment if it is to be bent off its puncture.  r_out is
-    rational, above every puncture and pre-boundary vertex radius and below
-    1: with s the largest of their squared radii, (1 + s)/2 >= sqrt(s) and
-    r_out = (1 + (1 + s)/2)/2 > sqrt(s) for s < 1.  The annulus is
-    recorded against disc by identity, like PlanarArc.validate; a failure
-    records nothing."""
+    radius) of the vanishing path arc in disc; raises unless its last
+    segment points straight out along its ray, and it is one segment if it
+    is to be bent off its puncture.  r_out is rational, above every
+    puncture and pre-boundary vertex radius and below 1: with s the largest
+    of their squared radii, (1 + s)/2 >= sqrt(s) and r_out = (1 + (1 +
+    s)/2)/2 > sqrt(s) for s < 1.  The annulus is recorded against disc by
+    identity, like PlanarArc.validate; a failure records nothing."""
     seen = arc.__dict__.get("_annulus")
     if seen is None or seen[0] is not disc:
-        tau0, _ = radial_split(arc)
-        max_punct = max((norm2(p) for _, p in disc.items()), default=Q(0))
-        s = max([max_punct] + [norm2(v) for v in arc.vertices[:-1]])
+        end, prev = arc.hverts[-1], arc.hverts[-2]
+        if orient(ORIGIN, end, prev) != 0:
+            raise LefbenchError("terminal segment of the arc is not radial")
+        # prev = c * end, |end| = 1: c = end . prev = (xe xp + ye yp)/(we wp)
+        (xe, ye, we), (xp, yp, wp) = end, prev
+        if not 0 <= xe * xp + ye * yp < we * wp:
+            raise LefbenchError(
+                "terminal segment must point outward along the ray")
+        max_punct = max((Q(x * x + y * y, w * w) for x, y, w in disc.hpoints),
+                        default=Q(0))
+        s = max([max_punct] + [Q(x * x + y * y, w * w)
+                               for x, y, w in arc.hverts[:-1]])
         upper = (1 + s) / 2          # rational upper bound for sqrt(s)
         r_out = (1 + upper) / 2
-        seen = arc.__dict__["_annulus"] = disc, (tau0, r_out, max_punct)
+        seen = arc.__dict__["_annulus"] = disc, (arc.end.angle, r_out,
+                                                 max_punct)
     if bend and len(arc.hverts) != 2:
         raise LefbenchError(
             "left-bend wrapping requires a radial normal form path"
@@ -83,7 +96,7 @@ def wrap(arc: PlanarArc, m: int, params: WrapParams, disc: DiscModel,
          bend: bool = False) -> PlanarArc:
     """Unvalidated wrapped image of a radial-ended arc; see module docstring."""
     tau0, r_out, max_punct = source_annulus(arc, disc, bend)
-    start = tau0 + (params.bend if bend else Q(0))
+    start = tau0 + (BEND if bend else Q(0))
     end = tau0 + m + params.delta
 
     # Angles over one denominator den: start, then a half-step-shifted grid

@@ -681,7 +681,7 @@ def fraction_empty_bigons(a, b, disc, crossings):
         if abs(b_index[id(x)] - b_index[id(y)]) != 1:
             continue
         poly = _lens_polygon(a, b, x, y)
-        if any(winding_number(p, poly) for _, p in disc.items()):
+        if any(winding_number(p, poly) for _, p in disc.punctures):
             continue
         bigons.append(Bigon(x, y))
     return bigons
@@ -802,7 +802,7 @@ def _vertices_legal(pts: list[Pt], disc) -> bool:
     """The vertices lie strictly inside the unit circle and no segment
     between consecutive ones passes through a puncture."""
     return (all(norm2(v) < 1 for v in pts)
-            and not any(point_on_segment(p, a, b) for _, p in disc.items()
+            and not any(point_on_segment(p, a, b) for _, p in disc.punctures
                         for a, b in zip(pts, pts[1:])))
 
 
@@ -884,7 +884,7 @@ def fraction_eliminate_bigon(a, b, bigon, disc, crossings):
                                   + middle[::-1])
         if closed[0] == closed[-1]:
             closed = closed[:-1]
-        if any(winding_number(p, closed) != 0 for _, p in disc.items()):
+        if any(winding_number(p, closed) != 0 for _, p in disc.punctures):
             continue
         return *pair, new_crossings
     raise DegenerateTangency("bigon surgery did not stabilize; the input"

@@ -121,8 +121,7 @@ def test_c6_property_suites(capsys, cfgs):
             disc, f, g = random_band_pair(rng)
             crossings = compute_crossings(f, g)
             while bigons := list(find_empty_bigons(f, g, disc, crossings)):
-                _, _, crossings = eliminate_bigon(
-                    f, g, rng.choice(bigons), disc, crossings)
+                crossings = eliminate_bigon(rng.choice(bigons), crossings)
             assert len(crossings) == len(minimal_position(f, g, disc))
 
         # (b) the exact-triangle rank formula agrees with a brute mapping-cone

@@ -562,7 +562,11 @@ def _violation(x, y, why):
      [_violation("b", "b", "left-bend wrapping requires a radial normal"
                  " form path (one straight segment from puncture to"
                  " boundary)")]),
-], ids=["not-radial", "two-segments"])
+    # on the ray to the boundary point at 1/4, but from below the origin
+    ("a", "A | 1/4 | 0 -1/2",
+     [_violation(x, y, "terminal segment must point outward along the ray")
+      for x, y in (("a", "a"), ("a", "b"))]),
+], ids=["not-radial", "two-segments", "inward"])
 def test_validate_refuses_tower_sources_wrap_refuses(puncture, value, lines,
                                                      tmp_path, capsys):
     # validate and all report what hw would end on, tower by tower
@@ -582,6 +586,64 @@ def test_validate_refuses_tower_sources_wrap_refuses(puncture, value, lines,
     assert main(["hw", str(cfg)]) == 1
     assert capsys.readouterr().err == (
         "error[LefbenchError]: " + lines[0].split("wrapped: ")[1])
+
+
+def _edited(tmp_path, scenario, old, new):
+    """A copy of a shipped scenario with its one line old replaced."""
+    text = Path(shipped(f"{scenario}.cfg")).read_text()
+    assert text.count(old + "\n") == 1
+    cfg = tmp_path / "edited.cfg"
+    cfg.write_text(text.replace(old + "\n", new + "\n"))
+    return cfg
+
+
+@pytest.mark.parametrize("old, new, command, error", [
+    ("crit b = B | 0", "crit b = B | 0\ncrit  b = B | 0", "validate",
+     "ConfigError]: {cfg}:46: duplicate key 'crit b'"),
+    ("crit b = B | 0", "crit b = B | 0\ncrit\tb = B | 0", "validate",
+     "ConfigError]: {cfg}:46: duplicate key 'crit b'"),
+    ("crit b = B | 0", "crit b = B | 0\ncrit  b = B | 0", "homology",
+     "ConfigError]: {cfg}:46: duplicate key 'crit b'"),
+    # the fiber's homology table refuses it, citing the [fiber] header
+    ("homology 0 = 1", "homology 0 = 1\nhomology 00 = 3", "homology",
+     "LefbenchError]: {cfg}:12: duplicate homology degree 0"),
+    ("towers = b:b a:a a:b", "towers = b:b a:a a:b b:b", "hw",
+     "ConfigError]: {cfg}:66: duplicate tower 'b:b'"),
+], ids=["crit-spaces", "crit-tab", "crit-homology", "homology-degree",
+        "tower"])
+def test_one_declaration_spelled_twice_is_a_duplicate(old, new, command,
+                                                      error, tmp_path,
+                                                      capsys):
+    # a key is compared with its whitespace collapsed, a homology degree as
+    # an integer, and a tower as its pair of punctures
+    cfg = _edited(tmp_path, "W1", old, new)
+    assert main([command, str(cfg)]) == 1
+    assert capsys.readouterr() == ("", f"error[{error.format(cfg=cfg)}\n")
+
+
+@pytest.mark.parametrize("scenario, old, new, command, code, line", [
+    # a vanishing path with a zero-length segment is a violation
+    ("W1", "crit a = A | 1/2", "crit a = A | 1/2 | -1/2 0", "validate", 1,
+     "violation: [main-W1] vanishing path of 'a': zero-length segment at"
+     " vertex 0"),
+    ("W1", "parity A B = all-same !cited endpoint-generators-share-grading",
+     "parity A B = sometimes !cited endpoint-generators-share-grading",
+     "floer-ranks", 1,
+     "error[LefbenchError]: {cfg}:47: parity must be 'all-same' or"
+     " 'mixed'"),
+    # W0 declares A and B isotopic; a witness now says they are not
+    ("W0", "relation = disjoint B L !cited paths-apart",
+     "relation = disjoint B L !cited paths-apart\n"
+     "relation = witness A B L !cited witness-schema", "floer-ranks", 3,
+     "error[Inconsistent]: {cfg}:46: labels 'A', 'B' declared both"
+     " isotopic and non-isomorphic"),
+], ids=["zero-length-segment", "parity-value", "isotopic-and-witness"])
+def test_rules_reached_through_main(scenario, old, new, command, code, line,
+                                    tmp_path, capsys):
+    cfg = _edited(tmp_path, scenario, old, new)
+    assert main([command, str(cfg)]) == code
+    out, err = capsys.readouterr()
+    assert line.format(cfg=cfg) + "\n" in out + err
 
 
 # the exit code each error class ends a run with

@@ -1,18 +1,23 @@
 """Config parsing, shipped-scenario equivalence with the programmatic
 builders, and error reporting with line numbers."""
 
+import re
 import textwrap
 from fractions import Fraction as Q
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
 import scen
+from lefbench.cli import run_command
 from lefbench.config import load_config, parse_config
 from lefbench.errors import ConfigError, Inconsistent, LefbenchError
 from lefbench.exactgeom import homog
 from lefbench.fibration import TotalSpaceFiber
 from lefbench.wrapping import WrapParams
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def shipped(name: str) -> str:
@@ -48,13 +53,23 @@ BASE = _doc("""
 # shipped scenarios match the programmatic builders
 # --------------------------------------------------------------------------
 
+def test_readme_config_block_is_w0():
+    # the README's config block is a complete config, W0 with its two
+    # fibrations renamed, and gives W0's report
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.DOTALL)
+    text, _ = run_command("all", parse_config(block, "README.md"))
+    golden = (ROOT / "tests" / "golden" / "w0_all.txt").read_text()
+    assert text == golden.replace("main-W0", "main").replace("aux-W0", "aux")
+
+
 @pytest.mark.parametrize("variant", ["W0", "W1"])
 def test_shipped_main_scenarios(variant):
     cfg = load_config(shipped(f"{variant}.cfg"))
     assert cfg.fibration == scen.full_main_fibration(variant)
     assert cfg.name == f"main-{variant}"
     assert cfg.towers == (("b", "b"), ("a", "a"), ("a", "b"))
-    assert cfg.wrap == WrapParams(Q(1, 64), Q(1, 128), (0, 1, 2, 3))
+    assert cfg.wrap == WrapParams(Q(1, 64), (0, 1, 2, 3))
 
 
 def test_shipped_ts3():
@@ -212,8 +227,14 @@ def test_bad_tower_token():
 
 
 def test_wrap_guards():
-    _expect_error(BASE + "[wrap]\ndelta = 1/64\nbend = 1/2\n",
-                  "0 < bend < delta", lineno=18)
+    # delta must exceed the fixed bend of a self-tower's copy; the error
+    # cites the delta line
+    for delta in ("1/128", "0", "-1"):
+        _expect_error(BASE + f"[wrap]\ndelta = {delta}\n",
+                      f"wrap delta {delta} must exceed 1/128", lineno=19)
+    parse_config(BASE + "[wrap]\ndelta = 1/127\n")
+    _expect_error(BASE + "[wrap]\nbend = 1/256\n", "unknown wrap key 'bend'",
+                  lineno=19)
     for levels in ("1 1", "0 -1", ""):
         _expect_error(BASE + f"[wrap]\nlevels = {levels}\n",
                       "distinct nonnegative", lineno=19)
@@ -222,18 +243,18 @@ def test_wrap_guards():
 def test_delta_must_clear_endpoint_gaps():
     # boundary endpoints at 0 (reference) and 1/2 leave a gap of 1/2; the
     # error cites the delta line
-    _expect_error(BASE + "[wrap]\ndelta = 1/2\nbend = 1/4\n",
+    _expect_error(BASE + "[wrap]\ndelta = 1/2\n",
                   "reaches the angular gap 1/2", lineno=19)
-    _expect_error(BASE + "[wrap]\nbend = 1/4\ndelta = 1/2\n",
+    _expect_error(BASE + "[wrap]\nlevels = 0 1\ndelta = 1/2\n",
                   "reaches the angular gap 1/2", lineno=20)
     # the default delta 1/64 against a gap of 1/128: the fibration's header
     _expect_error(BASE.replace("crit p = c | 1/2", "crit p = c | 1/128"),
                   "wrap delta 1/64 reaches the angular gap 1/128", lineno=10)
     # one declared angle leaves a full turn: delta stays below 1
     one_angle = BASE.replace("crit p = c | 1/2", "crit p = c | 0")
-    parse_config(one_angle + "[wrap]\ndelta = 63/64\nbend = 1/2\n")
+    parse_config(one_angle + "[wrap]\ndelta = 63/64\n")
     for delta in ("1", "2"):
-        _expect_error(one_angle + f"[wrap]\ndelta = {delta}\nbend = 1/2\n",
+        _expect_error(one_angle + f"[wrap]\ndelta = {delta}\n",
                       "reaches the angular gap 1 ", lineno=19)
 
 

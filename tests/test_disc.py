@@ -5,8 +5,7 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lefbench.disc import (BoundaryAngle, DiscModel, PlanarArc, Puncture,
-                           radial_split)
+from lefbench.disc import BoundaryAngle, DiscModel, PlanarArc, Puncture
 from lefbench.errors import LefbenchError, NonEmbeddableInput
 
 from oracles import all_pairs_check_embedded, polyline_is_embedded
@@ -126,29 +125,6 @@ def test_box_pruned_embedding_check_matches_oracles(vertices):
     assert (got is None) == polyline_is_embedded(vertices)
     # the same first contact is reported as by the scan over all pairs
     assert got == _embedding_error(all_pairs_check_embedded, arc)
-
-
-def test_radial_split_reads_angle_and_radius():
-    arc = arc_through((pt(Q(1, 2), 0), pt(1, 0)),
-                      Puncture("q"), BoundaryAngle(Q(0)))
-    assert radial_split(arc) == (Q(0), Q(1, 2))
-    down = arc_through((pt(0, 0), pt(0, -1)),
-                       Puncture("c"), BoundaryAngle(Q(3, 4)))
-    assert radial_split(down) == (Q(3, 4), Q(0))
-
-
-def test_radial_split_rejects_non_radial_tail():
-    arc = arc_through((pt(Q(1, 2), Q(1, 4)), pt(1, 0)),
-                      Puncture("q"), BoundaryAngle(Q(0)))
-    with pytest.raises(LefbenchError, match="not radial"):
-        radial_split(arc)
-
-
-def test_radial_split_rejects_inward_tail():
-    arc = arc_through((pt(Q(-1, 2), 0), pt(1, 0)),
-                      Puncture("p"), BoundaryAngle(Q(0)))
-    with pytest.raises(LefbenchError, match="outward"):
-        radial_split(arc)
 
 
 def test_boundary_angle_normalizes():

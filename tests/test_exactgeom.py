@@ -21,7 +21,7 @@ from lefbench.exactgeom import (Pt, _shift_sign, box_pairs, box_pairs_between,
                                 segments_overlap_collinear, winding_number)
 from lefbench.fibration import with_resolution
 from lefbench.tower import stage_spiral, tower_crits
-from lefbench.wrapping import source_annulus, wrap
+from lefbench.wrapping import BEND, source_annulus, wrap
 
 from oracles import (ccw_gap, line_intersection, polygon_area2,
                      segment_point_dist2, sgn_eps)
@@ -360,7 +360,7 @@ def test_integer_predicates_agree_on_spiral_segments(resolution):
 def test_spiral_chord_check_agrees_with_distance(resolution):
     f, spirals = w1_spirals(resolution)
     origin = pt(0, 0)
-    max_punct = max(norm2(p) for _, p in f.disc.items())
+    max_punct = max(norm2(p) for _, p in f.disc.punctures)
     for spiral in spirals:
         vs = spiral.vertices[1:-1]
         hs = h(*vs)
@@ -402,7 +402,7 @@ def test_wrap_builds_the_reference_spiral(resolution, m, bend):
             continue
         w = wrap(arc, m, params, f.disc, bend=bend)
         tau0 = arc.end.angle
-        start = tau0 + (params.bend if bend else 0)
+        start = tau0 + (BEND if bend else 0)
         _, r_out, _ = source_annulus(arc, f.disc)
         expect = oracles.spiral_vertices(start, tau0 + m + params.delta, r_out,
                                          resolution)

@@ -345,9 +345,9 @@ def test_random_elimination_order_reaches_parity(seed):
         assert point(c.hpoint) == point_at(f, c.a_pos) == point_at(g, c.b_pos)
     while bigons := list(find_empty_bigons(f, g, disc, crossings)):
         bigon = rng.choice(bigons)
-        rf, rg, left = eliminate_bigon(f, g, bigon, disc, crossings)
+        left = eliminate_bigon(bigon, crossings)
         # no arc is rerouted: the bigon's two corners leave the list
-        assert (rf, rg) == (f, g) and len(left) == len(crossings) - 2
+        assert len(left) == len(crossings) - 2
         assert bigon.first not in left and bigon.second not in left
         crossings = left
     final = len(crossings)
@@ -469,7 +469,7 @@ def test_t_contact_bigon_has_one_point_kept_side():
     crossings = compute_crossings(a, b)
     assert [point(c.hpoint) for c in crossings] == [pt(0, Q(1, 10))] * 2
     bigon = next(find_empty_bigons(a, b, disc, crossings))
-    assert eliminate_bigon(a, b, bigon, disc, crossings) == (a, b, [])
+    assert eliminate_bigon(bigon, crossings) == []
     want = fraction_eliminate_bigon(a, b, bigon, disc, crossings)
     assert want[0] == a and want[2] == []
     # B's tip is cut off by one straight segment below A

@@ -12,7 +12,7 @@ from lefbench.tower import (WrappedComplexStage, assemble_tower, build_stage,
                             build_tower, tower_crits)
 from lefbench.wrapping import WrapParams
 
-PARAMS = WrapParams()     # delta 1/64, bend 1/128, levels 0-3
+PARAMS = WrapParams()     # delta 1/64, levels 0-3
 
 
 def _build(f, x, y, m, fs):
@@ -39,7 +39,7 @@ def crossing_points(f, stage, y):
 
 
 def counts(tower):
-    return [(s.m, s.count) for s in tower.stages]
+    return [(s.m, s.count) for s in tower]
 
 
 # --------------------------------------------------------------------------
@@ -149,10 +149,7 @@ def test_tower_assembly_scenarios():
         t = build_tower(f, *tower_crits(f, "b", "b"), PARAMS,
                         fs_hom_ranks(f))
         assert counts(t) == [(0, 1), (1, 3), (2, 5), (3, 7)]
-        assert all(s.u_count == 1 for s in t.stages)
-        assert t.stage(2).count == 5
-        with pytest.raises(KeyError):
-            t.stage(9)
+        assert all(s.u_count == 1 for s in t)
 
 
 def test_mixed_tower_counts():
@@ -162,7 +159,7 @@ def test_mixed_tower_counts():
         t = build_tower(f, *tower_crits(f, "a", "b"),
                         WrapParams(levels=(3, 1, 0, 2)), fs_hom_ranks(f))
         assert counts(t) == [(0, 0), (1, 2), (2, 4), (3, 6)]
-        assert all(s.u_count == 0 for s in t.stages)
+        assert all(s.u_count == 0 for s in t)
 
 
 def test_fate_without_unit_is_inconsistent():

@@ -9,14 +9,13 @@ from lefbench.errors import LefbenchError, SpiralCollision
 from lefbench.exactgeom import norm2
 from lefbench.minpos import compute_crossings, find_empty_bigons
 from lefbench import wrapping
-from lefbench.wrapping import WrapParams, wrap
+from lefbench.wrapping import WrapParams, source_annulus, wrap
 
 from oracles import brute_crossing_count, polyline_is_embedded
 from scen import arc_through, point, pt
 
 DELTA = Q(1, 64)
-BEND = Q(1, 128)
-PARAMS = WrapParams(DELTA, BEND)
+PARAMS = WrapParams(DELTA)
 
 
 def main_disc(resolution=16):
@@ -93,7 +92,7 @@ def test_double_wrap_matches_single_wrap_profile():
     disc = main_disc()
     once = wrapped(wrapped(ray_b(disc), 1, PARAMS, disc),
                    2, PARAMS, disc)
-    flat = wrapped(ray_b(disc), 3, WrapParams(2 * DELTA, BEND), disc)
+    flat = wrapped(ray_b(disc), 3, WrapParams(2 * DELTA), disc)
     assert once.end == flat.end
     target = ray_a(disc)
     assert (len(compute_crossings(once, target))
@@ -109,19 +108,42 @@ def test_bend_requires_radial_normal_form():
         wrap(dogleg, 1, PARAMS, disc, bend=True)
 
 
+def test_source_annulus_reads_angle_and_entry_radius():
+    # r_out = (1 + (1 + s)/2)/2 for s the largest squared radius of a
+    # puncture or a vertex before the boundary
+    ray = arc_through((pt(Q(1, 2), 0), pt(1, 0)),
+                      Puncture("q"), BoundaryAngle(Q(0)))
+    bare = DiscModel(punctures=())
+    assert source_annulus(ray, bare) == (Q(0), Q(13, 16), Q(0))
+    assert source_annulus(ray, main_disc()) == (Q(0), Q(13, 16), Q(1, 4))
+    down = arc_through((pt(0, 0), pt(0, -1)),
+                       Puncture("c"), BoundaryAngle(Q(3, 4)))
+    assert source_annulus(down, bare) == (Q(3, 4), Q(3, 4), Q(0))
+
+
 def test_wrap_rejects_non_radial_tail():
     disc = main_disc()
     skew = arc_through((pt(Q(1, 2), Q(1, 4)), pt(1, 0)),
                        Puncture("b"), BoundaryAngle(Q(0)))
-    with pytest.raises(LefbenchError, match="radial"):
+    with pytest.raises(LefbenchError,
+                       match="terminal segment of the arc is not radial"):
         wrap(skew, 1, PARAMS, disc)
 
 
+def test_wrap_rejects_inward_tail():
+    # on the ray, but from the far side of the origin
+    back = arc_through((pt(Q(-1, 2), 0), pt(1, 0)),
+                       Puncture("a"), BoundaryAngle(Q(0)))
+    with pytest.raises(LefbenchError, match="must point outward"):
+        wrap(back, 1, PARAMS, main_disc())
+
+
 def test_wrap_setup_is_derived_once_per_disc(monkeypatch):
+    # the radial test is the set-up's one orient call
     seen = []
-    split = wrapping.radial_split
-    monkeypatch.setattr(wrapping, "radial_split",
-                        lambda arc: seen.append(arc) or split(arc))
+    orient = wrapping.orient
+    monkeypatch.setattr(wrapping, "orient",
+                        lambda *p: seen.append(p) or orient(*p))
     disc = main_disc()
     ray = ray_b(disc)
     first = wrap(ray, 1, PARAMS, disc)
