@@ -4,11 +4,11 @@
 
 Commands: validate, homology, floer-ranks, hw, render, all.  run_command
 derives the rank analysis once per run and hands it to the report sections
-that read it; ``all --svg`` draws the spirals its towers wrapped.  Exit
-codes: 0 success; 1 unusable input (config errors, validation failures,
-I/O); 2 undecidable (the oracle facts do not determine an answer); 3
-internal inconsistency (the facts contradict each other or the geometry).
-Each error class carries its own code (errors.py).
+that read it; only the diagrams of ``render`` and ``all --svg`` wrap
+spirals.  Exit codes: 0 success; 1 unusable input (config errors,
+validation failures, I/O); 2 undecidable (the oracle facts do not
+determine an answer); 3 internal inconsistency (the facts contradict each
+other or the geometry).  Each error class carries its own code (errors.py).
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import sys
 from pathlib import Path
 
 from .config import ScenarioConfig, load_config
-from .disc import PlanarArc
 from .errors import ConfigError, IncompleteBasis, LefbenchError
 from .fibration import (Fibration, TotalSpaceFiber, total_space_homology,
                         with_resolution)
@@ -92,8 +91,7 @@ def _section_floer(r: Report, f: Fibration, out: ScenarioRanks) -> None:
         r.line("warning", w)
 
 
-def _section_hw(r: Report, cfg: ScenarioConfig,
-                out: ScenarioRanks) -> dict[tuple[str, str, int], PlanarArc]:
+def _section_hw(r: Report, cfg: ScenarioConfig, out: ScenarioRanks) -> None:
     f = cfg.fibration
     if not cfg.towers:
         raise IncompleteBasis(
@@ -102,14 +100,12 @@ def _section_hw(r: Report, cfg: ScenarioConfig,
     r.line("wrap delta", cfg.wrap.delta)
     r.line("wrap levels", " ".join(str(m) for m in cfg.wrap.levels))
     diagonal = dict(out.diagonal)
-    spirals = {}
     for x, y in cfg.towers:
         cx, cy = tower_crits(f, x, y)
         lx, ly = cx.cycle_label, cy.cycle_label
         name = f"tower {thimble(lx)}:{thimble(ly)}"
         stages = build_tower(f, cx, cy, cfg.wrap, out.fs)
         for s in stages:
-            spirals[x, y, s.m] = s.spiral
             cert = ("none" if s.rank_certificate is None
                     else s.rank_certificate)
             r.line(f"{name} stage m={s.m}",
@@ -128,7 +124,6 @@ def _section_hw(r: Report, cfg: ScenarioConfig,
         r.line(f"HW({thimble(lx)},{thimble(ly)})", hw_value(verdict.nonzero))
     r.line("unit fate", out.fate.value)
     r.line("obstruction", out.obstruction.kind)
-    return spirals
 
 
 def _section_trace(r: Report, out: ScenarioRanks) -> None:
@@ -138,21 +133,16 @@ def _section_trace(r: Report, out: ScenarioRanks) -> None:
         r.raw(f"  {i}. [{step.tag}] {step.text}")
 
 
-def _render_svgs(cfg: ScenarioConfig, outdir: str,
-                 spirals: dict[tuple[str, str, int], PlanarArc] | None
-                 ) -> list[str]:
-    """Write the discs and a diagram per stage: the spiral its tower stage
-    kept, or without spirals (``render``) one wrapped and checked here."""
+def _render_svgs(cfg: ScenarioConfig, outdir: str) -> list[str]:
+    """Write the discs and a diagram per stage, its spiral wrapped and
+    checked here: no tower stage builds one."""
     f = cfg.fibration
     files = list(diagram_files(f))
     for x, y in cfg.towers:
         cx, cy = tower_crits(f, x, y)
         for m in cfg.wrap.levels:
-            if spirals is not None:
-                spiral = spirals[x, y, m]
-            else:
-                spiral = stage_spiral(f, cx, cy, m, cfg.wrap)
-                spiral.validate(f.disc)
+            spiral = stage_spiral(f, cx, cy, m, cfg.wrap)
+            spiral.validate(f.disc)
             files.append((f"{cfg.name}-tower-{x}-{y}-m{m}.svg",
                           stage_svg(f.disc, cy.path, spiral)))
     d = Path(outdir)
@@ -190,7 +180,7 @@ def run_command(command: str, cfg: ScenarioConfig,
     elif command == "render":
         if svg_dir is None:
             raise ConfigError("the render command needs --svg DIR")
-        for name in _render_svgs(cfg, svg_dir, None):
+        for name in _render_svgs(cfg, svg_dir):
             r.line("svg", name)
     elif command == "all":
         if not _section_validate(r, cfg):
@@ -201,11 +191,11 @@ def run_command(command: str, cfg: ScenarioConfig,
         out = analyze(cfg.fibration)
         _section_floer(r, cfg.fibration, out)
         r.blank()
-        spirals = _section_hw(r, cfg, out)
+        _section_hw(r, cfg, out)
         _section_trace(r, out)
         if svg_dir is not None:
             r.blank()
-            for name in _render_svgs(cfg, svg_dir, spirals):
+            for name in _render_svgs(cfg, svg_dir):
                 r.line("svg", name)
     else:
         raise ConfigError(f"unknown command {command!r}")

@@ -206,7 +206,7 @@ def _parse_disc(sec: _Section, source: str) -> DiscModel:
 
 def _parse_fiber(sec: _Section, source: str) -> AbstractFiber:
     dim = None
-    homology: list[tuple[int, int, tuple[int, ...]]] = []
+    homology: list[tuple[str, int, int, tuple[int, ...]]] = []
     classes: list[tuple[str, tuple[int, ...]]] = []
     for no, key, value in sec.lines:
         loc = f"{source}:{no}"
@@ -218,7 +218,7 @@ def _parse_fiber(sec: _Section, source: str) -> AbstractFiber:
             nums = [_int(t, loc) for t in value.split()]
             if not nums:
                 raise ConfigError(f"{loc}: homology line needs a free rank")
-            homology.append((deg, nums[0], tuple(nums[1:])))
+            homology.append((loc, deg, nums[0], tuple(nums[1:])))
         elif words[0] == "class" and len(words) == 2:
             classes.append((words[1],
                             tuple(_int(t, loc) for t in value.split())))
@@ -226,9 +226,13 @@ def _parse_fiber(sec: _Section, source: str) -> AbstractFiber:
             raise ConfigError(f"{loc}: unknown fiber key {key!r}")
     if dim is None:
         raise ConfigError(f"{source}:{sec.lineno}: fiber needs 'dim'")
+    for loc, deg, _, _ in homology:
+        if dim >= 0 and not 0 <= deg <= dim:  # AbstractFiber refuses dim < 0
+            raise ConfigError(f"{loc}: homology degree {deg} is outside"
+                              f" 0..{dim}, the dimension range of the fiber")
     try:
-        return AbstractFiber(sec.name, dim, HomologyTable(tuple(homology)),
-                             tuple(classes))
+        return AbstractFiber(sec.name, dim, HomologyTable(
+            tuple(h[1:] for h in homology)), tuple(classes))
     except LefbenchError as e:
         raise _located(f"{source}:{sec.lineno}", e) from None
 

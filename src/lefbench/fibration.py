@@ -12,19 +12,23 @@ fiber, then attach one (dim fiber / 2 + 1)-cell per critical value along its
 vanishing cycle class.  Each fibration derives that handle model once: the
 fiber's homology, the attachment degree and one Smith form of the attachment
 matrix.  The two degrees that can change, and the classes of matching
-objects, are all read from it.
+objects, are all read from it.  It also derives once the boundary word of
+its vanishing paths as cuts, which tower stages read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from fractions import Fraction
+from functools import cached_property, cmp_to_key
+from itertools import combinations
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .disc import BoundaryAngle, DiscModel, PlanarArc
 from .errors import (Inconsistent, LefbenchError, MissingClass,
                      SharedBoundaryEndpoint, UnresolvedSign)
-from .minpos import intersection_profile
+from .exactgeom import orient
+from .minpos import compute_crossings, intersection_profile
 from .snf import SmithForm, smith_form
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids a cycle
@@ -247,6 +251,27 @@ class Fibration:
         rows = [[vec[i] for vec in classes] for i in range(ambient)]
         return HandleModel(table, k, smith_form(rows, len(classes)))
 
+    @cached_property
+    def boundary_word(self) -> tuple[tuple[Fraction, str], ...]:
+        """One turn of the boundary in the cuts along the vanishing paths:
+        (boundary angle, puncture) of each, counterclockwise from angle 0,
+        and at a shared end in the order the last segments reach it.
+        Derived on first read; raises unless the paths are disjoint as
+        ``validate`` checks them, so that the cut disc is one disc."""
+        found: list[str] = []
+        for ci, cj in combinations(self.crits, 2):
+            _check_disjoint_paths(self, ci, cj, found.append, lambda _: None)
+        if found:
+            raise LefbenchError(f"{found[0]}; a tower stage is counted on"
+                                " disjoint vanishing paths")
+
+        def ccw(ci: Crit, cj: Crit):
+            # near a shared end p, ci comes first when it turns right to cj
+            (*_, vi, p), (*_, vj, _) = ci.path.hverts, cj.path.hverts
+            return ci.path.end.angle - cj.path.end.angle or orient(p, vi, vj)
+        return tuple((c.path.end.angle, c.puncture)
+                     for c in sorted(self.crits, key=cmp_to_key(ccw)))
+
 
 def with_resolution(f: Fibration, n: int) -> Fibration:
     """The same fibration, inner fibrations included, over a boundary grid
@@ -309,9 +334,8 @@ def validate(f: Fibration) -> ValidationReport:
             violation(f"cycle label {c.cycle_label!r} of {c.puncture!r} is"
                       " not declared")
 
-    for i, ci in enumerate(f.crits):
-        for cj in f.crits[i + 1:]:
-            _check_disjoint_paths(f, ci, cj, violation, note)
+    for ci, cj in combinations(f.crits, 2):
+        _check_disjoint_paths(f, ci, cj, violation, note)
 
     for mo in f.objects:
         _check_object(f, mo, violation)
@@ -329,28 +353,30 @@ def validate(f: Fibration) -> ValidationReport:
 
 def _check_disjoint_paths(f: Fibration, ci: Crit, cj: Crit,
                           violation, note) -> None:
+    """Report unless the vanishing paths of ci and cj are disjoint: in
+    minimal position, or apart from a shared reference end p, which their
+    last segments reach along two lines that order the paths there."""
+    a, b = ci.path, cj.path
+    pair = f"vanishing paths of {ci.puncture!r} and {cj.puncture!r}"
     try:
-        profile = intersection_profile(ci.path, cj.path, f.disc)
+        n = intersection_profile(a, b, f.disc).crossing_count
     except SharedBoundaryEndpoint:
-        shared = ci.path.boundary_angles() & cj.path.boundary_angles()
-        if shared == {f.reference_angle.angle}:
-            note(f"vanishing paths of {ci.puncture!r} and {cj.puncture!r}"
-                 " share the reference endpoint")
-        else:
-            violation(f"vanishing paths of {ci.puncture!r} and {cj.puncture!r}"
-                      " share a non-reference boundary endpoint")
+        if a.end != f.reference_angle:
+            violation(f"{pair} share a non-reference boundary endpoint")
+            return
+        note(f"{pair} share the reference endpoint")
+        p = a.hverts[-1]
+        if orient(p, a.hverts[-2], b.hverts[-2]) == 0:
+            violation(f"{pair} reach the reference endpoint along one line,"
+                      " so their order there is undecided")
+        elif any(c.hpoint != p for c in compute_crossings(a, b)):
+            violation(f"{pair} cross away from the reference endpoint")
         return
     except LefbenchError as exc:
-        violation(f"vanishing paths of {ci.puncture!r} and {cj.puncture!r}:"
-                  f" {exc}")
+        violation(f"{pair}: {exc}")
         return
-    if profile.crossing_count:
-        violation(f"vanishing paths of {ci.puncture!r} and {cj.puncture!r}"
-                  f" cross {profile.crossing_count} time(s) in minimal"
-                  " position")
-    if profile.shared_punctures:
-        violation(f"vanishing paths of {ci.puncture!r} and {cj.puncture!r}"
-                  " share a puncture endpoint")
+    if n:
+        violation(f"{pair} cross {n} time(s) in minimal position")
 
 
 def _check_object(f: Fibration, mo: MatchingObject, violation) -> None:

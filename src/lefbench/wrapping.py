@@ -13,10 +13,10 @@ puncture), pass bend=True: the copy leaves the puncture directly toward an
 entry point rotated counterclockwise by BEND, so source and copy share only
 the puncture point.  This local left-bend requires the source to be in
 radial normal form (a single straight segment from puncture to boundary).
-source_annulus is wrap's check of its source; ``validate`` runs it on each
-tower's source too.  WrapParams is the config's [wrap] section, which
-loading checks once (config._parse_wrap, config._check_delta_gap): delta
-exceeds BEND, so that a bent copy still turns forward at level 0.
+source_annulus checks a wrap source, for wrap, tower stages and
+``validate``.  WrapParams is the config's [wrap] section, which loading
+checks once (config._parse_wrap, config._check_delta_gap): delta exceeds
+BEND, so that a bent copy still turns forward at level 0.
 
 The spiral is computed on integers: every angle is a numerator over one
 denominator per spiral, the radius is affine in the angle, and each vertex
@@ -28,9 +28,9 @@ builds no Fraction point.  What depends only on the source arc and the disc
 puncture radius) is derived once per (arc, disc).
 
 wrap guards the annulus against punctures but does not validate the spiral
-it returns.  A stage spiral (tower.stage_spiral) is checked once before use:
-by intersection_profile inside a tower stage, or by ``render`` for the
-spirals it wraps itself, so a coarse boundary grid still ends in
+it returns.  Tower stages count words and wrap nothing; the stage diagrams
+of ``render`` and ``all --svg`` wrap each spiral (tower.stage_spiral) and
+check it once before drawing it, so there a coarse boundary grid ends in
 NonEmbeddableInput.
 """
 

@@ -13,7 +13,8 @@ every segment pair with those predicates, so that a comparison isolates
 both the pruning and the integer arithmetic; the lens test; and the bigon
 surgery that reroutes one arc across each lens, with each surgery checked
 over the whole pair: the geometric reference for the library's reduction
-of the crossing list.
+of the crossing list; and a tower stage counted on its wrapped spiral,
+the reference for the library's count by words.
 """
 
 from __future__ import annotations
@@ -889,3 +890,20 @@ def fraction_eliminate_bigon(a, b, bigon, disc, crossings):
         return *pair, new_crossings
     raise DegenerateTangency("bigon surgery did not stabilize; the input"
                              " configuration is too degenerate to reroute")
+
+
+# ---------------------------------------------------------------------------
+# tower stages on spirals
+# ---------------------------------------------------------------------------
+
+def spiral_stage_counts(f, cx, cy, m, params):
+    """(crossings, u) of the tower stage cx:cy at level m, by the route
+    tower.build_stage took before it counted words: wrap cx's path into its
+    stage spiral, validate the spiral, and reduce it against cy's path to
+    minimal position."""
+    from lefbench.minpos import intersection_profile
+    from lefbench.tower import stage_spiral
+    spiral = stage_spiral(f, cx, cy, m, params)
+    spiral.validate(f.disc)
+    profile = intersection_profile(spiral, cy.path, f.disc)
+    return profile.crossing_count, len(profile.shared_punctures)

@@ -147,7 +147,7 @@ def test_c6_property_suites(capsys, cfgs):
             fs = fs_hom_ranks(f)
             for x, y in PAIRS:
                 for m in LEVELS:
-                    s = build_stage(f, *tower_crits(f, x, y), m, cfg.wrap, fs)
+                    s = build_stage(f, *tower_crits(f, x, y), m, fs)
                     stages[v, x, y, m] = s
                     if s.rank_certificate is not None:
                         certified += 1

@@ -19,6 +19,7 @@ import lefbench
 from lefbench import (errors, minpos, oracle, rank_calculus, snf, tower,
                       wrapping)
 from lefbench.cli import main
+from lefbench.config import load_config
 from lefbench.disc import PlanarArc
 
 INVALID_CFG = """\
@@ -169,23 +170,50 @@ def test_w0_report_matches_golden(tmp_path):
     assert target.read_bytes() == GOLDEN_W0.read_bytes()
 
 
-@pytest.mark.parametrize("resolution", [9, 16, 32, 64])
+@pytest.mark.parametrize("resolution", [1, 4, 8, 9, 16, 32, 64])
 def test_w1_report_is_grid_independent(resolution, tmp_path):
-    # every boundary grid fine enough to embed the spirals gives the same
-    # report, byte for byte
+    # the towers count their stages from words, so every boundary grid
+    # gives the same report, byte for byte
     target = tmp_path / "w1_all.txt"
     assert main(["all", shipped("W1.cfg"), "--resolution", str(resolution),
                  "--out", str(target)]) == 0
     assert target.read_bytes() == GOLDEN.read_bytes()
 
 
-@pytest.mark.parametrize("command", ["hw", "render", "all"])
+@pytest.mark.parametrize("scenario", ["W0.cfg", "W1.cfg"])
+def test_hw_is_grid_independent(scenario, capsys):
+    # no spiral is built, so grids too coarse to embed one count the same
+    reports = set()
+    for resolution in [1, 2, 3, 4, 5, 6, 7, 8, 16, 64, 256]:
+        assert main(["hw", shipped(scenario),
+                     "--resolution", str(resolution)]) == 0
+        reports.add(capsys.readouterr())
+    assert len(reports) == 1
+
+
+def test_deep_levels_keep_the_closed_forms(tmp_path, capsys):
+    # 2m+1 generators with u on a self-tower, 2m on a:b, at levels whose
+    # spirals a resolution-16 grid cannot embed
+    levels = range(0, 49, 12)
+    cfg = tmp_path / "deep.cfg"
+    cfg.write_text(Path(shipped("W1.cfg")).read_text().replace(
+        "levels = 0 1 2 3", "levels = " + " ".join(map(str, levels))))
+    assert main(["hw", str(cfg), "--resolution", "16"]) == 0
+    out = capsys.readouterr().out
+    for m in levels:
+        for tower, count, u in (("Th(B):Th(B)", 2 * m + 1, 1),
+                                ("Th(A):Th(A)", 2 * m + 1, 1),
+                                ("Th(A):Th(B)", 2 * m, 0)):
+            assert (f"tower {tower} stage m={m}: {count} generator(s),"
+                    f" u {u}, certificate") in out
+
+
+@pytest.mark.parametrize("command", ["render", "all"])
 def test_coarse_grid_spiral_is_rejected(command, tmp_path, capsys):
-    # at resolution 8 the wrapped spirals self-intersect; each consumer of a
-    # spiral (tower stage, stage diagram) must check it before use
-    argv = [command, shipped("W1.cfg"), "--resolution", "8"]
-    if command == "render":
-        argv += ["--svg", str(tmp_path)]
+    # at resolution 8 the wrapped spirals self-intersect; the stage
+    # diagrams of render and all --svg check each spiral before drawing it
+    argv = [command, shipped("W1.cfg"), "--resolution", "8",
+            "--svg", str(tmp_path)]
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error[NonEmbeddableInput]:")
 
@@ -200,7 +228,7 @@ def _self_intersects(j):
             f" boundary_resolution)\n")
 
 
-# resolution -> stderr of ``hw`` on W0 and on W1
+# resolution -> stderr of ``render --svg`` on W0 and on W1
 COARSE_GRID_ERRORS = {1: _CHORDS_DIP, 2: _CHORDS_DIP, 3: _CHORDS_DIP,
                       4: _CHORDS_DIP, 5: _self_intersects(6),
                       6: _self_intersects(7), 7: _self_intersects(8),
@@ -209,10 +237,11 @@ COARSE_GRID_ERRORS = {1: _CHORDS_DIP, 2: _CHORDS_DIP, 3: _CHORDS_DIP,
 
 @pytest.mark.parametrize("scenario", ["W0.cfg", "W1.cfg"])
 @pytest.mark.parametrize("resolution", sorted(COARSE_GRID_ERRORS))
-def test_coarse_grid_failure_bytes(scenario, resolution, capsys):
+def test_coarse_grid_failure_bytes(scenario, resolution, tmp_path, capsys):
     # the chord check of wrap decides 1-4, the embedding check of the first
     # stage spiral 5-8: pinned byte for byte, first reported pair included
-    assert main(["hw", shipped(scenario), "--resolution", str(resolution)]) == 1
+    assert main(["render", shipped(scenario), "--resolution", str(resolution),
+                 "--svg", str(tmp_path)]) == 1
     assert capsys.readouterr() == ("", COARSE_GRID_ERRORS[resolution])
 
 
@@ -250,7 +279,8 @@ def test_hw_derives_each_quantity_once(monkeypatch, tmp_path, capsys):
         return check(arc, disc)
     monkeypatch.setattr(PlanarArc, "validate", counted_validate)
     monkeypatch.setattr(PlanarArc, "_check", counted_check)
-    # the stage diagrams of all --svg draw the spirals the towers wrapped
+    # the towers count words and wrap no spiral; the stage diagrams of
+    # all --svg wrap one per stage and check each once
     for argv in (["hw", shipped("W1.cfg")],
                  ["all", shipped("W0.cfg"), "--svg", str(tmp_path)]):
         for seen in (fs_calls, verdicts, spirals, validated, checked, stages,
@@ -261,17 +291,44 @@ def test_hw_derives_each_quantity_once(monkeypatch, tmp_path, capsys):
         # one verdict per diagonal thimble, derived by the rank calculus;
         # the towers report it and derive none of their own
         assert len(verdicts) == 2
-        assert len(spirals) == 3 * 4              # three towers x four levels
+        assert len(spirals) == (0 if argv[0] == "hw" else 3 * 4)
         for spiral in spirals:
             assert sum(arc is spiral for arc in validated) == 1
         # a passed check is remembered: the full check runs once per
         # distinct (arc, disc), however often the arc is validated
         pairs = {(id(arc), id(disc)) for arc, disc in checked}
-        assert len(pairs) == len(checked) < len(validated)
+        assert len(pairs) == len(checked) <= len(validated)
         if argv[0] == "hw":
-            # no surgeries: one crossing search per stage and per rank
+            # no surgeries: one crossing search per rank, and one for the
+            # fibration's two vanishing paths as cuts
             assert len(stages) == 3 * 4 and ranks
-            assert len(crossings) == len(stages) + len(ranks)
+            assert len(crossings) == len(ranks) + 1
+        else:
+            assert len(checked) < len(validated)
+
+
+def test_deep_hw_builds_and_checks_no_spiral(monkeypatch, tmp_path, capsys):
+    # at level 192 hw wraps nothing and checks only the arcs the config
+    # declares: the vanishing and matching paths of both fibrations
+    wraps, checked = [], []
+    _count_calls(monkeypatch, wrapping.wrap, wraps)
+    check = PlanarArc._check
+
+    def counted_check(arc, disc):
+        checked.append(arc)
+        return check(arc, disc)
+    monkeypatch.setattr(PlanarArc, "_check", counted_check)
+    cfg = tmp_path / "deep.cfg"
+    cfg.write_text(Path(shipped("W1.cfg")).read_text().replace(
+        "levels = 0 1 2 3", "levels = 192"))
+    assert main(["hw", str(cfg)]) == 0
+    assert "stage m=192: 385 generator(s), u 1" in capsys.readouterr().out
+    assert wraps == []
+    f = load_config(str(cfg)).fibration
+    aux = f.fiber.fibration
+    declared = ([c.path for g in (f, aux) for c in g.crits]
+                + [mo.path for mo in aux.objects])
+    assert checked and all(arc in declared for arc in checked)
 
 
 def test_all_reduces_one_attachment_matrix_per_fibration(monkeypatch,
@@ -529,6 +586,36 @@ def test_tower_names_unknown_puncture(tmp_path, capsys):
     cfg.write_text(text.replace("towers = b:b a:a a:b", "towers = b:z"))
     assert main(["hw", str(cfg)]) == 1
     assert "error[ConfigError]" in capsys.readouterr().err
+
+
+def test_hw_refuses_crossing_vanishing_paths(tmp_path, capsys):
+    # a's path doglegs across b's, so the two are no cut system for the
+    # words that count b:b (validate reports the same crossing)
+    text = Path(shipped("W1.cfg")).read_text()
+    cfg = tmp_path / "cross.cfg"
+    cfg.write_text(text.replace("crit a = A | 1/2",
+                                "crit a = A | 1/4 | 3/4 -1/4 ; 3/4 1/4")
+                   .replace("towers = b:b a:a a:b", "towers = b:b"))
+    assert main(["hw", str(cfg)]) == 1
+    assert capsys.readouterr() == ("", (
+        "error[LefbenchError]: vanishing paths of 'a' and 'b' cross 1"
+        " time(s) in minimal position; a tower stage is counted on disjoint"
+        " vanishing paths\n"))
+
+
+@pytest.mark.parametrize("edit, line, degree", [
+    ("homology 1 = 1\nhomology 7 = 1", 16, 7),
+    ("homology -1 = 1", 15, -1)])
+def test_homology_degree_outside_fiber_dimension(edit, line, degree,
+                                                 tmp_path, capsys):
+    # W1's circle-cotangent fiber has dim = 2, so its degrees are 0..2
+    cfg = tmp_path / "degree.cfg"
+    cfg.write_text(Path(shipped("W1.cfg")).read_text().replace(
+        "homology 1 = 1", edit, 1))
+    assert main(["homology", str(cfg)]) == 1
+    assert capsys.readouterr() == ("", (
+        f"error[ConfigError]: {cfg}:{line}: homology degree {degree} is"
+        " outside 0..2, the dimension range of the fiber\n"))
 
 
 @pytest.mark.parametrize("command", ["render", "hw", "all"])

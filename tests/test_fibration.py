@@ -100,6 +100,26 @@ def test_shared_reference_endpoint_is_a_note():
     assert any("share the reference endpoint" in n for n in report.notes)
 
 
+@pytest.mark.parametrize("mid, defect", [
+    ((pt(0, Q(1, 2)), pt(Q(3, 4), 0)),
+     "reach the reference endpoint along one line, so their order there is"
+     " undecided"),
+    ((pt(0, Q(1, 2)), pt(Q(7, 8), Q(-1, 4))),
+     "cross away from the reference endpoint")])
+def test_shared_reference_endpoint_must_order_disjoint_paths(mid, defect):
+    # a's path ends at b's end, the reference angle 0: along b's radial
+    # last segment, or from below after crossing b's path
+    f = ts3_fibration()
+    g = Fibration(f.name, f.disc, f.fiber,
+                  (Crit("a", vanishing(f.disc, "a", Q(0), *mid), "zs"),
+                   f.crits[1]), BoundaryAngle(Q(0)))
+    report = validate(g)
+    assert report.violations == (
+        f"[ts3] vanishing paths of 'a' and 'b' {defect}",)
+    with pytest.raises(LefbenchError, match=defect):
+        g.boundary_word
+
+
 def test_shared_non_reference_endpoint_flagged():
     f = ts3_fibration()
     bent_a = vanishing(f.disc, "a", Q(0), pt(0, Q(3, 4)))

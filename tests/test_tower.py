@@ -1,22 +1,31 @@
 """Wrapped-complex stage counts and tower assembly on the shipped
-scenarios, plus the bookkeeping guards."""
+scenarios and on seeded two-crit fibrations, cross-checked against the
+count on wrapped spirals, plus the bookkeeping guards."""
+
+import random
+from dataclasses import replace
+from fractions import Fraction as Q
 
 import pytest
 
+import oracles
 import scen
-from lefbench.errors import Inconsistent, LefbenchError
-from lefbench.fibration import with_resolution
+from lefbench.disc import BoundaryAngle, DiscModel
+from lefbench.errors import (Inconsistent, LefbenchError, NonEmbeddableInput,
+                             SpiralCollision)
+from lefbench.exactgeom import Pt, min_angular_gap
+from lefbench.fibration import Crit, with_resolution
 from lefbench.minpos import minimal_position
 from lefbench.rank_calculus import fs_hom_ranks
-from lefbench.tower import (WrappedComplexStage, assemble_tower, build_stage,
-                            build_tower, tower_crits)
-from lefbench.wrapping import WrapParams
+from lefbench.tower import (WrappedComplexStage, build_stage, build_tower,
+                            stage_spiral, tower_crits)
+from lefbench.wrapping import BEND, WrapParams
 
 PARAMS = WrapParams()     # delta 1/64, levels 0-3
 
 
 def _build(f, x, y, m, fs):
-    return build_stage(f, *tower_crits(f, x, y), m, PARAMS, fs)
+    return build_stage(f, *tower_crits(f, x, y), m, fs)
 
 
 def _stage(variant, x, y, m, f=None):
@@ -31,11 +40,13 @@ def inventory(stage):
     return stage.crossings, stage.block, stage.u_count
 
 
-def crossing_points(f, stage, y):
-    """The crossing points of a stage's pair, its spiral against y's
-    vanishing path, in minimal position."""
+def crossing_points(f, x, y, m):
+    """The crossing points of the stage x:y at level m in minimal position:
+    its spiral, wrapped and validated here, against y's vanishing path."""
+    spiral = stage_spiral(f, *tower_crits(f, x, y), m, PARAMS)
+    spiral.validate(f.disc)
     return sorted(scen.point(c.hpoint) for c in minimal_position(
-        stage.spiral, f.crit_for(y).path, f.disc))
+        spiral, f.crit_for(y).path, f.disc))
 
 
 def counts(tower):
@@ -94,8 +105,8 @@ def test_w0_w1_inventories_identical():
         for m in range(4):
             s0 = _build(f0, *pair, m, fs_hom_ranks(f0))
             s1 = _build(f1, *pair, m, fs_hom_ranks(f1))
-            assert (crossing_points(f0, s0, pair[1])
-                    == crossing_points(f1, s1, pair[1]))
+            assert (crossing_points(f0, *pair, m)
+                    == crossing_points(f1, *pair, m))
             assert inventory(s0) == inventory(s1)
             assert s0.rank_certificate == s1.rank_certificate
 
@@ -112,6 +123,142 @@ def test_doubled_resolution_keeps_inventory():
             assert inventory(coarse) == inventory(fine)
             assert coarse.count == fine.count
             assert coarse.rank_certificate == fine.rank_certificate
+
+
+# --------------------------------------------------------------------------
+# words against spirals
+# --------------------------------------------------------------------------
+
+PAIRS = (("b", "b"), ("a", "a"), ("a", "b"))
+DEEP = WrapParams(levels=(0, 1, 2, 3, 4, 5, 6, 8, 12))
+
+
+def assert_matches_spirals(f, pairs, params):
+    """build_stage gives the (crossings, u) of oracles.spiral_stage_counts
+    on every stage of the given towers.  Returns the number of stages the
+    reference could not embed on f's grid (SpiralCollision or
+    NonEmbeddableInput), which it counts in place of a comparison."""
+    fs, unembedded = fs_hom_ranks(f), 0
+    for x, y in pairs:
+        cx, cy = tower_crits(f, x, y)
+        for m in params.levels:
+            s = build_stage(f, cx, cy, m, fs)
+            try:
+                ref = oracles.spiral_stage_counts(f, cx, cy, m, params)
+            except (SpiralCollision, NonEmbeddableInput):
+                unembedded += 1
+                continue
+            assert (s.crossings, s.u_count) == ref, (x, y, m)
+    return unembedded
+
+
+@pytest.mark.parametrize("resolution", [16, 64])
+@pytest.mark.parametrize("variant", ["W0", "W1"])
+def test_stage_counts_match_spirals(variant, resolution):
+    f = with_resolution(scen.full_main_fibration(variant), resolution)
+    assert assert_matches_spirals(f, PAIRS, DEEP) == 0
+
+
+def on_ray(c, angle):
+    """The point at radius c on the ray of a boundary angle."""
+    p = oracles.circle_point(angle)
+    return Pt(c * p.x, c * p.y)
+
+
+def _fraction(rng, lo, hi):
+    return lo + (hi - lo) * Q(rng.randrange(1, 40), 40)
+
+
+def random_main(rng, resolution):
+    """A two-crit variant of W1's main fibration on random rays, with a
+    random reference angle and delta: b's vanishing path runs straight out
+    along its ray, and a's does too or, half the time, leaves from a point
+    off its ray with a dogleg (then a:a is no tower).  Draws again until
+    the paths are legal and disjoint."""
+    base = scen.full_main_fibration("W1")
+    while True:
+        ta, tb, ref = (Q(rng.randrange(120), 120) for _ in range(3))
+        gap = min_angular_gap([ta, tb, ref])
+        if ta == tb or gap <= BEND:
+            continue
+        dogleg = rng.random() < 0.5
+        a_ray = Q(rng.randrange(120), 120) if dogleg else ta
+        disc = DiscModel(
+            (("a", on_ray(_fraction(rng, Q(1, 10), Q(4, 5)), a_ray)),
+             ("b", on_ray(_fraction(rng, Q(1, 10), Q(4, 5)), tb))),
+            resolution)
+        mid = ((on_ray(_fraction(rng, Q(1, 2), Q(9, 10)), ta),) if dogleg
+               else ())
+        crits = (Crit("a", scen.vanishing(disc, "a", ta, *mid), "A"),
+                 Crit("b", scen.vanishing(disc, "b", tb), "B"))
+        f = replace(base, disc=disc, crits=crits,
+                    reference_angle=BoundaryAngle(ref))
+        try:
+            for c in crits:
+                c.path.validate(disc)
+            f.boundary_word
+        except LefbenchError:
+            continue
+        delta = BEND + (gap - BEND) * Q(rng.randrange(1, 10), 10)
+        pairs = (("a", "b"), ("b", "a"), ("b", "b"))
+        return (f, pairs if dogleg else pairs + (("a", "a"),),
+                WrapParams(delta, tuple(range(5))))
+
+
+@pytest.mark.parametrize("resolution", [16, 64])
+def test_stage_counts_match_spirals_on_random_fibrations(resolution):
+    # at resolution 16 the reference cannot embed some deep spirals (the
+    # grid limit of wrap); at 64 it embeds them all
+    unembedded = 0
+    for seed in range(40):
+        f, pairs, params = random_main(random.Random(seed), resolution)
+        unembedded += assert_matches_spirals(f, pairs, params)
+    assert (unembedded > 0) == (resolution == 16)
+
+
+def tied_main(b_point, *mid):
+    """W1's main fibration with a on the ray of angle 0, the reference
+    angle, and b's vanishing path, from b_point through mid, ending there
+    too: from above the ray, b's last segment reaches the shared end
+    counterclockwise after a's; from below, before."""
+    base = scen.full_main_fibration("W1")
+    disc = DiscModel((("a", Pt(Q(1, 2), Q(0))), ("b", b_point)))
+    crits = (Crit("a", scen.vanishing(disc, "a", 0), "A"),
+             Crit("b", scen.vanishing(disc, "b", 0, *mid), "B"))
+    return replace(base, disc=disc, crits=crits,
+                   reference_angle=BoundaryAngle(Q(0)))
+
+
+@pytest.mark.parametrize("b_y, order, mixed", [(Q(1, 2), "ab", 1),
+                                               (Q(-1, 2), "ba", 0)])
+def test_shared_boundary_end_is_ordered_by_last_segments(b_y, order, mixed):
+    # b's source is not radial, so a:a and a:b are the towers; a copy of a
+    # passes b at the shared end at once when b follows a there
+    f = tied_main(Pt(Q(0), b_y))
+    assert "".join(p for _, p in f.boundary_word) == order
+    params = WrapParams(levels=tuple(range(5)))
+    assert assert_matches_spirals(f, PAIRS[1:], params) == 0
+    fs = fs_hom_ranks(f)
+    for m in params.levels:
+        assert _build(f, "a", "a", m, fs).count == 2 * m + 1
+        assert _build(f, "a", "b", m, fs).crossings == m + mixed
+
+
+def test_paths_that_are_no_cut_system_are_refused():
+    f = tied_main(Pt(Q(0), Q(1, 2)), Pt(Q(3, 4), Q(0)))   # along a's path
+    with pytest.raises(LefbenchError, match="^vanishing paths of 'a' and 'b'"
+                       " reach the reference endpoint along one line"):
+        _build(f, "a", "a", 1, fs_hom_ranks(f))
+    # a's path runs out to angle 1/4 across b's, which runs to angle 0
+    base = scen.full_main_fibration("W1")
+    disc = DiscModel((("a", Pt(Q(1, 2), Q(-1, 4))), ("b", Pt(Q(1, 2), Q(0)))))
+    f = replace(base, disc=disc, crits=(
+        Crit("a", scen.vanishing(disc, "a", Q(1, 4), Pt(Q(3, 4), Q(1, 4)),
+                                 Pt(Q(0), Q(1, 2))), "A"),
+        Crit("b", scen.vanishing(disc, "b", 0), "B")))
+    with pytest.raises(LefbenchError, match="^vanishing paths of 'a' and 'b'"
+                       r" cross 1 time\(s\) in minimal position"):
+        _build(f, "b", "b", 1, fs_hom_ranks(f))
 
 
 # --------------------------------------------------------------------------
@@ -160,18 +307,3 @@ def test_mixed_tower_counts():
                         WrapParams(levels=(3, 1, 0, 2)), fs_hom_ranks(f))
         assert counts(t) == [(0, 0), (1, 2), (2, 4), (3, 6)]
         assert all(s.u_count == 0 for s in t)
-
-
-def test_fate_without_unit_is_inconsistent():
-    # a self-tower's verdict is the fate of its unit, so it must contain u;
-    # a mixed tower has no unit to carry
-    stages = (_counts(0, 0), _counts(1, 1))
-    with pytest.raises(Inconsistent):
-        assemble_tower(stages, self_pair=True)
-    assert counts(assemble_tower(stages, self_pair=False)) == [(0, 0), (1, 2)]
-
-
-def test_tower_guards():
-    shrink = (_counts(0, 2), _counts(1, 1))
-    with pytest.raises(Inconsistent):
-        assemble_tower(shrink, self_pair=False)
