@@ -26,8 +26,8 @@ from .fibration import validate as validate_fibration
 from .rank_calculus import ScenarioRanks, analyze
 from .report import Report, homology_lines, hw_value, thimble
 from .svg import diagram_files, stage_svg
-from .tower import build_tower, stage_spiral, tower_crits
-from .wrapping import source_annulus
+from .tower import build_tower, tower_crits
+from .wrapping import source_annulus, wrap
 
 COMMANDS = ("validate", "homology", "floer-ranks", "hw", "render", "all")
 
@@ -141,7 +141,7 @@ def _render_svgs(cfg: ScenarioConfig, outdir: str) -> list[str]:
     for x, y in cfg.towers:
         cx, cy = tower_crits(f, x, y)
         for m in cfg.wrap.levels:
-            spiral = stage_spiral(f, cx, cy, m, cfg.wrap)
+            spiral = wrap(cx.path, m, cfg.wrap, f.disc, bend=cx == cy)
             spiral.validate(f.disc)
             files.append((f"{cfg.name}-tower-{x}-{y}-m{m}.svg",
                           stage_svg(f.disc, cy.path, spiral)))

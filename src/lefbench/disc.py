@@ -56,17 +56,13 @@ class DiscModel:
     boundary_resolution: int = 16
 
     def __post_init__(self):
-        seen: dict[str, Pt] = {}
         pts = set()
         for name, p in self.punctures:
-            if name in seen:
-                raise LefbenchError(f"duplicate puncture name {name!r}")
             if p in pts:
                 raise LefbenchError(f"coincident punctures at {p}")
             if norm2(p) >= 1:
                 raise LefbenchError(
                     f"puncture {name!r} at {p} is not strictly inside the unit circle")
-            seen[name] = p
             pts.add(p)
         if self.boundary_resolution < 1:
             raise LefbenchError("boundary_resolution must be a positive integer")

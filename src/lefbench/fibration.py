@@ -12,17 +12,16 @@ fiber, then attach one (dim fiber / 2 + 1)-cell per critical value along its
 vanishing cycle class.  Each fibration derives that handle model once: the
 fiber's homology, the attachment degree and one Smith form of the attachment
 matrix.  The two degrees that can change, and the classes of matching
-objects, are all read from it.  It also derives once the boundary word of
-its vanishing paths as cuts, which tower stages read.
+objects, are all read from it.  It also checks each pair of its vanishing
+paths once, for validate to report and for tower stages to require.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
-from functools import cached_property, cmp_to_key
+from functools import cached_property
 from itertools import combinations
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from .disc import BoundaryAngle, DiscModel, PlanarArc
 from .errors import (Inconsistent, LefbenchError, MissingClass,
@@ -126,11 +125,7 @@ class AbstractFiber:
         if self.dim < 0 or self.dim % 2:
             raise LefbenchError("fiber dimension must be a nonnegative even integer")
         width = self.homology.free_rank(self.middle_degree)
-        seen = set()
         for label, vec in self.cycle_classes:
-            if label in seen:
-                raise LefbenchError(f"duplicate cycle label {label!r}")
-            seen.add(label)
             if len(vec) != width:
                 raise LefbenchError(
                     f"cycle class {label!r} has length {len(vec)}, expected"
@@ -252,25 +247,13 @@ class Fibration:
         return HandleModel(table, k, smith_form(rows, len(classes)))
 
     @cached_property
-    def boundary_word(self) -> tuple[tuple[Fraction, str], ...]:
-        """One turn of the boundary in the cuts along the vanishing paths:
-        (boundary angle, puncture) of each, counterclockwise from angle 0,
-        and at a shared end in the order the last segments reach it.
-        Derived on first read; raises unless the paths are disjoint as
-        ``validate`` checks them, so that the cut disc is one disc."""
-        found: list[str] = []
-        for ci, cj in combinations(self.crits, 2):
-            _check_disjoint_paths(self, ci, cj, found.append, lambda _: None)
-        if found:
-            raise LefbenchError(f"{found[0]}; a tower stage is counted on"
-                                " disjoint vanishing paths")
-
-        def ccw(ci: Crit, cj: Crit):
-            # near a shared end p, ci comes first when it turns right to cj
-            (*_, vi, p), (*_, vj, _) = ci.path.hverts, cj.path.hverts
-            return ci.path.end.angle - cj.path.end.angle or orient(p, vi, vj)
-        return tuple((c.path.end.angle, c.puncture)
-                     for c in sorted(self.crits, key=cmp_to_key(ccw)))
+    def path_findings(self) -> tuple[tuple[bool, str], ...]:
+        """(violation?, text) of each pair of vanishing paths, in pair
+        order (_check_disjoint_paths), derived on first read: validate
+        reports them all, and a tower stage refuses the first violation,
+        so that the cut disc is one disc."""
+        return tuple(found for ci, cj in combinations(self.crits, 2)
+                     for found in _check_disjoint_paths(self, ci, cj))
 
 
 def with_resolution(f: Fibration, n: int) -> Fibration:
@@ -334,8 +317,8 @@ def validate(f: Fibration) -> ValidationReport:
             violation(f"cycle label {c.cycle_label!r} of {c.puncture!r} is"
                       " not declared")
 
-    for ci, cj in combinations(f.crits, 2):
-        _check_disjoint_paths(f, ci, cj, violation, note)
+    for is_violation, text in f.path_findings:
+        (violation if is_violation else note)(text)
 
     for mo in f.objects:
         _check_object(f, mo, violation)
@@ -351,32 +334,33 @@ def validate(f: Fibration) -> ValidationReport:
     return ValidationReport(tuple(violations), tuple(notes))
 
 
-def _check_disjoint_paths(f: Fibration, ci: Crit, cj: Crit,
-                          violation, note) -> None:
-    """Report unless the vanishing paths of ci and cj are disjoint: in
-    minimal position, or apart from a shared reference end p, which their
-    last segments reach along two lines that order the paths there."""
+def _check_disjoint_paths(f: Fibration, ci: Crit, cj: Crit
+                          ) -> Iterator[tuple[bool, str]]:
+    """(violation?, text) findings on the vanishing paths of ci and cj, a
+    violation unless they are disjoint: in minimal position, or apart from
+    a shared reference end p, which their last segments reach along two
+    lines that order the paths there."""
     a, b = ci.path, cj.path
     pair = f"vanishing paths of {ci.puncture!r} and {cj.puncture!r}"
     try:
-        n = intersection_profile(a, b, f.disc).crossing_count
+        n = intersection_profile(a, b, f.disc)
     except SharedBoundaryEndpoint:
         if a.end != f.reference_angle:
-            violation(f"{pair} share a non-reference boundary endpoint")
+            yield True, f"{pair} share a non-reference boundary endpoint"
             return
-        note(f"{pair} share the reference endpoint")
+        yield False, f"{pair} share the reference endpoint"
         p = a.hverts[-1]
         if orient(p, a.hverts[-2], b.hverts[-2]) == 0:
-            violation(f"{pair} reach the reference endpoint along one line,"
-                      " so their order there is undecided")
+            yield True, (f"{pair} reach the reference endpoint along one"
+                         " line, so their order there is undecided")
         elif any(c.hpoint != p for c in compute_crossings(a, b)):
-            violation(f"{pair} cross away from the reference endpoint")
+            yield True, f"{pair} cross away from the reference endpoint"
         return
     except LefbenchError as exc:
-        violation(f"{pair}: {exc}")
+        yield True, f"{pair}: {exc}"
         return
     if n:
-        violation(f"{pair} cross {n} time(s) in minimal position")
+        yield True, f"{pair} cross {n} time(s) in minimal position"
 
 
 def _check_object(f: Fibration, mo: MatchingObject, violation) -> None:

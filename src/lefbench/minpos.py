@@ -26,7 +26,7 @@ is dropped when the half-lens it bounds with p winds around no other
 puncture, until none is left.  All of it runs on homogeneous integer
 points; Fractions remain only for positions along segments.
 intersection_profile reduces a pair and keeps only the number of crossings
-left and the shared punctures.
+left.
 """
 
 from __future__ import annotations
@@ -53,12 +53,6 @@ class ArcCrossing:
 
     def pos(self, side: int) -> Pos:
         return self.a_pos if side == 0 else self.b_pos
-
-
-@dataclass(frozen=True)
-class IntersectionProfile:
-    crossing_count: int
-    shared_punctures: tuple[str, ...]
 
 
 def _shared_anchor_points(a: PlanarArc, b: PlanarArc) -> set[Hpt]:
@@ -247,12 +241,10 @@ def minimal_position(a: PlanarArc, b: PlanarArc,
 
 
 def intersection_profile(a: PlanarArc, b: PlanarArc,
-                         disc: DiscModel) -> IntersectionProfile:
-    """Crossing data of the pair in minimal position.
+                         disc: DiscModel) -> int:
+    """The number of interior crossings of the pair in minimal position.
 
-    Both arcs are validated and the pair is reduced first.  Reports the
-    number of interior crossings and the shared puncture endpoints by name.
-    Symmetric in the two arcs.
+    Both arcs are validated and the pair is reduced first.  Symmetric in
+    the two arcs.
     """
-    shared = tuple(sorted(a.puncture_names() & b.puncture_names()))
-    return IntersectionProfile(len(_reduce(a, b, disc)), shared)
+    return len(_reduce(a, b, disc))

@@ -33,12 +33,6 @@ class Provenance:
     kind: str            # "cited" | "assumed"
     slug: str
 
-    def __post_init__(self):
-        if self.kind not in ("cited", "assumed"):
-            raise LefbenchError(
-                f"provenance kind must be 'cited' or 'assumed', got"
-                f" {self.kind!r}")
-
     def render(self) -> str:
         return f"{self.kind}:{self.slug}"
 
@@ -109,8 +103,6 @@ class FiberOracle:
 
     def __post_init__(self):
         names = [d.name for d in self.label_decls]
-        if len(set(names)) != len(names):
-            raise LefbenchError("duplicate cycle label declaration")
         labels = frozenset(names)
 
         def need(label: str) -> None:
@@ -287,8 +279,8 @@ def matching_floer_rank(f: "Fibration", x: "MatchingObject",
     all-same parity certificate covering the pair.  Otherwise the count only
     bounds the rank, and MissingParity is raised.
     """
-    profile = intersection_profile(x.path, y.path, f.disc)
-    n, shared = profile.crossing_count, len(profile.shared_punctures)
+    n = intersection_profile(x.path, y.path, f.disc)
+    shared = len(x.path.puncture_names() & y.path.puncture_names())
     block = o.rank_of(x.left_cycle, y.left_cycle) if n else 0
     count = n * block + shared
     nonzero_blocks = (n if block else 0) + shared

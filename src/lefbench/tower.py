@@ -5,14 +5,15 @@ A stage at wrapping level m counts the generators of the complex between
 one thimble wrapped m turns and another held fixed: one fiber block per
 interior crossing of the two base paths, each of the rank of the thimbles'
 labels, plus the distinguished generator u at a shared critical endpoint.
-It counts the crossings on a word and builds no spiral: cut along the
+It counts the crossings in closed form and builds no spiral: cut along the
 vanishing paths, the disc is one disc, and the wrapped path's reduced word
 in the cuts has one letter per crossing with a cut in minimal position
 (bigon criterion: Farb-Margalit, A Primer on Mapping Class Groups, 1.2).
-stage_spiral wraps the spiral a stage diagram draws.  No differentials are
-computed here, though two rules constrain them: no arrow joins u to any
-other generator, and arrows between ordinary generators stay within the
-fiber block over a single base crossing.  A stage's rank certificate is an
+Each turn of that word holds every cut once, so the count needs only the
+level, the number of cuts and the order of the two paths at a shared end.
+No differentials are computed here, though two rules constrain them: no
+arrow joins u to any other generator, and arrows between ordinary
+generators stay within the fiber block over a single base crossing.  A stage's rank certificate is an
 exact rank, read off the directed ranks (FsHomRanks) that the caller has
 already derived with the rank calculus, and the stage merely checks that
 its generator count is large enough and of the right parity to carry it.
@@ -27,13 +28,12 @@ group once, in rank_calculus.analyze, and the report reads it from there.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import dropwhile, takewhile
 
-from .disc import PlanarArc
 from .errors import ConfigError, Inconsistent, LefbenchError
+from .exactgeom import orient
 from .fibration import Crit, Fibration
 from .rank_calculus import FsHomRanks
-from .wrapping import WrapParams, source_annulus, wrap
+from .wrapping import WrapParams, source_annulus
 
 @dataclass(frozen=True)
 class WrappedComplexStage:
@@ -70,30 +70,27 @@ def tower_crits(f: Fibration, x: str, y: str) -> tuple[Crit, Crit]:
     return cx, cy
 
 
-def stage_spiral(f: Fibration, cx: Crit, cy: Crit, m: int,
-                 params: WrapParams) -> PlanarArc:
-    """cx's vanishing path wrapped m turns, bent off its source on a
-    self-tower (cy is cx), as the stage diagrams draw it; unvalidated, so
-    the caller checks it once before use."""
-    return wrap(cx.path, m, params, f.disc, bend=cx == cy)
-
-
 def build_stage(f: Fibration, cx: Crit, cy: Crit, m: int,
                 fs: FsHomRanks) -> WrappedComplexStage:
     """Generator counts of the complex between cx's thimble wrapped m turns
     and cy's thimble.  The copy follows its source, a cut, and then the
-    boundary counterclockwise from just past the source's end: its word is
-    m turns of f.boundary_word and then, up to delta (below every other
-    gap), the cuts tied there after it.  Its letters share one sign, and
-    the leading ones of cx's own cut are half-bigons at its puncture.  The
-    block rank is asked of the oracle only when the paths cross."""
+    boundary counterclockwise from just past the source's end: m turns,
+    each passing every cut once, and then, up to delta (below every other
+    gap), the cuts tied at cx's end after it, in the order the last
+    segments reach that end (cx's turns right to theirs).  These letters
+    share one sign, and the leading ones of cx's own cut are half-bigons
+    at its puncture: on a lone cut, all of them.  So the copy crosses cy m
+    times, unless cx is a lone cut, and once more if cy is tied after cx.
+    The block rank is asked of the oracle only when the paths cross."""
     source_annulus(cx.path, f.disc, bend=cx == cy)   # the source check
-    turn = f.boundary_word
-    i = [p for _, p in turn].index(cx.puncture)
-    word = [p for _, p in turn[i + 1:] + turn[:i + 1]] * m
-    word += [p for _, p in takewhile(lambda e: e[0] == turn[i][0],
-                                     turn[i + 1:])]
-    n = list(dropwhile(lambda p: p == cx.puncture, word)).count(cy.puncture)
+    bad = next((text for is_violation, text in f.path_findings
+                if is_violation), None)
+    if bad is not None:
+        raise LefbenchError(f"{bad}; a tower stage is counted on disjoint"
+                            " vanishing paths")
+    (*_, vx, p), (*_, vy, _) = cx.path.hverts, cy.path.hverts
+    tied = cx.path.end == cy.path.end and orient(p, vx, vy) < 0
+    n = m * (len(f.crits) > 1) + tied
     return WrappedComplexStage(
         m=m, crossings=n,
         block=f.oracle.rank_of(cx.cycle_label, cy.cycle_label) if n else 0,
@@ -118,6 +115,6 @@ def _certificate(fs: FsHomRanks, self_pair: bool, m: int) -> int | None:
 def build_tower(f: Fibration, cx: Crit, cy: Crit, params: WrapParams,
                 fs: FsHomRanks) -> tuple[WrappedComplexStage, ...]:
     """The stages of the tower cx:cy, one per level, in level order.  Each
-    level adds a turn to the word, so the counts grow with the level, and
-    on a self-tower every stage holds u."""
+    level adds a turn, so the counts grow with the level, and on a
+    self-tower every stage holds u."""
     return tuple(build_stage(f, cx, cy, m, fs) for m in sorted(params.levels))

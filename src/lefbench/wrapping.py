@@ -28,10 +28,10 @@ builds no Fraction point.  What depends only on the source arc and the disc
 puncture radius) is derived once per (arc, disc).
 
 wrap guards the annulus against punctures but does not validate the spiral
-it returns.  Tower stages count words and wrap nothing; the stage diagrams
-of ``render`` and ``all --svg`` wrap each spiral (tower.stage_spiral) and
-check it once before drawing it, so there a coarse boundary grid ends in
-NonEmbeddableInput.
+it returns.  Tower stages count in closed form and wrap nothing; the stage
+diagrams of ``render`` and ``all --svg`` wrap each spiral (cli._render_svgs,
+bent on a self-tower) and check it once before drawing it, so there a
+coarse boundary grid ends in NonEmbeddableInput.
 """
 
 from __future__ import annotations

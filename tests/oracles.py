@@ -13,14 +13,17 @@ every segment pair with those predicates, so that a comparison isolates
 both the pruning and the integer arithmetic; the lens test; and the bigon
 surgery that reroutes one arc across each lens, with each surgery checked
 over the whole pair: the geometric reference for the library's reduction
-of the crossing list; and a tower stage counted on its wrapped spiral,
-the reference for the library's count by words.
+of the crossing list; and a tower stage counted on its wrapped spiral and
+on its word in the cuts, the references for the library's closed-form
+count.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cmp_to_key
+from itertools import dropwhile, takewhile
 from typing import NamedTuple
 
 # the Fraction point type, for the Fraction predicates
@@ -902,8 +905,35 @@ def spiral_stage_counts(f, cx, cy, m, params):
     stage spiral, validate the spiral, and reduce it against cy's path to
     minimal position."""
     from lefbench.minpos import intersection_profile
-    from lefbench.tower import stage_spiral
-    spiral = stage_spiral(f, cx, cy, m, params)
+    from lefbench.wrapping import wrap
+    spiral = wrap(cx.path, m, params, f.disc, bend=cx == cy)
     spiral.validate(f.disc)
-    profile = intersection_profile(spiral, cy.path, f.disc)
-    return profile.crossing_count, len(profile.shared_punctures)
+    shared = spiral.puncture_names() & cy.path.puncture_names()
+    return intersection_profile(spiral, cy.path, f.disc), len(shared)
+
+
+def boundary_turn(f):
+    """One turn of the boundary in the cuts along f's vanishing paths:
+    (boundary angle, puncture) of each, counterclockwise from angle 0, and
+    at a shared end in the order the last segments reach it, read on
+    Fraction points with the naive turn test."""
+    def ccw(ci, cj):
+        (*_, vi, p), (*_, vj, _) = ci.path.vertices, cj.path.vertices
+        return ci.path.end.angle - cj.path.end.angle or _turn(p, vi, vj)
+    return [(c.path.end.angle, c.puncture)
+            for c in sorted(f.crits, key=cmp_to_key(ccw))]
+
+
+def word_stage_count(f, cx, cy, m):
+    """Crossings of the tower stage cx:cy at level m, by the route
+    tower.build_stage took before its closed form: take the wrapped copy's
+    word in the cuts (m turns of boundary_turn from just past cx's end,
+    then the cuts tied there after cx), strip its leading letters of cx's
+    own cut (the half-bigons at cx's puncture) and count cy's letters."""
+    turn = boundary_turn(f)
+    i = [p for _, p in turn].index(cx.puncture)
+    word = [p for _, p in turn[i + 1:] + turn[:i + 1]] * m
+    word += [p for _, p in takewhile(lambda e: e[0] == turn[i][0],
+                                     turn[i + 1:])]
+    return list(dropwhile(lambda p: p == cx.puncture, word)).count(
+        cy.puncture)

@@ -5,11 +5,12 @@ fail when a change to the package would break a traced run (``bench/run.py
 import importlib
 import importlib.util
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
 
-import lefbench.cli  # noqa: F401  (imports every traced module)
+import lefbench.cli  # imports every traced module
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -71,3 +72,22 @@ def test_install_then_uninstall_restores_every_binding(tracer):
     after = _bindings()
     assert after.keys() == before.keys()
     assert [k for k in before if after[k] is not before[k]] == []
+
+
+def test_traced_run_counts_every_layer_call(tracer, tmp_path, capsys):
+    # a traced all W0 --svg sees each of the 12 stages (3 towers x 4
+    # levels) once in tower.build_stage and once in wrapping.wrap, which
+    # only the diagrams call, so a binding the tracer misses shows as 0
+    cfg = resources.files("lefbench") / "scenarios" / "W0.cfg"
+    t = tracer.Tracer()
+    t.install()
+    try:
+        t.begin_request()
+        code = lefbench.cli.main(["all", str(cfg), "--svg", str(tmp_path)])
+        t.end_request()
+    finally:
+        t.uninstall()
+    capsys.readouterr()
+    assert code == 0
+    assert t.counts["wrapping.wrap"] == 12
+    assert t.counts["tower.build_stage"] == 12

@@ -298,12 +298,12 @@ def test_hw_derives_each_quantity_once(monkeypatch, tmp_path, capsys):
         # distinct (arc, disc), however often the arc is validated
         pairs = {(id(arc), id(disc)) for arc, disc in checked}
         assert len(pairs) == len(checked) <= len(validated)
-        if argv[0] == "hw":
-            # no surgeries: one crossing search per rank, and one for the
-            # fibration's two vanishing paths as cuts
-            assert len(stages) == 3 * 4 and ranks
-            assert len(crossings) == len(ranks) + 1
-        else:
+        # no surgeries: one crossing search per rank, and one per pair of
+        # vanishing paths, which validate and the tower stages both read:
+        # hw checks the main fibration's pair, all both fibrations' four
+        assert len(stages) == 3 * 4 and ranks
+        assert len(crossings) == len(ranks) + (1 if argv[0] == "hw" else 4)
+        if argv[0] == "all":
             assert len(checked) < len(validated)
 
 
@@ -329,6 +329,20 @@ def test_deep_hw_builds_and_checks_no_spiral(monkeypatch, tmp_path, capsys):
     declared = ([c.path for g in (f, aux) for c in g.crits]
                 + [mo.path for mo in aux.objects])
     assert checked and all(arc in declared for arc in checked)
+
+
+def test_hw_counts_a_stage_in_constant_time(tmp_path, capsys):
+    # the level enters a stage only through its closed form
+    cfg = tmp_path / "far.cfg"
+    cfg.write_text(Path(shipped("W1.cfg")).read_text().replace(
+        "levels = 0 1 2 3", "levels = 0 1000000000000"))
+    assert main(["hw", str(cfg)]) == 0
+    out = capsys.readouterr().out
+    for name in ("Th(B):Th(B)", "Th(A):Th(A)"):
+        assert (f"tower {name} stage m=1000000000000: 2000000000001"
+                " generator(s), u 1, certificate none") in out
+    assert ("tower Th(A):Th(B) stage m=1000000000000: 2000000000000"
+            " generator(s), u 0") in out
 
 
 def test_all_reduces_one_attachment_matrix_per_fibration(monkeypatch,

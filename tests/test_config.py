@@ -167,6 +167,12 @@ def test_duplicate_key():
     _expect_error(BASE.replace("crit p = c | 1/2",
                                "crit p = c | 1/2\ncrit p = c | 1/4"),
                   "duplicate key 'crit p'", lineno=15)
+    # a fiber's cycle class and an oracle's label are declared once each,
+    # whatever the whitespace in the key
+    _expect_error(BASE.replace("class c = 1", "class c = 1\nclass\tc = 1"),
+                  "duplicate key 'class c'", lineno=9)
+    _expect_error(BASE + "[oracle f]\nlabel c = sphere\nlabel  c = plain\n",
+                  "duplicate key 'label c'", lineno=20)
 
 
 def test_missing_provenance():
@@ -214,6 +220,13 @@ def test_run_names_unknown_fibration():
     # the error cites the [run] header line
     _expect_error(BASE.replace("fibration = f", "fibration = g"),
                   "unknown fibration", lineno=16)
+
+
+def test_provenance_kind_is_cited_or_assumed():
+    oracle = "[oracle f]\nlabel c = sphere\nparity c c = all-same !{} x\n"
+    _expect_error(BASE + oracle.format("hearsay"),
+                  "malformed provenance '!hearsay x'", lineno=20)
+    parse_config(BASE + oracle.format("assumed"), source="t.cfg")
 
 
 def test_duplicate_run_and_wrap_sections():

@@ -29,11 +29,6 @@ def two_puncture_disc():
     return DiscModel(punctures=(("p", pt(Q(-1, 2), 0)), ("q", pt(Q(1, 2), 0))))
 
 
-def test_disc_rejects_duplicate_names():
-    with pytest.raises(LefbenchError, match="duplicate"):
-        DiscModel(punctures=(("p", pt(0, 0)), ("p", pt(Q(1, 2), 0))))
-
-
 def test_disc_rejects_coincident_points():
     with pytest.raises(LefbenchError, match="coincident"):
         DiscModel(punctures=(("p", pt(0, 0)), ("q", pt(0, 0))))

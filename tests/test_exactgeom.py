@@ -20,7 +20,6 @@ from lefbench.exactgeom import (Pt, _shift_sign, box_pairs, box_pairs_between,
                                 segment_near_origin,
                                 segments_overlap_collinear, winding_number)
 from lefbench.fibration import with_resolution
-from lefbench.tower import stage_spiral, tower_crits
 from lefbench.wrapping import BEND, source_annulus, wrap
 
 from oracles import (ccw_gap, line_intersection, polygon_area2,
@@ -320,7 +319,7 @@ W1 = load_config(str(resources.files("lefbench") / "scenarios" / "W1.cfg"))
 def w1_spirals(resolution, m=2):
     """The W1 stage spirals of towers b:b (bent) and a:b at level m."""
     f = with_resolution(W1.fibration, resolution)
-    return f, [stage_spiral(f, *tower_crits(f, x, y), m, W1.wrap)
+    return f, [wrap(f.crit_for(x).path, m, W1.wrap, f.disc, bend=x == y)
                for x, y in (("b", "b"), ("a", "b"))]
 
 

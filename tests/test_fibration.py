@@ -13,6 +13,8 @@ from lefbench.fibration import (AbstractFiber, Crit, Fibration, HomologyTable,
                                 MatchingObject, TotalSpaceFiber,
                                 matching_cycle_class, total_space_homology,
                                 validate)
+from lefbench.rank_calculus import FsHomRanks
+from lefbench.tower import build_stage
 
 from oracles import attachment_homology, sympy_integer_inverse
 from scen import (arc_through, aux_fibration, circle_fiber, empty_fibration,
@@ -116,8 +118,9 @@ def test_shared_reference_endpoint_must_order_disjoint_paths(mid, defect):
     report = validate(g)
     assert report.violations == (
         f"[ts3] vanishing paths of 'a' and 'b' {defect}",)
-    with pytest.raises(LefbenchError, match=defect):
-        g.boundary_word
+    with pytest.raises(LefbenchError, match=f"{defect}; a tower stage is"
+                       " counted on disjoint vanishing paths$"):
+        build_stage(g, g.crits[1], g.crits[0], 0, FsHomRanks(1, 0, 1))
 
 
 def test_shared_non_reference_endpoint_flagged():

@@ -4,11 +4,11 @@ import pytest
 
 from lefbench.errors import Inconsistent, InvalidWitness, MissingParity, UnknownPair
 from lefbench.oracle import (ALL_SAME, MIXED, DisjointFact, FiberOracle,
-                             IsotopicFact, LabelDecl, ParityFact, Provenance,
-                             RankFact, WitnessFact, matching_floer_rank)
+                             IsotopicFact, LabelDecl, ParityFact, RankFact,
+                             WitnessFact, matching_floer_rank)
 
 from oracles import brute_crossing_count
-from scen import assumed, aux_fibration, aux_oracle, cited, main_oracle
+from scen import assumed, aux_fibration, aux_oracle, main_oracle
 
 
 def test_sphere_self_rank_is_derived():
@@ -188,8 +188,3 @@ def test_missing_parity_blocks_exact_promotion():
         matching_floer_rank(f, a, b, bare)
 
 
-def test_provenance_kinds_are_checked():
-    with pytest.raises(Exception):
-        Provenance("hearsay", "x")
-    assert cited("x").render() == "cited:x"
-    assert assumed("y").render() == "assumed:y"

@@ -8,8 +8,7 @@ import pytest
 
 from lefbench.cli import main
 from lefbench.svg import diagram_files, scenario_svg, stage_svg
-from lefbench.tower import stage_spiral, tower_crits
-from lefbench.wrapping import WrapParams
+from lefbench.wrapping import WrapParams, wrap
 
 import scen
 
@@ -44,7 +43,7 @@ def test_scenario_svg_element_census():
 
 def _stage_svg(f, x, y, m):
     """The diagram of one stage, its spiral checked as every caller does."""
-    spiral = stage_spiral(f, *tower_crits(f, x, y), m, WrapParams())
+    spiral = wrap(f.crit_for(x).path, m, WrapParams(), f.disc, bend=x == y)
     spiral.validate(f.disc)
     return stage_svg(f.disc, f.crit_for(y).path, spiral)
 

@@ -1,8 +1,9 @@
 """Wrapped-complex stage counts and tower assembly on the shipped
-scenarios and on seeded two-crit fibrations, cross-checked against the
-count on wrapped spirals, plus the bookkeeping guards."""
+scenarios and on seeded fibrations, cross-checked against the counts on
+wrapped spirals and on words in the cuts, plus the bookkeeping guards."""
 
 import random
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction as Q
 
@@ -16,10 +17,10 @@ from lefbench.errors import (Inconsistent, LefbenchError, NonEmbeddableInput,
 from lefbench.exactgeom import Pt, min_angular_gap
 from lefbench.fibration import Crit, with_resolution
 from lefbench.minpos import minimal_position
-from lefbench.rank_calculus import fs_hom_ranks
+from lefbench.rank_calculus import FsHomRanks, fs_hom_ranks
 from lefbench.tower import (WrappedComplexStage, build_stage, build_tower,
-                            stage_spiral, tower_crits)
-from lefbench.wrapping import BEND, WrapParams
+                            tower_crits)
+from lefbench.wrapping import BEND, WrapParams, wrap
 
 PARAMS = WrapParams()     # delta 1/64, levels 0-3
 
@@ -43,7 +44,7 @@ def inventory(stage):
 def crossing_points(f, x, y, m):
     """The crossing points of the stage x:y at level m in minimal position:
     its spiral, wrapped and validated here, against y's vanishing path."""
-    spiral = stage_spiral(f, *tower_crits(f, x, y), m, PARAMS)
+    spiral = wrap(f.crit_for(x).path, m, PARAMS, f.disc, bend=x == y)
     spiral.validate(f.disc)
     return sorted(scen.point(c.hpoint) for c in minimal_position(
         spiral, f.crit_for(y).path, f.disc))
@@ -126,23 +127,26 @@ def test_doubled_resolution_keeps_inventory():
 
 
 # --------------------------------------------------------------------------
-# words against spirals
+# the closed form against words and spirals
 # --------------------------------------------------------------------------
 
 PAIRS = (("b", "b"), ("a", "a"), ("a", "b"))
 DEEP = WrapParams(levels=(0, 1, 2, 3, 4, 5, 6, 8, 12))
 
 
-def assert_matches_spirals(f, pairs, params):
-    """build_stage gives the (crossings, u) of oracles.spiral_stage_counts
-    on every stage of the given towers.  Returns the number of stages the
-    reference could not embed on f's grid (SpiralCollision or
-    NonEmbeddableInput), which it counts in place of a comparison."""
-    fs, unembedded = fs_hom_ranks(f), 0
+def assert_matches_oracles(f, pairs, params, fs=None):
+    """build_stage gives the crossings of oracles.word_stage_count and the
+    (crossings, u) of oracles.spiral_stage_counts on every stage of the
+    given towers.  Returns the number of stages the spiral reference could
+    not embed on f's grid (SpiralCollision or NonEmbeddableInput), which it
+    counts in place of that comparison."""
+    fs, unembedded = fs or fs_hom_ranks(f), 0
     for x, y in pairs:
         cx, cy = tower_crits(f, x, y)
         for m in params.levels:
             s = build_stage(f, cx, cy, m, fs)
+            assert s.crossings == oracles.word_stage_count(f, cx, cy, m), (
+                x, y, m)
             try:
                 ref = oracles.spiral_stage_counts(f, cx, cy, m, params)
             except (SpiralCollision, NonEmbeddableInput):
@@ -156,7 +160,7 @@ def assert_matches_spirals(f, pairs, params):
 @pytest.mark.parametrize("variant", ["W0", "W1"])
 def test_stage_counts_match_spirals(variant, resolution):
     f = with_resolution(scen.full_main_fibration(variant), resolution)
-    assert assert_matches_spirals(f, PAIRS, DEEP) == 0
+    assert assert_matches_oracles(f, PAIRS, DEEP) == 0
 
 
 def on_ray(c, angle):
@@ -196,7 +200,8 @@ def random_main(rng, resolution):
         try:
             for c in crits:
                 c.path.validate(disc)
-            f.boundary_word
+            if any(is_violation for is_violation, _ in f.path_findings):
+                continue
         except LefbenchError:
             continue
         delta = BEND + (gap - BEND) * Q(rng.randrange(1, 10), 10)
@@ -212,7 +217,7 @@ def test_stage_counts_match_spirals_on_random_fibrations(resolution):
     unembedded = 0
     for seed in range(40):
         f, pairs, params = random_main(random.Random(seed), resolution)
-        unembedded += assert_matches_spirals(f, pairs, params)
+        unembedded += assert_matches_oracles(f, pairs, params)
     assert (unembedded > 0) == (resolution == 16)
 
 
@@ -235,9 +240,9 @@ def test_shared_boundary_end_is_ordered_by_last_segments(b_y, order, mixed):
     # b's source is not radial, so a:a and a:b are the towers; a copy of a
     # passes b at the shared end at once when b follows a there
     f = tied_main(Pt(Q(0), b_y))
-    assert "".join(p for _, p in f.boundary_word) == order
+    assert "".join(p for _, p in oracles.boundary_turn(f)) == order
     params = WrapParams(levels=tuple(range(5)))
-    assert assert_matches_spirals(f, PAIRS[1:], params) == 0
+    assert assert_matches_oracles(f, PAIRS[1:], params) == 0
     fs = fs_hom_ranks(f)
     for m in params.levels:
         assert _build(f, "a", "a", m, fs).count == 2 * m + 1
@@ -259,6 +264,54 @@ def test_paths_that_are_no_cut_system_are_refused():
     with pytest.raises(LefbenchError, match="^vanishing paths of 'a' and 'b'"
                        r" cross 1 time\(s\) in minimal position"):
         _build(f, "b", "b", 1, fs_hom_ranks(f))
+
+
+# directed ranks that no stage below can contradict: the unit alone at the
+# certified self-levels, and no mixed rank
+UNIT_ONLY = FsHomRanks(hom_bb=1, hom_ab=0, hom_b1b=1)
+
+
+def test_three_cuts_with_a_tie():
+    # tied_main with c on the ray of angle 1/2 as a third cut: b is tied
+    # after a at angle 0, so a's copy crosses b once more than c
+    f = tied_main(Pt(Q(0), Q(1, 2)))
+    disc = DiscModel(f.disc.punctures + (("c", Pt(Q(-1, 2), Q(0))),))
+    f = replace(f, disc=disc, crits=(
+        Crit("a", scen.vanishing(disc, "a", 0), "A"),
+        Crit("b", scen.vanishing(disc, "b", 0), "B"),
+        Crit("c", scen.vanishing(disc, "c", Q(1, 2)), "A")))
+    assert "".join(p for _, p in oracles.boundary_turn(f)) == "abc"
+    pairs = [(x, y) for x in "ac" for y in "abc"]
+    params = WrapParams(levels=tuple(range(5)))
+    assert assert_matches_oracles(f, pairs, params, UNIT_ONLY) == 0
+    for m in params.levels:
+        assert [_build(f, x, y, m, UNIT_ONLY).crossings
+                for x, y in pairs] == [m, m + 1, m, m, m, m]
+
+
+def test_lone_cut_stages_hold_only_u():
+    # every letter of the copy's word is a half-bigon at its own puncture
+    disc = DiscModel((("a", Pt(Q(1, 2), Q(0))),))
+    f = replace(scen.full_main_fibration("W1"), disc=disc,
+                crits=(Crit("a", scen.vanishing(disc, "a", 0), "A"),),
+                reference_angle=BoundaryAngle(Q(0)))
+    assert assert_matches_oracles(f, [("a", "a")], DEEP, UNIT_ONLY) == 0
+    for m in DEEP.levels:
+        assert inventory(_build(f, "a", "a", m, UNIT_ONLY)) == (0, 0, 1)
+
+
+def test_deep_stage_allocates_nothing_that_grows_with_the_level():
+    f = scen.full_main_fibration("W1")
+    cx, cy, fs = *tower_crits(f, "a", "b"), fs_hom_ranks(f)
+    build_stage(f, cx, cy, 0, fs)      # the fibration's pair check, once
+    tracemalloc.start()
+    try:
+        s = build_stage(f, cx, cy, 10 ** 6, fs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert s.count == 2 * 10 ** 6
+    assert peak < 2 ** 20
 
 
 # --------------------------------------------------------------------------
