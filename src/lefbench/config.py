@@ -49,7 +49,7 @@ from pathlib import Path
 
 from .disc import BoundaryAngle, DiscModel, PlanarArc, Puncture
 from .errors import ConfigError, LefbenchError
-from .exactgeom import Pt, homog, min_angular_gap
+from .exactgeom import Hpt, Pt, min_angular_gap, reduced
 from .fibration import (AbstractFiber, Crit, Fibration, HomologyTable,
                         MatchingObject, TotalSpaceFiber)
 from .oracle import (DisjointFact, FiberOracle, IsotopicFact, LabelDecl,
@@ -125,27 +125,35 @@ def _split_sections(text: str, source: str) -> list[_Section]:
     return sections
 
 
-def _rational(token: str, loc: str) -> Fraction:
+def _ratio(token: str, loc: str) -> tuple[int, int]:
+    """The integers p and q > 0 of a rational token p/q (q = 1 alone)."""
     if not _RATIONAL.fullmatch(token):
         raise ConfigError(
             f"{loc}: {token!r} is not an exact rational (use p/q integers;"
             " no floating point)")
-    try:
-        return Fraction(token)
-    except ZeroDivisionError:
-        raise ConfigError(f"{loc}: zero denominator in {token!r}") from None
+    num, _, den = token.partition("/")
+    q = int(den or 1)
+    if not q:
+        raise ConfigError(f"{loc}: zero denominator in {token!r}")
+    return int(num), q
 
 
-def _point(tokens: list[str], loc: str) -> Pt:
+def _rational(token: str, loc: str) -> Fraction:
+    return Fraction(*_ratio(token, loc))
+
+
+def _hpoint(tokens: list[str], loc: str) -> Hpt:
+    """The reduced triple of a point 'x y' (exactgeom.homog of it)."""
     if len(tokens) != 2:
         raise ConfigError(f"{loc}: a point is two rationals 'x y'")
-    return Pt(_rational(tokens[0], loc), _rational(tokens[1], loc))
+    (p, q), (r, s) = _ratio(tokens[0], loc), _ratio(tokens[1], loc)
+    return reduced(p * s, r * q, q * s)
 
 
-def _points(text: str, loc: str) -> tuple[Pt, ...]:
+def _hpoints(text: str, loc: str) -> tuple[Hpt, ...]:
     if not text.strip():
         return ()
-    return tuple(_point(part.split(), loc) for part in text.split(";"))
+    return tuple(_hpoint(part.split(), loc) for part in text.split(";"))
 
 
 def _provenance(value: str, loc: str) -> tuple[str, Provenance]:
@@ -193,7 +201,8 @@ def _parse_disc(sec: _Section, source: str) -> DiscModel:
         loc = f"{source}:{no}"
         words = key.split()
         if words[0] == "puncture" and len(words) == 2:
-            punctures.append((words[1], _point(value.split(), loc)))
+            x, y, w = _hpoint(value.split(), loc)
+            punctures.append((words[1], Pt(Fraction(x, w), Fraction(y, w))))
         elif key == "resolution":
             resolution = _int(value, loc)
         else:
@@ -244,7 +253,7 @@ class _RawFibration:
     disc: str | None = None
     fiber: str | None = None                 # "name" or "total-space name"
     reference_angle: Fraction | None = None
-    crits: list[tuple[int, str, str, Fraction, tuple[Pt, ...]]] = \
+    crits: list[tuple[int, str, str, Fraction, tuple[Hpt, ...]]] = \
         field(default_factory=list)          # (line, puncture, label, angle, mids)
 
 
@@ -265,7 +274,7 @@ def _parse_fibration(sec: _Section, source: str) -> _RawFibration:
                 raise ConfigError(
                     f"{loc}: crit value is 'LABEL | ANGLE' with optional"
                     " '| mid points'")
-            mids = _points(parts[2], loc) if len(parts) == 3 else ()
+            mids = _hpoints(parts[2], loc) if len(parts) == 3 else ()
             raw.crits.append((no, words[1], parts[0],
                               _rational(parts[1], loc), mids))
         else:
@@ -283,7 +292,7 @@ def _parse_fibration(sec: _Section, source: str) -> _RawFibration:
 
 
 def _parse_objects(sec: _Section, source: str) \
-        -> list[tuple[int, str, str, tuple[str, ...], tuple[Pt, ...]]]:
+        -> list[tuple[int, str, str, tuple[str, ...], tuple[Hpt, ...]]]:
     """Raw object rows: (line, kind, name, anchors, mids)."""
     rows = []
     for no, key, value in sec.lines:
@@ -299,7 +308,7 @@ def _parse_objects(sec: _Section, source: str) \
                 raise ConfigError(
                     f"{loc}: matching value is 'P Q' with optional"
                     " '| mid points'")
-            mids = _points(parts[1], loc) if len(parts) == 2 else ()
+            mids = _hpoints(parts[1], loc) if len(parts) == 2 else ()
         else:
             words = value.split()
             if len(words) != 2 or words[0] != "crit":
@@ -528,7 +537,7 @@ def _build_fibration(raw, discs, fibers, built, raw_objects, oracles,
         except LefbenchError as e:
             raise _located(cloc, e) from None
         end = BoundaryAngle(angle)
-        path = PlanarArc((start, *map(homog, mids), end.hpoint),
+        path = PlanarArc((start, *mids, end.hpoint),
                          Puncture(punc), end)
         crits.append(Crit(punc, path, label))
     by_puncture = {c.puncture: c for c in crits}
@@ -548,7 +557,7 @@ def _build_fibration(raw, discs, fibers, built, raw_objects, oracles,
                                           crit.cycle_label))
             continue
         p, q = anchors
-        arc = PlanarArc((disc.hpoint_of(p), *map(homog, mids),
+        arc = PlanarArc((disc.hpoint_of(p), *mids,
                          disc.hpoint_of(q)), Puncture(p), Puncture(q))
         objects.append(MatchingObject(name, arc, by_puncture[p].cycle_label,
                                       by_puncture[q].cycle_label))

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .errors import LefbenchError, NonEmbeddableInput
 from .exactgeom import (Hpt, Pt, Q, angle_norm, box_pairs, circle_hpoint,
-                        homog, norm2, orient, point_on_segment, reduced,
+                        homog, orient, point_on_segment, reduced,
                         segment_box, segments_overlap_collinear)
 
 
@@ -56,14 +56,15 @@ class DiscModel:
     boundary_resolution: int = 16
 
     def __post_init__(self):
-        pts = set()
-        for name, p in self.punctures:
-            if p in pts:
+        seen = set()
+        for (name, p), hp in zip(self.punctures, self.hpoints):
+            if hp in seen:
                 raise LefbenchError(f"coincident punctures at {p}")
-            if norm2(p) >= 1:
+            x, y, w = hp
+            if x * x + y * y >= w * w:
                 raise LefbenchError(
                     f"puncture {name!r} at {p} is not strictly inside the unit circle")
-            pts.add(p)
+            seen.add(hp)
         if self.boundary_resolution < 1:
             raise LefbenchError("boundary_resolution must be a positive integer")
 

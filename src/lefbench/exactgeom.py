@@ -48,10 +48,6 @@ class Pt(NamedTuple):
         return f"({self.x}, {self.y})"
 
 
-def norm2(a: Pt) -> Fraction:
-    return a.x * a.x + a.y * a.y
-
-
 # homogeneous integer point (X, Y, W), W > 0: the point (X/W, Y/W)
 Hpt = tuple[int, int, int]
 

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 from .disc import BoundaryAngle, DiscModel, PlanarArc
 from .errors import (Inconsistent, LefbenchError, MissingClass,
                      SharedBoundaryEndpoint, UnresolvedSign)
-from .exactgeom import orient
+from .exactgeom import box_pairs, orient
 from .minpos import compute_crossings, intersection_profile
 from .snf import SmithForm, smith_form
 
@@ -251,8 +251,21 @@ class Fibration:
         """(violation?, text) of each pair of vanishing paths, in pair
         order (_check_disjoint_paths), derived on first read: validate
         reports them all, and a tower stage refuses the first violation,
-        so that the cut disc is one disc."""
-        return tuple(found for ci, cj in combinations(self.crits, 2)
+        so that the cut disc is one disc.
+
+        One exactgeom.box_pairs sweep over the segments of all the paths
+        picks the pairs that are checked: those with segment boxes that
+        meet, and those with a path that is no legal arc.  Any other pair
+        is two legal arcs with no common point (a shared end would make
+        two boxes meet), hence nothing to find."""
+        paths = [c.path for c in self.crits]
+        owner = [i for i, p in enumerate(paths) for _ in p.boxes]
+        near = {(owner[s], owner[t]) for s, t in
+                box_pairs([box for p in paths for box in p.boxes])}
+        bad = {i for i, p in enumerate(paths) if not _legal(p, self.disc)}
+        return tuple(found for (i, ci), (j, cj)
+                     in combinations(enumerate(self.crits), 2)
+                     if (i, j) in near or i in bad or j in bad
                      for found in _check_disjoint_paths(self, ci, cj))
 
 
@@ -332,6 +345,14 @@ def validate(f: Fibration) -> ValidationReport:
         notes.extend(inner.notes)
 
     return ValidationReport(tuple(violations), tuple(notes))
+
+
+def _legal(path: PlanarArc, disc: DiscModel) -> bool:
+    try:
+        path.validate(disc)
+    except LefbenchError:
+        return False
+    return True
 
 
 def _check_disjoint_paths(f: Fibration, ci: Crit, cj: Crit

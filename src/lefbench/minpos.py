@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .disc import DiscModel, PlanarArc, Puncture
+from .disc import BoundaryAngle, DiscModel, PlanarArc, Puncture
 from .errors import DegenerateTangency, SharedBoundaryEndpoint
 from .exactgeom import (Hpt, box_pairs_between, segment_crossing,
                         segments_overlap_collinear, winding_number)
@@ -121,10 +121,13 @@ def compute_crossings(a: PlanarArc, b: PlanarArc) -> list[ArcCrossing]:
 
 
 def _check_boundary_endpoints(a: PlanarArc, b: PlanarArc) -> None:
-    common = a.boundary_angles() & b.boundary_angles()
+    ends = b.endpoints()
+    common = {e.angle for e in a.endpoints()
+              if isinstance(e, BoundaryAngle) and e in ends}
     if common:
         raise SharedBoundaryEndpoint(
-            f"arcs share boundary endpoint angle(s) {sorted(common)}")
+            "arcs share boundary endpoint angle(s) "
+            + ", ".join(map(str, sorted(common))))
 
 
 # --------------------------------------------------------------------------

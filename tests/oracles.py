@@ -13,9 +13,10 @@ every segment pair with those predicates, so that a comparison isolates
 both the pruning and the integer arithmetic; the lens test; and the bigon
 surgery that reroutes one arc across each lens, with each surgery checked
 over the whole pair: the geometric reference for the library's reduction
-of the crossing list; and a tower stage counted on its wrapped spiral and
-on its word in the cuts, the references for the library's closed-form
-count.
+of the crossing list; a tower stage counted on its wrapped spiral and on
+its word in the cuts, the references for the library's closed-form count;
+and the check of every pair of vanishing paths, the reference for the
+library's box sweep over them.
 """
 
 from __future__ import annotations
@@ -23,11 +24,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import dropwhile, takewhile
+from itertools import combinations, dropwhile, takewhile
 from typing import NamedTuple
 
 # the Fraction point type, for the Fraction predicates
-from lefbench.exactgeom import Pt, norm2
+from lefbench.exactgeom import Pt
 
 
 class GenericityError(AssertionError):
@@ -536,16 +537,16 @@ def segment_crossing(a1: Pt, a2: Pt, b1: Pt, b2: Pt,
 def segment_point_dist2(p: Pt, a: Pt, b: Pt) -> Fraction:
     """Exact squared distance from p to the closed segment [a, b]."""
     d = sub(b, a)
-    dd = norm2(d)
+    dd = dot(d, d)
     if dd == 0:
-        return norm2(sub(p, a))
+        return dot(sub(p, a), sub(p, a))
     t = dot(sub(p, a), d) / dd
     if t <= 0:
-        return norm2(sub(p, a))
+        return dot(sub(p, a), sub(p, a))
     if t >= 1:
-        return norm2(sub(p, b))
-    q = Pt(a.x + t * d.x, a.y + t * d.y)
-    return norm2(sub(p, q))
+        return dot(sub(p, b), sub(p, b))
+    q = sub(p, Pt(a.x + t * d.x, a.y + t * d.y))
+    return dot(q, q)
 
 
 def _closed_segments_touch(a1: Pt, a2: Pt, b1: Pt, b2: Pt) -> bool:
@@ -805,7 +806,7 @@ def _arc_embedded(arc) -> bool:
 def _vertices_legal(pts: list[Pt], disc) -> bool:
     """The vertices lie strictly inside the unit circle and no segment
     between consecutive ones passes through a puncture."""
-    return (all(norm2(v) < 1 for v in pts)
+    return (all(dot(v, v) < 1 for v in pts)
             and not any(point_on_segment(p, a, b) for _, p in disc.punctures
                         for a, b in zip(pts, pts[1:])))
 
@@ -937,3 +938,16 @@ def word_stage_count(f, cx, cy, m):
                                      turn[i + 1:])]
     return list(dropwhile(lambda p: p == cx.puncture, word)).count(
         cy.puncture)
+
+
+# ---------------------------------------------------------------------------
+# vanishing-path pairs
+# ---------------------------------------------------------------------------
+
+def all_pairs_path_findings(f):
+    """Fibration.path_findings by the route it took before its box sweep:
+    every pair of vanishing paths reduced to minimal position, in pair
+    order."""
+    from lefbench.fibration import _check_disjoint_paths
+    return tuple(found for ci, cj in combinations(f.crits, 2)
+                 for found in _check_disjoint_paths(f, ci, cj))

@@ -298,11 +298,11 @@ def test_hw_derives_each_quantity_once(monkeypatch, tmp_path, capsys):
         # distinct (arc, disc), however often the arc is validated
         pairs = {(id(arc), id(disc)) for arc, disc in checked}
         assert len(pairs) == len(checked) <= len(validated)
-        # no surgeries: one crossing search per rank, and one per pair of
-        # vanishing paths, which validate and the tower stages both read:
-        # hw checks the main fibration's pair, all both fibrations' four
+        # no surgeries: one crossing search per rank, and none on the
+        # vanishing paths, whose segment boxes are apart in both
+        # fibrations (Fibration.path_findings)
         assert len(stages) == 3 * 4 and ranks
-        assert len(crossings) == len(ranks) + (1 if argv[0] == "hw" else 4)
+        assert len(crossings) == len(ranks)
         if argv[0] == "all":
             assert len(checked) < len(validated)
 
@@ -615,6 +615,22 @@ def test_hw_refuses_crossing_vanishing_paths(tmp_path, capsys):
         "error[LefbenchError]: vanishing paths of 'a' and 'b' cross 1"
         " time(s) in minimal position; a tower stage is counted on disjoint"
         " vanishing paths\n"))
+
+
+@pytest.mark.parametrize("command", ["floer-ranks", "hw"])
+def test_shared_boundary_end_prints_its_angle(command, tmp_path, capsys):
+    # both crits carry the thimble L, whose path ends at angle 3/4; the
+    # rank of L against itself compares that path with itself
+    text = Path(shipped("W0.cfg")).read_text()
+    cfg = tmp_path / "thimbles.cfg"
+    cfg.write_text(text.replace("crit a = A | 1/2", "crit a = L | 1/2")
+                   .replace("crit b = B | 0", "crit b = L | 0")
+                   .replace("[oracle main-W0]\n",
+                            "[oracle main-W0]\nrank L L = 2 !cited s\n"))
+    assert main([command, str(cfg)]) == 1
+    assert capsys.readouterr() == ("", (
+        "error[SharedBoundaryEndpoint]: arcs share boundary endpoint"
+        " angle(s) 3/4\n"))
 
 
 @pytest.mark.parametrize("edit, line, degree", [

@@ -8,12 +8,13 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import scen
 from lefbench.cli import run_command
-from lefbench.config import load_config, parse_config
+from lefbench.config import _hpoint, _rational, load_config, parse_config
 from lefbench.errors import ConfigError, Inconsistent, LefbenchError
-from lefbench.exactgeom import homog
+from lefbench.exactgeom import Pt, homog
 from lefbench.fibration import TotalSpaceFiber
 from lefbench.wrapping import WrapParams
 
@@ -136,6 +137,43 @@ def test_zero_denominator():
         [disc d]
         puncture p = 1/0 0
         """, "zero denominator", lineno=2)
+
+
+# a rational token: a sign, leading zeros, and a numerator over an optional
+# nonzero denominator, up to 40 digits each
+RATIONAL_TOKENS = st.builds(
+    lambda sign, zeros, p, q: f"{sign}{'0' * zeros}{p}"
+    + ("" if q is None else f"/{q}"),
+    st.sampled_from(["", "+", "-"]), st.integers(0, 2),
+    st.integers(0, 10 ** 40), st.none() | st.integers(1, 10 ** 40))
+
+
+@given(RATIONAL_TOKENS, RATIONAL_TOKENS)
+@example("-0", "6/4")
+@example("-12/8", "+0/7")
+def test_rationals_parse_on_integers(x, y):
+    assert _rational(x, "c:1") == Q(x)
+    assert type(_rational(x, "c:1")) is Q
+    assert _hpoint([x, y], "c:1") == homog(Pt(Q(x), Q(y)))
+
+
+@pytest.mark.parametrize("token, message", [
+    ("1/0", "zero denominator in '1/0'"),
+    ("-0/0", "zero denominator in '-0/0'"),
+    ("0.5", "'0.5' is not an exact rational (use p/q integers; no floating"
+     " point)"),
+    ("1e3", "'1e3' is not an exact rational (use p/q integers; no floating"
+     " point)"),
+    ("--1", "'--1' is not an exact rational (use p/q integers; no floating"
+     " point)"),
+])
+def test_bad_rationals_keep_their_messages(token, message):
+    for parse in (lambda: _rational(token, "c:1"),
+                  lambda: _hpoint([token, "0"], "c:1"),
+                  lambda: _hpoint(["0", token], "c:1")):
+        with pytest.raises(ConfigError) as e:
+            parse()
+        assert str(e.value) == f"c:1: {message}"
 
 
 def test_unknown_section_kind():

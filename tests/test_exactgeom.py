@@ -14,7 +14,7 @@ import oracles
 from lefbench.config import load_config
 from lefbench.disc import _closed_segments_touch
 from lefbench.exactgeom import (Pt, _shift_sign, box_pairs, box_pairs_between,
-                                circle_hpoint, homog, min_angular_gap, norm2,
+                                circle_hpoint, homog, min_angular_gap,
                                 orient, point_on_segment,
                                 segment_box, segment_crossing,
                                 segment_near_origin,
@@ -67,7 +67,8 @@ rational_angles = st.fractions(min_value=0, max_value=1, max_denominator=512).fi
 
 @given(rational_angles)
 def test_circle_point_on_unit_circle(tau):
-    assert norm2(circle_point(tau)) == 1
+    x, y, w = homog(circle_point(tau))
+    assert x * x + y * y == w * w
 
 
 @given(st.lists(rational_angles, min_size=3, max_size=3, unique=True))
@@ -359,7 +360,7 @@ def test_integer_predicates_agree_on_spiral_segments(resolution):
 def test_spiral_chord_check_agrees_with_distance(resolution):
     f, spirals = w1_spirals(resolution)
     origin = pt(0, 0)
-    max_punct = max(norm2(p) for _, p in f.disc.punctures)
+    max_punct = max(Q(x * x + y * y, w * w) for x, y, w in f.disc.hpoints)
     for spiral in spirals:
         vs = spiral.vertices[1:-1]
         hs = h(*vs)

@@ -1,24 +1,29 @@
 """Fibration schema, validation, and handle-attachment homology."""
 
 import itertools
+import random
 from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
 
+from lefbench import fibration, minpos
 from lefbench.disc import BoundaryAngle, DiscModel, Puncture
 from lefbench.errors import (Inconsistent, LefbenchError, MissingClass,
                              UnresolvedSign)
+from lefbench.exactgeom import box_pairs_between
 from lefbench.fibration import (AbstractFiber, Crit, Fibration, HomologyTable,
                                 MatchingObject, TotalSpaceFiber,
                                 matching_cycle_class, total_space_homology,
                                 validate)
+from lefbench.minpos import compute_crossings
 from lefbench.rank_calculus import FsHomRanks
 from lefbench.tower import build_stage
 
-from oracles import attachment_homology, sympy_integer_inverse
+from oracles import (all_pairs_path_findings, attachment_homology,
+                     sympy_integer_inverse)
 from scen import (arc_through, aux_fibration, circle_fiber, empty_fibration,
-                  main_fibration, matching, point_of, pt, sphere_fiber,
+                  fan, main_fibration, matching, point_of, pt, sphere_fiber,
                   ts3_fibration, vanishing)
 
 
@@ -191,6 +196,66 @@ def test_bifibration_validation_recurses():
                     f.reference_angle)
     report = validate(bad)
     assert any("ghost" in v for v in report.violations)
+
+
+@pytest.mark.parametrize("n", range(3, 17))
+def test_path_findings_match_all_pairs_on_fans(n):
+    for seed in range(4):
+        f = fan(random.Random(seed), n)
+        assert f.path_findings == all_pairs_path_findings(f)
+
+
+def _two_paths(a, b, reference):
+    f = ts3_fibration()
+    return Fibration(f.name, f.disc, f.fiber, (Crit("a", a, "zs"),
+                                                Crit("b", b, "zs")),
+                     BoundaryAngle(Q(reference)))
+
+
+def test_path_findings_match_all_pairs_on_special_pairs():
+    disc = ts3_fibration().disc
+    a, b = vanishing(disc, "a", Q(1, 2)), vanishing(disc, "b", Q(0))
+    cases = [
+        # a's path starts with a zero-length segment; its box and b's are
+        # apart, so the pair is checked because a is no legal arc
+        (_two_paths(vanishing(disc, "a", Q(1, 2), point_of(disc, "a")), b,
+                    0),
+         (True, "vanishing paths of 'a' and 'b': zero-length segment at"
+          " vertex 0")),
+        (_two_paths(vanishing(disc, "a", Q(0), pt(0, Q(3, 4))), b, 0),
+         (False, "vanishing paths of 'a' and 'b' share the reference"
+          " endpoint")),
+        (_two_paths(vanishing(disc, "a", Q(0), pt(0, Q(3, 4))), b, Q(1, 2)),
+         (True, "vanishing paths of 'a' and 'b' share a non-reference"
+          " boundary endpoint")),
+        (_two_paths(a, vanishing(disc, "b", Q(5, 8), pt(0, Q(1, 2)),
+                                 pt(Q(-3, 4), Q(1, 4)),
+                                 pt(Q(-1, 2), Q(-1, 4))), 0),
+         (True, "vanishing paths of 'a' and 'b' cross 1 time(s) in minimal"
+          " position")),
+    ]
+    for f, finding in cases:
+        assert f.path_findings == all_pairs_path_findings(f)
+        assert finding in f.path_findings
+
+
+def test_validate_searches_crossings_only_where_boxes_meet(monkeypatch):
+    # pairs of a fan's legal paths whose boxes are apart are disjoint, and
+    # a shared boundary end is refused before any search
+    f = fan(random.Random(0), 16)
+    searched = []
+
+    def counted(a, b):
+        searched.append((a, b))
+        return compute_crossings(a, b)
+    monkeypatch.setattr(minpos, "compute_crossings", counted)
+    monkeypatch.setattr(fibration, "compute_crossings", counted)
+    validate(f)
+    paths = [c.path for c in f.crits]
+    near = [(a, b) for a, b in itertools.combinations(paths, 2)
+            if any(box_pairs_between(a.boxes, b.boxes)) and a.end != b.end]
+    assert 0 < len(near) < len(paths) * (len(paths) - 1) // 2
+    assert searched == near
 
 
 # --------------------------------------------------------------------------

@@ -173,33 +173,43 @@ def _fraction(rng, lo, hi):
     return lo + (hi - lo) * Q(rng.randrange(1, 40), 40)
 
 
-def random_main(rng, resolution):
+def draw_main(rng, resolution):
     """A two-crit variant of W1's main fibration on random rays, with a
-    random reference angle and delta: b's vanishing path runs straight out
-    along its ray, and a's does too or, half the time, leaves from a point
-    off its ray with a dogleg (then a:a is no tower).  Draws again until
-    the paths are legal and disjoint."""
-    base = scen.full_main_fibration("W1")
+    random reference angle: b's vanishing path runs straight out along its
+    ray, and a's does too or, half the time, leaves from a point off its
+    ray with a dogleg.  The paths may be illegal or cross.  Returns
+    (fibration, dogleg?, least gap between the three angles), or None when
+    the angles of a and b are one or the gap is no more than BEND."""
+    ta, tb, ref = (Q(rng.randrange(120), 120) for _ in range(3))
+    gap = min_angular_gap([ta, tb, ref])
+    if ta == tb or gap <= BEND:
+        return None
+    dogleg = rng.random() < 0.5
+    a_ray = Q(rng.randrange(120), 120) if dogleg else ta
+    disc = DiscModel(
+        (("a", on_ray(_fraction(rng, Q(1, 10), Q(4, 5)), a_ray)),
+         ("b", on_ray(_fraction(rng, Q(1, 10), Q(4, 5)), tb))),
+        resolution)
+    mid = ((on_ray(_fraction(rng, Q(1, 2), Q(9, 10)), ta),) if dogleg
+           else ())
+    crits = (Crit("a", scen.vanishing(disc, "a", ta, *mid), "A"),
+             Crit("b", scen.vanishing(disc, "b", tb), "B"))
+    return (replace(scen.full_main_fibration("W1"), disc=disc, crits=crits,
+                    reference_angle=BoundaryAngle(ref)), dogleg, gap)
+
+
+def random_main(rng, resolution):
+    """A fibration of draw_main with a random delta and its towers (a:a is
+    none when a's path has a dogleg).  Draws again until the paths are
+    legal and disjoint."""
     while True:
-        ta, tb, ref = (Q(rng.randrange(120), 120) for _ in range(3))
-        gap = min_angular_gap([ta, tb, ref])
-        if ta == tb or gap <= BEND:
+        drawn = draw_main(rng, resolution)
+        if drawn is None:
             continue
-        dogleg = rng.random() < 0.5
-        a_ray = Q(rng.randrange(120), 120) if dogleg else ta
-        disc = DiscModel(
-            (("a", on_ray(_fraction(rng, Q(1, 10), Q(4, 5)), a_ray)),
-             ("b", on_ray(_fraction(rng, Q(1, 10), Q(4, 5)), tb))),
-            resolution)
-        mid = ((on_ray(_fraction(rng, Q(1, 2), Q(9, 10)), ta),) if dogleg
-               else ())
-        crits = (Crit("a", scen.vanishing(disc, "a", ta, *mid), "A"),
-                 Crit("b", scen.vanishing(disc, "b", tb), "B"))
-        f = replace(base, disc=disc, crits=crits,
-                    reference_angle=BoundaryAngle(ref))
+        f, dogleg, gap = drawn
         try:
-            for c in crits:
-                c.path.validate(disc)
+            for c in f.crits:
+                c.path.validate(f.disc)
             if any(is_violation for is_violation, _ in f.path_findings):
                 continue
         except LefbenchError:
@@ -219,6 +229,16 @@ def test_stage_counts_match_spirals_on_random_fibrations(resolution):
         f, pairs, params = random_main(random.Random(seed), resolution)
         unembedded += assert_matches_oracles(f, pairs, params)
     assert (unembedded > 0) == (resolution == 16)
+
+
+def test_path_findings_match_all_pairs_on_random_fibrations():
+    rng = random.Random(0)
+    drawn = [d for d in (draw_main(rng, 16) for _ in range(200)) if d]
+    findings = set()
+    for f, _, _ in drawn:
+        assert f.path_findings == oracles.all_pairs_path_findings(f)
+        findings.update(f.path_findings)
+    assert any(is_violation for is_violation, _ in findings)
 
 
 def tied_main(b_point, *mid):
