@@ -135,7 +135,8 @@ def _section_trace(r: Report, out: ScenarioRanks) -> None:
 
 def _render_svgs(cfg: ScenarioConfig, outdir: str) -> list[str]:
     """Write the discs and a diagram per stage, its spiral wrapped and
-    checked here: no tower stage builds one."""
+    checked here (no tower stage builds one): wrap's proof settles the
+    check, or it runs in full, so a grid too coarse ends in its error."""
     f = cfg.fibration
     files = list(diagram_files(f))
     for x, y in cfg.towers:

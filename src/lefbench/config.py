@@ -43,6 +43,7 @@ path of its critical value.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -132,10 +133,13 @@ def _ratio(token: str, loc: str) -> tuple[int, int]:
             f"{loc}: {token!r} is not an exact rational (use p/q integers;"
             " no floating point)")
     num, _, den = token.partition("/")
-    q = int(den or 1)
+    try:
+        p, q = int(num), int(den or 1)
+    except ValueError:
+        raise _overlong(token, loc) from None
     if not q:
         raise ConfigError(f"{loc}: zero denominator in {token!r}")
-    return int(num), q
+    return p, q
 
 
 def _rational(token: str, loc: str) -> Fraction:
@@ -173,7 +177,17 @@ def _provenance(value: str, loc: str) -> tuple[str, Provenance]:
 def _int(token: str, loc: str) -> int:
     if not re.fullmatch(r"[+-]?\d+", token):
         raise ConfigError(f"{loc}: {token!r} is not an integer")
-    return int(token)
+    try:
+        return int(token)
+    except ValueError:
+        raise _overlong(token, loc) from None
+
+
+def _overlong(token: str, loc: str) -> ConfigError:
+    """The error for a token with a part beyond int()'s digit limit."""
+    digits = max(len(part.lstrip("+-")) for part in token.split("/"))
+    return ConfigError(f"{loc}: a number of {digits} digits is beyond the"
+                       f" limit of {sys.get_int_max_str_digits()} digits")
 
 
 def _located(loc: str, err: LefbenchError) -> LefbenchError:

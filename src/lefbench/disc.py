@@ -134,6 +134,14 @@ class PlanarArc:
         self._check(disc)
         self.__dict__["_valid_in"] = disc
 
+    def is_legal(self, disc: DiscModel) -> bool:
+        """Whether validate passes."""
+        try:
+            self.validate(disc)
+        except LefbenchError:
+            return False
+        return True
+
     def _check(self, disc: DiscModel) -> None:
         hs = self.hverts
         if len(hs) < 2:

@@ -39,6 +39,10 @@ class SpiralCollision(LefbenchError):
     """The annulus chosen for a wrapping spiral is not clear of punctures."""
 
 
+class SpiralTooLong(LefbenchError):
+    """A wrapping spiral would have more vertices than wrap builds."""
+
+
 # ---- fibration model -------------------------------------------------------
 
 class MissingClass(LefbenchError):

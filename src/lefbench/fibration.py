@@ -262,7 +262,7 @@ class Fibration:
         owner = [i for i, p in enumerate(paths) for _ in p.boxes]
         near = {(owner[s], owner[t]) for s, t in
                 box_pairs([box for p in paths for box in p.boxes])}
-        bad = {i for i, p in enumerate(paths) if not _legal(p, self.disc)}
+        bad = {i for i, p in enumerate(paths) if not p.is_legal(self.disc)}
         return tuple(found for (i, ci), (j, cj)
                      in combinations(enumerate(self.crits), 2)
                      if (i, j) in near or i in bad or j in bad
@@ -345,14 +345,6 @@ def validate(f: Fibration) -> ValidationReport:
         notes.extend(inner.notes)
 
     return ValidationReport(tuple(violations), tuple(notes))
-
-
-def _legal(path: PlanarArc, disc: DiscModel) -> bool:
-    try:
-        path.validate(disc)
-    except LefbenchError:
-        return False
-    return True
 
 
 def _check_disjoint_paths(f: Fibration, ci: Crit, cj: Crit

@@ -4,7 +4,8 @@ transforms are needed.  Coordinates come from the homogeneous integer
 points of arcs and punctures: x / w is correctly rounded, as float() of the
 Fraction x/w is, so the printed digits do not depend on the form of the
 point.  Drawing only: stage_svg draws a spiral its caller has wrapped and
-checked."""
+checked (cli._render_svgs), a check that wrap's linear-time proof of the
+spiral usually settles."""
 
 from __future__ import annotations
 

@@ -27,26 +27,42 @@ builds no Fraction point.  What depends only on the source arc and the disc
 (its boundary angle, the annulus entry radius and the largest squared
 puncture radius) is derived once per (arc, disc).
 
-wrap guards the annulus against punctures but does not validate the spiral
-it returns.  Tower stages count in closed form and wrap nothing; the stage
-diagrams of ``render`` and ``all --svg`` wrap each spiral (cli._render_svgs,
-bent on a self-tower) and check it once before drawing it, so there a
-coarse boundary grid ends in NonEmbeddableInput.
+wrap refuses a spiral of more than VERTEX_BUDGET vertices before it builds
+one (SpiralTooLong).  It proves the arc it returns legal in disc, in linear
+time, and records the pass as PlanarArc.validate does; where the proof
+fails, validate runs the full check.  A chord clear of the punctures spans
+under half a turn (one that spans half passes through the origin:
+circle_hpoint turns by pi per half turn), so it lies in the convex wedge of
+its rays.  Past the first vertex every vertex lies on the ray grid a0 +
+half + 2 half k, and a turn is res grid steps, so each chord but the first
+and the last spans one grid wedge.  There the chords of later turns lie
+strictly farther out on both rays (over (O, P1, P2) their coordinate sum
+exceeds 1), and chords of different wedges meet only on a shared ray, at
+different radii.  Tested exactly: the source is legal; its head (within
+sqrt(s), s the largest squared radius of a puncture or source vertex before
+the boundary) meets no chord within sqrt(s); the join (head to spiral;
+bent, it passes no puncture), the first and the last chord meet no chord
+whose angle interval overlaps theirs modulo a turn, O(m) pairs.  The radial
+tail lies beyond every chord.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import ceil, lcm
 
-from .disc import BoundaryAngle, DiscModel, PlanarArc
-from .errors import LefbenchError, SpiralCollision
-from .exactgeom import (ORIGIN, Q, circle_hpoint, orient, reduced,
-                        segment_near_origin)
+from .disc import BoundaryAngle, DiscModel, PlanarArc, _closed_segments_touch
+from .errors import LefbenchError, SpiralCollision, SpiralTooLong
+from .exactgeom import (ORIGIN, Q, circle_hpoint, orient, point_on_segment,
+                        reduced, segment_near_origin,
+                        segments_overlap_collinear)
 
 # how much further on a copy bent off its shared puncture starts
 BEND = Q(1, 128)
+
+# most vertices in one spiral; the deepest tested, m = 192 at 256, has 49 000
+VERTEX_BUDGET = 250_000
 
 
 @dataclass(frozen=True)
@@ -94,7 +110,8 @@ def source_annulus(arc: PlanarArc, disc: DiscModel,
 
 def wrap(arc: PlanarArc, m: int, params: WrapParams, disc: DiscModel,
          bend: bool = False) -> PlanarArc:
-    """Unvalidated wrapped image of a radial-ended arc; see module docstring."""
+    """Wrapped image of a radial-ended arc, recorded valid in disc where
+    the wedge proof holds; see module docstring."""
     tau0, r_out, max_punct = source_annulus(arc, disc, bend)
     start = tau0 + (BEND if bend else Q(0))
     end = tau0 + m + params.delta
@@ -102,11 +119,19 @@ def wrap(arc: PlanarArc, m: int, params: WrapParams, disc: DiscModel,
     # Angles over one denominator den: start, then a half-step-shifted grid
     # (so that no spiral vertex can land exactly on a boundary ray of the
     # declared angle grid), then end.  Steps are 2 * half.
-    den = lcm(start.denominator, end.denominator, 2 * disc.boundary_resolution)
-    half = den // (2 * disc.boundary_resolution)
+    res = disc.boundary_resolution
+    den = lcm(start.denominator, end.denominator, 2 * res)
+    half = den // (2 * res)
     a0 = start.numerator * (den // start.denominator)
     a_end = end.numerator * (den // end.denominator)
-    angles = [a0, *range(a0 + half, a_end, 2 * half), a_end]
+    grid = range(a0 + half, a_end, 2 * half)
+    head = arc.hverts[:1] if bend else arc.hverts[:-1]
+    count = len(head) + len(grid) + 3
+    if count > VERTEX_BUDGET:
+        raise SpiralTooLong(
+            f"a level-{m} spiral at boundary resolution {res} needs {count}"
+            f" vertices, above the budget of {VERTEX_BUDGET}")
+    angles = [a0, *grid, a_end]
 
     # The radius climbs affinely in the angle from r_out to r_last =
     # (1 + r_out) / 2: r = (2 n span + (d - n)(a - a0)) / (2 d span) for
@@ -120,12 +145,47 @@ def wrap(arc: PlanarArc, m: int, params: WrapParams, disc: DiscModel,
         cx, cy, cw = circle_hpoint(a, den)
         spiral.append(reduced(r * cx, r * cy, r_den * cw))
 
-    for s0, s1 in zip(spiral, spiral[1:]):
-        if segment_near_origin(s0, s1, max_punct):
-            raise SpiralCollision(
-                "spiral chords dip to puncture radius;"
-                " raise the disc boundary_resolution")
+    # s of source_annulus: only chords within sqrt(s) can meet the head
+    s = 4 * r_out - 3
+    low = []
+    for i, (s0, s1) in enumerate(zip(spiral, spiral[1:])):
+        if segment_near_origin(s0, s1, s):
+            if segment_near_origin(s0, s1, max_punct):
+                raise SpiralCollision(
+                    "spiral chords dip to puncture radius;"
+                    " raise the disc boundary_resolution")
+            low.append(i)
 
     tail = BoundaryAngle(end)
-    head = arc.hverts[:1] if bend else arc.hverts[:-1]
-    return PlanarArc(head + tuple(spiral) + (tail.hpoint,), arc.start, tail)
+    out = PlanarArc(head + tuple(spiral) + (tail.hpoint,), arc.start, tail)
+    join_lo = a0 - ceil(BEND * den) if bend else a0
+    if (arc.is_legal(disc)
+            and _proved(head, spiral, angles, low, join_lo, half, res)
+            and not (bend and any(point_on_segment(p, head[0], spiral[0])
+                                  for p in disc.hpoints if p != head[0]))):
+        out.__dict__["_valid_in"] = disc     # as PlanarArc.validate records
+    return out
+
+
+def _proved(head, spiral, angles, low, join_lo: int, half: int,
+            res: int) -> bool:
+    """The pairs the wedge proof leaves open meet only at their joints: the
+    head against the chords in low, and the join, first and last chord
+    against the chords of each grid wedge that overlaps theirs (chord i in
+    a0 - half + i step .. + step, res wedges a turn): O(m) pairs."""
+    if any(_closed_segments_touch(a1, a2, spiral[i], spiral[i + 1])
+           for i in low for a1, a2 in zip(head, head[1:])):
+        return False
+    n, base, step = len(spiral) - 1, angles[0] - half, 2 * half
+    ends = {k: (spiral[k], spiral[k + 1], angles[k], angles[k + 1])
+            for k in (0, n - 1)}
+    ends[-1] = (head[-1], spiral[0], join_lo, angles[0])
+    for k, (a1, a2, p, q) in ends.items():
+        lo, hi = -((base - p) // step) - 1, (q - base) // step
+        for i in {i for w in range(lo, hi + 1) for i in range(w % res, n, res)}:
+            # consecutive segments share exactly their joint
+            meet = (segments_overlap_collinear if abs(i - k) == 1
+                    else _closed_segments_touch)
+            if i != k and meet(a1, a2, spiral[i], spiral[i + 1]):
+                return False
+    return True

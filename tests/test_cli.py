@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
@@ -20,7 +21,7 @@ from lefbench import (errors, minpos, oracle, rank_calculus, snf, tower,
                       wrapping)
 from lefbench.cli import main
 from lefbench.config import load_config
-from lefbench.disc import PlanarArc
+from lefbench.disc import PlanarArc, _closed_segments_touch
 
 INVALID_CFG = """\
 [disc d]
@@ -243,6 +244,66 @@ def test_coarse_grid_failure_bytes(scenario, resolution, tmp_path, capsys):
     assert main(["render", shipped(scenario), "--resolution", str(resolution),
                  "--svg", str(tmp_path)]) == 1
     assert capsys.readouterr() == ("", COARSE_GRID_ERRORS[resolution])
+
+
+def test_render_refuses_a_spiral_over_the_vertex_budget(tmp_path, capsys):
+    # wrap counts a spiral's vertices before it builds one, so the refusal
+    # costs no more than the level-0 stages before it
+    cfg = _edited(tmp_path, "W1", "levels = 0 1 2 3", "levels = 0 1000000")
+    start = time.process_time()
+    assert main(["render", str(cfg), "--svg", str(tmp_path / "svg")]) == 1
+    assert time.process_time() - start < 1
+    assert capsys.readouterr().err == (
+        "error[SpiralTooLong]: a level-1000000 spiral at boundary resolution"
+        " 16 needs 16000004 vertices, above the budget of 250000\n")
+
+
+def test_all_svg_runs_the_full_check_on_no_spiral(monkeypatch, tmp_path,
+                                                    capsys):
+    # wrap proves each of the 12 stage spirals legal, so their check in
+    # the diagrams returns at once
+    spirals, checked = [], []
+    _count_calls(monkeypatch, wrapping.wrap, spirals)
+    check = PlanarArc._check
+
+    def counted_check(arc, disc):
+        checked.append(arc)
+        return check(arc, disc)
+    monkeypatch.setattr(PlanarArc, "_check", counted_check)
+    assert main(["all", shipped("W0.cfg"), "--svg", str(tmp_path)]) == 0
+    assert len(spirals) == 12 and checked
+    assert not {id(s) for s in spirals} & {id(a) for a in checked}
+
+
+def test_render_tests_segment_pairs_linearly_in_the_level(monkeypatch,
+                                                         tmp_path, capsys):
+    # the wedge proof tests O(m) segment pairs where the full check of a
+    # spiral tests O(m^2): doubling the top level at most x2.3 the tests
+    touched = []
+    _count_calls(monkeypatch, _closed_segments_touch, touched)
+    counts = {}
+    for top in (96, 192):
+        cfg = _edited(tmp_path, "W1", "levels = 0 1 2 3", f"levels = 0 {top}")
+        touched.clear()
+        assert main(["render", str(cfg), "--resolution", "64",
+                     "--svg", str(tmp_path / f"svg-{top}")]) == 0
+        counts[top] = len(touched)
+    assert 0 < counts[192] <= 2.3 * counts[96]
+
+
+@pytest.mark.parametrize("old", ["reference-angle = 3/4", "resolution = 16"])
+def test_overlong_number_is_a_config_error(old, tmp_path, capsys):
+    # int() refuses a token longer than the interpreter's digit limit;
+    # loading reports it at its line rather than let ValueError out
+    key = old.split(" = ")[0]
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text(Path(shipped("W0.cfg")).read_text().replace(
+        old, f"{key} = {'1' * 5000}", 1))
+    assert main(["validate", str(cfg)]) == 1
+    line = 20 if key == "reference-angle" else 9
+    assert capsys.readouterr() == (
+        "", f"error[ConfigError]: {cfg}:{line}: a number of 5000 digits is"
+        f" beyond the limit of {sys.get_int_max_str_digits()} digits\n")
 
 
 def _count_calls(monkeypatch, fn, seen):
@@ -767,7 +828,7 @@ def test_rules_reached_through_main(scenario, old, new, command, code, line,
 EXIT_CODES = {
     "LefbenchError": 1, "ConfigError": 1, "NonEmbeddableInput": 1,
     "DegenerateTangency": 1, "SharedBoundaryEndpoint": 1,
-    "SpiralCollision": 1,
+    "SpiralCollision": 1, "SpiralTooLong": 1,
     "MissingClass": 2, "UnresolvedSign": 2, "UnknownPair": 2,
     "MissingParity": 2, "Undecidable": 2, "IncompleteBasis": 2,
     "InvalidWitness": 3, "ImageTooLarge": 3, "Inconsistent": 3,

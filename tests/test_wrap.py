@@ -1,16 +1,22 @@
 """Boundary wrapping: spiral synthesis, collision guards, composition."""
 
+import random
 from fractions import Fraction as Q
 
 import pytest
 
+import scen
+
 from lefbench.disc import BoundaryAngle, DiscModel, Puncture
-from lefbench.errors import LefbenchError, SpiralCollision
+from lefbench.errors import (LefbenchError, NonEmbeddableInput,
+                             SpiralCollision)
+from lefbench.exactgeom import homog
 from lefbench.minpos import compute_crossings, find_empty_bigons
 from lefbench import wrapping
 from lefbench.wrapping import WrapParams, source_annulus, wrap
 
-from oracles import brute_crossing_count, polyline_is_embedded
+from oracles import (all_pairs_check_embedded, brute_crossing_count,
+                     circle_point, polyline_is_embedded)
 from scen import arc_through, point, pt
 
 DELTA = Q(1, 64)
@@ -183,3 +189,108 @@ def test_wrap_keeps_spiral_clear_of_punctures():
     # radius, and the arc never meets a puncture other than its own anchor
     for x, y, z in w.hverts[1:]:
         assert 4 * (x * x + y * y) > z * z
+
+
+# --------------------------------------------------------------------------
+# the wedge proof of wrap against the full check and the all-pairs oracle
+# --------------------------------------------------------------------------
+
+def test_wrap_certifies_no_spiral_that_crosses_the_head():
+    # the head's corner lies at radius 0.78, so at resolution 5 the chords
+    # that dip inside that radius are tested against the head; the one
+    # that crosses its first segment meets neither the join nor the ends
+    src = arc_through((pt(0, 0), pt(Q(-11, 20), Q(-11, 20)),
+                       pt(0, Q(1, 2)), pt(0, 1)),
+                      Puncture("o"), BoundaryAngle(Q(1, 4)))
+    disc = DiscModel((("o", pt(0, 0)),), boundary_resolution=5)
+    w = wrap(src, 1, PARAMS, disc)
+    assert "_valid_in" not in w.__dict__
+    with pytest.raises(NonEmbeddableInput, match="between segments 0 and 5"):
+        w.validate(disc)
+
+
+def test_wrap_certifies_no_bent_join_through_a_puncture():
+    # the bent copy's first segment runs from b toward angle BEND at r_out
+    # = 21/25 (the largest squared puncture radius is 9/25, of r); q sits
+    # a quarter of the way along it
+    b, edge = pt(Q(1, 2), 0), circle_point(wrapping.BEND)
+    first = pt(Q(21, 25) * edge.x, Q(21, 25) * edge.y)
+    q = pt(b.x + (first.x - b.x) / 4, b.y + (first.y - b.y) / 4)
+    disc = DiscModel((("b", b), ("r", pt(Q(-3, 5), 0)), ("q", q)))
+    src = arc_through((b, pt(1, 0)), Puncture("b"), BoundaryAngle(Q(0)))
+    w = wrap(src, 1, PARAMS, disc, bend=True)
+    assert w.hverts[1] == homog(first)
+    assert "_valid_in" not in w.__dict__
+    with pytest.raises(LefbenchError, match="passes through puncture 'q'"):
+        w.validate(disc)
+
+
+def _radial_fan(rng):
+    """A seeded disc of punctures rho * circle_point(tau), each with its
+    straight radial path out to tau, and each path also drawn with a corner
+    before it turns onto its ray at radius 9/10."""
+    taus = rng.sample(range(52), rng.randint(1, 5))
+    disc = DiscModel(tuple(
+        (f"p{i}", pt(Q(rho, 20) * c.x, Q(rho, 20) * c.y))
+        for i, (tau, rho) in enumerate(
+            (t, rng.randint(0, 17)) for t in taus)
+        for c in [circle_point(Q(tau, 52))]), boundary_resolution=16)
+    for (name, p), tau in zip(disc.punctures, taus):
+        edge = circle_point(Q(tau, 52))
+        end = BoundaryAngle(Q(tau, 52))
+        yield disc, arc_through((p, edge), Puncture(name), end), True
+        corner = pt(Q(rng.randint(-17, 17), 20), Q(rng.randint(-17, 17), 20))
+        yield disc, arc_through((p, corner, pt(Q(9, 10) * edge.x,
+                                                Q(9, 10) * edge.y), edge),
+                                Puncture(name), end), False
+
+
+def _wrap_sources():
+    """(disc, source, bend) of every wrappable vanishing path of W0 and W1,
+    bent where it is one segment, then of seeded radial fans, some of whose
+    sources are no legal arc."""
+    for v in ("W0", "W1"):
+        for f in (scen.main_fibration(v), scen.aux_fibration(v)):
+            for c in f.crits:
+                for bend in (False, True):
+                    try:
+                        source_annulus(c.path, f.disc, bend)
+                    except LefbenchError:
+                        continue
+                    yield f.disc, c.path, bend
+    for seed in range(12):
+        yield from _radial_fan(random.Random(seed))
+
+
+def test_wrap_certifies_exactly_the_spirals_the_full_check_accepts():
+    # per source, two draws of resolution 1-64 and two of 3-8, levels 0-16:
+    # a certified spiral passes PlanarArc._check and, up to 64 segments,
+    # the all-pairs oracle; a spiral of a legal source that _check accepts
+    # is certified
+    rng = random.Random(21)
+    seen = dict.fromkeys(("certified", "illegal source", "rejected",
+                          "collision", "oracle"), 0)
+    for disc, source, bend in _wrap_sources():
+        legal = source.is_legal(disc)
+        for lo, hi in ((1, 64), (1, 64), (3, 8), (3, 8)):
+            res, m = rng.randint(lo, hi), rng.randint(0, 16)
+            grid = DiscModel(disc.punctures, boundary_resolution=res)
+            try:
+                w = wrap(source, m, PARAMS, grid, bend=bend)
+            except SpiralCollision:
+                seen["collision"] += 1
+                continue
+            certified = w.__dict__.get("_valid_in") is grid
+            try:
+                w._check(grid)
+            except LefbenchError:
+                assert not certified, (res, m, bend, source)
+                seen["rejected"] += 1
+                continue
+            assert certified or not legal, (res, m, bend, source)
+            seen["certified" if certified else "illegal source"] += 1
+            if certified and len(w.hverts) <= 65:
+                all_pairs_check_embedded(w)
+                seen["oracle"] += 1
+    assert seen == {"certified": 118, "illegal source": 0, "rejected": 133,
+                    "collision": 109, "oracle": 38}
