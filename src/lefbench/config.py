@@ -7,8 +7,10 @@ exact rationals written as ``p/q`` (or plain integers); floating point is
 rejected.  Points are ``x y`` pairs; vertex lists separate points with
 ``;``.  Oracle facts end with a mandatory provenance note ``!cited slug``
 or ``!assumed slug``.  Whitespace inside a key counts as one space; a key
-(``relation`` aside), a homology degree and a tower appear once each.  The
-wrap delta lies above wrapping.BEND and below the least boundary angle gap.
+(``relation`` aside), a homology degree and a tower appear once each, and
+so does a section of one kind and name (``[wrap]`` and ``[run]`` take no
+name).  An empty key is an unknown key of its section.  The wrap delta lies
+above wrapping.BEND and below the least boundary angle gap.
 
 Sections::
 
@@ -77,10 +79,11 @@ class ScenarioConfig:
 
 @dataclass
 class _Section:
-    lineno: int
+    loc: str                                 # "file:line" of the header
     kind: str
-    name: str
-    lines: list[tuple[int, str, str]] = field(default_factory=list)
+    name: str                                # "" for [wrap] and [run]
+    # (loc, key, value) of each line of the section
+    lines: list[tuple[str, str, str]] = field(default_factory=list)
 
 
 def _split_sections(text: str, source: str) -> list[_Section]:
@@ -90,39 +93,33 @@ def _split_sections(text: str, source: str) -> list[_Section]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        loc = f"{source}:{no}"
         if line.startswith("["):
             if not line.endswith("]"):
-                raise ConfigError(f"{source}:{no}: unterminated section header")
+                raise ConfigError(f"{loc}: unterminated section header")
             words = line[1:-1].split()
             if len(words) not in (1, 2):
                 raise ConfigError(
-                    f"{source}:{no}: section header needs a kind and at most"
-                    " one name")
+                    f"{loc}: section header needs a kind and at most one"
+                    " name")
             kind = words[0]
-            if kind in ("wrap", "run"):
-                if len(words) != 1:
-                    raise ConfigError(
-                        f"{source}:{no}: [{kind}] takes no name")
-                name = ""
-            else:
-                if kind not in ("disc", "fiber", "fibration", "objects",
-                                "oracle"):
-                    raise ConfigError(
-                        f"{source}:{no}: unknown section kind {kind!r}")
-                if len(words) != 2:
-                    raise ConfigError(
-                        f"{source}:{no}: [{kind}] needs a name")
-                name = words[1]
-            current = _Section(no, kind, name)
+            if kind not in _KINDS:
+                raise ConfigError(f"{loc}: unknown section kind {kind!r}")
+            named = _KINDS[kind][1] is not None
+            if (len(words) == 2) != named:
+                raise ConfigError(f"{loc}: [{kind}] "
+                                  + ("needs a name" if named
+                                     else "takes no name"))
+            current = _Section(loc, kind, words[1] if named else "")
             sections.append(current)
             continue
         if current is None:
             raise ConfigError(
-                f"{source}:{no}: content before the first section header")
+                f"{loc}: content before the first section header")
         if "=" not in line:
-            raise ConfigError(f"{source}:{no}: expected 'key = value'")
+            raise ConfigError(f"{loc}: expected 'key = value'")
         key, _, value = line.partition("=")
-        current.lines.append((no, " ".join(key.split()), value.strip()))
+        current.lines.append((loc, " ".join(key.split()), value.strip()))
     return sections
 
 
@@ -198,23 +195,22 @@ def _located(loc: str, err: LefbenchError) -> LefbenchError:
 # section interpreters
 # --------------------------------------------------------------------------
 
-def _check_duplicates(sec: _Section, source: str) -> None:
+def _check_duplicates(sec: _Section) -> None:
     seen: set[str] = set()
-    for no, key, _ in sec.lines:
+    for loc, key, _ in sec.lines:
         if key == "relation":
             continue
         if key in seen:
-            raise ConfigError(f"{source}:{no}: duplicate key {key!r}")
+            raise ConfigError(f"{loc}: duplicate key {key!r}")
         seen.add(key)
 
 
-def _parse_disc(sec: _Section, source: str) -> DiscModel:
+def _parse_disc(sec: _Section) -> DiscModel:
     punctures: list[tuple[str, Pt]] = []
     resolution = 16
-    for no, key, value in sec.lines:
-        loc = f"{source}:{no}"
+    for loc, key, value in sec.lines:
         words = key.split()
-        if words[0] == "puncture" and len(words) == 2:
+        if len(words) == 2 and words[0] == "puncture":
             x, y, w = _hpoint(value.split(), loc)
             punctures.append((words[1], Pt(Fraction(x, w), Fraction(y, w))))
         elif key == "resolution":
@@ -224,31 +220,30 @@ def _parse_disc(sec: _Section, source: str) -> DiscModel:
     try:
         return DiscModel(tuple(punctures), resolution)
     except LefbenchError as e:
-        raise _located(f"{source}:{sec.lineno}", e) from None
+        raise _located(sec.loc, e) from None
 
 
-def _parse_fiber(sec: _Section, source: str) -> AbstractFiber:
+def _parse_fiber(sec: _Section) -> AbstractFiber:
     dim = None
     homology: list[tuple[str, int, int, tuple[int, ...]]] = []
     classes: list[tuple[str, tuple[int, ...]]] = []
-    for no, key, value in sec.lines:
-        loc = f"{source}:{no}"
+    for loc, key, value in sec.lines:
         words = key.split()
         if key == "dim":
             dim = _int(value, loc)
-        elif words[0] == "homology" and len(words) == 2:
+        elif len(words) == 2 and words[0] == "homology":
             deg = _int(words[1], loc)
             nums = [_int(t, loc) for t in value.split()]
             if not nums:
                 raise ConfigError(f"{loc}: homology line needs a free rank")
             homology.append((loc, deg, nums[0], tuple(nums[1:])))
-        elif words[0] == "class" and len(words) == 2:
+        elif len(words) == 2 and words[0] == "class":
             classes.append((words[1],
                             tuple(_int(t, loc) for t in value.split())))
         else:
             raise ConfigError(f"{loc}: unknown fiber key {key!r}")
     if dim is None:
-        raise ConfigError(f"{source}:{sec.lineno}: fiber needs 'dim'")
+        raise ConfigError(f"{sec.loc}: fiber needs 'dim'")
     for loc, deg, _, _ in homology:
         if dim >= 0 and not 0 <= deg <= dim:  # AbstractFiber refuses dim < 0
             raise ConfigError(f"{loc}: homology degree {deg} is outside"
@@ -257,24 +252,23 @@ def _parse_fiber(sec: _Section, source: str) -> AbstractFiber:
         return AbstractFiber(sec.name, dim, HomologyTable(
             tuple(h[1:] for h in homology)), tuple(classes))
     except LefbenchError as e:
-        raise _located(f"{source}:{sec.lineno}", e) from None
+        raise _located(sec.loc, e) from None
 
 
 @dataclass
 class _RawFibration:
-    lineno: int
+    loc: str
     name: str
     disc: str | None = None
     fiber: str | None = None                 # "name" or "total-space name"
     reference_angle: Fraction | None = None
-    crits: list[tuple[int, str, str, Fraction, tuple[Hpt, ...]]] = \
-        field(default_factory=list)          # (line, puncture, label, angle, mids)
+    crits: list[tuple[str, str, str, Fraction, tuple[Hpt, ...]]] = \
+        field(default_factory=list)          # (loc, puncture, label, angle, mids)
 
 
-def _parse_fibration(sec: _Section, source: str) -> _RawFibration:
-    raw = _RawFibration(sec.lineno, sec.name)
-    for no, key, value in sec.lines:
-        loc = f"{source}:{no}"
+def _parse_fibration(sec: _Section) -> _RawFibration:
+    raw = _RawFibration(sec.loc, sec.name)
+    for loc, key, value in sec.lines:
         words = key.split()
         if key == "disc":
             raw.disc = value
@@ -282,35 +276,29 @@ def _parse_fibration(sec: _Section, source: str) -> _RawFibration:
             raw.fiber = value
         elif key == "reference-angle":
             raw.reference_angle = _rational(value, loc)
-        elif words[0] == "crit" and len(words) == 2:
+        elif len(words) == 2 and words[0] == "crit":
             parts = [p.strip() for p in value.split("|")]
             if len(parts) not in (2, 3):
                 raise ConfigError(
                     f"{loc}: crit value is 'LABEL | ANGLE' with optional"
                     " '| mid points'")
             mids = _hpoints(parts[2], loc) if len(parts) == 3 else ()
-            raw.crits.append((no, words[1], parts[0],
+            raw.crits.append((loc, words[1], parts[0],
                               _rational(parts[1], loc), mids))
         else:
             raise ConfigError(f"{loc}: unknown fibration key {key!r}")
-    for want in ("disc", "fiber"):
-        if getattr(raw, want) is None:
+    for want in ("disc", "fiber", "reference-angle"):
+        if getattr(raw, want.replace("-", "_")) is None:
             raise ConfigError(
-                f"{source}:{sec.lineno}: fibration {sec.name!r} needs"
-                f" {want!r}")
-    if raw.reference_angle is None:
-        raise ConfigError(
-            f"{source}:{sec.lineno}: fibration {sec.name!r} needs"
-            " 'reference-angle'")
+                f"{sec.loc}: fibration {sec.name!r} needs {want!r}")
     return raw
 
 
-def _parse_objects(sec: _Section, source: str) \
-        -> list[tuple[int, str, str, tuple[str, ...], tuple[Hpt, ...]]]:
-    """Raw object rows: (line, kind, name, anchors, mids)."""
+def _parse_objects(sec: _Section) \
+        -> list[tuple[str, str, str, tuple[str, ...], tuple[Hpt, ...]]]:
+    """Raw object rows: (loc, kind, name, anchors, mids)."""
     rows = []
-    for no, key, value in sec.lines:
-        loc = f"{source}:{no}"
+    for loc, key, value in sec.lines:
         words = key.split()
         if len(words) != 2 or words[0] not in ("matching", "thimble"):
             raise ConfigError(f"{loc}: unknown objects key {key!r}")
@@ -328,26 +316,25 @@ def _parse_objects(sec: _Section, source: str) \
             if len(words) != 2 or words[0] != "crit":
                 raise ConfigError(f"{loc}: thimble value is 'crit P'")
             anchors, mids = (words[1],), ()
-        rows.append((no, kind, name, anchors, mids))
+        rows.append((loc, kind, name, anchors, mids))
     return rows
 
 
-def _parse_oracle(sec: _Section, source: str) -> FiberOracle:
+def _parse_oracle(sec: _Section) -> FiberOracle:
     labels: list[LabelDecl] = []
     ranks: list[RankFact] = []
     relations: list = []
     parities: list[ParityFact] = []
-    for no, key, value in sec.lines:
-        loc = f"{source}:{no}"
+    for loc, key, value in sec.lines:
         words = key.split()
-        if words[0] == "label" and len(words) == 2:
+        if len(words) == 2 and words[0] == "label":
             if value not in ("sphere", "plain"):
                 raise ConfigError(
                     f"{loc}: label value is 'sphere' or 'plain'")
             labels.append(LabelDecl(words[1], value == "sphere"))
             continue
         payload, prov = _provenance(value, loc)
-        if words[0] == "rank" and len(words) == 3:
+        if len(words) == 3 and words[0] == "rank":
             ranks.append(RankFact(words[1], words[2],
                                   _int(payload, loc), prov))
         elif key == "relation":
@@ -363,7 +350,7 @@ def _parse_oracle(sec: _Section, source: str) -> FiberOracle:
                 raise ConfigError(
                     f"{loc}: relation is 'disjoint I J', 'isotopic I J' or"
                     " 'witness I J W'")
-        elif words[0] == "parity" and len(words) == 3:
+        elif len(words) == 3 and words[0] == "parity":
             parities.append(ParityFact(words[1], words[2], payload, prov))
         else:
             raise ConfigError(f"{loc}: unknown oracle key {key!r}")
@@ -371,115 +358,16 @@ def _parse_oracle(sec: _Section, source: str) -> FiberOracle:
         return FiberOracle(tuple(labels), tuple(ranks), tuple(relations),
                            tuple(parities))
     except LefbenchError as e:
-        raise _located(f"{source}:{sec.lineno}", e) from None
+        raise _located(sec.loc, e) from None
 
 
-# --------------------------------------------------------------------------
-# whole-document assembly
-# --------------------------------------------------------------------------
-
-def parse_config(text: str, source: str = "<config>") -> ScenarioConfig:
-    sections = _split_sections(text, source)
-    for sec in sections:
-        _check_duplicates(sec, source)
-
-    discs: dict[str, DiscModel] = {}
-    fibers: dict[str, AbstractFiber] = {}
-    raw_fibs: list[_RawFibration] = []
-    raw_objects: dict[str, tuple[int, list]] = {}
-    oracles: dict[str, tuple[int, FiberOracle]] = {}
-    wrap = WrapParams()
-    run_fibration: str | None = None
-    towers: tuple[tuple[str, str], ...] = ()
-    run_line = None
-    wrap_line = None
-    delta_line = None
-
-    def _unique(table: dict, name: str, lineno: int, what: str):
-        if name in table:
-            raise ConfigError(
-                f"{source}:{lineno}: duplicate {what} {name!r}")
-
-    for sec in sections:
-        if sec.kind == "disc":
-            _unique(discs, sec.name, sec.lineno, "disc")
-            discs[sec.name] = _parse_disc(sec, source)
-        elif sec.kind == "fiber":
-            _unique(fibers, sec.name, sec.lineno, "fiber")
-            fibers[sec.name] = _parse_fiber(sec, source)
-        elif sec.kind == "fibration":
-            if any(r.name == sec.name for r in raw_fibs):
-                raise ConfigError(
-                    f"{source}:{sec.lineno}: duplicate fibration"
-                    f" {sec.name!r}")
-            raw_fibs.append(_parse_fibration(sec, source))
-        elif sec.kind == "objects":
-            _unique(raw_objects, sec.name, sec.lineno, "objects section for")
-            raw_objects[sec.name] = (sec.lineno, _parse_objects(sec, source))
-        elif sec.kind == "oracle":
-            _unique(oracles, sec.name, sec.lineno, "oracle section for")
-            oracles[sec.name] = (sec.lineno, _parse_oracle(sec, source))
-        elif sec.kind == "wrap":
-            if wrap_line is not None:
-                raise ConfigError(
-                    f"{source}:{sec.lineno}: duplicate [wrap] section")
-            wrap_line = sec.lineno
-            wrap = _parse_wrap(sec, source)
-            delta_line = next((no for no, key, _ in sec.lines
-                               if key == "delta"), None)
-        elif sec.kind == "run":
-            if run_line is not None:
-                raise ConfigError(
-                    f"{source}:{sec.lineno}: duplicate [run] section")
-            run_line = sec.lineno
-            run_fibration, towers = _parse_run(sec, source)
-
-    built: dict[str, Fibration] = {}
-    for raw in raw_fibs:
-        built[raw.name] = _build_fibration(
-            raw, discs, fibers, built, raw_objects, oracles, source)
-
-    for name, (lineno, _) in raw_objects.items():
-        if name not in built:
-            raise ConfigError(
-                f"{source}:{lineno}: objects section names unknown"
-                f" fibration {name!r}")
-    for name, (lineno, _) in oracles.items():
-        if name not in built:
-            raise ConfigError(
-                f"{source}:{lineno}: oracle section names unknown"
-                f" fibration {name!r}")
-
-    if run_fibration is None:
-        raise ConfigError(f"{source}: missing [run] section with 'fibration'")
-    if run_fibration not in built:
-        raise ConfigError(
-            f"{source}:{run_line}: [run] names unknown fibration"
-            f" {run_fibration!r}")
-    for raw in raw_fibs:
-        _check_delta_gap(built[raw.name], wrap,
-                         f"{source}:{delta_line or raw.lineno}")
-    return ScenarioConfig(built[run_fibration], wrap, towers)
-
-
-def _check_delta_gap(f: Fibration, wrap: WrapParams, loc: str) -> None:
-    """The wrap offset must stay below the smallest gap between declared
-    boundary angles, a full turn if there is one.  loc cites the delta
-    line, or the fibration's header when delta is the default."""
-    gap = min_angular_gap([c.path.end.angle for c in f.crits]
-                          + [f.reference_angle.angle])
-    if wrap.delta >= gap:
-        raise ConfigError(
-            f"{loc}: wrap delta {wrap.delta} reaches the angular gap"
-            f" {gap} between declared boundary endpoints of {f.name!r}")
-
-
-def _parse_wrap(sec: _Section, source: str) -> WrapParams:
+def _parse_wrap(sec: _Section) -> tuple[WrapParams, str | None]:
+    """The [wrap] parameters and the loc of the delta line, if any."""
     delta, levels = WrapParams.delta, WrapParams.levels
-    for no, key, value in sec.lines:
-        loc = f"{source}:{no}"
+    delta_loc = None
+    for loc, key, value in sec.lines:
         if key == "delta":
-            delta = _rational(value, loc)
+            delta, delta_loc = _rational(value, loc), loc
             if delta <= BEND:
                 raise ConfigError(
                     f"{loc}: wrap delta {delta} must exceed {BEND}, the"
@@ -492,15 +380,13 @@ def _parse_wrap(sec: _Section, source: str) -> WrapParams:
                     f"{loc}: levels are distinct nonnegative integers")
         else:
             raise ConfigError(f"{loc}: unknown wrap key {key!r}")
-    return WrapParams(delta, levels)
+    return WrapParams(delta, levels), delta_loc
 
 
-def _parse_run(sec: _Section, source: str) \
-        -> tuple[str, tuple[tuple[str, str], ...]]:
+def _parse_run(sec: _Section) -> tuple[str, tuple[tuple[str, str], ...]]:
     fibration = None
     towers: tuple[tuple[str, str], ...] = ()
-    for no, key, value in sec.lines:
-        loc = f"{source}:{no}"
+    for loc, key, value in sec.lines:
         if key == "fibration":
             fibration = value
         elif key == "towers":
@@ -517,39 +403,102 @@ def _parse_run(sec: _Section, source: str) \
         else:
             raise ConfigError(f"{loc}: unknown run key {key!r}")
     if fibration is None:
-        raise ConfigError(
-            f"{source}:{sec.lineno}: [run] needs 'fibration'")
+        raise ConfigError(f"{sec.loc}: [run] needs 'fibration'")
     return fibration, towers
 
 
-def _build_fibration(raw, discs, fibers, built, raw_objects, oracles,
-                     source: str) -> Fibration:
-    loc = f"{source}:{raw.lineno}"
-    if raw.disc not in discs:
-        raise ConfigError(f"{loc}: unknown disc {raw.disc!r}")
-    disc = discs[raw.disc]
+# Each section kind: its interpreter, and the noun a repeated section is
+# reported with; None marks the kinds that take no name and appear once.
+_KINDS = {
+    "disc": (_parse_disc, "disc"),
+    "fiber": (_parse_fiber, "fiber"),
+    "fibration": (_parse_fibration, "fibration"),
+    "objects": (_parse_objects, "objects section for"),
+    "oracle": (_parse_oracle, "oracle section for"),
+    "wrap": (_parse_wrap, None),
+    "run": (_parse_run, None),
+}
+
+
+# --------------------------------------------------------------------------
+# whole-document assembly
+# --------------------------------------------------------------------------
+
+def parse_config(text: str, source: str = "<config>") -> ScenarioConfig:
+    sections = _split_sections(text, source)
+    for sec in sections:
+        _check_duplicates(sec)
+
+    # kind -> name -> (header loc, interpreted section), in file order
+    parsed: dict[str, dict] = {kind: {} for kind in _KINDS}
+    for sec in sections:
+        interpret, noun = _KINDS[sec.kind]
+        if sec.name in parsed[sec.kind]:
+            what = f"{noun} {sec.name!r}" if noun else f"[{sec.kind}] section"
+            raise ConfigError(f"{sec.loc}: duplicate {what}")
+        parsed[sec.kind][sec.name] = (sec.loc, interpret(sec))
+
+    built: dict[str, Fibration] = {}
+    for _, raw in parsed["fibration"].values():
+        built[raw.name] = _build_fibration(raw, parsed, built)
+    for kind in ("objects", "oracle"):
+        for name, (loc, _) in parsed[kind].items():
+            if name not in built:
+                raise ConfigError(f"{loc}: {kind} section names unknown"
+                                  f" fibration {name!r}")
+
+    if not parsed["run"]:
+        raise ConfigError(f"{source}: missing [run] section with 'fibration'")
+    run_loc, (run_fibration, towers) = parsed["run"][""]
+    if run_fibration not in built:
+        raise ConfigError(f"{run_loc}: [run] names unknown fibration"
+                          f" {run_fibration!r}")
+    _, (wrap, delta_loc) = parsed["wrap"].get("", ("", (WrapParams(), None)))
+    for _, raw in parsed["fibration"].values():
+        _check_delta_gap(built[raw.name], wrap, delta_loc or raw.loc)
+    return ScenarioConfig(built[run_fibration], wrap, towers)
+
+
+def _check_delta_gap(f: Fibration, wrap: WrapParams, loc: str) -> None:
+    """The wrap offset must stay below the smallest gap between declared
+    boundary angles, a full turn if there is one.  loc cites the delta
+    line, or the fibration's header when delta is the default."""
+    gap = min_angular_gap([c.path.end.angle for c in f.crits]
+                          + [f.reference_angle.angle])
+    if wrap.delta >= gap:
+        raise ConfigError(
+            f"{loc}: wrap delta {wrap.delta} reaches the angular gap"
+            f" {gap} between declared boundary endpoints of {f.name!r}")
+
+
+def _build_fibration(raw: _RawFibration, parsed: dict,
+                     built: dict[str, Fibration]) -> Fibration:
+    """raw's fibration, from the parsed discs, fibers, objects and oracles
+    and the fibrations built before it."""
+    if raw.disc not in parsed["disc"]:
+        raise ConfigError(f"{raw.loc}: unknown disc {raw.disc!r}")
+    disc = parsed["disc"][raw.disc][1]
 
     if raw.fiber.startswith("total-space"):
         words = raw.fiber.split()
         if len(words) != 2:
-            raise ConfigError(f"{loc}: fiber is 'total-space NAME'")
+            raise ConfigError(f"{raw.loc}: fiber is 'total-space NAME'")
         if words[1] not in built:
             raise ConfigError(
-                f"{loc}: total-space fiber names {words[1]!r}, which is not"
-                " a fibration declared earlier in the file")
+                f"{raw.loc}: total-space fiber names {words[1]!r}, which is"
+                " not a fibration declared earlier in the file")
         fiber = TotalSpaceFiber(built[words[1]])
-    elif raw.fiber in fibers:
-        fiber = fibers[raw.fiber]
+    elif raw.fiber in parsed["fiber"]:
+        fiber = parsed["fiber"][raw.fiber][1]
     else:
-        raise ConfigError(f"{loc}: unknown fiber {raw.fiber!r}")
+        raise ConfigError(f"{raw.loc}: unknown fiber {raw.fiber!r}")
 
     crits = []
-    for no, punc, label, angle, mids in raw.crits:
-        cloc = f"{source}:{no}"
+    for loc, punc, label, angle, mids in raw.crits:
         try:
             start = disc.hpoint_of(punc)
         except LefbenchError as e:
-            raise _located(cloc, e) from None
+            raise _located(loc, e) from None
         end = BoundaryAngle(angle)
         path = PlanarArc((start, *mids, end.hpoint),
                          Puncture(punc), end)
@@ -557,14 +506,14 @@ def _build_fibration(raw, discs, fibers, built, raw_objects, oracles,
     by_puncture = {c.puncture: c for c in crits}
 
     objects = []
-    for no, kind, name, anchors, mids in raw_objects.get(raw.name, (0, []))[1]:
-        oloc = f"{source}:{no}"
+    for loc, kind, name, anchors, mids in \
+            parsed["objects"].get(raw.name, ("", []))[1]:
         if any(o.name == name for o in objects):
-            raise ConfigError(f"{oloc}: duplicate object name {name!r}")
+            raise ConfigError(f"{loc}: duplicate object name {name!r}")
         missing = [p for p in anchors if p not in by_puncture]
         if missing:
             raise ConfigError(
-                f"{oloc}: no critical value over puncture {missing[0]!r}")
+                f"{loc}: no critical value over puncture {missing[0]!r}")
         if kind == "thimble":
             crit = by_puncture[anchors[0]]
             objects.append(MatchingObject(name, crit.path, crit.cycle_label,
@@ -576,14 +525,14 @@ def _build_fibration(raw, discs, fibers, built, raw_objects, oracles,
         objects.append(MatchingObject(name, arc, by_puncture[p].cycle_label,
                                       by_puncture[q].cycle_label))
 
-    oracle = oracles.get(raw.name)
     try:
         return Fibration(
             name=raw.name, disc=disc, fiber=fiber, crits=tuple(crits),
             reference_angle=BoundaryAngle(raw.reference_angle),
-            oracle=oracle[1] if oracle else None, objects=tuple(objects))
+            oracle=parsed["oracle"].get(raw.name, ("", None))[1],
+            objects=tuple(objects))
     except LefbenchError as e:
-        raise _located(loc, e) from None
+        raise _located(raw.loc, e) from None
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
@@ -593,4 +542,3 @@ def load_config(path: str | Path) -> ScenarioConfig:
     except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"{path}: cannot read config ({e})") from None
     return parse_config(text, source=str(path))
-

@@ -14,12 +14,12 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import lefbench
 from lefbench import (errors, minpos, oracle, rank_calculus, snf, tower,
                       wrapping)
-from lefbench.cli import main
+from lefbench.cli import COMMANDS, main
 from lefbench.config import load_config
 from lefbench.disc import PlanarArc, _closed_segments_touch
 
@@ -935,6 +935,59 @@ def test_random_config_edits_end_in_exit_code(tmp_path_factory, scenario,
     if code and "validation: FAILED" not in out.getvalue():
         message = err.getvalue()
         assert message.startswith("error[") and message.count("\n") == 1, message
+
+
+# a hostile edit of a config: a rational token replaced by a huge (beyond
+# int()'s digit limit), zero, negative or malformed value, or a 'key =
+# value' line inserted, its key possibly empty; the index is taken modulo
+# the number of tokens or lines
+HOSTILE_EDITS = st.one_of(
+    st.tuples(st.just("replace"), st.integers(0, 10 ** 4), st.sampled_from([
+        "1" * 4400, "-1/" + "7" * 4400, "0", "0/5", "-0", "-1", "-7/3",
+        "1/0", "0.5", "x", ""])),
+    st.tuples(st.just("insert"), st.integers(0, 10 ** 4), st.builds(
+        "{} = {}\n".format,
+        st.sampled_from(["", "puncture z", "resolution", "dim",
+                         "homology 1", "class z", "crit a", "matching M",
+                         "thimble T", "label z", "rank A B", "relation",
+                         "delta", "levels", "towers", "fibration"]),
+        st.sampled_from(["", "0", "-1", "5", "0 0", "a:a", "crit a",
+                         "x !cited s", "2 !assumed s"]))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(scenario=st.sampled_from(["W0", "W1", "ts3", "empty-fibration"]),
+       edits=st.lists(HOSTILE_EDITS, min_size=1, max_size=3))
+@example(scenario="W0", edits=[("insert", 5, " = 5\n")])
+def test_hostile_edits_end_in_one_error_line(tmp_path_factory, scenario,
+                                             edits):
+    # every command on the edited config ends in exit 0-3, a nonzero exit
+    # in a failed validation report or one error line, and a refused
+    # render within a fixed CPU time
+    text = Path(shipped(f"{scenario}.cfg")).read_text()
+    for kind, k, new in edits:
+        if kind == "replace":
+            text = apply_edit(text, (kind, k, new))
+        else:
+            lines = text.splitlines(keepends=True)
+            i = k % (len(lines) + 1)
+            text = "".join(lines[:i] + [new] + lines[i:])
+    base = tmp_path_factory.getbasetemp()
+    cfg = base / "hostile.cfg"
+    cfg.write_text(text)
+    for command in COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        start = time.process_time()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([command, str(cfg), "--svg", str(base / "svg")])
+        if command == "render" and code:
+            assert time.process_time() - start < 1
+        assert code in (0, 1, 2, 3)
+        if code and "validation: FAILED" not in out.getvalue():
+            message = err.getvalue()
+            assert message.startswith("error[") and message.count("\n") == 1, message
+        else:
+            assert not err.getvalue()
 
 
 def test_usage_errors_exit_one(capsys):

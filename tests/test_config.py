@@ -272,6 +272,60 @@ def test_duplicate_run_and_wrap_sections():
     _expect_error(BASE + "[wrap]\n[wrap]\n", "duplicate [wrap]", lineno=19)
 
 
+@pytest.mark.parametrize("extra, message, lineno", [
+    ("[disc d]\n", "duplicate disc 'd'", 18),
+    ("[fiber F]\n", "duplicate fiber 'F'", 18),
+    # an empty repeat: the duplicate is found before its missing keys
+    ("[fibration f]\n", "duplicate fibration 'f'", 18),
+    ("[objects f]\n[objects f]\n", "duplicate objects section for 'f'", 19),
+    ("[oracle f]\n[oracle f]\n", "duplicate oracle section for 'f'", 19),
+], ids=["disc", "fiber", "fibration", "objects", "oracle"])
+def test_duplicate_named_sections(extra, message, lineno):
+    _expect_error(BASE + extra, message, lineno=lineno)
+
+
+def test_duplicate_checks_come_first():
+    # split errors, by line, come before duplicate keys
+    _expect_error(BASE + "fibration = f\n[runs]\n", "unknown section kind",
+                  lineno=19)
+    # a duplicate key in a later section comes before a bad value in an
+    # earlier one
+    _expect_error(BASE.replace("puncture p = 0 0", "puncture p = 0.5 0")
+                  + "fibration = f\n", "duplicate key 'fibration'", lineno=18)
+    # a repeated section comes before an error inside it or in any later
+    # section, and after an error in an earlier section
+    _expect_error(BASE + "[disc d]\npuncture q = 0.5 0\n[fiber G]\ndim = x\n",
+                  "duplicate disc 'd'", lineno=18)
+    _expect_error(BASE.replace("[run]", "[fiber G]\ndim = x\n[run]")
+                  + "[run]\n", "'x' is not an integer", lineno=17)
+
+
+def _with_line(kind, line):
+    """BASE with line first in its kind's section, appended as a new
+    section for the kinds BASE lacks."""
+    header = {"disc": "[disc d]", "fiber": "[fiber F]",
+              "fibration": "[fibration f]", "run": "[run]"}.get(kind)
+    if header:
+        return BASE.replace(header, f"{header}\n{line}")
+    return BASE + f"[{kind}{'' if kind == 'wrap' else ' f'}]\n{line}\n"
+
+
+@pytest.mark.parametrize("kind, line, message, lineno", [
+    ("disc", "= 5", "unknown disc key ''", 2),
+    ("fiber", "= 5", "unknown fiber key ''", 5),
+    ("fibration", "= 5", "unknown fibration key ''", 11),
+    ("objects", "= 5", "unknown objects key ''", 19),
+    ("oracle", "= x !cited s", "unknown oracle key ''", 19),
+    # the oracle reads a fact's provenance before its key
+    ("oracle", "= 5", "oracle facts need a provenance note", 19),
+    ("wrap", "= 5", "unknown wrap key ''", 19),
+    ("run", "= 5", "unknown run key ''", 17),
+], ids=["disc", "fiber", "fibration", "objects", "oracle",
+        "oracle-without-provenance", "wrap", "run"])
+def test_empty_key_is_an_unknown_key(kind, line, message, lineno):
+    _expect_error(_with_line(kind, line), message, lineno=lineno)
+
+
 def test_bad_tower_token():
     text = BASE.replace("fibration = f", "fibration = f\ntowers = p;p")
     _expect_error(text, "not of the form x:y", lineno=18)
