@@ -19,7 +19,8 @@ import sys
 from pathlib import Path
 
 from .config import ScenarioConfig, load_config
-from .errors import ConfigError, IncompleteBasis, LefbenchError
+from .errors import (ConfigError, IncompleteBasis, LefbenchError,
+                     SpiralTooLong)
 from .fibration import (Fibration, TotalSpaceFiber, total_space_homology,
                         with_resolution)
 from .fibration import validate as validate_fibration
@@ -27,7 +28,8 @@ from .rank_calculus import ScenarioRanks, analyze
 from .report import Report, homology_lines, hw_value, thimble
 from .svg import diagram_files, stage_svg
 from .tower import build_tower, tower_crits
-from .wrapping import source_annulus, wrap
+from .wrapping import (VERTEX_BUDGET, source_annulus, spiral_vertex_count,
+                       wrap)
 
 COMMANDS = ("validate", "homology", "floer-ranks", "hw", "render", "all")
 
@@ -136,16 +138,27 @@ def _section_trace(r: Report, out: ScenarioRanks) -> None:
 def _render_svgs(cfg: ScenarioConfig, outdir: str) -> list[str]:
     """Write the discs and a diagram per stage, its spiral wrapped and
     checked here (no tower stage builds one): wrap's proof settles the
-    check, or it runs in full, so a grid too coarse ends in its error."""
+    check, or it runs in full, so a grid too coarse ends in its error.  The
+    spirals' vertices are counted first, and a render over VERTEX_BUDGET
+    of them builds none."""
     f = cfg.fibration
+    towers = [(x, y, *tower_crits(f, x, y)) for x, y in cfg.towers]
+    stages = [(*t, m) for t in towers for m in cfg.wrap.levels]
+    sizes = [spiral_vertex_count(cx.path, m, cfg.wrap, f.disc, bend=cx == cy)
+             for _, _, cx, cy, m in stages]
+    if sum(sizes) > VERTEX_BUDGET:
+        x, y, _, _, m = stages[sizes.index(max(sizes))]
+        raise SpiralTooLong(
+            f"the spirals of this render at boundary resolution"
+            f" {f.disc.boundary_resolution} need {sum(sizes)} vertices,"
+            f" above the budget of {VERTEX_BUDGET}; the deepest is tower"
+            f" {x}:{y} at level {m}")
     files = list(diagram_files(f))
-    for x, y in cfg.towers:
-        cx, cy = tower_crits(f, x, y)
-        for m in cfg.wrap.levels:
-            spiral = wrap(cx.path, m, cfg.wrap, f.disc, bend=cx == cy)
-            spiral.validate(f.disc)
-            files.append((f"{cfg.name}-tower-{x}-{y}-m{m}.svg",
-                          stage_svg(f.disc, cy.path, spiral)))
+    for x, y, cx, cy, m in stages:
+        spiral = wrap(cx.path, m, cfg.wrap, f.disc, bend=cx == cy)
+        spiral.validate(f.disc)
+        files.append((f"{cfg.name}-tower-{x}-{y}-m{m}.svg",
+                      stage_svg(f.disc, cy.path, spiral)))
     d = Path(outdir)
     try:
         d.mkdir(parents=True, exist_ok=True)

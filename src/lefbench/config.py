@@ -55,8 +55,8 @@ from .errors import ConfigError, LefbenchError
 from .exactgeom import Hpt, Pt, min_angular_gap, reduced
 from .fibration import (AbstractFiber, Crit, Fibration, HomologyTable,
                         MatchingObject, TotalSpaceFiber)
-from .oracle import (DisjointFact, FiberOracle, IsotopicFact, LabelDecl,
-                     ParityFact, Provenance, RankFact, WitnessFact)
+from .oracle import KINDS as FACT_KINDS
+from .oracle import Fact, FiberOracle, LabelDecl, Provenance
 from .wrapping import BEND, WrapParams
 
 _RATIONAL = re.compile(r"[+-]?\d+(/\d+)?\Z")
@@ -322,9 +322,7 @@ def _parse_objects(sec: _Section) \
 
 def _parse_oracle(sec: _Section) -> FiberOracle:
     labels: list[LabelDecl] = []
-    ranks: list[RankFact] = []
-    relations: list = []
-    parities: list[ParityFact] = []
+    facts: list[Fact] = []
     for loc, key, value in sec.lines:
         words = key.split()
         if len(words) == 2 and words[0] == "label":
@@ -334,29 +332,22 @@ def _parse_oracle(sec: _Section) -> FiberOracle:
             labels.append(LabelDecl(words[1], value == "sphere"))
             continue
         payload, prov = _provenance(value, loc)
-        if len(words) == 3 and words[0] == "rank":
-            ranks.append(RankFact(words[1], words[2],
-                                  _int(payload, loc), prov))
+        if len(words) == 3 and words[0] in ("rank", "parity"):
+            value = _int(payload, loc) if words[0] == "rank" else payload
+            facts.append(Fact(words[0], tuple(words[1:]), value, prov))
         elif key == "relation":
-            parts = payload.split()
-            if parts and parts[0] == "disjoint" and len(parts) == 3:
-                relations.append(DisjointFact(parts[1], parts[2], prov))
-            elif parts and parts[0] == "isotopic" and len(parts) == 3:
-                relations.append(IsotopicFact(parts[1], parts[2], prov))
-            elif parts and parts[0] == "witness" and len(parts) == 4:
-                relations.append(WitnessFact(parts[1], parts[2], parts[3],
-                                             prov))
-            else:
+            # a relation kind prints no value, and as many labels as it takes
+            kind, *names = payload.split() or [""]
+            form = FACT_KINDS.get(kind, "{value}")
+            if "{value}" in form or len(names) != form.count("{"):
                 raise ConfigError(
                     f"{loc}: relation is 'disjoint I J', 'isotopic I J' or"
                     " 'witness I J W'")
-        elif len(words) == 3 and words[0] == "parity":
-            parities.append(ParityFact(words[1], words[2], payload, prov))
+            facts.append(Fact(kind, tuple(names), None, prov))
         else:
             raise ConfigError(f"{loc}: unknown oracle key {key!r}")
     try:
-        return FiberOracle(tuple(labels), tuple(ranks), tuple(relations),
-                           tuple(parities))
+        return FiberOracle(tuple(labels), tuple(facts))
     except LefbenchError as e:
         raise _located(sec.loc, e) from None
 

@@ -43,46 +43,25 @@ class LabelDecl:
     sphere: bool = False
 
 
-@dataclass(frozen=True)
-class RankFact:
-    i: str
-    j: str
-    value: int
-    provenance: Provenance
+# Each kind of fact, in report order, and its printed form over the fact's
+# labels {0} {1} (and the witness {2}) and its value.
+KINDS = {
+    "rank": "rank({0},{1}) = {value}",
+    "disjoint": "disjoint({0},{1})",
+    "isotopic": "isotopic({0},{1})",
+    "witness": "not-isomorphic({0},{1}; witness {2})",
+    "parity": "parity({0},{1}) = {value}",
+}
 
 
 @dataclass(frozen=True)
-class DisjointFact:
-    i: str
-    j: str
-    provenance: Provenance
-
-
-@dataclass(frozen=True)
-class IsotopicFact:
-    i: str
-    j: str
-    provenance: Provenance
-
-
-@dataclass(frozen=True)
-class WitnessFact:
-    """NotIsomorphic(i, j) certified by a witness label w with
-    rank(i, w) = 0 and rank(j, w) > 0."""
-    i: str
-    j: str
-    witness: str
-    provenance: Provenance
-
-
-Relation = DisjointFact | IsotopicFact | WitnessFact
-
-
-@dataclass(frozen=True)
-class ParityFact:
-    i: str
-    j: str
-    parity: str          # ALL_SAME | MIXED
+class Fact:
+    """One declared fact: labels (i, j), or (i, j, w) for a witness w with
+    rank(i, w) = 0 and rank(j, w) > 0 that certifies NotIsomorphic(i, j);
+    value is the rank, the parity (ALL_SAME | MIXED), or None."""
+    kind: str
+    labels: tuple[str, ...]
+    value: int | str | None
     provenance: Provenance
 
 
@@ -93,9 +72,7 @@ def _pair(i: str, j: str) -> tuple[str, str]:
 @dataclass(frozen=True)
 class FiberOracle:
     label_decls: tuple[LabelDecl, ...]
-    rank_facts: tuple[RankFact, ...] = ()
-    relations: tuple[Relation, ...] = ()
-    parity_facts: tuple[ParityFact, ...] = ()
+    facts: tuple[Fact, ...] = ()          # in file order
 
     # ------------------------------------------------------------------
     # load-time closure
@@ -105,9 +82,16 @@ class FiberOracle:
         names = [d.name for d in self.label_decls]
         labels = frozenset(names)
 
-        def need(label: str) -> None:
-            if label not in labels:
-                raise LefbenchError(f"undeclared cycle label {label!r}")
+        def of_kind(kind: str):
+            """The facts of one kind, each one's labels checked just before
+            it is processed."""
+            for fact in self.facts:
+                if fact.kind == kind:
+                    for label in fact.labels:
+                        if label not in labels:
+                            raise LefbenchError(
+                                f"undeclared cycle label {label!r}")
+                    yield fact
 
         # union-find over isotopy facts
         parent = {n: n for n in names}
@@ -118,10 +102,9 @@ class FiberOracle:
                 x = parent[x]
             return x
 
-        for rel in self.relations:
-            if isinstance(rel, IsotopicFact):
-                need(rel.i), need(rel.j)
-                parent[find(rel.i)] = find(rel.j)
+        for fact in of_kind("isotopic"):
+            i, j = fact.labels
+            parent[find(i)] = find(j)
 
         table: dict[tuple[str, str], tuple[int, str]] = {}
 
@@ -134,43 +117,37 @@ class FiberOracle:
                     f" {value} ({why})")
             table[key] = (value, why)
 
-        for fact in self.rank_facts:
-            need(fact.i), need(fact.j)
+        for fact in of_kind("rank"):
             if fact.value < 0:
                 raise LefbenchError("ranks are nonnegative")
-            record(fact.i, fact.j, fact.value,
+            record(*fact.labels, fact.value,
                    f"declared [{fact.provenance.render()}]")
-        for rel in self.relations:
-            if isinstance(rel, DisjointFact):
-                need(rel.i), need(rel.j)
-                record(rel.i, rel.j, 0,
-                       f"disjointness [{rel.provenance.render()}]")
+        for fact in of_kind("disjoint"):
+            record(*fact.labels, 0,
+                   f"disjointness [{fact.provenance.render()}]")
         for d in self.label_decls:
             if d.sphere:
                 record(d.name, d.name, 2, "sphere self-rank")
 
-        parity: dict[tuple[str, str], tuple[str, Provenance]] = {}
-        for fact in self.parity_facts:
-            need(fact.i), need(fact.j)
-            if fact.parity not in (ALL_SAME, MIXED):
+        parity: dict[tuple[str, str], str] = {}
+        for fact in of_kind("parity"):
+            if fact.value not in (ALL_SAME, MIXED):
                 raise LefbenchError(
                     f"parity must be {ALL_SAME!r} or {MIXED!r}")
-            key = _pair(find(fact.i), find(fact.j))
-            old = parity.get(key)
-            if old is not None and old[0] != fact.parity:
+            i, j = fact.labels
+            key = _pair(find(i), find(j))
+            if parity.setdefault(key, fact.value) != fact.value:
                 raise Inconsistent(
-                    f"conflicting parity declarations for ({fact.i},{fact.j})")
-            parity[key] = (fact.parity, fact.provenance)
+                    f"conflicting parity declarations for ({i},{j})")
 
         not_iso: set[tuple[str, str]] = set()
-        for rel in self.relations:
-            if isinstance(rel, WitnessFact):
-                need(rel.i), need(rel.j), need(rel.witness)
-                if find(rel.i) == find(rel.j):
-                    raise Inconsistent(
-                        f"labels {rel.i!r}, {rel.j!r} declared both isotopic"
-                        " and non-isomorphic")
-                not_iso.add(_pair(find(rel.i), find(rel.j)))
+        for fact in of_kind("witness"):
+            i, j, _ = fact.labels
+            if find(i) == find(j):
+                raise Inconsistent(
+                    f"labels {i!r}, {j!r} declared both isotopic"
+                    " and non-isomorphic")
+            not_iso.add(_pair(find(i), find(j)))
 
         object.__setattr__(self, "_rep_of", {n: find(n) for n in names})
         object.__setattr__(self, "_table", table)
@@ -178,24 +155,21 @@ class FiberOracle:
         object.__setattr__(self, "_not_iso", not_iso)
         object.__setattr__(self, "_labels", labels)
 
-        for rel in self.relations:
-            if isinstance(rel, WitnessFact):
-                self._check_witness(rel)
+        for fact in of_kind("witness"):
+            self._check_witness(*fact.labels)
 
-    def _check_witness(self, rel: WitnessFact) -> None:
+    def _check_witness(self, i: str, j: str, w: str) -> None:
         try:
-            dead = self.rank_of(rel.i, rel.witness)
-            alive = self.rank_of(rel.j, rel.witness)
+            dead = self.rank_of(i, w)
+            alive = self.rank_of(j, w)
         except UnknownPair as exc:
             raise InvalidWitness(
-                f"witness {rel.witness!r} for ({rel.i},{rel.j}) has"
+                f"witness {w!r} for ({i},{j}) has"
                 f" undetermined ranks: {exc}") from exc
         if dead != 0 or alive <= 0:
             raise InvalidWitness(
-                f"witness {rel.witness!r} for ({rel.i},{rel.j}) needs"
-                f" rank({rel.i},{rel.witness}) = 0 and"
-                f" rank({rel.j},{rel.witness}) > 0; got"
-                f" {dead} and {alive}")
+                f"witness {w!r} for ({i},{j}) needs rank({i},{w}) = 0 and"
+                f" rank({j},{w}) > 0; got {dead} and {alive}")
 
     # ------------------------------------------------------------------
     # queries
@@ -223,8 +197,7 @@ class FiberOracle:
         return _pair(self._rep(i), self._rep(j)) in self._table
 
     def parity_of(self, i: str, j: str) -> str | None:
-        hit = self._parity.get(_pair(self._rep(i), self._rep(j)))
-        return hit[0] if hit else None
+        return self._parity.get(_pair(self._rep(i), self._rep(j)))
 
     def isomorphic_objects(self, i: str, j: str) -> str:
         """'yes', 'no' (a witnessed non-isomorphism) or 'unknown'."""
@@ -234,33 +207,17 @@ class FiberOracle:
         return "no" if _pair(ri, rj) in self._not_iso else "unknown"
 
     def fact_lines(self) -> tuple[str, ...]:
-        """Deterministic rendering of every declared fact, for reports."""
-        out = []
-        for d in sorted(self.label_decls, key=lambda d: d.name):
-            out.append(f"label {d.name}" + (" (sphere)" if d.sphere else ""))
-        for f in sorted(self.rank_facts, key=lambda f: _pair(f.i, f.j)):
-            out.append(f"rank({f.i},{f.j}) = {f.value}"
-                       f"  [{f.provenance.render()}]")
-        keyed = []
-        for rel in self.relations:
-            if isinstance(rel, DisjointFact):
-                keyed.append((0, _pair(rel.i, rel.j),
-                              f"disjoint({rel.i},{rel.j})"
-                              f"  [{rel.provenance.render()}]"))
-            elif isinstance(rel, IsotopicFact):
-                keyed.append((1, _pair(rel.i, rel.j),
-                              f"isotopic({rel.i},{rel.j})"
-                              f"  [{rel.provenance.render()}]"))
-            else:
-                keyed.append((2, _pair(rel.i, rel.j),
-                              f"not-isomorphic({rel.i},{rel.j};"
-                              f" witness {rel.witness})"
-                              f"  [{rel.provenance.render()}]"))
-        out.extend(line for _, _, line in sorted(keyed))
-        for p in sorted(self.parity_facts, key=lambda p: _pair(p.i, p.j)):
-            out.append(f"parity({p.i},{p.j}) = {p.parity}"
-                       f"  [{p.provenance.render()}]")
-        return tuple(out)
+        """Deterministic rendering of every declared fact, for reports:
+        labels by name, then facts by kind (KINDS order), unordered label
+        pair and printed text."""
+        order = list(KINDS)
+        facts = sorted(
+            (order.index(f.kind), _pair(*f.labels[:2]),
+             KINDS[f.kind].format(*f.labels, value=f.value)
+             + f"  [{f.provenance.render()}]") for f in self.facts)
+        return (tuple(f"label {d.name}" + (" (sphere)" if d.sphere else "")
+                      for d in sorted(self.label_decls, key=lambda d: d.name))
+                + tuple(line for _, _, line in facts))
 
 
 # --------------------------------------------------------------------------

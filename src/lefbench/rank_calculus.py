@@ -76,10 +76,10 @@ def fs_hom_ranks(f: Fibration) -> FsHomRanks:
 
     hom_bb is rank one, generated by the unit at the single self-contact.
     hom_ab is computed geometrically from the matching data in the fiber
-    (an exact rank, or MissingParity) and cross-checked against the declared rank when one
-    exists.  hom_b1b is the evaluation-cone triangle applied to the square
-    of hom_ab with image rank one (the evaluation class is nonzero whenever
-    the pair rank allows it).
+    (an exact rank, or MissingParity) and cross-checked against the
+    declared rank when one exists.  hom_b1b is the evaluation-cone triangle
+    applied to the square of hom_ab with image rank one (the evaluation
+    class is nonzero whenever the pair rank allows it).
     """
     o = f.oracle
     if not isinstance(f.fiber, TotalSpaceFiber):

@@ -13,10 +13,11 @@ Each turn of that word holds every cut once, so the count needs only the
 level, the number of cuts and the order of the two paths at a shared end.
 No differentials are computed here, though two rules constrain them: no
 arrow joins u to any other generator, and arrows between ordinary
-generators stay within the fiber block over a single base crossing.  A stage's rank certificate is an
-exact rank, read off the directed ranks (FsHomRanks) that the caller has
-already derived with the rank calculus, and the stage merely checks that
-its generator count is large enough and of the right parity to carry it.
+generators stay within the fiber block over a single base crossing.  A
+stage's rank certificate is an exact rank, read off the directed ranks
+(FsHomRanks) that the caller has already derived with the rank calculus,
+and the stage merely checks that its generator count is large enough and
+of the right parity to carry it.
 
 A tower x:y is built from the two Crits that tower_crits resolves once (a
 self-tower is one crit twice), with wrap levels the config has checked and

@@ -27,8 +27,10 @@ builds no Fraction point.  What depends only on the source arc and the disc
 (its boundary angle, the annulus entry radius and the largest squared
 puncture radius) is derived once per (arc, disc).
 
-wrap refuses a spiral of more than VERTEX_BUDGET vertices before it builds
-one (SpiralTooLong).  It proves the arc it returns legal in disc, in linear
+spiral_vertex_count counts a spiral's vertices without building it, so the
+budget covers a whole render: cli._render_svgs sums the counts of all its
+spirals and refuses more than VERTEX_BUDGET of them (SpiralTooLong) before
+it wraps the first.  wrap proves the arc it returns legal in disc, in linear
 time, and records the pass as PlanarArc.validate does; where the proof
 fails, validate runs the full check.  A chord clear of the punctures spans
 under half a turn (one that spans half passes through the origin:
@@ -53,7 +55,7 @@ from fractions import Fraction
 from math import ceil, lcm
 
 from .disc import BoundaryAngle, DiscModel, PlanarArc, _closed_segments_touch
-from .errors import LefbenchError, SpiralCollision, SpiralTooLong
+from .errors import LefbenchError, SpiralCollision
 from .exactgeom import (ORIGIN, Q, circle_hpoint, orient, point_on_segment,
                         reduced, segment_near_origin,
                         segments_overlap_collinear)
@@ -61,7 +63,8 @@ from .exactgeom import (ORIGIN, Q, circle_hpoint, orient, point_on_segment,
 # how much further on a copy bent off its shared puncture starts
 BEND = Q(1, 128)
 
-# most vertices in one spiral; the deepest tested, m = 192 at 256, has 49 000
+# most spiral vertices in one render; the deepest spiral tested, m = 192 at
+# resolution 256, has 49 000
 VERTEX_BUDGET = 250_000
 
 
@@ -108,29 +111,43 @@ def source_annulus(arc: PlanarArc, disc: DiscModel,
     return seen[1]
 
 
+def _angles(arc: PlanarArc, m: int, params: WrapParams, disc: DiscModel,
+            bend: bool) -> tuple[int, int, int, int]:
+    """(den, half, a0, a_end): the angles of the level-m spiral of arc over
+    one denominator den, from its start a0 to its end a_end; its grid steps
+    are 2 * half."""
+    tau0 = arc.end.angle
+    start = tau0 + (BEND if bend else Q(0))
+    end = tau0 + m + params.delta
+    den = lcm(start.denominator, end.denominator,
+              2 * disc.boundary_resolution)
+    return (den, den // (2 * disc.boundary_resolution),
+            start.numerator * (den // start.denominator),
+            end.numerator * (den // end.denominator))
+
+
+def spiral_vertex_count(arc: PlanarArc, m: int, params: WrapParams,
+                        disc: DiscModel, bend: bool = False) -> int:
+    """The number of vertices of wrap(arc, m, params, disc, bend), counted
+    without building the spiral: the head, the spiral and the tail."""
+    _, half, a0, a_end = _angles(arc, m, params, disc, bend)
+    head = 1 if bend else len(arc.hverts) - 1
+    return head + len(range(a0 + half, a_end, 2 * half)) + 3
+
+
 def wrap(arc: PlanarArc, m: int, params: WrapParams, disc: DiscModel,
          bend: bool = False) -> PlanarArc:
     """Wrapped image of a radial-ended arc, recorded valid in disc where
     the wedge proof holds; see module docstring."""
-    tau0, r_out, max_punct = source_annulus(arc, disc, bend)
-    start = tau0 + (BEND if bend else Q(0))
-    end = tau0 + m + params.delta
+    _, r_out, max_punct = source_annulus(arc, disc, bend)
 
-    # Angles over one denominator den: start, then a half-step-shifted grid
-    # (so that no spiral vertex can land exactly on a boundary ray of the
-    # declared angle grid), then end.  Steps are 2 * half.
+    # Angles over one denominator: start, then a half-step-shifted grid (so
+    # that no spiral vertex can land exactly on a boundary ray of the
+    # declared angle grid), then end.
     res = disc.boundary_resolution
-    den = lcm(start.denominator, end.denominator, 2 * res)
-    half = den // (2 * res)
-    a0 = start.numerator * (den // start.denominator)
-    a_end = end.numerator * (den // end.denominator)
+    den, half, a0, a_end = _angles(arc, m, params, disc, bend)
     grid = range(a0 + half, a_end, 2 * half)
     head = arc.hverts[:1] if bend else arc.hverts[:-1]
-    count = len(head) + len(grid) + 3
-    if count > VERTEX_BUDGET:
-        raise SpiralTooLong(
-            f"a level-{m} spiral at boundary resolution {res} needs {count}"
-            f" vertices, above the budget of {VERTEX_BUDGET}")
     angles = [a0, *grid, a_end]
 
     # The radius climbs affinely in the angle from r_out to r_last =
@@ -156,7 +173,7 @@ def wrap(arc: PlanarArc, m: int, params: WrapParams, disc: DiscModel,
                     " raise the disc boundary_resolution")
             low.append(i)
 
-    tail = BoundaryAngle(end)
+    tail = BoundaryAngle(Q(a_end, den))
     out = PlanarArc(head + tuple(spiral) + (tail.hpoint,), arc.start, tail)
     join_lo = a0 - ceil(BEND * den) if bend else a0
     if (arc.is_legal(disc)

@@ -12,9 +12,7 @@ from lefbench.disc import BoundaryAngle, DiscModel, PlanarArc, Puncture
 from lefbench.exactgeom import Pt, homog
 from lefbench.fibration import (AbstractFiber, Crit, Fibration, HomologyTable,
                                 MatchingObject, TotalSpaceFiber)
-from lefbench.oracle import (ALL_SAME, DisjointFact, FiberOracle, IsotopicFact,
-                             LabelDecl, ParityFact, Provenance, RankFact,
-                             WitnessFact)
+from lefbench.oracle import ALL_SAME, Fact, FiberOracle, LabelDecl, Provenance
 from oracles import circle_point
 
 
@@ -179,32 +177,38 @@ def empty_fibration() -> Fibration:
 
 
 def aux_oracle(with_parity: bool = True) -> FiberOracle:
-    parity = (ParityFact("belt", "belt", ALL_SAME,
-                         cited("crossing-generators-share-grading")),)
+    parity = (Fact("parity", ("belt", "belt"), ALL_SAME,
+                   cited("crossing-generators-share-grading")),)
     return FiberOracle(
         label_decls=(LabelDecl("belt", sphere=True),),
-        parity_facts=parity if with_parity else ())
+        facts=parity if with_parity else ())
 
 
 def main_oracle(variant: str) -> FiberOracle:
+    """The main oracle of a shipped scenario, its facts in file order."""
     assert variant in ("W0", "W1")
     labels = (LabelDecl("A", sphere=True), LabelDecl("B", sphere=True),
               LabelDecl("L"))
-    ranks = [RankFact("A", "B", 2, cited("matching-paths-share-two-endpoints"))]
-    parity = [ParityFact("A", "B", ALL_SAME,
-                         cited("endpoint-generators-share-grading")),
-              ParityFact("A", "A", ALL_SAME, assumed("uniform-self-grading")),
-              ParityFact("B", "B", ALL_SAME, assumed("uniform-self-grading"))]
+    facts = [Fact("rank", ("A", "B"), 2,
+                  cited("matching-paths-share-two-endpoints"))]
     if variant == "W0":
-        relations = (IsotopicFact("A", "B", cited("pushed-off-matching-paths")),
-                     DisjointFact("A", "L", cited("paths-apart")),
-                     DisjointFact("B", "L", cited("paths-apart")))
+        facts += [Fact("isotopic", ("A", "B"), None,
+                       cited("pushed-off-matching-paths")),
+                  Fact("disjoint", ("A", "L"), None, cited("paths-apart")),
+                  Fact("disjoint", ("B", "L"), None, cited("paths-apart"))]
     else:
-        ranks.append(RankFact("B", "L", 2, cited("single-crossing-belt-pair")))
-        relations = (DisjointFact("A", "L", cited("paths-apart")),
-                     WitnessFact("A", "B", "L", cited("witness-schema")))
-    return FiberOracle(label_decls=labels, rank_facts=tuple(ranks),
-                       relations=relations, parity_facts=tuple(parity))
+        facts += [Fact("rank", ("B", "L"), 2,
+                       cited("single-crossing-belt-pair")),
+                  Fact("disjoint", ("A", "L"), None, cited("paths-apart")),
+                  Fact("witness", ("A", "B", "L"), None,
+                       cited("witness-schema"))]
+    facts += [Fact("parity", ("A", "B"), ALL_SAME,
+                   cited("endpoint-generators-share-grading")),
+              Fact("parity", ("A", "A"), ALL_SAME,
+                   assumed("uniform-self-grading")),
+              Fact("parity", ("B", "B"), ALL_SAME,
+                   assumed("uniform-self-grading"))]
+    return FiberOracle(label_decls=labels, facts=tuple(facts))
 
 
 def full_main_fibration(variant: str) -> Fibration:

@@ -134,6 +134,40 @@ def test_floer_ranks_lists_oracle_facts(capsys):
     assert "pants image rank: 1" in out
 
 
+def test_fact_lines_sort_by_kind_pair_and_text(tmp_path, capsys):
+    # every kind of fact sorts alike: by kind, then by its unordered pair
+    # of labels, then by its printed text, so a fact declared again with
+    # its labels swapped prints after its twin wherever it was declared
+    text = Path(shipped("W0.cfg")).read_text()
+    for old, new in [("rank A B", "rank B A = 2 !assumed swapped"),
+                     ("relation = disjoint B L",
+                      "relation = disjoint L B !assumed swapped"),
+                     ("parity A B", "parity B A = all-same !assumed swapped")]:
+        assert text.count(old) == 1
+        text = text.replace(old, f"{new}\n{old}")
+    cfg = tmp_path / "swapped.cfg"
+    cfg.write_text(text)
+    assert main(["floer-ranks", str(cfg)]) == 0
+    out = capsys.readouterr().out
+    assert [line for line in out.splitlines()
+            if line.startswith("fact: ")] == [
+        "fact: label A (sphere)",
+        "fact: label B (sphere)",
+        "fact: label L",
+        "fact: rank(A,B) = 2  [cited:matching-paths-share-two-endpoints]",
+        "fact: rank(B,A) = 2  [assumed:swapped]",
+        "fact: disjoint(A,L)  [cited:paths-apart]",
+        "fact: disjoint(B,L)  [cited:paths-apart]",
+        "fact: disjoint(L,B)  [assumed:swapped]",
+        "fact: isotopic(A,B)  [cited:pushed-off-matching-paths]",
+        "fact: parity(A,A) = all-same  [assumed:uniform-self-grading]",
+        "fact: parity(A,B) = all-same"
+        "  [cited:endpoint-generators-share-grading]",
+        "fact: parity(B,A) = all-same  [assumed:swapped]",
+        "fact: parity(B,B) = all-same  [assumed:uniform-self-grading]",
+    ]
+
+
 def test_hw_sections(capsys):
     assert main(["hw", shipped("W0.cfg")]) == 0
     out = capsys.readouterr().out
@@ -247,15 +281,36 @@ def test_coarse_grid_failure_bytes(scenario, resolution, tmp_path, capsys):
 
 
 def test_render_refuses_a_spiral_over_the_vertex_budget(tmp_path, capsys):
-    # wrap counts a spiral's vertices before it builds one, so the refusal
-    # costs no more than the level-0 stages before it
+    # a render counts its spirals' vertices before it builds one, so the
+    # refusal costs no spiral
     cfg = _edited(tmp_path, "W1", "levels = 0 1 2 3", "levels = 0 1000000")
     start = time.process_time()
     assert main(["render", str(cfg), "--svg", str(tmp_path / "svg")]) == 1
     assert time.process_time() - start < 1
     assert capsys.readouterr().err == (
-        "error[SpiralTooLong]: a level-1000000 spiral at boundary resolution"
-        " 16 needs 16000004 vertices, above the budget of 250000\n")
+        "error[SpiralTooLong]: the spirals of this render at boundary"
+        " resolution 16 need 48000024 vertices, above the budget of 250000;"
+        " the deepest is tower b:b at level 1000000\n")
+
+
+def test_render_budget_bounds_the_sum_of_its_spirals(monkeypatch, tmp_path,
+                                                     capsys):
+    # every spiral of this render is under the budget, their sum is not:
+    # refused before the first is wrapped
+    text = Path(shipped("W1.cfg")).read_text()
+    assert text.count("resolution = 16\n") == 2
+    cfg = tmp_path / "fine.cfg"
+    cfg.write_text(text.replace("resolution = 16\n", "resolution = 100000\n"))
+    spirals = []
+    _count_calls(monkeypatch, wrapping.wrap, spirals)
+    start = time.process_time()
+    assert main(["render", str(cfg), "--svg", str(tmp_path / "svg")]) == 1
+    assert time.process_time() - start < 0.2
+    assert not spirals and not (tmp_path / "svg").exists()
+    assert capsys.readouterr() == ("", (
+        "error[SpiralTooLong]: the spirals of this render at boundary"
+        " resolution 100000 need 1812544 vertices, above the budget of"
+        " 250000; the deepest is tower a:b at level 3\n"))
 
 
 def test_all_svg_runs_the_full_check_on_no_spiral(monkeypatch, tmp_path,
@@ -850,15 +905,25 @@ def test_error_exit_code(cls, monkeypatch, capsys):
 RATIONAL = re.compile(r"(?<![\w/.-])-?\d+(?:/\d+)?(?![\w/.])")
 
 
+# the first two labels of an oracle fact line
+FACT_LABELS = re.compile(r"^(?:rank|parity|relation = \w+) (\S+) (\S+)",
+                         re.MULTILINE)
+
+
 def config_mutants(text):
     """Each line deleted in turn, then each rational token replaced by 0,
-    -1 and 7/3."""
+    -1 and 7/3, then each oracle fact line with its first two labels
+    swapped (a fact on a label and itself gives none)."""
     lines = text.splitlines(keepends=True)
     for i in range(len(lines)):
         yield "".join(lines[:i] + lines[i + 1:])
     for m in RATIONAL.finditer(text):
         for token in ("0", "-1", "7/3"):
             yield text[:m.start()] + token + text[m.end():]
+    for m in FACT_LABELS.finditer(text):
+        i, j = m.group(1), m.group(2)
+        if i != j:
+            yield text[:m.start(1)] + f"{j} {i}" + text[m.end(2):]
 
 
 def mutant_outcome(scenario, k, code, out, err, cfg):

@@ -2,13 +2,17 @@
 
 import pytest
 
-from lefbench.errors import Inconsistent, InvalidWitness, MissingParity, UnknownPair
-from lefbench.oracle import (ALL_SAME, MIXED, DisjointFact, FiberOracle,
-                             IsotopicFact, LabelDecl, ParityFact, RankFact,
-                             WitnessFact, matching_floer_rank)
+from lefbench.errors import (Inconsistent, InvalidWitness, LefbenchError,
+                             MissingParity, UnknownPair)
+from lefbench.oracle import (ALL_SAME, MIXED, Fact, FiberOracle, LabelDecl,
+                             matching_floer_rank)
 
 from oracles import brute_crossing_count
 from scen import assumed, aux_fibration, aux_oracle, main_oracle
+
+
+def fact(kind, *labels, value=None):
+    return Fact(kind, labels, value, assumed("t"))
 
 
 def test_sphere_self_rank_is_derived():
@@ -60,69 +64,101 @@ def test_disjoint_conflicts_with_declared_rank():
     with pytest.raises(Inconsistent):
         FiberOracle(
             (LabelDecl("x"), LabelDecl("y")),
-            rank_facts=(RankFact("x", "y", 2, assumed("t")),),
-            relations=(DisjointFact("x", "y", assumed("t")),))
+            (fact("rank", "x", "y", value=2), fact("disjoint", "x", "y")))
 
 
 def test_isotopy_substitution_conflicts_detected():
     with pytest.raises(Inconsistent):
         FiberOracle(
             (LabelDecl("x"), LabelDecl("y"), LabelDecl("z")),
-            rank_facts=(RankFact("x", "z", 1, assumed("t")),
-                        RankFact("y", "z", 2, assumed("t"))),
-            relations=(IsotopicFact("x", "y", assumed("t")),))
+            (fact("rank", "x", "z", value=1), fact("rank", "y", "z", value=2),
+             fact("isotopic", "x", "y")))
 
 
 def test_sphere_self_rank_conflict_detected():
     with pytest.raises(Inconsistent):
-        FiberOracle(
-            (LabelDecl("s", sphere=True),),
-            rank_facts=(RankFact("s", "s", 1, assumed("t")),))
+        FiberOracle((LabelDecl("s", sphere=True),),
+                    (fact("rank", "s", "s", value=1),))
 
 
 def test_isotopic_and_not_isomorphic_conflict():
     with pytest.raises(Inconsistent):
         FiberOracle(
             (LabelDecl("x"), LabelDecl("y"), LabelDecl("w")),
-            rank_facts=(RankFact("y", "w", 1, assumed("t")),),
-            relations=(IsotopicFact("x", "y", assumed("t")),
-                       WitnessFact("x", "y", "w", assumed("t")),
-                       DisjointFact("x", "w", assumed("t"))))
+            (fact("rank", "y", "w", value=1), fact("isotopic", "x", "y"),
+             fact("witness", "x", "y", "w"), fact("disjoint", "x", "w")))
 
 
 def test_invalid_witness_rejected():
     with pytest.raises(InvalidWitness):
         FiberOracle(
             (LabelDecl("x"), LabelDecl("y"), LabelDecl("w")),
-            rank_facts=(RankFact("x", "w", 1, assumed("t")),
-                        RankFact("y", "w", 1, assumed("t"))),
-            relations=(WitnessFact("x", "y", "w", assumed("t")),))
+            (fact("rank", "x", "w", value=1), fact("rank", "y", "w", value=1),
+             fact("witness", "x", "y", "w")))
     with pytest.raises(InvalidWitness):
         FiberOracle(
             (LabelDecl("x"), LabelDecl("y"), LabelDecl("w")),
-            relations=(WitnessFact("x", "y", "w", assumed("t")),))
+            (fact("witness", "x", "y", "w"),))
 
 
 def test_conflicting_parity_rejected():
     with pytest.raises(Inconsistent):
         FiberOracle(
             (LabelDecl("x"), LabelDecl("y")),
-            parity_facts=(ParityFact("x", "y", ALL_SAME, assumed("t")),
-                          ParityFact("y", "x", MIXED, assumed("t"))))
+            (fact("parity", "x", "y", value=ALL_SAME),
+             fact("parity", "y", "x", value=MIXED)))
 
 
 def test_closure_is_stable_under_derivable_facts():
     base = main_oracle("W0")
     fattened = FiberOracle(
         base.label_decls,
-        base.rank_facts + (RankFact("B", "L", 0, assumed("derivable")),
-                           RankFact("A", "A", 2, assumed("derivable"))),
-        base.relations, base.parity_facts)
+        base.facts + (Fact("rank", ("B", "L"), 0, assumed("derivable")),
+                      Fact("rank", ("A", "A"), 2, assumed("derivable"))))
     for i in ("A", "B", "L"):
         for j in ("A", "B", "L"):
             assert base.rank_known(i, j) == fattened.rank_known(i, j)
             if base.rank_known(i, j):
                 assert base.rank_of(i, j) == fattened.rank_of(i, j)
+
+
+# Each pair of adjacent closure stages, with the later stage's error first
+# in the facts: the earlier stage's error wins, so an oracle's message does
+# not depend on the order of its lines.
+STAGE_PAIRS = {
+    "isotopic-rank": (
+        (fact("rank", "x", "y", value=-1), fact("isotopic", "x", "ghost")),
+        LefbenchError, "undeclared cycle label 'ghost'"),
+    "rank-disjoint": (
+        (fact("disjoint", "x", "ghost"), fact("rank", "x", "y", value=-1)),
+        LefbenchError, "ranks are nonnegative"),
+    "disjoint-sphere": (
+        (fact("rank", "s", "s", value=1), fact("disjoint", "x", "ghost")),
+        LefbenchError, "undeclared cycle label 'ghost'"),
+    "sphere-parity": (
+        (fact("parity", "x", "y", value="sometimes"),
+         fact("rank", "s", "s", value=1)),
+        Inconsistent, "rank(s,s) forced to both 1 (declared [assumed:t])"
+        " and 2 (sphere self-rank)"),
+    "parity-witness": (
+        (fact("witness", "x", "y", "w"), fact("isotopic", "x", "y"),
+         fact("parity", "x", "y", value="sometimes")),
+        LefbenchError, "parity must be 'all-same' or 'mixed'"),
+    "witness-check": (
+        (fact("witness", "x", "y", "w"), fact("isotopic", "x", "z"),
+         fact("witness", "x", "z", "w")),
+        Inconsistent, "labels 'x', 'z' declared both isotopic and"
+        " non-isomorphic"),
+}
+
+
+@pytest.mark.parametrize("facts, error, message", STAGE_PAIRS.values(),
+                         ids=STAGE_PAIRS)
+def test_earlier_closure_stage_reports_first(facts, error, message):
+    labels = (*(LabelDecl(n) for n in "xyzw"), LabelDecl("s", sphere=True))
+    with pytest.raises(error) as info:
+        FiberOracle(labels, facts)
+    assert type(info.value) is error and str(info.value) == message
 
 
 def test_fact_lines_are_deterministic_and_provenanced():

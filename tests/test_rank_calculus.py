@@ -13,7 +13,7 @@ from lefbench.disc import BoundaryAngle, DiscModel, Puncture
 from lefbench.errors import (ImageTooLarge, Inconsistent, Undecidable,
                              UnknownPair)
 from lefbench.fibration import Crit, Fibration, MatchingObject, TotalSpaceFiber
-from lefbench.oracle import FiberOracle, LabelDecl, RankFact
+from lefbench.oracle import Fact, FiberOracle, LabelDecl
 from lefbench.rank_calculus import (NONZERO_EV_WARNING, FsHomRanks, UnitFate,
                                     _directed_twist, analyze,
                                     closed_lagrangian_obstruction,
@@ -83,8 +83,8 @@ def test_triangle_rank_parity_and_bounds(k, l, f):
 def _two_sphere_oracle(pair_rank, extra_relations=()):
     return FiberOracle(
         label_decls=(LabelDecl("s", sphere=True), LabelDecl("t", sphere=True)),
-        rank_facts=(RankFact("s", "t", pair_rank, scen.assumed("setup")),),
-        relations=tuple(extra_relations))
+        facts=(Fact("rank", ("s", "t"), pair_rank, scen.assumed("setup")),
+               *extra_relations))
 
 
 def test_pants_image_rank_on_scenarios():
@@ -102,8 +102,8 @@ def test_pants_image_rank_undecidable_without_iso_status():
 def test_pants_image_rank_needs_rank_two_target():
     o = FiberOracle(
         label_decls=(LabelDecl("x"), LabelDecl("y")),
-        rank_facts=(RankFact("x", "x", 3, scen.assumed("setup")),
-                    RankFact("x", "y", 1, scen.assumed("setup"))))
+        facts=(Fact("rank", ("x", "x"), 3, scen.assumed("setup")),
+               Fact("rank", ("x", "y"), 1, scen.assumed("setup"))))
     with pytest.raises(Undecidable):
         pair_of_pants_image_rank(o, "y", "x")   # rank(x,x) = 3
     with pytest.raises(Undecidable):
@@ -117,8 +117,8 @@ def test_seidel_twist_rank_scenarios():
 
 def test_seidel_twist_rank_disjoint_pair():
     # zero tensor factor: no iso status needed, the image is forced zero
-    from lefbench.oracle import DisjointFact
-    o = _two_sphere_oracle(0, [DisjointFact("s", "t", scen.cited("apart"))])
+    o = _two_sphere_oracle(
+        0, [Fact("disjoint", ("s", "t"), None, scen.cited("apart"))])
     assert _directed_twist(o, "s", "t")[2] == 2
 
 
@@ -133,13 +133,13 @@ def test_seidel_twist_rank_undeclared_self_rank():
     # reads the missing self-rank
     o = FiberOracle(
         label_decls=(LabelDecl("x"), LabelDecl("y")),
-        rank_facts=(RankFact("x", "x", 2, scen.assumed("setup")),
-                    RankFact("x", "y", 1, scen.assumed("setup"))))
+        facts=(Fact("rank", ("x", "x"), 2, scen.assumed("setup")),
+               Fact("rank", ("x", "y"), 1, scen.assumed("setup"))))
     with pytest.raises(Undecidable, match="rank\\(y,y\\) = 2"):
         _directed_twist(o, "x", "y")
     o0 = FiberOracle(
         label_decls=(LabelDecl("x"), LabelDecl("y")),
-        rank_facts=(RankFact("x", "y", 0, scen.assumed("setup")),))
+        facts=(Fact("rank", ("x", "y"), 0, scen.assumed("setup")),))
     with pytest.raises(UnknownPair):
         _directed_twist(o0, "x", "y")
 
@@ -193,7 +193,7 @@ def test_fs_hom_ranks_single_crossing_rank_one():
     ))
     oracle = FiberOracle(
         label_decls=(LabelDecl("u"), LabelDecl("v")),
-        rank_facts=(RankFact("u", "v", 1, scen.assumed("setup")),))
+        facts=(Fact("rank", ("u", "v"), 1, scen.assumed("setup")),))
     objects = (_matching_between(disc, "A", "q1", "q2", "u"),
                _matching_between(disc, "B", "q3", "q4", "v"))
     f = _bifibration(disc, objects, oracle)
@@ -205,7 +205,7 @@ def test_fs_hom_ranks_single_crossing_rank_one():
 def test_fs_hom_ranks_cross_check_against_declared_rank():
     bad = FiberOracle(
         label_decls=(LabelDecl("A", sphere=True), LabelDecl("B", sphere=True)),
-        rank_facts=(RankFact("A", "B", 4, scen.assumed("wrong")),))
+        facts=(Fact("rank", ("A", "B"), 4, scen.assumed("wrong")),))
     f = scen.main_fibration("W0", aux_oracle=scen.aux_oracle(),
                             main_oracle=bad)
     with pytest.raises(Inconsistent):

@@ -294,3 +294,20 @@ def test_wrap_certifies_exactly_the_spirals_the_full_check_accepts():
                 seen["oracle"] += 1
     assert seen == {"certified": 118, "illegal source": 0, "rejected": 133,
                     "collision": 109, "oracle": 38}
+
+
+def test_spiral_vertex_count_is_the_length_of_the_spiral():
+    # render sums these counts against the budget before it wraps a spiral
+    rng = random.Random(5)
+    checked = 0
+    for disc, source, bend in _wrap_sources():
+        res, m = rng.randint(1, 64), rng.randint(0, 16)
+        grid = DiscModel(disc.punctures, boundary_resolution=res)
+        try:
+            w = wrap(source, m, PARAMS, grid, bend=bend)
+        except SpiralCollision:
+            continue
+        assert wrapping.spiral_vertex_count(source, m, PARAMS, grid,
+                                            bend) == len(w.hverts)
+        checked += 1
+    assert checked > 30
