@@ -25,7 +25,7 @@ from .fibration import (Fibration, TotalSpaceFiber, total_space_homology,
                         with_resolution)
 from .fibration import validate as validate_fibration
 from .rank_calculus import ScenarioRanks, analyze
-from .report import Report, homology_lines, hw_value, thimble
+from .report import Report, homology_lines, thimble
 from .svg import diagram_files, stage_svg
 from .tower import build_tower, tower_crits
 from .wrapping import (VERTEX_BUDGET, source_annulus, spiral_vertex_count,
@@ -101,7 +101,6 @@ def _section_hw(r: Report, cfg: ScenarioConfig, out: ScenarioRanks) -> None:
             " can be assembled")
     r.line("wrap delta", cfg.wrap.delta)
     r.line("wrap levels", " ".join(str(m) for m in cfg.wrap.levels))
-    diagonal = dict(out.diagonal)
     for x, y in cfg.towers:
         cx, cy = tower_crits(f, x, y)
         lx, ly = cx.cycle_label, cy.cycle_label
@@ -113,19 +112,19 @@ def _section_hw(r: Report, cfg: ScenarioConfig, out: ScenarioRanks) -> None:
             r.line(f"{name} stage m={s.m}",
                    f"{s.count} generator(s), u {s.u_count},"
                    f" certificate {cert}")
-        if lx == ly:
-            # a self-tower's verdict is the fate of its unit, which every
-            # continuation map carries along
-            verdict = diagonal[lx]
-            note = ("exists; unit image "
-                    + ("persists" if verdict.nonzero else "dies"))
+        if cx == cy:
+            # a self-tower (one crit twice, as in build_stage) reports the
+            # fate of its unit, which every continuation map carries along
+            nonzero = out.hw[lx]
+            note = "exists; unit image " + ("persists" if nonzero else "dies")
         else:
-            verdict, note = out.off_diagonal, "exists"
+            nonzero, note = out.hw_mixed, "exists"
         for lo, hi in zip(stages, stages[1:]):
             r.line(f"{name} continuation {lo.m}->{hi.m}", note)
-        r.line(f"HW({thimble(lx)},{thimble(ly)})", hw_value(verdict.nonzero))
-    r.line("unit fate", out.fate.value)
-    r.line("obstruction", out.obstruction.kind)
+        r.line(f"HW({thimble(lx)},{thimble(ly)})",
+               "nonzero" if nonzero else "0")
+    r.line("unit fate", "Survives" if out.hw[out.labels[1]] else "Dies")
+    r.line("obstruction", "Obstructed" if out.obstructed else "NoConclusion")
 
 
 def _section_trace(r: Report, out: ScenarioRanks) -> None:

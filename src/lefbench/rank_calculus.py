@@ -5,13 +5,13 @@ an exact triangle with known edge map image rank f relates three ranks by
 rank M = k + l - 2f.  The twist triangle and the evaluation-cone triangle
 are instances; comparing them decides whether the distinguished unit
 generator u survives wrapping, which in turn decides whether the wrapped
-groups vanish.  Each derivation step is recorded as a tagged trace step so
-reports can be compared literally.
+groups vanish.  analyze decides each verdict once, as a plain value, and
+records each derivation step as a tagged trace step so reports can be
+compared literally.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 from .errors import ImageTooLarge, Inconsistent, MissingClass, Undecidable
@@ -112,13 +112,9 @@ def fs_hom_ranks(f: Fibration) -> FsHomRanks:
     return FsHomRanks(1, hom_ab, hom_b1b, warnings)
 
 
-class UnitFate(enum.Enum):
-    SURVIVES = "Survives"
-    DIES = "Dies"
-
-
-def unit_fate(rank_total: int, rank_quotient: int) -> UnitFate:
-    """Fate of u from the ranks of the total and quotient complexes.
+def unit_survives(rank_total: int, rank_quotient: int) -> bool:
+    """Whether u survives, from the ranks of the total and quotient
+    complexes.
 
     The short exact sequence 0 -> <u> -> C -> C_quot -> 0 has no
     differential out of u, so over Z/2 the total rank is the quotient rank
@@ -126,101 +122,53 @@ def unit_fate(rank_total: int, rank_quotient: int) -> UnitFate:
     anything else means the input ranks are wrong.
     """
     if rank_total == rank_quotient + 1:
-        return UnitFate.SURVIVES
+        return True
     if rank_total == rank_quotient - 1:
-        return UnitFate.DIES
+        return False
     raise Inconsistent(
         f"total rank {rank_total} and quotient rank {rank_quotient} differ"
         " by something other than one; the unit subcomplex forces a"
         " difference of exactly one")
 
 
-@dataclass(frozen=True)
-class HWVerdict:
-    nonzero: bool
-    steps: tuple[TraceStep, ...]
-
-
-def hw_verdict(fate: UnitFate) -> HWVerdict:
-    """Wrapped-group verdict for a thimble's self-Hom tower."""
-    if fate is UnitFate.DIES:
-        step = TraceStep(
-            "unit-death",
-            "u is hit by the connecting differential at the first wrapping"
-            " level and its continuation images stay exact, so the unit of"
-            " the limit group is zero; a unital group with zero unit"
-            " vanishes")
-        return HWVerdict(False, (step,))
-    step = TraceStep(
-        "unit-survival",
-        "u is not a boundary at the first wrapping level and no later"
-        " differential can reach it, so the unit persists in the limit and"
-        " the group is nonzero")
-    return HWVerdict(True, (step,))
-
-
-def off_diagonal_verdict(diagonal: HWVerdict, o: FiberOracle,
-                         a: str, b: str) -> HWVerdict:
-    """Verdict for the mixed-pair wrapped group from the diagonal one.
-
-    The mixed group is a module over the diagonal one, so a vanishing
-    diagonal forces it to vanish.  A nonvanishing conclusion needs a closed
-    Lagrangian sphere witness, which the calculus certifies exactly when
-    the two vanishing cycles are isotopic (the matching sphere closes up).
-    """
-    if not diagonal.nonzero:
-        step = TraceStep(
-            "module-vanishing",
-            "the mixed wrapped group is a module over the vanishing"
-            " diagonal group, so it vanishes as well")
-        return HWVerdict(False, (step,))
-    if o.isomorphic_objects(a, b) == "yes":
-        step = TraceStep(
-            "sphere-witness",
-            f"the cycles {a} and {b} are isotopic, so the matching sphere"
-            " closes up to a closed exact Lagrangian whose Floer group"
-            " forces the mixed wrapped group to be nonzero")
-        return HWVerdict(True, (step,))
-    raise Undecidable(
-        "a nonvanishing mixed wrapped group is certified only through a"
-        " closed sphere witness, which needs isotopic cycles")
-
-
-@dataclass(frozen=True)
-class ObstructionResult:
-    kind: str                      # "Obstructed" | "NoConclusion"
-    steps: tuple[TraceStep, ...]
-
-
-def closed_lagrangian_obstruction(
-        hw_diagonal: dict[str, HWVerdict]) -> ObstructionResult:
-    """Existence obstruction for closed exact Lagrangians.
-
-    A closed exact Lagrangian would have nonzero self-Floer cohomology,
-    computed by a spectral sequence whose first page is built from the
-    wrapped groups of a full thimble basis; if every diagonal group
-    vanishes the page vanishes and no such Lagrangian exists.  analyze
-    passes the verdicts of both thimbles.
-    """
-    if all(not v.nonzero for v in hw_diagonal.values()):
-        step = TraceStep(
-            "obstruction",
-            "every diagonal wrapped group of the thimble basis vanishes, so"
-            " the spectral sequence converging to the self-Floer cohomology"
-            " of any closed exact Lagrangian has vanishing first page; such"
-            " a Lagrangian would have nonzero self-Floer cohomology, so"
-            " none exists")
-        return ObstructionResult("Obstructed", (step,))
-    step = TraceStep(
-        "obstruction",
-        "some diagonal wrapped group is nonzero, so the spectral-sequence"
-        " page is nonzero and no obstruction follows")
-    return ObstructionResult("NoConclusion", (step,))
-
-
 # --------------------------------------------------------------------------
 # whole-scenario analysis
 # --------------------------------------------------------------------------
+
+# The fixed-text steps of the verdicts analyze derives from the fate of u.
+# A thimble's wrapped self-group is unital, so it vanishes exactly when its
+# unit dies.  The mixed group is a module over each diagonal one, so it
+# vanishes with either; a nonvanishing one is certified only by a closed
+# sphere witness, which the calculus has exactly when the two cycles are
+# isotopic (the matching sphere closes up).  A closed exact Lagrangian has
+# nonzero self-Floer cohomology, computed by a spectral sequence whose first
+# page is built from the wrapped groups of a full thimble basis, so
+# vanishing diagonal groups obstruct one.
+UNIT_DEATH = TraceStep(
+    "unit-death",
+    "u is hit by the connecting differential at the first wrapping level"
+    " and its continuation images stay exact, so the unit of the limit"
+    " group is zero; a unital group with zero unit vanishes")
+UNIT_SURVIVAL = TraceStep(
+    "unit-survival",
+    "u is not a boundary at the first wrapping level and no later"
+    " differential can reach it, so the unit persists in the limit and the"
+    " group is nonzero")
+MODULE_VANISHING = TraceStep(
+    "module-vanishing",
+    "the mixed wrapped group is a module over the vanishing diagonal group,"
+    " so it vanishes as well")
+OBSTRUCTED = TraceStep(
+    "obstruction",
+    "every diagonal wrapped group of the thimble basis vanishes, so the"
+    " spectral sequence converging to the self-Floer cohomology of any"
+    " closed exact Lagrangian has vanishing first page; such a Lagrangian"
+    " would have nonzero self-Floer cohomology, so none exists")
+NO_CONCLUSION = TraceStep(
+    "obstruction",
+    "some diagonal wrapped group is nonzero, so the spectral-sequence page"
+    " is nonzero and no obstruction follows")
+
 
 @dataclass(frozen=True)
 class ScenarioRanks:
@@ -229,10 +177,9 @@ class ScenarioRanks:
     pants_image: int
     twist: int
     fs: FsHomRanks
-    fate: UnitFate
-    diagonal: tuple[tuple[str, HWVerdict], ...]
-    off_diagonal: HWVerdict
-    obstruction: ObstructionResult
+    hw: dict[str, bool]                  # HW(Th(x),Th(x)) nonzero, by label
+    hw_mixed: bool                       # HW(Th(a),Th(b)) nonzero
+    obstructed: bool                     # no closed exact Lagrangian
     trace: tuple[TraceStep, ...]
 
 
@@ -244,7 +191,8 @@ def _directed_twist(o: FiberOracle, twister: str, twistee: str) -> tuple[int, in
 
 
 def analyze(f: Fibration) -> ScenarioRanks:
-    """Run the full rank pipeline for a two-thimble scenario.
+    """Run the full rank pipeline for a two-thimble scenario, deciding
+    every wrapped verdict and recording every trace step.
 
     The calculus is run once per thimble (each is twisted by the other to
     settle the fate of its own unit).  The reported trace follows the
@@ -272,30 +220,39 @@ def analyze(f: Fibration) -> ScenarioRanks:
         f" hom ranks ({fs.hom_bb}, {fs.hom_ab}, {fs.hom_b1b}): "
         f"{fs.hom_bb} + {fs.hom_ab}^2 - 2*1 = {fs.hom_b1b}"))
 
-    fate = unit_fate(fs.hom_b1b, twist)
+    alive_b = unit_survives(fs.hom_b1b, twist)
     trace.append(TraceStep(
         "unit-fate",
         f"the total complex has rank {fs.hom_b1b} against quotient rank"
-        f" {twist}, so the unit generator u {fate.value.lower()}"))
-
-    verdict_b = hw_verdict(fate)
-    trace.extend(verdict_b.steps)
+        f" {twist}, so the unit generator u"
+        f" {'survives' if alive_b else 'dies'}"))
+    trace.append(UNIT_SURVIVAL if alive_b else UNIT_DEATH)
 
     # Same calculus with the roles swapped settles the other diagonal
     # entry.  fs_hom_ranks is symmetric in the two thimbles (the pair rank
     # is an unordered geometric count), so only the twist recomputes.
     _, _, twist_a = _directed_twist(o, b, a)
-    verdict_a = hw_verdict(unit_fate(fs.hom_b1b, twist_a))
+    hw = {b: alive_b, a: unit_survives(fs.hom_b1b, twist_a)}
 
-    diagonal = ((b, verdict_b), (a, verdict_a))
-    off = off_diagonal_verdict(
-        verdict_a if not verdict_a.nonzero else verdict_b, o, a, b)
-    trace.extend(off.steps)
+    if not (hw[a] and hw[b]):
+        hw_mixed = False
+        trace.append(MODULE_VANISHING)
+    elif o.isomorphic_objects(a, b) == "yes":
+        hw_mixed = True
+        trace.append(TraceStep(
+            "sphere-witness",
+            f"the cycles {a} and {b} are isotopic, so the matching sphere"
+            " closes up to a closed exact Lagrangian whose Floer group"
+            " forces the mixed wrapped group to be nonzero"))
+    else:
+        raise Undecidable(
+            "a nonvanishing mixed wrapped group is certified only through a"
+            " closed sphere witness, which needs isotopic cycles")
 
-    obstruction = closed_lagrangian_obstruction(dict(diagonal))
-    trace.extend(obstruction.steps)
+    obstructed = not any(hw.values())
+    trace.append(OBSTRUCTED if obstructed else NO_CONCLUSION)
 
     return ScenarioRanks(
         labels=(a, b), hf_pair=o.rank_of(a, b), pants_image=pants,
-        twist=twist, fs=fs, fate=fate, diagonal=diagonal, off_diagonal=off,
-        obstruction=obstruction, trace=tuple(trace))
+        twist=twist, fs=fs, hw=hw, hw_mixed=hw_mixed, obstructed=obstructed,
+        trace=tuple(trace))

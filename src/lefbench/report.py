@@ -49,7 +49,3 @@ def homology_lines(table: HomologyTable) -> list[tuple[str, str]]:
 def thimble(label: str) -> str:
     """Report notation for the thimble with vanishing cycle ``label``."""
     return f"Th({label})"
-
-
-def hw_value(nonzero: bool) -> str:
-    return "nonzero" if nonzero else "0"

@@ -24,8 +24,8 @@ is the integer circle point (exactgeom.circle_hpoint) scaled by the radius,
 one homogeneous triple, reduced as the returned arc stores it.  The check
 that no chord dips to a puncture's radius compares integers; the spiral
 builds no Fraction point.  What depends only on the source arc and the disc
-(its boundary angle, the annulus entry radius and the largest squared
-puncture radius) is derived once per (arc, disc).
+(the annulus entry radius and the largest squared puncture radius) is
+derived once per (arc, disc).
 
 spiral_vertex_count counts a spiral's vertices without building it, so the
 budget covers a whole render: cli._render_svgs sums the counts of all its
@@ -77,15 +77,15 @@ class WrapParams:
 
 
 def source_annulus(arc: PlanarArc, disc: DiscModel,
-                   bend: bool = False) -> tuple[Fraction, ...]:
-    """(boundary angle, annulus entry radius r_out, largest squared puncture
-    radius) of the vanishing path arc in disc; raises unless its last
-    segment points straight out along its ray, and it is one segment if it
-    is to be bent off its puncture.  r_out is rational, above every
-    puncture and pre-boundary vertex radius and below 1: with s the largest
-    of their squared radii, (1 + s)/2 >= sqrt(s) and r_out = (1 + (1 +
-    s)/2)/2 > sqrt(s) for s < 1.  The annulus is recorded against disc by
-    identity, like PlanarArc.validate; a failure records nothing."""
+                   bend: bool = False) -> tuple[Fraction, Fraction]:
+    """(annulus entry radius r_out, largest squared puncture radius) of the
+    vanishing path arc in disc; raises unless its last segment points
+    straight out along its ray, and it is one segment if it is to be bent
+    off its puncture.  r_out is rational, above every puncture and
+    pre-boundary vertex radius and below 1: with s the largest of their
+    squared radii, (1 + s)/2 >= sqrt(s) and r_out = (1 + (1 + s)/2)/2 >
+    sqrt(s) for s < 1.  The annulus is recorded against disc by identity,
+    like PlanarArc.validate; a failure records nothing."""
     seen = arc.__dict__.get("_annulus")
     if seen is None or seen[0] is not disc:
         end, prev = arc.hverts[-1], arc.hverts[-2]
@@ -102,8 +102,7 @@ def source_annulus(arc: PlanarArc, disc: DiscModel,
                                for x, y, w in arc.hverts[:-1]])
         upper = (1 + s) / 2          # rational upper bound for sqrt(s)
         r_out = (1 + upper) / 2
-        seen = arc.__dict__["_annulus"] = disc, (arc.end.angle, r_out,
-                                                 max_punct)
+        seen = arc.__dict__["_annulus"] = disc, (r_out, max_punct)
     if bend and len(arc.hverts) != 2:
         raise LefbenchError(
             "left-bend wrapping requires a radial normal form path"
@@ -139,7 +138,7 @@ def wrap(arc: PlanarArc, m: int, params: WrapParams, disc: DiscModel,
          bend: bool = False) -> PlanarArc:
     """Wrapped image of a radial-ended arc, recorded valid in disc where
     the wedge proof holds; see module docstring."""
-    _, r_out, max_punct = source_annulus(arc, disc, bend)
+    r_out, max_punct = source_annulus(arc, disc, bend)
 
     # Angles over one denominator: start, then a half-step-shifted grid (so
     # that no spiral vertex can land exactly on a boundary ray of the

@@ -78,23 +78,26 @@ def test_c3_unit_fate_and_wrapped_verdicts(capsys, cfgs):
         for v, cfg in cfgs.items():
             out = analyze(cfg.fibration)
             flag = v == "W0"
-            assert out.fate.value == ("Survives" if flag else "Dies")
-            diagonal = dict(out.diagonal)
-            assert diagonal["B"].nonzero is flag
-            assert diagonal["A"].nonzero is flag
-            assert out.off_diagonal.nonzero is flag
+            assert out.labels[1] == "B"
+            assert out.hw == {"B": flag, "A": flag}
+            assert out.hw_mixed is flag
             # and the CLI report carries the same three verdicts
             assert main(["all", shipped(f"{v}.cfg")]) == 0
             text = capsys.readouterr().out
             want = "nonzero" if flag else "0"
             for pair in ("Th(B),Th(B)", "Th(A),Th(A)", "Th(A),Th(B)"):
                 assert f"HW({pair}): {want}" in text
+            assert f"unit fate: {'Survives' if flag else 'Dies'}\n" in text
 
 
 def test_c4_closed_lagrangian_obstruction(capsys, cfgs):
     with announce(capsys, 4, "obstruction Obstructed (W1) / NoConclusion (W0)"):
-        assert analyze(cfgs["W1"].fibration).obstruction.kind == "Obstructed"
-        assert analyze(cfgs["W0"].fibration).obstruction.kind == "NoConclusion"
+        assert analyze(cfgs["W1"].fibration).obstructed is True
+        assert analyze(cfgs["W0"].fibration).obstructed is False
+        # and the CLI report spells each verdict
+        for v, kind in (("W1", "Obstructed"), ("W0", "NoConclusion")):
+            assert main(["hw", shipped(f"{v}.cfg")]) == 0
+            assert f"obstruction: {kind}\n" in capsys.readouterr().out
 
 
 def test_c5_homology_agreement(capsys, cfgs):

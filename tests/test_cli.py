@@ -379,7 +379,7 @@ def test_hw_derives_each_quantity_once(monkeypatch, tmp_path, capsys):
     fs_calls, verdicts, spirals, validated, checked = [], [], [], [], []
     stages, ranks, crossings = [], [], []
     _count_calls(monkeypatch, rank_calculus.fs_hom_ranks, fs_calls)
-    _count_calls(monkeypatch, rank_calculus.hw_verdict, verdicts)
+    _count_calls(monkeypatch, rank_calculus.unit_survives, verdicts)
     _count_calls(monkeypatch, wrapping.wrap, spirals)
     _count_calls(monkeypatch, tower.build_stage, stages)
     _count_calls(monkeypatch, oracle.matching_floer_rank, ranks)

@@ -6,9 +6,10 @@ referenced somewhere in the package besides its own definition; a helper
 that only a test needs lives in ``tests/``.  Every annotated class-level
 field of a top-level class (a dataclass field) must be read as an
 attribute somewhere in the package: one that only its constructor touches
-is dead.  References are read from the syntax tree (names and attribute
-accesses), so a mention in a comment or a docstring does not count, and
-neither does an import.
+is dead.  Every name a module assigns at top level, dunder names skipped,
+must be read somewhere in the package.  References are read from the
+syntax tree (names and attribute accesses), so a mention in a comment or a
+docstring does not count, and neither does an import or an assignment.
 """
 
 import ast
@@ -48,6 +49,19 @@ def _definitions(tree: ast.Module):
                     yield f"{node.name}.{member.name}", member.name
 
 
+def _assignments(tree: ast.Module):
+    """Each name a top-level assignment binds, dunder names skipped."""
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign)
+                   else [])
+        for target in targets:
+            for name in ast.walk(target):
+                if (isinstance(name, ast.Name)
+                        and not name.id.startswith("__")):
+                    yield name.id
+
+
 def _parse(src: Path) -> dict[str, ast.Module]:
     return {p.name: ast.parse(p.read_text(encoding="utf-8"))
             for p in sorted(src.glob("*.py"))}
@@ -81,6 +95,22 @@ def unread_fields(src: Path) -> list[str]:
             for qualified, name in _fields(tree) if name not in read]
 
 
+def unread_assignments(src: Path) -> list[str]:
+    """module:name of each top-level assigned name (_assignments) that
+    nothing in src reads, as a name or as an attribute."""
+    trees = _parse(src)
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [f"{module}:{name}"
+            for module, tree in trees.items()
+            for name in _assignments(tree) if name not in read]
+
+
 def test_every_top_level_definition_is_used_in_the_package():
     assert len(list(SRC.glob("*.py"))) > 10
     assert unreferenced_definitions(SRC) == []
@@ -88,3 +118,7 @@ def test_every_top_level_definition_is_used_in_the_package():
 
 def test_every_field_is_read_in_the_package():
     assert unread_fields(SRC) == []
+
+
+def test_every_top_level_assignment_is_read_in_the_package():
+    assert unread_assignments(SRC) == []

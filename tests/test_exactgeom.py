@@ -403,7 +403,7 @@ def test_wrap_builds_the_reference_spiral(resolution, m, bend):
         w = wrap(arc, m, params, f.disc, bend=bend)
         tau0 = arc.end.angle
         start = tau0 + (BEND if bend else 0)
-        _, r_out, _ = source_annulus(arc, f.disc)
+        r_out, _ = source_annulus(arc, f.disc)
         expect = oracles.spiral_vertices(start, tau0 + m + params.delta, r_out,
                                          resolution)
         head = 1 if bend else len(arc.vertices) - 1

@@ -1,5 +1,5 @@
 """Triangle rank calculus against an independent GF(2) mapping-cone oracle,
-plus the unit-fate and verdict logic on the shipped scenarios."""
+plus the unit-fate and verdict logic of analyze."""
 
 import random
 
@@ -14,13 +14,10 @@ from lefbench.errors import (ImageTooLarge, Inconsistent, Undecidable,
                              UnknownPair)
 from lefbench.fibration import Crit, Fibration, MatchingObject, TotalSpaceFiber
 from lefbench.oracle import Fact, FiberOracle, LabelDecl
-from lefbench.rank_calculus import (NONZERO_EV_WARNING, FsHomRanks, UnitFate,
-                                    _directed_twist, analyze,
-                                    closed_lagrangian_obstruction,
-                                    fs_hom_ranks, hw_verdict,
-                                    off_diagonal_verdict,
+from lefbench.rank_calculus import (NONZERO_EV_WARNING, FsHomRanks,
+                                    _directed_twist, analyze, fs_hom_ranks,
                                     pair_of_pants_image_rank, triangle_rank,
-                                    unit_fate)
+                                    unit_survives)
 from lefbench.report import Report
 from oracles import (cone_homology_rank, homology_rank, induced_map_rank,
                      random_chain_map, random_differential)
@@ -155,7 +152,7 @@ def test_fs_hom_ranks_scenarios():
         assert fs.warnings == ()
 
 
-def _bifibration(inner_disc, inner_objects, inner_oracle):
+def _bifibration(inner_disc, inner_objects, inner_oracle, main_oracle=None):
     inner = Fibration(
         name="inner", disc=inner_disc, fiber=scen.circle_fiber(), crits=(),
         reference_angle=BoundaryAngle(Q(3, 4)), oracle=inner_oracle,
@@ -165,7 +162,7 @@ def _bifibration(inner_disc, inner_objects, inner_oracle):
              Crit("b", scen.vanishing(disc, "b", Q(0)), "B"))
     return Fibration(
         name="outer", disc=disc, fiber=TotalSpaceFiber(inner), crits=crits,
-        reference_angle=BoundaryAngle(Q(0)))
+        reference_angle=BoundaryAngle(Q(0)), oracle=main_oracle)
 
 
 def _matching_between(disc, name, p, q, label):
@@ -174,15 +171,20 @@ def _matching_between(disc, name, p, q, label):
     return MatchingObject(name, arc, label, label)
 
 
-def test_fs_hom_ranks_zero_pair_warns():
+def _zero_pair_bifibration(main_oracle=None):
+    """A bifibration whose matching spheres A and B lie apart in the fiber,
+    so that hom_ab = 0."""
     disc = DiscModel(punctures=(
         ("p1", scen.pt(Q(-1, 2), Q(1, 4))), ("p2", scen.pt(Q(1, 2), Q(1, 4))),
         ("p3", scen.pt(Q(-1, 2), Q(-1, 4))), ("p4", scen.pt(Q(1, 2), Q(-1, 4))),
     ))
     objects = (_matching_between(disc, "A", "p1", "p2", "belt"),
                _matching_between(disc, "B", "p3", "p4", "belt"))
-    f = _bifibration(disc, objects, scen.aux_oracle())
-    fs = fs_hom_ranks(f)
+    return _bifibration(disc, objects, scen.aux_oracle(), main_oracle)
+
+
+def test_fs_hom_ranks_zero_pair_warns():
+    fs = fs_hom_ranks(_zero_pair_bifibration())
     assert fs == FsHomRanks(1, 0, 1, (NONZERO_EV_WARNING,))
 
 
@@ -226,65 +228,53 @@ def test_fs_hom_ranks_needs_bifibration():
 # --------------------------------------------------------------------------
 
 def test_unit_fate_examples():
-    assert unit_fate(3, 4) is UnitFate.DIES
-    assert unit_fate(3, 2) is UnitFate.SURVIVES
-    assert unit_fate(0, 1) is UnitFate.DIES
+    assert unit_survives(3, 4) is False
+    assert unit_survives(3, 2) is True
+    assert unit_survives(0, 1) is False
     with pytest.raises(Inconsistent):
-        unit_fate(3, 3)
+        unit_survives(3, 3)
     with pytest.raises(Inconsistent):
-        unit_fate(3, 6)
+        unit_survives(3, 6)
 
 
 @given(st.integers(0, 50), st.integers(0, 50))
 def test_unit_fate_total_quotient_gap(total, quotient):
     if abs(total - quotient) == 1:
-        fate = unit_fate(total, quotient)
-        expected = UnitFate.SURVIVES if total > quotient else UnitFate.DIES
-        assert fate is expected
+        assert unit_survives(total, quotient) is (total > quotient)
     else:
         with pytest.raises(Inconsistent):
-            unit_fate(total, quotient)
+            unit_survives(total, quotient)
 
 
-def test_hw_verdict_from_fate():
-    dead = hw_verdict(UnitFate.DIES)
-    assert not dead.nonzero
-    assert [s.tag for s in dead.steps] == ["unit-death"]
-    alive = hw_verdict(UnitFate.SURVIVES)
-    assert alive.nonzero
-    assert [s.tag for s in alive.steps] == ["unit-survival"]
+def _plain_pair_oracle(rank_bb):
+    """Plain labels A and B, apart (rank 0) and with rank(A,A) = 0."""
+    return FiberOracle(
+        label_decls=(LabelDecl("A"), LabelDecl("B")),
+        facts=(Fact("rank", ("A", "B"), 0, scen.assumed("setup")),
+               Fact("rank", ("A", "A"), 0, scen.assumed("setup")),
+               Fact("rank", ("B", "B"), rank_bb, scen.assumed("setup"))))
 
 
 def test_off_diagonal_module_rule():
-    zero = hw_verdict(UnitFate.DIES)
-    out = off_diagonal_verdict(zero, scen.main_oracle("W1"), "A", "B")
-    assert not out.nonzero
-    assert out.steps[0].tag == "module-vanishing"
-
-
-def test_off_diagonal_sphere_witness():
-    alive = hw_verdict(UnitFate.SURVIVES)
-    out = off_diagonal_verdict(alive, scen.main_oracle("W0"), "A", "B")
-    assert out.nonzero
-    assert out.steps[0].tag == "sphere-witness"
+    # B's quotient has rank 2 against a total of 1: B dies.  A's has rank
+    # 0: A survives.  One vanishing diagonal group kills the mixed one, but
+    # the other is nonzero, so no obstruction follows.
+    out = analyze(_zero_pair_bifibration(_plain_pair_oracle(2)))
+    assert out.fs == FsHomRanks(1, 0, 1, (NONZERO_EV_WARNING,))
+    assert out.twist == 2
+    assert out.hw == {"B": False, "A": True}
+    assert out.hw_mixed is False
+    assert out.obstructed is False
+    assert [s.tag for s in out.trace][-3:] == [
+        "unit-death", "module-vanishing", "obstruction"]
+    assert "no obstruction follows" in out.trace[-1].text
 
 
 def test_off_diagonal_needs_witness_when_alive():
-    alive = hw_verdict(UnitFate.SURVIVES)
-    with pytest.raises(Undecidable):
-        off_diagonal_verdict(alive, scen.main_oracle("W1"), "A", "B")
-    with pytest.raises(Undecidable):
-        off_diagonal_verdict(alive, _two_sphere_oracle(2), "s", "t")
-
-
-def test_obstruction_logic():
-    zero = hw_verdict(UnitFate.DIES)
-    alive = hw_verdict(UnitFate.SURVIVES)
-    out = closed_lagrangian_obstruction({"B": zero, "A": zero})
-    assert out.kind == "Obstructed"
-    assert out.steps[0].tag == "obstruction"
-    out = closed_lagrangian_obstruction({"B": alive, "A": zero})
-    assert out.kind == "NoConclusion"
+    # both diagonal groups are nonzero; the mixed one is nonzero only
+    # through a sphere witness, and no isotopy is declared
+    with pytest.raises(Undecidable, match="closed sphere witness"):
+        analyze(_zero_pair_bifibration(_plain_pair_oracle(0)))
 
 
 # --------------------------------------------------------------------------
@@ -297,11 +287,9 @@ def test_analyze_w0():
     assert out.hf_pair == 2
     assert out.twist == 2
     assert out.fs == FsHomRanks(1, 2, 3)
-    assert out.fate is UnitFate.SURVIVES
-    assert dict(out.diagonal).keys() == {"A", "B"}
-    assert all(v.nonzero for _, v in out.diagonal)
-    assert out.off_diagonal.nonzero
-    assert out.obstruction.kind == "NoConclusion"
+    assert out.hw == {"B": True, "A": True}
+    assert out.hw_mixed is True
+    assert out.obstructed is False
     assert [s.tag for s in out.trace] == [
         "twist-triangle", "evaluation-cone", "unit-fate", "unit-survival",
         "sphere-witness", "obstruction"]
@@ -312,10 +300,9 @@ def test_analyze_w1():
     assert out.hf_pair == 2
     assert out.twist == 4
     assert out.fs == FsHomRanks(1, 2, 3)
-    assert out.fate is UnitFate.DIES
-    assert all(not v.nonzero for _, v in out.diagonal)
-    assert not out.off_diagonal.nonzero
-    assert out.obstruction.kind == "Obstructed"
+    assert out.hw == {"B": False, "A": False}
+    assert out.hw_mixed is False
+    assert out.obstructed is True
     assert [s.tag for s in out.trace] == [
         "twist-triangle", "evaluation-cone", "unit-fate", "unit-death",
         "module-vanishing", "obstruction"]

@@ -1,7 +1,7 @@
 """Report formatting helpers."""
 
 from lefbench.fibration import total_space_homology
-from lefbench.report import Report, fmt_group, homology_lines, hw_value, thimble
+from lefbench.report import Report, fmt_group, homology_lines, thimble
 
 import scen
 
@@ -56,5 +56,3 @@ def test_homology_lines_main_scenario():
 
 def test_notation_helpers():
     assert thimble("B") == "Th(B)"
-    assert hw_value(True) == "nonzero"
-    assert hw_value(False) == "0"

@@ -114,17 +114,17 @@ def test_bend_requires_radial_normal_form():
         wrap(dogleg, 1, PARAMS, disc, bend=True)
 
 
-def test_source_annulus_reads_angle_and_entry_radius():
+def test_source_annulus_reads_entry_radius_and_puncture_radius():
     # r_out = (1 + (1 + s)/2)/2 for s the largest squared radius of a
     # puncture or a vertex before the boundary
     ray = arc_through((pt(Q(1, 2), 0), pt(1, 0)),
                       Puncture("q"), BoundaryAngle(Q(0)))
     bare = DiscModel(punctures=())
-    assert source_annulus(ray, bare) == (Q(0), Q(13, 16), Q(0))
-    assert source_annulus(ray, main_disc()) == (Q(0), Q(13, 16), Q(1, 4))
+    assert source_annulus(ray, bare) == (Q(13, 16), Q(0))
+    assert source_annulus(ray, main_disc()) == (Q(13, 16), Q(1, 4))
     down = arc_through((pt(0, 0), pt(0, -1)),
                        Puncture("c"), BoundaryAngle(Q(3, 4)))
-    assert source_annulus(down, bare) == (Q(3, 4), Q(3, 4), Q(0))
+    assert source_annulus(down, bare) == (Q(3, 4), Q(0))
 
 
 def test_wrap_rejects_non_radial_tail():
