@@ -60,6 +60,7 @@ from .oracle import Fact, FiberOracle, LabelDecl, Provenance
 from .wrapping import BEND, WrapParams
 
 _RATIONAL = re.compile(r"[+-]?\d+(/\d+)?\Z")
+_INTEGER = re.compile(r"[+-]?\d+")
 
 
 @dataclass(frozen=True)
@@ -172,7 +173,7 @@ def _provenance(value: str, loc: str) -> tuple[str, Provenance]:
 
 
 def _int(token: str, loc: str) -> int:
-    if not re.fullmatch(r"[+-]?\d+", token):
+    if not _INTEGER.fullmatch(token):
         raise ConfigError(f"{loc}: {token!r} is not an integer")
     try:
         return int(token)

@@ -16,9 +16,9 @@ from functools import cached_property
 from fractions import Fraction
 
 from .errors import LefbenchError, NonEmbeddableInput
-from .exactgeom import (Hpt, Pt, Q, angle_norm, box_pairs, circle_hpoint,
-                        homog, orient, point_on_segment, reduced,
-                        segment_box, segments_overlap_collinear)
+from .exactgeom import (Hpt, Pt, Q, box_pairs, circle_hpoint, homog, orient,
+                        point_on_segment, reduced, segment_box,
+                        segments_overlap_collinear)
 
 
 @dataclass(frozen=True)
@@ -29,11 +29,14 @@ class Puncture:
 
 @dataclass(frozen=True)
 class BoundaryAngle:
-    """Endpoint on the unit circle at an exact turn fraction."""
+    """Endpoint on the unit circle at an exact turn fraction (int or
+    Fraction), reduced into [0, 1) on integers; kept as given if there."""
     angle: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "angle", angle_norm(Q(self.angle)))
+        n, d = self.angle.numerator, self.angle.denominator
+        if not 0 <= n < d:
+            object.__setattr__(self, "angle", Q(n % d, d))
 
     @cached_property
     def hpoint(self) -> Hpt:
@@ -119,9 +122,6 @@ class PlanarArc:
 
     def puncture_names(self) -> set[str]:
         return {e.name for e in self.endpoints() if isinstance(e, Puncture)}
-
-    def boundary_angles(self) -> set[Fraction]:
-        return {e.angle for e in self.endpoints() if isinstance(e, BoundaryAngle)}
 
     # -- validation ------------------------------------------------------
 

@@ -31,8 +31,8 @@ proportional to the angle fraction.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, Iterator, NamedTuple
+from math import gcd, lcm
+from typing import Iterator, NamedTuple
 
 Q = Fraction
 
@@ -79,11 +79,6 @@ def reduced(x: int, y: int, w: int) -> Hpt:
 # boundary angles
 # --------------------------------------------------------------------------
 
-def angle_norm(tau: Fraction) -> Fraction:
-    """Reduce an angle to the fundamental domain [0, 1)."""
-    return Q(tau) % 1
-
-
 def circle_hpoint(a: int, d: int) -> Hpt:
     """Exact rational point of the unit circle at turn fraction a / d, d > 0,
     as a homogeneous integer triple.
@@ -102,12 +97,14 @@ def circle_hpoint(a: int, d: int) -> Hpt:
     return (q * q - p * p, 2 * p * q, q * q + p * p)
 
 
-def min_angular_gap(angles: Iterable[Fraction]) -> Fraction:
+def min_angular_gap(angles: list[Fraction]) -> Fraction:
     """Smallest circular gap between the distinct angles of a non-empty
-    list: a full turn (1) when there is only one."""
-    uniq = sorted({angle_norm(a) for a in angles})
+    list, a full turn (1) if one; on numerators over their lcm den."""
+    den = lcm(*(a.denominator for a in angles))
+    uniq = sorted({a.numerator * (den // a.denominator) % den
+                   for a in angles})
     gaps = [b - a for a, b in zip(uniq, uniq[1:])]
-    return min(gaps + [1 - uniq[-1] + uniq[0]])
+    return Q(min(gaps + [den - uniq[-1] + uniq[0]]), den)
 
 
 # --------------------------------------------------------------------------

@@ -386,7 +386,8 @@ def _check_object(f: Fibration, mo: MatchingObject, violation) -> None:
         if not _label_declared(f, label):
             violation(f"object {mo.name!r}: cycle label {label!r} is not"
                       " declared")
-    if not mo.path.boundary_angles() and mo.left_cycle != mo.right_cycle:
+    if (not any(isinstance(e, BoundaryAngle) for e in mo.path.endpoints())
+            and mo.left_cycle != mo.right_cycle):
         # a matching path (no boundary end) closes up only over isotopic
         # labels; the oracle is asked about the labels it declares, and an
         # undeclared one is reported above
@@ -455,7 +456,7 @@ def matching_cycle_class(f: Fibration, mo: MatchingObject) -> tuple[int, ...]:
     Orientation data invisible to the combinatorics raises UnresolvedSign
     rather than guessing.
     """
-    if mo.path.boundary_angles():
+    if any(isinstance(e, BoundaryAngle) for e in mo.path.endpoints()):
         raise LefbenchError(
             f"object {mo.name!r} is a thimble; only matching objects carry a"
             " closed middle-degree class")

@@ -19,13 +19,25 @@ checks once (config._parse_wrap, config._check_delta_gap): delta exceeds
 BEND, so that a bent copy still turns forward at level 0.
 
 The spiral is computed on integers: every angle is a numerator over one
-denominator per spiral, the radius is affine in the angle, and each vertex
-is the integer circle point (exactgeom.circle_hpoint) scaled by the radius,
-one homogeneous triple, reduced as the returned arc stores it.  The check
-that no chord dips to a puncture's radius compares integers; the spiral
-builds no Fraction point.  What depends only on the source arc and the disc
-(the annulus entry radius and the largest squared puncture radius) is
-derived once per (arc, disc).
+denominator den = 2 half res per spiral, so the grid's circle points
+(exactgeom.circle_hpoint) repeat every turn of res steps and one turn of
+them is computed; the radius is affine in the angle, stepped by a constant
+integer; each vertex is the circle point scaled by the radius, one reduced
+homogeneous triple; the spiral builds no Fraction point.  What depends only
+on the source arc and the disc (the annulus entry radius and the largest
+squared puncture radius) is derived once per (arc, disc).
+
+The bow bound spares most chords the exact test that none comes within
+sqrt(s) of the origin (s as below), nor dips to a puncture's radius.  The
+true angle 2 arctan(2 tau / (1 - 2 tau)) of circle_hpoint at turn fraction
+tau has derivative 4/((1 - 2 tau)^2 + 4 tau^2) <= 8 radians a turn (the
+same by symmetry past tau = 1/2), so a chord of at most one grid step spans
+at most 8/res radians, under pi for res >= 3.  The radius climbs, so both
+ends of chord i lie at radius >= r_i, its start's, and project at least
+r_i cos(4/res) onto the bisector of its wedge; so does the whole chord, at
+distance >= r_i cos(4/res) >= r_i (1 - 8/res^2) from the origin, as
+1 - cos x <= x^2/2.  Once r_i^2 (1 - 8/res^2)^2 > s, chord i and every
+later one are clear; only the chords before it are tested exactly.
 
 spiral_vertex_count counts a spiral's vertices without building it, so the
 budget covers a whole render: cli._render_svgs sums the counts of all its
@@ -52,6 +64,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import cycle, islice
 from math import ceil, lcm
 
 from .disc import BoundaryAngle, DiscModel, PlanarArc, _closed_segments_touch
@@ -149,22 +162,29 @@ def wrap(arc: PlanarArc, m: int, params: WrapParams, disc: DiscModel,
     head = arc.hverts[:1] if bend else arc.hverts[:-1]
     angles = [a0, *grid, a_end]
 
-    # The radius climbs affinely in the angle from r_out to r_last =
-    # (1 + r_out) / 2: r = (2 n span + (d - n)(a - a0)) / (2 d span) for
-    # r_out = n / d.  Vertex = r * circle point, as one reduced triple.
+    # The radius climbs affinely in the angle from r_out = n / d to r_last =
+    # (1 + r_out) / 2: r = (2 n span + k (a - a0)) / (2 d span), k = d - n,
+    # a constant step a grid step.  Vertex = r * circle point, reduced.
     n, d = r_out.numerator, r_out.denominator
-    span = a_end - a0
-    r_den = 2 * d * span
-    spiral = []
-    for a in angles:
-        r = 2 * n * span + (d - n) * (a - a0)
-        cx, cy, cw = circle_hpoint(a, den)
-        spiral.append(reduced(r * cx, r * cy, r_den * cw))
+    span, k = a_end - a0, d - n
+    r_den, r0 = 2 * d * span, 2 * n * span
+    radii = [r0, *range(r0 + k * half, r0 + k * span, 2 * k * half),
+             r0 + k * span]
+    turn = [circle_hpoint(a, den) for a in grid[:res]]
+    rims = [circle_hpoint(a0, den), *islice(cycle(turn), len(grid)),
+            circle_hpoint(a_end, den)]
+    spiral = [reduced(r * cx, r * cy, r_den * cw)
+              for r, (cx, cy, cw) in zip(radii, rims)]
 
-    # s of source_annulus: only chords within sqrt(s) can meet the head
+    # s of source_annulus: only chords within sqrt(s) can meet the head;
+    # the bow bound clears chord i once radii[i]^2 bow > far
     s = 4 * r_out - 3
+    bow = (res * res - 8) ** 2 * s.denominator if res >= 3 else 0
+    far = s.numerator * (r_den * res * res) ** 2
     low = []
     for i, (s0, s1) in enumerate(zip(spiral, spiral[1:])):
+        if radii[i] ** 2 * bow > far:
+            break
         if segment_near_origin(s0, s1, s):
             if segment_near_origin(s0, s1, max_punct):
                 raise SpiralCollision(
@@ -172,7 +192,7 @@ def wrap(arc: PlanarArc, m: int, params: WrapParams, disc: DiscModel,
                     " raise the disc boundary_resolution")
             low.append(i)
 
-    tail = BoundaryAngle(Q(a_end, den))
+    tail = BoundaryAngle(Q(a_end % den, den))
     out = PlanarArc(head + tuple(spiral) + (tail.hpoint,), arc.start, tail)
     join_lo = a0 - ceil(BEND * den) if bend else a0
     if (arc.is_legal(disc)

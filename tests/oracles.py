@@ -377,6 +377,15 @@ def ccw_gap(a, b):
     return g if g else Fraction(1)
 
 
+def sorted_min_gap(angles):
+    """Smallest circular gap between the distinct angles of a non-empty
+    list, in turns: each angle taken modulo a turn as a Fraction, sorted,
+    and subtracted from the next; a full turn when there is only one."""
+    uniq = sorted({Fraction(a) % 1 for a in angles})
+    return min([b - a for a, b in zip(uniq, uniq[1:])]
+               + [1 - uniq[-1] + uniq[0]])
+
+
 # ---------------------------------------------------------------------------
 # Fraction geometry: the library's predicates and spiral before its integer
 # kernel

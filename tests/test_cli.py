@@ -346,6 +346,18 @@ def test_render_tests_segment_pairs_linearly_in_the_level(monkeypatch,
     assert 0 < counts[192] <= 2.3 * counts[96]
 
 
+def test_render_w0_tests_no_chord_exactly_at_resolution_16(monkeypatch,
+                                                         tmp_path, capsys):
+    # the bow bound clears every chord of W0's 12 stage spirals from the
+    # puncture radius, so wrap's exact chord test never runs
+    spirals, tested = [], []
+    _count_calls(monkeypatch, wrapping.wrap, spirals)
+    _count_calls(monkeypatch, wrapping.segment_near_origin, tested)
+    assert main(["render", shipped("W0.cfg"), "--resolution", "16",
+                 "--svg", str(tmp_path)]) == 0
+    assert len(spirals) == 12 and tested == []
+
+
 @pytest.mark.parametrize("old", ["reference-angle = 3/4", "resolution = 16"])
 def test_overlong_number_is_a_config_error(old, tmp_path, capsys):
     # int() refuses a token longer than the interpreter's digit limit;

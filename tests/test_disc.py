@@ -125,3 +125,23 @@ def test_box_pruned_embedding_check_matches_oracles(vertices):
 def test_boundary_angle_normalizes():
     assert BoundaryAngle(Q(9, 8)).angle == Q(1, 8)
     assert BoundaryAngle(Q(-1, 4)).angle == Q(3, 4)
+
+
+# ints and Fractions of either sign, beyond a turn, with large denominators
+ANY_ANGLES = (st.integers(-10**6, 10**6)
+              | st.fractions(max_denominator=10**30)
+              | st.builds(Q, st.integers(-10**40, 10**40),
+                          st.integers(1, 10**30)))
+
+
+@given(ANY_ANGLES)
+def test_boundary_angle_reduces_on_integers_like_fraction_modulo(a):
+    # reference: the Fraction remainder of a modulo one turn
+    ref = Q(a) % 1
+    angle = BoundaryAngle(a)
+    assert angle == BoundaryAngle(ref)
+    assert hash(angle) == hash(BoundaryAngle(ref))
+    assert angle.angle == ref and 0 <= angle.angle < 1
+    assert angle.hpoint == BoundaryAngle(ref).hpoint
+    # an angle already in [0, 1) is kept as given
+    assert BoundaryAngle(ref).angle is ref

@@ -4,6 +4,7 @@ The segment predicates run on homogeneous integer points; each one is
 checked against its Fraction reference in ``oracles``.
 """
 
+import random
 from fractions import Fraction as Q
 from importlib import resources
 
@@ -87,6 +88,31 @@ def test_ccw_gap_and_min_gap():
     angles = [Q(-1, 8), Q(1, 3), Q(5, 4), Q(7, 8), Q(2, 3)]
     assert min_angular_gap(angles) == min(
         ccw_gap(a, b) for a in angles for b in angles if (a - b) % 1)
+
+
+def test_min_angular_gap_matches_sorted_fraction_differences():
+    rng = random.Random(25)
+    for _ in range(400):
+        angles = [Q(rng.randint(-300, 300), rng.choice([1, 2, 7, 64, 97, 360]))
+                  for _ in range(rng.randint(1, 6))]
+        assert min_angular_gap(angles) == oracles.sorted_min_gap(angles)
+        assert min_angular_gap(angles[:1]) == 1
+
+
+def test_bow_bound_clears_every_chord_of_a_grid_turn():
+    # circle_hpoint turns at most 8 radians a turn, so a chord of one grid
+    # step spans at most 8/res radians and stays at distance cos(4/res) >=
+    # 1 - 8/res^2 from the origin on the unit circle (wrap's bow bound)
+    rng = random.Random(25)
+    for res in range(3, 65):
+        bound = (1 - Q(8, res * res)) ** 2
+        for _ in range(3):
+            d = rng.randint(1, 40)
+            offset = rng.randrange(d)
+            turn = [circle_hpoint(offset + k * d, res * d)
+                    for k in range(res + 1)]
+            for p, q in zip(turn, turn[1:]):
+                assert not segment_near_origin(p, q, bound), (res, d, offset)
 
 
 def test_sgn_eps_orders_of_vanishing():

@@ -182,6 +182,22 @@ def test_spiral_collision_resolved_by_finer_resolution():
     assert polyline_is_embedded(w.vertices)
 
 
+@pytest.mark.parametrize("res", [1, 2])
+def test_wrap_tests_every_chord_where_the_bow_bound_gives_nothing(
+        monkeypatch, res):
+    # below resolution 3 a grid chord may span half a turn, so the bow
+    # bound clears no chord: each is tested exactly, here against a stub
+    # that finds it clear, so that the spiral runs to its end
+    tested = []
+    monkeypatch.setattr(wrapping, "segment_near_origin",
+                        lambda a, b, r2: tested.append((a, b)) and False)
+    disc = main_disc(res)
+    w = wrap(ray_b(disc), 3, PARAMS, disc)
+    spiral = w.hverts[1:-1]
+    assert len(spiral) > 3
+    assert tested == list(zip(spiral, spiral[1:]))
+
+
 def test_wrap_keeps_spiral_clear_of_punctures():
     disc = main_disc()
     w = wrapped(ray_a(disc), 2, PARAMS, disc)
