@@ -52,13 +52,10 @@ def _section_validate(r: Report, cfg: ScenarioConfig) -> bool:
 
 def _unwrappable_towers(cfg: ScenarioConfig):
     """On a fibration that validates, a violation per [run] tower whose
-    source fails the checks wrap makes before it builds a spiral.  A source
-    with no critical value is left to tower_crits."""
+    source fails the checks wrap makes before it builds a spiral."""
     f = cfg.fibration
     for x, y in cfg.towers:
         cx = f.crit_for(x)
-        if cx is None:
-            continue
         try:
             source_annulus(cx.path, f.disc, bend=x == y)
         except LefbenchError as e:

@@ -39,7 +39,8 @@ Sections::
 A ``total-space`` fiber reference must name a fibration declared earlier in
 the same file.  Matching objects take their two cycle labels from the
 critical values at their endpoints; a thimble object borrows the whole
-path of its critical value.
+path of its critical value.  Each puncture a tower names carries a critical
+value of the run fibration.
 """
 
 from __future__ import annotations
@@ -375,9 +376,12 @@ def _parse_wrap(sec: _Section) -> tuple[WrapParams, str | None]:
     return WrapParams(delta, levels), delta_loc
 
 
-def _parse_run(sec: _Section) -> tuple[str, tuple[tuple[str, str], ...]]:
+def _parse_run(sec: _Section
+               ) -> tuple[str, tuple[tuple[str, str], ...], str | None]:
+    """The run fibration's name, its towers and the towers line's loc."""
     fibration = None
     towers: tuple[tuple[str, str], ...] = ()
+    towers_loc = None
     for loc, key, value in sec.lines:
         if key == "fibration":
             fibration = value
@@ -391,12 +395,12 @@ def _parse_run(sec: _Section) -> tuple[str, tuple[tuple[str, str], ...]]:
                 if (x, y) in pairs:
                     raise ConfigError(f"{loc}: duplicate tower {token!r}")
                 pairs.append((x, y))
-            towers = tuple(pairs)
+            towers, towers_loc = tuple(pairs), loc
         else:
             raise ConfigError(f"{loc}: unknown run key {key!r}")
     if fibration is None:
         raise ConfigError(f"{sec.loc}: [run] needs 'fibration'")
-    return fibration, towers
+    return fibration, towers, towers_loc
 
 
 # Each section kind: its interpreter, and the noun a repeated section is
@@ -441,10 +445,15 @@ def parse_config(text: str, source: str = "<config>") -> ScenarioConfig:
 
     if not parsed["run"]:
         raise ConfigError(f"{source}: missing [run] section with 'fibration'")
-    run_loc, (run_fibration, towers) = parsed["run"][""]
+    run_loc, (run_fibration, towers, towers_loc) = parsed["run"][""]
     if run_fibration not in built:
         raise ConfigError(f"{run_loc}: [run] names unknown fibration"
                           f" {run_fibration!r}")
+    for x, y in towers:
+        for p in (x, y):
+            if built[run_fibration].crit_for(p) is None:
+                raise ConfigError(f"{towers_loc}: tower {x}:{y} names puncture"
+                                  f" {p!r}, which has no critical value")
     _, (wrap, delta_loc) = parsed["wrap"].get("", ("", (WrapParams(), None)))
     for _, raw in parsed["fibration"].values():
         _check_delta_gap(built[raw.name], wrap, delta_loc or raw.loc)

@@ -10,10 +10,11 @@ fibration and their classes are computed rather than declared.
 Homology of the total space comes from the handle description: thicken the
 fiber, then attach one (dim fiber / 2 + 1)-cell per critical value along its
 vanishing cycle class.  Each fibration derives that handle model once: the
-fiber's homology, the attachment degree and one Smith form of the attachment
-matrix.  The two degrees that can change, and the classes of matching
-objects, are all read from it.  It also checks each pair of its vanishing
-paths once, for validate to report and for tower stages to require.
+fiber's homology, the attachment degree, the attachment matrix's columns
+and its invariant factors.  The two degrees that can change, and the
+classes of matching objects (their cell cycles), are all read from it.  It
+also checks each pair of its vanishing paths once, for validate to report
+and for tower stages to require.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .errors import (Inconsistent, LefbenchError, MissingClass,
                      SharedBoundaryEndpoint, UnresolvedSign)
 from .exactgeom import box_pairs, orient
 from .minpos import compute_crossings, intersection_profile
-from .snf import SmithForm, smith_form
+from .snf import smith_form
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids a cycle
     from .oracle import FiberOracle
@@ -112,9 +113,9 @@ class HomologyTable:
 class AbstractFiber:
     """Fiber known only through its homology and its labelled cycle classes.
 
-    Cycle classes are integer vectors in the (free) middle-degree homology
-    basis.  Fibers here stand for open manifolds truncated to a bounded part,
-    so the table is finite by construction.
+    Cycle classes are integer vectors in a basis of the free middle-degree
+    homology.  Fibers here stand for open manifolds truncated to a bounded
+    part, so the table is finite by construction.
     """
     name: str
     dim: int
@@ -150,7 +151,11 @@ class TotalSpaceFiber:
     """The total space of an inner fibration, used as the fiber of an outer
     one.  Cycle labels of the outer fibration name objects (matching cycles
     or thimbles) declared on the inner fibration; their homology classes are
-    computed from the handle model instead of being declared."""
+    computed from the handle model instead of being declared: vectors in the
+    inner fiber's generators and the inner cells (matching_cycle_class).
+    They lie in a direct summand of rank the table's middle free rank (the
+    fiber's part plus the inner kernel), so their attachment matrix has the
+    rank and invariant factors it has in a basis of that summand."""
     fibration: "Fibration"
 
     @property
@@ -237,14 +242,13 @@ class Fibration:
         A failure caches nothing, so the next read raises it again."""
         table = self.fiber.homology
         k = self.fiber.dim // 2 + 1
-        ambient = table.free_rank(k - 1)
         if table.torsion(k - 1):
             raise Inconsistent(
                 f"fiber {self.fiber.name!r} has torsion in degree {k - 1};"
                 " the attachment calculus here requires a free target")
-        classes = [self.fiber.cycle_class(c.cycle_label) for c in self.crits]
-        rows = [[vec[i] for vec in classes] for i in range(ambient)]
-        return HandleModel(table, k, smith_form(rows, len(classes)))
+        classes = tuple(self.fiber.cycle_class(c.cycle_label)
+                        for c in self.crits)
+        return HandleModel(table, k, classes, smith_form(list(zip(*classes))))
 
     @cached_property
     def path_findings(self) -> tuple[tuple[bool, str], ...]:
@@ -406,11 +410,13 @@ def _check_object(f: Fibration, mo: MatchingObject, violation) -> None:
 @dataclass(frozen=True)
 class HandleModel:
     """The fiber's homology, the attachment degree k = dim fiber / 2 + 1,
-    and the Smith form of the attachment matrix: column j is the vanishing
-    cycle class of critical value j in the free part of H_{k-1}(fiber)."""
+    the columns of the attachment matrix (column j is the vanishing cycle
+    class of critical value j in the free part of H_{k-1}(fiber)) and its
+    invariant factors, as many as its rank."""
     fiber_homology: HomologyTable
     k: int
-    smith: SmithForm
+    classes: tuple[tuple[int, ...], ...]
+    factors: tuple[int, ...]
 
 
 def total_space_homology(f: Fibration) -> HomologyTable:
@@ -419,20 +425,22 @@ def total_space_homology(f: Fibration) -> HomologyTable:
 
     Read from the handle model: H_k gains the kernel of the attachment
     matrix (n - rank classes for n critical values), and H_{k-1} becomes
-    its cokernel (free rank ambient - rank, torsion the invariant factors
-    above 1).  Cross-checks the Euler characteristic against the cell count
-    on every call and refuses to return on a mismatch.
+    its cokernel (free rank that of H_{k-1}(fiber) minus rank, torsion the
+    invariant factors above 1).  Cross-checks the Euler characteristic
+    against the cell count on every call and refuses to return on a
+    mismatch.
     """
     if not f.crits:
         return f.fiber.homology
     model = f.handle_model
-    table, k, sf = model.fiber_homology, model.k, model.smith
+    table, k, factors = model.fiber_homology, model.k, model.factors
+    rank = len(factors)
     groups: dict[int, tuple[int, tuple[int, ...]]] = {
         deg: (free, torsion) for deg, free, torsion in table.groups}
     free_k, tors_k = groups.get(k, (0, ()))
-    groups[k] = (free_k + len(f.crits) - sf.rank, tors_k)
-    groups[k - 1] = (table.free_rank(k - 1) - sf.rank,
-                     tuple(d for d in sf.invariant_factors if d > 1))
+    groups[k] = (free_k + len(f.crits) - rank, tors_k)
+    groups[k - 1] = (table.free_rank(k - 1) - rank,
+                     tuple(d for d in factors if d > 1))
 
     out = HomologyTable.of(groups)
     expected = table.euler() + (-1) ** k * len(f.crits)
@@ -446,13 +454,11 @@ def total_space_homology(f: Fibration) -> HomologyTable:
 def matching_cycle_class(f: Fibration, mo: MatchingObject) -> tuple[int, ...]:
     """Class of a matching object in the middle homology of the total space.
 
-    The basis is: free middle-degree generators of the fiber first, then the
-    kernel basis of the attachment matrix (the columns of the Smith form's
-    column basis V from ``rank`` on).  The object's class is a signed sum of
-    the two cells indexed by its endpoint critical values; the sign
+    The class is written in the free middle-degree generators of the fiber,
+    where it is zero, followed by one entry per critical value: its cell
+    cycle, a kernel vector of the attachment matrix.  That is a signed sum
+    of the two cells indexed by its endpoint critical values; the sign
     convention puts +1 on the cell entered through the path's end puncture.
-    Its kernel coordinates are those of ``right_inv @ cells`` from ``rank``
-    on.
     Orientation data invisible to the combinatorics raises UnresolvedSign
     rather than guessing.
     """
@@ -464,14 +470,14 @@ def matching_cycle_class(f: Fibration, mo: MatchingObject) -> tuple[int, ...]:
     crit_r = f.crit_for(mo.path.end.name)
 
     model = f.handle_model
-    sf = model.smith
     fiber_part = (0,) * model.fiber_homology.free_rank(model.k)
+    cells = [0] * len(f.crits)
 
     idx_l = f.crits.index(crit_l)
     idx_r = f.crits.index(crit_r)
     if idx_l == idx_r:
         # the two halves run over the same cell with opposite orientations
-        return fiber_part + (0,) * (len(f.crits) - sf.rank)
+        return fiber_part + tuple(cells)
 
     cl = f.fiber.cycle_class(mo.left_cycle)
     cr = f.fiber.cycle_class(mo.right_cycle)
@@ -479,7 +485,6 @@ def matching_cycle_class(f: Fibration, mo: MatchingObject) -> tuple[int, ...]:
         raise UnresolvedSign(
             f"object {mo.name!r}: both vanishing cycle classes vanish, so"
             " the relative orientation of the two thimbles is invisible")
-    cells = [0] * len(f.crits)
     if cl == cr:
         cells[idx_l], cells[idx_r] = -1, 1
     elif cl == tuple(-x for x in cr):
@@ -489,9 +494,9 @@ def matching_cycle_class(f: Fibration, mo: MatchingObject) -> tuple[int, ...]:
             f"object {mo.name!r}: endpoint cycle classes {cl} and {cr} are"
             " neither equal nor opposite, so the thimbles do not close up")
 
-    coords = [sum(a * b for a, b in zip(row, cells)) for row in sf.right_inv]
-    if any(coords[:sf.rank]):
+    image = zip(model.classes[idx_l], model.classes[idx_r])
+    if any(cells[idx_l] * a + cells[idx_r] * b for a, b in image):
         raise Inconsistent(
             f"object {mo.name!r}: cell cycle is not in the kernel of the"
             " attachment matrix")
-    return fiber_part + tuple(coords[sf.rank:])
+    return fiber_part + tuple(cells)

@@ -1,51 +1,23 @@
 """Integer matrix normal form.
 
-Everything is plain Python integers (arbitrary precision); matrices are
-tuples of row tuples.  The Smith form here tracks only the inverse of its
-column change of basis.  That is what the handle model of a fibration
-reads: the rank, the invariant factors, and the coordinates of a vector in
-the column basis whose last columns span the kernel.
+Everything is plain Python integers (arbitrary precision); a matrix is a
+sequence of rows.  The Smith form here keeps only its diagonal: that is all
+the handle model of a fibration reads, the rank and the invariant factors,
+and neither depends on a choice of basis.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
-Matrix = tuple[tuple[int, ...], ...]
 
-
-def _identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-@dataclass(frozen=True)
-class SmithForm:
-    """Decomposition S = U @ original @ V with U and V unimodular.
-
-    ``diag`` holds the full diagonal of S (min(m, n) entries, nonnegative,
-    each dividing the next); ``rank`` counts its nonzero entries.  The
-    columns of V from ``rank`` on are a basis of the kernel; ``right_inv``
-    is V^-1, so ``right_inv @ x`` gives the coordinates of x in the columns
-    of V, and x lies in the kernel exactly when those before ``rank`` are
-    zero.  Neither U nor V is kept.
-    """
-    diag: tuple[int, ...]
-    rank: int
-    right_inv: Matrix
-
-    @property
-    def invariant_factors(self) -> tuple[int, ...]:
-        return self.diag[:self.rank]
-
-
-def smith_form(rows: Sequence[Sequence[int]], ncols: int = 0) -> SmithForm:
-    """Smith form of ``rows``; ``ncols`` is the width of a matrix with no
-    rows."""
+def smith_form(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """The nonzero diagonal entries of the Smith form of ``rows``: positive,
+    each dividing the next, as many as the rank.  A matrix with no rows has
+    none, whatever its width."""
     m = len(rows)
-    n = len(rows[0]) if m else ncols
+    n = len(rows[0]) if m else 0
     s = [list(map(int, row)) for row in rows]
-    w = _identity(n)   # V^-1: a column op on S acts inversely on rows of w
 
     def swap_rows(i, j):
         s[i], s[j] = s[j], s[i]
@@ -53,17 +25,15 @@ def smith_form(rows: Sequence[Sequence[int]], ncols: int = 0) -> SmithForm:
     def swap_cols(i, j):
         for row in s:
             row[i], row[j] = row[j], row[i]
-        w[i], w[j] = w[j], w[i]
 
     def add_row(src, dst, q):
         # row_dst += q * row_src
         s[dst] = [a + q * b for a, b in zip(s[dst], s[src])]
 
     def add_col(src, dst, q):
-        # col_dst += q * col_src; the inverse does row_src -= q * row_dst
+        # col_dst += q * col_src
         for row in s:
             row[dst] += q * row[src]
-        w[src] = [a - q * b for a, b in zip(w[src], w[dst])]
 
     t = 0
     while True:
@@ -119,9 +89,6 @@ def smith_form(rows: Sequence[Sequence[int]], ncols: int = 0) -> SmithForm:
         if s[t][t] < 0:
             s[t] = [-a for a in s[t]]
         t += 1
-        if t >= min(m, n):
-            break
 
-    diag = tuple(s[i][i] for i in range(min(m, n)))
-    rank = sum(1 for d in diag if d != 0)
-    return SmithForm(diag, rank, tuple(map(tuple, w)))
+    # the pivots so far are the nonzero diagonal; the rest is zero
+    return tuple(s[i][i] for i in range(t))

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ConfigError, Inconsistent, LefbenchError
+from .errors import Inconsistent, LefbenchError
 from .exactgeom import orient
 from .fibration import Crit, Fibration
 from .rank_calculus import FsHomRanks
@@ -61,14 +61,9 @@ class WrappedComplexStage:
 
 
 def tower_crits(f: Fibration, x: str, y: str) -> tuple[Crit, Crit]:
-    """The critical values over the two punctures a tower x:y names."""
-    cx, cy = f.crit_for(x), f.crit_for(y)
-    if cx is None or cy is None:
-        missing = x if cx is None else y
-        raise ConfigError(
-            f"tower {x}:{y} names puncture {missing!r}, which has no"
-            " critical value")
-    return cx, cy
+    """The critical values over the two punctures a tower x:y names; config
+    loading has checked that both carry one."""
+    return f.crit_for(x), f.crit_for(y)
 
 
 def build_stage(f: Fibration, cx: Crit, cy: Crit, m: int,

@@ -172,10 +172,6 @@ def gf2_column(rows, j, nrows):
     return col
 
 
-def gf2_identity(n):
-    return [1 << i for i in range(n)]
-
-
 def random_invertible(n, rng):
     while True:
         rows = [rng.getrandbits(n) for _ in range(n)]
@@ -295,15 +291,39 @@ def sympy_invariant_factors(rows):
     return out
 
 
-def sympy_integer_inverse(rows):
-    """Inverse of a square integer matrix, via sympy, as a tuple of row
-    tuples; AssertionError unless the matrix is unimodular."""
+def sympy_smith_decomposition(rows):
+    """(S, U, V), each a tuple of row tuples, with S = U @ rows @ V the
+    Smith form and U, V unimodular, via sympy; rows has at least one row."""
+    from sympy import Matrix, ZZ
+    from sympy.matrices.normalforms import smith_normal_decomp
+    decomp = smith_normal_decomp(Matrix(rows), domain=ZZ)
+    return tuple(tuple(tuple(int(v) for v in m.row(i)) for i in range(m.rows))
+                 for m in decomp)
+
+
+def sympy_kernel_basis(rows):
+    """A basis of the integer kernel of rows, as a tuple of column tuples:
+    the columns of V in the Smith decomposition S = U @ rows @ V from the
+    rank on.  They extend to a basis of Z^n (the columns of V)."""
+    s, _, v = sympy_smith_decomposition(rows)
+    rank = sum(1 for i in range(min(len(s), len(s[0]))) if s[i][i])
+    return tuple(zip(*v))[rank:]
+
+
+def sympy_kernel_coordinates(columns, x):
+    """The integer z with sum z_j columns_j = x, for linearly independent
+    integer columns, via sympy; None unless x is in their integer span."""
     from sympy import Matrix
-    m = Matrix(rows)
-    assert abs(m.det()) == 1, rows
-    inv = m.inv()
-    return tuple(tuple(int(inv[i, j]) for j in range(m.cols))
-                 for i in range(m.rows))
+    if not columns:
+        return () if not any(x) else None
+    try:
+        z, params = Matrix(columns).T.gauss_jordan_solve(Matrix(x))
+    except ValueError:       # no rational solution
+        return None
+    assert not params, "the columns are linearly dependent"
+    if any(not v.is_integer for v in z):
+        return None
+    return tuple(int(v) for v in z)
 
 
 def sympy_maximal_minor_gcd(rows):

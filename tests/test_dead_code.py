@@ -7,8 +7,10 @@ that only a test needs lives in ``tests/``.  Every annotated class-level
 field of a top-level class (a dataclass field) must be read as an
 attribute somewhere in the package: one that only its constructor touches
 is dead.  Every name a module assigns at top level, dunder names skipped,
-must be read somewhere in the package.  References are read from the
-syntax tree (names and attribute accesses), so a mention in a comment or a
+must be read somewhere in the package.  Every top-level function and class
+of the test helper modules (HELPERS) must be reached from some test module,
+directly or through other helpers.  References are read from the syntax
+tree (names and attribute accesses), so a mention in a comment or a
 docstring does not count, and neither does an import or an assignment.
 """
 
@@ -16,7 +18,9 @@ import ast
 from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "lefbench"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "lefbench"
+HELPERS = ("oracles.py", "scen.py")
 
 # bench/tracer.py times minimal_position as a span of its own (its SPANS
 # table, guarded by test_bench_contract.py); the package reduces pairs
@@ -111,6 +115,35 @@ def unread_assignments(src: Path) -> list[str]:
             for name in _assignments(tree) if name not in read]
 
 
+def _names(node: ast.AST) -> set[str]:
+    """Each name and attribute that node reads or writes."""
+    return ({n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)})
+
+
+def unreachable_helpers(tests: Path) -> list[str]:
+    """module:name of each top-level function and class of the HELPERS
+    modules that no tests/test_*.py module reaches, directly or through
+    the bodies of other helpers it reaches."""
+    helpers: dict[str, list[tuple[str, set[str]]]] = {}
+    for module in HELPERS:
+        tree = ast.parse((tests / module).read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                helpers.setdefault(node.name, []).append(
+                    (module, _names(node)))
+    todo = [name for p in sorted(tests.glob("test_*.py"))
+            for name in _names(ast.parse(p.read_text(encoding="utf-8")))]
+    reached = set()
+    while todo:
+        name = todo.pop()
+        if name in helpers and name not in reached:
+            reached.add(name)
+            todo.extend(n for _, body in helpers[name] for n in body)
+    return [f"{module}:{name}" for name, defs in helpers.items()
+            for module, _ in defs if name not in reached]
+
+
 def test_every_top_level_definition_is_used_in_the_package():
     assert len(list(SRC.glob("*.py"))) > 10
     assert unreferenced_definitions(SRC) == []
@@ -122,3 +155,7 @@ def test_every_field_is_read_in_the_package():
 
 def test_every_top_level_assignment_is_read_in_the_package():
     assert unread_assignments(SRC) == []
+
+
+def test_every_test_helper_is_reached_from_a_test():
+    assert unreachable_helpers(TESTS) == []

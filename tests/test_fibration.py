@@ -21,7 +21,7 @@ from lefbench.rank_calculus import FsHomRanks
 from lefbench.tower import build_stage
 
 from oracles import (all_pairs_path_findings, attachment_homology,
-                     sympy_integer_inverse)
+                     sympy_kernel_basis, sympy_kernel_coordinates)
 from scen import (arc_through, aux_fibration, circle_fiber, empty_fibration,
                   fan, main_fibration, matching, point_of, pt, sphere_fiber,
                   ts3_fibration, vanishing)
@@ -383,14 +383,12 @@ def test_random_abstract_attachments_match_oracle():
 
 
 def test_random_matching_classes_rebuild_their_cell_cycles():
-    # kernel coordinates times the kernel columns, those of right_inv^-1
-    # from rank on, give back the cell cycle: -1, +1 over equal classes,
-    # +1, +1 over opposite ones
+    # the class is the fiber's zeros (H_2 of these fibers is 0) followed by
+    # the cell cycle: -1, +1 over equal classes, +1, +1 over opposite ones,
+    # a kernel vector of the attachment matrix
     pairs = 0
     for f in _random_attachments():
         classes = [vec for _, vec in f.fiber.cycle_classes]
-        sf = f.handle_model.smith
-        kernel = [row[sf.rank:] for row in sympy_integer_inverse(sf.right_inv)]
         for (i, ci), (j, cj) in itertools.permutations(enumerate(f.crits), 2):
             mo = MatchingObject("m", matching(f.disc, ci.puncture, cj.puncture),
                                 ci.cycle_label, cj.cycle_label)
@@ -401,16 +399,121 @@ def test_random_matching_classes_rebuild_their_cell_cycles():
             opposite = classes[i] == tuple(-x for x in classes[j])
             if classes[i] != classes[j] and not opposite:
                 continue
-            coords = matching_cycle_class(f, mo)
-            assert len(coords) == len(f.crits) - sf.rank
             cells = [0] * len(f.crits)
             cells[i], cells[j] = (1 if opposite else -1), 1
-            assert [sum(a * b for a, b in zip(row, coords))
-                    for row in kernel] == cells
+            assert matching_cycle_class(f, mo) == tuple(cells)
+            assert not any(sum(c * vec[d] for c, vec in zip(cells, classes))
+                           for d in range(len(classes[i])))
             pairs += 1
     # the seed gives five pairs of equal or opposite nonzero classes, each
     # taken in both orders
     assert pairs == 10
+
+
+def _with_matchings(rng, name, disc, fiber, crits, classes):
+    """A fibration over these crits, with a matching object over every
+    ordered pair of distinct crits whose classes are equal or opposite and
+    nonzero (so both orders: opposite classes of objects), and one over a
+    loop at a random crit (a zero class)."""
+    pairs = itertools.permutations(enumerate(crits), 2)
+    objects = [MatchingObject(f"{name}{i}.{j}",
+                              matching(disc, ci.puncture, cj.puncture),
+                              ci.cycle_label, cj.cycle_label)
+               for (i, ci), (j, cj) in pairs
+               if any(classes[i]) and classes[i] in
+               (classes[j], tuple(-x for x in classes[j]))]
+    c = rng.choice(crits)
+    objects.append(MatchingObject(f"{name}-loop", matching(
+        disc, c.puncture, c.puncture, pt(Q(1, 64), Q(1, 8))),
+        c.cycle_label, c.cycle_label))
+    return Fibration(name, disc, fiber, tuple(crits), BoundaryAngle(Q(3, 4)),
+                     objects=tuple(objects))
+
+
+def _row_disc(n):
+    return DiscModel(tuple((f"p{i}", pt(Q(i + 1, n + 2) - Q(1, 2), 0))
+                           for i in range(n)))
+
+
+def _random_bifibration(rng, depth):
+    """A fibration depth (2 or 3) levels deep.  The innermost fiber has H_1
+    of rank 1-3, H_2 of rank 0-2 (the zeros in front of a class), and two
+    to five crits with classes drawn from one or two vectors and their
+    negatives, so repeated and negated; each outer level has one to four
+    crits, labelled by random matching objects of the level inside."""
+    width = rng.randint(1, 3)
+    pool = [tuple(rng.randint(-2, 2) for _ in range(width))
+            for _ in range(rng.randint(1, 2))]
+    pool += [tuple(-x for x in v) for v in pool]
+    n = rng.randint(2, 5)
+    vecs = [rng.choice(pool) for _ in range(n)]
+    labels = {v: f"v{i}" for i, v in enumerate(dict.fromkeys(vecs))}
+    fib = AbstractFiber("rnd", 2, HomologyTable.of(
+        {0: (1, ()), 1: (width, ()), 2: (rng.randint(0, 2), ())}),
+        tuple((lab, v) for v, lab in labels.items()))
+    disc = _row_disc(n)
+    crits = [Crit(f"p{i}", vanishing(disc, f"p{i}", Q(3, 4)), labels[v])
+             for i, v in enumerate(vecs)]
+    f = _with_matchings(rng, "L1-", disc, fib, crits, vecs)
+    for level in range(2, depth + 1):
+        names = [mo.name for mo in f.objects]
+        fiber = TotalSpaceFiber(f)
+        n = rng.randint(1, 4)
+        disc = _row_disc(n)
+        crits = [Crit(f"p{i}", vanishing(disc, f"p{i}", Q(3, 4)),
+                      rng.choice(names)) for i in range(n)]
+        classes = [fiber.cycle_class(c.cycle_label) for c in crits]
+        f = _with_matchings(rng, f"L{level}-", disc, fiber, crits, classes)
+    return f
+
+
+def _kernel_basis_model(f):
+    """The homology table of f's total space and the classes of its
+    matching objects as they are in the basis of the fiber's generators
+    followed by a kernel basis of the attachment matrix, sympy's: each
+    object's cell cycle is decided here on those classes, checked against
+    matching_cycle_class, and rewritten in the kernel basis."""
+    fiber = f.fiber
+    if isinstance(fiber, TotalSpaceFiber):
+        table, classes = _kernel_basis_model(fiber.fibration)
+    else:
+        table = {d: (fr, list(t)) for d, fr, t in fiber.homology.groups}
+        classes = dict(fiber.cycle_classes)
+    k = fiber.dim // 2 + 1
+    columns = [classes[c.cycle_label] for c in f.crits]
+    n = len(columns)
+    kernel = sympy_kernel_basis(list(zip(*columns)) or [[0] * n])
+    fiber_part = (0,) * table.get(k, (0, []))[0]
+    out = {}
+    for mo in f.objects:
+        i = f.crits.index(f.crit_for(mo.path.start.name))
+        j = f.crits.index(f.crit_for(mo.path.end.name))
+        cl, cr = classes[mo.left_cycle], classes[mo.right_cycle]
+        cells = [0] * n
+        if i != j:
+            cells[i], cells[j] = (-1 if cl == cr else 1), 1
+        assert matching_cycle_class(f, mo) == fiber_part + tuple(cells)
+        coords = sympy_kernel_coordinates(kernel, cells)
+        assert coords is not None, "a cell cycle off the kernel"
+        out[mo.name] = fiber_part + coords
+    return attachment_homology(table, columns, k), out
+
+
+def test_bifibration_homology_against_kernel_basis_oracle():
+    # an outer attachment matrix in cell coordinates has the rank and
+    # invariant factors it has in a kernel basis of the inner one, which
+    # the oracle uses; depth 3 takes inner classes through two levels
+    rng = random.Random(2026)
+    nontrivial = 0
+    for trial in range(120):
+        f = _random_bifibration(rng, 2 + trial % 2)
+        want, _ = _kernel_basis_model(f)
+        got = total_space_homology(f)
+        assert {d: (fr, tuple(tor)) for d, (fr, tor) in want.items()} == \
+            {d: (fr, tor) for d, fr, tor in got.groups}
+        nontrivial += any(got.torsion(d) for d in got.degrees())
+    # some outer cokernels carry torsion, so the factors themselves count
+    assert nontrivial
 
 
 # --------------------------------------------------------------------------
@@ -418,8 +521,11 @@ def test_random_matching_classes_rebuild_their_cell_cycles():
 # --------------------------------------------------------------------------
 
 def test_zero_section_class_generates_top_homology():
+    # both cells attach along the sphere's class: the kernel of (1 1) is
+    # spanned by the zero section's cell cycle
     f = ts3_fibration()
-    assert matching_cycle_class(f, f.objects[0]) == (1,)
+    assert matching_cycle_class(f, f.objects[0]) == (-1, 1)
+    assert total_space_homology(f).free_rank(3) == 1
 
 
 def test_matching_classes_of_a_and_b_agree():
@@ -427,7 +533,8 @@ def test_matching_classes_of_a_and_b_agree():
         aux = aux_fibration(variant)
         a = matching_cycle_class(aux, aux.object_named("A"))
         b = matching_cycle_class(aux, aux.object_named("B"))
-        assert a == b == (1, 0)
+        # the third cell is no end of either path
+        assert a == b == (-1, 1, 0)
 
 
 def test_cancelling_pair_gives_zero():
@@ -436,7 +543,7 @@ def test_cancelling_pair_gives_zero():
                         point_of(f.disc, "a")),
                        Puncture("a"), Puncture("a"))
     mo = MatchingObject("null", loop, "zs", "zs")
-    assert matching_cycle_class(f, mo) == (0,)
+    assert matching_cycle_class(f, mo) == (0, 0)
 
 
 def test_thimble_object_has_no_class():
@@ -453,8 +560,21 @@ def test_opposite_classes_close_up_with_plus_sign():
     crits = (Crit("a", f.crits[0].path, "u"), Crit("b", f.crits[1].path, "v"))
     g = Fibration("opp", f.disc, fib, crits, f.reference_angle)
     mo = MatchingObject("m", matching(f.disc, "a", "b"), "u", "v")
-    cls = matching_cycle_class(g, mo)
-    assert cls in ((1,), (-1,))
+    assert matching_cycle_class(g, mo) == (1, 1)
+
+
+def test_cell_cycle_off_the_kernel_is_inconsistent():
+    # the object's labels close up (equal classes), but the crits at its
+    # ends attach along (1) and (2): -1, +1 is no kernel vector of (1 2)
+    fib = AbstractFiber(
+        "off", 2, HomologyTable.of({0: (1, ()), 1: (1, ())}),
+        (("u", (1,)), ("w", (2,))))
+    f = ts3_fibration()
+    crits = (Crit("a", f.crits[0].path, "u"), Crit("b", f.crits[1].path, "w"))
+    g = Fibration("off", f.disc, fib, crits, f.reference_angle)
+    mo = MatchingObject("m", matching(f.disc, "a", "b"), "u", "u")
+    with pytest.raises(Inconsistent, match="cell cycle is not in the kernel"):
+        matching_cycle_class(g, mo)
 
 
 def test_unresolved_sign_cases():
