@@ -526,14 +526,11 @@ def _build_fibration(raw: _RawFibration, parsed: dict,
         objects.append(MatchingObject(name, arc, by_puncture[p].cycle_label,
                                       by_puncture[q].cycle_label))
 
-    try:
-        return Fibration(
-            name=raw.name, disc=disc, fiber=fiber, crits=tuple(crits),
-            reference_angle=BoundaryAngle(raw.reference_angle),
-            oracle=parsed["oracle"].get(raw.name, ("", None))[1],
-            objects=tuple(objects))
-    except LefbenchError as e:
-        raise _located(raw.loc, e) from None
+    return Fibration(
+        name=raw.name, disc=disc, fiber=fiber, crits=tuple(crits),
+        reference_angle=BoundaryAngle(raw.reference_angle),
+        oracle=parsed["oracle"].get(raw.name, ("", None))[1],
+        objects=tuple(objects))
 
 
 def load_config(path: str | Path) -> ScenarioConfig:

@@ -89,14 +89,18 @@ class PlanarArc:
 
     hverts are the vertices as reduced homogeneous integer triples
     (exactgeom.homog of each point), from the start endpoint to the end
-    endpoint; the first and last vertex are exactly the endpoint anchors.
-    The endpoints alone say what the arc is: a vanishing path runs from a
-    puncture to a boundary angle, a matching path joins two punctures, and
-    a wrapped path (wrapping.wrap) is a vanishing path.  Interior vertices
-    are strictly inside the disc and never sit on a puncture; no segment
-    passes through a puncture.  Construction does not validate (arcs are
-    assembled piecewise by config loading, wrapping and surgery);
-    ``validate`` checks the lot.
+    endpoint.  The endpoints alone say what the arc is: a vanishing path
+    runs from a puncture to a boundary angle, a matching path joins two
+    punctures, and a wrapped path (wrapping.wrap) is a vanishing path.
+
+    The first and last vertex are the endpoints' points by construction,
+    and nothing checks them again: config loading builds each path as its
+    puncture's point, its mid points and its end's point (a boundary
+    angle's hpoint or the other puncture's point), and wrapping.wrap
+    starts at its source's first vertex and ends at its tail angle's
+    hpoint.  ``validate`` checks the rest: no zero-length segment,
+    interior vertices strictly inside the disc, no puncture on a segment
+    but the end segment it anchors, and no contact of two segments.
     """
     hverts: tuple[Hpt, ...]
     start: Endpoint
@@ -144,51 +148,37 @@ class PlanarArc:
 
     def _check(self, disc: DiscModel) -> None:
         hs = self.hverts
-        if len(hs) < 2:
-            raise LefbenchError("arc needs at least two vertices")
         for i in range(len(hs) - 1):
             if hs[i] == hs[i + 1]:
                 raise LefbenchError(f"zero-length segment at vertex {i}")
-
-        self._check_endpoint(disc, self.start, 0)
-        self._check_endpoint(disc, self.end, -1)
 
         for i, (x, y, w) in enumerate(hs[1:-1], 1):
             if x * x + y * y >= w * w:
                 raise LefbenchError(f"interior vertex {self.vertices[i]}"
                                     " is not strictly inside the disc")
 
-        anchored = self.puncture_names()
+        # a puncture may touch only the end segment that it anchors: a
+        # puncture end is its puncture's point, and a boundary end is no
+        # puncture's
+        last = len(hs) - 2
         segs = list(zip(hs, hs[1:]))
         for (name, p), hp in zip(disc.punctures, disc.hpoints):
             for i, (a, b) in enumerate(segs):
-                if point_on_segment(hp, a, b):
-                    at_start = i == 0 and hp == hs[0] and name in anchored
-                    at_end = i == len(hs) - 2 and hp == hs[-1] and name in anchored
-                    if not (at_start or at_end):
-                        raise LefbenchError(
-                            f"arc passes through puncture {name!r} at {p}")
+                if (point_on_segment(hp, a, b)
+                        and not (i == 0 and hp == hs[0])
+                        and not (i == last and hp == hs[-1])):
+                    raise LefbenchError(
+                        f"arc passes through puncture {name!r} at {p}")
 
         self._check_embedded()
-
-    def _check_endpoint(self, disc: DiscModel, e: Endpoint, i: int) -> None:
-        if isinstance(e, Puncture):
-            if disc.hpoint_of(e.name) != self.hverts[i]:
-                raise LefbenchError(f"endpoint vertex {self.vertices[i]}"
-                                    f" does not match puncture {e.name!r}")
-        else:
-            if e.hpoint != self.hverts[i]:
-                raise LefbenchError(
-                    f"endpoint vertex {self.vertices[i]} does not realize"
-                    f" boundary angle {e.angle}")
 
     def _check_embedded(self) -> None:
         """Reject any contact of two segments beyond consecutive joints.
 
-        Only the segment pairs (i, j), i < j, whose closed bounding boxes
-        meet are tested: two closed segments can share a point only if their
-        boxes meet, so the pairs that exactgeom.box_pairs skips need no
-        test.  Consecutive segments always meet at their joint, and the
+        Only the segment pairs (i, j), i < j, whose box keys meet are
+        tested: two closed segments can share a point only if their boxes
+        meet, and boxes whose keys are apart are apart, so the pairs that
+        exactgeom.box_pairs skips need no test.  Consecutive segments always meet at their joint, and the
         pairs come in (i, j) order, so the first contact reported is the one
         a scan over all pairs would report.
         """

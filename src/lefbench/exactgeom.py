@@ -143,55 +143,39 @@ def point_on_segment(p: Hpt, a: Hpt, b: Hpt) -> bool:
             and orient(a, b, p) == 0)
 
 
-def segment_box(p: Hpt, q: Hpt) -> tuple:
-    """Closed bounding box of [p, q]: the floor keys of its edges x0, x1,
-    y0, y1, then the edges themselves as (numerator, denominator) pairs."""
-    (px, py, pw), (qx, qy, qw) = p, q
-    x0n, x0d, x1n, x1d = ((px, pw, qx, qw) if px * qw <= qx * pw
-                          else (qx, qw, px, pw))
-    y0n, y0d, y1n, y1d = ((py, pw, qy, qw) if py * qw <= qy * pw
-                          else (qy, qw, py, pw))
-    return ((x0n << _KEY_BITS) // x0d, (x1n << _KEY_BITS) // x1d,
-            (y0n << _KEY_BITS) // y0d, (y1n << _KEY_BITS) // y1d,
-            (x0n, x0d, x1n, x1d, y0n, y0d, y1n, y1d))
+def segment_box(p: Hpt, q: Hpt) -> tuple[int, int, int, int]:
+    """The floor keys x0, x1, y0, y1 of the closed bounding box of [p, q],
+    floor(c * 2^64) of each edge c.
 
-
-def boxes_meet(p: tuple, q: tuple) -> bool:
-    """Exact: the closed boxes p and q (as from segment_box) meet.
-
-    The floor key floor(c * 2^64) of each edge c is monotone, so boxes whose
-    keys are apart are apart.  Boxes whose keys meet are decided exactly,
-    cross-multiplying numerators and denominators; boxes that merely touch
-    meet.  Segments whose boxes are strictly apart are separated by a
-    positive gap in x or y, so they share no point, and no infinitesimal
-    shift of either one makes them meet.
+    The key is monotone, so boxes whose keys are apart are apart: segments
+    whose keys are apart in x or y are separated by a positive gap there,
+    so they share no point, and no infinitesimal shift of either one makes
+    them meet.  Keys that meet decide nothing; the exact predicates do.
     """
-    if p[1] < q[0] or q[1] < p[0] or p[3] < q[2] or q[3] < p[2]:
-        return False
-    x0n, x0d, x1n, x1d, y0n, y0d, y1n, y1d = p[4]
-    u0n, u0d, u1n, u1d, v0n, v0d, v1n, v1d = q[4]
-    return (x0n * u1d <= u1n * x0d and u0n * x1d <= x1n * u0d
-            and y0n * v1d <= v1n * y0d and v0n * y1d <= y1n * v0d)
+    (px, py, pw), (qx, qy, qw) = p, q
+    xp, xq = (px << _KEY_BITS) // pw, (qx << _KEY_BITS) // qw
+    yp, yq = (py << _KEY_BITS) // pw, (qy << _KEY_BITS) // qw
+    x0, x1 = (xp, xq) if xp <= xq else (xq, xp)
+    y0, y1 = (yp, yq) if yp <= yq else (yq, yp)
+    return (x0, x1, y0, y1)
 
 
 def box_pairs(boxes: list[tuple]) -> list[tuple[int, int]]:
-    """The index pairs (i, j), i < j, of the segments whose closed bounding
-    boxes (segment_box of each segment) meet, sorted.
+    """The index pairs (i, j), i < j, of the segments whose box keys
+    (segment_box of each segment) meet, sorted.
 
-    A sweep over x (boxes sorted by the floor key of their left edge, an
-    active list dropping boxes whose right edge's key is below the sweep
-    line) passes only boxes whose x-ranges may meet to boxes_meet.  The key
-    is monotone: a box whose right edge has a smaller key than the current
-    left edge ends strictly left of every box still to come, so dropping it
-    loses no pair.
+    A sweep over x (boxes sorted by their left key, an active list dropping
+    boxes whose right key is below the sweep line) pairs only boxes whose
+    x-keys meet, then compares their y-keys.  A dropped box ends strictly
+    left of every box still to come, so dropping it loses no pair.
     """
     active: list[int] = []
     pairs = []
     for kx0, k in sorted((box[0], k) for k, box in enumerate(boxes)):
-        box = boxes[k]
+        _, _, ky0, ky1 = boxes[k]
         active = [m for m in active if boxes[m][1] >= kx0]
         for m in active:
-            if boxes_meet(box, boxes[m]):
+            if boxes[m][2] <= ky1 and ky0 <= boxes[m][3]:
                 pairs.append((m, k) if m < k else (k, m))
         active.append(k)
     pairs.sort()
@@ -200,12 +184,12 @@ def box_pairs(boxes: list[tuple]) -> list[tuple[int, int]]:
 
 def box_pairs_between(boxes_a: list[tuple], boxes_b: list[tuple]
                       ) -> Iterator[tuple[int, int]]:
-    """The index pairs (i, j) of a box of boxes_a and a box of boxes_b that
-    meet (boxes_meet), in (i, j) order.  Every pair is tested: one of the two
-    lists is short wherever two arcs are compared."""
-    for i, p in enumerate(boxes_a):
-        for j, q in enumerate(boxes_b):
-            if boxes_meet(p, q):
+    """The index pairs (i, j) of a box of boxes_a and a box of boxes_b whose
+    keys meet, in (i, j) order.  Every pair is tested: one of the two lists
+    is short wherever two arcs are compared."""
+    for i, (x0, x1, y0, y1) in enumerate(boxes_a):
+        for j, (u0, u1, v0, v1) in enumerate(boxes_b):
+            if x0 <= u1 and u0 <= x1 and y0 <= v1 and v0 <= y1:
                 yield i, j
 
 

@@ -10,8 +10,8 @@ fibration and their classes are computed rather than declared.
 Homology of the total space comes from the handle description: thicken the
 fiber, then attach one (dim fiber / 2 + 1)-cell per critical value along its
 vanishing cycle class.  Each fibration derives that handle model once: the
-fiber's homology, the attachment degree, the attachment matrix's columns
-and its invariant factors.  The two degrees that can change, and the
+fiber's homology, the attachment degree and the attachment matrix's
+invariant factors.  The two degrees that can change, and the
 classes of matching objects (their cell cycles), are all read from it.  It
 also checks each pair of its vanishing paths once, for validate to report
 and for tower stages to require.
@@ -246,9 +246,8 @@ class Fibration:
             raise Inconsistent(
                 f"fiber {self.fiber.name!r} has torsion in degree {k - 1};"
                 " the attachment calculus here requires a free target")
-        classes = tuple(self.fiber.cycle_class(c.cycle_label)
-                        for c in self.crits)
-        return HandleModel(table, k, classes, smith_form(list(zip(*classes))))
+        classes = [self.fiber.cycle_class(c.cycle_label) for c in self.crits]
+        return HandleModel(table, k, smith_form(list(zip(*classes))))
 
     @cached_property
     def path_findings(self) -> tuple[tuple[bool, str], ...]:
@@ -258,7 +257,7 @@ class Fibration:
         so that the cut disc is one disc.
 
         One exactgeom.box_pairs sweep over the segments of all the paths
-        picks the pairs that are checked: those with segment boxes that
+        picks the pairs that are checked: those with segment box keys that
         meet, and those with a path that is no legal arc.  Any other pair
         is two legal arcs with no common point (a shared end would make
         two boxes meet), hence nothing to find."""
@@ -409,13 +408,12 @@ def _check_object(f: Fibration, mo: MatchingObject, violation) -> None:
 
 @dataclass(frozen=True)
 class HandleModel:
-    """The fiber's homology, the attachment degree k = dim fiber / 2 + 1,
-    the columns of the attachment matrix (column j is the vanishing cycle
-    class of critical value j in the free part of H_{k-1}(fiber)) and its
-    invariant factors, as many as its rank."""
+    """The fiber's homology, the attachment degree k = dim fiber / 2 + 1
+    and the invariant factors of the attachment matrix, as many as its
+    rank (column j is the vanishing cycle class of critical value j in the
+    free part of H_{k-1}(fiber))."""
     fiber_homology: HomologyTable
     k: int
-    classes: tuple[tuple[int, ...], ...]
     factors: tuple[int, ...]
 
 
@@ -426,9 +424,10 @@ def total_space_homology(f: Fibration) -> HomologyTable:
     Read from the handle model: H_k gains the kernel of the attachment
     matrix (n - rank classes for n critical values), and H_{k-1} becomes
     its cokernel (free rank that of H_{k-1}(fiber) minus rank, torsion the
-    invariant factors above 1).  Cross-checks the Euler characteristic
-    against the cell count on every call and refuses to return on a
-    mismatch.
+    invariant factors above 1).  The Euler characteristic changes by
+    (-1)^k (n - rank) + (-1)^(k-1) (-rank) = (-1)^k n, the cell count, by
+    this construction, so nothing checks it again;
+    tests/oracles.attachment_homology is the independent route.
     """
     if not f.crits:
         return f.fiber.homology
@@ -442,13 +441,7 @@ def total_space_homology(f: Fibration) -> HomologyTable:
     groups[k - 1] = (table.free_rank(k - 1) - rank,
                      tuple(d for d in factors if d > 1))
 
-    out = HomologyTable.of(groups)
-    expected = table.euler() + (-1) ** k * len(f.crits)
-    if out.euler() != expected:
-        raise Inconsistent(
-            f"Euler characteristic mismatch for {f.name!r}:"
-            f" table gives {out.euler()}, cell count gives {expected}")
-    return out
+    return HomologyTable.of(groups)
 
 
 def matching_cycle_class(f: Fibration, mo: MatchingObject) -> tuple[int, ...]:
@@ -456,11 +449,13 @@ def matching_cycle_class(f: Fibration, mo: MatchingObject) -> tuple[int, ...]:
 
     The class is written in the free middle-degree generators of the fiber,
     where it is zero, followed by one entry per critical value: its cell
-    cycle, a kernel vector of the attachment matrix.  That is a signed sum
-    of the two cells indexed by its endpoint critical values; the sign
-    convention puts +1 on the cell entered through the path's end puncture.
-    Orientation data invisible to the combinatorics raises UnresolvedSign
-    rather than guessing.
+    cycle: a signed sum of the two cells indexed by its endpoint critical
+    values; the sign convention puts +1 on the cell entered through the
+    path's end puncture.  Config loading gives a matching object the cycle
+    labels of its end critical values, so the cycle, (-1, 1) over equal
+    classes and (1, 1) over opposite ones, is a kernel vector of the
+    attachment matrix by construction.  Orientation data invisible to the
+    combinatorics raises UnresolvedSign rather than guessing.
     """
     if any(isinstance(e, BoundaryAngle) for e in mo.path.endpoints()):
         raise LefbenchError(
@@ -493,10 +488,4 @@ def matching_cycle_class(f: Fibration, mo: MatchingObject) -> tuple[int, ...]:
         raise UnresolvedSign(
             f"object {mo.name!r}: endpoint cycle classes {cl} and {cr} are"
             " neither equal nor opposite, so the thimbles do not close up")
-
-    image = zip(model.classes[idx_l], model.classes[idx_r])
-    if any(cells[idx_l] * a + cells[idx_r] * b for a, b in image):
-        raise Inconsistent(
-            f"object {mo.name!r}: cell cycle is not in the kernel of the"
-            " attachment matrix")
     return fiber_part + tuple(cells)

@@ -3,9 +3,9 @@
 Crossings between two arcs are computed with the symbolic perturbation of
 exactgeom (the canonically larger arc plays the "later-declared" role and is
 the one infinitesimally shifted, so results do not depend on argument order)
-over the segment pairs whose closed bounding boxes meet, each pair tested
-directly (exactgeom.box_pairs_between): wherever two arcs are compared, one
-side is a few segments.  Skipping the other pairs is exact: boxes strictly
+over the segment pairs whose box keys meet, each pair tested directly
+(exactgeom.box_pairs_between): wherever two arcs are compared, one side is
+a few segments.  Skipping the other pairs is exact: boxes whose keys are
 apart leave a positive gap in x or y, which the infinitesimal shift (eps,
 eps^2) cannot close.
 

@@ -884,13 +884,58 @@ def test_one_declaration_spelled_twice_is_a_duplicate(old, new, command,
      "relation = witness A B L !cited witness-schema", "floer-ranks", 3,
      "error[Inconsistent]: {cfg}:46: labels 'A', 'B' declared both"
      " isotopic and non-isomorphic"),
-], ids=["zero-length-segment", "parity-value", "isotopic-and-witness"])
+    ("W1", "[disc aux-disc]", "[disc aux-disc", "validate", 1,
+     "error[ConfigError]: {cfg}:6: unterminated section header"),
+    ("W1", "[disc aux-disc]", "[disc aux disc]", "validate", 1,
+     "error[ConfigError]: {cfg}:6: section header needs a kind and at most"
+     " one name"),
+    ("W1", "[wrap]", "[wrap main]", "validate", 1,
+     "error[ConfigError]: {cfg}:59: [wrap] takes no name"),
+    ("W1", "[disc aux-disc]", "[disc]", "validate", 1,
+     "error[ConfigError]: {cfg}:6: [disc] needs a name"),
+    ("W1", "homology 0 = 1", "homology 0 =", "validate", 1,
+     "error[ConfigError]: {cfg}:14: homology line needs a free rank"),
+    ("W1", "crit a = A | 1/2", "crit a = A", "validate", 1,
+     "error[ConfigError]: {cfg}:44: crit value is 'LABEL | ANGLE' with"
+     " optional '| mid points'"),
+    ("W1", "matching A = c-left c-right | -3/20 1/5 ; 3/20 1/5",
+     "matching A = c-left", "validate", 1,
+     "error[ConfigError]: {cfg}:27: matching value is 'P Q' with optional"
+     " '| mid points'"),
+    ("W1", "thimble L = crit c-mid", "thimble L = c-mid", "validate", 1,
+     "error[ConfigError]: {cfg}:29: thimble value is 'crit P'"),
+    # an empty mid list is no mid point
+    ("W1", "crit a = A | 1/2", "crit a = A | 1/2 |", "validate", 0,
+     "validation: ok"),
+    # a and b both end at the reference angle 0, a from above
+    ("W1", "crit a = A | 1/2", "crit a = A | 0 | -1/2 1/2 ; 1/2 1/2",
+     "validate", 1,
+     "note: [main-W1] vanishing paths of 'a' and 'b' share the reference"
+     " endpoint"),
+    ("W1", "crit a = A | 1/2", "crit a = A | 0 | -1/2 1/2 ; 1/2 1/2 ; 3/4 0",
+     "validate", 1,
+     "violation: [main-W1] vanishing paths of 'a' and 'b' reach the"
+     " reference endpoint along one line, so their order there is"
+     " undecided"),
+], ids=["zero-length-segment", "parity-value", "isotopic-and-witness",
+        "unterminated-header", "header-words", "wrap-named", "disc-unnamed",
+        "homology-empty", "crit-no-angle", "matching-one-end",
+        "thimble-no-crit", "crit-empty-mids", "shared-reference-end",
+        "shared-reference-line"])
 def test_rules_reached_through_main(scenario, old, new, command, code, line,
                                     tmp_path, capsys):
     cfg = _edited(tmp_path, scenario, old, new)
     assert main([command, str(cfg)]) == code
     out, err = capsys.readouterr()
     assert line.format(cfg=cfg) + "\n" in out + err
+
+
+def test_report_that_cannot_be_written_is_one_error_line(tmp_path, capsys):
+    # --out names a directory
+    assert main(["validate", shipped("W1.cfg"), "--out", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error[ReportWrite]: ") and err.count("\n") == 1
 
 
 # the exit code each error class ends a run with

@@ -1,15 +1,21 @@
 """Disc model and arc validation."""
 
+import random
 from fractions import Fraction as Q
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lefbench.config import load_config
 from lefbench.disc import BoundaryAngle, DiscModel, PlanarArc, Puncture
-from lefbench.errors import LefbenchError, NonEmbeddableInput
+from lefbench.errors import LefbenchError, NonEmbeddableInput, SpiralCollision
+from lefbench.fibration import TotalSpaceFiber
+from lefbench.wrapping import wrap
 
 from oracles import all_pairs_check_embedded, polyline_is_embedded
 from scen import arc_through, pt
+from test_wrap import PARAMS, _wrap_sources
 
 # a coarse grid: boxes often touch exactly, and collinear, T- and endpoint
 # contacts are common
@@ -51,20 +57,53 @@ def test_matching_arc_validates():
     arc.validate(disc)
 
 
-def test_endpoint_anchor_must_match_vertex():
-    disc = two_puncture_disc()
-    arc = arc_through((pt(0, 0), pt(Q(1, 2), 0)),
-                      Puncture("p"), Puncture("q"))
-    with pytest.raises(LefbenchError, match="does not match puncture"):
-        arc.validate(disc)
+def _assert_on_endpoints(arc, disc):
+    """The arc's first and last vertex are its endpoints' points."""
+    for e, v in zip(arc.endpoints(), (arc.hverts[0], arc.hverts[-1])):
+        want = disc.hpoint_of(e.name) if isinstance(e, Puncture) else e.hpoint
+        assert v == want, (arc, e)
 
 
-def test_boundary_endpoint_must_be_realized_exactly():
-    disc = two_puncture_disc()
-    arc = arc_through((pt(Q(1, 2), 0), pt(Q(99, 100), 0)),
-                      Puncture("q"), BoundaryAngle(Q(0)))
-    with pytest.raises(LefbenchError, match="realize boundary angle"):
-        arc.validate(disc)
+def test_builders_put_every_arc_on_its_endpoints():
+    # no check reads an arc's ends or a matching object's labels again:
+    # config loading and wrap make them right where the objects are made.
+    # Every crit path and object of the shipped scenarios, inner fibrations
+    # included, and every arc wrap returns in the wrap census starts and
+    # ends on its endpoints' points; a matching object carries the cycle
+    # labels of the crits at its ends.
+    arcs = 0
+    for name in ("W0", "W1", "ts3", "empty-fibration"):
+        f = load_config(resources.files("lefbench") / "scenarios"
+                        / f"{name}.cfg").fibration
+        while True:
+            for arc in [c.path for c in f.crits] + [o.path for o in f.objects]:
+                _assert_on_endpoints(arc, f.disc)
+                arcs += 1
+            for mo in f.objects:
+                if isinstance(mo.path.end, Puncture):
+                    assert (mo.left_cycle, mo.right_cycle) == tuple(
+                        f.crit_for(e.name).cycle_label
+                        for e in mo.path.endpoints())
+            if not isinstance(f.fiber, TotalSpaceFiber):
+                break
+            f = f.fiber.fibration
+    assert arcs == 19
+
+    # the draws of the wrap census in test_wrap: its 118 certified and 133
+    # rejected spirals
+    rng = random.Random(21)
+    spirals = 0
+    for disc, source, bend in _wrap_sources():
+        for lo, hi in ((1, 64), (1, 64), (3, 8), (3, 8)):
+            res, m = rng.randint(lo, hi), rng.randint(0, 16)
+            grid = DiscModel(disc.punctures, boundary_resolution=res)
+            try:
+                w = wrap(source, m, PARAMS, grid, bend=bend)
+            except SpiralCollision:
+                continue
+            _assert_on_endpoints(w, grid)
+            spirals += 1
+    assert spirals == 118 + 133
 
 
 def test_interior_vertex_must_stay_inside():

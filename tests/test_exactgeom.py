@@ -9,11 +9,11 @@ from fractions import Fraction as Q
 from importlib import resources
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from lefbench.config import load_config
-from lefbench.disc import _closed_segments_touch
+from lefbench.disc import BoundaryAngle, PlanarArc, _closed_segments_touch
 from lefbench.exactgeom import (Pt, _shift_sign, box_pairs, box_pairs_between,
                                 circle_hpoint, homog, min_angular_gap,
                                 orient, point_on_segment,
@@ -21,11 +21,13 @@ from lefbench.exactgeom import (Pt, _shift_sign, box_pairs, box_pairs_between,
                                 segment_near_origin,
                                 segments_overlap_collinear, winding_number)
 from lefbench.fibration import with_resolution
+from lefbench.minpos import compute_crossings
 from lefbench.wrapping import BEND, source_annulus, wrap
 
 from oracles import (ccw_gap, line_intersection, polygon_area2,
                      segment_point_dist2, sgn_eps)
-from scen import pt
+from scen import arc_through, pt
+from test_disc import _embedding_error, no_zero_length
 
 
 def h(*points):
@@ -245,18 +247,23 @@ def _check_box_pairs(segs_a, segs_b):
 
 
 # coordinates closer together than the 2^-64 resolution of the boxes' floor
-# keys: the sweep's sort and drop and the key test see ties, the exact test
-# must tell them apart
+# keys: the sweep's sort and drop and the key test see ties, the exact
+# predicates behind them must tell them apart
 TINY = Q(1, 2 ** 70)
 NEAR = [c + d for c in (Q(-1, 3), Q(0), Q(1, 3)) for d in (-TINY, Q(0), TINY)]
-NEAR_SEGMENTS = st.tuples(*[st.builds(Pt, st.sampled_from(NEAR),
-                                      st.sampled_from(NEAR))] * 2)
+NEAR_POLYLINES = st.lists(st.builds(Pt, st.sampled_from(NEAR),
+                                    st.sampled_from(NEAR)),
+                          min_size=2, max_size=9).filter(no_zero_length)
 
 
-@given(st.lists(NEAR_SEGMENTS, max_size=12),
-       st.one_of(st.none(), st.lists(NEAR_SEGMENTS, max_size=12)))
-def test_box_pairs_tell_apart_edges_within_one_key(segs_a, segs_b):
-    _check_box_pairs(segs_a, segs_b)
+@settings(max_examples=250, deadline=None)
+@given(NEAR_POLYLINES, NEAR_POLYLINES)
+def test_key_pruned_pairs_match_all_pairs_within_one_key(va, vb):
+    a = arc_through(tuple(va), BoundaryAngle(Q(1, 2)), BoundaryAngle(Q(0)))
+    b = arc_through(tuple(vb), BoundaryAngle(Q(1, 4)), BoundaryAngle(Q(3, 4)))
+    assert (_embedding_error(PlanarArc._check_embedded, a)
+            == _embedding_error(oracles.all_pairs_check_embedded, a))
+    assert compute_crossings(a, b) == oracles.all_pairs_crossings(a, b)
 
 
 # --------------------------------------------------------------------------

@@ -563,20 +563,6 @@ def test_opposite_classes_close_up_with_plus_sign():
     assert matching_cycle_class(g, mo) == (1, 1)
 
 
-def test_cell_cycle_off_the_kernel_is_inconsistent():
-    # the object's labels close up (equal classes), but the crits at its
-    # ends attach along (1) and (2): -1, +1 is no kernel vector of (1 2)
-    fib = AbstractFiber(
-        "off", 2, HomologyTable.of({0: (1, ()), 1: (1, ())}),
-        (("u", (1,)), ("w", (2,))))
-    f = ts3_fibration()
-    crits = (Crit("a", f.crits[0].path, "u"), Crit("b", f.crits[1].path, "w"))
-    g = Fibration("off", f.disc, fib, crits, f.reference_angle)
-    mo = MatchingObject("m", matching(f.disc, "a", "b"), "u", "u")
-    with pytest.raises(Inconsistent, match="cell cycle is not in the kernel"):
-        matching_cycle_class(g, mo)
-
-
 def test_unresolved_sign_cases():
     f = ts3_fibration()
     fib0 = AbstractFiber(
