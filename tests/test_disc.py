@@ -1,5 +1,6 @@
 """Disc model and arc validation."""
 
+import functools
 import random
 from fractions import Fraction as Q
 from importlib import resources
@@ -57,53 +58,61 @@ def test_matching_arc_validates():
     arc.validate(disc)
 
 
-def _assert_on_endpoints(arc, disc):
-    """The arc's first and last vertex are its endpoints' points."""
-    for e, v in zip(arc.endpoints(), (arc.hverts[0], arc.hverts[-1])):
-        want = disc.hpoint_of(e.name) if isinstance(e, Puncture) else e.hpoint
-        assert v == want, (arc, e)
-
-
-def test_builders_put_every_arc_on_its_endpoints():
-    # no check reads an arc's ends or a matching object's labels again:
-    # config loading and wrap make them right where the objects are made.
-    # Every crit path and object of the shipped scenarios, inner fibrations
-    # included, and every arc wrap returns in the wrap census starts and
-    # ends on its endpoints' points; a matching object carries the cycle
-    # labels of the crits at its ends.
-    arcs = 0
+@functools.cache
+def _built_arcs():
+    """(arc, disc) of every arc the builders make: the crit paths and
+    objects config loading builds for the shipped scenarios, inner
+    fibrations included, and the arcs wrap returns in the wrap census."""
+    built = []
     for name in ("W0", "W1", "ts3", "empty-fibration"):
         f = load_config(resources.files("lefbench") / "scenarios"
                         / f"{name}.cfg").fibration
         while True:
-            for arc in [c.path for c in f.crits] + [o.path for o in f.objects]:
-                _assert_on_endpoints(arc, f.disc)
-                arcs += 1
-            for mo in f.objects:
-                if isinstance(mo.path.end, Puncture):
-                    assert (mo.left_cycle, mo.right_cycle) == tuple(
-                        f.crit_for(e.name).cycle_label
-                        for e in mo.path.endpoints())
+            built += [(c.path, f.disc) for c in f.crits]
+            built += [(o.path, f.disc) for o in f.objects]
             if not isinstance(f.fiber, TotalSpaceFiber):
                 break
             f = f.fiber.fibration
-    assert arcs == 19
+    assert len(built) == 19
 
     # the draws of the wrap census in test_wrap: its 118 certified and 133
     # rejected spirals
     rng = random.Random(21)
-    spirals = 0
     for disc, source, bend in _wrap_sources():
         for lo, hi in ((1, 64), (1, 64), (3, 8), (3, 8)):
             res, m = rng.randint(lo, hi), rng.randint(0, 16)
             grid = DiscModel(disc.punctures, boundary_resolution=res)
             try:
-                w = wrap(source, m, PARAMS, grid, bend=bend)
+                built.append((wrap(source, m, PARAMS, grid, bend=bend), grid))
             except SpiralCollision:
                 continue
-            _assert_on_endpoints(w, grid)
-            spirals += 1
-    assert spirals == 118 + 133
+    assert len(built) == 19 + 118 + 133
+    return tuple(built)
+
+
+def _ends(arc):
+    return zip(arc.endpoints(), (arc.hverts[0], arc.hverts[-1]))
+
+
+def test_endpoint_anchor_must_match_vertex():
+    # no check reads an arc's ends again: config loading and wrap put each
+    # puncture end on its puncture's point where the arc is made
+    for arc, disc in _built_arcs():
+        anchored = [(e, v) for e, v in _ends(arc) if isinstance(e, Puncture)]
+        assert anchored, arc
+        for e, v in anchored:
+            assert v == disc.hpoint_of(e.name), (arc, e)
+
+
+def test_boundary_endpoint_must_be_realized_exactly():
+    # the boundary side: each boundary end is its angle's exact point
+    boundary = 0
+    for arc, _ in _built_arcs():
+        for e, v in _ends(arc):
+            if isinstance(e, BoundaryAngle):
+                assert v == e.hpoint, (arc, e)
+                boundary += 1
+    assert boundary == 265
 
 
 def test_interior_vertex_must_stay_inside():

@@ -4,6 +4,7 @@ import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction as Q
+from importlib import resources
 
 import pytest
 
@@ -11,6 +12,7 @@ from lefbench import fibration, minpos
 from lefbench.disc import BoundaryAngle, DiscModel, Puncture
 from lefbench.errors import (Inconsistent, LefbenchError, MissingClass,
                              UnresolvedSign)
+from lefbench.config import load_config
 from lefbench.exactgeom import box_pairs_between
 from lefbench.fibration import (AbstractFiber, Crit, Fibration, HomologyTable,
                                 MatchingObject, TotalSpaceFiber,
@@ -561,6 +563,42 @@ def test_opposite_classes_close_up_with_plus_sign():
     g = Fibration("opp", f.disc, fib, crits, f.reference_angle)
     mo = MatchingObject("m", matching(f.disc, "a", "b"), "u", "v")
     assert matching_cycle_class(g, mo) == (1, 1)
+
+
+def test_cell_cycle_off_the_kernel_is_inconsistent():
+    # no check reads a matching object's labels against its crits again:
+    # config loading gives it the cycle labels of the crits at its ends
+    matchings = 0
+    for name in ("W0", "W1", "ts3", "empty-fibration"):
+        f = load_config(resources.files("lefbench") / "scenarios"
+                        / f"{name}.cfg").fibration
+        while True:
+            for mo in f.objects:
+                if isinstance(mo.path.end, Puncture):
+                    assert (mo.left_cycle, mo.right_cycle) == tuple(
+                        f.crit_for(e.name).cycle_label
+                        for e in mo.path.endpoints())
+                    matchings += 1
+            if not isinstance(f.fiber, TotalSpaceFiber):
+                break
+            f = f.fiber.fibration
+    assert matchings == 5
+    # so over crits attached along (1) and (2) the object config builds
+    # carries labels u, w, whose cell cycle would be no kernel vector of
+    # (1 2): validation refuses it and no class is made up for it
+    fib = AbstractFiber(
+        "off", 2, HomologyTable.of({0: (1, ()), 1: (1, ())}),
+        (("u", (1,)), ("w", (2,))))
+    f = ts3_fibration()
+    crits = (Crit("a", f.crits[0].path, "u"), Crit("b", f.crits[1].path, "w"))
+    mo = MatchingObject("m", matching(f.disc, "a", "b"), "u", "w")
+    g = Fibration("off", f.disc, fib, crits, f.reference_angle,
+                  objects=(mo,))
+    assert validate(g).violations == (
+        "[off] object 'm': cycle labels 'u', 'w' are not declared isotopic,"
+        " so the two thimbles do not close up to a matching cycle",)
+    with pytest.raises(UnresolvedSign, match="neither equal nor opposite"):
+        matching_cycle_class(g, mo)
 
 
 def test_unresolved_sign_cases():
