@@ -6,11 +6,14 @@ rational polylines whose endpoints are either punctures or exact boundary
 angles; see exactgeom.circle_hpoint for how angles are realized.  An arc
 stores its vertices as reduced homogeneous integer triples (hverts) and
 builds its Fraction points (vertices) and its segment boxes on first use;
-it validates once per disc.
+it validates once per disc.  A disc keeps its punctures' x floor keys
+sorted (DiscModel.puncture_keys), so an arc tests only the punctures whose
+key falls in a segment's x key range, found by bisection.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -53,7 +56,8 @@ class DiscModel:
     """Closed unit disc with named punctures strictly inside.
 
     boundary_resolution is the number of polyline vertices per full turn used
-    when synthesizing wrapping spirals.
+    when synthesizing wrapping spirals.  The punctures' homogeneous points
+    and their sorted x floor keys are derived once, on first use.
     """
     punctures: tuple[tuple[str, Pt], ...]
     boundary_resolution: int = 16
@@ -81,6 +85,14 @@ class DiscModel:
     def hpoints(self) -> tuple[Hpt, ...]:
         """The punctures' homogeneous integer points, in declaration order."""
         return tuple(homog(p) for _, p in self.punctures)
+
+    @cached_property
+    def puncture_keys(self) -> tuple[list[int], list[int]]:
+        """The punctures' x floor keys (exactgeom.segment_box of the point)
+        in increasing order, and the declaration index of each."""
+        order = sorted((segment_box(hp, hp)[0], i)
+                       for i, hp in enumerate(self.hpoints))
+        return [k for k, _ in order], [i for _, i in order]
 
 
 @dataclass(frozen=True)
@@ -147,6 +159,17 @@ class PlanarArc:
         return True
 
     def _check(self, disc: DiscModel) -> None:
+        """Raise the first violation of the class docstring's rules.
+
+        A puncture is tested against a segment only if its x floor key
+        lies in the segment's x key range, bisected in
+        DiscModel.puncture_keys: the key is monotone, so a point on a
+        closed segment has its key in the segment's range, and the
+        punctures skipped are off the segment.  Of the punctures hit, the
+        one with the lowest declaration index is reported, as a scan of
+        every puncture over every segment would.  The cost is
+        O(S log P + candidates) for S segments and P punctures.
+        """
         hs = self.hverts
         for i in range(len(hs) - 1):
             if hs[i] == hs[i + 1]:
@@ -160,15 +183,21 @@ class PlanarArc:
         # a puncture may touch only the end segment that it anchors: a
         # puncture end is its puncture's point, and a boundary end is no
         # puncture's
+        keys, order = disc.puncture_keys
+        hps = disc.hpoints
         last = len(hs) - 2
-        segs = list(zip(hs, hs[1:]))
-        for (name, p), hp in zip(disc.punctures, disc.hpoints):
-            for i, (a, b) in enumerate(segs):
-                if (point_on_segment(hp, a, b)
+        hit = len(hps)
+        for i, (x0, x1, _, _) in enumerate(self.boxes):
+            a, b = hs[i], hs[i + 1]
+            for k in order[bisect_left(keys, x0):bisect_right(keys, x1)]:
+                hp = hps[k]
+                if (k < hit and point_on_segment(hp, a, b)
                         and not (i == 0 and hp == hs[0])
                         and not (i == last and hp == hs[-1])):
-                    raise LefbenchError(
-                        f"arc passes through puncture {name!r} at {p}")
+                    hit = k
+        if hit < len(hps):
+            name, p = disc.punctures[hit]
+            raise LefbenchError(f"arc passes through puncture {name!r} at {p}")
 
         self._check_embedded()
 

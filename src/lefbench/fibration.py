@@ -24,7 +24,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
-from .disc import BoundaryAngle, DiscModel, PlanarArc
+from .disc import BoundaryAngle, DiscModel, PlanarArc, _closed_segments_touch
 from .errors import (Inconsistent, LefbenchError, MissingClass,
                      SharedBoundaryEndpoint, UnresolvedSign)
 from .exactgeom import box_pairs, orient
@@ -257,18 +257,28 @@ class Fibration:
         so that the cut disc is one disc.
 
         One exactgeom.box_pairs sweep over the segments of all the paths
-        picks the pairs that are checked: those with segment box keys that
-        meet, and those with a path that is no legal arc.  Any other pair
-        is two legal arcs with no common point (a shared end would make
-        two boxes meet), hence nothing to find."""
+        yields the segment pairs whose box keys meet; of those that belong
+        to two different paths, disc._closed_segments_touch decides exactly
+        which share a point.  The pairs checked are those with a touching
+        segment pair, and those with a path that is no legal arc.  Any
+        other pair is two legal arcs whose closed segments share no point,
+        so they lie a positive distance apart (segments whose boxes are
+        apart have a gap in x or y, and the others were tested): no
+        infinitesimal shift makes them cross, they share no puncture and
+        no boundary end, and so there is nothing to find."""
         paths = [c.path for c in self.crits]
-        owner = [i for i, p in enumerate(paths) for _ in p.boxes]
-        near = {(owner[s], owner[t]) for s, t in
-                box_pairs([box for p in paths for box in p.boxes])}
+        segs = [(i, a, b) for i, p in enumerate(paths)
+                for a, b in zip(p.hverts, p.hverts[1:])]
+        touch = set()
+        for s, t in box_pairs([box for p in paths for box in p.boxes]):
+            (i, a1, a2), (j, b1, b2) = segs[s], segs[t]
+            if i != j and (i, j) not in touch and _closed_segments_touch(
+                    a1, a2, b1, b2):
+                touch.add((i, j))
         bad = {i for i, p in enumerate(paths) if not p.is_legal(self.disc)}
         return tuple(found for (i, ci), (j, cj)
                      in combinations(enumerate(self.crits), 2)
-                     if (i, j) in near or i in bad or j in bad
+                     if (i, j) in touch or i in bad or j in bad
                      for found in _check_disjoint_paths(self, ci, cj))
 
 

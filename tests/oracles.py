@@ -9,14 +9,15 @@ which keep the library's own code as it was before its integer kernel, on
 ``Fraction`` points: the segment predicates (the reference the
 homogeneous-integer predicates must agree with); the embedding check and
 crossing computation as they were before the box-pruned sweep, scanning
-every segment pair with those predicates, so that a comparison isolates
-both the pruning and the integer arithmetic; the lens test; and the bigon
-surgery that reroutes one arc across each lens, with each surgery checked
-over the whole pair: the geometric reference for the library's reduction
-of the crossing list; a tower stage counted on its wrapped spiral and on
-its word in the cuts, the references for the library's closed-form count;
-and the check of every pair of vanishing paths, the reference for the
-library's box sweep over them.
+every segment pair with those predicates, and the puncture rule as it was
+before the puncture keys, scanning every puncture and segment, so that a
+comparison isolates both the pruning and the integer arithmetic; the lens
+test; and the bigon surgery that reroutes one arc across each lens, with
+each surgery checked over the whole pair: the geometric reference for the
+library's reduction of the crossing list; a tower stage counted on its
+wrapped spiral and on its word in the cuts, the references for the
+library's closed-form count; and the check of every pair of vanishing
+paths, the reference for the library's box sweep over them.
 """
 
 from __future__ import annotations
@@ -631,6 +632,24 @@ def all_pairs_check_embedded(arc):
                     f"arc self-intersects between segments {i} and {j}"
                     " (if this arc is a synthesized spiral, raise the"
                     " disc boundary_resolution)")
+
+
+def all_pairs_puncture_check(arc, disc):
+    """PlanarArc._check's puncture rule as it was before the puncture
+    keys: every puncture in declaration order over every segment, on
+    Fraction points; a puncture may touch only the end segment that it
+    anchors."""
+    from lefbench.errors import LefbenchError
+
+    segs = segments(arc)
+    first, last = arc.vertices[0], arc.vertices[-1]
+    for name, p in disc.punctures:
+        for i, (a, b) in enumerate(segs):
+            if (point_on_segment(p, a, b)
+                    and not (i == 0 and p == first)
+                    and not (i == len(segs) - 1 and p == last)):
+                raise LefbenchError(
+                    f"arc passes through puncture {name!r} at {p}")
 
 
 def all_pairs_crossings(a, b):

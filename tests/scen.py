@@ -148,21 +148,22 @@ def ts3_fibration(oracle=None) -> Fibration:
         reference_angle=BoundaryAngle(Q(0)), oracle=oracle, objects=objects)
 
 
-def fan(rng, n: int) -> Fibration:
-    """A seeded fan: n punctures on the x-axis, each with a vanishing path
-    down through one point below it to an angle of the lower half circle,
-    the angles in the punctures' order but for one swapped neighbour pair.
+def fan(rng, n: int, width: int = 20) -> Fibration:
+    """A seeded fan: n punctures on the x-axis, at x = k / (2 width) for n
+    distinct integers |k| <= width, each with a vanishing path down
+    through one point below it to an angle of the lower half circle, the
+    angles in the punctures' order but for one swapped neighbour pair.
     The middle points wander, so paths may cross, and two paths may share
     an end."""
-    xs = sorted(rng.sample(range(-20, 21), n))
+    xs = sorted(rng.sample(range(-width, width + 1), n))
     taus = sorted(rng.choice(range(27, 48)) for _ in range(n))
     k = rng.randrange(n - 1)
     taus[k], taus[k + 1] = taus[k + 1], taus[k]
-    disc = DiscModel(tuple((f"p{i}", pt(Q(x, 40), 0))
+    disc = DiscModel(tuple((f"p{i}", pt(Q(x, 2 * width), 0))
                            for i, x in enumerate(xs)))
     crits = tuple(
         Crit(f"p{i}", vanishing(disc, f"p{i}", Q(tau, 52),
-                                pt(Q(x + rng.randint(-12, 12), 40),
+                                pt(Q(x + rng.randint(-12, 12), 2 * width),
                                    Q(-rng.randint(2, 24), 40))), "belt")
         for i, (x, tau) in enumerate(zip(xs, taus)))
     return Fibration(f"fan-{n}", disc, circle_fiber(), crits,

@@ -8,14 +8,16 @@ from importlib import resources
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lefbench.disc
 from lefbench.config import load_config
 from lefbench.disc import BoundaryAngle, DiscModel, PlanarArc, Puncture
 from lefbench.errors import LefbenchError, NonEmbeddableInput, SpiralCollision
+from lefbench.exactgeom import point_on_segment, segment_box
 from lefbench.fibration import TotalSpaceFiber
 from lefbench.wrapping import wrap
 
 from oracles import all_pairs_check_embedded, polyline_is_embedded
-from scen import arc_through, pt
+from scen import arc_through, fan, pt
 from test_wrap import PARAMS, _wrap_sources
 
 # a coarse grid: boxes often touch exactly, and collinear, T- and endpoint
@@ -131,6 +133,29 @@ def test_arc_may_not_pass_through_a_puncture():
                       BoundaryAngle(Q(1, 2)), BoundaryAngle(Q(0)))
     with pytest.raises(LefbenchError, match="passes through puncture"):
         arc.validate(disc)
+
+
+def test_punctures_are_tested_only_where_x_keys_meet(monkeypatch):
+    # the guard of the puncture keys: a puncture is tested against a
+    # segment at most once, and only if its x floor key lies in the
+    # segment's, never against every segment of every arc
+    f = fan(random.Random(3), 64, width=80)
+    calls = []
+
+    def counted(p, a, b):
+        calls.append((p, a, b))
+        return point_on_segment(p, a, b)
+    monkeypatch.setattr(lefbench.disc, "point_on_segment", counted)
+    for c in f.crits:
+        c.path.validate(f.disc)
+    assert len(calls) == len(set(calls))
+    for p, a, b in calls:
+        x0, x1, _, _ = segment_box(a, b)
+        assert x0 <= segment_box(p, p)[0] <= x1
+    boxes = [box for c in f.crits for box in c.path.boxes]
+    keys = [segment_box(p, p)[0] for p in f.disc.hpoints]
+    meeting = sum(x0 <= k <= x1 for k in keys for x0, x1, _, _ in boxes)
+    assert 0 < len(calls) <= meeting < len(keys) * len(boxes)
 
 
 def test_self_crossing_arc_is_rejected():

@@ -13,7 +13,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from lefbench.config import load_config
-from lefbench.disc import BoundaryAngle, PlanarArc, _closed_segments_touch
+from lefbench.disc import (BoundaryAngle, DiscModel, PlanarArc, Puncture,
+                           _closed_segments_touch)
+from lefbench.errors import LefbenchError
 from lefbench.exactgeom import (Pt, _shift_sign, box_pairs, box_pairs_between,
                                 circle_hpoint, homog, min_angular_gap,
                                 orient, point_on_segment,
@@ -264,6 +266,59 @@ def test_key_pruned_pairs_match_all_pairs_within_one_key(va, vb):
     assert (_embedding_error(PlanarArc._check_embedded, a)
             == _embedding_error(oracles.all_pairs_check_embedded, a))
     assert compute_crossings(a, b) == oracles.all_pairs_crossings(a, b)
+
+
+def _first_error(*checks):
+    try:
+        for check in checks:
+            check()
+    except LefbenchError as exc:
+        return str(exc)
+    return None
+
+
+def test_puncture_keys_report_what_all_pairs_reports():
+    # punctures and vertices on the NEAR grid: a puncture 2^-70 off a
+    # segment has the floor key of points on it, several punctures lie on
+    # one segment, and punctures sit at joints and at anchored ends; the
+    # lowest declaration index must win wherever the arc meets it
+    rng = random.Random(28)
+    grid = [Pt(x, y) for x in NEAR for y in NEAR]
+    seen = dict.fromkeys(("several", "joint", "anchored", "near"), 0)
+    for _ in range(600):
+        punctures = tuple((f"q{k}", p) for k, p in
+                          enumerate(rng.sample(grid, rng.randint(2, 12))))
+        disc = DiscModel(punctures)
+        ends = []
+        for _ in range(2):
+            if rng.random() < 0.5:
+                name, p = rng.choice(punctures)
+                ends.append((Puncture(name), p))
+            else:
+                angle = BoundaryAngle(Q(rng.randrange(8), 8))
+                ends.append((angle, circle_point(angle.angle)))
+        (start, p0), (end, p1) = ends
+        mid = [rng.choice(punctures)[1] if rng.random() < 0.3
+               else rng.choice(grid) for _ in range(rng.randint(0, 4))]
+        vs = [p0, *mid, p1]
+        if not no_zero_length(vs):
+            continue
+        arc = arc_through(tuple(vs), start, end)
+        got = _first_error(lambda: arc.validate(disc))
+        assert got == _first_error(
+            lambda: oracles.all_pairs_puncture_check(arc, disc),
+            lambda: oracles.all_pairs_check_embedded(arc)), vs
+        segs = oracles.segments(arc)
+        seen["several"] += sum(
+            p not in (p0, p1) and any(oracles.point_on_segment(p, a, b)
+                                      for a, b in segs)
+            for _, p in punctures) > 1
+        seen["joint"] += any(p in mid for _, p in punctures)
+        seen["anchored"] += any(isinstance(e, Puncture) for e in (start, end))
+        seen["near"] += any(
+            0 < oracles.segment_point_dist2(p, a, b) <= TINY ** 2
+            for _, p in punctures for a, b in segs)
+    assert min(seen.values()) >= 20, seen
 
 
 # --------------------------------------------------------------------------

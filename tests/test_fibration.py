@@ -22,6 +22,7 @@ from lefbench.minpos import compute_crossings
 from lefbench.rank_calculus import FsHomRanks
 from lefbench.tower import build_stage
 
+import oracles
 from oracles import (all_pairs_path_findings, attachment_homology,
                      sympy_kernel_basis, sympy_kernel_coordinates)
 from scen import (arc_through, aux_fibration, circle_fiber, empty_fibration,
@@ -241,9 +242,9 @@ def test_path_findings_match_all_pairs_on_special_pairs():
         assert finding in f.path_findings
 
 
-def test_validate_searches_crossings_only_where_boxes_meet(monkeypatch):
-    # pairs of a fan's legal paths whose boxes are apart are disjoint, and
-    # a shared boundary end is refused before any search
+def test_validate_searches_crossings_only_where_paths_touch(monkeypatch):
+    # pairs of a fan's legal paths whose closed segments share no point are
+    # disjoint, and a shared boundary end is refused before any search
     f = fan(random.Random(0), 16)
     searched = []
 
@@ -254,10 +255,15 @@ def test_validate_searches_crossings_only_where_boxes_meet(monkeypatch):
     monkeypatch.setattr(fibration, "compute_crossings", counted)
     validate(f)
     paths = [c.path for c in f.crits]
+    touching = [(a, b) for a, b in itertools.combinations(paths, 2)
+                if any(oracles._closed_segments_touch(a1, a2, b1, b2)
+                       for a1, a2 in oracles.segments(a)
+                       for b1, b2 in oracles.segments(b))]
     near = [(a, b) for a, b in itertools.combinations(paths, 2)
-            if any(box_pairs_between(a.boxes, b.boxes)) and a.end != b.end]
-    assert 0 < len(near) < len(paths) * (len(paths) - 1) // 2
-    assert searched == near
+            if any(box_pairs_between(a.boxes, b.boxes))]
+    assert any(a.end == b.end for a, b in touching)
+    assert 0 < len(touching) < len(near)
+    assert searched == [(a, b) for a, b in touching if a.end != b.end]
 
 
 # --------------------------------------------------------------------------
