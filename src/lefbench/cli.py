@@ -9,12 +9,15 @@ spirals.  Exit codes: 0 success; 1 unusable input (config errors,
 validation failures, I/O); 2 undecidable (the oracle facts do not
 determine an answer); 3 internal inconsistency (the facts contradict each
 other or the geometry).  Each error class carries its own code (errors.py).
+main builds its parser once per process, on its first call (``_parser``),
+so repeated calls leave no discarded parser behind as cyclic garbage.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from pathlib import Path
 
@@ -217,7 +220,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> _Parser:
     p = _Parser(prog="lefbench",
                 description="Exact-rank workbench for bifibered Lefschetz"
                             " scenarios over the disc.")
@@ -227,7 +231,11 @@ def main(argv=None) -> int:
     p.add_argument("--svg", metavar="DIR", help="write SVG diagrams here")
     p.add_argument("--resolution", type=int, metavar="N",
                    help="override the boundary grid resolution everywhere")
-    args = p.parse_args(argv)
+    return p
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         cfg = load_config(args.config)

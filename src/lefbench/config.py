@@ -156,7 +156,7 @@ def _hpoint(tokens: list[str], loc: str) -> Hpt:
 def _hpoints(text: str, loc: str) -> tuple[Hpt, ...]:
     if not text.strip():
         return ()
-    return tuple(_hpoint(part.split(), loc) for part in text.split(";"))
+    return tuple([_hpoint(part.split(), loc) for part in text.split(";")])
 
 
 def _provenance(value: str, loc: str) -> tuple[str, Provenance]:
@@ -241,7 +241,7 @@ def _parse_fiber(sec: _Section) -> AbstractFiber:
             homology.append((loc, deg, nums[0], tuple(nums[1:])))
         elif len(words) == 2 and words[0] == "class":
             classes.append((words[1],
-                            tuple(_int(t, loc) for t in value.split())))
+                            tuple([_int(t, loc) for t in value.split()])))
         else:
             raise ConfigError(f"{loc}: unknown fiber key {key!r}")
     if dim is None:
@@ -252,7 +252,7 @@ def _parse_fiber(sec: _Section) -> AbstractFiber:
                               f" 0..{dim}, the dimension range of the fiber")
     try:
         return AbstractFiber(sec.name, dim, HomologyTable(
-            tuple(h[1:] for h in homology)), tuple(classes))
+            tuple([h[1:] for h in homology])), tuple(classes))
     except LefbenchError as e:
         raise _located(sec.loc, e) from None
 
@@ -289,8 +289,9 @@ def _parse_fibration(sec: _Section) -> _RawFibration:
                               _rational(parts[1], loc), mids))
         else:
             raise ConfigError(f"{loc}: unknown fibration key {key!r}")
-    for want in ("disc", "fiber", "reference-angle"):
-        if getattr(raw, want.replace("-", "_")) is None:
+    for want, got in (("disc", raw.disc), ("fiber", raw.fiber),
+                      ("reference-angle", raw.reference_angle)):
+        if got is None:
             raise ConfigError(
                 f"{sec.loc}: fibration {sec.name!r} needs {want!r}")
     return raw
@@ -366,7 +367,7 @@ def _parse_wrap(sec: _Section) -> tuple[WrapParams, str | None]:
                     f"{loc}: wrap delta {delta} must exceed {BEND}, the"
                     " offset of a self-tower's bent copy")
         elif key == "levels":
-            levels = tuple(_int(t, loc) for t in value.split())
+            levels = tuple([_int(t, loc) for t in value.split()])
             if not levels or any(m < 0 for m in levels) \
                     or len(set(levels)) != len(levels):
                 raise ConfigError(

@@ -84,7 +84,7 @@ class DiscModel:
     @cached_property
     def hpoints(self) -> tuple[Hpt, ...]:
         """The punctures' homogeneous integer points, in declaration order."""
-        return tuple(homog(p) for _, p in self.punctures)
+        return tuple([homog(p) for _, p in self.punctures])
 
     @cached_property
     def puncture_keys(self) -> tuple[list[int], list[int]]:
@@ -123,7 +123,7 @@ class PlanarArc:
     @cached_property
     def vertices(self) -> tuple[Pt, ...]:
         """The vertices as Fraction points, built on first use."""
-        return tuple(Pt(Q(x, w), Q(y, w)) for x, y, w in self.hverts)
+        return tuple([Pt(Q(x, w), Q(y, w)) for x, y, w in self.hverts])
 
     @cached_property
     def boxes(self) -> list[tuple]:

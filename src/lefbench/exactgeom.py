@@ -100,7 +100,7 @@ def circle_hpoint(a: int, d: int) -> Hpt:
 def min_angular_gap(angles: list[Fraction]) -> Fraction:
     """Smallest circular gap between the distinct angles of a non-empty
     list, a full turn (1) if one; on numerators over their lcm den."""
-    den = lcm(*(a.denominator for a in angles))
+    den = lcm(*[a.denominator for a in angles])
     uniq = sorted({a.numerator * (den // a.denominator) % den
                    for a in angles})
     gaps = [b - a for a, b in zip(uniq, uniq[1:])]

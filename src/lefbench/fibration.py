@@ -73,11 +73,11 @@ class HomologyTable:
 
     @staticmethod
     def of(table: Mapping[int, tuple[int, Iterable[int]]]) -> "HomologyTable":
-        return HomologyTable(tuple(
-            (deg, free, tuple(torsion)) for deg, (free, torsion) in table.items()))
+        return HomologyTable(tuple([
+            (deg, free, tuple(torsion)) for deg, (free, torsion) in table.items()]))
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(deg for deg, _, _ in self.groups)
+        return tuple([deg for deg, _, _ in self.groups])
 
     def free_rank(self, deg: int) -> int:
         for d, free, _ in self.groups:
@@ -102,7 +102,7 @@ class HomologyTable:
     def mod2_table(self) -> tuple[tuple[int, int], ...]:
         degs = set(self.degrees()) | {d + 1 for d in self.degrees()}
         out = [(d, self.mod2_rank(d)) for d in sorted(degs)]
-        return tuple((d, r) for d, r in out if r)
+        return tuple([(d, r) for d, r in out if r])
 
 
 # --------------------------------------------------------------------------
@@ -276,10 +276,10 @@ class Fibration:
                     a1, a2, b1, b2):
                 touch.add((i, j))
         bad = {i for i, p in enumerate(paths) if not p.is_legal(self.disc)}
-        return tuple(found for (i, ci), (j, cj)
-                     in combinations(enumerate(self.crits), 2)
-                     if (i, j) in touch or i in bad or j in bad
-                     for found in _check_disjoint_paths(self, ci, cj))
+        return tuple([found for (i, ci), (j, cj)
+                      in combinations(list(enumerate(self.crits)), 2)
+                      if (i, j) in touch or i in bad or j in bad
+                      for found in _check_disjoint_paths(self, ci, cj)])
 
 
 def with_resolution(f: Fibration, n: int) -> Fibration:
@@ -449,7 +449,7 @@ def total_space_homology(f: Fibration) -> HomologyTable:
     free_k, tors_k = groups.get(k, (0, ()))
     groups[k] = (free_k + len(f.crits) - rank, tors_k)
     groups[k - 1] = (table.free_rank(k - 1) - rank,
-                     tuple(d for d in factors if d > 1))
+                     tuple([d for d in factors if d > 1]))
 
     return HomologyTable.of(groups)
 
@@ -492,7 +492,7 @@ def matching_cycle_class(f: Fibration, mo: MatchingObject) -> tuple[int, ...]:
             " the relative orientation of the two thimbles is invisible")
     if cl == cr:
         cells[idx_l], cells[idx_r] = -1, 1
-    elif cl == tuple(-x for x in cr):
+    elif cl == tuple([-x for x in cr]):
         cells[idx_l], cells[idx_r] = 1, 1
     else:
         raise UnresolvedSign(

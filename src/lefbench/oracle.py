@@ -215,9 +215,10 @@ class FiberOracle:
             (order.index(f.kind), _pair(*f.labels[:2]),
              KINDS[f.kind].format(*f.labels, value=f.value)
              + f"  [{f.provenance.render()}]") for f in self.facts)
-        return (tuple(f"label {d.name}" + (" (sphere)" if d.sphere else "")
-                      for d in sorted(self.label_decls, key=lambda d: d.name))
-                + tuple(line for _, _, line in facts))
+        return (tuple([f"label {d.name}" + (" (sphere)" if d.sphere else "")
+                       for d in sorted(self.label_decls,
+                                       key=lambda d: d.name)])
+                + tuple([line for _, _, line in facts]))
 
 
 # --------------------------------------------------------------------------

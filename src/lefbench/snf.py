@@ -91,4 +91,4 @@ def smith_form(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
         t += 1
 
     # the pivots so far are the nonzero diagonal; the rest is zero
-    return tuple(s[i][i] for i in range(t))
+    return tuple([s[i][i] for i in range(t)])

@@ -113,4 +113,5 @@ def build_tower(f: Fibration, cx: Crit, cy: Crit, params: WrapParams,
     """The stages of the tower cx:cy, one per level, in level order.  Each
     level adds a turn, so the counts grow with the level, and on a
     self-tower every stage holds u."""
-    return tuple(build_stage(f, cx, cy, m, fs) for m in sorted(params.levels))
+    return tuple([build_stage(f, cx, cy, m, fs)
+                  for m in sorted(params.levels)])

@@ -1,15 +1,18 @@
 """End-to-end tests for the ``lefbench`` command line tool."""
 
+import gc
 import hashlib
 import inspect
 import io
 import os
 import re
+import shutil
 import subprocess
 import sys
 import time
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -1114,13 +1117,126 @@ def test_hostile_edits_end_in_one_error_line(tmp_path_factory, scenario,
             assert not err.getvalue()
 
 
+HELP_80 = """\
+usage: lefbench [-h] [--out FILE] [--svg DIR] [--resolution N]
+                {validate,homology,floer-ranks,hw,render,all} config
+
+Exact-rank workbench for bifibered Lefschetz scenarios over the disc.
+
+positional arguments:
+  {validate,homology,floer-ranks,hw,render,all}
+  config                scenario config file
+
+options:
+  -h, --help            show this help message and exit
+  --out FILE            write the report here
+  --svg DIR             write SVG diagrams here
+  --resolution N        override the boundary grid resolution everywhere
+"""
+
+
+def _exit(argv, capsys):
+    """(exit code, stdout, stderr) of a main call that exits."""
+    with pytest.raises(SystemExit) as ei:
+        main(argv)
+    return (ei.value.code, *capsys.readouterr())
+
+
+# main parses with one parser for the whole process: a second call gives
+# the same bytes as the first
 def test_usage_errors_exit_one(capsys):
-    with pytest.raises(SystemExit) as ei:
-        main(["frobnicate", shipped("W0.cfg")])
-    assert ei.value.code == 1
-    with pytest.raises(SystemExit) as ei:
-        main(["all"])
-    assert ei.value.code == 1
+    cases = [
+        (["frobnicate", shipped("W0.cfg")],
+         "lefbench: error: argument command: invalid choice: 'frobnicate'"
+         " (choose from 'validate', 'homology', 'floer-ranks', 'hw',"
+         " 'render', 'all')\n"),
+        (["all"],
+         "lefbench: error: the following arguments are required: config\n"),
+        (["validate", shipped("W0.cfg"), "--resolution", "x"],
+         "lefbench: error: argument --resolution: invalid int value: 'x'\n"),
+    ]
+    for argv, err in cases:
+        for _ in range(2):
+            assert _exit(argv, capsys) == (1, "", err)
+
+
+def test_help_is_formatted_on_each_call(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    for _ in range(2):
+        assert _exit(["--help"], capsys) == (0, HELP_80, "")
+    monkeypatch.setenv("COLUMNS", "60")
+    code, out, _ = _exit(["--help"], capsys)
+    assert code == 0 and ("Exact-rank workbench for bifibered Lefschetz"
+                          " scenarios\nover the disc.\n") in out
+
+
+def test_options_of_one_call_do_not_reach_the_next(tmp_path, capsys):
+    svg, out = tmp_path / "svg", tmp_path / "report.txt"
+    assert main(["render", shipped("W0.cfg"), "--svg", str(svg),
+                 "--out", str(out)]) == 0
+    assert out.exists() and any(svg.iterdir())
+    shutil.rmtree(svg)
+    out.unlink()
+    assert main(["all", shipped("W0.cfg")]) == 0
+    assert capsys.readouterr().out == GOLDEN_W0.read_text()
+    assert not svg.exists() and not out.exists()
+
+
+def _fan_config(n: int) -> str:
+    """n punctures on y = 0, each with a vanishing path (x, 0) -> (x, -1/8)
+    -> (9x/8 + 1/100, -1/4) -> the boundary at angle tau; x and tau grow
+    together, so the paths are disjoint (the benchmark's fans)."""
+    lines = ["[disc d]"]
+    lines += [f"puncture p{i} = {3 * i - 24}/40 0" for i in range(n)]
+    lines += ["resolution = 16", "", "[fiber f]", "dim = 2",
+              "homology 0 = 1", "homology 1 = 1", "class belt = 1", "",
+              "[fibration fan]", "disc = d", "fiber = f",
+              "reference-angle = 1/4"]
+    for i in range(n):
+        x = Fraction(3 * i - 24, 40)
+        lines.append(f"crit p{i} = belt | {29 + i}/50 | {x} -1/8 ;"
+                     f" {x * Fraction(9, 8) + Fraction(1, 100)} -1/4")
+    return "\n".join(lines + ["", "[run]", "fibration = fan", ""])
+
+
+class _Sink:
+    def write(self, text):
+        return len(text)
+
+
+# A tuple built from an iterator of unknown length (a generator, an
+# enumerate) is allocated at length 10 and resized, so it leaves the
+# length-10 free list and returns to the free list of its final length.
+# Only a full collection empties the tuple free lists; with the parser
+# built once, repeated requests leave no cyclic garbage and so trigger
+# none, and each such tuple per request would pile up there for good.
+def test_repeated_requests_leave_no_blocks_behind(tmp_path):
+    fan = tmp_path / "fan.cfg"
+    fan.write_text(_fan_config(16))
+    w0 = shipped("W0.cfg")
+    kinds = [["validate", str(fan)], ["homology", str(fan)],
+             ["validate", w0], ["floer-ranks", w0]]
+    growth = {}
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with redirect_stdout(_Sink()):
+            for argv in kinds:
+                for _ in range(20):  # lets the interpreter's caches settle
+                    assert main(argv) == 0
+                gc.collect(1)  # a full collection would empty the lists
+                before = sys.getallocatedblocks()
+                for _ in range(50):
+                    main(argv)
+                gc.collect(1)
+                growth[argv[0], Path(argv[1]).name] = (
+                    sys.getallocatedblocks() - before)
+    finally:
+        if enabled:
+            gc.enable()
+    # one tuple a call left on a free list would give 50; the parser built
+    # on every call gave 300 and more
+    assert max(growth.values()) < 25, growth
 
 
 def test_module_invocation():
