@@ -30,7 +30,7 @@ from .fibration import validate as validate_fibration
 from .rank_calculus import ScenarioRanks, analyze
 from .report import Report, homology_lines, thimble
 from .svg import diagram_files, stage_svg
-from .tower import build_tower, tower_crits
+from .tower import build_tower
 from .wrapping import (VERTEX_BUDGET, source_annulus, spiral_vertex_count,
                        wrap)
 
@@ -102,7 +102,7 @@ def _section_hw(r: Report, cfg: ScenarioConfig, out: ScenarioRanks) -> None:
     r.line("wrap delta", cfg.wrap.delta)
     r.line("wrap levels", " ".join(str(m) for m in cfg.wrap.levels))
     for x, y in cfg.towers:
-        cx, cy = tower_crits(f, x, y)
+        cx, cy = f.crit_for(x), f.crit_for(y)
         lx, ly = cx.cycle_label, cy.cycle_label
         name = f"tower {thimble(lx)}:{thimble(ly)}"
         stages = build_tower(f, cx, cy, cfg.wrap, out.fs)
@@ -141,7 +141,7 @@ def _render_svgs(cfg: ScenarioConfig, outdir: str) -> list[str]:
     spirals' vertices are counted first, and a render over VERTEX_BUDGET
     of them builds none."""
     f = cfg.fibration
-    towers = [(x, y, *tower_crits(f, x, y)) for x, y in cfg.towers]
+    towers = [(x, y, f.crit_for(x), f.crit_for(y)) for x, y in cfg.towers]
     stages = [(*t, m) for t in towers for m in cfg.wrap.levels]
     sizes = [spiral_vertex_count(cx.path, m, cfg.wrap, f.disc, bend=cx == cy)
              for _, _, cx, cy, m in stages]

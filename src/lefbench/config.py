@@ -53,7 +53,7 @@ from pathlib import Path
 
 from .disc import BoundaryAngle, DiscModel, PlanarArc, Puncture
 from .errors import ConfigError, LefbenchError
-from .exactgeom import Hpt, Pt, min_angular_gap, reduced
+from .exactgeom import Hpt, min_angular_gap, reduced
 from .fibration import (AbstractFiber, Crit, Fibration, HomologyTable,
                         MatchingObject, TotalSpaceFiber)
 from .oracle import KINDS as FACT_KINDS
@@ -146,7 +146,7 @@ def _rational(token: str, loc: str) -> Fraction:
 
 
 def _hpoint(tokens: list[str], loc: str) -> Hpt:
-    """The reduced triple of a point 'x y' (exactgeom.homog of it)."""
+    """The reduced triple of a point 'x y' (exactgeom.reduced)."""
     if len(tokens) != 2:
         raise ConfigError(f"{loc}: a point is two rationals 'x y'")
     (p, q), (r, s) = _ratio(tokens[0], loc), _ratio(tokens[1], loc)
@@ -208,13 +208,12 @@ def _check_duplicates(sec: _Section) -> None:
 
 
 def _parse_disc(sec: _Section) -> DiscModel:
-    punctures: list[tuple[str, Pt]] = []
+    punctures: list[tuple[str, Hpt]] = []
     resolution = 16
     for loc, key, value in sec.lines:
         words = key.split()
         if len(words) == 2 and words[0] == "puncture":
-            x, y, w = _hpoint(value.split(), loc)
-            punctures.append((words[1], Pt(Fraction(x, w), Fraction(y, w))))
+            punctures.append((words[1], _hpoint(value.split(), loc)))
         elif key == "resolution":
             resolution = _int(value, loc)
         else:
@@ -481,8 +480,8 @@ def _build_fibration(raw: _RawFibration, parsed: dict,
         raise ConfigError(f"{raw.loc}: unknown disc {raw.disc!r}")
     disc = parsed["disc"][raw.disc][1]
 
-    if raw.fiber.startswith("total-space"):
-        words = raw.fiber.split()
+    words = raw.fiber.split()
+    if words[:1] == ["total-space"]:
         if len(words) != 2:
             raise ConfigError(f"{raw.loc}: fiber is 'total-space NAME'")
         if words[1] not in built:

@@ -19,9 +19,9 @@ from functools import cached_property
 from fractions import Fraction
 
 from .errors import LefbenchError, NonEmbeddableInput
-from .exactgeom import (Hpt, Pt, Q, box_pairs, circle_hpoint, homog, orient,
-                        point_on_segment, reduced, segment_box,
-                        segments_overlap_collinear)
+from .exactgeom import (Hpt, Pt, Q, box_pairs, circle_hpoint,
+                        closed_segments_touch, point, point_on_segment,
+                        reduced, segment_box, segments_overlap_collinear)
 
 
 @dataclass(frozen=True)
@@ -55,36 +55,39 @@ Endpoint = Puncture | BoundaryAngle
 class DiscModel:
     """Closed unit disc with named punctures strictly inside.
 
+    Each puncture is its name and its point as a reduced triple
+    (exactgeom.reduced), the form arcs store their vertices in.
     boundary_resolution is the number of polyline vertices per full turn used
-    when synthesizing wrapping spirals.  The punctures' homogeneous points
-    and their sorted x floor keys are derived once, on first use.
+    when synthesizing wrapping spirals.  The punctures' points and their
+    sorted x floor keys are gathered once, on first use.
     """
-    punctures: tuple[tuple[str, Pt], ...]
+    punctures: tuple[tuple[str, Hpt], ...]
     boundary_resolution: int = 16
 
     def __post_init__(self):
         seen = set()
-        for (name, p), hp in zip(self.punctures, self.hpoints):
+        for name, hp in self.punctures:
             if hp in seen:
-                raise LefbenchError(f"coincident punctures at {p}")
+                raise LefbenchError(f"coincident punctures at {point(hp)}")
             x, y, w = hp
             if x * x + y * y >= w * w:
                 raise LefbenchError(
-                    f"puncture {name!r} at {p} is not strictly inside the unit circle")
+                    f"puncture {name!r} at {point(hp)} is not strictly"
+                    " inside the unit circle")
             seen.add(hp)
         if self.boundary_resolution < 1:
             raise LefbenchError("boundary_resolution must be a positive integer")
 
     def hpoint_of(self, name: str) -> Hpt:
-        for (n, _), hp in zip(self.punctures, self.hpoints):
+        for n, hp in self.punctures:
             if n == name:
                 return hp
         raise LefbenchError(f"unknown puncture {name!r}")
 
     @cached_property
     def hpoints(self) -> tuple[Hpt, ...]:
-        """The punctures' homogeneous integer points, in declaration order."""
-        return tuple([homog(p) for _, p in self.punctures])
+        """The punctures' points, in declaration order."""
+        return tuple([hp for _, hp in self.punctures])
 
     @cached_property
     def puncture_keys(self) -> tuple[list[int], list[int]]:
@@ -100,7 +103,7 @@ class PlanarArc:
     """Embedded polyline arc in the punctured disc.
 
     hverts are the vertices as reduced homogeneous integer triples
-    (exactgeom.homog of each point), from the start endpoint to the end
+    (exactgeom.reduced), from the start endpoint to the end
     endpoint.  The endpoints alone say what the arc is: a vanishing path
     runs from a puncture to a boundary angle, a matching path joins two
     punctures, and a wrapped path (wrapping.wrap) is a vanishing path.
@@ -123,7 +126,7 @@ class PlanarArc:
     @cached_property
     def vertices(self) -> tuple[Pt, ...]:
         """The vertices as Fraction points, built on first use."""
-        return tuple([Pt(Q(x, w), Q(y, w)) for x, y, w in self.hverts])
+        return tuple([point(h) for h in self.hverts])
 
     @cached_property
     def boxes(self) -> list[tuple]:
@@ -131,13 +134,9 @@ class PlanarArc:
         (the arc's own pairs) and box_pairs_between (pairs with another
         arc)."""
         hs = self.hverts
-        return [segment_box(p, q) for p, q in zip(hs, hs[1:])]
-
-    def endpoints(self) -> tuple[Endpoint, Endpoint]:
-        return (self.start, self.end)
-
-    def puncture_names(self) -> set[str]:
-        return {e.name for e in self.endpoints() if isinstance(e, Puncture)}
+        # by index: a slice hs[1:] of a 21-vertex arc would be a 20-tuple,
+        # a length CPython 3.11 frees to a free list it never takes from
+        return [segment_box(hs[i], hs[i + 1]) for i in range(len(hs) - 1)]
 
     # -- validation ------------------------------------------------------
 
@@ -196,8 +195,9 @@ class PlanarArc:
                         and not (i == last and hp == hs[-1])):
                     hit = k
         if hit < len(hps):
-            name, p = disc.punctures[hit]
-            raise LefbenchError(f"arc passes through puncture {name!r} at {p}")
+            name, hp = disc.punctures[hit]
+            raise LefbenchError(
+                f"arc passes through puncture {name!r} at {point(hp)}")
 
         self._check_embedded()
 
@@ -221,31 +221,10 @@ class PlanarArc:
                         f"arc folds back onto itself at vertex"
                         f" {self.vertices[j]}")
                 continue
-            if _closed_segments_touch(a1, a2, b1, b2):
+            if closed_segments_touch(a1, a2, b1, b2):
                 # closed arc endpoints may coincide only for loops, which
                 # we do not model
                 raise NonEmbeddableInput(
                     f"arc self-intersects between segments {i} and {j}"
                     " (if this arc is a synthesized spiral, raise the"
                     " disc boundary_resolution)")
-
-
-def _closed_segments_touch(a1: Hpt, a2: Hpt, b1: Hpt, b2: Hpt) -> bool:
-    """Exact: the closed segments share at least one point."""
-    d1 = orient(a1, a2, b1)
-    d2 = orient(a1, a2, b2)
-    if d1 == d2 != 0:
-        # b lies strictly on one side of a's line
-        return False
-    d3 = orient(b1, b2, a1)
-    d4 = orient(b1, b2, a2)
-    if d3 == d4 != 0:
-        return False
-    if d1 != d2 and d3 != d4:
-        return True
-    # collinear, or a zero-length segment: an endpoint must lie on the other
-    for p, a, b in ((b1, a1, a2), (b2, a1, a2), (a1, b1, b2), (a2, b1, b2)):
-        if point_on_segment(p, a, b):
-            return True
-    return False
-

@@ -1,15 +1,15 @@
 """Exact rational plane geometry primitives.
 
 Points are homogeneous integer triples: (X, Y, W) with W > 0 is the point
-(X/W, Y/W).  Arcs store the reduced form, gcd(X, Y, W) == 1, one triple per
-point, so equal points give equal triples (``homog`` builds it from a Pt of
-Fractions, ``reduced`` from any triple with W != 0).  The segment
-predicates, which decide every sign, take any triples: a turn is the sign of
-the 3x3 determinant of three rows and a comparison of two coordinates is one
-cross-multiplication, so no predicate takes a gcd; no floating point enters
-any decision.  A crossing of two segments is a reduced triple too, with its
-positions along the segments as Fractions.  NamedTuples of Fractions (Pt)
-are built only for config input and messages.
+(X/W, Y/W).  Arcs and discs store the reduced form, gcd(X, Y, W) == 1, one
+triple per point, so equal points give equal triples (``reduced`` builds
+it from any triple with W != 0).  The segment predicates, which decide
+every sign, take any triples: a turn is the sign of the 3x3 determinant of
+three rows and a comparison of two coordinates is one cross-multiplication,
+so no predicate takes a gcd; no floating point enters any decision.  A
+crossing of two segments is a reduced triple too, with its positions along
+the segments as Fractions.  NamedTuples of Fractions (Pt) are built only by
+``point``, for messages and PlanarArc.vertices.
 
 Degenerate contacts between two different polylines are resolved by a
 deterministic symbolic perturbation: one of the two arcs is treated as
@@ -54,25 +54,19 @@ Hpt = tuple[int, int, int]
 ORIGIN = (0, 0, 1)
 
 
-def homog(p: Pt) -> Hpt:
-    """The homogeneous form of p over the lcm of its denominators.
-
-    Fractions are reduced, so equal points give equal triples."""
-    x, y = p
-    xd, yd = x.denominator, y.denominator
-    if xd == yd:
-        return (x.numerator, y.numerator, xd)
-    w = xd // gcd(xd, yd) * yd
-    return (x.numerator * (w // xd), y.numerator * (w // yd), w)
-
-
 def reduced(x: int, y: int, w: int) -> Hpt:
     """The triple (x, y, w), w != 0, over gcd(x, y, w) with the sign of w:
-    homog of its point."""
+    the one triple of its point with W > 0 and gcd 1."""
     g = gcd(x, y, w)
     if w < 0:
         g = -g
     return (x // g, y // g, w // g)
+
+
+def point(h: Hpt) -> Pt:
+    """The Fraction point of a triple, for messages and arc.vertices."""
+    x, y, w = h
+    return Pt(Q(x, w), Q(y, w))
 
 
 # --------------------------------------------------------------------------
@@ -206,6 +200,26 @@ def segments_overlap_collinear(a1: Hpt, a2: Hpt, b1: Hpt, b2: Hpt) -> bool:
     # max(alo, blo) < min(ahi, bhi)
     return (_coord_lt(alo, ahi, i) and _coord_lt(alo, bhi, i)
             and _coord_lt(blo, ahi, i) and _coord_lt(blo, bhi, i))
+
+
+def closed_segments_touch(a1: Hpt, a2: Hpt, b1: Hpt, b2: Hpt) -> bool:
+    """Exact: the closed segments share at least one point."""
+    d1 = orient(a1, a2, b1)
+    d2 = orient(a1, a2, b2)
+    if d1 == d2 != 0:
+        # b lies strictly on one side of a's line
+        return False
+    d3 = orient(b1, b2, a1)
+    d4 = orient(b1, b2, a2)
+    if d3 == d4 != 0:
+        return False
+    if d1 != d2 and d3 != d4:
+        return True
+    # collinear, or a zero-length segment: an endpoint must lie on the other
+    for p, a, b in ((b1, a1, a2), (b2, a1, a2), (a1, b1, b2), (a2, b1, b2)):
+        if point_on_segment(p, a, b):
+            return True
+    return False
 
 
 class Crossing(NamedTuple):

@@ -24,10 +24,10 @@ from functools import cached_property
 from itertools import combinations
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
-from .disc import BoundaryAngle, DiscModel, PlanarArc, _closed_segments_touch
+from .disc import BoundaryAngle, DiscModel, PlanarArc
 from .errors import (Inconsistent, LefbenchError, MissingClass,
                      SharedBoundaryEndpoint, UnresolvedSign)
-from .exactgeom import box_pairs, orient
+from .exactgeom import box_pairs, closed_segments_touch, orient
 from .minpos import compute_crossings, intersection_profile
 from .snf import smith_form
 
@@ -258,12 +258,12 @@ class Fibration:
 
         One exactgeom.box_pairs sweep over the segments of all the paths
         yields the segment pairs whose box keys meet; of those that belong
-        to two different paths, disc._closed_segments_touch decides exactly
-        which share a point.  The pairs checked are those with a touching
-        segment pair, and those with a path that is no legal arc.  Any
-        other pair is two legal arcs whose closed segments share no point,
-        so they lie a positive distance apart (segments whose boxes are
-        apart have a gap in x or y, and the others were tested): no
+        to two different paths, exactgeom.closed_segments_touch decides
+        exactly which share a point.  The pairs checked are those with a
+        touching segment pair, and those with a path that is no legal arc.
+        Any other pair is two legal arcs whose closed segments share no
+        point, so they lie a positive distance apart (segments whose boxes
+        are apart have a gap in x or y, and the others were tested): no
         infinitesimal shift makes them cross, they share no puncture and
         no boundary end, and so there is nothing to find."""
         paths = [c.path for c in self.crits]
@@ -272,7 +272,7 @@ class Fibration:
         touch = set()
         for s, t in box_pairs([box for p in paths for box in p.boxes]):
             (i, a1, a2), (j, b1, b2) = segs[s], segs[t]
-            if i != j and (i, j) not in touch and _closed_segments_touch(
+            if i != j and (i, j) not in touch and closed_segments_touch(
                     a1, a2, b1, b2):
                 touch.add((i, j))
         bad = {i for i, p in enumerate(paths) if not p.is_legal(self.disc)}
@@ -399,11 +399,12 @@ def _check_object(f: Fibration, mo: MatchingObject, violation) -> None:
         if not _label_declared(f, label):
             violation(f"object {mo.name!r}: cycle label {label!r} is not"
                       " declared")
-    if (not any(isinstance(e, BoundaryAngle) for e in mo.path.endpoints())
+    if (not isinstance(mo.path.end, BoundaryAngle)
             and mo.left_cycle != mo.right_cycle):
-        # a matching path (no boundary end) closes up only over isotopic
-        # labels; the oracle is asked about the labels it declares, and an
-        # undeclared one is reported above
+        # a matching path (no boundary end: config starts every object at a
+        # puncture) closes up only over isotopic labels; the oracle is asked
+        # about the labels it declares, and an undeclared one is reported
+        # above
         o, labels = f.oracle, (mo.left_cycle, mo.right_cycle)
         if not (o is not None and o.labels.issuperset(labels)
                 and o.isomorphic_objects(*labels) == "yes"):
@@ -467,7 +468,7 @@ def matching_cycle_class(f: Fibration, mo: MatchingObject) -> tuple[int, ...]:
     attachment matrix by construction.  Orientation data invisible to the
     combinatorics raises UnresolvedSign rather than guessing.
     """
-    if any(isinstance(e, BoundaryAngle) for e in mo.path.endpoints()):
+    if isinstance(mo.path.end, BoundaryAngle):   # objects start at punctures
         raise LefbenchError(
             f"object {mo.name!r} is a thimble; only matching objects carry a"
             " closed middle-degree class")

@@ -26,7 +26,10 @@ is dropped when the half-lens it bounds with p winds around no other
 puncture, until none is left.  All of it runs on homogeneous integer
 points; Fractions remain only for positions along segments.
 intersection_profile reduces a pair and keeps only the number of crossings
-left.
+left.  Which ends a pair shares is decided in one place, shared_ends: the
+segment pairs pinned at a shared puncture, the refusal of a shared
+boundary end, the half-bigons and the shared generators of
+oracle.matching_floer_rank all read it.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .disc import BoundaryAngle, DiscModel, PlanarArc, Puncture
+from .disc import BoundaryAngle, DiscModel, Endpoint, PlanarArc, Puncture
 from .errors import DegenerateTangency, SharedBoundaryEndpoint
 from .exactgeom import (Hpt, box_pairs_between, segment_crossing,
                         segments_overlap_collinear, winding_number)
@@ -55,23 +58,14 @@ class ArcCrossing:
         return self.a_pos if side == 0 else self.b_pos
 
 
-def _shared_anchor_points(a: PlanarArc, b: PlanarArc) -> set[Hpt]:
-    shared = a.puncture_names() & b.puncture_names()
-    pts = set()
-    for arc in (a, b):
-        for end, v in ((arc.start, arc.hverts[0]), (arc.end, arc.hverts[-1])):
-            if isinstance(end, Puncture) and end.name in shared:
-                pts.add(v)
-    return pts
-
-
-def _endpoint_segment_indices(arc: PlanarArc, anchor: Hpt) -> list[int]:
-    out = []
-    if arc.hverts[0] == anchor:
-        out.append(0)
-    if arc.hverts[-1] == anchor:
-        out.append(len(arc.hverts) - 2)
-    return out
+def shared_ends(a: PlanarArc, b: PlanarArc
+                ) -> list[tuple[Endpoint, bool, bool]]:
+    """Each endpoint (puncture or boundary angle) that a and b share, with
+    whether it is a's start and whether it is b's start, in a's end
+    order."""
+    return [(e, i == 0, j == 0)
+            for i, e in enumerate((a.start, a.end))
+            for j, f in enumerate((b.start, b.end)) if e == f]
 
 
 def _canonically_after(ha: tuple[Hpt, ...], hb: tuple[Hpt, ...]) -> bool:
@@ -95,12 +89,10 @@ def compute_crossings(a: PlanarArc, b: PlanarArc) -> list[ArcCrossing]:
     shared puncture cannot be resolved by translating one arc, hence
     DegenerateTangency.
     """
-    incident: set[tuple[int, int]] = set()
-    for s in _shared_anchor_points(a, b):
-        for i in _endpoint_segment_indices(a, s):
-            for j in _endpoint_segment_indices(b, s):
-                incident.add((i, j))
-
+    incident = {(0 if a_start else len(a.hverts) - 2,
+                 0 if b_start else len(b.hverts) - 2)
+                for end, a_start, b_start in shared_ends(a, b)
+                if isinstance(end, Puncture)}
     shift_b = not _canonically_after(a.hverts, b.hverts)
     ha, hb = a.hverts, b.hverts
     found: list[ArcCrossing] = []
@@ -118,16 +110,6 @@ def compute_crossings(a: PlanarArc, b: PlanarArc) -> list[ArcCrossing]:
         if hit is not None:
             found.append(ArcCrossing(hit.hpoint, (i, hit.ta), (j, hit.tb)))
     return found
-
-
-def _check_boundary_endpoints(a: PlanarArc, b: PlanarArc) -> None:
-    ends = b.endpoints()
-    common = {e.angle for e in a.endpoints()
-              if isinstance(e, BoundaryAngle) and e in ends}
-    if common:
-        raise SharedBoundaryEndpoint(
-            "arcs share boundary endpoint angle(s) "
-            + ", ".join(map(str, sorted(common))))
 
 
 # --------------------------------------------------------------------------
@@ -197,12 +179,12 @@ def _half_bigon(a: PlanarArc, b: PlanarArc, disc: DiscModel,
                 crossings: list[ArcCrossing]) -> ArcCrossing | None:
     """A crossing c that is the first along both arcs from a shared
     puncture p, where the half-lens (a from p to c, then b back to p) winds
-    around no puncture but p; None if there is none."""
-    for name in sorted(a.puncture_names() & b.puncture_names()):
-        p = disc.hpoint_of(name)
+    around no puncture but p; None if there is none.  The shared ends are
+    taken in puncture-name order: _reduce has refused a shared boundary
+    end, so each is a puncture."""
+    for _, *at_starts in sorted(shared_ends(a, b), key=lambda s: s[0].name):
         corners, sides = [], []
-        for side, arc in enumerate((a, b)):
-            at_start = arc.hverts[0] == p
+        for side, (arc, at_start) in enumerate(zip((a, b), at_starts)):
             c = (min if at_start else max)(crossings,
                                            key=lambda x: x.pos(side))
             s = c.pos(side)[0]
@@ -210,6 +192,7 @@ def _half_bigon(a: PlanarArc, b: PlanarArc, disc: DiscModel,
             sides.append([*(arc.hverts[:s + 1] if at_start
                             else arc.hverts[:s:-1]), c.hpoint])
         half = sides[0] + sides[1][::-1][1:-1]
+        p = half[0]
         if corners[0] is corners[1] and not any(
                 winding_number(q, half) for q in disc.hpoints if q != p):
             return corners[0]
@@ -227,7 +210,12 @@ def _reduce(a: PlanarArc, b: PlanarArc, disc: DiscModel
     bigon or half-bigon removes, located on a and b."""
     a.validate(disc)
     b.validate(disc)
-    _check_boundary_endpoints(a, b)
+    angles = sorted([e.angle for e, _, _ in shared_ends(a, b)
+                     if isinstance(e, BoundaryAngle)])
+    if angles:
+        raise SharedBoundaryEndpoint(
+            "arcs share boundary endpoint angle(s) "
+            + ", ".join(map(str, angles)))
     crossings = compute_crossings(a, b)
     while bigon := next(find_empty_bigons(a, b, disc, crossings), None):
         crossings = eliminate_bigon(bigon, crossings)

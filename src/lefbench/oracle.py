@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 from .errors import (Inconsistent, InvalidWitness, LefbenchError,
                      MissingParity, UnknownPair)
-from .minpos import intersection_profile
+from .minpos import intersection_profile, shared_ends
 
 if TYPE_CHECKING:  # pragma: no cover
     from .fibration import Fibration, MatchingObject
@@ -238,7 +238,8 @@ def matching_floer_rank(f: "Fibration", x: "MatchingObject",
     bounds the rank, and MissingParity is raised.
     """
     n = intersection_profile(x.path, y.path, f.disc)
-    shared = len(x.path.puncture_names() & y.path.puncture_names())
+    # intersection_profile refuses a shared boundary end: each is a puncture
+    shared = len(shared_ends(x.path, y.path))
     block = o.rank_of(x.left_cycle, y.left_cycle) if n else 0
     count = n * block + shared
     nonzero_blocks = (n if block else 0) + shared

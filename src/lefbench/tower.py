@@ -19,11 +19,12 @@ stage's rank certificate is an exact rank, read off the directed ranks
 and the stage merely checks that its generator count is large enough and
 of the right parity to carry it.
 
-A tower x:y is built from the two Crits that tower_crits resolves once (a
-self-tower is one crit twice), with wrap levels the config has checked and
-an oracle that analyze has required.  It is the tuple of its stages in
-level order.  It settles no verdict: the fate of u decides each wrapped
-group once, in rank_calculus.analyze, and the report reads it from there.
+A tower x:y is built from the Crits over its two punctures, each found
+once with Fibration.crit_for (a self-tower is one crit twice), with wrap
+levels the config has checked and an oracle that analyze has required.
+It is the tuple of its stages in level order.  It settles no verdict: the
+fate of u decides each wrapped group once, in rank_calculus.analyze, and
+the report reads it from there.
 """
 
 from __future__ import annotations
@@ -58,12 +59,6 @@ class WrappedComplexStage:
     @property
     def count(self) -> int:
         return self.crossings * self.block + self.u_count
-
-
-def tower_crits(f: Fibration, x: str, y: str) -> tuple[Crit, Crit]:
-    """The critical values over the two punctures a tower x:y names; config
-    loading has checked that both carry one."""
-    return f.crit_for(x), f.crit_for(y)
 
 
 def build_stage(f: Fibration, cx: Crit, cy: Crit, m: int,

@@ -67,11 +67,11 @@ from fractions import Fraction
 from itertools import cycle, islice
 from math import ceil, lcm
 
-from .disc import BoundaryAngle, DiscModel, PlanarArc, _closed_segments_touch
+from .disc import BoundaryAngle, DiscModel, PlanarArc
 from .errors import LefbenchError, SpiralCollision
-from .exactgeom import (ORIGIN, Q, circle_hpoint, orient, point_on_segment,
-                        reduced, segment_near_origin,
-                        segments_overlap_collinear)
+from .exactgeom import (ORIGIN, Q, circle_hpoint, closed_segments_touch,
+                        orient, point_on_segment, reduced,
+                        segment_near_origin, segments_overlap_collinear)
 
 # how much further on a copy bent off its shared puncture starts
 BEND = Q(1, 128)
@@ -209,7 +209,7 @@ def _proved(head, spiral, angles, low, join_lo: int, half: int,
     head against the chords in low, and the join, first and last chord
     against the chords of each grid wedge that overlaps theirs (chord i in
     a0 - half + i step .. + step, res wedges a turn): O(m) pairs."""
-    if any(_closed_segments_touch(a1, a2, spiral[i], spiral[i + 1])
+    if any(closed_segments_touch(a1, a2, spiral[i], spiral[i + 1])
            for i in low for a1, a2 in zip(head, head[1:])):
         return False
     n, base, step = len(spiral) - 1, angles[0] - half, 2 * half
@@ -221,7 +221,7 @@ def _proved(head, spiral, angles, low, join_lo: int, half: int,
         for i in {i for w in range(lo, hi + 1) for i in range(w % res, n, res)}:
             # consecutive segments share exactly their joint
             meet = (segments_overlap_collinear if abs(i - k) == 1
-                    else _closed_segments_touch)
+                    else closed_segments_touch)
             if i != k and meet(a1, a2, spiral[i], spiral[i + 1]):
                 return False
     return True

@@ -26,6 +26,7 @@ import random
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations, dropwhile, takewhile
+from math import lcm
 from typing import NamedTuple
 
 # the Fraction point type, for the Fraction predicates
@@ -430,6 +431,26 @@ def circle_point(tau: Fraction) -> Pt:
     return Pt((1 - t * t) / d, 2 * t / d)
 
 
+def homog(p: Pt) -> tuple[int, int, int]:
+    """The homogeneous form of p over the lcm of its denominators, the
+    reduced triple the library keeps each point as."""
+    x, y = p
+    w = lcm(x.denominator, y.denominator)
+    return (x.numerator * (w // x.denominator),
+            y.numerator * (w // y.denominator), w)
+
+
+def point(h) -> Pt:
+    """The Fraction point of a homogeneous triple."""
+    x, y, w = h
+    return Pt(Fraction(x, w), Fraction(y, w))
+
+
+def puncture_points(disc) -> list[tuple[str, Pt]]:
+    """The disc's punctures as (name, Fraction point)."""
+    return [(name, point(h)) for name, h in disc.punctures]
+
+
 def spiral_vertices(start, end, r_out, resolution):
     """The vertices of a wrapped spiral from angle start to end, climbing
     from radius r_out to (1 + r_out)/2, one Fraction at a time."""
@@ -643,7 +664,7 @@ def all_pairs_puncture_check(arc, disc):
 
     segs = segments(arc)
     first, last = arc.vertices[0], arc.vertices[-1]
-    for name, p in disc.punctures:
+    for name, p in puncture_points(disc):
         for i, (a, b) in enumerate(segs):
             if (point_on_segment(p, a, b)
                     and not (i == 0 and p == first)
@@ -652,20 +673,23 @@ def all_pairs_puncture_check(arc, disc):
                     f"arc passes through puncture {name!r} at {p}")
 
 
+def puncture_ends(arc) -> list[tuple[str, int]]:
+    """(puncture name, end segment index) of each end of arc at a
+    puncture."""
+    from lefbench.disc import Puncture
+    ends = ((arc.start, 0), (arc.end, len(arc.hverts) - 2))
+    return [(e.name, i) for e, i in ends if isinstance(e, Puncture)]
+
+
 def all_pairs_crossings(a, b):
-    """minpos.compute_crossings over every segment pair."""
+    """minpos.compute_crossings over every segment pair; the pairs pinned
+    together are the end segments of a puncture that both arcs end at."""
     from lefbench.errors import DegenerateTangency
-    from lefbench.exactgeom import homog
-    from lefbench.minpos import (ArcCrossing, _endpoint_segment_indices,
-                                 _shared_anchor_points)
+    from lefbench.minpos import ArcCrossing
 
     shift_b = not (canonical_key(a) > canonical_key(b))
-
-    incident: set[tuple[int, int]] = set()
-    for s in _shared_anchor_points(a, b):
-        for i in _endpoint_segment_indices(a, s):
-            for j in _endpoint_segment_indices(b, s):
-                incident.add((i, j))
+    incident = {(i, j) for p, i in puncture_ends(a)
+                for q, j in puncture_ends(b) if p == q}
 
     segs_a = segments(a)
     segs_b = segments(b)
@@ -734,7 +758,7 @@ def fraction_empty_bigons(a, b, disc, crossings):
         if abs(b_index[id(x)] - b_index[id(y)]) != 1:
             continue
         poly = _lens_polygon(a, b, x, y)
-        if any(winding_number(p, poly) for _, p in disc.punctures):
+        if any(winding_number(p, poly) for _, p in puncture_points(disc)):
             continue
         bigons.append(Bigon(x, y))
     return bigons
@@ -855,7 +879,8 @@ def _vertices_legal(pts: list[Pt], disc) -> bool:
     """The vertices lie strictly inside the unit circle and no segment
     between consecutive ones passes through a puncture."""
     return (all(dot(v, v) < 1 for v in pts)
-            and not any(point_on_segment(p, a, b) for _, p in disc.punctures
+            and not any(point_on_segment(p, a, b)
+                        for _, p in puncture_points(disc)
                         for a, b in zip(pts, pts[1:])))
 
 
@@ -873,10 +898,9 @@ def fraction_eliminate_bigon(a, b, bigon, disc, crossings):
     from dataclasses import replace
 
     from lefbench.errors import DegenerateTangency
-    from lefbench.exactgeom import homog
-    from lefbench.minpos import _canonically_after, compute_crossings
+    from lefbench.minpos import compute_crossings
 
-    if _canonically_after(a.hverts, b.hverts):
+    if canonical_key(a) > canonical_key(b):
         moved, kept, m_side = a, b, 0
     else:
         moved, kept, m_side = b, a, 1
@@ -937,7 +961,8 @@ def fraction_eliminate_bigon(a, b, bigon, disc, crossings):
                                   + middle[::-1])
         if closed[0] == closed[-1]:
             closed = closed[:-1]
-        if any(winding_number(p, closed) != 0 for _, p in disc.punctures):
+        if any(winding_number(p, closed) != 0
+               for _, p in puncture_points(disc)):
             continue
         return *pair, new_crossings
     raise DegenerateTangency("bigon surgery did not stabilize; the input"
@@ -957,7 +982,8 @@ def spiral_stage_counts(f, cx, cy, m, params):
     from lefbench.wrapping import wrap
     spiral = wrap(cx.path, m, params, f.disc, bend=cx == cy)
     spiral.validate(f.disc)
-    shared = spiral.puncture_names() & cy.path.puncture_names()
+    shared = ({p for p, _ in puncture_ends(spiral)}
+              & {p for p, _ in puncture_ends(cy.path)})
     return intersection_profile(spiral, cy.path, f.disc), len(shared)
 
 

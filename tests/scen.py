@@ -9,11 +9,11 @@ objects.
 from fractions import Fraction as Q
 
 from lefbench.disc import BoundaryAngle, DiscModel, PlanarArc, Puncture
-from lefbench.exactgeom import Pt, homog
+from lefbench.exactgeom import Pt
 from lefbench.fibration import (AbstractFiber, Crit, Fibration, HomologyTable,
                                 MatchingObject, TotalSpaceFiber)
 from lefbench.oracle import ALL_SAME, Fact, FiberOracle, LabelDecl, Provenance
-from oracles import circle_point
+from oracles import circle_point, homog, point
 
 
 def cited(slug: str) -> Provenance:
@@ -28,11 +28,10 @@ def pt(x, y) -> Pt:
     return Pt(Q(x), Q(y))
 
 
-def point(hp) -> Pt:
-    """The Fraction point of a homogeneous triple, such as a crossing's
-    hpoint."""
-    x, y, w = hp
-    return Pt(Q(x, w), Q(y, w))
+def hpt(x, y):
+    """The reduced triple of the point (x, y), as a disc keeps a
+    puncture."""
+    return homog(pt(x, y))
 
 
 def point_of(disc: DiscModel, name: str) -> Pt:
@@ -68,11 +67,11 @@ def circle_fiber() -> AbstractFiber:
 
 
 def aux_disc(variant: str) -> DiscModel:
-    third = pt(0, 0) if variant == "W1" else pt(0, Q(-1, 2))
+    third = hpt(0, 0) if variant == "W1" else hpt(0, Q(-1, 2))
     name = "c-mid" if variant == "W1" else "c-out"
     return DiscModel(punctures=(
-        ("c-left", pt(Q(-1, 4), 0)),
-        ("c-right", pt(Q(1, 4), 0)),
+        ("c-left", hpt(Q(-1, 4), 0)),
+        ("c-right", hpt(Q(1, 4), 0)),
         (name, third),
     ))
 
@@ -107,8 +106,8 @@ def aux_fibration(variant: str, oracle=None) -> Fibration:
 
 def main_disc() -> DiscModel:
     return DiscModel(punctures=(
-        ("a", pt(Q(-1, 2), 0)),
-        ("b", pt(Q(1, 2), 0)),
+        ("a", hpt(Q(-1, 2), 0)),
+        ("b", hpt(Q(1, 2), 0)),
     ))
 
 
@@ -159,7 +158,7 @@ def fan(rng, n: int, width: int = 20) -> Fibration:
     taus = sorted(rng.choice(range(27, 48)) for _ in range(n))
     k = rng.randrange(n - 1)
     taus[k], taus[k + 1] = taus[k + 1], taus[k]
-    disc = DiscModel(tuple((f"p{i}", pt(Q(x, 2 * width), 0))
+    disc = DiscModel(tuple((f"p{i}", hpt(Q(x, 2 * width), 0))
                            for i, x in enumerate(xs)))
     crits = tuple(
         Crit(f"p{i}", vanishing(disc, f"p{i}", Q(tau, 52),

@@ -21,12 +21,12 @@ from lefbench.fibration import total_space_homology, with_resolution
 from lefbench.minpos import intersection_profile, minimal_position
 from lefbench.rank_calculus import (FsHomRanks, _directed_twist, analyze,
                                     fs_hom_ranks, triangle_rank)
-from lefbench.tower import build_stage, tower_crits
+from lefbench.tower import build_stage
 from lefbench.wrapping import wrap
 
 from test_minimal_position import (compute_crossings, eliminate_bigon,
                                    find_empty_bigons, random_band_pair)
-from test_tower import inventory
+from test_tower import crits_of, inventory
 
 GOLDEN = Path(__file__).parent / "golden" / "w1_all.txt"
 PAIRS = (("b", "b"), ("a", "a"), ("a", "b"))
@@ -150,7 +150,7 @@ def test_c6_property_suites(capsys, cfgs):
             fs = fs_hom_ranks(f)
             for x, y in PAIRS:
                 for m in LEVELS:
-                    s = build_stage(f, *tower_crits(f, x, y), m, fs)
+                    s = build_stage(f, *crits_of(f, x, y), m, fs)
                     stages[v, x, y, m] = s
                     if s.rank_certificate is not None:
                         certified += 1

@@ -24,7 +24,8 @@ from lefbench import (errors, minpos, oracle, rank_calculus, snf, tower,
                       wrapping)
 from lefbench.cli import COMMANDS, main
 from lefbench.config import load_config
-from lefbench.disc import PlanarArc, _closed_segments_touch
+from lefbench.disc import PlanarArc
+from lefbench.exactgeom import closed_segments_touch
 
 INVALID_CFG = """\
 [disc d]
@@ -338,7 +339,7 @@ def test_render_tests_segment_pairs_linearly_in_the_level(monkeypatch,
     # the wedge proof tests O(m) segment pairs where the full check of a
     # spiral tests O(m^2): doubling the top level at most x2.3 the tests
     touched = []
-    _count_calls(monkeypatch, _closed_segments_touch, touched)
+    _count_calls(monkeypatch, closed_segments_touch, touched)
     counts = {}
     for top in (96, 192):
         cfg = _edited(tmp_path, "W1", "levels = 0 1 2 3", f"levels = 0 {top}")
@@ -838,12 +839,15 @@ def test_validate_refuses_tower_sources_wrap_refuses(puncture, value, lines,
         "error[LefbenchError]: " + lines[0].split("wrapped: ")[1])
 
 
-def _edited(tmp_path, scenario, old, new):
-    """A copy of a shipped scenario with its one line old replaced."""
+def _edited(tmp_path, scenario, old, new, *more):
+    """A copy of a shipped scenario with its one line old replaced by new,
+    and likewise for each further (old, new) pair in more."""
     text = Path(shipped(f"{scenario}.cfg")).read_text()
-    assert text.count(old + "\n") == 1
+    for old, new in [(old, new), *zip(more[::2], more[1::2])]:
+        assert text.count(old + "\n") == 1
+        text = text.replace(old + "\n", new + "\n")
     cfg = tmp_path / "edited.cfg"
-    cfg.write_text(text.replace(old + "\n", new + "\n"))
+    cfg.write_text(text)
     return cfg
 
 
@@ -931,6 +935,59 @@ def test_rules_reached_through_main(scenario, old, new, command, code, line,
     assert main([command, str(cfg)]) == code
     out, err = capsys.readouterr()
     assert line.format(cfg=cfg) + "\n" in out + err
+
+
+_BELT2 = ("crit c-right = belt | 7/8", "crit c-right = belt2 | 7/8",
+          "class belt = 1", "class belt = 1\nclass belt2 = 1",
+          "label belt = sphere", "label belt = sphere\nlabel belt2 = sphere")
+
+
+@pytest.mark.parametrize("edits, command, code, lines", [
+    # only the first word of a fiber names the total-space form
+    (("[fiber circle-cotangent]", "[fiber total-spaced]",
+      "fiber = circle-cotangent", "fiber = total-spaced"), "validate", 0,
+     ["validation: ok"]),
+    (("fiber = total-space aux-W0", "fiber = total-space"), "validate", 1,
+     ["error[ConfigError]: {cfg}:39: fiber is 'total-space NAME'"]),
+    (("fiber = circle-cotangent", "fiber = nosuch"), "validate", 1,
+     ["error[ConfigError]: {cfg}:17: unknown fiber 'nosuch'"]),
+    (("thimble L = crit c-out", "thimble A = crit c-out"), "validate", 1,
+     ["error[ConfigError]: {cfg}:28: duplicate object name 'A'"]),
+    # b's label names an object of the inner fibration that the outer
+    # oracle does not declare (blank lines keep the line numbers)
+    (("crit b = B | 0", "crit b = L | 0", "label L = plain", "",
+      "relation = disjoint A L !cited paths-apart", "",
+      "relation = disjoint B L !cited paths-apart", ""), "validate", 1,
+     ["violation: [main-W0] cycle label 'L' of 'b' is not declared"]),
+    # matching paths close up over two labels the oracle declares isotopic
+    (_BELT2[:-1] + (_BELT2[-1] + "\nrelation = isotopic belt belt2"
+                    " !cited same-belt",), "validate", 0,
+     ["validation: ok"]),
+    (_BELT2, "validate", 1,
+     [f"violation: [aux-W0] object {o!r}: cycle labels 'belt', 'belt2' are"
+      " not declared isotopic, so the two thimbles do not close up to a"
+      " matching cycle" for o in "AB"]),
+    # a's label Z names no inner object, so the thimble pair has no rank
+    (("crit a = A | 1/2", "crit a = Z | 1/2", "label A = sphere",
+      "label A = sphere\nlabel Z = sphere\nrelation = isotopic Z B"
+      " !cited z-is-b"), "floer-ranks", 2,
+     ["error[MissingClass]: labels 'Z', 'B' do not both name objects on"
+      " 'aux-W0'"]),
+    # the thimble L misses B, so the evaluation class is forced to zero
+    (("crit a = A | 1/2", "crit a = L | 1/2", "label L = plain",
+      "label L = sphere"), "floer-ranks", 0,
+     ["warning: NonzeroEvViolation: the evaluation class must be nonzero,"
+      " but the thimble pair has rank 0, forcing a zero evaluation map"]),
+], ids=["fiber-named-total-spaced", "total-space-no-name", "unknown-fiber",
+        "duplicate-object", "crit-label-undeclared", "isotopic-labels",
+        "labels-not-isotopic", "label-names-no-object", "nonzero-ev"])
+def test_w0_edits_reached_through_main(edits, command, code, lines,
+                                       tmp_path, capsys):
+    cfg = _edited(tmp_path, "W0", *edits)
+    assert main([command, str(cfg)]) == code
+    out, err = capsys.readouterr()
+    shown = (out + err).splitlines()
+    assert all(line.format(cfg=cfg) in shown for line in lines), shown
 
 
 def test_report_that_cannot_be_written_is_one_error_line(tmp_path, capsys):
@@ -1214,8 +1271,19 @@ def test_repeated_requests_leave_no_blocks_behind(tmp_path):
     fan = tmp_path / "fan.cfg"
     fan.write_text(_fan_config(16))
     w0 = shipped("W0.cfg")
+    # A through 19 mid points, alternately above and below B: 21 vertices,
+    # so a slice of all but one of them is a tuple of length 20, which
+    # CPython 3.11 puts on a free list that it never takes from
+    xs = [Fraction(-3, 20) + Fraction(3, 10) * Fraction(i, 20)
+          for i in range(1, 20)]
+    mids = " ; ".join(f"{x} {'1/40' if i % 2 else '-11/40'}"
+                      for i, x in enumerate(xs, 1))
+    zigzag = _edited(tmp_path, "W0",
+                     "matching A = c-left c-right | -3/20 1/5 ; 3/20 1/5",
+                     f"matching A = c-left c-right | {mids}")
     kinds = [["validate", str(fan)], ["homology", str(fan)],
-             ["validate", w0], ["floer-ranks", w0]]
+             ["validate", w0], ["floer-ranks", w0],
+             ["floer-ranks", str(zigzag)]]
     growth = {}
     enabled = gc.isenabled()
     gc.disable()
@@ -1234,8 +1302,9 @@ def test_repeated_requests_leave_no_blocks_behind(tmp_path):
     finally:
         if enabled:
             gc.enable()
-    # one tuple a call left on a free list would give 50; the parser built
-    # on every call gave 300 and more
+    # one tuple a call left on a free list would give 50, as a 20-tuple
+    # slice of the zig-zag's vertices did; the parser built on every call
+    # gave 300 and more
     assert max(growth.values()) < 25, growth
 
 

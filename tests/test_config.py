@@ -11,10 +11,11 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import scen
+from oracles import homog
 from lefbench.cli import run_command
 from lefbench.config import _hpoint, _rational, load_config, parse_config
 from lefbench.errors import ConfigError, Inconsistent, LefbenchError
-from lefbench.exactgeom import Pt, homog
+from lefbench.exactgeom import Pt
 from lefbench.fibration import TotalSpaceFiber
 from lefbench.wrapping import WrapParams
 

@@ -17,7 +17,7 @@ from lefbench.fibration import TotalSpaceFiber
 from lefbench.wrapping import wrap
 
 from oracles import all_pairs_check_embedded, polyline_is_embedded
-from scen import arc_through, fan, pt
+from scen import arc_through, fan, hpt, pt
 from test_wrap import PARAMS, _wrap_sources
 
 # a coarse grid: boxes often touch exactly, and collinear, T- and endpoint
@@ -35,17 +35,18 @@ GRID_POLYLINES = st.lists(GRID_POINTS, min_size=2,
 
 
 def two_puncture_disc():
-    return DiscModel(punctures=(("p", pt(Q(-1, 2), 0)), ("q", pt(Q(1, 2), 0))))
+    return DiscModel(punctures=(("p", hpt(Q(-1, 2), 0)),
+                                ("q", hpt(Q(1, 2), 0))))
 
 
 def test_disc_rejects_coincident_points():
     with pytest.raises(LefbenchError, match="coincident"):
-        DiscModel(punctures=(("p", pt(0, 0)), ("q", pt(0, 0))))
+        DiscModel(punctures=(("p", hpt(0, 0)), ("q", hpt(0, 0))))
 
 
 def test_disc_rejects_boundary_puncture():
     with pytest.raises(LefbenchError, match="strictly inside"):
-        DiscModel(punctures=(("p", pt(1, 0)),))
+        DiscModel(punctures=(("p", hpt(1, 0)),))
 
 
 def test_point_of_unknown_puncture():
@@ -93,7 +94,7 @@ def _built_arcs():
 
 
 def _ends(arc):
-    return zip(arc.endpoints(), (arc.hverts[0], arc.hverts[-1]))
+    return zip((arc.start, arc.end), (arc.hverts[0], arc.hverts[-1]))
 
 
 def test_endpoint_anchor_must_match_vertex():

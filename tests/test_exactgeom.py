@@ -13,12 +13,11 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from lefbench.config import load_config
-from lefbench.disc import (BoundaryAngle, DiscModel, PlanarArc, Puncture,
-                           _closed_segments_touch)
+from lefbench.disc import BoundaryAngle, DiscModel, PlanarArc, Puncture
 from lefbench.errors import LefbenchError
 from lefbench.exactgeom import (Pt, _shift_sign, box_pairs, box_pairs_between,
-                                circle_hpoint, homog, min_angular_gap,
-                                orient, point_on_segment,
+                                circle_hpoint, closed_segments_touch,
+                                min_angular_gap, orient, point_on_segment,
                                 segment_box, segment_crossing,
                                 segment_near_origin,
                                 segments_overlap_collinear, winding_number)
@@ -26,7 +25,7 @@ from lefbench.fibration import with_resolution
 from lefbench.minpos import compute_crossings
 from lefbench.wrapping import BEND, source_annulus, wrap
 
-from oracles import (ccw_gap, line_intersection, polygon_area2,
+from oracles import (ccw_gap, homog, line_intersection, polygon_area2,
                      segment_point_dist2, sgn_eps)
 from scen import arc_through, pt
 from test_disc import _embedding_error, no_zero_length
@@ -288,7 +287,7 @@ def test_puncture_keys_report_what_all_pairs_reports():
     for _ in range(600):
         punctures = tuple((f"q{k}", p) for k, p in
                           enumerate(rng.sample(grid, rng.randint(2, 12))))
-        disc = DiscModel(punctures)
+        disc = DiscModel(tuple([(name, homog(p)) for name, p in punctures]))
         ends = []
         for _ in range(2):
             if rng.random() < 0.5:
@@ -347,7 +346,7 @@ def _agree(a1, a2, b1, b2, h1, h2, h3, h4):
     assert orient(h3, h4, h1) == oracles.orient(b1, b2, a1)
     assert point_on_segment(h3, h1, h2) == oracles.point_on_segment(b1, a1, a2)
     assert point_on_segment(h1, h3, h4) == oracles.point_on_segment(a1, b1, b2)
-    assert (_closed_segments_touch(h1, h2, h3, h4)
+    assert (closed_segments_touch(h1, h2, h3, h4)
             == oracles._closed_segments_touch(a1, a2, b1, b2))
     assert (segments_overlap_collinear(h1, h2, h3, h4)
             == oracles.segments_overlap_collinear(a1, a2, b1, b2))

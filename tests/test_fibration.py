@@ -26,8 +26,8 @@ import oracles
 from oracles import (all_pairs_path_findings, attachment_homology,
                      sympy_kernel_basis, sympy_kernel_coordinates)
 from scen import (arc_through, aux_fibration, circle_fiber, empty_fibration,
-                  fan, main_fibration, matching, point_of, pt, sphere_fiber,
-                  ts3_fibration, vanishing)
+                  fan, hpt, main_fibration, matching, point_of, pt,
+                  sphere_fiber, ts3_fibration, vanishing)
 
 
 # --------------------------------------------------------------------------
@@ -146,7 +146,7 @@ def test_shared_non_reference_endpoint_flagged():
 def test_path_through_third_puncture_flagged():
     f = ts3_fibration()
     through = matching(f.disc, "a", "b")     # fine: no third puncture
-    disc3 = DiscModel(f.disc.punctures + (("c", pt(0, 0)),))
+    disc3 = DiscModel(f.disc.punctures + (("c", hpt(0, 0)),))
     crits = (Crit("a", vanishing(disc3, "a", Q(1, 2)), "zs"),
              Crit("b", vanishing(disc3, "b", Q(0)), "zs"),
              Crit("c", vanishing(disc3, "c", Q(3, 4)), "zs"))
@@ -374,7 +374,8 @@ def _random_attachments():
             HomologyTable.of({0: (1, ()), 1: (width, ())}),
             classes)
         disc = DiscModel(tuple(
-            (lab, pt(Q(i + 1, ncrits + 2), 0)) for i, lab in enumerate(labels)))
+            (lab, hpt(Q(i + 1, ncrits + 2), 0))
+            for i, lab in enumerate(labels)))
         crits = tuple(
             Crit(lab, vanishing(disc, lab, Q(0)), lab) for lab in labels)
         yield Fibration("rnd", disc, fib, crits, BoundaryAngle(Q(1, 2)))
@@ -439,7 +440,7 @@ def _with_matchings(rng, name, disc, fiber, crits, classes):
 
 
 def _row_disc(n):
-    return DiscModel(tuple((f"p{i}", pt(Q(i + 1, n + 2) - Q(1, 2), 0))
+    return DiscModel(tuple((f"p{i}", hpt(Q(i + 1, n + 2) - Q(1, 2), 0))
                            for i in range(n)))
 
 
@@ -583,7 +584,7 @@ def test_cell_cycle_off_the_kernel_is_inconsistent():
                 if isinstance(mo.path.end, Puncture):
                     assert (mo.left_cycle, mo.right_cycle) == tuple(
                         f.crit_for(e.name).cycle_label
-                        for e in mo.path.endpoints())
+                        for e in (mo.path.start, mo.path.end))
                     matchings += 1
             if not isinstance(f.fiber, TotalSpaceFiber):
                 break

@@ -21,15 +21,15 @@ from lefbench.minpos import (_canonically_after, compute_crossings,
 
 from oracles import (GenericityError, all_pairs_crossings, brute_crossing_count,
                      canonical_key, fraction_eliminate_bigon,
-                     fraction_empty_bigons, point_at, point_on_segment,
+                     fraction_empty_bigons, homog, point_at, point_on_segment,
                      segments)
-from scen import arc_through, aux_disc, point, pt
+from scen import arc_through, aux_disc, hpt, point, pt
 from test_disc import GRID_POINTS, GRID_POLYLINES, no_zero_length
 
 
 def disc_pq(extra=()):
-    return DiscModel(punctures=(("p", pt(Q(-1, 2), 0)), ("q", pt(Q(1, 2), 0)))
-                     + tuple(extra))
+    return DiscModel(punctures=(("p", hpt(Q(-1, 2), 0)),
+                                ("q", hpt(Q(1, 2), 0))) + tuple(extra))
 
 
 def matching(disc, vertices, a="p", b="q"):
@@ -39,7 +39,7 @@ def matching(disc, vertices, a="p", b="q"):
 
 
 def test_two_diameters_cross_once():
-    disc = DiscModel(punctures=(("w", pt(Q(1, 4), Q(1, 8))),))
+    disc = DiscModel(punctures=(("w", hpt(Q(1, 4), Q(1, 8))),))
     horizontal = arc_through((pt(-1, 0), pt(1, 0)),
                              BoundaryAngle(Q(1, 2)), BoundaryAngle(Q(0)))
     vertical = arc_through((pt(0, 1), pt(0, -1)),
@@ -56,7 +56,8 @@ def test_disjoint_matchings_share_only_punctures():
     detour = matching(disc, [pt(Q(-1, 2), 0), pt(Q(-3, 8), Q(-3, 8)),
                              pt(Q(3, 8), Q(-3, 8)), pt(Q(1, 2), 0)])
     assert intersection_profile(straight, detour, disc) == 0
-    assert straight.puncture_names() & detour.puncture_names() == {"p", "q"}
+    assert minpos.shared_ends(straight, detour) == [
+        (Puncture("p"), True, True), (Puncture("q"), False, False)]
     anchors = [(Q(-1, 2), Q(0)), (Q(1, 2), Q(0))]
     assert brute_crossing_count(straight.vertices, detour.vertices,
                                 anchors) == 0
@@ -84,7 +85,8 @@ def test_pushed_off_copy_reduces_to_disjoint():
 
     assert minimal_position(straight, wiggle, disc) == []
     assert intersection_profile(straight, wiggle, disc) == 0
-    assert straight.puncture_names() & wiggle.puncture_names() == {"p", "q"}
+    assert [e.name for e, _, _ in minpos.shared_ends(straight, wiggle)] == [
+        "p", "q"]
     # the reference surgery reroutes one arc off the other
     a2, b2, left = fraction_eliminate_bigon(straight, wiggle, bigons[0], disc,
                                             crossings)
@@ -98,9 +100,9 @@ def test_puncture_inside_lens_blocks_elimination():
     is the only bigon: z inside it keeps both crossings, z below it none."""
     for z, count in ((pt(0, Q(-1, 8)), 2), (pt(0, Q(-3, 8)), 0)):
         disc = DiscModel(punctures=(
-            ("u", pt(Q(-3, 4), 0)), ("v", pt(Q(3, 4), 0)),
-            ("s", pt(Q(-1, 2), Q(1, 2))), ("t", pt(Q(1, 2), Q(1, 2))),
-            ("z", z)))
+            ("u", hpt(Q(-3, 4), 0)), ("v", hpt(Q(3, 4), 0)),
+            ("s", hpt(Q(-1, 2), Q(1, 2))), ("t", hpt(Q(1, 2), Q(1, 2))),
+            ("z", homog(z))))
         straight = matching(disc, [pt(Q(-3, 4), 0), pt(Q(3, 4), 0)], "u", "v")
         dip = matching(disc, [pt(Q(-1, 2), Q(1, 2)), pt(Q(-1, 4), Q(-1, 4)),
                               pt(Q(1, 4), Q(-1, 4)), pt(Q(1, 2), Q(1, 2))],
@@ -156,7 +158,7 @@ def test_unpinned_collinear_overlap_resolves():
     """Two arcs sharing a collinear stretch away from any puncture: the
     perturbation turns the overlap into two transverse corner crossings and
     bigon elimination then pulls the arcs apart."""
-    disc = DiscModel(punctures=(("w", pt(0, Q(1, 2))),))
+    disc = DiscModel(punctures=(("w", hpt(0, Q(1, 2))),))
     a = arc_through((pt(-1, 0), pt(Q(-1, 2), Q(-1, 4)), pt(Q(1, 2), Q(-1, 4)),
                      pt(1, 0)),
                     BoundaryAngle(Q(1, 2)), BoundaryAngle(Q(0)))
@@ -180,6 +182,27 @@ def test_shared_boundary_endpoint_rejected():
                     Puncture("p"), BoundaryAngle(Q(0)))
     with pytest.raises(SharedBoundaryEndpoint):
         intersection_profile(a, b, disc)
+
+
+def test_shared_ends_say_which_arc_starts_there():
+    disc = disc_pq()
+    pq = matching(disc, [pt(Q(-1, 2), 0), pt(Q(1, 2), 0)])
+    qp = matching(disc, [pt(Q(1, 2), 0), pt(0, Q(1, 4)), pt(Q(-1, 2), 0)],
+                  "q", "p")
+    q_out = arc_through((pt(Q(1, 2), 0), pt(1, 0)),
+                        Puncture("q"), BoundaryAngle(Q(0)))
+    p_out = arc_through((pt(Q(-1, 2), 0), pt(0, Q(-1, 2)), pt(1, 0)),
+                        Puncture("p"), BoundaryAngle(Q(0)))
+    assert minpos.shared_ends(pq, qp) == [(Puncture("p"), True, False),
+                                          (Puncture("q"), False, True)]
+    assert minpos.shared_ends(qp, q_out) == [(Puncture("q"), True, True)]
+    assert minpos.shared_ends(q_out, p_out) == [
+        (BoundaryAngle(Q(0)), False, False)]
+    assert minpos.shared_ends(pq, p_out) == [
+        (Puncture("p"), True, True)]
+    # the pinned pairs are the end segments at the shared punctures: the
+    # contacts there are no crossings
+    assert compute_crossings(pq, qp) == []
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +270,7 @@ def test_integer_lens_test_matches_fraction_reference(va, vb, pinned, points):
     else:
         start_a, start_b = BoundaryAngle(Q(1, 2)), BoundaryAngle(Q(1, 4))
     disc = DiscModel(
-        punctures=tuple((f"n{k}", p) for k, p in enumerate(points)))
+        punctures=tuple((f"n{k}", homog(p)) for k, p in enumerate(points)))
     a = arc_through(tuple(va), start_a, BoundaryAngle(Q(0)))
     b = arc_through(tuple(vb), start_b, BoundaryAngle(Q(3, 4)))
     try:
@@ -281,7 +304,8 @@ LENS_B = arc_through((pt(Q(-1, 2), Q(1, 2)), pt(Q(-1, 4), Q(-1, 4)),
     (pt(Q(-1, 8), Q(-3, 8)), False),          # on an upward edge
 ])
 def test_lens_test_pinned_cases(puncture, empty):
-    disc = DiscModel(punctures=() if puncture is None else (("z", puncture),))
+    disc = DiscModel(punctures=() if puncture is None
+                     else (("z", homog(puncture)),))
     crossings = compute_crossings(LENS_A, LENS_B)
     assert sorted(point(c.hpoint) for c in crossings) == [pt(Q(-1, 3), 0),
                                                           pt(Q(1, 3), 0)]
@@ -310,8 +334,9 @@ def random_band_pair(rng):
     while any(a == b for a, b in zip(f, g)):
         g = heights()
 
-    disc = DiscModel(punctures=(("fL", pt(xs[0], f[0])), ("fR", pt(xs[-1], f[-1])),
-                                ("gL", pt(xs[0], g[0])), ("gR", pt(xs[-1], g[-1]))))
+    disc = DiscModel(punctures=(
+        ("fL", hpt(xs[0], f[0])), ("fR", hpt(xs[-1], f[-1])),
+        ("gL", hpt(xs[0], g[0])), ("gR", hpt(xs[-1], g[-1]))))
     fa = arc_through(tuple(pt(x, y) for x, y in zip(xs, f)),
                      Puncture("fL"), Puncture("fR"))
     ga = arc_through(tuple(pt(x, y) for x, y in zip(xs, g)),
@@ -408,7 +433,7 @@ def shared_ends_pair(rng):
     punctures are s and t.  All such arcs are isotopic rel endpoints, so
     minimal position leaves no crossing; a crossing near s or t can only
     go as a half-bigon."""
-    disc = DiscModel(punctures=(("s", pt(0, 0)), ("t", pt(Q(3, 5), 0))))
+    disc = DiscModel(punctures=(("s", hpt(0, 0)), ("t", hpt(Q(3, 5), 0))))
     arcs = []
     for _ in range(2):
         mids = [pt(Q(rng.randint(-20, 80), 100), Q(rng.randint(-30, 30), 100))
@@ -438,7 +463,7 @@ def test_half_bigon_at_one_shared_puncture():
     (3/8, 0) and turns back over p to the boundary.  The half-lens of p and
     that crossing holds no puncture (q lies below it), so the arcs can be
     pulled apart."""
-    disc = DiscModel(punctures=(("p", pt(0, 0)), ("q", pt(0, Q(-1, 2)))))
+    disc = DiscModel(punctures=(("p", hpt(0, 0)), ("q", hpt(0, Q(-1, 2)))))
     a = arc_through((pt(0, 0), point(BoundaryAngle(Q(0)).hpoint)),
                     Puncture("p"), BoundaryAngle(Q(0)))
     b = arc_through((pt(0, 0), pt(Q(1, 4), Q(-1, 8)), pt(Q(1, 2), Q(1, 8)),

@@ -175,8 +175,10 @@ def _zero_pair_bifibration(main_oracle=None):
     """A bifibration whose matching spheres A and B lie apart in the fiber,
     so that hom_ab = 0."""
     disc = DiscModel(punctures=(
-        ("p1", scen.pt(Q(-1, 2), Q(1, 4))), ("p2", scen.pt(Q(1, 2), Q(1, 4))),
-        ("p3", scen.pt(Q(-1, 2), Q(-1, 4))), ("p4", scen.pt(Q(1, 2), Q(-1, 4))),
+        ("p1", scen.hpt(Q(-1, 2), Q(1, 4))),
+        ("p2", scen.hpt(Q(1, 2), Q(1, 4))),
+        ("p3", scen.hpt(Q(-1, 2), Q(-1, 4))),
+        ("p4", scen.hpt(Q(1, 2), Q(-1, 4))),
     ))
     objects = (_matching_between(disc, "A", "p1", "p2", "belt"),
                _matching_between(disc, "B", "p3", "p4", "belt"))
@@ -190,8 +192,8 @@ def test_fs_hom_ranks_zero_pair_warns():
 
 def test_fs_hom_ranks_single_crossing_rank_one():
     disc = DiscModel(punctures=(
-        ("q1", scen.pt(Q(-1, 2), 0)), ("q2", scen.pt(Q(1, 2), 0)),
-        ("q3", scen.pt(0, Q(-1, 2))), ("q4", scen.pt(0, Q(1, 2))),
+        ("q1", scen.hpt(Q(-1, 2), 0)), ("q2", scen.hpt(Q(1, 2), 0)),
+        ("q3", scen.hpt(0, Q(-1, 2))), ("q4", scen.hpt(0, Q(1, 2))),
     ))
     oracle = FiberOracle(
         label_decls=(LabelDecl("u"), LabelDecl("v")),

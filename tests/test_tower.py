@@ -11,6 +11,7 @@ import pytest
 
 import oracles
 import scen
+from oracles import homog
 from lefbench.disc import BoundaryAngle, DiscModel
 from lefbench.errors import (Inconsistent, LefbenchError, NonEmbeddableInput,
                              SpiralCollision)
@@ -18,15 +19,19 @@ from lefbench.exactgeom import Pt, min_angular_gap
 from lefbench.fibration import Crit, with_resolution
 from lefbench.minpos import minimal_position
 from lefbench.rank_calculus import FsHomRanks, fs_hom_ranks
-from lefbench.tower import (WrappedComplexStage, build_stage, build_tower,
-                            tower_crits)
+from lefbench.tower import WrappedComplexStage, build_stage, build_tower
 from lefbench.wrapping import BEND, WrapParams, wrap
 
 PARAMS = WrapParams()     # delta 1/64, levels 0-3
 
 
+def crits_of(f, x, y):
+    """The Crits over the punctures of the tower x:y."""
+    return f.crit_for(x), f.crit_for(y)
+
+
 def _build(f, x, y, m, fs):
-    return build_stage(f, *tower_crits(f, x, y), m, fs)
+    return build_stage(f, *crits_of(f, x, y), m, fs)
 
 
 def _stage(variant, x, y, m, f=None):
@@ -142,7 +147,7 @@ def assert_matches_oracles(f, pairs, params, fs=None):
     counts in place of that comparison."""
     fs, unembedded = fs or fs_hom_ranks(f), 0
     for x, y in pairs:
-        cx, cy = tower_crits(f, x, y)
+        cx, cy = crits_of(f, x, y)
         for m in params.levels:
             s = build_stage(f, cx, cy, m, fs)
             assert s.crossings == oracles.word_stage_count(f, cx, cy, m), (
@@ -187,8 +192,8 @@ def draw_main(rng, resolution):
     dogleg = rng.random() < 0.5
     a_ray = Q(rng.randrange(120), 120) if dogleg else ta
     disc = DiscModel(
-        (("a", on_ray(_fraction(rng, Q(1, 10), Q(4, 5)), a_ray)),
-         ("b", on_ray(_fraction(rng, Q(1, 10), Q(4, 5)), tb))),
+        (("a", homog(on_ray(_fraction(rng, Q(1, 10), Q(4, 5)), a_ray))),
+         ("b", homog(on_ray(_fraction(rng, Q(1, 10), Q(4, 5)), tb)))),
         resolution)
     mid = ((on_ray(_fraction(rng, Q(1, 2), Q(9, 10)), ta),) if dogleg
            else ())
@@ -247,7 +252,7 @@ def tied_main(b_point, *mid):
     too: from above the ray, b's last segment reaches the shared end
     counterclockwise after a's; from below, before."""
     base = scen.full_main_fibration("W1")
-    disc = DiscModel((("a", Pt(Q(1, 2), Q(0))), ("b", b_point)))
+    disc = DiscModel((("a", scen.hpt(Q(1, 2), 0)), ("b", homog(b_point))))
     crits = (Crit("a", scen.vanishing(disc, "a", 0), "A"),
              Crit("b", scen.vanishing(disc, "b", 0, *mid), "B"))
     return replace(base, disc=disc, crits=crits,
@@ -276,7 +281,8 @@ def test_paths_that_are_no_cut_system_are_refused():
         _build(f, "a", "a", 1, fs_hom_ranks(f))
     # a's path runs out to angle 1/4 across b's, which runs to angle 0
     base = scen.full_main_fibration("W1")
-    disc = DiscModel((("a", Pt(Q(1, 2), Q(-1, 4))), ("b", Pt(Q(1, 2), Q(0)))))
+    disc = DiscModel((("a", scen.hpt(Q(1, 2), Q(-1, 4))),
+                      ("b", scen.hpt(Q(1, 2), 0))))
     f = replace(base, disc=disc, crits=(
         Crit("a", scen.vanishing(disc, "a", Q(1, 4), Pt(Q(3, 4), Q(1, 4)),
                                  Pt(Q(0), Q(1, 2))), "A"),
@@ -295,7 +301,7 @@ def test_three_cuts_with_a_tie():
     # tied_main with c on the ray of angle 1/2 as a third cut: b is tied
     # after a at angle 0, so a's copy crosses b once more than c
     f = tied_main(Pt(Q(0), Q(1, 2)))
-    disc = DiscModel(f.disc.punctures + (("c", Pt(Q(-1, 2), Q(0))),))
+    disc = DiscModel(f.disc.punctures + (("c", scen.hpt(Q(-1, 2), 0)),))
     f = replace(f, disc=disc, crits=(
         Crit("a", scen.vanishing(disc, "a", 0), "A"),
         Crit("b", scen.vanishing(disc, "b", 0), "B"),
@@ -311,7 +317,7 @@ def test_three_cuts_with_a_tie():
 
 def test_lone_cut_stages_hold_only_u():
     # every letter of the copy's word is a half-bigon at its own puncture
-    disc = DiscModel((("a", Pt(Q(1, 2), Q(0))),))
+    disc = DiscModel((("a", scen.hpt(Q(1, 2), 0)),))
     f = replace(scen.full_main_fibration("W1"), disc=disc,
                 crits=(Crit("a", scen.vanishing(disc, "a", 0), "A"),),
                 reference_angle=BoundaryAngle(Q(0)))
@@ -322,7 +328,7 @@ def test_lone_cut_stages_hold_only_u():
 
 def test_deep_stage_allocates_nothing_that_grows_with_the_level():
     f = scen.full_main_fibration("W1")
-    cx, cy, fs = *tower_crits(f, "a", "b"), fs_hom_ranks(f)
+    cx, cy, fs = *crits_of(f, "a", "b"), fs_hom_ranks(f)
     build_stage(f, cx, cy, 0, fs)      # the fibration's pair check, once
     tracemalloc.start()
     try:
@@ -366,7 +372,7 @@ def test_certificate_guards():
 def test_tower_assembly_scenarios():
     for variant in ("W0", "W1"):
         f = scen.full_main_fibration(variant)
-        t = build_tower(f, *tower_crits(f, "b", "b"), PARAMS,
+        t = build_tower(f, *crits_of(f, "b", "b"), PARAMS,
                         fs_hom_ranks(f))
         assert counts(t) == [(0, 1), (1, 3), (2, 5), (3, 7)]
         assert all(s.u_count == 1 for s in t)
@@ -376,7 +382,7 @@ def test_mixed_tower_counts():
     for variant in ("W0", "W1"):
         f = scen.full_main_fibration(variant)
         # stages come in level order, whatever the declared order
-        t = build_tower(f, *tower_crits(f, "a", "b"),
+        t = build_tower(f, *crits_of(f, "a", "b"),
                         WrapParams(levels=(3, 1, 0, 2)), fs_hom_ranks(f))
         assert counts(t) == [(0, 0), (1, 2), (2, 4), (3, 6)]
         assert all(s.u_count == 0 for s in t)

@@ -10,21 +10,22 @@ import scen
 from lefbench.disc import BoundaryAngle, DiscModel, Puncture
 from lefbench.errors import (LefbenchError, NonEmbeddableInput,
                              SpiralCollision)
-from lefbench.exactgeom import homog
 from lefbench.minpos import compute_crossings, find_empty_bigons
 from lefbench import wrapping
 from lefbench.wrapping import WrapParams, source_annulus, wrap
 
 from oracles import (all_pairs_check_embedded, brute_crossing_count,
-                     circle_point, polyline_is_embedded)
-from scen import arc_through, point, pt
+                     circle_point, homog, polyline_is_embedded,
+                     puncture_points)
+from scen import arc_through, hpt, point, pt
 
 DELTA = Q(1, 64)
 PARAMS = WrapParams(DELTA)
 
 
 def main_disc(resolution=16):
-    return DiscModel(punctures=(("a", pt(Q(-1, 2), 0)), ("b", pt(Q(1, 2), 0))),
+    return DiscModel(punctures=(("a", hpt(Q(-1, 2), 0)),
+                                ("b", hpt(Q(1, 2), 0))),
                      boundary_resolution=resolution)
 
 
@@ -168,7 +169,7 @@ def test_wrap_setup_is_derived_once_per_disc(monkeypatch):
 
 
 def test_spiral_collision_resolved_by_finer_resolution():
-    coarse = DiscModel(punctures=(("hug", pt(0, Q(99, 100))),),
+    coarse = DiscModel(punctures=(("hug", hpt(0, Q(99, 100))),),
                        boundary_resolution=16)
     ray = arc_through((pt(0, Q(99, 100)), pt(0, 1)),
                       Puncture("hug"), BoundaryAngle(Q(1, 4)))
@@ -176,7 +177,7 @@ def test_spiral_collision_resolved_by_finer_resolution():
     with pytest.raises(SpiralCollision, match="resolution"):
         wrap(ray, 1, PARAMS, coarse)
 
-    fine = DiscModel(punctures=(("hug", pt(0, Q(99, 100))),),
+    fine = DiscModel(punctures=(("hug", hpt(0, Q(99, 100))),),
                      boundary_resolution=64)
     w = wrapped(ray, 1, PARAMS, fine)
     assert polyline_is_embedded(w.vertices)
@@ -218,7 +219,7 @@ def test_wrap_certifies_no_spiral_that_crosses_the_head():
     src = arc_through((pt(0, 0), pt(Q(-11, 20), Q(-11, 20)),
                        pt(0, Q(1, 2)), pt(0, 1)),
                       Puncture("o"), BoundaryAngle(Q(1, 4)))
-    disc = DiscModel((("o", pt(0, 0)),), boundary_resolution=5)
+    disc = DiscModel((("o", hpt(0, 0)),), boundary_resolution=5)
     w = wrap(src, 1, PARAMS, disc)
     assert "_valid_in" not in w.__dict__
     with pytest.raises(NonEmbeddableInput, match="between segments 0 and 5"):
@@ -232,7 +233,8 @@ def test_wrap_certifies_no_bent_join_through_a_puncture():
     b, edge = pt(Q(1, 2), 0), circle_point(wrapping.BEND)
     first = pt(Q(21, 25) * edge.x, Q(21, 25) * edge.y)
     q = pt(b.x + (first.x - b.x) / 4, b.y + (first.y - b.y) / 4)
-    disc = DiscModel((("b", b), ("r", pt(Q(-3, 5), 0)), ("q", q)))
+    disc = DiscModel((("b", homog(b)), ("r", hpt(Q(-3, 5), 0)),
+                      ("q", homog(q))))
     src = arc_through((b, pt(1, 0)), Puncture("b"), BoundaryAngle(Q(0)))
     w = wrap(src, 1, PARAMS, disc, bend=True)
     assert w.hverts[1] == homog(first)
@@ -247,11 +249,11 @@ def _radial_fan(rng):
     before it turns onto its ray at radius 9/10."""
     taus = rng.sample(range(52), rng.randint(1, 5))
     disc = DiscModel(tuple(
-        (f"p{i}", pt(Q(rho, 20) * c.x, Q(rho, 20) * c.y))
+        (f"p{i}", hpt(Q(rho, 20) * c.x, Q(rho, 20) * c.y))
         for i, (tau, rho) in enumerate(
             (t, rng.randint(0, 17)) for t in taus)
         for c in [circle_point(Q(tau, 52))]), boundary_resolution=16)
-    for (name, p), tau in zip(disc.punctures, taus):
+    for (name, p), tau in zip(puncture_points(disc), taus):
         edge = circle_point(Q(tau, 52))
         end = BoundaryAngle(Q(tau, 52))
         yield disc, arc_through((p, edge), Puncture(name), end), True
