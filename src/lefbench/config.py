@@ -37,10 +37,11 @@ Sections::
                        towers = x:y [x:y ...]
 
 A ``total-space`` fiber reference must name a fibration declared earlier in
-the same file.  Matching objects take their two cycle labels from the
-critical values at their endpoints; a thimble object borrows the whole
-path of its critical value.  Each puncture a tower names carries a critical
-value of the run fibration.
+the same file; such fibers nest at most NESTING_LIMIT (32) deep, since each
+derivation recurses once per level.  Matching objects take their two cycle
+labels from the critical values at their endpoints; a thimble object
+borrows the whole path of its critical value.  Each puncture a tower names
+carries a critical value of the run fibration.
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ from .wrapping import BEND, WrapParams
 
 _RATIONAL = re.compile(r"[+-]?\d+(/\d+)?\Z")
 _INTEGER = re.compile(r"[+-]?\d+")
+NESTING_LIMIT = 32
 
 
 @dataclass(frozen=True)
@@ -488,6 +490,12 @@ def _build_fibration(raw: _RawFibration, parsed: dict,
             raise ConfigError(
                 f"{raw.loc}: total-space fiber names {words[1]!r}, which is"
                 " not a fibration declared earlier in the file")
+        inner, depth = built[words[1]], 1
+        while isinstance(inner.fiber, TotalSpaceFiber):
+            inner, depth = inner.fiber.fibration, depth + 1
+        if depth > NESTING_LIMIT:
+            raise ConfigError(f"{raw.loc}: total-space fibers nest {depth}"
+                              f" deep, more than the limit of {NESTING_LIMIT}")
         fiber = TotalSpaceFiber(built[words[1]])
     elif raw.fiber in parsed["fiber"]:
         fiber = parsed["fiber"][raw.fiber][1]
@@ -536,7 +544,7 @@ def _build_fibration(raw: _RawFibration, parsed: dict,
 def load_config(path: str | Path) -> ScenarioConfig:
     p = Path(path)
     try:
-        text = p.read_text(encoding="utf-8")
+        text = p.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"{path}: cannot read config ({e})") from None
     return parse_config(text, source=str(path))

@@ -10,11 +10,12 @@ fibration and their classes are computed rather than declared.
 Homology of the total space comes from the handle description: thicken the
 fiber, then attach one (dim fiber / 2 + 1)-cell per critical value along its
 vanishing cycle class.  Each fibration derives that handle model once: the
-fiber's homology, the attachment degree and the attachment matrix's
-invariant factors.  The two degrees that can change, and the
-classes of matching objects (their cell cycles), are all read from it.  It
-also checks each pair of its vanishing paths once, for validate to report
-and for tower stages to require.
+fiber's homology, the attachment degree, the attachment matrix's columns
+(the vanishing cycle classes) and its invariant factors.  The two degrees
+that can change, and the classes of matching objects (their cell cycles),
+are all read from it, so a chain of total-space fibers derives each level's
+classes once.  It also checks each pair of its vanishing paths once, for
+validate to report and for tower stages to require.
 """
 
 from __future__ import annotations
@@ -246,8 +247,9 @@ class Fibration:
             raise Inconsistent(
                 f"fiber {self.fiber.name!r} has torsion in degree {k - 1};"
                 " the attachment calculus here requires a free target")
-        classes = [self.fiber.cycle_class(c.cycle_label) for c in self.crits]
-        return HandleModel(table, k, smith_form(list(zip(*classes))))
+        classes = tuple([self.fiber.cycle_class(c.cycle_label)
+                         for c in self.crits])
+        return HandleModel(table, k, classes, smith_form(list(zip(*classes))))
 
     @cached_property
     def path_findings(self) -> tuple[tuple[bool, str], ...]:
@@ -419,12 +421,13 @@ def _check_object(f: Fibration, mo: MatchingObject, violation) -> None:
 
 @dataclass(frozen=True)
 class HandleModel:
-    """The fiber's homology, the attachment degree k = dim fiber / 2 + 1
-    and the invariant factors of the attachment matrix, as many as its
-    rank (column j is the vanishing cycle class of critical value j in the
-    free part of H_{k-1}(fiber))."""
+    """The fiber's homology, the attachment degree k = dim fiber / 2 + 1,
+    the attachment matrix's columns (classes[j] is the vanishing cycle class
+    of critical value j in the free part of H_{k-1}(fiber)) and its
+    invariant factors, as many as its rank."""
     fiber_homology: HomologyTable
     k: int
+    classes: tuple[tuple[int, ...], ...]
     factors: tuple[int, ...]
 
 
@@ -462,31 +465,27 @@ def matching_cycle_class(f: Fibration, mo: MatchingObject) -> tuple[int, ...]:
     where it is zero, followed by one entry per critical value: its cell
     cycle: a signed sum of the two cells indexed by its endpoint critical
     values; the sign convention puts +1 on the cell entered through the
-    path's end puncture.  Config loading gives a matching object the cycle
-    labels of its end critical values, so the cycle, (-1, 1) over equal
-    classes and (1, 1) over opposite ones, is a kernel vector of the
-    attachment matrix by construction.  Orientation data invisible to the
-    combinatorics raises UnresolvedSign rather than guessing.
+    path's end puncture.  The two end classes are the attachment columns of
+    the end critical values (HandleModel.classes), so the cycle, (-1, 1)
+    over equal classes and (1, 1) over opposite ones, is a kernel vector of
+    the attachment matrix by construction.  Orientation data invisible to
+    the combinatorics raises UnresolvedSign rather than guessing.
     """
     if isinstance(mo.path.end, BoundaryAngle):   # objects start at punctures
         raise LefbenchError(
             f"object {mo.name!r} is a thimble; only matching objects carry a"
             " closed middle-degree class")
-    crit_l = f.crit_for(mo.path.start.name)
-    crit_r = f.crit_for(mo.path.end.name)
-
     model = f.handle_model
     fiber_part = (0,) * model.fiber_homology.free_rank(model.k)
     cells = [0] * len(f.crits)
 
-    idx_l = f.crits.index(crit_l)
-    idx_r = f.crits.index(crit_r)
+    idx_l = f.crits.index(f.crit_for(mo.path.start.name))
+    idx_r = f.crits.index(f.crit_for(mo.path.end.name))
     if idx_l == idx_r:
         # the two halves run over the same cell with opposite orientations
         return fiber_part + tuple(cells)
 
-    cl = f.fiber.cycle_class(mo.left_cycle)
-    cr = f.fiber.cycle_class(mo.right_cycle)
+    cl, cr = model.classes[idx_l], model.classes[idx_r]
     if not any(cl) and not any(cr):
         raise UnresolvedSign(
             f"object {mo.name!r}: both vanishing cycle classes vanish, so"

@@ -1,94 +1,65 @@
-"""Integer matrix normal form.
+"""Integer matrix normal form: the diagonal of the Smith form of a sequence
+of rows of plain Python integers, all that the handle model of a fibration
+reads (the rank and the invariant factors, neither depending on a basis).
 
-Everything is plain Python integers (arbitrary precision); a matrix is a
-sequence of rows.  The Smith form here keeps only its diagonal: that is all
-the handle model of a fibration reads, the rank and the invariant factors,
-and neither depends on a choice of basis.
+Entries stay in [0, M), M = 2|D| for a nonzero maximal minor D that
+fraction-free elimination finds with the rank r (Bareiss, Math. Comp. 22,
+1968; elimination mod D: Hafner and McCurley, SIAM J. Comput. 20, 1991).
+Integer row and column operations stay invertible mod M.  Each invariant
+factor d_i divides D (d_1...d_r divides every r x r minor), so gcd(pivot_i,
+M) = d_i; d_r <= |D| < M, so each of the r pivots is nonzero mod M, d_i
+times a unit mod M / d_i.  u + c v generates the ideal of u and v mod M
+when c keeps just the primes of M where u's gcd with M divides v's.
 """
 
 from __future__ import annotations
 
+from math import gcd
 from typing import Sequence
+
+
+def _maximal_minor(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """(rank, a nonzero maximal minor up to sign), by fraction-free
+    elimination; a matrix of rank 0 gives (0, 1)."""
+    a, rank, minor = [list(row) for row in rows], 0, 1
+    for j in range(len(a[0]) if a else 0):
+        i = next((i for i in range(rank, len(a)) if a[i][j]), None)
+        if i is not None:
+            a[rank], a[i] = a[i], a[rank]
+            p = a[rank][j]
+            a[rank + 1:] = [[(p * x - row[j] * y) // minor
+                             for x, y in zip(row, a[rank])]
+                            for row in a[rank + 1:]]
+            rank, minor = rank + 1, p
+            if rank == len(a):
+                break
+    return rank, minor
 
 
 def smith_form(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """The nonzero diagonal entries of the Smith form of ``rows``: positive,
     each dividing the next, as many as the rank.  A matrix with no rows has
     none, whatever its width."""
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    s = [list(map(int, row)) for row in rows]
-
-    def swap_rows(i, j):
-        s[i], s[j] = s[j], s[i]
-
-    def swap_cols(i, j):
-        for row in s:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, q):
-        # row_dst += q * row_src
-        s[dst] = [a + q * b for a, b in zip(s[dst], s[src])]
-
-    def add_col(src, dst, q):
-        # col_dst += q * col_src
-        for row in s:
-            row[dst] += q * row[src]
-
-    t = 0
-    while True:
-        pivot = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if s[i][j] != 0 and (pivot is None
-                                     or abs(s[i][j]) < abs(s[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-
-        while True:
-            # clear the pivot column, then the pivot row; restart on residue
-            dirty = False
-            for i in range(t + 1, m):
-                if s[i][t] != 0:
-                    q = -(s[i][t] // s[t][t])
-                    add_row(t, i, q)
-                    if s[i][t] != 0:
-                        # remainder smaller than the pivot: promote it
-                        swap_rows(t, i)
-                        dirty = True
-            if dirty:
-                continue
-            for j in range(t + 1, n):
-                if s[t][j] != 0:
-                    q = -(s[t][j] // s[t][t])
-                    add_col(t, j, q)
-                    if s[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-                        break
-            if not dirty:
-                break
-
-        # force divisibility of the remaining block by the pivot
-        piv = s[t][t]
-        offender = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if s[i][j] % piv != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            add_row(offender, t, 1)
-            continue  # redo this pivot position
-
-        if s[t][t] < 0:
-            s[t] = [-a for a in s[t]]
-        t += 1
-
-    # the pivots so far are the nonzero diagonal; the rest is zero
-    return tuple([s[i][i] for i in range(t)])
+    rank, minor = _maximal_minor(rows)
+    mod = 2 * abs(minor)
+    k, s = mod.bit_length(), [[x % mod for x in row] for row in rows]
+    for t in range(rank):
+        block, pivot = s[t:], s[t]
+        # column t takes in the block's ideal g, then the pivot takes it in
+        g = gcd(mod, *[row[t] for row in block])
+        for j in range(t + 1, len(pivot)):
+            if g > 1 and (h := gcd(g, *[row[j] for row in block])) < g:
+                c = mod // gcd(mod, pow(g // h, k, mod))
+                for row in block:
+                    row[t] = (row[t] + c * row[j]) % mod
+                g = h
+        for row in block[1:]:
+            if (gp := gcd(mod, pivot[t])) > g:
+                c = mod // gcd(mod, pow(gp // gcd(gp, row[t]), k, mod))
+                pivot[:] = [(x + c * y) % mod for x, y in zip(pivot, row)]
+        # so every entry below the pivot is a multiple of it: clear them
+        unit = pow(pivot[t] // g, -1, mod // g)
+        for row in block[1:]:
+            q = row[t] // g * unit
+            row[:] = [(x - q * y) % mod for x, y in zip(row, pivot)]
+    return tuple([gcd(mod, s[t][t]) for t in range(rank)])

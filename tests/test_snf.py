@@ -1,10 +1,16 @@
 """Integer normal form against an independent sympy reference."""
 
+import os
 import random
+import resource
+import subprocess
+import sys
 from math import prod
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
+import lefbench
 from lefbench.snf import smith_form
 
 from oracles import (matrix_multiply, random_int_matrix,
@@ -57,6 +63,48 @@ def test_invariant_factors_match_sympy_randoms():
         n = rng.randint(1, 5)
         rows = random_int_matrix(m, n, rng)
         assert smith_form(rows) == tuple(sympy_invariant_factors(rows)), rows
+
+
+def _seeded_square(n):
+    # rows of random.randint(-9, 9) after random.seed(12)
+    rng = random.Random(12)
+    return [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+
+
+def test_seeded_squares_within_a_second_of_cpu():
+    # unreduced elimination grows these matrices' entries to tens of
+    # thousands of bits, for minutes at 14 x 14; the child computing both
+    # is killed past 1 s of CPU
+    src = Path(lefbench.__file__).resolve().parents[1]
+    code = ("import random; from lefbench.snf import smith_form\n"
+            "for n in 14, 20:\n"
+            "    rng = random.Random(12)\n"
+            "    print(*smith_form([[rng.randint(-9, 9) for _ in range(n)]"
+            " for _ in range(n)]))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        timeout=120, env={**os.environ, "PYTHONPATH": str(src)},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_CPU, (1, 1)))
+    assert proc.returncode == 0, proc.stderr
+    for n, line in zip((14, 20), proc.stdout.splitlines(), strict=True):
+        factors = tuple(sympy_invariant_factors(_seeded_square(n)))
+        assert tuple(map(int, line.split())) == factors
+        assert len(factors) == n and factors[-1] > 10 ** 15
+
+
+def test_rank_deficient_and_scaled_shapes_match_sympy():
+    # tall, wide and square products of lower rank, scaled so that entries,
+    # pivots and the modulus share primes
+    rng = random.Random(20261020)
+    for m, n, r in ((7, 3, 2), (3, 7, 2), (6, 6, 3), (8, 2, 1), (2, 9, 2)):
+        for _ in range(6):
+            rows = matrix_multiply(random_int_matrix(m, r, rng),
+                                   random_int_matrix(r, n, rng))
+            for scale in (1, 4, 12, 210):
+                scaled = [[scale * x for x in row] for row in rows]
+                factors = smith_form(scaled)
+                assert factors == tuple(sympy_invariant_factors(scaled)), scaled
+                assert len(factors) <= r
 
 
 int_matrices = st.integers(min_value=1, max_value=4).flatmap(
