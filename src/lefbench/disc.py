@@ -33,19 +33,16 @@ class Puncture:
 @dataclass(frozen=True)
 class BoundaryAngle:
     """Endpoint on the unit circle at an exact turn fraction (int or
-    Fraction), reduced into [0, 1) on integers; kept as given if there."""
+    Fraction), reduced into [0, 1) on integers; kept as given if there.
+    Its realized point, a reduced triple, is set as hpoint when it is built
+    and is no field: ==, hashing and repr read the angle alone."""
     angle: Fraction
 
     def __post_init__(self):
         n, d = self.angle.numerator, self.angle.denominator
         if not 0 <= n < d:
             object.__setattr__(self, "angle", Q(n % d, d))
-
-    @cached_property
-    def hpoint(self) -> Hpt:
-        """The realized boundary point as a reduced homogeneous triple."""
-        return reduced(*circle_hpoint(self.angle.numerator,
-                                      self.angle.denominator))
+        object.__setattr__(self, "hpoint", reduced(*circle_hpoint(n, d)))
 
 
 Endpoint = Puncture | BoundaryAngle

@@ -250,7 +250,8 @@ def segment_crossing(a1: Hpt, a2: Hpt, b1: Hpt, b2: Hpt,
     """Proper crossing of two segments under the symbolic perturbation.
 
     When shift_b is True the second segment's arc is the perturbed one
-    (translated by (eps, eps^2)); otherwise the first.  The perturbed
+    (translated by (eps, eps^2)); otherwise the first, the two segments
+    swapping roles in place and their parameters on return.  The perturbed
     configuration has no tangencies, so the answer is always a clean
     yes/no; collinear overlaps resolve to "no crossing" (parallel translates
     never meet) and T-contacts resolve one way or the other consistently
@@ -259,13 +260,7 @@ def segment_crossing(a1: Hpt, a2: Hpt, b1: Hpt, b2: Hpt,
     of a crossing are the only Fractions built.
     """
     if not shift_b:
-        # shifting arc A by +e is the same picture as shifting arc B by -e;
-        # flip roles so only one code path exists.
-        res = segment_crossing(b1, b2, a1, a2, shift_b=True)
-        if res is None:
-            return None
-        return Crossing(res.hpoint, res.tb, res.ta)
-
+        a1, a2, b1, b2 = b1, b2, a1, a2
     o1 = orient(a1, a2, b1)
     o2 = orient(a1, a2, b2)
     if not (o1 and o2):
@@ -294,9 +289,9 @@ def segment_crossing(a1: Hpt, a2: Hpt, b1: Hpt, b2: Hpt,
     ta = Q(num_a * w2, den * w3)
     tb = Q((ex * day - ey * dax) * w4, den * w1)
     # a1 + ta (a2 - a1), over the denominator w1 w3 den
-    return Crossing(reduced(x1 * w3 * den + num_a * dax,
-                            y1 * w3 * den + num_a * day, w1 * w3 * den),
-                    ta, tb)
+    hpoint = reduced(x1 * w3 * den + num_a * dax,
+                     y1 * w3 * den + num_a * day, w1 * w3 * den)
+    return Crossing(hpoint, ta, tb) if shift_b else Crossing(hpoint, tb, ta)
 
 
 def segment_near_origin(a: Hpt, b: Hpt, r2: Fraction) -> bool:

@@ -24,7 +24,8 @@ when its winding number around every puncture is 0.  Once no bigon is
 left, a crossing that comes first along both arcs from a shared puncture p
 is dropped when the half-lens it bounds with p winds around no other
 puncture, until none is left.  All of it runs on homogeneous integer
-points; Fractions remain only for positions along segments.
+points and on ranks: Fraction positions are compared once per pair, to
+rank the crossings along each arc (compute_crossings).
 intersection_profile reduces a pair and keeps only the number of crossings
 left.  Which ends a pair shares is decided in one place, shared_ends: the
 segment pairs pinned at a shared puncture, the refusal of a shared
@@ -34,7 +35,7 @@ oracle.matching_floer_rank all read it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
@@ -49,13 +50,19 @@ Pos = tuple[int, Fraction]  # (segment index, parameter within segment)
 @dataclass(frozen=True)
 class ArcCrossing:
     """One transverse crossing event between two arcs: its point as a
-    reduced triple and its position on each arc."""
+    reduced triple, its position on each arc, and its rank along each arc
+    (compute_crossings), which takes no part in ==, hashing or repr."""
     hpoint: Hpt
     a_pos: Pos
     b_pos: Pos
+    a_rank: int = field(compare=False, repr=False)
+    b_rank: int = field(compare=False, repr=False)
 
     def pos(self, side: int) -> Pos:
         return self.a_pos if side == 0 else self.b_pos
+
+    def rank(self, side: int) -> int:
+        return self.a_rank if side == 0 else self.b_rank
 
 
 def shared_ends(a: PlanarArc, b: PlanarArc
@@ -78,10 +85,18 @@ def _canonically_after(ha: tuple[Hpt, ...], hb: tuple[Hpt, ...]) -> bool:
     return len(ha) > len(hb)
 
 
+def _ranks(keys: list[Pos]) -> list[int]:
+    """Each key's index in the stable sort of keys: the inverse, by sorting
+    it, of the sorting permutation."""
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return sorted(range(len(keys)), key=order.__getitem__)
+
+
 def compute_crossings(a: PlanarArc, b: PlanarArc) -> list[ArcCrossing]:
     """All transverse crossing events between a and b, exact, in the order
     of their segment pairs (i of a, j of b); a segment pair holds at most
-    one crossing.
+    one crossing.  Each is ranked along a and along b by one stable sort
+    of the positions on that arc.
 
     Segment pairs pinned together at a shared puncture are treated specially:
     the pinned contact itself is structural (it becomes a shared-endpoint
@@ -95,7 +110,7 @@ def compute_crossings(a: PlanarArc, b: PlanarArc) -> list[ArcCrossing]:
                 if isinstance(end, Puncture)}
     shift_b = not _canonically_after(a.hverts, b.hverts)
     ha, hb = a.hverts, b.hverts
-    found: list[ArcCrossing] = []
+    found = []
     # pinned pairs share their puncture, so their boxes meet and they are
     # always tested
     for i, j in box_pairs_between(a.boxes, b.boxes):
@@ -108,8 +123,9 @@ def compute_crossings(a: PlanarArc, b: PlanarArc) -> list[ArcCrossing]:
             continue
         hit = segment_crossing(a1, a2, b1, b2, shift_b=shift_b)
         if hit is not None:
-            found.append(ArcCrossing(hit.hpoint, (i, hit.ta), (j, hit.tb)))
-    return found
+            found.append((hit.hpoint, (i, hit.ta), (j, hit.tb)))
+    return [ArcCrossing(*c, ra, rb) for c, ra, rb in zip(
+        found, _ranks([c[1] for c in found]), _ranks([c[2] for c in found]))]
 
 
 # --------------------------------------------------------------------------
@@ -123,24 +139,16 @@ class Bigon:
     second: ArcCrossing
 
 
-def _subpath(arc: PlanarArc, lo: ArcCrossing, hi: ArcCrossing,
-             side: int) -> list[Hpt]:
-    """Polyline of arc (side 0 or 1 of the crossings) from crossing lo to
-    crossing hi, lo before hi along it, both corner points included.  A
-    crossing's point is the point at its position on either arc, exactly."""
-    (s, _), (t, _) = lo.pos(side), hi.pos(side)
-    return [lo.hpoint, *arc.hverts[s + 1: t + 1], hi.hpoint]
-
-
 def _lens(a: PlanarArc, b: PlanarArc, x: ArcCrossing,
           y: ArcCrossing) -> list[Hpt]:
-    """The lens of crossings x and y: along a from corner to corner, then
-    back along b."""
-    sides = []
-    for side, arc in enumerate((a, b)):
-        lo, hi = sorted((x, y), key=lambda c: c.pos(side))
-        sides.append(_subpath(arc, lo, hi, side))
-    side_a, side_b = sides
+    """The lens of crossings x and y, x before y along a: along a from
+    corner to corner, then back along b.  Each side runs from its first
+    corner's point through the vertices between to the other's: a
+    crossing's point is the point at its position on either arc, exactly."""
+    lo, hi = (x, y) if x.b_rank < y.b_rank else (y, x)
+    side_a = [x.hpoint, *a.hverts[x.a_pos[0] + 1: y.a_pos[0] + 1], y.hpoint]
+    side_b = [lo.hpoint, *b.hverts[lo.b_pos[0] + 1: hi.b_pos[0] + 1],
+              hi.hpoint]
     if side_a[0] != side_b[0]:
         side_b = side_b[::-1]
     return side_a + side_b[::-1][1:-1]
@@ -152,14 +160,14 @@ def find_empty_bigons(a: PlanarArc, b: PlanarArc, disc: DiscModel,
     corners of bigons already removed), with corners adjacent on both arcs
     and a lens of winding number 0 around every puncture, lazily in
     deterministic order along a: each lens is built and tested only when
-    the next bigon is asked for."""
+    the next bigon is asked for.  Adjacency is read from the ranks."""
     if len(crossings) < 2:
         return
-    by_a = sorted(crossings, key=lambda c: c.a_pos)
-    by_b = sorted(crossings, key=lambda c: c.b_pos)
-    b_index = {id(c): k for k, c in enumerate(by_b)}
+    by_a = sorted(crossings, key=lambda c: c.a_rank)
+    b_index = {r: k for k, r in enumerate(sorted([c.b_rank
+                                                   for c in crossings]))}
     for x, y in zip(by_a, by_a[1:]):
-        if abs(b_index[id(x)] - b_index[id(y)]) != 1:
+        if abs(b_index[x.b_rank] - b_index[y.b_rank]) != 1:
             continue
         poly = _lens(a, b, x, y)
         if not any(winding_number(p, poly) for p in disc.hpoints):
@@ -169,10 +177,10 @@ def find_empty_bigons(a: PlanarArc, b: PlanarArc, disc: DiscModel,
 def eliminate_bigon(bigon: Bigon, crossings: list[ArcCrossing]
                     ) -> list[ArcCrossing]:
     """The crossings of a pair without the two corners of one of its empty
-    bigons (find_empty_bigons): the isotopy across the lens that this
-    stands for moves no other crossing along either arc."""
-    corners = (bigon.first, bigon.second)
-    return [c for c in crossings if c not in corners]
+    bigons (find_empty_bigons), dropped by identity: the isotopy across the
+    lens that this stands for moves no other crossing along either arc."""
+    return [c for c in crossings
+            if c is not bigon.first and c is not bigon.second]
 
 
 def _half_bigon(a: PlanarArc, b: PlanarArc, disc: DiscModel,
@@ -186,7 +194,7 @@ def _half_bigon(a: PlanarArc, b: PlanarArc, disc: DiscModel,
         corners, sides = [], []
         for side, (arc, at_start) in enumerate(zip((a, b), at_starts)):
             c = (min if at_start else max)(crossings,
-                                           key=lambda x: x.pos(side))
+                                           key=lambda x: x.rank(side))
             s = c.pos(side)[0]
             corners.append(c)
             sides.append([*(arc.hverts[:s + 1] if at_start

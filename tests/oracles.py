@@ -683,7 +683,9 @@ def puncture_ends(arc) -> list[tuple[str, int]]:
 
 def all_pairs_crossings(a, b):
     """minpos.compute_crossings over every segment pair; the pairs pinned
-    together are the end segments of a puncture that both arcs end at."""
+    together are the end segments of a puncture that both arcs end at.
+    Each crossing's rank along an arc is its index in the stable sort of
+    the crossings by their positions on that arc."""
     from lefbench.errors import DegenerateTangency
     from lefbench.minpos import ArcCrossing
 
@@ -704,9 +706,10 @@ def all_pairs_crossings(a, b):
                 continue
             hit = segment_crossing(a1, a2, b1, b2, shift_b=shift_b)
             if hit is not None:
-                found.append(ArcCrossing(homog(hit.point), (i, hit.ta),
-                                         (j, hit.tb)))
-    return found
+                found.append((homog(hit.point), (i, hit.ta), (j, hit.tb)))
+    by_a = sorted(found, key=lambda c: c[1])
+    by_b = sorted(found, key=lambda c: c[2])
+    return [ArcCrossing(*c, by_a.index(c), by_b.index(c)) for c in found]
 
 
 # ---------------------------------------------------------------------------

@@ -475,17 +475,24 @@ def test_half_bigon_at_one_shared_puncture():
     assert intersection_profile(a, b, disc) == 0
 
 
-def test_t_contact_bigon_has_one_point_kept_side():
-    """B's vertex (0, 1/10) touches A's straight middle: the perturbation
-    resolves the contact into two crossings at that one point, so the kept
-    side of the bigon's lens is a single point.  The reference surgery
-    joins its step-off points directly."""
+def t_contact_pair():
+    """The W0 disc and two matchings from c-left to c-right: B's vertex
+    (0, 1/10) touches A's straight middle."""
     disc = aux_disc("W0")
     left, right = pt(Q(-1, 4), 0), pt(Q(1, 4), 0)
     a = matching(disc, [left, pt(Q(-1, 8), Q(1, 10)), pt(Q(1, 8), Q(1, 10)),
                         right], "c-left", "c-right")
     b = matching(disc, [left, pt(Q(-1, 16), Q(-1, 5)), pt(0, Q(1, 10)),
                         pt(Q(1, 16), Q(-1, 5)), right], "c-left", "c-right")
+    return disc, a, b
+
+
+def test_t_contact_bigon_has_one_point_kept_side():
+    """B's vertex (0, 1/10) touches A's straight middle: the perturbation
+    resolves the contact into two crossings at that one point, so the kept
+    side of the bigon's lens is a single point.  The reference surgery
+    joins its step-off points directly."""
+    disc, a, b = t_contact_pair()
     crossings = compute_crossings(a, b)
     assert [point(c.hpoint) for c in crossings] == [pt(0, Q(1, 10))] * 2
     bigon = next(find_empty_bigons(a, b, disc, crossings))
@@ -520,6 +527,52 @@ def test_zigzag_reduction_builds_one_lens_per_surgery(monkeypatch):
     assert calls == list(range(1, 11))
     assert len(lenses) == 10
     assert "vertices" not in a.__dict__ and "vertices" not in b.__dict__
+
+
+# ---------------------------------------------------------------------------
+# ranks along each arc against the exact order of positions
+# ---------------------------------------------------------------------------
+
+def assert_ranked_as_positions(crossings):
+    """On each side the ranks are 0..n-1, and ordering by them is the
+    stable sort by position on that side."""
+    n = len(crossings)
+    for side in (0, 1):
+        assert sorted([c.rank(side) for c in crossings]) == list(range(n))
+        by_rank = sorted(range(n), key=lambda k: crossings[k].rank(side))
+        by_pos = sorted(range(n), key=lambda k: crossings[k].pos(side))
+        assert by_rank == by_pos
+
+
+def test_ranks_order_crossings_as_their_positions():
+    pairs = [random_band_pair(random.Random(seed))[1:] for seed in range(100)]
+    pairs += [zigzag_pair(k, random.Random(k))[1:] for k in range(9, 22, 2)]
+    for seed in range(1000):
+        disc, a, b = shared_ends_pair(random.Random(seed))
+        if a.is_legal(disc) and b.is_legal(disc):
+            pairs.append((a, b))
+    ranked = 0
+    for a, b in pairs:
+        for p, q in ((a, b), (b, a)):
+            try:
+                crossings = compute_crossings(p, q)
+            except DegenerateTangency:
+                continue
+            assert_ranked_as_positions(crossings)
+            assert ([(c.a_rank, c.b_rank) for c in crossings]
+                    == [(c.a_rank, c.b_rank)
+                        for c in all_pairs_crossings(p, q)])
+            ranked += len(crossings) > 1
+    assert ranked > 400
+
+    # the two crossings of the T-contact lie at one position on A, and
+    # rank there in list order
+    _, a, b = t_contact_pair()
+    first, second = compute_crossings(a, b)
+    assert first.a_pos == second.a_pos and first.b_pos < second.b_pos
+    assert (first.a_rank, second.a_rank) == (0, 1)
+    assert (first.b_rank, second.b_rank) == (0, 1)
+    assert_ranked_as_positions([first, second])
 
 
 # ---------------------------------------------------------------------------

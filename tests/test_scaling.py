@@ -1,0 +1,37 @@
+"""A scaling census: an input knob doubled, its work counted.
+
+Each row runs one knob at three sizes, each twice the one before, and
+bounds the growth per doubling of a deterministic count of work, not of
+time.  2.3 per doubling admits O(n log n) and refuses O(n^2), which
+gives 4.
+"""
+
+import random
+from fractions import Fraction
+
+from lefbench.minpos import intersection_profile
+from test_minimal_position import zigzag_pair
+
+PER_DOUBLING = 2.3
+
+
+def test_zigzag_fraction_comparisons_grow_linearly(monkeypatch):
+    """The zig-zag of W0's A across B through k points: (k - 1) / 2 bigon
+    surgeries reduce its k - 1 crossings to none.  The crossings all lie
+    on B's middle segment, so ordering them along B compares Fraction
+    positions; the reduction does that once, not once per surgery."""
+    count = [0]
+    for name in ("__lt__", "__le__", "__gt__", "__ge__", "__eq__"):
+        def counted(self, other, real=getattr(Fraction, name)):
+            count[0] += 1
+            return real(self, other)
+        monkeypatch.setattr(Fraction, name, counted)
+    counts = []
+    for k in (159, 319, 639):
+        disc, a, b = zigzag_pair(k, random.Random(k))
+        count[0] = 0
+        assert intersection_profile(a, b, disc) == 0
+        counts.append(count[0])
+    assert all(n > 0 for n in counts), counts
+    assert all(m <= PER_DOUBLING * n for n, m in zip(counts, counts[1:])), \
+        counts
