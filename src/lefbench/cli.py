@@ -16,7 +16,6 @@ so repeated calls leave no discarded parser behind as cyclic garbage.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import sys
 from pathlib import Path
@@ -240,9 +239,8 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.resolution is not None:
-            cfg = dataclasses.replace(
-                cfg, fibration=with_resolution(cfg.fibration,
-                                               args.resolution))
+            cfg = cfg._replace(fibration=with_resolution(cfg.fibration,
+                                                         args.resolution))
         text, code = run_command(args.command, cfg, args.svg)
     except LefbenchError as e:
         print(f"error[{type(e).__name__}]: {e}", file=sys.stderr)

@@ -48,9 +48,9 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 from .disc import BoundaryAngle, DiscModel, PlanarArc, Puncture
 from .errors import ConfigError, LefbenchError
@@ -66,8 +66,7 @@ _INTEGER = re.compile(r"[+-]?\d+")
 NESTING_LIMIT = 32
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(NamedTuple):
     fibration: Fibration
     wrap: WrapParams = WrapParams()
     towers: tuple[tuple[str, str], ...] = ()
@@ -81,13 +80,12 @@ class ScenarioConfig:
 # low-level line structure
 # --------------------------------------------------------------------------
 
-@dataclass
-class _Section:
+class _Section(NamedTuple):
     loc: str                                 # "file:line" of the header
     kind: str
     name: str                                # "" for [wrap] and [run]
     # (loc, key, value) of each line of the section
-    lines: list[tuple[str, str, str]] = field(default_factory=list)
+    lines: list[tuple[str, str, str]]
 
 
 def _split_sections(text: str, source: str) -> list[_Section]:
@@ -114,7 +112,7 @@ def _split_sections(text: str, source: str) -> list[_Section]:
                 raise ConfigError(f"{loc}: [{kind}] "
                                   + ("needs a name" if named
                                      else "takes no name"))
-            current = _Section(loc, kind, words[1] if named else "")
+            current = _Section(loc, kind, words[1] if named else "", [])
             sections.append(current)
             continue
         if current is None:
@@ -258,27 +256,26 @@ def _parse_fiber(sec: _Section) -> AbstractFiber:
         raise _located(sec.loc, e) from None
 
 
-@dataclass
-class _RawFibration:
+class _RawFibration(NamedTuple):
     loc: str
     name: str
-    disc: str | None = None
-    fiber: str | None = None                 # "name" or "total-space name"
-    reference_angle: Fraction | None = None
-    crits: list[tuple[str, str, str, Fraction, tuple[Hpt, ...]]] = \
-        field(default_factory=list)          # (loc, puncture, label, angle, mids)
+    disc: str
+    fiber: str                               # "name" or "total-space name"
+    reference_angle: Fraction
+    # (loc, puncture, label, angle, mids) of each crit line
+    crits: list[tuple[str, str, str, Fraction, tuple[Hpt, ...]]]
 
 
 def _parse_fibration(sec: _Section) -> _RawFibration:
-    raw = _RawFibration(sec.loc, sec.name)
+    disc, fiber, ref, crits = None, None, None, []
     for loc, key, value in sec.lines:
         words = key.split()
         if key == "disc":
-            raw.disc = value
+            disc = value
         elif key == "fiber":
-            raw.fiber = value
+            fiber = value
         elif key == "reference-angle":
-            raw.reference_angle = _rational(value, loc)
+            ref = _rational(value, loc)
         elif len(words) == 2 and words[0] == "crit":
             parts = [p.strip() for p in value.split("|")]
             if len(parts) not in (2, 3):
@@ -286,16 +283,16 @@ def _parse_fibration(sec: _Section) -> _RawFibration:
                     f"{loc}: crit value is 'LABEL | ANGLE' with optional"
                     " '| mid points'")
             mids = _hpoints(parts[2], loc) if len(parts) == 3 else ()
-            raw.crits.append((loc, words[1], parts[0],
-                              _rational(parts[1], loc), mids))
+            crits.append((loc, words[1], parts[0], _rational(parts[1], loc),
+                          mids))
         else:
             raise ConfigError(f"{loc}: unknown fibration key {key!r}")
-    for want, got in (("disc", raw.disc), ("fiber", raw.fiber),
-                      ("reference-angle", raw.reference_angle)):
+    for want, got in (("disc", disc), ("fiber", fiber),
+                      ("reference-angle", ref)):
         if got is None:
             raise ConfigError(
                 f"{sec.loc}: fibration {sec.name!r} needs {want!r}")
-    return raw
+    return _RawFibration(sec.loc, sec.name, disc, fiber, ref, crits)
 
 
 def _parse_objects(sec: _Section) \
@@ -358,7 +355,7 @@ def _parse_oracle(sec: _Section) -> FiberOracle:
 
 def _parse_wrap(sec: _Section) -> tuple[WrapParams, str | None]:
     """The [wrap] parameters and the loc of the delta line, if any."""
-    delta, levels = WrapParams.delta, WrapParams.levels
+    delta, levels = WrapParams()
     delta_loc = None
     for loc, key, value in sec.lines:
         if key == "delta":

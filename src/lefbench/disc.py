@@ -17,6 +17,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import LefbenchError, NonEmbeddableInput
 from .exactgeom import (Hpt, Pt, Q, box_pairs, circle_hpoint,
@@ -24,8 +25,7 @@ from .exactgeom import (Hpt, Pt, Q, box_pairs, circle_hpoint,
                         reduced, segment_box, segments_overlap_collinear)
 
 
-@dataclass(frozen=True)
-class Puncture:
+class Puncture(NamedTuple):
     """Endpoint anchored at a named puncture of the disc."""
     name: str
 

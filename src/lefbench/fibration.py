@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import combinations
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple
 
 from .disc import BoundaryAngle, DiscModel, PlanarArc
 from .errors import (Inconsistent, LefbenchError, MissingClass,
@@ -147,8 +147,7 @@ class AbstractFiber:
         return any(name == label for name, _ in self.cycle_classes)
 
 
-@dataclass(frozen=True)
-class TotalSpaceFiber:
+class TotalSpaceFiber(NamedTuple):
     """The total space of an inner fibration, used as the fiber of an outer
     one.  Cycle labels of the outer fibration name objects (matching cycles
     or thimbles) declared on the inner fibration; their homology classes are
@@ -190,8 +189,7 @@ Fiber = AbstractFiber | TotalSpaceFiber
 # fibrations and their objects
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Crit:
+class Crit(NamedTuple):
     """One critical value: its puncture, its vanishing path (running from the
     puncture out to the boundary), and the label of its vanishing cycle."""
     puncture: str
@@ -199,8 +197,7 @@ class Crit:
     cycle_label: str
 
 
-@dataclass(frozen=True)
-class MatchingObject:
+class MatchingObject(NamedTuple):
     """A Lagrangian object presented over a base path.
 
     A matching object proper has a path between two critical punctures and
@@ -298,8 +295,7 @@ def with_resolution(f: Fibration, n: int) -> Fibration:
 # validation
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     violations: tuple[str, ...]
     notes: tuple[str, ...]
 
@@ -419,8 +415,7 @@ def _check_object(f: Fibration, mo: MatchingObject, violation) -> None:
 # homology of the total space
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HandleModel:
+class HandleModel(NamedTuple):
     """The fiber's homology, the attachment degree k = dim fiber / 2 + 1,
     the attachment matrix's columns (classes[j] is the vanishing cycle class
     of critical value j in the free part of H_{k-1}(fiber)) and its

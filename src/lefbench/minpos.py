@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .disc import BoundaryAngle, DiscModel, Endpoint, PlanarArc, Puncture
 from .errors import DegenerateTangency, SharedBoundaryEndpoint
@@ -132,8 +132,7 @@ def compute_crossings(a: PlanarArc, b: PlanarArc) -> list[ArcCrossing]:
 # bigons
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Bigon:
+class Bigon(NamedTuple):
     """Two crossings adjacent along both arcs bounding a puncture-free disc."""
     first: ArcCrossing
     second: ArcCrossing

@@ -15,7 +15,7 @@ data is a certificate that a generator set carries a single mod-2 grading
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (Inconsistent, InvalidWitness, LefbenchError,
                      MissingParity, UnknownPair)
@@ -28,8 +28,7 @@ ALL_SAME = "all-same"
 MIXED = "mixed"
 
 
-@dataclass(frozen=True)
-class Provenance:
+class Provenance(NamedTuple):
     kind: str            # "cited" | "assumed"
     slug: str
 
@@ -37,8 +36,7 @@ class Provenance:
         return f"{self.kind}:{self.slug}"
 
 
-@dataclass(frozen=True)
-class LabelDecl:
+class LabelDecl(NamedTuple):
     name: str
     sphere: bool = False
 
@@ -54,8 +52,7 @@ KINDS = {
 }
 
 
-@dataclass(frozen=True)
-class Fact:
+class Fact(NamedTuple):
     """One declared fact: labels (i, j), or (i, j, w) for a witness w with
     rank(i, w) = 0 and rank(j, w) > 0 that certifies NotIsomorphic(i, j);
     value is the rank, the parity (ALL_SAME | MIXED), or None."""

@@ -12,15 +12,14 @@ compared literally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ImageTooLarge, Inconsistent, MissingClass, Undecidable
 from .fibration import Fibration, TotalSpaceFiber
 from .oracle import FiberOracle, matching_floer_rank
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     tag: str
     text: str
 
@@ -62,8 +61,7 @@ NONZERO_EV_WARNING = (
     " thimble pair has rank 0, forcing a zero evaluation map")
 
 
-@dataclass(frozen=True)
-class FsHomRanks:
+class FsHomRanks(NamedTuple):
     hom_bb: int
     hom_ab: int
     hom_b1b: int
@@ -170,8 +168,7 @@ NO_CONCLUSION = TraceStep(
     " is nonzero and no obstruction follows")
 
 
-@dataclass(frozen=True)
-class ScenarioRanks:
+class ScenarioRanks(NamedTuple):
     labels: tuple[str, str]              # cycle labels of the two thimbles
     hf_pair: int                         # rank between the two cycles
     pants_image: int

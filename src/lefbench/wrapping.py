@@ -62,10 +62,10 @@ tail lies beyond every chord.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import cycle, islice
 from math import ceil, lcm
+from typing import NamedTuple
 
 from .disc import BoundaryAngle, DiscModel, PlanarArc
 from .errors import LefbenchError, SpiralCollision
@@ -81,8 +81,7 @@ BEND = Q(1, 128)
 VERTEX_BUDGET = 250_000
 
 
-@dataclass(frozen=True)
-class WrapParams:
+class WrapParams(NamedTuple):
     """The [wrap] section: each wrapped copy turns m full turns plus delta,
     and a tower has one stage per level m."""
     delta: Fraction = Q(1, 64)
@@ -141,10 +140,12 @@ def _angles(arc: PlanarArc, m: int, params: WrapParams, disc: DiscModel,
 def spiral_vertex_count(arc: PlanarArc, m: int, params: WrapParams,
                         disc: DiscModel, bend: bool = False) -> int:
     """The number of vertices of wrap(arc, m, params, disc, bend), counted
-    without building the spiral: the head, the spiral and the tail."""
+    without building the spiral: the head, the spiral and the tail.  The
+    spiral's grid angles are counted by ceiling division: len() of their
+    range fails past sys.maxsize, the count does not."""
     _, half, a0, a_end = _angles(arc, m, params, disc, bend)
     head = 1 if bend else len(arc.hverts) - 1
-    return head + len(range(a0 + half, a_end, 2 * half)) + 3
+    return head - ((a0 + half - a_end) // (2 * half)) + 3
 
 
 def wrap(arc: PlanarArc, m: int, params: WrapParams, disc: DiscModel,

@@ -185,6 +185,19 @@ def test_hw_sections(capsys):
     assert "continuation 0->1: exists; unit image persists" in out
 
 
+@pytest.mark.parametrize("edits, shown", [
+    (("delta = 1/64", "delta = 1/32", "levels = 0 1 2 3", ""),
+     "wrap delta: 1/32\nwrap levels: 0 1 2 3\n"),
+    (("delta = 1/64", "", "levels = 0 1 2 3", "levels = 0 2"),
+     "wrap delta: 1/64\nwrap levels: 0 2\n"),
+])
+def test_wrap_section_keeps_the_default_of_a_missing_key(edits, shown,
+                                                         tmp_path, capsys):
+    # a [wrap] section with one key reports the other key's default
+    assert main(["hw", str(_edited(tmp_path, "W0", *edits))]) == 0
+    assert shown in capsys.readouterr().out
+
+
 def test_out_writes_file_and_silences_stdout(tmp_path, capsys):
     target = tmp_path / "report.txt"
     assert main(["validate", shipped("W0.cfg"), "--out", str(target)]) == 0
@@ -319,6 +332,28 @@ def test_render_budget_bounds_the_sum_of_its_spirals(monkeypatch, tmp_path,
         "error[SpiralTooLong]: the spirals of this render at boundary"
         " resolution 100000 need 1812544 vertices, above the budget of"
         " 250000; the deepest is tower a:b at level 3\n"))
+
+
+@pytest.mark.parametrize("command, resolution, vertices", [
+    ("render", 2 ** 62, 83586809083996405808),
+    ("all", 10 ** 20 - 1, 1812500000000000000030),
+])
+def test_render_refuses_spirals_past_sys_maxsize(command, resolution,
+                                                 vertices, tmp_path, capsys):
+    # a spiral longer than sys.maxsize is counted all the same, and refused
+    if command == "render":
+        argv = ["render", shipped("W0.cfg"), "--resolution", str(resolution)]
+    else:
+        argv = ["all", str(_edited(tmp_path, "W0", "resolution = 16\n\n"
+                                   "[fibration main-W0]",
+                                   f"resolution = {resolution}\n\n"
+                                   "[fibration main-W0]"))]
+    assert main([*argv, "--svg", str(tmp_path / "svg")]) == 1
+    assert not (tmp_path / "svg").exists()
+    assert capsys.readouterr() == ("", (
+        "error[SpiralTooLong]: the spirals of this render at boundary"
+        f" resolution {resolution} need {vertices} vertices, above the"
+        " budget of 250000; the deepest is tower a:b at level 3\n"))
 
 
 def test_all_svg_runs_the_full_check_on_no_spiral(monkeypatch, tmp_path,

@@ -4,7 +4,7 @@ Every top-level function and class in ``src/lefbench/``, and every method
 and property of a top-level class except the dunder methods, must be
 referenced somewhere in the package besides its own definition; a helper
 that only a test needs lives in ``tests/``.  Every annotated class-level
-field of a top-level class (a dataclass field) must be read as an
+field of a top-level class (a record field) must be read as an
 attribute somewhere in the package: one that only its constructor touches
 is dead.  Every name a module assigns at top level, dunder names skipped,
 must be read somewhere in the package.  Every top-level function and class
