@@ -16,6 +16,9 @@ that can change, and the classes of matching objects (their cell cycles),
 are all read from it, so a chain of total-space fibers derives each level's
 classes once.  It also checks each pair of its vanishing paths once, for
 validate to report and for tower stages to require.
+
+Every validation check yields (violation?, text) findings into one list,
+which validate prefixes with the fibration's name and splits once.
 """
 
 from __future__ import annotations
@@ -59,14 +62,14 @@ class HomologyTable:
             torsion = tuple(torsion)
             if free < 0:
                 raise LefbenchError(f"negative free rank in degree {deg}")
+            if any(t < 2 for t in torsion):
+                raise LefbenchError(
+                    f"torsion invariants in degree {deg} must be >= 2")
             for t, u in zip(torsion, torsion[1:]):
                 if u % t:
                     raise LefbenchError(
                         f"torsion invariants in degree {deg} must form a"
                         " divisibility chain")
-            if any(t < 2 for t in torsion):
-                raise LefbenchError(
-                    f"torsion invariants in degree {deg} must be >= 2")
             if free or torsion:
                 cleaned.append((deg, free, torsion))
         cleaned.sort()
@@ -301,16 +304,12 @@ class ValidationReport(NamedTuple):
 
 
 def _label_declared(f: Fibration, label: str) -> bool:
-    if not f.fiber.has_label(label):
-        return False
-    if f.oracle is not None and label not in f.oracle.labels:
-        return False
-    return True
+    return f.fiber.has_label(label) and (f.oracle is None
+                                         or label in f.oracle.labels)
 
 
 def validate(f: Fibration) -> ValidationReport:
-    """Check the structural invariants that loading leaves open; each
-    failure is a violation.
+    """Check the structural invariants that loading leaves open.
 
     Config loading already guarantees that every critical value sits on a
     declared puncture of its own (one ``crit P`` line per puncture) and
@@ -319,43 +318,34 @@ def validate(f: Fibration) -> ValidationReport:
     here: each path and object is a legal arc in the disc, cycle labels
     are declared, vanishing paths are disjoint apart from a shared
     reference endpoint, and a matching path closes up over isotopic labels.
-    A bifibration validates its inner fibration as well; inner violations
-    and notes follow the outer ones, prefixed with the inner fibration's
-    name.
+    Each check yields (violation?, text) findings into one list, in that
+    order, closed by the corner-smoothing note; validate prefixes them
+    with the fibration's name and splits them into violations and notes
+    once.  A bifibration's inner report, so prefixed, follows.
     """
-    violations: list[str] = []
-    notes: list[str] = []
-
-    def violation(msg: str) -> None:
-        violations.append(f"[{f.name}] {msg}")
-
-    def note(msg: str) -> None:
-        notes.append(f"[{f.name}] {msg}")
-
+    findings: list[tuple[bool, str]] = []
     for c in f.crits:
         try:
             c.path.validate(f.disc)
         except LefbenchError as exc:
-            violation(f"vanishing path of {c.puncture!r}: {exc}")
+            findings.append((True, f"vanishing path of {c.puncture!r}: {exc}"))
         if not _label_declared(f, c.cycle_label):
-            violation(f"cycle label {c.cycle_label!r} of {c.puncture!r} is"
-                      " not declared")
+            findings.append((True, f"cycle label {c.cycle_label!r} of"
+                             f" {c.puncture!r} is not declared"))
+    findings += f.path_findings
+    findings += [(True, text) for mo in f.objects
+                 for text in _check_object(f, mo)]
+    findings.append((False, "corner smoothing along the boundary is a no-op"
+                     " at this combinatorial level"))
 
-    for is_violation, text in f.path_findings:
-        (violation if is_violation else note)(text)
-
-    for mo in f.objects:
-        _check_object(f, mo, violation)
-
-    note("corner smoothing along the boundary is a no-op at this"
-         " combinatorial level")
-
+    split: dict[bool, list[str]] = {True: [], False: []}
+    for is_violation, text in findings:
+        split[is_violation].append(f"[{f.name}] {text}")
     if isinstance(f.fiber, TotalSpaceFiber):
         inner = validate(f.fiber.fibration)
-        violations.extend(inner.violations)
-        notes.extend(inner.notes)
-
-    return ValidationReport(tuple(violations), tuple(notes))
+        split[True] += inner.violations
+        split[False] += inner.notes
+    return ValidationReport(tuple(split[True]), tuple(split[False]))
 
 
 def _check_disjoint_paths(f: Fibration, ci: Crit, cj: Crit
@@ -387,16 +377,16 @@ def _check_disjoint_paths(f: Fibration, ci: Crit, cj: Crit
         yield True, f"{pair} cross {n} time(s) in minimal position"
 
 
-def _check_object(f: Fibration, mo: MatchingObject, violation) -> None:
+def _check_object(f: Fibration, mo: MatchingObject) -> Iterator[str]:
+    """Violation texts of object mo: its arc, its labels, its closing up."""
     try:
         mo.path.validate(f.disc)
     except LefbenchError as exc:
-        violation(f"object {mo.name!r}: {exc}")
+        yield f"object {mo.name!r}: {exc}"
         return
     for label in dict.fromkeys((mo.left_cycle, mo.right_cycle)):
         if not _label_declared(f, label):
-            violation(f"object {mo.name!r}: cycle label {label!r} is not"
-                      " declared")
+            yield f"object {mo.name!r}: cycle label {label!r} is not declared"
     if (not isinstance(mo.path.end, BoundaryAngle)
             and mo.left_cycle != mo.right_cycle):
         # a matching path (no boundary end: config starts every object at a
@@ -406,9 +396,9 @@ def _check_object(f: Fibration, mo: MatchingObject, violation) -> None:
         o, labels = f.oracle, (mo.left_cycle, mo.right_cycle)
         if not (o is not None and o.labels.issuperset(labels)
                 and o.isomorphic_objects(*labels) == "yes"):
-            violation(f"object {mo.name!r}: cycle labels {mo.left_cycle!r},"
-                      f" {mo.right_cycle!r} are not declared isotopic, so the"
-                      " two thimbles do not close up to a matching cycle")
+            yield (f"object {mo.name!r}: cycle labels {mo.left_cycle!r},"
+                   f" {mo.right_cycle!r} are not declared isotopic, so the"
+                   " two thimbles do not close up to a matching cycle")
 
 
 # --------------------------------------------------------------------------

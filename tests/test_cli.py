@@ -1160,6 +1160,43 @@ def test_random_config_edits_end_in_exit_code(tmp_path_factory, scenario,
         assert message.startswith("error[") and message.count("\n") == 1, message
 
 
+# a 'key = value' line of a config: (key and '= ', first value token, rest)
+KEY_VALUE = re.compile(r"^([^#\[\s][^=\n]*= *)(\S+)(.*)$")
+
+
+def key_value_variants(text):
+    """Each 'key = value' line of text in two variants: its first value
+    token replaced by 0, and ' 0 2' appended to it."""
+    lines = text.splitlines(keepends=True)
+    for i, line in enumerate(lines):
+        m = KEY_VALUE.match(line.rstrip("\n"))
+        if m:
+            for new in (f"{m[1]}0{m[3]}\n", f"{m[0]} 0 2\n"):
+                yield "".join(lines[:i] + [new] + lines[i + 1:])
+
+
+@pytest.mark.parametrize("scenario", ["W0", "W1", "ts3"])
+def test_key_value_variants_end_in_exit_code(scenario, tmp_path, capsys):
+    # the exception contract of test_mutated_configs_end_in_exit_code over
+    # a zero first value and a trailing '0 2' on each line: '0 2' after a
+    # homology line declares a zero torsion invariant
+    text = Path(shipped(f"{scenario}.cfg")).read_text()
+    cfg = tmp_path / "variant.cfg"
+    variants = list(key_value_variants(text))
+    assert len(variants) >= 28
+    assert any(re.search(r"^homology \d+ = 1 0 2$", v, re.MULTILINE)
+               for v in variants)
+    for k, variant in enumerate(variants):
+        cfg.write_text(variant)
+        code = main(["all", str(cfg)])
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2, 3), k
+        if code and "validation: FAILED" not in out:
+            assert err.startswith("error[") and err.count("\n") == 1, (k, err)
+        else:
+            assert err == "", (k, err)
+
+
 # a hostile edit of a config: a rational token replaced by a huge (beyond
 # int()'s digit limit), zero, negative or malformed value, or a 'key =
 # value' line inserted, its key possibly empty; the index is taken modulo

@@ -26,8 +26,8 @@ import oracles
 from oracles import (all_pairs_path_findings, attachment_homology,
                      sympy_kernel_basis, sympy_kernel_coordinates)
 from scen import (arc_through, aux_fibration, circle_fiber, empty_fibration,
-                  fan, hpt, main_fibration, matching, point_of, pt,
-                  sphere_fiber, ts3_fibration, vanishing)
+                  fan, hpt, main_disc, main_fibration, matching, point_of,
+                  pt, sphere_fiber, ts3_fibration, vanishing)
 
 
 # --------------------------------------------------------------------------
@@ -51,6 +51,15 @@ def test_table_rejections():
         HomologyTable(((1, 0, (1,)),))
     with pytest.raises(LefbenchError):
         HomologyTable(((0, 1, ()), (0, 2, ())))
+
+
+def test_torsion_invariants_are_checked_before_their_divisibility():
+    # a zero invariant would be a divisor in the divisibility chain test;
+    # a list with both faults reports the first
+    with pytest.raises(LefbenchError, match="in degree 1 must be >= 2$"):
+        HomologyTable(((1, 0, (0, 2)),))
+    with pytest.raises(LefbenchError, match="in degree 1 must be >= 2$"):
+        HomologyTable(((1, 0, (4, 6, 1)),))
 
 
 def test_euler_and_mod2():
@@ -199,6 +208,62 @@ def test_bifibration_validation_recurses():
                     f.reference_angle)
     report = validate(bad)
     assert any("ghost" in v for v in report.violations)
+
+
+def _faulty_level(name, fiber, good):
+    """A fibration over the main disc with punctures c, d, e added, with
+    findings from every check: e's path starts with a zero-length segment,
+    b's label is undeclared, b's and c's paths share the reference end,
+    d's path crosses a's, object Z is no legal arc and object M has an
+    undeclared label.  good is a label that fiber declares."""
+    disc = DiscModel(main_disc().punctures + (
+        ("c", hpt(0, Q(1, 2))), ("d", hpt(0, Q(-1, 2))),
+        ("e", hpt(Q(1, 2), Q(-1, 2)))))
+    crits = (
+        Crit("e", vanishing(disc, "e", Q(7, 8), point_of(disc, "e")), good),
+        Crit("a", vanishing(disc, "a", Q(1, 2)), good),
+        Crit("b", vanishing(disc, "b", Q(0)), "ghost"),
+        Crit("c", vanishing(disc, "c", Q(0)), good),
+        Crit("d", vanishing(disc, "d", Q(1, 4), pt(Q(-3, 4), Q(-1, 4)),
+                            pt(Q(-3, 4), Q(1, 4))), good))
+    objects = (
+        MatchingObject("A", matching(disc, "a", "b"), good, good),
+        MatchingObject("Z", matching(disc, "a", "b", point_of(disc, "a")),
+                       "ghost", "ghost"),
+        MatchingObject("M", matching(disc, "a", "b"), good, "ghost"))
+    return Fibration(name, disc, fiber, crits, BoundaryAngle(Q(0)),
+                     objects=objects)
+
+
+def test_bifibration_report_orders_every_finding():
+    # per level: crit paths and labels in crit order, then path pairs in
+    # pair order, then objects, then the corner note; the inner level's
+    # violations and notes follow the outer level's
+    inner = _faulty_level("inner", circle_fiber(), "belt")
+    report = validate(_faulty_level("outer", TotalSpaceFiber(inner), "A"))
+
+    def level(name, good):
+        zero = "zero-length segment at vertex 0"
+        return ([f"[{name}] vanishing path of 'e': {zero}",
+                 f"[{name}] cycle label 'ghost' of 'b' is not declared"]
+                + [f"[{name}] vanishing paths of 'e' and {p!r}: {zero}"
+                   for p in "abcd"]
+                + [f"[{name}] vanishing paths of 'a' and 'd' cross 1 time(s)"
+                   " in minimal position",
+                   f"[{name}] object 'Z': {zero}",
+                   f"[{name}] object 'M': cycle label 'ghost' is not"
+                   " declared",
+                   f"[{name}] object 'M': cycle labels {good!r}, 'ghost' are"
+                   " not declared isotopic, so the two thimbles do not close"
+                   " up to a matching cycle"],
+                [f"[{name}] vanishing paths of 'b' and 'c' share the"
+                 " reference endpoint",
+                 f"[{name}] corner smoothing along the boundary is a no-op"
+                 " at this combinatorial level"])
+
+    outer_v, outer_n = level("outer", "A")
+    inner_v, inner_n = level("inner", "belt")
+    assert report == (tuple(outer_v + inner_v), tuple(outer_n + inner_n))
 
 
 @pytest.mark.parametrize("n", range(3, 17))

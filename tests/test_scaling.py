@@ -9,7 +9,11 @@ gives 4.
 import random
 from fractions import Fraction
 
+from lefbench import fibration
+from lefbench.cli import main
+from lefbench.config import NESTING_LIMIT
 from lefbench.minpos import intersection_profile
+from test_cli import _chain_config
 from test_minimal_position import zigzag_pair
 
 PER_DOUBLING = 2.3
@@ -35,3 +39,31 @@ def test_zigzag_fraction_comparisons_grow_linearly(monkeypatch):
     assert all(n > 0 for n in counts), counts
     assert all(m <= PER_DOUBLING * n for n, m in zip(counts, counts[1:])), \
         counts
+
+
+def test_nested_total_space_derivations_grow_linearly(monkeypatch, tmp_path,
+                                                      capsys):
+    """homology on a chain of total-space fibers n deep, up to the nesting
+    limit: each level reduces its attachment matrix once and reads its
+    matching classes from its handle model, so the Smith forms and the
+    matching classes derived grow linearly in n."""
+    count = {"smith_form": 0, "matching_cycle_class": 0}
+    for name in count:
+        def counted(*args, name=name, real=getattr(fibration, name)):
+            count[name] += 1
+            return real(*args)
+        monkeypatch.setattr(fibration, name, counted)
+    counts = []
+    cfg = tmp_path / "chain.cfg"
+    for n in (8, 16, NESTING_LIMIT):
+        cfg.write_text(_chain_config(n))
+        count.update(dict.fromkeys(count, 0))
+        assert main(["homology", str(cfg)]) == 0
+        assert f"fiber: total-space(f{n - 1})\n" in capsys.readouterr().out
+        counts.append(dict(count))
+    assert NESTING_LIMIT == 32
+    for name in count:
+        row = [c[name] for c in counts]
+        assert all(m > 0 for m in row), (name, row)
+        assert all(m <= PER_DOUBLING * k for k, m in zip(row, row[1:])), \
+            (name, row)
