@@ -16,6 +16,7 @@ so repeated calls leave no discarded parser behind as cyclic garbage.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import sys
 from pathlib import Path
@@ -23,8 +24,7 @@ from pathlib import Path
 from .config import ScenarioConfig, load_config
 from .errors import (ConfigError, IncompleteBasis, LefbenchError,
                      SpiralTooLong)
-from .fibration import (Fibration, TotalSpaceFiber, total_space_homology,
-                        with_resolution)
+from .fibration import Fibration, TotalSpaceFiber, total_space_homology
 from .fibration import validate as validate_fibration
 from .rank_calculus import ScenarioRanks, analyze
 from .report import Report, homology_lines, thimble
@@ -56,13 +56,12 @@ def _unwrappable_towers(cfg: ScenarioConfig):
     """On a fibration that validates, a violation per [run] tower whose
     source fails the checks wrap makes before it builds a spiral."""
     f = cfg.fibration
-    for x, y in cfg.towers:
-        cx = f.crit_for(x)
+    for cx, cy in cfg.towers:
         try:
-            source_annulus(cx.path, f.disc, bend=x == y)
+            source_annulus(cx.path, f.disc, bend=cx == cy)
         except LefbenchError as e:
-            yield (f"[{f.name}] tower {x}:{y}: vanishing path of {x!r}"
-                   f" cannot be wrapped: {e}")
+            yield (f"[{f.name}] tower {cx.puncture}:{cy.puncture}: vanishing"
+                   f" path of {cx.puncture!r} cannot be wrapped: {e}")
 
 
 def _section_homology(r: Report, f: Fibration) -> None:
@@ -100,8 +99,7 @@ def _section_hw(r: Report, cfg: ScenarioConfig, out: ScenarioRanks) -> None:
             " can be assembled")
     r.line("wrap delta", cfg.wrap.delta)
     r.line("wrap levels", " ".join(str(m) for m in cfg.wrap.levels))
-    for x, y in cfg.towers:
-        cx, cy = f.crit_for(x), f.crit_for(y)
+    for cx, cy in cfg.towers:
         lx, ly = cx.cycle_label, cy.cycle_label
         name = f"tower {thimble(lx)}:{thimble(ly)}"
         stages = build_tower(f, cx, cy, cfg.wrap, out.fs)
@@ -140,22 +138,21 @@ def _render_svgs(cfg: ScenarioConfig, outdir: str) -> list[str]:
     spirals' vertices are counted first, and a render over VERTEX_BUDGET
     of them builds none."""
     f = cfg.fibration
-    towers = [(x, y, f.crit_for(x), f.crit_for(y)) for x, y in cfg.towers]
-    stages = [(*t, m) for t in towers for m in cfg.wrap.levels]
+    stages = [(cx, cy, m) for cx, cy in cfg.towers for m in cfg.wrap.levels]
     sizes = [spiral_vertex_count(cx.path, m, cfg.wrap, f.disc, bend=cx == cy)
-             for _, _, cx, cy, m in stages]
+             for cx, cy, m in stages]
     if sum(sizes) > VERTEX_BUDGET:
-        x, y, _, _, m = stages[sizes.index(max(sizes))]
+        cx, cy, m = stages[sizes.index(max(sizes))]
         raise SpiralTooLong(
             f"the spirals of this render at boundary resolution"
             f" {f.disc.boundary_resolution} need {sum(sizes)} vertices,"
             f" above the budget of {VERTEX_BUDGET}; the deepest is tower"
-            f" {x}:{y} at level {m}")
+            f" {cx.puncture}:{cy.puncture} at level {m}")
     files = list(diagram_files(f))
-    for x, y, cx, cy, m in stages:
+    for cx, cy, m in stages:
         spiral = wrap(cx.path, m, cfg.wrap, f.disc, bend=cx == cy)
         spiral.validate(f.disc)
-        files.append((f"{cfg.name}-tower-{x}-{y}-m{m}.svg",
+        files.append((f"{cfg.name}-tower-{cx.puncture}-{cy.puncture}-m{m}.svg",
                       stage_svg(f.disc, cy.path, spiral)))
     d = Path(outdir)
     try:
@@ -239,8 +236,11 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.resolution is not None:
-            cfg = cfg._replace(fibration=with_resolution(cfg.fibration,
-                                                         args.resolution))
+            # the run disc's grid is the only one a spiral is drawn on
+            f = cfg.fibration
+            disc = dataclasses.replace(f.disc,
+                                       boundary_resolution=args.resolution)
+            cfg = cfg._replace(fibration=dataclasses.replace(f, disc=disc))
         text, code = run_command(args.command, cfg, args.svg)
     except LefbenchError as e:
         print(f"error[{type(e).__name__}]: {e}", file=sys.stderr)

@@ -41,7 +41,8 @@ the same file; such fibers nest at most NESTING_LIMIT (32) deep, since each
 derivation recurses once per level.  Matching objects take their two cycle
 labels from the critical values at their endpoints; a thimble object
 borrows the whole path of its critical value.  Each puncture a tower names
-carries a critical value of the run fibration.
+carries a critical value of the run fibration, and the tower is read as
+the pair of those two Crits, once, here.
 """
 
 from __future__ import annotations
@@ -67,9 +68,11 @@ NESTING_LIMIT = 32
 
 
 class ScenarioConfig(NamedTuple):
+    """The run fibration, the wrap parameters, and each [run] tower as
+    the pair of the run fibration's Crits over its two punctures."""
     fibration: Fibration
-    wrap: WrapParams = WrapParams()
-    towers: tuple[tuple[str, str], ...] = ()
+    wrap: WrapParams
+    towers: tuple[tuple[Crit, Crit], ...]
 
     @property
     def name(self) -> str:
@@ -444,19 +447,23 @@ def parse_config(text: str, source: str = "<config>") -> ScenarioConfig:
 
     if not parsed["run"]:
         raise ConfigError(f"{source}: missing [run] section with 'fibration'")
-    run_loc, (run_fibration, towers, towers_loc) = parsed["run"][""]
+    run_loc, (run_fibration, names, towers_loc) = parsed["run"][""]
     if run_fibration not in built:
         raise ConfigError(f"{run_loc}: [run] names unknown fibration"
                           f" {run_fibration!r}")
-    for x, y in towers:
-        for p in (x, y):
-            if built[run_fibration].crit_for(p) is None:
+    f = built[run_fibration]
+    towers = []
+    for x, y in names:
+        pair = f.crit_for(x), f.crit_for(y)
+        for p, c in zip((x, y), pair):
+            if c is None:
                 raise ConfigError(f"{towers_loc}: tower {x}:{y} names puncture"
                                   f" {p!r}, which has no critical value")
+        towers.append(pair)
     _, (wrap, delta_loc) = parsed["wrap"].get("", ("", (WrapParams(), None)))
     for _, raw in parsed["fibration"].values():
         _check_delta_gap(built[raw.name], wrap, delta_loc or raw.loc)
-    return ScenarioConfig(built[run_fibration], wrap, towers)
+    return ScenarioConfig(f, wrap, tuple(towers))
 
 
 def _check_delta_gap(f: Fibration, wrap: WrapParams, loc: str) -> None:

@@ -23,7 +23,7 @@ which validate prefixes with the fibration's name and splits once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple
@@ -154,11 +154,11 @@ class TotalSpaceFiber(NamedTuple):
     """The total space of an inner fibration, used as the fiber of an outer
     one.  Cycle labels of the outer fibration name objects (matching cycles
     or thimbles) declared on the inner fibration; their homology classes are
-    computed from the handle model instead of being declared: vectors in the
-    inner fiber's generators and the inner cells (matching_cycle_class).
-    They lie in a direct summand of rank the table's middle free rank (the
-    fiber's part plus the inner kernel), so their attachment matrix has the
-    rank and invariant factors it has in a basis of that summand."""
+    computed from the handle model instead of being declared: cell cycles,
+    one entry per inner critical value (matching_cycle_class).  They lie in
+    the inner kernel, a direct summand of the table's middle free part, and
+    the fiber's generators add only zero rows, so their attachment matrix
+    has the rank and invariant factors it has in a basis of that part."""
     fibration: "Fibration"
 
     @property
@@ -282,16 +282,6 @@ class Fibration:
                       in combinations(list(enumerate(self.crits)), 2)
                       if (i, j) in touch or i in bad or j in bad
                       for found in _check_disjoint_paths(self, ci, cj)])
-
-
-def with_resolution(f: Fibration, n: int) -> Fibration:
-    """The same fibration, inner fibrations included, over a boundary grid
-    of resolution n."""
-    fiber = f.fiber
-    if isinstance(fiber, TotalSpaceFiber):
-        fiber = TotalSpaceFiber(with_resolution(fiber.fibration, n))
-    disc = replace(f.disc, boundary_resolution=n)
-    return replace(f, disc=disc, fiber=fiber)
 
 
 # --------------------------------------------------------------------------
@@ -446,12 +436,12 @@ def total_space_homology(f: Fibration) -> HomologyTable:
 def matching_cycle_class(f: Fibration, mo: MatchingObject) -> tuple[int, ...]:
     """Class of a matching object in the middle homology of the total space.
 
-    The class is written in the free middle-degree generators of the fiber,
-    where it is zero, followed by one entry per critical value: its cell
-    cycle: a signed sum of the two cells indexed by its endpoint critical
-    values; the sign convention puts +1 on the cell entered through the
-    path's end puncture.  The two end classes are the attachment columns of
-    the end critical values (HandleModel.classes), so the cycle, (-1, 1)
+    The class is its cell cycle, one entry per critical value: a signed sum
+    of the two cells indexed by its endpoint critical values; the sign
+    convention puts +1 on the cell entered through the path's end puncture.
+    Its part in the fiber's free middle-degree generators is zero, so no
+    entry stands for them.  The two end classes are the attachment columns
+    of the end critical values (HandleModel.classes), so the cycle, (-1, 1)
     over equal classes and (1, 1) over opposite ones, is a kernel vector of
     the attachment matrix by construction.  Orientation data invisible to
     the combinatorics raises UnresolvedSign rather than guessing.
@@ -461,14 +451,13 @@ def matching_cycle_class(f: Fibration, mo: MatchingObject) -> tuple[int, ...]:
             f"object {mo.name!r} is a thimble; only matching objects carry a"
             " closed middle-degree class")
     model = f.handle_model
-    fiber_part = (0,) * model.fiber_homology.free_rank(model.k)
     cells = [0] * len(f.crits)
 
     idx_l = f.crits.index(f.crit_for(mo.path.start.name))
     idx_r = f.crits.index(f.crit_for(mo.path.end.name))
     if idx_l == idx_r:
         # the two halves run over the same cell with opposite orientations
-        return fiber_part + tuple(cells)
+        return tuple(cells)
 
     cl, cr = model.classes[idx_l], model.classes[idx_r]
     if not any(cl) and not any(cr):
@@ -483,4 +472,4 @@ def matching_cycle_class(f: Fibration, mo: MatchingObject) -> tuple[int, ...]:
         raise UnresolvedSign(
             f"object {mo.name!r}: endpoint cycle classes {cl} and {cr} are"
             " neither equal nor opposite, so the thimbles do not close up")
-    return fiber_part + tuple(cells)
+    return tuple(cells)

@@ -19,9 +19,9 @@ stage's rank certificate is an exact rank, read off the directed ranks
 and the stage merely checks that its generator count is large enough and
 of the right parity to carry it.
 
-A tower x:y is built from the Crits over its two punctures, each found
-once with Fibration.crit_for (a self-tower is one crit twice), with wrap
-levels the config has checked and an oracle that analyze has required.
+A tower x:y is built from the Crits over its two punctures, the pair the
+config resolved when it was read (a self-tower is one crit twice), with
+wrap levels the config has checked and an oracle that analyze has required.
 It is the tuple of its stages in level order.  It settles no verdict: the
 fate of u decides each wrapped group once, in rank_calculus.analyze, and
 the report reads it from there.

@@ -15,9 +15,10 @@ from pathlib import Path
 import pytest
 
 import oracles
+import scen
 from lefbench.cli import main
 from lefbench.config import load_config
-from lefbench.fibration import total_space_homology, with_resolution
+from lefbench.fibration import total_space_homology
 from lefbench.minpos import intersection_profile, minimal_position
 from lefbench.rank_calculus import (FsHomRanks, _directed_twist, analyze,
                                     fs_hom_ranks, triangle_rank)
@@ -167,7 +168,7 @@ def test_c6_property_suites(capsys, cfgs):
         # unchanged when the boundary grid is twice as fine
         for v, cfg in cfgs.items():
             base = cfg.fibration
-            fine = with_resolution(base, 2 * base.disc.boundary_resolution)
+            fine = scen.regrid(base, 2 * base.disc.boundary_resolution)
             for x, y in PAIRS:
                 for m in LEVELS:
                     got = []

@@ -1,6 +1,7 @@
 """The benchmark's tracer patches lefbench functions by name; these tests
 fail when a change to the package would break a traced run (``bench/run.py
---trace 1``).  The tracer is loaded from its file, as the benchmark runs it."""
+--trace 1``), or a gate that run applies.  The tracer and the workloads are
+loaded from their files, as the benchmark runs them."""
 
 import importlib
 import importlib.util
@@ -12,16 +13,23 @@ import pytest
 
 import lefbench.cli  # imports every traced module
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _bench_module(name: str):
+    """bench/<name>.py, loaded from its file and registered under its own
+    name, which its dataclasses look up."""
+    spec = importlib.util.spec_from_file_location(
+        f"lefbench_bench_{name}", ROOT / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def tracer():
-    spec = importlib.util.spec_from_file_location("lefbench_bench_tracer",
-                                                  TRACER_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _bench_module("tracer")
 
 
 def _target(modname: str, attr: str):
@@ -91,3 +99,27 @@ def test_traced_run_counts_every_layer_call(tracer, tmp_path, capsys):
     assert code == 0
     assert t.counts["wrapping.wrap"] == 12
     assert t.counts["tower.build_stage"] == 12
+
+
+def test_traced_floer_ranks_count_each_zigzag_surgery(tracer, tmp_path,
+                                                      monkeypatch, capsys):
+    # run.py refuses a traced bigon-surgery request whose eliminate_bigon
+    # calls differ from the surgeries its zig-zag's sign changes predict;
+    # workloads name their inputs relative to the repository root
+    monkeypatch.chdir(ROOT)
+    workloads = _bench_module("workloads")
+    requests = workloads.build("bigon-surgery", 3, tmp_path)[0]
+    t = tracer.Tracer()
+    t.install()
+    try:
+        for req in requests:
+            t.begin_request()
+            code = lefbench.cli.main(req.argv)
+            t.end_request()
+            assert code == req.exit_code == 0, req.argv
+            assert req.verify(capsys.readouterr().out) is None, req.argv
+            assert t.in_request["minpos.eliminate_bigon"] == req.surgeries, (
+                req.argv, req.surgeries)
+    finally:
+        t.uninstall()
+    assert len(requests) == len(workloads.BIGON_KS)

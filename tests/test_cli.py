@@ -356,6 +356,28 @@ def test_render_refuses_spirals_past_sys_maxsize(command, resolution,
         " budget of 250000; the deepest is tower a:b at level 3\n"))
 
 
+@pytest.mark.parametrize("resolution", [8, 32])
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("scenario", ["W0", "W1"])
+def test_resolution_overrides_the_run_disc_only(scenario, command, resolution,
+                                                tmp_path, capsys):
+    # --resolution N runs as the config whose run disc alone declares
+    # resolution N: the same report, error, exit code and diagrams
+    run_disc = f"resolution = 16\n\n[fibration main-{scenario}]"
+    edited = _edited(tmp_path, scenario, run_disc,
+                     run_disc.replace("16", str(resolution)))
+    runs = []
+    for argv, svg in (([shipped(f"{scenario}.cfg"), "--resolution",
+                        str(resolution)], tmp_path / "flag"),
+                      ([str(edited)], tmp_path / "line")):
+        code = main([command, *argv, "--svg", str(svg)])
+        runs.append((code, capsys.readouterr(), sorted(
+            (p.name, p.read_bytes()) for p in svg.glob("*.svg"))))
+    assert runs[0] == runs[1]
+    if command in ("render", "all") and resolution == 32:
+        assert runs[0][2], "no diagram compared"
+
+
 def test_all_svg_runs_the_full_check_on_no_spiral(monkeypatch, tmp_path,
                                                     capsys):
     # wrap proves each of the 12 stage spirals legal, so their check in
@@ -1165,21 +1187,23 @@ KEY_VALUE = re.compile(r"^([^#\[\s][^=\n]*= *)(\S+)(.*)$")
 
 
 def key_value_variants(text):
-    """Each 'key = value' line of text in two variants: its first value
-    token replaced by 0, and ' 0 2' appended to it."""
+    """Each 'key = value' line of text in three variants: its first value
+    token replaced by 0, ' 0 2' appended to it, and its first value token
+    replaced by a 20-digit number, large but within int()'s digit limit."""
     lines = text.splitlines(keepends=True)
     for i, line in enumerate(lines):
         m = KEY_VALUE.match(line.rstrip("\n"))
         if m:
-            for new in (f"{m[1]}0{m[3]}\n", f"{m[0]} 0 2\n"):
+            for new in (f"{m[1]}0{m[3]}\n", f"{m[0]} 0 2\n",
+                        f"{m[1]}{'9' * 20}{m[3]}\n"):
                 yield "".join(lines[:i] + [new] + lines[i + 1:])
 
 
 @pytest.mark.parametrize("scenario", ["W0", "W1", "ts3"])
 def test_key_value_variants_end_in_exit_code(scenario, tmp_path, capsys):
     # the exception contract of test_mutated_configs_end_in_exit_code over
-    # a zero first value and a trailing '0 2' on each line: '0 2' after a
-    # homology line declares a zero torsion invariant
+    # a zero or a 20-digit first value and a trailing '0 2' on each line:
+    # '0 2' after a homology line declares a zero torsion invariant
     text = Path(shipped(f"{scenario}.cfg")).read_text()
     cfg = tmp_path / "variant.cfg"
     variants = list(key_value_variants(text))

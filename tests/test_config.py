@@ -70,7 +70,9 @@ def test_shipped_main_scenarios(variant):
     cfg = load_config(shipped(f"{variant}.cfg"))
     assert cfg.fibration == scen.full_main_fibration(variant)
     assert cfg.name == f"main-{variant}"
-    assert cfg.towers == (("b", "b"), ("a", "a"), ("a", "b"))
+    assert [(cx.puncture, cy.puncture) for cx, cy in cfg.towers] == [
+        ("b", "b"), ("a", "a"), ("a", "b")]
+    assert {c for pair in cfg.towers for c in pair} <= set(cfg.fibration.crits)
     assert cfg.wrap == WrapParams(Q(1, 64), (0, 1, 2, 3))
 
 

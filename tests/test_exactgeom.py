@@ -21,13 +21,12 @@ from lefbench.exactgeom import (Pt, _shift_sign, box_pairs, box_pairs_between,
                                 segment_box, segment_crossing,
                                 segment_near_origin,
                                 segments_overlap_collinear, winding_number)
-from lefbench.fibration import with_resolution
 from lefbench.minpos import compute_crossings
 from lefbench.wrapping import BEND, source_annulus, wrap
 
 from oracles import (ccw_gap, homog, line_intersection, polygon_area2,
                      segment_point_dist2, sgn_eps)
-from scen import arc_through, pt
+from scen import arc_through, pt, regrid
 from test_disc import _embedding_error, no_zero_length
 
 
@@ -406,7 +405,7 @@ W1 = load_config(str(resources.files("lefbench") / "scenarios" / "W1.cfg"))
 
 def w1_spirals(resolution, m=2):
     """The W1 stage spirals of towers b:b (bent) and a:b at level m."""
-    f = with_resolution(W1.fibration, resolution)
+    f = regrid(W1.fibration, resolution)
     return f, [wrap(f.crit_for(x).path, m, W1.wrap, f.disc, bend=x == y)
                for x, y in (("b", "b"), ("a", "b"))]
 
@@ -481,7 +480,7 @@ def test_circle_hpoint_is_the_reference_circle_point(a, d):
 @pytest.mark.parametrize("m", [0, 1, 3])
 @pytest.mark.parametrize("bend", [False, True])
 def test_wrap_builds_the_reference_spiral(resolution, m, bend):
-    f = with_resolution(W1.fibration, resolution)
+    f = regrid(W1.fibration, resolution)
     params = W1.wrap
     for crit in f.crits:
         arc = crit.path

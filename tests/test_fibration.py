@@ -457,9 +457,8 @@ def test_random_abstract_attachments_match_oracle():
 
 
 def test_random_matching_classes_rebuild_their_cell_cycles():
-    # the class is the fiber's zeros (H_2 of these fibers is 0) followed by
-    # the cell cycle: -1, +1 over equal classes, +1, +1 over opposite ones,
-    # a kernel vector of the attachment matrix
+    # the class is the cell cycle: -1, +1 over equal classes, +1, +1 over
+    # opposite ones, a kernel vector of the attachment matrix
     pairs = 0
     for f in _random_attachments():
         classes = [vec for _, vec in f.fiber.cycle_classes]
@@ -511,10 +510,11 @@ def _row_disc(n):
 
 def _random_bifibration(rng, depth):
     """A fibration depth (2 or 3) levels deep.  The innermost fiber has H_1
-    of rank 1-3, H_2 of rank 0-2 (the zeros in front of a class), and two
-    to five crits with classes drawn from one or two vectors and their
-    negatives, so repeated and negated; each outer level has one to four
-    crits, labelled by random matching objects of the level inside."""
+    of rank 1-3, H_2 of rank 0-2 (the zeros in front of a class in the
+    kernel basis, and none in front of a cell cycle), and two to five
+    crits with classes drawn from one or two vectors and their negatives,
+    so repeated and negated; each outer level has one to four crits,
+    labelled by random matching objects of the level inside."""
     width = rng.randint(1, 3)
     pool = [tuple(rng.randint(-2, 2) for _ in range(width))
             for _ in range(rng.randint(1, 2))]
@@ -566,7 +566,7 @@ def _kernel_basis_model(f):
         cells = [0] * n
         if i != j:
             cells[i], cells[j] = (-1 if cl == cr else 1), 1
-        assert matching_cycle_class(f, mo) == fiber_part + tuple(cells)
+        assert matching_cycle_class(f, mo) == tuple(cells)
         coords = sympy_kernel_coordinates(kernel, cells)
         assert coords is not None, "a cell cycle off the kernel"
         out[mo.name] = fiber_part + coords

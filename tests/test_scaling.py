@@ -3,17 +3,19 @@
 Each row runs one knob at three sizes, each twice the one before, and
 bounds the growth per doubling of a deterministic count of work, not of
 time.  2.3 per doubling admits O(n log n) and refuses O(n^2), which
-gives 4.
+gives 4.  A number in the config that is not a size is a knob whose work
+does not grow at all.
 """
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 from lefbench import fibration
 from lefbench.cli import main
 from lefbench.config import NESTING_LIMIT
 from lefbench.minpos import intersection_profile
-from test_cli import _chain_config
+from test_cli import _chain_config, shipped
 from test_minimal_position import zigzag_pair
 
 PER_DOUBLING = 2.3
@@ -67,3 +69,26 @@ def test_nested_total_space_derivations_grow_linearly(monkeypatch, tmp_path,
         assert all(m > 0 for m in row), (name, row)
         assert all(m <= PER_DOUBLING * k for k, m in zip(row, row[1:])), \
             (name, row)
+
+
+def test_a_fiber_rank_is_not_a_matrix_size(monkeypatch, tmp_path, capsys):
+    """homology on W0 with H_2 of rank N declared for the inner fiber, where
+    it is the degree of the inner cells: each inner matching class is its
+    cell cycle, one entry per critical value, so the attachment matrices
+    hold as many entries at N = 10**20 as at N = 10."""
+    entries = []
+
+    def counted(rows, real=fibration.smith_form):
+        entries[-1].append(sum(len(row) for row in rows))
+        return real(rows)
+    monkeypatch.setattr(fibration, "smith_form", counted)
+    text = Path(shipped("W0.cfg")).read_text()
+    cfg = tmp_path / "rank.cfg"
+    for n in (10, 10 ** 6, 10 ** 20):
+        cfg.write_text(text.replace("homology 1 = 1\n",
+                                    f"homology 1 = 1\nhomology 2 = {n}\n"))
+        entries.append([])
+        assert main(["homology", str(cfg)]) == 0
+        assert f"H2: Z^{n + 1}\n" in capsys.readouterr().out
+    # three inner cells on one row, then two outer cells on three rows
+    assert entries == [[3, 6]] * 3, entries

@@ -16,7 +16,7 @@ from lefbench.disc import BoundaryAngle, DiscModel
 from lefbench.errors import (Inconsistent, LefbenchError, NonEmbeddableInput,
                              SpiralCollision)
 from lefbench.exactgeom import Pt, min_angular_gap
-from lefbench.fibration import Crit, with_resolution
+from lefbench.fibration import Crit
 from lefbench.minpos import minimal_position
 from lefbench.rank_calculus import FsHomRanks, fs_hom_ranks
 from lefbench.tower import WrappedComplexStage, build_stage, build_tower
@@ -119,7 +119,7 @@ def test_w0_w1_inventories_identical():
 
 def test_doubled_resolution_keeps_inventory():
     f = scen.full_main_fibration("W1")
-    f2 = with_resolution(f, 2 * f.disc.boundary_resolution)
+    f2 = scen.regrid(f, 2 * f.disc.boundary_resolution)
     assert f2.disc.boundary_resolution == 2 * f.disc.boundary_resolution
     fs, fs2 = fs_hom_ranks(f), fs_hom_ranks(f2)
     for pair in (("b", "b"), ("a", "b")):
@@ -164,7 +164,7 @@ def assert_matches_oracles(f, pairs, params, fs=None):
 @pytest.mark.parametrize("resolution", [16, 64])
 @pytest.mark.parametrize("variant", ["W0", "W1"])
 def test_stage_counts_match_spirals(variant, resolution):
-    f = with_resolution(scen.full_main_fibration(variant), resolution)
+    f = scen.regrid(scen.full_main_fibration(variant), resolution)
     assert assert_matches_oracles(f, PAIRS, DEEP) == 0
 
 
