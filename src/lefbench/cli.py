@@ -226,7 +226,7 @@ def _parser() -> _Parser:
     p.add_argument("--out", metavar="FILE", help="write the report here")
     p.add_argument("--svg", metavar="DIR", help="write SVG diagrams here")
     p.add_argument("--resolution", type=int, metavar="N",
-                   help="override the boundary grid resolution everywhere")
+                   help="override the run disc's boundary grid resolution")
     return p
 
 

@@ -322,11 +322,12 @@ def segment_near_origin(a: Hpt, b: Hpt, r2: Fraction) -> bool:
 def winding_number(p: Hpt, closed: list[Hpt]) -> int:
     """Winding number of a closed polyline around p (p off the curve)."""
     px, py, pw = p
-    wn = 0
-    for a, b in zip(closed, closed[1:] + closed[:1]):
+    wn, a = 0, closed[-1]
+    for b in closed:    # each edge a -> b, the closing one first
         if a[1] * pw <= py * a[2]:
             if b[1] * pw > py * b[2] and orient(a, b, p) > 0:
                 wn += 1
         elif b[1] * pw <= py * b[2] and orient(a, b, p) < 0:
             wn -= 1
+        a = b
     return wn

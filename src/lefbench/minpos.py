@@ -20,12 +20,15 @@ its corners from the list, and no rerouted arc is built.  Each later lens
 is built on the input arcs: the isotopies so far swept discs holding no
 puncture, so that lens is homotopic, in the disc minus the punctures, to
 the lens of the rerouted pair, a simple closed curve; it is empty exactly
-when its winding number around every puncture is 0.  Once no bigon is
-left, a crossing that comes first along both arcs from a shared puncture p
-is dropped when the half-lens it bounds with p winds around no other
-puncture, until none is left.  All of it runs on homogeneous integer
-points and on ranks: Fraction positions are compared once per pair, to
-rank the crossings along each arc (compute_crossings).
+when its winding number around every puncture is 0.  So a lens depends
+on its corners alone: the pairs adjacent on both arcs wait on a heap in
+order along a (Chains), each tested once, and the first empty bigon along
+a goes first, as in a search restarted after each surgery, so the same
+crossings are kept.  Then a crossing first along both arcs from a shared
+puncture p is dropped when the half-lens it bounds with p winds around
+no other puncture, until none is left.  All of it runs on homogeneous
+integer points and on ranks: Fraction positions are compared once per
+pair, to rank the crossings along each arc (compute_crossings).
 intersection_profile reduces a pair and keeps only the number of crossings
 left.  Which ends a pair shares is decided in one place, shared_ends: the
 segment pairs pinned at a shared puncture, the refusal of a shared
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heappop, heappush
 from typing import Iterator, NamedTuple
 
 from .disc import BoundaryAngle, DiscModel, Endpoint, PlanarArc, Puncture
@@ -61,9 +65,6 @@ class ArcCrossing:
     def pos(self, side: int) -> Pos:
         return self.a_pos if side == 0 else self.b_pos
 
-    def rank(self, side: int) -> int:
-        return self.a_rank if side == 0 else self.b_rank
-
 
 def shared_ends(a: PlanarArc, b: PlanarArc
                 ) -> list[tuple[Endpoint, bool, bool]]:
@@ -86,10 +87,12 @@ def _canonically_after(ha: tuple[Hpt, ...], hb: tuple[Hpt, ...]) -> bool:
 
 
 def _ranks(keys: list[Pos]) -> list[int]:
-    """Each key's index in the stable sort of keys: the inverse, by sorting
-    it, of the sorting permutation."""
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    return sorted(range(len(keys)), key=order.__getitem__)
+    """Each key's index in the stable sort of keys: the inverse, by
+    enumeration, of the sorting permutation."""
+    ranks = [0] * len(keys)
+    for r, k in enumerate(sorted(range(len(keys)), key=keys.__getitem__)):
+        ranks[k] = r
+    return ranks
 
 
 def compute_crossings(a: PlanarArc, b: PlanarArc) -> list[ArcCrossing]:
@@ -153,47 +156,92 @@ def _lens(a: PlanarArc, b: PlanarArc, x: ArcCrossing,
     return side_a + side_b[::-1][1:-1]
 
 
+def _empty(a: PlanarArc, b: PlanarArc, disc: DiscModel, x: ArcCrossing,
+           y: ArcCrossing) -> bool:
+    """The lens of x and y (_lens) winds around no puncture."""
+    poly = _lens(a, b, x, y)
+    for p in disc.hpoints:
+        if winding_number(p, poly):
+            return False
+    return True
+
+
 def find_empty_bigons(a: PlanarArc, b: PlanarArc, disc: DiscModel,
                       crossings: list[ArcCrossing]) -> Iterator[Bigon]:
-    """The bigons of a and b among crossings (compute_crossings, less the
-    corners of bigons already removed), with corners adjacent on both arcs
-    and a lens of winding number 0 around every puncture, lazily in
-    deterministic order along a: each lens is built and tested only when
-    the next bigon is asked for.  Adjacency is read from the ranks."""
-    if len(crossings) < 2:
-        return
+    """The bigons of a and b among crossings (compute_crossings, or some of
+    them): corners adjacent on both arcs, by rank, and an empty lens
+    (_empty), lazily in order along a, each lens built and tested only
+    when the next bigon is asked for.  _reduce asks for the first."""
     by_a = sorted(crossings, key=lambda c: c.a_rank)
     b_index = {r: k for k, r in enumerate(sorted([c.b_rank
                                                    for c in crossings]))}
     for x, y in zip(by_a, by_a[1:]):
-        if abs(b_index[x.b_rank] - b_index[y.b_rank]) != 1:
-            continue
-        poly = _lens(a, b, x, y)
-        if not any(winding_number(p, poly) for p in disc.hpoints):
+        if (abs(b_index[x.b_rank] - b_index[y.b_rank]) == 1
+                and _empty(a, b, disc, x, y)):
             yield Bigon(x, y)
 
 
-def eliminate_bigon(bigon: Bigon, crossings: list[ArcCrossing]
-                    ) -> list[ArcCrossing]:
-    """The crossings of a pair without the two corners of one of its empty
-    bigons (find_empty_bigons), dropped by identity: the isotopy across the
-    lens that this stands for moves no other crossing along either arc."""
-    return [c for c in crossings
-            if c is not bigon.first and c is not bigon.second]
+class Chains(NamedTuple):
+    """A pair's crossings still in play as two doubly linked lists over
+    a_ranks (at_a[r] has a_rank r), along a and along b; the last index,
+    n, heads both, and a removed crossing's next_a is -1."""
+    at_a: list[ArcCrossing]
+    next_a: list[int]
+    prev_a: list[int]
+    next_b: list[int]
+    prev_b: list[int]
+
+    @classmethod
+    def of(cls, crossings: list[ArcCrossing]) -> Chains:
+        n = len(crossings)
+        at_a, ring = [*crossings], [n] * (n + 2)
+        for c in crossings:
+            at_a[c.a_rank], ring[c.b_rank + 1] = c, c.a_rank
+        next_b, prev_b = [n] * (n + 1), [n] * (n + 1)
+        for u, v in zip(ring, ring[1:]):
+            next_b[u], prev_b[v] = v, u
+        return cls(at_a, [*range(1, n + 1), 0], [n, *range(n)], next_b, prev_b)
+
+    def remove(self, i: int) -> None:
+        """Unlink the crossing of a_rank i from both lists."""
+        for after, before in ((self.next_a, self.prev_a),
+                              (self.next_b, self.prev_b)):
+            after[before[i]], before[after[i]] = after[i], before[i]
+        self.next_a[i] = -1
+
+
+def eliminate_bigon(bigon: Bigon, chains: Chains,
+                    queue: list[tuple[int, int]]) -> None:
+    """Splice the corners of one empty bigon, neighbours on both lists, out
+    of both in O(1) (the isotopy across its lens moves no other crossing);
+    push on the heap queue the pairs (a_ranks) this makes adjacent."""
+    _, next_a, prev_a, next_b, prev_b = chains
+    x, y = bigon.first.a_rank, bigon.second.a_rank
+    lo, hi = (x, y) if next_b[x] == y else (y, x)
+    p, q, r, s = prev_a[x], next_a[y], prev_b[lo], next_b[hi]
+    next_a[p], prev_a[q], next_b[r], prev_b[s] = q, p, s, r
+    next_a[x] = next_a[y] = -1
+    n = len(next_a) - 1
+    if p != n != q and (next_b[p] == q or next_b[q] == p):
+        heappush(queue, (p, q))
+    r, s = min(r, s), max(r, s)
+    if s != n and next_a[r] == s and (r, s) != (p, q):
+        heappush(queue, (r, s))
 
 
 def _half_bigon(a: PlanarArc, b: PlanarArc, disc: DiscModel,
-                crossings: list[ArcCrossing]) -> ArcCrossing | None:
-    """A crossing c that is the first along both arcs from a shared
-    puncture p, where the half-lens (a from p to c, then b back to p) winds
-    around no puncture but p; None if there is none.  The shared ends are
-    taken in puncture-name order: _reduce has refused a shared boundary
-    end, so each is a puncture."""
+                chains: Chains) -> ArcCrossing | None:
+    """A crossing c that is the first along both arcs (an end of both lists)
+    from a shared puncture p, where the half-lens (a from p to c, then b
+    back to p) winds around no puncture but p; None if there is none.  The
+    shared ends are taken in puncture-name order: _reduce has refused a
+    shared boundary end, so each is a puncture."""
+    ends = ((chains.next_a, chains.prev_a), (chains.next_b, chains.prev_b))
     for _, *at_starts in sorted(shared_ends(a, b), key=lambda s: s[0].name):
         corners, sides = [], []
-        for side, (arc, at_start) in enumerate(zip((a, b), at_starts)):
-            c = (min if at_start else max)(crossings,
-                                           key=lambda x: x.rank(side))
+        for side, (arc, at_start, (after, before)) in enumerate(
+                zip((a, b), at_starts, ends)):
+            c = chains.at_a[(after if at_start else before)[-1]]
             s = c.pos(side)[0]
             corners.append(c)
             sides.append([*(arc.hverts[:s + 1] if at_start
@@ -214,7 +262,7 @@ def _reduce(a: PlanarArc, b: PlanarArc, disc: DiscModel
             ) -> list[ArcCrossing]:
     """The crossings the pair keeps in minimal position (up to isotopy rel
     endpoints in the punctured disc): those of compute_crossings that no
-    bigon or half-bigon removes, located on a and b."""
+    bigon or half-bigon removes, located on a and b, in list order."""
     a.validate(disc)
     b.validate(disc)
     angles = sorted([e.angle for e, _, _ in shared_ends(a, b)
@@ -224,11 +272,22 @@ def _reduce(a: PlanarArc, b: PlanarArc, disc: DiscModel
             "arcs share boundary endpoint angle(s) "
             + ", ".join(map(str, angles)))
     crossings = compute_crossings(a, b)
-    while bigon := next(find_empty_bigons(a, b, disc, crossings), None):
-        crossings = eliminate_bigon(bigon, crossings)
-    while crossings and (c := _half_bigon(a, b, disc, crossings)):
-        crossings = [x for x in crossings if x is not c]
-    return crossings
+    at_a, next_a, _, next_b, _ = chains = Chains.of(crossings)
+    bigon = next(find_empty_bigons(a, b, disc, crossings), None)
+    queue = [(i, i + 1) for i in range(bigon.second.a_rank + 1,
+                                       len(crossings) - 1)
+             if next_b[i] == i + 1 or next_b[i + 1] == i] if bigon else []
+    while bigon:
+        eliminate_bigon(bigon, chains, queue)
+        bigon = None
+        while queue and not bigon:
+            i, j = heappop(queue)
+            if next_a[i] == j and _empty(a, b, disc, at_a[i], at_a[j]):
+                bigon = Bigon(at_a[i], at_a[j])
+    while next_a[-1] != len(crossings) and (
+            c := _half_bigon(a, b, disc, chains)):
+        chains.remove(c.a_rank)
+    return [c for c in crossings if next_a[c.a_rank] != -1]
 
 
 def minimal_position(a: PlanarArc, b: PlanarArc,

@@ -767,6 +767,19 @@ def fraction_empty_bigons(a, b, disc, crossings):
     return bigons
 
 
+def first_bigon_reduction(a, b, disc):
+    """minpos's bigon phase in the order minpos removes bigons: on
+    all_pairs_crossings, drop the corners of the first empty bigon along a
+    (fraction_empty_bigons over the crossings still there) until none is
+    left.  Returns the crossings kept, in list order."""
+    crossings = all_pairs_crossings(a, b)
+    while bigons := fraction_empty_bigons(a, b, disc, crossings):
+        corners = bigons[0]
+        crossings = [c for c in crossings
+                     if c is not corners.first and c is not corners.second]
+    return crossings
+
+
 # ---------------------------------------------------------------------------
 # Fraction bigon surgery: each bigon removed by rerouting one arc
 # ---------------------------------------------------------------------------

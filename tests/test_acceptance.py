@@ -25,8 +25,9 @@ from lefbench.rank_calculus import (FsHomRanks, _directed_twist, analyze,
 from lefbench.tower import build_stage
 from lefbench.wrapping import wrap
 
-from test_minimal_position import (compute_crossings, eliminate_bigon,
-                                   find_empty_bigons, random_band_pair)
+from test_minimal_position import (Chains, compute_crossings,
+                                   eliminate_bigon, find_empty_bigons,
+                                   random_band_pair, survivors)
 from test_tower import crits_of, inventory
 
 GOLDEN = Path(__file__).parent / "golden" / "w1_all.txt"
@@ -124,8 +125,10 @@ def test_c6_property_suites(capsys, cfgs):
             rng = random.Random(seed)
             disc, f, g = random_band_pair(rng)
             crossings = compute_crossings(f, g)
+            chains = Chains.of(crossings)
             while bigons := list(find_empty_bigons(f, g, disc, crossings)):
-                crossings = eliminate_bigon(rng.choice(bigons), crossings)
+                eliminate_bigon(rng.choice(bigons), chains, [])
+                crossings = survivors(chains)
             assert len(crossings) == len(minimal_position(f, g, disc))
 
         # (b) the exact-triangle rank formula agrees with a brute mapping-cone

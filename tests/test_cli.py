@@ -1288,7 +1288,7 @@ options:
   -h, --help            show this help message and exit
   --out FILE            write the report here
   --svg DIR             write SVG diagrams here
-  --resolution N        override the boundary grid resolution everywhere
+  --resolution N        override the run disc's boundary grid resolution
 """
 
 

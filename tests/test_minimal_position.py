@@ -15,14 +15,14 @@ from lefbench.disc import BoundaryAngle, DiscModel, Puncture
 from lefbench.errors import (DegenerateTangency, LefbenchError,
                              SharedBoundaryEndpoint)
 from lefbench import minpos
-from lefbench.minpos import (_canonically_after, compute_crossings,
+from lefbench.minpos import (Chains, _canonically_after, compute_crossings,
                              eliminate_bigon, find_empty_bigons,
                              intersection_profile, minimal_position)
 
 from oracles import (GenericityError, all_pairs_crossings, brute_crossing_count,
-                     canonical_key, fraction_eliminate_bigon,
-                     fraction_empty_bigons, homog, point_at, point_on_segment,
-                     segments)
+                     canonical_key, first_bigon_reduction,
+                     fraction_eliminate_bigon, fraction_empty_bigons, homog,
+                     point_at, point_on_segment, segments)
 from scen import arc_through, aux_disc, hpt, point, pt
 from test_disc import GRID_POINTS, GRID_POLYLINES, no_zero_length
 
@@ -346,6 +346,34 @@ def random_band_pair(rng):
     return disc, fa, ga
 
 
+def survivors(chains):
+    """The crossings left in chains, walked along a from the head.  Walked
+    forward and back along each list, the same crossings come in rank
+    order, and exactly the removed ones have next_a -1."""
+    n = len(chains.at_a)
+    walks = []
+    for step in (chains.next_a, chains.prev_a, chains.next_b, chains.prev_b):
+        walk, i = [], step[n]
+        while i != n:
+            walk.append(chains.at_a[i])
+            i = step[i]
+        walks.append(walk)
+    along_a, back_a, along_b, back_b = walks
+    assert back_a == along_a[::-1] and back_b == along_b[::-1]
+    assert [c.a_rank for c in along_a] == [
+        r for r in range(n) if chains.next_a[r] != -1]
+    assert sorted(along_b, key=lambda c: c.a_rank) == along_a
+    assert [c.b_rank for c in along_b] == sorted(c.b_rank for c in along_b)
+    return along_a
+
+
+def paired(chains):
+    """The pairs, as a_ranks in order along a, adjacent on both lists."""
+    left = [c.a_rank for c in survivors(chains)]
+    return {(i, j) for i, j in zip(left, left[1:])
+            if chains.next_b[i] == j or chains.next_b[j] == i}
+
+
 @pytest.mark.parametrize("seed", range(100))
 def test_random_elimination_order_reaches_parity(seed):
     rng = random.Random(seed)
@@ -363,12 +391,19 @@ def test_random_elimination_order_reaches_parity(seed):
     # crossing's position on either arc
     for c in crossings:
         assert point(c.hpoint) == point_at(f, c.a_pos) == point_at(g, c.b_pos)
+    chains = Chains.of(crossings)
     while bigons := list(find_empty_bigons(f, g, disc, crossings)):
         bigon = rng.choice(bigons)
-        left = eliminate_bigon(bigon, crossings)
-        # no arc is rerouted: the bigon's two corners leave the list
+        before, new = paired(chains), []
+        eliminate_bigon(bigon, chains, new)
+        left = survivors(chains)
+        # no arc is rerouted: the bigon's two corners leave the lists
         assert len(left) == len(crossings) - 2
         assert bigon.first not in left and bigon.second not in left
+        # the pairs queued are the ones the removal made adjacent on both
+        # lists, each once
+        assert len(set(new)) == len(new)
+        assert set(new) == paired(chains) - before
         crossings = left
     final = len(crossings)
     assert final == start % 2
@@ -475,6 +510,85 @@ def test_half_bigon_at_one_shared_puncture():
     assert intersection_profile(a, b, disc) == 0
 
 
+def punctured_zigzag_pair(k, rng):
+    """zigzag_pair(k) with one more puncture inside each lens below B, on
+    the vertical through A's vertex there, halfway up to B.  Only the
+    lenses above B are empty, so the first crossing stays and its lens
+    with the next crossing along A grows with every surgery."""
+    disc, a, b = zigzag_pair(k, rng)
+    level = Q(-1, 5)
+    extra = tuple((f"z{i}", hpt(v.x, (v.y + level) / 2)) for i, v in
+                  enumerate(v for v in a.vertices[1:-1] if v.y < level))
+    disc = DiscModel(punctures=disc.punctures + extra)
+    a.validate(disc)
+    b.validate(disc)
+    return disc, a, b
+
+
+def check_removal_order(monkeypatch, a, b, disc):
+    """Wrap eliminate_bigon: each bigon the reduction removes must be the
+    first that fraction_empty_bigons lists among the crossings still in
+    the chains.  Returns the list of bigons removed."""
+    real, removed = minpos.eliminate_bigon, []
+
+    def eliminate(bigon, chains, queue):
+        alive = survivors(chains)
+        assert fraction_empty_bigons(a, b, disc, alive)[:1] == [bigon]
+        removed.append(bigon)
+        real(bigon, chains, queue)
+    monkeypatch.setattr(minpos, "eliminate_bigon", eliminate)
+    return removed
+
+
+def test_worklist_keeps_the_crossings_of_first_bigon_order(monkeypatch):
+    """The heap takes the first empty bigon along a, as a restart of the
+    search after each surgery would: the crossings kept are those of the
+    reference that does restart, on band pairs in both argument orders and
+    on zig-zags.  None of these pairs leaves a half-bigon."""
+    pairs = []
+    for seed in range(200):
+        disc, f, g = random_band_pair(random.Random(seed))
+        pairs += [(disc, f, g), (disc, g, f)]
+    pairs += [zigzag_pair(k, random.Random(k)) for k in range(3, 42, 2)]
+    surgeries = 0
+    for disc, a, b in pairs:
+        with monkeypatch.context() as m:
+            removed = check_removal_order(m, a, b, disc)
+            assert minimal_position(a, b, disc) == first_bigon_reduction(
+                a, b, disc)
+        surgeries += len(removed)
+    assert surgeries > 500
+
+
+def test_worklist_count_matches_reference_surgery(monkeypatch):
+    """With the half-bigon phase off, the bigon phase keeps as many
+    crossings as the geometric surgery, and the same ones as the
+    first-bigon reference, on pairs whose lenses hold punctures and on
+    pairs that share both ends."""
+    monkeypatch.setattr(minpos, "_half_bigon", lambda *args: None)
+    pairs = [punctured_zigzag_pair(k, random.Random(k))
+             for k in range(3, 22, 2)]
+    for seed in range(400):
+        disc, a, b = shared_ends_pair(random.Random(seed))
+        try:
+            a.validate(disc)
+            b.validate(disc)
+            compute_crossings(a, b)
+        except LefbenchError:
+            continue
+        pairs.append((disc, a, b))
+    left = 0
+    for disc, a, b in pairs:
+        with monkeypatch.context() as m:
+            check_removal_order(m, a, b, disc)
+            kept = minimal_position(a, b, disc)
+        assert kept == first_bigon_reduction(a, b, disc)
+        assert len(kept) == reduce_by_reference(a, b, disc,
+                                                lambda bigons: bigons[0])
+        left += len(kept)
+    assert len(pairs) > 120 and left > 60
+
+
 def t_contact_pair():
     """The W0 disc and two matchings from c-left to c-right: B's vertex
     (0, 1/10) touches A's straight middle."""
@@ -496,7 +610,9 @@ def test_t_contact_bigon_has_one_point_kept_side():
     crossings = compute_crossings(a, b)
     assert [point(c.hpoint) for c in crossings] == [pt(0, Q(1, 10))] * 2
     bigon = next(find_empty_bigons(a, b, disc, crossings))
-    assert eliminate_bigon(bigon, crossings) == []
+    chains, queue = Chains.of(crossings), []
+    eliminate_bigon(bigon, chains, queue)
+    assert queue == [] and survivors(chains) == []
     want = fraction_eliminate_bigon(a, b, bigon, disc, crossings)
     assert want[0] == a and want[2] == []
     # B's tip is cut off by one straight segment below A
@@ -538,8 +654,9 @@ def assert_ranked_as_positions(crossings):
     stable sort by position on that side."""
     n = len(crossings)
     for side in (0, 1):
-        assert sorted([c.rank(side) for c in crossings]) == list(range(n))
-        by_rank = sorted(range(n), key=lambda k: crossings[k].rank(side))
+        ranks = [(c.a_rank, c.b_rank)[side] for c in crossings]
+        assert sorted(ranks) == list(range(n))
+        by_rank = sorted(range(n), key=ranks.__getitem__)
         by_pos = sorted(range(n), key=lambda k: crossings[k].pos(side))
         assert by_rank == by_pos
 

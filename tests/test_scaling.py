@@ -11,12 +11,12 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-from lefbench import fibration
+from lefbench import fibration, minpos
 from lefbench.cli import main
 from lefbench.config import NESTING_LIMIT
-from lefbench.minpos import intersection_profile
+from lefbench.minpos import compute_crossings, intersection_profile
 from test_cli import _chain_config, shipped
-from test_minimal_position import zigzag_pair
+from test_minimal_position import punctured_zigzag_pair, zigzag_pair
 
 PER_DOUBLING = 2.3
 
@@ -41,6 +41,50 @@ def test_zigzag_fraction_comparisons_grow_linearly(monkeypatch):
     assert all(n > 0 for n in counts), counts
     assert all(m <= PER_DOUBLING * n for n, m in zip(counts, counts[1:])), \
         counts
+
+
+def test_zigzag_reduction_work_grows_linearly(monkeypatch):
+    """The zig-zag again, at k = 639 / 1279 / 2559: the items minpos hands
+    to sorted plus the pairs eliminate_bigon queues grow linearly, so no
+    surgery re-sorts or copies the crossings left.  On it and on the
+    punctured zig-zag, whose lenses below B hold punctures, no pair's lens
+    is built twice, and there are at most two lenses per crossing."""
+    work, lenses = [0], []
+
+    def counted_sorted(items, **kwargs):
+        items = list(items)
+        work[0] += len(items)
+        return sorted(items, **kwargs)
+
+    def eliminate(bigon, chains, queue, real=minpos.eliminate_bigon):
+        queued = len(queue)
+        real(bigon, chains, queue)
+        work[0] += len(queue) - queued
+
+    def lens(a, b, x, y, real=minpos._lens):
+        lenses.append((x.a_rank, y.a_rank))
+        return real(a, b, x, y)
+    monkeypatch.setattr(minpos, "sorted", counted_sorted, raising=False)
+    monkeypatch.setattr(minpos, "eliminate_bigon", eliminate)
+    monkeypatch.setattr(minpos, "_lens", lens)
+    counts = []
+    for k in (639, 1279, 2559):
+        disc, a, b = zigzag_pair(k, random.Random(k))
+        work[0], lenses[:] = 0, []
+        assert intersection_profile(a, b, disc) == 0
+        counts.append(work[0])
+        assert len(set(lenses)) == len(lenses) <= 2 * (k - 1)
+    assert all(n > 0 for n in counts), counts
+    assert all(m <= PER_DOUBLING * n for n, m in zip(counts, counts[1:])), \
+        counts
+    # each lens here is walked along the input arcs, so the walk grows
+    # quadratically: sizes kept small
+    for k in (127, 255, 511):
+        disc, a, b = punctured_zigzag_pair(k, random.Random(k))
+        lenses[:] = []
+        intersection_profile(a, b, disc)
+        assert len(set(lenses)) == len(lenses) <= 2 * len(
+            compute_crossings(a, b))
 
 
 def test_nested_total_space_derivations_grow_linearly(monkeypatch, tmp_path,
