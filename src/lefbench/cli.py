@@ -16,7 +16,6 @@ so repeated calls leave no discarded parser behind as cyclic garbage.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import sys
 from pathlib import Path
@@ -30,8 +29,8 @@ from .rank_calculus import ScenarioRanks, analyze
 from .report import Report, homology_lines, thimble
 from .svg import diagram_files, stage_svg
 from .tower import build_tower
-from .wrapping import (VERTEX_BUDGET, source_annulus, spiral_vertex_count,
-                       wrap)
+from .wrapping import (VERTEX_BUDGET, WrapParams, grid_resolution,
+                       source_annulus, spiral_vertex_count, wrap)
 
 COMMANDS = ("validate", "homology", "floer-ranks", "hw", "render", "all")
 
@@ -139,13 +138,13 @@ def _render_svgs(cfg: ScenarioConfig, outdir: str) -> list[str]:
     of them builds none."""
     f = cfg.fibration
     stages = [(cx, cy, m) for cx, cy in cfg.towers for m in cfg.wrap.levels]
-    sizes = [spiral_vertex_count(cx.path, m, cfg.wrap, f.disc, bend=cx == cy)
+    sizes = [spiral_vertex_count(cx.path, m, cfg.wrap, bend=cx == cy)
              for cx, cy, m in stages]
     if sum(sizes) > VERTEX_BUDGET:
         cx, cy, m = stages[sizes.index(max(sizes))]
         raise SpiralTooLong(
             f"the spirals of this render at boundary resolution"
-            f" {f.disc.boundary_resolution} need {sum(sizes)} vertices,"
+            f" {cfg.wrap.resolution} need {sum(sizes)} vertices,"
             f" above the budget of {VERTEX_BUDGET}; the deepest is tower"
             f" {cx.puncture}:{cy.puncture} at level {m}")
     files = list(diagram_files(f))
@@ -236,11 +235,8 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.resolution is not None:
-            # the run disc's grid is the only one a spiral is drawn on
-            f = cfg.fibration
-            disc = dataclasses.replace(f.disc,
-                                       boundary_resolution=args.resolution)
-            cfg = cfg._replace(fibration=dataclasses.replace(f, disc=disc))
+            cfg = ScenarioConfig(cfg.fibration, WrapParams(
+                *cfg.wrap[:2], grid_resolution(args.resolution)), cfg.towers)
         text, code = run_command(args.command, cfg, args.svg)
     except LefbenchError as e:
         print(f"error[{type(e).__name__}]: {e}", file=sys.stderr)

@@ -15,7 +15,7 @@ above wrapping.BEND and below the least boundary angle gap.
 Sections::
 
     [disc NAME]        puncture P = x y
-                       resolution = N
+                       resolution = N     (the run disc's: the wrap grid)
     [fiber NAME]       dim = N
                        homology D = FREE [TORSION ...]
                        class LABEL = c1 c2 ...
@@ -60,7 +60,7 @@ from .fibration import (AbstractFiber, Crit, Fibration, HomologyTable,
                         MatchingObject, TotalSpaceFiber)
 from .oracle import KINDS as FACT_KINDS
 from .oracle import Fact, FiberOracle, LabelDecl, Provenance
-from .wrapping import BEND, WrapParams
+from .wrapping import BEND, WrapParams, grid_resolution
 
 _RATIONAL = re.compile(r"[+-]?\d+(/\d+)?\Z")
 _INTEGER = re.compile(r"[+-]?\d+")
@@ -68,8 +68,8 @@ NESTING_LIMIT = 32
 
 
 class ScenarioConfig(NamedTuple):
-    """The run fibration, the wrap parameters, and each [run] tower as
-    the pair of the run fibration's Crits over its two punctures."""
+    """The run fibration, the wrap parameters on its disc's grid, and each
+    [run] tower as the pair of the run fibration's Crits at its punctures."""
     fibration: Fibration
     wrap: WrapParams
     towers: tuple[tuple[Crit, Crit], ...]
@@ -210,9 +210,9 @@ def _check_duplicates(sec: _Section) -> None:
         seen.add(key)
 
 
-def _parse_disc(sec: _Section) -> DiscModel:
+def _parse_disc(sec: _Section) -> tuple[DiscModel, int]:
     punctures: list[tuple[str, Hpt]] = []
-    resolution = 16
+    resolution = WrapParams().resolution
     for loc, key, value in sec.lines:
         words = key.split()
         if len(words) == 2 and words[0] == "puncture":
@@ -222,7 +222,7 @@ def _parse_disc(sec: _Section) -> DiscModel:
         else:
             raise ConfigError(f"{loc}: unknown disc key {key!r}")
     try:
-        return DiscModel(tuple(punctures), resolution)
+        return DiscModel(tuple(punctures)), grid_resolution(resolution)
     except LefbenchError as e:
         raise _located(sec.loc, e) from None
 
@@ -358,7 +358,7 @@ def _parse_oracle(sec: _Section) -> FiberOracle:
 
 def _parse_wrap(sec: _Section) -> tuple[WrapParams, str | None]:
     """The [wrap] parameters and the loc of the delta line, if any."""
-    delta, levels = WrapParams()
+    delta, levels, _ = WrapParams()
     delta_loc = None
     for loc, key, value in sec.lines:
         if key == "delta":
@@ -463,7 +463,8 @@ def parse_config(text: str, source: str = "<config>") -> ScenarioConfig:
     _, (wrap, delta_loc) = parsed["wrap"].get("", ("", (WrapParams(), None)))
     for _, raw in parsed["fibration"].values():
         _check_delta_gap(built[raw.name], wrap, delta_loc or raw.loc)
-    return ScenarioConfig(f, wrap, tuple(towers))
+    _, (_, res) = parsed["disc"][parsed["fibration"][run_fibration][1].disc]
+    return ScenarioConfig(f, WrapParams(*wrap[:2], res), tuple(towers))
 
 
 def _check_delta_gap(f: Fibration, wrap: WrapParams, loc: str) -> None:
@@ -484,7 +485,7 @@ def _build_fibration(raw: _RawFibration, parsed: dict,
     and the fibrations built before it."""
     if raw.disc not in parsed["disc"]:
         raise ConfigError(f"{raw.loc}: unknown disc {raw.disc!r}")
-    disc = parsed["disc"][raw.disc][1]
+    disc = parsed["disc"][raw.disc][1][0]
 
     words = raw.fiber.split()
     if words[:1] == ["total-space"]:

@@ -53,13 +53,10 @@ class DiscModel:
     """Closed unit disc with named punctures strictly inside.
 
     Each puncture is its name and its point as a reduced triple
-    (exactgeom.reduced), the form arcs store their vertices in.
-    boundary_resolution is the number of polyline vertices per full turn used
-    when synthesizing wrapping spirals.  The punctures' points and their
-    sorted x floor keys are gathered once, on first use.
+    (exactgeom.reduced), the form arcs store their vertices in.  The punctures'
+    points and their sorted x floor keys are gathered once, on first use.
     """
     punctures: tuple[tuple[str, Hpt], ...]
-    boundary_resolution: int = 16
 
     def __post_init__(self):
         seen = set()
@@ -72,8 +69,6 @@ class DiscModel:
                     f"puncture {name!r} at {point(hp)} is not strictly"
                     " inside the unit circle")
             seen.add(hp)
-        if self.boundary_resolution < 1:
-            raise LefbenchError("boundary_resolution must be a positive integer")
 
     def hpoint_of(self, name: str) -> Hpt:
         for n, hp in self.punctures:

@@ -14,9 +14,10 @@ entry point rotated counterclockwise by BEND, so source and copy share only
 the puncture point.  This local left-bend requires the source to be in
 radial normal form (a single straight segment from puncture to boundary).
 source_annulus checks a wrap source, for wrap, tower stages and
-``validate``.  WrapParams is the config's [wrap] section, which loading
-checks once (config._parse_wrap, config._check_delta_gap): delta exceeds
-BEND, so that a bent copy still turns forward at level 0.
+``validate``.  WrapParams, the [wrap] section on the run disc's grid, is
+checked once, at loading (config._parse_wrap, _check_delta_gap and
+grid_resolution): delta exceeds BEND, so that a bent copy still turns
+forward at level 0.
 
 The spiral is computed on integers: every angle is a numerator over one
 denominator den = 2 half res per spiral, so the grid's circle points
@@ -76,16 +77,24 @@ from .exactgeom import (ORIGIN, Q, circle_hpoint, closed_segments_touch,
 # how much further on a copy bent off its shared puncture starts
 BEND = Q(1, 128)
 
-# most spiral vertices in one render; the deepest spiral tested, m = 192 at
-# resolution 256, has 49 000
+# most spiral vertices in one render; the deepest spiral tested, W1's at
+# m = 192 on resolution 64, has 12 293
 VERTEX_BUDGET = 250_000
 
 
 class WrapParams(NamedTuple):
-    """The [wrap] section: each wrapped copy turns m full turns plus delta,
-    and a tower has one stage per level m."""
+    """The [wrap] section (a copy turns m full turns plus delta, a tower has a
+    stage per level m) on the run disc's grid, resolution vertices a turn."""
     delta: Fraction = Q(1, 64)
     levels: tuple[int, ...] = (0, 1, 2, 3)
+    resolution: int = 16
+
+
+def grid_resolution(n: int) -> int:
+    """n, a spiral grid's vertices a turn, which must be positive."""
+    if n < 1:
+        raise LefbenchError("boundary_resolution must be a positive integer")
+    return n
 
 
 def source_annulus(arc: PlanarArc, disc: DiscModel,
@@ -122,7 +131,7 @@ def source_annulus(arc: PlanarArc, disc: DiscModel,
     return seen[1]
 
 
-def _angles(arc: PlanarArc, m: int, params: WrapParams, disc: DiscModel,
+def _angles(arc: PlanarArc, m: int, params: WrapParams,
             bend: bool) -> tuple[int, int, int, int]:
     """(den, half, a0, a_end): the angles of the level-m spiral of arc over
     one denominator den, from its start a0 to its end a_end; its grid steps
@@ -130,20 +139,19 @@ def _angles(arc: PlanarArc, m: int, params: WrapParams, disc: DiscModel,
     tau0 = arc.end.angle
     start = tau0 + (BEND if bend else Q(0))
     end = tau0 + m + params.delta
-    den = lcm(start.denominator, end.denominator,
-              2 * disc.boundary_resolution)
-    return (den, den // (2 * disc.boundary_resolution),
+    den = lcm(start.denominator, end.denominator, 2 * params.resolution)
+    return (den, den // (2 * params.resolution),
             start.numerator * (den // start.denominator),
             end.numerator * (den // end.denominator))
 
 
 def spiral_vertex_count(arc: PlanarArc, m: int, params: WrapParams,
-                        disc: DiscModel, bend: bool = False) -> int:
+                        bend: bool = False) -> int:
     """The number of vertices of wrap(arc, m, params, disc, bend), counted
     without building the spiral: the head, the spiral and the tail.  The
     spiral's grid angles are counted by ceiling division: len() of their
     range fails past sys.maxsize, the count does not."""
-    _, half, a0, a_end = _angles(arc, m, params, disc, bend)
+    _, half, a0, a_end = _angles(arc, m, params, bend)
     head = 1 if bend else len(arc.hverts) - 1
     return head - ((a0 + half - a_end) // (2 * half)) + 3
 
@@ -157,8 +165,8 @@ def wrap(arc: PlanarArc, m: int, params: WrapParams, disc: DiscModel,
     # Angles over one denominator: start, then a half-step-shifted grid (so
     # that no spiral vertex can land exactly on a boundary ray of the
     # declared angle grid), then end.
-    res = disc.boundary_resolution
-    den, half, a0, a_end = _angles(arc, m, params, disc, bend)
+    res = params.resolution
+    den, half, a0, a_end = _angles(arc, m, params, bend)
     grid = range(a0 + half, a_end, 2 * half)
     head = arc.hverts[:1] if bend else arc.hverts[:-1]
     angles = [a0, *grid, a_end]

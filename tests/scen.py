@@ -6,7 +6,6 @@ and its siblings) asserts that parsing the shipped files yields exactly these
 objects.
 """
 
-from dataclasses import replace
 from fractions import Fraction as Q
 
 from lefbench.disc import BoundaryAngle, DiscModel, PlanarArc, Puncture
@@ -55,12 +54,6 @@ def vanishing(disc: DiscModel, name: str, angle, *mid) -> PlanarArc:
 def matching(disc: DiscModel, a: str, b: str, *mid) -> PlanarArc:
     vs = (point_of(disc, a),) + tuple(mid) + (point_of(disc, b),)
     return arc_through(vs, Puncture(a), Puncture(b))
-
-
-def regrid(f: Fibration, n: int) -> Fibration:
-    """f with its own disc's boundary grid at resolution n, as --resolution
-    gives the run fibration."""
-    return replace(f, disc=replace(f.disc, boundary_resolution=n))
 
 
 def circle_fiber() -> AbstractFiber:

@@ -15,7 +15,6 @@ from pathlib import Path
 import pytest
 
 import oracles
-import scen
 from lefbench.cli import main
 from lefbench.config import load_config
 from lefbench.fibration import total_space_homology
@@ -170,16 +169,16 @@ def test_c6_property_suites(capsys, cfgs):
         # (e) the crossing count of every intersection profile is
         # unchanged when the boundary grid is twice as fine
         for v, cfg in cfgs.items():
-            base = cfg.fibration
-            fine = scen.regrid(base, 2 * base.disc.boundary_resolution)
+            f = cfg.fibration
+            fine = cfg.wrap._replace(resolution=2 * cfg.wrap.resolution)
             for x, y in PAIRS:
                 for m in LEVELS:
                     got = []
-                    for fib in (base, fine):
-                        moved = wrap(fib.crit_for(x).path, m, cfg.wrap,
-                                     fib.disc, bend=x == y)
+                    for params in (cfg.wrap, fine):
+                        moved = wrap(f.crit_for(x).path, m, params, f.disc,
+                                     bend=x == y)
                         got.append(intersection_profile(
-                            moved, fib.crit_for(y).path, fib.disc))
+                            moved, f.crit_for(y).path, f.disc))
                     assert got[0] == got[1]
 
 

@@ -378,6 +378,46 @@ def test_resolution_overrides_the_run_disc_only(scenario, command, resolution,
         assert runs[0][2], "no diagram compared"
 
 
+@pytest.mark.parametrize("scenario", ["W0", "W1"])
+def test_inner_disc_grid_is_never_read(scenario, tmp_path, capsys):
+    # a grid of 3 on the inner disc would fail any spiral drawn on it
+    inner = {"W0": "c-out = 0 -1/2", "W1": "c-mid = 0 0"}[scenario]
+    edited = _edited(tmp_path, scenario, f"puncture {inner}\nresolution = 16",
+                     f"puncture {inner}\nresolution = 3")
+    runs = []
+    for cfg, svg in ((shipped(f"{scenario}.cfg"), tmp_path / "shipped"),
+                     (str(edited), tmp_path / "inner")):
+        code = main(["all", cfg, "--svg", str(svg)])
+        runs.append((code, capsys.readouterr(), sorted(
+            (p.name, p.read_bytes()) for p in svg.glob("*.svg"))))
+    assert runs[0] == runs[1] and runs[0][0] == 0 and runs[0][2]
+
+
+_NOT_A_GRID = "boundary_resolution must be a positive integer\n"
+
+
+@pytest.mark.parametrize("resolution", ["0", "-3"])
+@pytest.mark.parametrize("command", ["validate", "hw"])
+@pytest.mark.parametrize("scenario", ["W0", "W1"])
+def test_resolution_flag_below_one_is_refused(scenario, command, resolution,
+                                              capsys):
+    assert main([command, shipped(f"{scenario}.cfg"),
+                 "--resolution", resolution]) == 1
+    assert capsys.readouterr() == ("", "error[LefbenchError]: " + _NOT_A_GRID)
+
+
+@pytest.mark.parametrize("disc, header", [("c-mid = 0 0", 6),
+                                          ("b = 1/2 0", 35)])
+def test_resolution_line_below_one_is_refused_at_its_disc(disc, header,
+                                                          tmp_path, capsys):
+    # the inner disc and the run disc alike, located at the disc's header
+    old = f"puncture {disc}\nresolution = 16"
+    cfg = _edited(tmp_path, "W1", old, old.replace("16", "0"))
+    assert main(["validate", str(cfg)]) == 1
+    assert capsys.readouterr() == (
+        "", f"error[LefbenchError]: {cfg}:{header}: {_NOT_A_GRID}")
+
+
 def test_all_svg_runs_the_full_check_on_no_spiral(monkeypatch, tmp_path,
                                                     capsys):
     # wrap proves each of the 12 stage spirals legal, so their check in

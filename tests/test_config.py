@@ -115,6 +115,22 @@ def test_base_doc_parses():
     assert cfg.fibration.oracle is None
 
 
+def test_the_wrap_grid_is_the_run_disc_line():
+    # the run fibration's disc line sets the spiral grid; an inner disc's
+    # line is checked and dropped, and a run disc without one gives 16
+    text = Path(shipped("W1.cfg")).read_text()
+    run = "puncture b = 1/2 0\nresolution = 16\n"
+    inner = "puncture c-mid = 0 0\nresolution = 16\n"
+    assert text.count(run) == 1 and text.count(inner) == 1
+    cfg = parse_config(text.replace(run, run.replace("16", "40")))
+    assert cfg.wrap == WrapParams(Q(1, 64), (0, 1, 2, 3), 40)
+    cfg = parse_config(text.replace(inner, inner.replace("16", "40")))
+    assert cfg.wrap.resolution == 16
+    cfg = parse_config(text.replace(run, "puncture b = 1/2 0\n"))
+    assert cfg.wrap.resolution == 16
+    assert parse_config(BASE).wrap == WrapParams()
+
+
 # --------------------------------------------------------------------------
 # errors carry the config line
 # --------------------------------------------------------------------------

@@ -84,9 +84,9 @@ def _built_arcs():
     for disc, source, bend in _wrap_sources():
         for lo, hi in ((1, 64), (1, 64), (3, 8), (3, 8)):
             res, m = rng.randint(lo, hi), rng.randint(0, 16)
-            grid = DiscModel(disc.punctures, boundary_resolution=res)
+            grid = PARAMS._replace(resolution=res)
             try:
-                built.append((wrap(source, m, PARAMS, grid, bend=bend), grid))
+                built.append((wrap(source, m, grid, disc, bend=bend), disc))
             except SpiralCollision:
                 continue
     assert len(built) == 19 + 118 + 133

@@ -26,7 +26,7 @@ from lefbench.wrapping import BEND, source_annulus, wrap
 
 from oracles import (ccw_gap, homog, line_intersection, polygon_area2,
                      segment_point_dist2, sgn_eps)
-from scen import arc_through, pt, regrid
+from scen import arc_through, pt
 from test_disc import _embedding_error, no_zero_length
 
 
@@ -405,8 +405,8 @@ W1 = load_config(str(resources.files("lefbench") / "scenarios" / "W1.cfg"))
 
 def w1_spirals(resolution, m=2):
     """The W1 stage spirals of towers b:b (bent) and a:b at level m."""
-    f = regrid(W1.fibration, resolution)
-    return f, [wrap(f.crit_for(x).path, m, W1.wrap, f.disc, bend=x == y)
+    f, params = W1.fibration, W1.wrap._replace(resolution=resolution)
+    return f, [wrap(f.crit_for(x).path, m, params, f.disc, bend=x == y)
                for x, y in (("b", "b"), ("a", "b"))]
 
 
@@ -480,8 +480,8 @@ def test_circle_hpoint_is_the_reference_circle_point(a, d):
 @pytest.mark.parametrize("m", [0, 1, 3])
 @pytest.mark.parametrize("bend", [False, True])
 def test_wrap_builds_the_reference_spiral(resolution, m, bend):
-    f = regrid(W1.fibration, resolution)
-    params = W1.wrap
+    f = W1.fibration
+    params = W1.wrap._replace(resolution=resolution)
     for crit in f.crits:
         arc = crit.path
         if bend and len(arc.vertices) != 2:

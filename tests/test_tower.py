@@ -119,16 +119,16 @@ def test_w0_w1_inventories_identical():
 
 def test_doubled_resolution_keeps_inventory():
     f = scen.full_main_fibration("W1")
-    f2 = scen.regrid(f, 2 * f.disc.boundary_resolution)
-    assert f2.disc.boundary_resolution == 2 * f.disc.boundary_resolution
-    fs, fs2 = fs_hom_ranks(f), fs_hom_ranks(f2)
+    fine = PARAMS._replace(resolution=2 * PARAMS.resolution)
+    assert fine.resolution == 32 and fine.levels == (0, 1, 2, 3)
+    fs = fs_hom_ranks(f)
     for pair in (("b", "b"), ("a", "b")):
-        for m in range(4):
-            coarse = _build(f, *pair, m, fs)
-            fine = _build(f2, *pair, m, fs2)
-            assert inventory(coarse) == inventory(fine)
-            assert coarse.count == fine.count
-            assert coarse.rank_certificate == fine.rank_certificate
+        towers = [build_tower(f, *crits_of(f, *pair), params, fs)
+                  for params in (PARAMS, fine)]
+        for coarse, finer in zip(*towers, strict=True):
+            assert inventory(coarse) == inventory(finer)
+            assert coarse.count == finer.count
+            assert coarse.rank_certificate == finer.rank_certificate
 
 
 # --------------------------------------------------------------------------
@@ -143,8 +143,8 @@ def assert_matches_oracles(f, pairs, params, fs=None):
     """build_stage gives the crossings of oracles.word_stage_count and the
     (crossings, u) of oracles.spiral_stage_counts on every stage of the
     given towers.  Returns the number of stages the spiral reference could
-    not embed on f's grid (SpiralCollision or NonEmbeddableInput), which it
-    counts in place of that comparison."""
+    not embed on params' grid (SpiralCollision or NonEmbeddableInput), which
+    it counts in place of that comparison."""
     fs, unembedded = fs or fs_hom_ranks(f), 0
     for x, y in pairs:
         cx, cy = crits_of(f, x, y)
@@ -164,8 +164,9 @@ def assert_matches_oracles(f, pairs, params, fs=None):
 @pytest.mark.parametrize("resolution", [16, 64])
 @pytest.mark.parametrize("variant", ["W0", "W1"])
 def test_stage_counts_match_spirals(variant, resolution):
-    f = scen.regrid(scen.full_main_fibration(variant), resolution)
-    assert assert_matches_oracles(f, PAIRS, DEEP) == 0
+    f = scen.full_main_fibration(variant)
+    assert assert_matches_oracles(
+        f, PAIRS, DEEP._replace(resolution=resolution)) == 0
 
 
 def on_ray(c, angle):
@@ -178,7 +179,7 @@ def _fraction(rng, lo, hi):
     return lo + (hi - lo) * Q(rng.randrange(1, 40), 40)
 
 
-def draw_main(rng, resolution):
+def draw_main(rng):
     """A two-crit variant of W1's main fibration on random rays, with a
     random reference angle: b's vanishing path runs straight out along its
     ray, and a's does too or, half the time, leaves from a point off its
@@ -193,8 +194,7 @@ def draw_main(rng, resolution):
     a_ray = Q(rng.randrange(120), 120) if dogleg else ta
     disc = DiscModel(
         (("a", homog(on_ray(_fraction(rng, Q(1, 10), Q(4, 5)), a_ray))),
-         ("b", homog(on_ray(_fraction(rng, Q(1, 10), Q(4, 5)), tb)))),
-        resolution)
+         ("b", homog(on_ray(_fraction(rng, Q(1, 10), Q(4, 5)), tb)))))
     mid = ((on_ray(_fraction(rng, Q(1, 2), Q(9, 10)), ta),) if dogleg
            else ())
     crits = (Crit("a", scen.vanishing(disc, "a", ta, *mid), "A"),
@@ -204,11 +204,11 @@ def draw_main(rng, resolution):
 
 
 def random_main(rng, resolution):
-    """A fibration of draw_main with a random delta and its towers (a:a is
-    none when a's path has a dogleg).  Draws again until the paths are
-    legal and disjoint."""
+    """A fibration of draw_main, its towers (a:a is none when a's path has
+    a dogleg) and its wrap params, a random delta on the given grid.  Draws
+    again until the paths are legal and disjoint."""
     while True:
-        drawn = draw_main(rng, resolution)
+        drawn = draw_main(rng)
         if drawn is None:
             continue
         f, dogleg, gap = drawn
@@ -222,7 +222,7 @@ def random_main(rng, resolution):
         delta = BEND + (gap - BEND) * Q(rng.randrange(1, 10), 10)
         pairs = (("a", "b"), ("b", "a"), ("b", "b"))
         return (f, pairs if dogleg else pairs + (("a", "a"),),
-                WrapParams(delta, tuple(range(5))))
+                WrapParams(delta, tuple(range(5)), resolution))
 
 
 @pytest.mark.parametrize("resolution", [16, 64])
@@ -238,7 +238,7 @@ def test_stage_counts_match_spirals_on_random_fibrations(resolution):
 
 def test_path_findings_match_all_pairs_on_random_fibrations():
     rng = random.Random(0)
-    drawn = [d for d in (draw_main(rng, 16) for _ in range(200)) if d]
+    drawn = [d for d in (draw_main(rng) for _ in range(200)) if d]
     findings = set()
     for f, _, _ in drawn:
         assert f.path_findings == oracles.all_pairs_path_findings(f)

@@ -23,10 +23,9 @@ DELTA = Q(1, 64)
 PARAMS = WrapParams(DELTA)
 
 
-def main_disc(resolution=16):
+def main_disc():
     return DiscModel(punctures=(("a", hpt(Q(-1, 2), 0)),
-                                ("b", hpt(Q(1, 2), 0))),
-                     boundary_resolution=resolution)
+                                ("b", hpt(Q(1, 2), 0))))
 
 
 def wrapped(arc, m, params, disc, bend=False):
@@ -156,6 +155,9 @@ def test_wrap_setup_is_derived_once_per_disc(monkeypatch):
     first = wrap(ray, 1, PARAMS, disc)
     assert wrap(ray, 1, PARAMS, disc) == first
     wrap(ray, 2, PARAMS, disc, bend=True)
+    # the grid is no part of the set-up: a second resolution derives nothing
+    fine = wrap(ray, 1, PARAMS._replace(resolution=64), disc)
+    assert len(fine.hverts) > len(first.hverts)
     assert len(seen) == 1            # once per (arc, disc), not per wrap
     assert wrap(ray, 1, PARAMS, main_disc()) == first     # an equal disc
     assert len(seen) == 2
@@ -169,17 +171,14 @@ def test_wrap_setup_is_derived_once_per_disc(monkeypatch):
 
 
 def test_spiral_collision_resolved_by_finer_resolution():
-    coarse = DiscModel(punctures=(("hug", hpt(0, Q(99, 100))),),
-                       boundary_resolution=16)
+    disc = DiscModel(punctures=(("hug", hpt(0, Q(99, 100))),))
     ray = arc_through((pt(0, Q(99, 100)), pt(0, 1)),
                       Puncture("hug"), BoundaryAngle(Q(1, 4)))
-    ray.validate(coarse)
+    ray.validate(disc)
     with pytest.raises(SpiralCollision, match="resolution"):
-        wrap(ray, 1, PARAMS, coarse)
+        wrap(ray, 1, PARAMS._replace(resolution=16), disc)
 
-    fine = DiscModel(punctures=(("hug", hpt(0, Q(99, 100))),),
-                     boundary_resolution=64)
-    w = wrapped(ray, 1, PARAMS, fine)
+    w = wrapped(ray, 1, PARAMS._replace(resolution=64), disc)
     assert polyline_is_embedded(w.vertices)
 
 
@@ -192,8 +191,8 @@ def test_wrap_tests_every_chord_where_the_bow_bound_gives_nothing(
     tested = []
     monkeypatch.setattr(wrapping, "segment_near_origin",
                         lambda a, b, r2: tested.append((a, b)) and False)
-    disc = main_disc(res)
-    w = wrap(ray_b(disc), 3, PARAMS, disc)
+    disc = main_disc()
+    w = wrap(ray_b(disc), 3, PARAMS._replace(resolution=res), disc)
     spiral = w.hverts[1:-1]
     assert len(spiral) > 3
     assert tested == list(zip(spiral, spiral[1:]))
@@ -219,8 +218,8 @@ def test_wrap_certifies_no_spiral_that_crosses_the_head():
     src = arc_through((pt(0, 0), pt(Q(-11, 20), Q(-11, 20)),
                        pt(0, Q(1, 2)), pt(0, 1)),
                       Puncture("o"), BoundaryAngle(Q(1, 4)))
-    disc = DiscModel((("o", hpt(0, 0)),), boundary_resolution=5)
-    w = wrap(src, 1, PARAMS, disc)
+    disc = DiscModel((("o", hpt(0, 0)),))
+    w = wrap(src, 1, PARAMS._replace(resolution=5), disc)
     assert "_valid_in" not in w.__dict__
     with pytest.raises(NonEmbeddableInput, match="between segments 0 and 5"):
         w.validate(disc)
@@ -252,7 +251,7 @@ def _radial_fan(rng):
         (f"p{i}", hpt(Q(rho, 20) * c.x, Q(rho, 20) * c.y))
         for i, (tau, rho) in enumerate(
             (t, rng.randint(0, 17)) for t in taus)
-        for c in [circle_point(Q(tau, 52))]), boundary_resolution=16)
+        for c in [circle_point(Q(tau, 52))]))
     for (name, p), tau in zip(puncture_points(disc), taus):
         edge = circle_point(Q(tau, 52))
         end = BoundaryAngle(Q(tau, 52))
@@ -292,15 +291,15 @@ def test_wrap_certifies_exactly_the_spirals_the_full_check_accepts():
         legal = source.is_legal(disc)
         for lo, hi in ((1, 64), (1, 64), (3, 8), (3, 8)):
             res, m = rng.randint(lo, hi), rng.randint(0, 16)
-            grid = DiscModel(disc.punctures, boundary_resolution=res)
+            grid = PARAMS._replace(resolution=res)
             try:
-                w = wrap(source, m, PARAMS, grid, bend=bend)
+                w = wrap(source, m, grid, disc, bend=bend)
             except SpiralCollision:
                 seen["collision"] += 1
                 continue
-            certified = w.__dict__.get("_valid_in") is grid
+            certified = w.__dict__.get("_valid_in") is disc
             try:
-                w._check(grid)
+                w._check(disc)
             except LefbenchError:
                 assert not certified, (res, m, bend, source)
                 seen["rejected"] += 1
@@ -320,12 +319,12 @@ def test_spiral_vertex_count_is_the_length_of_the_spiral():
     checked = 0
     for disc, source, bend in _wrap_sources():
         res, m = rng.randint(1, 64), rng.randint(0, 16)
-        grid = DiscModel(disc.punctures, boundary_resolution=res)
+        grid = PARAMS._replace(resolution=res)
         try:
-            w = wrap(source, m, PARAMS, grid, bend=bend)
+            w = wrap(source, m, grid, disc, bend=bend)
         except SpiralCollision:
             continue
-        assert wrapping.spiral_vertex_count(source, m, PARAMS, grid,
+        assert wrapping.spiral_vertex_count(source, m, grid,
                                             bend) == len(w.hverts)
         checked += 1
     assert checked > 30
