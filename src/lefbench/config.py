@@ -3,14 +3,18 @@
 A config is a line-oriented text document. Blank lines and lines starting
 with ``#`` are ignored.  Every other line belongs to the most recent
 bracketed section header and has the form ``key = value``.  All numbers are
-exact rationals written as ``p/q`` (or plain integers); floating point is
-rejected.  Points are ``x y`` pairs; vertex lists separate points with
-``;``.  Oracle facts end with a mandatory provenance note ``!cited slug``
-or ``!assumed slug``.  Whitespace inside a key counts as one space; a key
-(``relation`` aside), a homology degree and a tower appear once each, and
-so does a section of one kind and name (``[wrap]`` and ``[run]`` take no
-name).  An empty key is an unknown key of its section.  The wrap delta lies
-above wrapping.BEND and below the least boundary angle gap.
+exact rationals ``p/q`` or integers: an optional sign, Unicode decimal
+digits (category Nd, the digits int() reads) and an optional ``/digits``;
+floating point is rejected.  Points are ``x y`` pairs; vertex lists
+separate points with ``;``.  Oracle facts end with a mandatory provenance
+note ``!cited slug`` or ``!assumed slug``.  Whitespace inside a key counts
+as one space; a key (``relation`` aside), a homology degree and a tower
+appear once each, and so does a section of one kind and name (``[wrap]``
+and ``[run]`` take no name).  An empty key is an unknown key of its
+section.  The wrap delta lies above wrapping.BEND and below the least
+boundary angle gap.  Errors come in this order: a malformed line or header
+anywhere in the file, the first duplicate key in the file, then each
+section in file order.
 
 Sections::
 
@@ -47,7 +51,6 @@ the pair of those two Crits, once, here.
 
 from __future__ import annotations
 
-import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -62,9 +65,8 @@ from .oracle import KINDS as FACT_KINDS
 from .oracle import Fact, FiberOracle, LabelDecl, Provenance
 from .wrapping import BEND, WrapParams, grid_resolution
 
-_RATIONAL = re.compile(r"[+-]?\d+(/\d+)?\Z")
-_INTEGER = re.compile(r"[+-]?\d+")
 NESTING_LIMIT = 32
+_DEFAULT_WRAP = WrapParams()
 
 
 class ScenarioConfig(NamedTuple):
@@ -87,19 +89,21 @@ class _Section(NamedTuple):
     loc: str                                 # "file:line" of the header
     kind: str
     name: str                                # "" for [wrap] and [run]
-    # (loc, key, value) of each line of the section
-    lines: list[tuple[str, str, str]]
+    # (loc, key, its words, value) of each line of the section
+    lines: list[tuple[str, str, list[str], str]]
 
 
 def _split_sections(text: str, source: str) -> list[_Section]:
+    """text's sections in one scan, which refuses a duplicate key at its end."""
     sections: list[_Section] = []
-    current: _Section | None = None
+    lines, seen = None, set()          # the current section's lines and keys
+    duplicate = None
     for no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
         loc = f"{source}:{no}"
-        if line.startswith("["):
+        if line[0] == "[":
             if not line.endswith("]"):
                 raise ConfigError(f"{loc}: unterminated section header")
             words = line[1:-1].split()
@@ -115,26 +119,36 @@ def _split_sections(text: str, source: str) -> list[_Section]:
                 raise ConfigError(f"{loc}: [{kind}] "
                                   + ("needs a name" if named
                                      else "takes no name"))
-            current = _Section(loc, kind, words[1] if named else "", [])
-            sections.append(current)
+            lines, seen = [], set()
+            sections.append(_Section(loc, kind, words[1] if named else "",
+                                     lines))
             continue
-        if current is None:
+        if lines is None:
             raise ConfigError(
                 f"{loc}: content before the first section header")
-        if "=" not in line:
+        key, eq, value = line.partition("=")
+        if not eq:
             raise ConfigError(f"{loc}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        current.lines.append((loc, " ".join(key.split()), value.strip()))
+        words = key.split()
+        key = " ".join(words)
+        if key in seen and key != "relation" and duplicate is None:
+            duplicate = f"{loc}: duplicate key {key!r}"
+        seen.add(key)
+        lines.append((loc, key, words, value.strip()))
+    if duplicate:
+        raise ConfigError(duplicate)
     return sections
 
 
 def _ratio(token: str, loc: str) -> tuple[int, int]:
     """The integers p and q > 0 of a rational token p/q (q = 1 alone)."""
-    if not _RATIONAL.fullmatch(token):
+    num, slash, den = token.partition("/")
+    # a sign is num[:1] in "+-"; "" passes that test, then fails isdecimal
+    if not ((num.isdecimal() or num[:1] in "+-" and num[1:].isdecimal())
+            and (den.isdecimal() or not slash)):
         raise ConfigError(
             f"{loc}: {token!r} is not an exact rational (use p/q integers;"
             " no floating point)")
-    num, _, den = token.partition("/")
     try:
         p, q = int(num), int(den or 1)
     except ValueError:
@@ -177,7 +191,8 @@ def _provenance(value: str, loc: str) -> tuple[str, Provenance]:
 
 
 def _int(token: str, loc: str) -> int:
-    if not _INTEGER.fullmatch(token):
+    if not (token.isdecimal()
+            or token[:1] in "+-" and token[1:].isdecimal()):
         raise ConfigError(f"{loc}: {token!r} is not an integer")
     try:
         return int(token)
@@ -200,21 +215,10 @@ def _located(loc: str, err: LefbenchError) -> LefbenchError:
 # section interpreters
 # --------------------------------------------------------------------------
 
-def _check_duplicates(sec: _Section) -> None:
-    seen: set[str] = set()
-    for loc, key, _ in sec.lines:
-        if key == "relation":
-            continue
-        if key in seen:
-            raise ConfigError(f"{loc}: duplicate key {key!r}")
-        seen.add(key)
-
-
 def _parse_disc(sec: _Section) -> tuple[DiscModel, int]:
     punctures: list[tuple[str, Hpt]] = []
-    resolution = WrapParams().resolution
-    for loc, key, value in sec.lines:
-        words = key.split()
+    resolution = _DEFAULT_WRAP.resolution
+    for loc, key, words, value in sec.lines:
         if len(words) == 2 and words[0] == "puncture":
             punctures.append((words[1], _hpoint(value.split(), loc)))
         elif key == "resolution":
@@ -231,8 +235,7 @@ def _parse_fiber(sec: _Section) -> AbstractFiber:
     dim = None
     homology: list[tuple[str, int, int, tuple[int, ...]]] = []
     classes: list[tuple[str, tuple[int, ...]]] = []
-    for loc, key, value in sec.lines:
-        words = key.split()
+    for loc, key, words, value in sec.lines:
         if key == "dim":
             dim = _int(value, loc)
         elif len(words) == 2 and words[0] == "homology":
@@ -271,8 +274,7 @@ class _RawFibration(NamedTuple):
 
 def _parse_fibration(sec: _Section) -> _RawFibration:
     disc, fiber, ref, crits = None, None, None, []
-    for loc, key, value in sec.lines:
-        words = key.split()
+    for loc, key, words, value in sec.lines:
         if key == "disc":
             disc = value
         elif key == "fiber":
@@ -280,14 +282,14 @@ def _parse_fibration(sec: _Section) -> _RawFibration:
         elif key == "reference-angle":
             ref = _rational(value, loc)
         elif len(words) == 2 and words[0] == "crit":
-            parts = [p.strip() for p in value.split("|")]
+            parts = value.split("|")
             if len(parts) not in (2, 3):
                 raise ConfigError(
                     f"{loc}: crit value is 'LABEL | ANGLE' with optional"
                     " '| mid points'")
             mids = _hpoints(parts[2], loc) if len(parts) == 3 else ()
-            crits.append((loc, words[1], parts[0], _rational(parts[1], loc),
-                          mids))
+            crits.append((loc, words[1], parts[0].strip(),
+                          _rational(parts[1].strip(), loc), mids))
         else:
             raise ConfigError(f"{loc}: unknown fibration key {key!r}")
     for want, got in (("disc", disc), ("fiber", fiber),
@@ -302,8 +304,7 @@ def _parse_objects(sec: _Section) \
         -> list[tuple[str, str, str, tuple[str, ...], tuple[Hpt, ...]]]:
     """Raw object rows: (loc, kind, name, anchors, mids)."""
     rows = []
-    for loc, key, value in sec.lines:
-        words = key.split()
+    for loc, key, words, value in sec.lines:
         if len(words) != 2 or words[0] not in ("matching", "thimble"):
             raise ConfigError(f"{loc}: unknown objects key {key!r}")
         kind, name = words
@@ -327,8 +328,7 @@ def _parse_objects(sec: _Section) \
 def _parse_oracle(sec: _Section) -> FiberOracle:
     labels: list[LabelDecl] = []
     facts: list[Fact] = []
-    for loc, key, value in sec.lines:
-        words = key.split()
+    for loc, key, words, value in sec.lines:
         if len(words) == 2 and words[0] == "label":
             if value not in ("sphere", "plain"):
                 raise ConfigError(
@@ -358,9 +358,9 @@ def _parse_oracle(sec: _Section) -> FiberOracle:
 
 def _parse_wrap(sec: _Section) -> tuple[WrapParams, str | None]:
     """The [wrap] parameters and the loc of the delta line, if any."""
-    delta, levels, _ = WrapParams()
+    delta, levels, _ = _DEFAULT_WRAP
     delta_loc = None
-    for loc, key, value in sec.lines:
+    for loc, key, _, value in sec.lines:
         if key == "delta":
             delta, delta_loc = _rational(value, loc), loc
             if delta <= BEND:
@@ -384,7 +384,7 @@ def _parse_run(sec: _Section
     fibration = None
     towers: tuple[tuple[str, str], ...] = ()
     towers_loc = None
-    for loc, key, value in sec.lines:
+    for loc, key, _, value in sec.lines:
         if key == "fibration":
             fibration = value
         elif key == "towers":
@@ -423,13 +423,9 @@ _KINDS = {
 # --------------------------------------------------------------------------
 
 def parse_config(text: str, source: str = "<config>") -> ScenarioConfig:
-    sections = _split_sections(text, source)
-    for sec in sections:
-        _check_duplicates(sec)
-
     # kind -> name -> (header loc, interpreted section), in file order
     parsed: dict[str, dict] = {kind: {} for kind in _KINDS}
-    for sec in sections:
+    for sec in _split_sections(text, source):
         interpret, noun = _KINDS[sec.kind]
         if sec.name in parsed[sec.kind]:
             what = f"{noun} {sec.name!r}" if noun else f"[{sec.kind}] section"
@@ -460,7 +456,7 @@ def parse_config(text: str, source: str = "<config>") -> ScenarioConfig:
                 raise ConfigError(f"{towers_loc}: tower {x}:{y} names puncture"
                                   f" {p!r}, which has no critical value")
         towers.append(pair)
-    _, (wrap, delta_loc) = parsed["wrap"].get("", ("", (WrapParams(), None)))
+    _, (wrap, delta_loc) = parsed["wrap"].get("", ("", (_DEFAULT_WRAP, None)))
     for _, raw in parsed["fibration"].values():
         _check_delta_gap(built[raw.name], wrap, delta_loc or raw.loc)
     _, (_, res) = parsed["disc"][parsed["fibration"][run_fibration][1].disc]
@@ -547,9 +543,9 @@ def _build_fibration(raw: _RawFibration, parsed: dict,
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
-    p = Path(path)
     try:
-        text = p.read_text(encoding="utf-8-sig")
+        with open(Path(path), "rb") as f:   # Path: "./a/" opens as "a"
+            text = f.read().decode("utf-8-sig")
     except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"{path}: cannot read config ({e})") from None
     return parse_config(text, source=str(path))

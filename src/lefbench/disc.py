@@ -39,10 +39,10 @@ class BoundaryAngle:
     angle: Fraction
 
     def __post_init__(self):
-        n, d = self.angle.numerator, self.angle.denominator
+        n, d = self.angle.as_integer_ratio()
         if not 0 <= n < d:
             object.__setattr__(self, "angle", Q(n % d, d))
-        object.__setattr__(self, "hpoint", reduced(*circle_hpoint(n, d)))
+        self.__dict__["hpoint"] = reduced(*circle_hpoint(n, d))
 
 
 Endpoint = Puncture | BoundaryAngle
@@ -53,8 +53,9 @@ class DiscModel:
     """Closed unit disc with named punctures strictly inside.
 
     Each puncture is its name and its point as a reduced triple
-    (exactgeom.reduced), the form arcs store their vertices in.  The punctures'
-    points and their sorted x floor keys are gathered once, on first use.
+    (exactgeom.reduced), the form arcs store their vertices in.  Its points by
+    name are gathered when it is built; its points in order and their sorted
+    x floor keys, on first use.
     """
     punctures: tuple[tuple[str, Hpt], ...]
 
@@ -69,12 +70,12 @@ class DiscModel:
                     f"puncture {name!r} at {point(hp)} is not strictly"
                     " inside the unit circle")
             seen.add(hp)
+        self.__dict__["_named"] = dict(reversed(self.punctures))  # first wins
 
     def hpoint_of(self, name: str) -> Hpt:
-        for n, hp in self.punctures:
-            if n == name:
-                return hp
-        raise LefbenchError(f"unknown puncture {name!r}")
+        if name not in self._named:
+            raise LefbenchError(f"unknown puncture {name!r}")
+        return self._named[name]
 
     @cached_property
     def hpoints(self) -> tuple[Hpt, ...]:
@@ -218,5 +219,5 @@ class PlanarArc:
                 # we do not model
                 raise NonEmbeddableInput(
                     f"arc self-intersects between segments {i} and {j}"
-                    " (if this arc is a synthesized spiral, raise the"
-                    " disc boundary_resolution)")
+                    " (if this arc is a synthesized spiral, raise the run"
+                    " disc's resolution or --resolution)")

@@ -94,9 +94,9 @@ def circle_hpoint(a: int, d: int) -> Hpt:
 def min_angular_gap(angles: list[Fraction]) -> Fraction:
     """Smallest circular gap between the distinct angles of a non-empty
     list, a full turn (1) if one; on numerators over their lcm den."""
-    den = lcm(*[a.denominator for a in angles])
-    uniq = sorted({a.numerator * (den // a.denominator) % den
-                   for a in angles})
+    ratios = [a.as_integer_ratio() for a in angles]
+    den = lcm(*[d for _, d in ratios])
+    uniq = sorted({n * (den // d) % den for n, d in ratios})
     gaps = [b - a for a, b in zip(uniq, uniq[1:])]
     return Q(min(gaps + [den - uniq[-1] + uniq[0]]), den)
 

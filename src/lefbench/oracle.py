@@ -78,19 +78,21 @@ class FiberOracle:
     def __post_init__(self):
         names = [d.name for d in self.label_decls]
         labels = frozenset(names)
+        by_kind: dict[str, list[Fact]] = {kind: [] for kind in KINDS}
+        for fact in self.facts:
+            by_kind.setdefault(fact.kind, []).append(fact)
 
         def of_kind(kind: str):
             """The facts of one kind, each one's labels checked just before
             it is processed."""
-            for fact in self.facts:
-                if fact.kind == kind:
-                    for label in fact.labels:
-                        if label not in labels:
-                            raise LefbenchError(
-                                f"undeclared cycle label {label!r}")
-                    yield fact
+            for fact in by_kind[kind]:
+                for label in fact.labels:
+                    if label not in labels:
+                        raise LefbenchError(
+                            f"undeclared cycle label {label!r}")
+                yield fact
 
-        # union-find over isotopy facts
+        # union-find over isotopy facts, then each label's representative
         parent = {n: n for n in names}
 
         def find(x: str) -> str:
@@ -102,11 +104,12 @@ class FiberOracle:
         for fact in of_kind("isotopic"):
             i, j = fact.labels
             parent[find(i)] = find(j)
+        rep = {n: find(n) for n in names}
 
         table: dict[tuple[str, str], tuple[int, str]] = {}
 
         def record(i: str, j: str, value: int, why: str) -> None:
-            key = _pair(find(i), find(j))
+            key = _pair(rep[i], rep[j])
             old = table.get(key)
             if old is not None and old[0] != value:
                 raise Inconsistent(
@@ -132,7 +135,7 @@ class FiberOracle:
                 raise LefbenchError(
                     f"parity must be {ALL_SAME!r} or {MIXED!r}")
             i, j = fact.labels
-            key = _pair(find(i), find(j))
+            key = _pair(rep[i], rep[j])
             if parity.setdefault(key, fact.value) != fact.value:
                 raise Inconsistent(
                     f"conflicting parity declarations for ({i},{j})")
@@ -140,19 +143,15 @@ class FiberOracle:
         not_iso: set[tuple[str, str]] = set()
         for fact in of_kind("witness"):
             i, j, _ = fact.labels
-            if find(i) == find(j):
+            if rep[i] == rep[j]:
                 raise Inconsistent(
                     f"labels {i!r}, {j!r} declared both isotopic"
                     " and non-isomorphic")
-            not_iso.add(_pair(find(i), find(j)))
+            not_iso.add(_pair(rep[i], rep[j]))
 
-        object.__setattr__(self, "_rep_of", {n: find(n) for n in names})
-        object.__setattr__(self, "_table", table)
-        object.__setattr__(self, "_parity", parity)
-        object.__setattr__(self, "_not_iso", not_iso)
-        object.__setattr__(self, "_labels", labels)
-
-        for fact in of_kind("witness"):
+        self.__dict__.update(_rep_of=rep, _table=table, _parity=parity,
+                             _not_iso=not_iso, _labels=labels)
+        for fact in by_kind["witness"]:
             self._check_witness(*fact.labels)
 
     def _check_witness(self, i: str, j: str, w: str) -> None:

@@ -93,7 +93,7 @@ class WrapParams(NamedTuple):
 def grid_resolution(n: int) -> int:
     """n, a spiral grid's vertices a turn, which must be positive."""
     if n < 1:
-        raise LefbenchError("boundary_resolution must be a positive integer")
+        raise LefbenchError("resolution must be a positive integer")
     return n
 
 
@@ -197,8 +197,8 @@ def wrap(arc: PlanarArc, m: int, params: WrapParams, disc: DiscModel,
         if segment_near_origin(s0, s1, s):
             if segment_near_origin(s0, s1, max_punct):
                 raise SpiralCollision(
-                    "spiral chords dip to puncture radius;"
-                    " raise the disc boundary_resolution")
+                    "spiral chords dip to puncture radius; raise the run"
+                    " disc's resolution or --resolution")
             low.append(i)
 
     tail = BoundaryAngle(Q(a_end % den, den))

@@ -651,8 +651,8 @@ def all_pairs_check_embedded(arc):
                 # we do not model
                 raise NonEmbeddableInput(
                     f"arc self-intersects between segments {i} and {j}"
-                    " (if this arc is a synthesized spiral, raise the"
-                    " disc boundary_resolution)")
+                    " (if this arc is a synthesized spiral, raise the run"
+                    " disc's resolution or --resolution)")
 
 
 def all_pairs_puncture_check(arc, disc):

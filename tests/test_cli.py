@@ -275,13 +275,13 @@ def test_coarse_grid_spiral_is_rejected(command, tmp_path, capsys):
 
 
 _CHORDS_DIP = ("error[SpiralCollision]: spiral chords dip to puncture radius;"
-               " raise the disc boundary_resolution\n")
+               " raise the run disc's resolution or --resolution\n")
 
 
 def _self_intersects(j):
     return (f"error[NonEmbeddableInput]: arc self-intersects between segments"
-            f" 0 and {j} (if this arc is a synthesized spiral, raise the disc"
-            f" boundary_resolution)\n")
+            f" 0 and {j} (if this arc is a synthesized spiral, raise the run"
+            f" disc's resolution or --resolution)\n")
 
 
 # resolution -> stderr of ``render --svg`` on W0 and on W1
@@ -393,7 +393,7 @@ def test_inner_disc_grid_is_never_read(scenario, tmp_path, capsys):
     assert runs[0] == runs[1] and runs[0][0] == 0 and runs[0][2]
 
 
-_NOT_A_GRID = "boundary_resolution must be a positive integer\n"
+_NOT_A_GRID = "resolution must be a positive integer\n"
 
 
 @pytest.mark.parametrize("resolution", ["0", "-3"])

@@ -13,7 +13,8 @@ from hypothesis import example, given, strategies as st
 import scen
 from oracles import homog
 from lefbench.cli import run_command
-from lefbench.config import _hpoint, _rational, load_config, parse_config
+from lefbench.config import (_hpoint, _int, _rational, load_config,
+                             parse_config)
 from lefbench.errors import ConfigError, Inconsistent, LefbenchError
 from lefbench.exactgeom import Pt
 from lefbench.fibration import TotalSpaceFiber
@@ -195,6 +196,48 @@ def test_bad_rationals_keep_their_messages(token, message):
         assert str(e.value) == f"c:1: {message}"
 
 
+# the number language as a regex: \d is Unicode category Nd, the digits
+# int() reads
+REFERENCE_RATIONAL = re.compile(r"[+-]?\d+(/\d+)?")
+REFERENCE_INTEGER = re.compile(r"[+-]?\d+")
+# signs, ASCII and other Nd digits (Arabic-Indic three, fullwidth three),
+# and characters int() or a float reads that the language refuses
+NUMBER_CHARS = ["+", "-", "/", "0", "1", "7", "٣", "３", "²",
+                "_", " ", ".", "e", "\n"]
+
+
+def _number_outcome(parse, token):
+    try:
+        return parse(token, "c:1")
+    except ConfigError as e:
+        return str(e)
+
+
+@given(st.text(st.sampled_from(NUMBER_CHARS), max_size=8))
+@example("٣/３")
+@example("-３0")
+@example("1_0")
+@example("1/²")
+@example(" 1")
+@example("1\n")
+@example("+-1")
+@example("1/-2")
+@example("")
+def test_number_rule_is_the_reference_language(token):
+    not_rational = (f"c:1: {token!r} is not an exact rational (use p/q"
+                    " integers; no floating point)")
+    if not REFERENCE_RATIONAL.fullmatch(token):
+        expected = not_rational
+    elif not int(token.partition("/")[2] or 1):
+        expected = f"c:1: zero denominator in {token!r}"
+    else:
+        expected = Q(token)
+    assert _number_outcome(_rational, token) == expected
+    assert _number_outcome(_int, token) == (
+        int(token) if REFERENCE_INTEGER.fullmatch(token)
+        else f"c:1: {token!r} is not an integer")
+
+
 def test_unknown_section_kind():
     _expect_error("""
         [discs d]
@@ -317,6 +360,78 @@ def test_duplicate_checks_come_first():
                   "duplicate disc 'd'", lineno=18)
     _expect_error(BASE.replace("[run]", "[fiber G]\ndim = x\n[run]")
                   + "[run]\n", "'x' is not an integer", lineno=17)
+
+
+REPEATED_PUNCTURE = BASE.replace("puncture p = 0 0",
+                                 "puncture p = 0 0\npuncture p = 1/4 0")
+
+
+@pytest.mark.parametrize("text, message", [
+    # a duplicate key early loses to a malformed header anywhere later
+    (REPEATED_PUNCTURE + "[run\n",
+     "t.cfg:19: unterminated section header"),
+    # of two duplicate keys, in two sections or in one, the first is reported
+    (REPEATED_PUNCTURE.replace("class c = 1", "class c = 1\nclass c = 2"),
+     "t.cfg:3: duplicate key 'puncture p'"),
+    (BASE.replace("dim = 2", "dim = 2\ndim = 3\nhomology 0 = 2"),
+     "t.cfg:6: duplicate key 'dim'"),
+    # a duplicate key comes before a malformed number above it
+    (BASE.replace("puncture p = 0 0", "puncture p = 0.5 0\npuncture p = 0 0"),
+     "t.cfg:3: duplicate key 'puncture p'"),
+], ids=["header-after-duplicate", "two-sections", "one-section",
+        "number-before-duplicate"])
+def test_error_precedence(text, message):
+    with pytest.raises(ConfigError) as e:
+        parse_config(text, source="t.cfg")
+    assert str(e.value) == message
+
+
+def test_unknown_crit_puncture_is_located_at_its_line():
+    with pytest.raises(LefbenchError) as e:
+        parse_config(BASE.replace("crit p = c | 1/2", "crit q = c | 1/2"),
+                     source="t.cfg")
+    assert type(e.value) is LefbenchError
+    assert str(e.value) == "t.cfg:14: unknown puncture 'q'"
+
+
+# --------------------------------------------------------------------------
+# line endings and encodings
+# --------------------------------------------------------------------------
+
+W1_TEXT = Path(shipped("W1.cfg")).read_bytes()
+
+
+@pytest.mark.parametrize("encode", [
+    lambda text: text.replace(b"\n", b"\r\n"),
+    lambda text: text.replace(b"\n", b"\r"),
+    lambda text: b"\xef\xbb\xbf" + text,
+], ids=["crlf", "cr", "bom"])
+def test_line_endings_and_bom_load_the_same(encode, tmp_path):
+    cfg = tmp_path / "W1.cfg"
+    cfg.write_bytes(encode(W1_TEXT))
+    plain = load_config(shipped("W1.cfg"))
+    assert load_config(cfg) == plain
+    assert run_command("all", load_config(cfg)) == run_command("all", plain)
+    # a broken line keeps its line number
+    lineno = W1_TEXT.split(b"\n").index(b"delta = 1/64") + 1
+    cfg.write_bytes(encode(W1_TEXT.replace(b"delta = 1/64", b"delta = 0.5")))
+    with pytest.raises(ConfigError) as e:
+        load_config(cfg)
+    assert str(e.value).startswith(f"{cfg}:{lineno}: '0.5' is not an exact")
+
+
+@pytest.mark.parametrize("offset", [19, 10001])
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["", "bom"])
+def test_undecodable_byte_names_its_position(offset, bom, tmp_path):
+    data = bytearray(W1_TEXT * (1 + offset // len(W1_TEXT)))
+    data[offset] = 0xFF
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(bom + data)
+    with pytest.raises(ConfigError) as e:
+        load_config(cfg)
+    assert str(e.value) == (
+        f"{cfg}: cannot read config ('utf-8' codec can't decode byte 0xff"
+        f" in position {offset}: invalid start byte)")
 
 
 def _with_line(kind, line):
