@@ -131,11 +131,9 @@ def _section_trace(r: Report, out: ScenarioRanks) -> None:
 
 
 def _render_svgs(cfg: ScenarioConfig, outdir: str) -> list[str]:
-    """Write the discs and a diagram per stage, its spiral wrapped and
-    checked here (no tower stage builds one): wrap's proof settles the
-    check, or it runs in full, so a grid too coarse ends in its error.  The
-    spirals' vertices are counted first, and a render over VERTEX_BUDGET
-    of them builds none."""
+    """Write the discs and a diagram per stage, its spiral wrapped here, and
+    proved legal by wrap, which raises the full check's error on a grid too
+    coarse.  A render over VERTEX_BUDGET spiral vertices builds none."""
     f = cfg.fibration
     stages = [(cx, cy, m) for cx, cy in cfg.towers for m in cfg.wrap.levels]
     sizes = [spiral_vertex_count(cx.path, m, cfg.wrap, bend=cx == cy)
@@ -150,7 +148,6 @@ def _render_svgs(cfg: ScenarioConfig, outdir: str) -> list[str]:
     files = list(diagram_files(f))
     for cx, cy, m in stages:
         spiral = wrap(cx.path, m, cfg.wrap, f.disc, bend=cx == cy)
-        spiral.validate(f.disc)
         files.append((f"{cfg.name}-tower-{cx.puncture}-{cy.puncture}-m{m}.svg",
                       stage_svg(f.disc, cy.path, spiral)))
     d = Path(outdir)

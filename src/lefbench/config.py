@@ -98,7 +98,9 @@ def _split_sections(text: str, source: str) -> list[_Section]:
     sections: list[_Section] = []
     lines, seen = None, set()          # the current section's lines and keys
     duplicate = None
-    for no, raw in enumerate(text.splitlines(), start=1):
+    # universal newlines: str.splitlines also breaks at "\x0c", U+2028, ...
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    for no, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line[0] == "#":
             continue
@@ -544,7 +546,7 @@ def _build_fibration(raw: _RawFibration, parsed: dict,
 
 def load_config(path: str | Path) -> ScenarioConfig:
     try:
-        with open(Path(path), "rb") as f:   # Path: "./a/" opens as "a"
+        with open(path, "rb") as f:     # as given: "a/" is no file "a"
             text = f.read().decode("utf-8-sig")
     except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"{path}: cannot read config ({e})") from None

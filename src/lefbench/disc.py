@@ -20,9 +20,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import LefbenchError, NonEmbeddableInput
-from .exactgeom import (Hpt, Pt, Q, box_pairs, circle_hpoint,
-                        closed_segments_touch, point, point_on_segment,
-                        reduced, segment_box, segments_overlap_collinear)
+from .exactgeom import (Hpt, Pt, Q, box_pairs, circle_hpoint, first_contact,
+                        point, point_on_segment, reduced, segment_box)
 
 
 class Puncture(NamedTuple):
@@ -133,13 +132,14 @@ class PlanarArc:
 
     # -- validation ------------------------------------------------------
 
-    def validate(self, disc: DiscModel) -> None:
+    def validate(self, disc: DiscModel, pairs: list | None = None) -> None:
         """Raise LefbenchError unless the arc is legal in disc.  A pass is
         recorded against disc, by identity (arcs and discs are frozen), so a
-        repeat call returns at once; a failure records nothing."""
+        repeat call returns at once; a failure records nothing.  Given pairs
+        (wrapping.wrap's open pairs), only they are tested for contact."""
         if self.__dict__.get("_valid_in") is disc:
             return
-        self._check(disc)
+        self._check(disc, pairs)
         self.__dict__["_valid_in"] = disc
 
     def is_legal(self, disc: DiscModel) -> bool:
@@ -150,7 +150,7 @@ class PlanarArc:
             return False
         return True
 
-    def _check(self, disc: DiscModel) -> None:
+    def _check(self, disc: DiscModel, pairs: list | None = None) -> None:
         """Raise the first violation of the class docstring's rules.
 
         A puncture is tested against a segment only if its x floor key
@@ -192,32 +192,23 @@ class PlanarArc:
             raise LefbenchError(
                 f"arc passes through puncture {name!r} at {point(hp)}")
 
-        self._check_embedded()
+        self._check_embedded(pairs)
 
-    def _check_embedded(self) -> None:
-        """Reject any contact of two segments beyond consecutive joints.
-
-        Only the segment pairs (i, j), i < j, whose box keys meet are
-        tested: two closed segments can share a point only if their boxes
-        meet, and boxes whose keys are apart are apart, so the pairs that
-        exactgeom.box_pairs skips need no test.  Consecutive segments always meet at their joint, and the
-        pairs come in (i, j) order, so the first contact reported is the one
-        a scan over all pairs would report.
-        """
-        hs = self.hverts
-        for i, j in box_pairs(self.boxes):
-            a1, a2, b1, b2 = hs[i], hs[i + 1], hs[j], hs[j + 1]
-            if j == i + 1:
-                # consecutive segments share exactly the joint vertex
-                if segments_overlap_collinear(a1, a2, b1, b2):
-                    raise NonEmbeddableInput(
-                        f"arc folds back onto itself at vertex"
-                        f" {self.vertices[j]}")
-                continue
-            if closed_segments_touch(a1, a2, b1, b2):
-                # closed arc endpoints may coincide only for loops, which
-                # we do not model
-                raise NonEmbeddableInput(
-                    f"arc self-intersects between segments {i} and {j}"
-                    " (if this arc is a synthesized spiral, raise the run"
-                    " disc's resolution or --resolution)")
+    def _check_embedded(self, pairs: list | None = None) -> None:
+        """Reject the first contact (exactgeom.first_contact) of pairs in
+        (i, j) order, by default those whose boxes meet (box_pairs; boxes
+        whose keys are apart are apart), as a scan over all pairs would; a
+        spiral comes here with the pairs wrap's proof leaves open."""
+        hit = first_contact(self.hverts, box_pairs(self.boxes)
+                            if pairs is None else pairs)
+        if hit is None:
+            return
+        i, j = hit
+        if j == i + 1:
+            raise NonEmbeddableInput(
+                f"arc folds back onto itself at vertex {self.vertices[j]}")
+        # closed arc endpoints may coincide only for loops, not modelled
+        raise NonEmbeddableInput(
+            f"arc self-intersects between segments {i} and {j}"
+            " (if this arc is a synthesized spiral, raise the run"
+            " disc's resolution or --resolution)")

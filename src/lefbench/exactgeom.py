@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 Q = Fraction
 
@@ -220,6 +220,17 @@ def closed_segments_touch(a1: Hpt, a2: Hpt, b1: Hpt, b2: Hpt) -> bool:
         if point_on_segment(p, a, b):
             return True
     return False
+
+
+def first_contact(hs: tuple, pairs: Iterable) -> tuple[int, int] | None:
+    """The first (i, j), i < j, of pairs whose segments i and j of the chain
+    hs (hs[i] to hs[i + 1]) meet beyond a joint they share, or None."""
+    for i, j in pairs:
+        a1, a2, b1, b2 = hs[i], hs[i + 1], hs[j], hs[j + 1]
+        if (segments_overlap_collinear(a1, a2, b1, b2) if j == i + 1
+                else closed_segments_touch(a1, a2, b1, b2)):
+            return i, j
+    return None
 
 
 class Crossing(NamedTuple):

@@ -3,9 +3,8 @@
 transforms are needed.  Coordinates come from the homogeneous integer
 points of arcs and punctures: x / w is correctly rounded, as float() of the
 Fraction x/w is, so the printed digits do not depend on the form of the
-point.  Drawing only: stage_svg draws a spiral its caller has wrapped and
-checked (cli._render_svgs), a check that wrap's linear-time proof of the
-spiral usually settles."""
+point.  Drawing only: stage_svg draws a spiral its caller has wrapped
+(cli._render_svgs), which wrap returns only once it has proved it legal."""
 
 from __future__ import annotations
 

@@ -43,22 +43,24 @@ later one are clear; only the chords before it are tested exactly.
 spiral_vertex_count counts a spiral's vertices without building it, so the
 budget covers a whole render: cli._render_svgs sums the counts of all its
 spirals and refuses more than VERTEX_BUDGET of them (SpiralTooLong) before
-it wraps the first.  wrap proves the arc it returns legal in disc, in linear
-time, and records the pass as PlanarArc.validate does; where the proof
-fails, validate runs the full check.  A chord clear of the punctures spans
-under half a turn (one that spans half passes through the origin:
-circle_hpoint turns by pi per half turn), so it lies in the convex wedge of
-its rays.  Past the first vertex every vertex lies on the ray grid a0 +
-half + 2 half k, and a turn is res grid steps, so each chord but the first
-and the last spans one grid wedge.  There the chords of later turns lie
-strictly farther out on both rays (over (O, P1, P2) their coordinate sum
-exceeds 1), and chords of different wedges meet only on a shared ray, at
-different radii.  Tested exactly: the source is legal; its head (within
-sqrt(s), s the largest squared radius of a puncture or source vertex before
-the boundary) meets no chord within sqrt(s); the join (head to spiral;
-bent, it passes no puncture), the first and the last chord meet no chord
-whose angle interval overlaps theirs modulo a turn, O(m) pairs.  The radial
-tail lies beyond every chord.
+it wraps the first.  wrap alone decides whether a spiral is legal in disc,
+in linear time; nothing checks one it returns again.  A chord clear of the
+punctures spans under half a turn (one that spans half passes through the
+origin: circle_hpoint turns by pi per half turn), so it lies in the convex
+wedge of its rays.  Past the first vertex every vertex lies on the ray grid
+a0 + half + 2 half k, and a turn is res grid steps, so each chord but the
+first and the last spans one grid wedge.  There the chords of later turns
+lie strictly farther out on both rays (over (O, P1, P2) their coordinate
+sum exceeds 1), and chords of different wedges meet only on a shared ray,
+at different radii; the radial tail lies beyond every chord.  So for a
+legal source only O(m) segment pairs stay open (_open_pairs): the head
+(within sqrt(s), s the largest squared radius of a puncture or source
+vertex before the boundary) against the chords within sqrt(s), and the
+join, the first and the last chord against each chord whose angle interval
+overlaps theirs modulo a turn; only a bent join can pass through a
+puncture.  Where one of these fails, the full check's first error lies
+there, and PlanarArc.validate over the open pairs raises it; an illegal
+source gets the full check.
 """
 
 from __future__ import annotations
@@ -70,9 +72,8 @@ from typing import NamedTuple
 
 from .disc import BoundaryAngle, DiscModel, PlanarArc
 from .errors import LefbenchError, SpiralCollision
-from .exactgeom import (ORIGIN, Q, circle_hpoint, closed_segments_touch,
-                        orient, point_on_segment, reduced,
-                        segment_near_origin, segments_overlap_collinear)
+from .exactgeom import (ORIGIN, Q, circle_hpoint, first_contact, orient,
+                        point_on_segment, reduced, segment_near_origin)
 
 # how much further on a copy bent off its shared puncture starts
 BEND = Q(1, 128)
@@ -158,8 +159,7 @@ def spiral_vertex_count(arc: PlanarArc, m: int, params: WrapParams,
 
 def wrap(arc: PlanarArc, m: int, params: WrapParams, disc: DiscModel,
          bend: bool = False) -> PlanarArc:
-    """Wrapped image of a radial-ended arc, recorded valid in disc where
-    the wedge proof holds; see module docstring."""
+    """The wrapped image of a radial-ended arc, proved legal in disc."""
     r_out, max_punct = source_annulus(arc, disc, bend)
 
     # Angles over one denominator: start, then a half-step-shifted grid (so
@@ -169,7 +169,6 @@ def wrap(arc: PlanarArc, m: int, params: WrapParams, disc: DiscModel,
     den, half, a0, a_end = _angles(arc, m, params, bend)
     grid = range(a0 + half, a_end, 2 * half)
     head = arc.hverts[:1] if bend else arc.hverts[:-1]
-    angles = [a0, *grid, a_end]
 
     # The radius climbs affinely in the angle from r_out = n / d to r_last =
     # (1 + r_out) / 2: r = (2 n span + k (a - a0)) / (2 d span), k = d - n,
@@ -203,34 +202,34 @@ def wrap(arc: PlanarArc, m: int, params: WrapParams, disc: DiscModel,
 
     tail = BoundaryAngle(Q(a_end % den, den))
     out = PlanarArc(head + tuple(spiral) + (tail.hpoint,), arc.start, tail)
-    join_lo = a0 - ceil(BEND * den) if bend else a0
-    if (arc.is_legal(disc)
-            and _proved(head, spiral, angles, low, join_lo, half, res)
-            and not (bend and any(point_on_segment(p, head[0], spiral[0])
-                                  for p in disc.hpoints if p != head[0]))):
-        out.__dict__["_valid_in"] = disc     # as PlanarArc.validate records
+    pairs = None                # an illegal source gets the full check
+    if arc.is_legal(disc):
+        # the angles of the join (segment h - 1), chord 0 (h) and the last
+        h, last = len(head), len(head) + len(spiral) - 2
+        angles = [a0, *grid[:1], *grid[-1:], a_end]
+        ends = {h - 1: (a0 - ceil(BEND * den) if bend else a0, a0),
+                h: (a0, angles[1]), last: (angles[-2], a_end)}
+        pairs = _open_pairs(h, last, low, ends, a0 - half, 2 * half, res)
+        if (first_contact(out.hverts, pairs) is None and not (bend and any(
+                point_on_segment(p, head[0], spiral[0])
+                for p in disc.hpoints if p != head[0]))):
+            return out
+        pairs = sorted(set(pairs))
+    out.validate(disc, pairs)
     return out
 
 
-def _proved(head, spiral, angles, low, join_lo: int, half: int,
-            res: int) -> bool:
-    """The pairs the wedge proof leaves open meet only at their joints: the
-    head against the chords in low, and the join, first and last chord
-    against the chords of each grid wedge that overlaps theirs (chord i in
-    a0 - half + i step .. + step, res wedges a turn): O(m) pairs."""
-    if any(closed_segments_touch(a1, a2, spiral[i], spiral[i + 1])
-           for i in low for a1, a2 in zip(head, head[1:])):
-        return False
-    n, base, step = len(spiral) - 1, angles[0] - half, 2 * half
-    ends = {k: (spiral[k], spiral[k + 1], angles[k], angles[k + 1])
-            for k in (0, n - 1)}
-    ends[-1] = (head[-1], spiral[0], join_lo, angles[0])
-    for k, (a1, a2, p, q) in ends.items():
+def _open_pairs(h: int, last: int, low: list[int], ends, base: int,
+                step: int, res: int) -> list[tuple[int, int]]:
+    """The O(m) segment pairs (i, j), i < j, that the wedge proof leaves
+    open, unsorted, some twice: each head segment against each chord in
+    low, and each segment of ends against each chord (h .. last) of a grid
+    wedge that overlaps its angles (chord h + i in wedge i, from base)."""
+    pairs = [(t, h + i) for i in low for t in range(h - 1)]
+    for k, (p, q) in ends.items():
         lo, hi = -((base - p) // step) - 1, (q - base) // step
-        for i in {i for w in range(lo, hi + 1) for i in range(w % res, n, res)}:
-            # consecutive segments share exactly their joint
-            meet = (segments_overlap_collinear if abs(i - k) == 1
-                    else closed_segments_touch)
-            if i != k and meet(a1, a2, spiral[i], spiral[i + 1]):
-                return False
-    return True
+        near = {j for w in range(lo, hi + 1)
+                for j in range(h + w % res, last + 1, res)}
+        near.discard(k)
+        pairs += [(k, j) if k < j else (j, k) for j in near]
+    return pairs

@@ -1,5 +1,6 @@
 """End-to-end tests for the ``lefbench`` command line tool."""
 
+import errno
 import gc
 import hashlib
 import inspect
@@ -420,15 +421,15 @@ def test_resolution_line_below_one_is_refused_at_its_disc(disc, header,
 
 def test_all_svg_runs_the_full_check_on_no_spiral(monkeypatch, tmp_path,
                                                     capsys):
-    # wrap proves each of the 12 stage spirals legal, so their check in
-    # the diagrams returns at once
+    # wrap proves each of the 12 stage spirals legal, and the diagrams
+    # check none of them again
     spirals, checked = [], []
     _count_calls(monkeypatch, wrapping.wrap, spirals)
     check = PlanarArc._check
 
-    def counted_check(arc, disc):
+    def counted_check(arc, disc, pairs=None):
         checked.append(arc)
-        return check(arc, disc)
+        return check(arc, disc, pairs)
     monkeypatch.setattr(PlanarArc, "_check", counted_check)
     assert main(["all", shipped("W0.cfg"), "--svg", str(tmp_path)]) == 0
     assert len(spirals) == 12 and checked
@@ -503,17 +504,18 @@ def test_hw_derives_each_quantity_once(monkeypatch, tmp_path, capsys):
     _count_calls(monkeypatch, minpos.compute_crossings, crossings)
     validate, check = PlanarArc.validate, PlanarArc._check
 
-    def counted_validate(arc, disc):
+    def counted_validate(arc, disc, pairs=None):
         validated.append(arc)
-        return validate(arc, disc)
+        return validate(arc, disc, pairs)
 
-    def counted_check(arc, disc):
+    def counted_check(arc, disc, pairs=None):
         checked.append((arc, disc))
-        return check(arc, disc)
+        return check(arc, disc, pairs)
     monkeypatch.setattr(PlanarArc, "validate", counted_validate)
     monkeypatch.setattr(PlanarArc, "_check", counted_check)
     # the towers count words and wrap no spiral; the stage diagrams of
-    # all --svg wrap one per stage and check each once
+    # all --svg wrap one per stage, which wrap proves legal and nothing
+    # validates again
     for argv in (["hw", shipped("W1.cfg")],
                  ["all", shipped("W0.cfg"), "--svg", str(tmp_path)]):
         for seen in (fs_calls, verdicts, spirals, validated, checked, stages,
@@ -526,7 +528,7 @@ def test_hw_derives_each_quantity_once(monkeypatch, tmp_path, capsys):
         assert len(verdicts) == 2
         assert len(spirals) == (0 if argv[0] == "hw" else 3 * 4)
         for spiral in spirals:
-            assert sum(arc is spiral for arc in validated) == 1
+            assert not any(arc is spiral for arc in validated)
         # a passed check is remembered: the full check runs once per
         # distinct (arc, disc), however often the arc is validated
         pairs = {(id(arc), id(disc)) for arc, disc in checked}
@@ -547,9 +549,9 @@ def test_deep_hw_builds_and_checks_no_spiral(monkeypatch, tmp_path, capsys):
     _count_calls(monkeypatch, wrapping.wrap, wraps)
     check = PlanarArc._check
 
-    def counted_check(arc, disc):
+    def counted_check(arc, disc, pairs=None):
         checked.append(arc)
-        return check(arc, disc)
+        return check(arc, disc, pairs)
     monkeypatch.setattr(PlanarArc, "_check", counted_check)
     cfg = tmp_path / "deep.cfg"
     cfg.write_text(Path(shipped("W1.cfg")).read_text().replace(
@@ -756,6 +758,25 @@ def test_missing_config_exit_one(tmp_path, capsys):
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error[ConfigError]:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("given, code", [
+    ("W1.cfg/", "ENOTDIR"), ("./d/", "EISDIR"), ("d//", "EISDIR"),
+    ("d/.", "EISDIR"), ("./missing.cfg", "ENOENT")])
+def test_config_path_is_opened_as_given(given, code, tmp_path, monkeypatch,
+                                        capsys):
+    # pathlib.Path would read "W1.cfg/" as the file "W1.cfg" and "./d/" as
+    # "d"; the path is opened, and cited, as given
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(shipped("W1.cfg"), "W1.cfg")
+    (tmp_path / "d").mkdir()
+    assert main(["validate", "./W1.cfg"]) == 0
+    capsys.readouterr()
+    assert main(["validate", given]) == 1
+    n = getattr(errno, code)
+    assert capsys.readouterr() == (
+        "", f"error[ConfigError]: {given}: cannot read config ([Errno {n}]"
+        f" {os.strerror(n)}: {given!r})\n")
 
 
 def test_unwritable_svg_dir_exit_one(tmp_path, capsys):

@@ -420,6 +420,27 @@ def test_line_endings_and_bom_load_the_same(encode, tmp_path):
     assert str(e.value).startswith(f"{cfg}:{lineno}: '0.5' is not an exact")
 
 
+W0_TEXT = Path(shipped("W0.cfg")).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                                 "\x85", "\u2028", "\u2029"])
+def test_line_separators_in_a_comment_stay_in_it(sep, tmp_path):
+    # str.splitlines breaks a line at each of these; an editor, and
+    # universal newlines, break only at \n, \r\n and \r
+    cfg = tmp_path / "W0.cfg"
+    text = W0_TEXT.replace('Scenario "W0"', f'Scenario{sep}"W0"', 1)
+    cfg.write_text(text, encoding="utf-8")
+    assert load_config(cfg) == load_config(shipped("W0.cfg"))
+    # a broken line after that comment keeps its line number
+    lineno = text.split("\n").index("delta = 1/64") + 1
+    cfg.write_text(text.replace("delta = 1/64", "delta = 0.5"),
+                   encoding="utf-8")
+    with pytest.raises(ConfigError) as e:
+        load_config(cfg)
+    assert str(e.value).startswith(f"{cfg}:{lineno}: '0.5' is not an exact")
+
+
 @pytest.mark.parametrize("offset", [19, 10001])
 @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["", "bom"])
 def test_undecodable_byte_names_its_position(offset, bom, tmp_path):

@@ -14,11 +14,10 @@ from lefbench.disc import BoundaryAngle, DiscModel, PlanarArc, Puncture
 from lefbench.errors import LefbenchError, NonEmbeddableInput, SpiralCollision
 from lefbench.exactgeom import point_on_segment, segment_box
 from lefbench.fibration import TotalSpaceFiber
-from lefbench.wrapping import wrap
 
 from oracles import all_pairs_check_embedded, polyline_is_embedded
 from scen import arc_through, fan, hpt, pt
-from test_wrap import PARAMS, _wrap_sources
+from test_wrap import PARAMS, _wrap_sources, wrap_or_refusal
 
 # a coarse grid: boxes often touch exactly, and collinear, T- and endpoint
 # contacts are common
@@ -65,7 +64,7 @@ def test_matching_arc_validates():
 def _built_arcs():
     """(arc, disc) of every arc the builders make: the crit paths and
     objects config loading builds for the shipped scenarios, inner
-    fibrations included, and the arcs wrap returns in the wrap census."""
+    fibrations included, and the spirals wrap builds in the wrap census."""
     built = []
     for name in ("W0", "W1", "ts3", "empty-fibration"):
         f = load_config(resources.files("lefbench") / "scenarios"
@@ -78,17 +77,18 @@ def _built_arcs():
             f = f.fiber.fibration
     assert len(built) == 19
 
-    # the draws of the wrap census in test_wrap: its 118 certified and 133
-    # rejected spirals
+    # the draws of the wrap census in test_wrap at seed 21: its 118
+    # returned and 133 refused spirals
     rng = random.Random(21)
     for disc, source, bend in _wrap_sources():
         for lo, hi in ((1, 64), (1, 64), (3, 8), (3, 8)):
             res, m = rng.randint(lo, hi), rng.randint(0, 16)
             grid = PARAMS._replace(resolution=res)
             try:
-                built.append((wrap(source, m, grid, disc, bend=bend), disc))
+                spiral, _ = wrap_or_refusal(source, m, grid, disc, bend=bend)
             except SpiralCollision:
                 continue
+            built.append((spiral, disc))
     assert len(built) == 19 + 118 + 133
     return tuple(built)
 

@@ -28,6 +28,7 @@ from oracles import (ccw_gap, homog, line_intersection, polygon_area2,
                      segment_point_dist2, sgn_eps)
 from scen import arc_through, pt
 from test_disc import _embedding_error, no_zero_length
+from test_wrap import wrap_or_refusal
 
 
 def h(*points):
@@ -486,7 +487,7 @@ def test_wrap_builds_the_reference_spiral(resolution, m, bend):
         arc = crit.path
         if bend and len(arc.vertices) != 2:
             continue
-        w = wrap(arc, m, params, f.disc, bend=bend)
+        w, _ = wrap_or_refusal(arc, m, params, f.disc, bend=bend)
         tau0 = arc.end.angle
         start = tau0 + (BEND if bend else 0)
         r_out, _ = source_annulus(arc, f.disc)

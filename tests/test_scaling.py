@@ -11,11 +11,13 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-from lefbench import fibration, minpos
+from lefbench import disc, fibration, minpos, wrapping
 from lefbench.cli import main
 from lefbench.config import NESTING_LIMIT
+from lefbench.exactgeom import (closed_segments_touch, first_contact,
+                                segments_overlap_collinear)
 from lefbench.minpos import compute_crossings, intersection_profile
-from test_cli import _chain_config, shipped
+from test_cli import _chain_config, _count_calls, _edited, shipped
 from test_minimal_position import punctured_zigzag_pair, zigzag_pair
 
 PER_DOUBLING = 2.3
@@ -136,3 +138,36 @@ def test_a_fiber_rank_is_not_a_matrix_size(monkeypatch, tmp_path, capsys):
         assert f"H2: Z^{n + 1}\n" in capsys.readouterr().out
     # three inner cells on one row, then two outer cells on three rows
     assert entries == [[3, 6]] * 3, entries
+
+
+def test_a_refused_deep_spiral_tests_segment_pairs_linearly(monkeypatch,
+                                                           tmp_path, capsys):
+    """render on W1 at resolution 16 with levels {0, m}, m = 96 / 192 /
+    384: the spiral of the first tower at level m meets its head.  Both
+    the exact contact tests and the segment pairs listed for them grow
+    linearly: wrap lists the O(m) pairs its proof leaves open, where the
+    full check of the spiral would list the O(m^2) pairs whose boxes
+    meet."""
+    tested, listed = [], [0]
+    for fn in (closed_segments_touch, segments_overlap_collinear):
+        _count_calls(monkeypatch, fn, tested)
+
+    def listing(hs, pairs, real=first_contact):
+        pairs = list(pairs)
+        listed[0] += len(pairs)
+        return real(hs, pairs)
+    for mod in (disc, wrapping):
+        monkeypatch.setattr(mod, "first_contact", listing)
+    counts = []
+    for m in (96, 192, 384):
+        cfg = _edited(tmp_path, "W1", "levels = 0 1 2 3", f"levels = 0 {m}")
+        tested.clear()
+        listed[0] = 0
+        assert main(["render", str(cfg), "--resolution", "16",
+                     "--svg", str(tmp_path / f"svg-{m}")]) == 1
+        assert "between segments 0 and 17 " in capsys.readouterr().err
+        counts.append((len(tested), listed[0]))
+    for row in zip(*counts):
+        assert all(n > 0 for n in row), counts
+        assert all(m <= PER_DOUBLING * n for n, m in zip(row, row[1:])), \
+            counts

@@ -7,7 +7,7 @@ import pytest
 
 import scen
 
-from lefbench.disc import BoundaryAngle, DiscModel, Puncture
+from lefbench.disc import BoundaryAngle, DiscModel, PlanarArc, Puncture
 from lefbench.errors import (LefbenchError, NonEmbeddableInput,
                              SpiralCollision)
 from lefbench.minpos import compute_crossings, find_empty_bigons
@@ -29,10 +29,30 @@ def main_disc():
 
 
 def wrapped(arc, m, params, disc, bend=False):
-    """wrap, then the check every consumer makes before using the spiral."""
+    """wrap, then the full check of the spiral wrap returns as proved."""
     w = wrap(arc, m, params, disc, bend=bend)
     w.validate(disc)
     return w
+
+
+def wrap_or_refusal(arc, m, params, disc, bend=False):
+    """(spiral, None) where wrap returns the spiral, and (spiral, error)
+    where it refuses it: the spiral is caught at the PlanarArc.validate
+    call that raised error."""
+    checked = []
+    validate = PlanarArc.validate
+
+    def caught(self, d, pairs=None):
+        checked.append(self)
+        return validate(self, d, pairs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PlanarArc, "validate", caught)
+        try:
+            return wrap(arc, m, params, disc, bend=bend), None
+        except LefbenchError as e:
+            if not checked or checked[-1] is arc:
+                raise
+            return checked[-1], e
 
 
 def ray_a(disc):
@@ -192,7 +212,8 @@ def test_wrap_tests_every_chord_where_the_bow_bound_gives_nothing(
     monkeypatch.setattr(wrapping, "segment_near_origin",
                         lambda a, b, r2: tested.append((a, b)) and False)
     disc = main_disc()
-    w = wrap(ray_b(disc), 3, PARAMS._replace(resolution=res), disc)
+    w, _ = wrap_or_refusal(ray_b(disc), 3, PARAMS._replace(resolution=res),
+                           disc)
     spiral = w.hverts[1:-1]
     assert len(spiral) > 3
     assert tested == list(zip(spiral, spiral[1:]))
@@ -211,6 +232,15 @@ def test_wrap_keeps_spiral_clear_of_punctures():
 # the wedge proof of wrap against the full check and the all-pairs oracle
 # --------------------------------------------------------------------------
 
+def _full_check_error(spiral, disc):
+    """The error of the full check of spiral in disc, None if it passes."""
+    try:
+        spiral._check(disc)
+    except LefbenchError as e:
+        return e
+    return None
+
+
 def test_wrap_certifies_no_spiral_that_crosses_the_head():
     # the head's corner lies at radius 0.78, so at resolution 5 the chords
     # that dip inside that radius are tested against the head; the one
@@ -219,10 +249,10 @@ def test_wrap_certifies_no_spiral_that_crosses_the_head():
                        pt(0, Q(1, 2)), pt(0, 1)),
                       Puncture("o"), BoundaryAngle(Q(1, 4)))
     disc = DiscModel((("o", hpt(0, 0)),))
-    w = wrap(src, 1, PARAMS._replace(resolution=5), disc)
-    assert "_valid_in" not in w.__dict__
-    with pytest.raises(NonEmbeddableInput, match="between segments 0 and 5"):
-        w.validate(disc)
+    w, e = wrap_or_refusal(src, 1, PARAMS._replace(resolution=5), disc)
+    assert isinstance(e, NonEmbeddableInput)
+    assert "between segments 0 and 5" in str(e)
+    assert str(e) == str(_full_check_error(w, disc))
 
 
 def test_wrap_certifies_no_bent_join_through_a_puncture():
@@ -235,11 +265,10 @@ def test_wrap_certifies_no_bent_join_through_a_puncture():
     disc = DiscModel((("b", homog(b)), ("r", hpt(Q(-3, 5), 0)),
                       ("q", homog(q))))
     src = arc_through((b, pt(1, 0)), Puncture("b"), BoundaryAngle(Q(0)))
-    w = wrap(src, 1, PARAMS, disc, bend=True)
+    w, e = wrap_or_refusal(src, 1, PARAMS, disc, bend=True)
     assert w.hverts[1] == homog(first)
-    assert "_valid_in" not in w.__dict__
-    with pytest.raises(LefbenchError, match="passes through puncture 'q'"):
-        w.validate(disc)
+    assert "passes through puncture 'q'" in str(e)
+    assert str(e) == str(_full_check_error(w, disc))
 
 
 def _radial_fan(rng):
@@ -280,37 +309,39 @@ def _wrap_sources():
 
 
 def test_wrap_certifies_exactly_the_spirals_the_full_check_accepts():
-    # per source, two draws of resolution 1-64 and two of 3-8, levels 0-16:
-    # a certified spiral passes PlanarArc._check and, up to 64 segments,
-    # the all-pairs oracle; a spiral of a legal source that _check accepts
-    # is certified
-    rng = random.Random(21)
-    seen = dict.fromkeys(("certified", "illegal source", "rejected",
-                          "collision", "oracle"), 0)
-    for disc, source, bend in _wrap_sources():
-        legal = source.is_legal(disc)
-        for lo, hi in ((1, 64), (1, 64), (3, 8), (3, 8)):
-            res, m = rng.randint(lo, hi), rng.randint(0, 16)
-            grid = PARAMS._replace(resolution=res)
-            try:
-                w = wrap(source, m, grid, disc, bend=bend)
-            except SpiralCollision:
-                seen["collision"] += 1
-                continue
-            certified = w.__dict__.get("_valid_in") is disc
-            try:
-                w._check(disc)
-            except LefbenchError:
-                assert not certified, (res, m, bend, source)
-                seen["rejected"] += 1
-                continue
-            assert certified or not legal, (res, m, bend, source)
-            seen["certified" if certified else "illegal source"] += 1
-            if certified and len(w.hverts) <= 65:
-                all_pairs_check_embedded(w)
-                seen["oracle"] += 1
-    assert seen == {"certified": 118, "illegal source": 0, "rejected": 133,
-                    "collision": 109, "oracle": 38}
+    # per source, draws of resolution and of level 0-16: a returned spiral
+    # passes PlanarArc._check and, up to 64 segments, the all-pairs oracle;
+    # a refused one is refused with the error of the full check, byte for
+    # byte, which wrap's proof reaches over the pairs it leaves open
+    census = {21: ((1, 64), (1, 64), (3, 8), (3, 8)),
+              8: ((1, 64), (3, 8), (3, 8), (3, 8), (3, 8))}
+    expect = {21: (118, 133, 109, 38), 8: (81, 177, 192, 31)}
+    for seed, draws in census.items():
+        rng = random.Random(seed)
+        seen = dict.fromkeys(("returned", "refused", "collision", "oracle"),
+                             0)
+        for disc, source, bend in _wrap_sources():
+            for lo, hi in draws:
+                res, m = rng.randint(lo, hi), rng.randint(0, 16)
+                grid = PARAMS._replace(resolution=res)
+                try:
+                    w, e = wrap_or_refusal(source, m, grid, disc, bend=bend)
+                except SpiralCollision:
+                    seen["collision"] += 1
+                    continue
+                full = _full_check_error(w, disc)
+                if e is not None:
+                    assert (type(e), str(e)) == (type(full), str(full)), (
+                        seed, res, m, bend, source)
+                    seen["refused"] += 1
+                    continue
+                assert full is None, (seed, res, m, bend, source)
+                seen["returned"] += 1
+                if len(w.hverts) <= 65:
+                    all_pairs_check_embedded(w)
+                    seen["oracle"] += 1
+        assert tuple(seen.values()) == expect[seed], seed
+    assert sum(expect[seed][1] for seed in census) >= 300
 
 
 def test_spiral_vertex_count_is_the_length_of_the_spiral():
@@ -321,7 +352,7 @@ def test_spiral_vertex_count_is_the_length_of_the_spiral():
         res, m = rng.randint(1, 64), rng.randint(0, 16)
         grid = PARAMS._replace(resolution=res)
         try:
-            w = wrap(source, m, grid, disc, bend=bend)
+            w, _ = wrap_or_refusal(source, m, grid, disc, bend=bend)
         except SpiralCollision:
             continue
         assert wrapping.spiral_vertex_count(source, m, grid,
