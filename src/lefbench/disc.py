@@ -20,8 +20,9 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import LefbenchError, NonEmbeddableInput
-from .exactgeom import (Hpt, Pt, Q, box_pairs, circle_hpoint, first_contact,
-                        point, point_on_segment, reduced, segment_box)
+from .exactgeom import (KEY_BITS, Hpt, Pt, Q, box_pairs, circle_hpoint,
+                        first_contact, point, point_on_segment, reduced,
+                        segment_box)
 
 
 class Puncture(NamedTuple):
@@ -122,30 +123,33 @@ class PlanarArc:
 
     @cached_property
     def boxes(self) -> list[tuple]:
-        """exactgeom.segment_box of each segment: the input of box_pairs
-        (the arc's own pairs) and box_pairs_between (pairs with another
-        arc)."""
-        hs = self.hverts
-        # by index: a slice hs[1:] of a 21-vertex arc would be a 20-tuple,
-        # a length CPython 3.11 frees to a free list it never takes from
-        return [segment_box(hs[i], hs[i + 1]) for i in range(len(hs) - 1)]
+        """exactgeom.segment_box of each segment, paired from the floor
+        keys of each vertex, computed once: the input of box_pairs (the
+        arc's own pairs) and box_pairs_between (pairs with another arc)."""
+        keys = [((x << KEY_BITS) // w, (y << KEY_BITS) // w)
+                for x, y, w in self.hverts]
+        return [((xp, xq) if xp <= xq else (xq, xp))
+                + ((yp, yq) if yp <= yq else (yq, yp))
+                for (xp, yp), (xq, yq) in zip(keys, keys[1:])]
 
     # -- validation ------------------------------------------------------
 
     def validate(self, disc: DiscModel, pairs: list | None = None) -> None:
         """Raise LefbenchError unless the arc is legal in disc.  A pass is
         recorded against disc, by identity (arcs and discs are frozen), so a
-        repeat call returns at once; a failure records nothing.  Given pairs
-        (wrapping.wrap's open pairs), only they are tested for contact."""
+        repeat call returns at once; a failure records nothing.  Given pairs,
+        only they are tested for contact: wrapping.wrap passes those its
+        proof leaves open, and a fibration a vanishing path's own pairs from
+        its one sweep (Fibration.path_sweep), those box_pairs would list."""
         if self.__dict__.get("_valid_in") is disc:
             return
         self._check(disc, pairs)
         self.__dict__["_valid_in"] = disc
 
-    def is_legal(self, disc: DiscModel) -> bool:
+    def is_legal(self, disc: DiscModel, pairs: list | None = None) -> bool:
         """Whether validate passes."""
         try:
-            self.validate(disc)
+            self.validate(disc, pairs)
         except LefbenchError:
             return False
         return True

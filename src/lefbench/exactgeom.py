@@ -4,12 +4,14 @@ Points are homogeneous integer triples: (X, Y, W) with W > 0 is the point
 (X/W, Y/W).  Arcs and discs store the reduced form, gcd(X, Y, W) == 1, one
 triple per point, so equal points give equal triples (``reduced`` builds
 it from any triple with W != 0).  The segment predicates, which decide
-every sign, take any triples: a turn is the sign of the 3x3 determinant of
-three rows and a comparison of two coordinates is one cross-multiplication,
-so no predicate takes a gcd; no floating point enters any decision.  A
-crossing of two segments is a reduced triple too, with its positions along
-the segments as Fractions.  NamedTuples of Fractions (Pt) are built only by
-``point``, for messages and PlanarArc.vertices.
+every sign, take any triples: each segment's line is computed once, the
+cross product of its two triples, and a turn is the sign of its dot
+product with a third (det[p; q; r] = (p x q) . r); a comparison of two
+coordinates is one cross-multiplication, so no predicate takes a gcd or
+builds a Fraction, and no floating point enters any decision.  A
+crossing of two segments is a reduced triple too, with its positions
+along the segments as integer ratios.  NamedTuples of Fractions (Pt) are
+built only by ``point``, for messages and PlanarArc.vertices.
 
 Degenerate contacts between two different polylines are resolved by a
 deterministic symbolic perturbation: one of the two arcs is treated as
@@ -36,8 +38,8 @@ from typing import Iterable, Iterator, NamedTuple
 
 Q = Fraction
 
-# the floor key of a coordinate x is floor(x * 2^_KEY_BITS)
-_KEY_BITS = 64
+# the floor key of a coordinate x is floor(x * 2^KEY_BITS)
+KEY_BITS = 64
 
 
 class Pt(NamedTuple):
@@ -124,6 +126,14 @@ def orient(a: Hpt, b: Hpt, c: Hpt) -> int:
     return (d > 0) - (d < 0)
 
 
+def _line(p: Hpt, q: Hpt) -> tuple[int, int, int]:
+    """The line through p and q, p x q: the turn p -> q -> r has the sign
+    of its dot product with r, det[p; q; r] (orient); 0 when p == q."""
+    px, py, pw = p
+    qx, qy, qw = q
+    return (py * qw - pw * qy, pw * qx - px * qw, px * qy - py * qx)
+
+
 def point_on_segment(p: Hpt, a: Hpt, b: Hpt) -> bool:
     """Exact: p lies on the closed segment [a, b]."""
     px, py, pw = p
@@ -132,9 +142,11 @@ def point_on_segment(p: Hpt, a: Hpt, b: Hpt) -> bool:
     # p lies between a and b in a coordinate when p - a and p - b do not
     # share a strict sign there; the ranges are cheaper than the turn and
     # usually decide
-    return ((px * aw - ax * pw) * (px * bw - bx * pw) <= 0
-            and (py * aw - ay * pw) * (py * bw - by * pw) <= 0
-            and orient(a, b, p) == 0)
+    if ((px * aw - ax * pw) * (px * bw - bx * pw) > 0
+            or (py * aw - ay * pw) * (py * bw - by * pw) > 0):
+        return False
+    lx, ly, lw = _line(a, b)
+    return lx * px + ly * py + lw * pw == 0
 
 
 def segment_box(p: Hpt, q: Hpt) -> tuple[int, int, int, int]:
@@ -147,8 +159,8 @@ def segment_box(p: Hpt, q: Hpt) -> tuple[int, int, int, int]:
     them meet.  Keys that meet decide nothing; the exact predicates do.
     """
     (px, py, pw), (qx, qy, qw) = p, q
-    xp, xq = (px << _KEY_BITS) // pw, (qx << _KEY_BITS) // qw
-    yp, yq = (py << _KEY_BITS) // pw, (qy << _KEY_BITS) // qw
+    xp, xq = (px << KEY_BITS) // pw, (qx << KEY_BITS) // qw
+    yp, yq = (py << KEY_BITS) // pw, (qy << KEY_BITS) // qw
     x0, x1 = (xp, xq) if xp <= xq else (xq, xp)
     y0, y1 = (yp, yq) if yp <= yq else (yq, yp)
     return (x0, x1, y0, y1)
@@ -190,7 +202,9 @@ def box_pairs_between(boxes_a: list[tuple], boxes_b: list[tuple]
 def segments_overlap_collinear(a1: Hpt, a2: Hpt, b1: Hpt, b2: Hpt) -> bool:
     """True when the two segments are collinear and share more than a point."""
     # b2 first: consecutive segments of a chain share b1 = a2
-    if orient(a1, a2, b2) != 0 or orient(a1, a2, b1) != 0:
+    lx, ly, lw = _line(a1, a2)
+    if (lx * b2[0] + ly * b2[1] + lw * b2[2]
+            or lx * b1[0] + ly * b1[1] + lw * b1[2]):
         return False
     # all four points lie on one line; order them along a coordinate in which
     # a1 and a2 differ (any, if a is a single point: it then overlaps nothing)
@@ -204,16 +218,18 @@ def segments_overlap_collinear(a1: Hpt, a2: Hpt, b1: Hpt, b2: Hpt) -> bool:
 
 def closed_segments_touch(a1: Hpt, a2: Hpt, b1: Hpt, b2: Hpt) -> bool:
     """Exact: the closed segments share at least one point."""
-    d1 = orient(a1, a2, b1)
-    d2 = orient(a1, a2, b2)
-    if d1 == d2 != 0:
+    lx, ly, lw = _line(a1, a2)
+    d1 = lx * b1[0] + ly * b1[1] + lw * b1[2]
+    d2 = lx * b2[0] + ly * b2[1] + lw * b2[2]
+    if d1 > 0 and d2 > 0 or d1 < 0 and d2 < 0:
         # b lies strictly on one side of a's line
         return False
-    d3 = orient(b1, b2, a1)
-    d4 = orient(b1, b2, a2)
-    if d3 == d4 != 0:
+    lx, ly, lw = _line(b1, b2)
+    d3 = lx * a1[0] + ly * a1[1] + lw * a1[2]
+    d4 = lx * a2[0] + ly * a2[1] + lw * a2[2]
+    if d3 > 0 and d4 > 0 or d3 < 0 and d4 < 0:
         return False
-    if d1 != d2 and d3 != d4:
+    if (d1 or d2) and (d3 or d4):
         return True
     # collinear, or a zero-length segment: an endpoint must lie on the other
     for p, a, b in ((b1, a1, a2), (b2, a1, a2), (a1, b1, b2), (a2, b1, b2)):
@@ -237,12 +253,13 @@ class Crossing(NamedTuple):
     """A transverse crossing event between segment [a1,a2] and [b1,b2].
 
     hpoint is the crossing as a reduced triple; ta/tb are exact parameters
-    along the respective segments (0..1).  For contacts that the symbolic
-    perturbation resolves into crossings they are the eps -> 0 limit values.
+    along the respective segments (0..1), as integer ratios (n, d > 0).
+    For contacts that the symbolic perturbation resolves into crossings
+    they are the eps -> 0 limit values.
     """
     hpoint: Hpt
-    ta: Fraction
-    tb: Fraction
+    ta: tuple[int, int]
+    tb: tuple[int, int]
 
 
 def _shift_sign(p: Hpt, q: Hpt) -> int:
@@ -267,41 +284,34 @@ def segment_crossing(a1: Hpt, a2: Hpt, b1: Hpt, b2: Hpt,
     yes/no; collinear overlaps resolve to "no crossing" (parallel translates
     never meet) and T-contacts resolve one way or the other consistently
     across all segment pairs of the same arc pair.  Each orientation is the
-    first nonzero coefficient of base + c1*eps + c2*eps^2; the parameters
-    of a crossing are the only Fractions built.
+    first nonzero coefficient of base + c1*eps + c2*eps^2, its base one
+    line's dot product with an end of the other segment.  The crossing is
+    the lines' cross product; b's line is d3 / w1 at a1 and d4 / w2 at a2,
+    so it lies at d3 w2 / (d3 w2 - d4 w1) along a, and likewise along b.
     """
     if not shift_b:
         a1, a2, b1, b2 = b1, b2, a1, a2
-    o1 = orient(a1, a2, b1)
-    o2 = orient(a1, a2, b2)
-    if not (o1 and o2):
-        tie = _shift_sign(a1, a2)
-        o1, o2 = o1 or tie, o2 or tie
-    if o1 == o2:
+    (x1, y1, w1), (x2, y2, w2), (x3, y3, w3), (x4, y4, w4) = a1, a2, b1, b2
+    ax, ay, aw = _line(a1, a2)
+    d1 = ax * x3 + ay * y3 + aw * w3
+    d2 = ax * x4 + ay * y4 + aw * w4
+    tie = 0 if d1 and d2 else _shift_sign(a1, a2)
+    if ((d1 or tie) > 0) == ((d2 or tie) > 0):
         return None
-    o3 = orient(b1, b2, a1)
-    o4 = orient(b1, b2, a2)
-    if not (o3 and o4):
-        tie = -_shift_sign(b1, b2)
-        o3, o4 = o3 or tie, o4 or tie
-    if o3 == o4:
+    bx, by, bw = _line(b1, b2)
+    d3 = bx * x1 + by * y1 + bw * w1
+    d4 = bx * x2 + by * y2 + bw * w2
+    tie = 0 if d3 and d4 else -_shift_sign(b1, b2)
+    if ((d3 or tie) > 0) == ((d4 or tie) > 0):
         return None
-    x1, y1, w1 = a1
-    x2, y2, w2 = a2
-    x3, y3, w3 = b1
-    x4, y4, w4 = b2
-    dax, day = x2 * w1 - x1 * w2, y2 * w1 - y1 * w2    # (a2 - a1) w1 w2
-    dbx, dby = x4 * w3 - x3 * w4, y4 * w3 - y3 * w4    # (b2 - b1) w3 w4
-    ex, ey = x3 * w1 - x1 * w3, y3 * w1 - y1 * w3      # (b1 - a1) w1 w3
     # crossing of the perturbed pair implies the carrier lines are not
-    # parallel (parallel translates keep o1 == o2), so den != 0
-    den = dax * dby - day * dbx
-    num_a = ex * dby - ey * dbx
-    ta = Q(num_a * w2, den * w3)
-    tb = Q((ex * day - ey * dax) * w4, den * w1)
-    # a1 + ta (a2 - a1), over the denominator w1 w3 den
-    hpoint = reduced(x1 * w3 * den + num_a * dax,
-                     y1 * w3 * den + num_a * day, w1 * w3 * den)
+    # parallel (a parallel translate keeps b on one side of a's line), so
+    # both denominators and the crossing's w are nonzero
+    na, da = d3 * w2, d3 * w2 - d4 * w1
+    nb, db = d1 * w4, d1 * w4 - d2 * w3
+    ta = (na, da) if da > 0 else (-na, -da)
+    tb = (nb, db) if db > 0 else (-nb, -db)
+    hpoint = reduced(ay * bw - aw * by, aw * bx - ax * bw, ax * by - ay * bx)
     return Crossing(hpoint, ta, tb) if shift_b else Crossing(hpoint, tb, ta)
 
 

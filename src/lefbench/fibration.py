@@ -15,7 +15,9 @@ fiber's homology, the attachment degree, the attachment matrix's columns
 that can change, and the classes of matching objects (their cell cycles),
 are all read from it, so a chain of total-space fibers derives each level's
 classes once.  It also checks each pair of its vanishing paths once, for
-validate to report and for tower stages to require.
+validate to report and for tower stages to require; one box sweep over the
+segments of all its paths feeds both that check and each path's own
+embedding check.
 
 Every validation check yields (violation?, text) findings into one list,
 which validate prefixes with the fibration's name and splits once.
@@ -252,32 +254,42 @@ class Fibration:
         return HandleModel(table, k, classes, smith_form(list(zip(*classes))))
 
     @cached_property
+    def path_sweep(self) -> tuple[list[list], set[tuple[int, int]]]:
+        """One exactgeom.box_pairs sweep over the segments of all the
+        vanishing paths, derived on first read: each path's own pairs, in
+        (i, j) order, for PlanarArc.validate, and the pairs (i, j) of paths
+        with two segments sharing a point (closed_segments_touch)."""
+        paths = [c.path for c in self.crits]
+        segs = [(i, k, a, b) for i, p in enumerate(paths)
+                for k, (a, b) in enumerate(zip(p.hverts, p.hverts[1:]))]
+        own, touch = [[] for _ in paths], set()
+        for s, t in box_pairs([box for p in paths for box in p.boxes]):
+            (i, k, a1, a2), (j, m, b1, b2) = segs[s], segs[t]
+            if i == j:
+                own[i].append((k, m))
+            elif (i, j) not in touch and closed_segments_touch(
+                    a1, a2, b1, b2):
+                touch.add((i, j))
+        return own, touch
+
+    @cached_property
     def path_findings(self) -> tuple[tuple[bool, str], ...]:
         """(violation?, text) of each pair of vanishing paths, in pair
         order (_check_disjoint_paths), derived on first read: validate
         reports them all, and a tower stage refuses the first violation,
         so that the cut disc is one disc.
 
-        One exactgeom.box_pairs sweep over the segments of all the paths
-        yields the segment pairs whose box keys meet; of those that belong
-        to two different paths, exactgeom.closed_segments_touch decides
-        exactly which share a point.  The pairs checked are those with a
-        touching segment pair, and those with a path that is no legal arc.
-        Any other pair is two legal arcs whose closed segments share no
-        point, so they lie a positive distance apart (segments whose boxes
-        are apart have a gap in x or y, and the others were tested): no
-        infinitesimal shift makes them cross, they share no puncture and
-        no boundary end, and so there is nothing to find."""
-        paths = [c.path for c in self.crits]
-        segs = [(i, a, b) for i, p in enumerate(paths)
-                for a, b in zip(p.hverts, p.hverts[1:])]
-        touch = set()
-        for s, t in box_pairs([box for p in paths for box in p.boxes]):
-            (i, a1, a2), (j, b1, b2) = segs[s], segs[t]
-            if i != j and (i, j) not in touch and closed_segments_touch(
-                    a1, a2, b1, b2):
-                touch.add((i, j))
-        bad = {i for i, p in enumerate(paths) if not p.is_legal(self.disc)}
+        The pairs checked are those with a touching segment pair
+        (path_sweep), and those with a path that is no legal arc (tested on
+        its own pairs).  Any other pair is two legal arcs whose closed
+        segments share no point, so they lie a positive distance apart
+        (segments whose boxes are apart have a gap in x or y, and the
+        others were tested): no infinitesimal shift makes them cross, they
+        share no puncture and no boundary end, and so there is nothing to
+        find."""
+        own, touch = self.path_sweep
+        bad = {i for i, c in enumerate(self.crits)
+               if not c.path.is_legal(self.disc, own[i])}
         return tuple([found for (i, ci), (j, cj)
                       in combinations(list(enumerate(self.crits)), 2)
                       if (i, j) in touch or i in bad or j in bad
@@ -305,7 +317,8 @@ def validate(f: Fibration) -> ValidationReport:
     declared puncture of its own (one ``crit P`` line per puncture) and
     that its path runs from that puncture to a boundary angle, and that
     every puncture an object ends at carries a critical value.  Checked
-    here: each path and object is a legal arc in the disc, cycle labels
+    here: each path and object is a legal arc in the disc (each path
+    tested on its own pairs from the one sweep, path_sweep), cycle labels
     are declared, vanishing paths are disjoint apart from a shared
     reference endpoint, and a matching path closes up over isotopic labels.
     Each check yields (violation?, text) findings into one list, in that
@@ -314,9 +327,9 @@ def validate(f: Fibration) -> ValidationReport:
     once.  A bifibration's inner report, so prefixed, follows.
     """
     findings: list[tuple[bool, str]] = []
-    for c in f.crits:
+    for c, pairs in zip(f.crits, f.path_sweep[0]):
         try:
-            c.path.validate(f.disc)
+            c.path.validate(f.disc, pairs)
         except LefbenchError as exc:
             findings.append((True, f"vanishing path of {c.puncture!r}: {exc}"))
         if not _label_declared(f, c.cycle_label):

@@ -27,8 +27,9 @@ a goes first, as in a search restarted after each surgery, so the same
 crossings are kept.  Then a crossing first along both arcs from a shared
 puncture p is dropped when the half-lens it bounds with p winds around
 no other puncture, until none is left.  All of it runs on homogeneous
-integer points and on ranks: Fraction positions are compared once per
-pair, to rank the crossings along each arc (compute_crossings).
+integer points and on ranks, and builds no Fraction: compute_crossings
+ranks the crossings along each arc by the floor keys (segment,
+floor(t * 2^64)) of their positions t, exact within a run of equal keys.
 intersection_profile reduces a pair and keeps only the number of crossings
 left.  Which ends a pair shares is decided in one place, shared_ends: the
 segment pairs pinned at a shared puncture, the refusal of a shared
@@ -38,32 +39,26 @@ oracle.matching_floer_rank all read it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from functools import cmp_to_key
 from heapq import heappop, heappush
+from itertools import groupby
 from typing import Iterator, NamedTuple
 
 from .disc import BoundaryAngle, DiscModel, Endpoint, PlanarArc, Puncture
 from .errors import DegenerateTangency, SharedBoundaryEndpoint
-from .exactgeom import (Hpt, box_pairs_between, segment_crossing,
+from .exactgeom import (KEY_BITS, Hpt, box_pairs_between, segment_crossing,
                         segments_overlap_collinear, winding_number)
 
-Pos = tuple[int, Fraction]  # (segment index, parameter within segment)
 
-
-@dataclass(frozen=True)
-class ArcCrossing:
+class ArcCrossing(NamedTuple):
     """One transverse crossing event between two arcs: its point as a
-    reduced triple, its position on each arc, and its rank along each arc
-    (compute_crossings), which takes no part in ==, hashing or repr."""
+    reduced triple, the segment of each arc it lies on, and its rank along
+    each arc (compute_crossings)."""
     hpoint: Hpt
-    a_pos: Pos
-    b_pos: Pos
-    a_rank: int = field(compare=False, repr=False)
-    b_rank: int = field(compare=False, repr=False)
-
-    def pos(self, side: int) -> Pos:
-        return self.a_pos if side == 0 else self.b_pos
+    a_seg: int
+    b_seg: int
+    a_rank: int
+    b_rank: int
 
 
 def shared_ends(a: PlanarArc, b: PlanarArc
@@ -86,11 +81,21 @@ def _canonically_after(ha: tuple[Hpt, ...], hb: tuple[Hpt, ...]) -> bool:
     return len(ha) > len(hb)
 
 
-def _ranks(keys: list[Pos]) -> list[int]:
-    """Each key's index in the stable sort of keys: the inverse, by
-    enumeration, of the sorting permutation."""
+def _ranks(positions: list[tuple[int, tuple[int, int]]]) -> list[int]:
+    """Each position's index in the stable sort of positions, (segment,
+    (n, d)) for the parameter n / d, d > 0: by the floor key (segment,
+    floor(n / d * 2^64)), and a run of equal keys, positions within 2^-64
+    of each other, by cross-multiplication."""
+    keys = [(s, (n << KEY_BITS) // d) for s, (n, d) in positions]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    if len(set(keys)) < len(keys):
+        ts = [t for _, t in positions]
+        exact = cmp_to_key(
+            lambda u, v: ts[u][0] * ts[v][1] - ts[v][0] * ts[u][1])
+        order = [k for _, run in groupby(order, keys.__getitem__)
+                 for k in sorted(run, key=exact)]
     ranks = [0] * len(keys)
-    for r, k in enumerate(sorted(range(len(keys)), key=keys.__getitem__)):
+    for r, k in enumerate(order):
         ranks[k] = r
     return ranks
 
@@ -99,7 +104,7 @@ def compute_crossings(a: PlanarArc, b: PlanarArc) -> list[ArcCrossing]:
     """All transverse crossing events between a and b, exact, in the order
     of their segment pairs (i of a, j of b); a segment pair holds at most
     one crossing.  Each is ranked along a and along b by one stable sort
-    of the positions on that arc.
+    of its positions on that arc (_ranks).
 
     Segment pairs pinned together at a shared puncture are treated specially:
     the pinned contact itself is structural (it becomes a shared-endpoint
@@ -126,9 +131,10 @@ def compute_crossings(a: PlanarArc, b: PlanarArc) -> list[ArcCrossing]:
             continue
         hit = segment_crossing(a1, a2, b1, b2, shift_b=shift_b)
         if hit is not None:
-            found.append((hit.hpoint, (i, hit.ta), (j, hit.tb)))
-    return [ArcCrossing(*c, ra, rb) for c, ra, rb in zip(
-        found, _ranks([c[1] for c in found]), _ranks([c[2] for c in found]))]
+            found.append((hit, i, j))
+    return [ArcCrossing(hit.hpoint, i, j, ra, rb) for (hit, i, j), ra, rb
+            in zip(found, _ranks([(i, hit.ta) for hit, i, _ in found]),
+                   _ranks([(j, hit.tb) for hit, _, j in found]))]
 
 
 # --------------------------------------------------------------------------
@@ -148,9 +154,8 @@ def _lens(a: PlanarArc, b: PlanarArc, x: ArcCrossing,
     corner's point through the vertices between to the other's: a
     crossing's point is the point at its position on either arc, exactly."""
     lo, hi = (x, y) if x.b_rank < y.b_rank else (y, x)
-    side_a = [x.hpoint, *a.hverts[x.a_pos[0] + 1: y.a_pos[0] + 1], y.hpoint]
-    side_b = [lo.hpoint, *b.hverts[lo.b_pos[0] + 1: hi.b_pos[0] + 1],
-              hi.hpoint]
+    side_a = [x.hpoint, *a.hverts[x.a_seg + 1: y.a_seg + 1], y.hpoint]
+    side_b = [lo.hpoint, *b.hverts[lo.b_seg + 1: hi.b_seg + 1], hi.hpoint]
     if side_a[0] != side_b[0]:
         side_b = side_b[::-1]
     return side_a + side_b[::-1][1:-1]
@@ -242,7 +247,7 @@ def _half_bigon(a: PlanarArc, b: PlanarArc, disc: DiscModel,
         for side, (arc, at_start, (after, before)) in enumerate(
                 zip((a, b), at_starts, ends)):
             c = chains.at_a[(after if at_start else before)[-1]]
-            s = c.pos(side)[0]
+            s = (c.a_seg, c.b_seg)[side]
             corners.append(c)
             sides.append([*(arc.hverts[:s + 1] if at_start
                             else arc.hverts[:s:-1]), c.hpoint])

@@ -59,8 +59,11 @@ vertex before the boundary) against the chords within sqrt(s), and the
 join, the first and the last chord against each chord whose angle interval
 overlaps theirs modulo a turn; only a bent join can pass through a
 puncture.  Where one of these fails, the full check's first error lies
-there, and PlanarArc.validate over the open pairs raises it; an illegal
-source gets the full check.
+there, and PlanarArc.validate over the open pairs raises it.  The proof
+never uses the source's legality: an illegal source leaves open besides
+only the pairs among its head and join segments whose boxes meet
+(exactgeom.box_pairs), and validate over the sorted whole raises the
+full check's first error, in time linear in m.
 """
 
 from __future__ import annotations
@@ -72,8 +75,9 @@ from typing import NamedTuple
 
 from .disc import BoundaryAngle, DiscModel, PlanarArc
 from .errors import LefbenchError, SpiralCollision
-from .exactgeom import (ORIGIN, Q, circle_hpoint, first_contact, orient,
-                        point_on_segment, reduced, segment_near_origin)
+from .exactgeom import (ORIGIN, Q, box_pairs, circle_hpoint, first_contact,
+                        orient, point_on_segment, reduced,
+                        segment_near_origin)
 
 # how much further on a copy bent off its shared puncture starts
 BEND = Q(1, 128)
@@ -202,20 +206,20 @@ def wrap(arc: PlanarArc, m: int, params: WrapParams, disc: DiscModel,
 
     tail = BoundaryAngle(Q(a_end % den, den))
     out = PlanarArc(head + tuple(spiral) + (tail.hpoint,), arc.start, tail)
-    pairs = None                # an illegal source gets the full check
-    if arc.is_legal(disc):
-        # the angles of the join (segment h - 1), chord 0 (h) and the last
-        h, last = len(head), len(head) + len(spiral) - 2
-        angles = [a0, *grid[:1], *grid[-1:], a_end]
-        ends = {h - 1: (a0 - ceil(BEND * den) if bend else a0, a0),
-                h: (a0, angles[1]), last: (angles[-2], a_end)}
-        pairs = _open_pairs(h, last, low, ends, a0 - half, 2 * half, res)
-        if (first_contact(out.hverts, pairs) is None and not (bend and any(
-                point_on_segment(p, head[0], spiral[0])
-                for p in disc.hpoints if p != head[0]))):
-            return out
-        pairs = sorted(set(pairs))
-    out.validate(disc, pairs)
+    # the angles of the join (segment h - 1), chord 0 (h) and the last
+    h, last = len(head), len(head) + len(spiral) - 2
+    angles = [a0, *grid[:1], *grid[-1:], a_end]
+    ends = {h - 1: (a0 - ceil(BEND * den) if bend else a0, a0),
+            h: (a0, angles[1]), last: (angles[-2], a_end)}
+    pairs = _open_pairs(h, last, low, ends, a0 - half, 2 * half, res)
+    if not arc.is_legal(disc):
+        # the head and join may meet each other
+        pairs += box_pairs(out.boxes[:h])
+    elif (first_contact(out.hverts, pairs) is None and not (bend and any(
+            point_on_segment(p, head[0], spiral[0])
+            for p in disc.hpoints if p != head[0]))):
+        return out
+    out.validate(disc, sorted(set(pairs)))
     return out
 
 

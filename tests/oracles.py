@@ -685,7 +685,7 @@ def all_pairs_crossings(a, b):
     """minpos.compute_crossings over every segment pair; the pairs pinned
     together are the end segments of a puncture that both arcs end at.
     Each crossing's rank along an arc is its index in the stable sort of
-    the crossings by their positions on that arc."""
+    the crossings by their Fraction positions on that arc."""
     from lefbench.errors import DegenerateTangency
     from lefbench.minpos import ArcCrossing
 
@@ -709,7 +709,8 @@ def all_pairs_crossings(a, b):
                 found.append((homog(hit.point), (i, hit.ta), (j, hit.tb)))
     by_a = sorted(found, key=lambda c: c[1])
     by_b = sorted(found, key=lambda c: c[2])
-    return [ArcCrossing(*c, by_a.index(c), by_b.index(c)) for c in found]
+    return [ArcCrossing(c[0], c[1][0], c[2][0], by_a.index(c), by_b.index(c))
+            for c in found]
 
 
 # ---------------------------------------------------------------------------
@@ -724,6 +725,20 @@ def point_at(arc, pos) -> Pt:
     return Pt(v0.x + t * (v1.x - v0.x), v0.y + t * (v1.y - v0.y))
 
 
+def position(arc, s, h) -> tuple[int, Fraction]:
+    """The position (s, parameter) of the point h, which lies on segment s
+    of arc, projected on the segment's Fraction points: a crossing's
+    position on either arc, read from its point and segment alone."""
+    p, v0, v1 = point(h), arc.vertices[s], arc.vertices[s + 1]
+    d = sub(v1, v0)
+    return s, dot(sub(p, v0), d) / dot(d, d)
+
+
+def positions(a, b, c) -> tuple[tuple[int, Fraction], tuple[int, Fraction]]:
+    """The positions of the crossing c of a and b on a and on b."""
+    return position(a, c.a_seg, c.hpoint), position(b, c.b_seg, c.hpoint)
+
+
 def _subpath(arc, lo, hi) -> list[Pt]:
     """Polyline of arc between two positions, lo <= hi, ends included."""
     pts = [point_at(arc, lo), *arc.vertices[lo[0] + 1: hi[0] + 1],
@@ -736,8 +751,9 @@ def _subpath(arc, lo, hi) -> list[Pt]:
 
 
 def _lens_polygon(a, b, x, y) -> list[Pt]:
-    a_lo, a_hi = sorted([x.a_pos, y.a_pos])
-    b_lo, b_hi = sorted([x.b_pos, y.b_pos])
+    (xa, xb), (ya, yb) = positions(a, b, x), positions(a, b, y)
+    a_lo, a_hi = sorted([xa, ya])
+    b_lo, b_hi = sorted([xb, yb])
     side_a = _subpath(a, a_lo, a_hi)
     side_b = _subpath(b, b_lo, b_hi)
     if side_a[0] != side_b[0]:
@@ -753,8 +769,9 @@ def fraction_empty_bigons(a, b, disc, crossings):
 
     if len(crossings) < 2:
         return []
-    by_a = sorted(crossings, key=lambda c: c.a_pos)
-    by_b = sorted(crossings, key=lambda c: c.b_pos)
+    pos = {id(c): positions(a, b, c) for c in crossings}
+    by_a = sorted(crossings, key=lambda c: pos[id(c)][0])
+    by_b = sorted(crossings, key=lambda c: pos[id(c)][1])
     b_index = {id(c): k for k, c in enumerate(by_b)}
     bigons = []
     for x, y in zip(by_a, by_a[1:]):
@@ -922,12 +939,12 @@ def fraction_eliminate_bigon(a, b, bigon, disc, crossings):
         moved, kept, m_side = b, a, 1
     k_side = 1 - m_side
 
-    x, y = bigon.first, bigon.second
-    if x.pos(m_side) > y.pos(m_side):
+    x, y = positions(a, b, bigon.first), positions(a, b, bigon.second)
+    if x[m_side] > y[m_side]:
         x, y = y, x
-    m_lo, m_hi = x.pos(m_side), y.pos(m_side)
+    m_lo, m_hi = x[m_side], y[m_side]
 
-    k_lo, k_hi = sorted((x.pos(k_side), y.pos(k_side)))
+    k_lo, k_hi = sorted((x[k_side], y[k_side]))
     kept_sub = _subpath(kept, k_lo, k_hi)
     if kept_sub[0] != point_at(moved, m_lo):
         kept_sub = kept_sub[::-1]

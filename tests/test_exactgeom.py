@@ -35,6 +35,13 @@ def h(*points):
     return [homog(p) for p in points]
 
 
+def ratio(t):
+    """The Fraction of a segment_crossing position (n, d), d > 0."""
+    n, d = t
+    assert d > 0
+    return Q(n, d)
+
+
 def circle_point(tau):
     """The realized boundary point of angle tau (circle_hpoint) as a Pt."""
     tau = Q(tau)
@@ -130,7 +137,7 @@ def test_segment_crossing_transverse_x():
                            shift_b=True)
     assert hit is not None
     assert hit.hpoint == (0, 0, 1)
-    assert hit.ta == Q(1, 2) and hit.tb == Q(1, 2)
+    assert ratio(hit.ta) == Q(1, 2) and ratio(hit.tb) == Q(1, 2)
 
 
 def test_segment_crossing_disjoint():
@@ -210,6 +217,7 @@ def test_segment_crossing_symmetric_under_role_flip(x1, y1, x2, y2):
                                        Pt(x1, y1), Pt(x2, y2), shift_b=True)
         assert flipped.hpoint == direct.hpoint == homog(ref.point)
         assert (flipped.ta, flipped.tb) == (direct.tb, direct.ta)
+        assert (ratio(direct.ta), ratio(direct.tb)) == (ref.ta, ref.tb)
 
 
 GRID_POINT = st.builds(lambda x, y: pt(Q(x, 4), Q(y, 4)),
@@ -352,7 +360,9 @@ def _agree(a1, a2, b1, b2, h1, h2, h3, h4):
             == oracles.segments_overlap_collinear(a1, a2, b1, b2))
     for shift_b in (True, False):
         ref = oracles.segment_crossing(a1, a2, b1, b2, shift_b)
-        assert segment_crossing(h1, h2, h3, h4, shift_b) == (
+        hit = segment_crossing(h1, h2, h3, h4, shift_b)
+        assert (None if hit is None else
+                (hit.hpoint, ratio(hit.ta), ratio(hit.tb))) == (
             None if ref is None else (homog(ref.point), ref.ta, ref.tb))
 
 

@@ -19,7 +19,6 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # each class that stays a dataclass, and what it needs of the decorator
 KEPT = {
     "AbstractFiber": "__post_init__ checks the dimension and the classes",
-    "ArcCrossing": "field(compare=False) keeps the ranks out of ==",
     "BoundaryAngle": "__post_init__ reduces the angle and sets hpoint",
     "DiscModel": "__post_init__ checks the punctures; cached_property",
     "FiberOracle": "__post_init__ closes and checks the facts",

@@ -5,8 +5,10 @@ tests/oracles.py, which shares no code with the library, or read from the
 bigon surgery there, which reroutes one arc across each lens.
 """
 
+import itertools
 import random
 from fractions import Fraction as Q
+from math import floor
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -22,7 +24,8 @@ from lefbench.minpos import (Chains, _canonically_after, compute_crossings,
 from oracles import (GenericityError, all_pairs_crossings, brute_crossing_count,
                      canonical_key, first_bigon_reduction,
                      fraction_eliminate_bigon, fraction_empty_bigons, homog,
-                     point_at, point_on_segment, segments)
+                     point_at, point_on_segment, position, positions,
+                     segments)
 from scen import arc_through, aux_disc, hpt, point, pt
 from test_disc import GRID_POINTS, GRID_POLYLINES, no_zero_length
 
@@ -387,10 +390,13 @@ def test_random_elimination_order_reaches_parity(seed):
 
     # randomized elimination order
     crossings = compute_crossings(f, g)
-    # each lens is built from the corners' points: the point at the
-    # crossing's position on either arc
+    assert crossings == all_pairs_crossings(f, g)
+    # each lens is built from the corners' points: a crossing's point lies
+    # on its segment of either arc
     for c in crossings:
-        assert point(c.hpoint) == point_at(f, c.a_pos) == point_at(g, c.b_pos)
+        for arc, s in ((f, c.a_seg), (g, c.b_seg)):
+            pos = position(arc, s, c.hpoint)
+            assert 0 <= pos[1] <= 1 and point_at(arc, pos) == point(c.hpoint)
     chains = Chains.of(crossings)
     while bigons := list(find_empty_bigons(f, g, disc, crossings)):
         bigon = rng.choice(bigons)
@@ -649,15 +655,16 @@ def test_zigzag_reduction_builds_one_lens_per_surgery(monkeypatch):
 # ranks along each arc against the exact order of positions
 # ---------------------------------------------------------------------------
 
-def assert_ranked_as_positions(crossings):
+def assert_ranked_as_positions(a, b, crossings):
     """On each side the ranks are 0..n-1, and ordering by them is the
-    stable sort by position on that side."""
+    stable sort by Fraction position on that side (oracles.positions)."""
     n = len(crossings)
+    pos = [positions(a, b, c) for c in crossings]
     for side in (0, 1):
         ranks = [(c.a_rank, c.b_rank)[side] for c in crossings]
         assert sorted(ranks) == list(range(n))
         by_rank = sorted(range(n), key=ranks.__getitem__)
-        by_pos = sorted(range(n), key=lambda k: crossings[k].pos(side))
+        by_pos = sorted(range(n), key=lambda k: pos[k][side])
         assert by_rank == by_pos
 
 
@@ -675,7 +682,7 @@ def test_ranks_order_crossings_as_their_positions():
                 crossings = compute_crossings(p, q)
             except DegenerateTangency:
                 continue
-            assert_ranked_as_positions(crossings)
+            assert_ranked_as_positions(p, q, crossings)
             assert ([(c.a_rank, c.b_rank) for c in crossings]
                     == [(c.a_rank, c.b_rank)
                         for c in all_pairs_crossings(p, q)])
@@ -686,10 +693,66 @@ def test_ranks_order_crossings_as_their_positions():
     # rank there in list order
     _, a, b = t_contact_pair()
     first, second = compute_crossings(a, b)
-    assert first.a_pos == second.a_pos and first.b_pos < second.b_pos
+    (a1, b1), (a2, b2) = positions(a, b, first), positions(a, b, second)
+    assert a1 == a2 and b1 < b2
     assert (first.a_rank, second.a_rank) == (0, 1)
     assert (first.b_rank, second.b_rank) == (0, 1)
-    assert_ranked_as_positions([first, second])
+    assert_ranked_as_positions(a, b, [first, second])
+
+
+# 3^-50 is far below the 2^-64 resolution of a floor key, as in the
+# coordinate-bits census
+TIE = Q(1, 3 ** 50)
+
+
+def near_tie_pair(offsets_a, offsets_b):
+    """a runs along y = 0 from x = -1/2 to 1/2, then zig-zags across
+    x = -1/3 near y = 1/3; b zig-zags across y = 0 near x = 1/3, then runs
+    down x = -1/3 from y = 1/2 to 0.  Zig-zag vertex k lies 1/8 off its
+    line, on alternate sides, and offsets[k] * 3^-50 along it, so the
+    crossings on each straight run lie within 2^-64 of each other, at
+    parameters near 5/6 along a's and 1/3 along b's, where no floor key
+    boundary is near; two crossings coincide where the sums of two
+    vertex pairs' offsets agree."""
+    za = [pt(Q(-1, 3) + Q(1 if k % 2 else -1, 8), Q(1, 3) + o * TIE)
+          for k, o in enumerate(offsets_a)]
+    zb = [pt(Q(1, 3) + o * TIE, Q(1 if k % 2 else -1, 8))
+          for k, o in enumerate(offsets_b)]
+    a = arc_through((pt(Q(-1, 2), 0), pt(Q(1, 2), 0), *za),
+                    BoundaryAngle(Q(1, 2)), BoundaryAngle(Q(0)))
+    b = arc_through((*zb, pt(Q(-1, 3), Q(1, 2)), pt(Q(-1, 3), 0)),
+                    BoundaryAngle(Q(1, 4)), BoundaryAngle(Q(3, 4)))
+    return a, b
+
+
+@pytest.mark.parametrize("offsets", [
+    [7, 6, 5, 4, 3, 2, 1, 0],           # later along the list, earlier along
+    [0, 2, 1, 1, 2, 0, 3, -1],          # three crossings at one point
+    *[random.Random(seed).choices(range(-4, 5), k=9) for seed in range(8)],
+])
+def test_ranks_within_one_floor_key_follow_exact_positions(offsets):
+    """Crossings closer together along one segment than a floor key tell
+    apart: their ranks on both arcs, in both argument orders, are the
+    stable sort of the oracle's Fraction positions (coinciding ones in
+    list order), and of all_pairs_crossings'."""
+    a, b = near_tie_pair(offsets, offsets[::-1])
+    unkeyed = coincide = 0
+    for p, q in ((a, b), (b, a)):
+        crossings = compute_crossings(p, q)
+        assert crossings == all_pairs_crossings(p, q)
+        assert_ranked_as_positions(p, q, crossings)
+        for side in (0, 1):
+            pos = [positions(p, q, c)[side] for c in crossings]
+            for u, v in itertools.combinations(range(len(pos)), 2):
+                (s, t), (r, w) = pos[u], pos[v]
+                if s == r and floor(t * 2 ** 64) == floor(w * 2 ** 64):
+                    unkeyed += t > w
+                    coincide += t == w
+    # crossings that one floor key holds come out of list order, and
+    # where sums agree, several lie at one point
+    assert unkeyed >= 4
+    if offsets[:6] == [0, 2, 1, 1, 2, 0]:
+        assert coincide >= 4
 
 
 # ---------------------------------------------------------------------------

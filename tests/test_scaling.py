@@ -23,26 +23,40 @@ from test_minimal_position import punctured_zigzag_pair, zigzag_pair
 PER_DOUBLING = 2.3
 
 
-def test_zigzag_fraction_comparisons_grow_linearly(monkeypatch):
-    """The zig-zag of W0's A across B through k points: (k - 1) / 2 bigon
-    surgeries reduce its k - 1 crossings to none.  The crossings all lie
-    on B's middle segment, so ordering them along B compares Fraction
-    positions; the reduction does that once, not once per surgery."""
-    count = [0]
+def test_zigzag_reduction_builds_and_compares_no_fraction(monkeypatch):
+    """The zig-zag of W0's A across B through k points, k = 639 / 1279 /
+    2559: (k - 1) / 2 bigon surgeries reduce its k - 1 crossings to none.
+    The crossings all lie on B's middle segment, and they are ranked along
+    each arc by integer floor keys: the reduction builds and compares no
+    Fraction, and the floor keys it computes grow linearly."""
+    fractions, keys = [0], [0]
+
+    def built(cls, *args, real=Fraction.__new__, **kwargs):
+        fractions[0] += 1
+        return real(cls, *args, **kwargs)
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(built))
     for name in ("__lt__", "__le__", "__gt__", "__ge__", "__eq__"):
         def counted(self, other, real=getattr(Fraction, name)):
-            count[0] += 1
+            fractions[0] += 1
             return real(self, other)
         monkeypatch.setattr(Fraction, name, counted)
+
+    def ranks(positions, real=minpos._ranks):
+        keys[0] += len(positions)
+        return real(positions)
+    monkeypatch.setattr(minpos, "_ranks", ranks)
     counts = []
-    for k in (159, 319, 639):
+    for k in (639, 1279, 2559):
         disc, a, b = zigzag_pair(k, random.Random(k))
-        count[0] = 0
+        fractions[0] = keys[0] = 0
         assert intersection_profile(a, b, disc) == 0
-        counts.append(count[0])
+        assert fractions[0] == 0
+        counts.append(keys[0])
     assert all(n > 0 for n in counts), counts
     assert all(m <= PER_DOUBLING * n for n, m in zip(counts, counts[1:])), \
         counts
+    # the counters see what they count
+    assert Fraction(1, 2) < Fraction(2, 3) and fractions[0] == 3
 
 
 def test_zigzag_reduction_work_grows_linearly(monkeypatch):
@@ -171,3 +185,36 @@ def test_a_refused_deep_spiral_tests_segment_pairs_linearly(monkeypatch,
         assert all(n > 0 for n in row), counts
         assert all(m <= PER_DOUBLING * n for n, m in zip(row, row[1:])), \
             counts
+
+
+def test_an_illegal_source_spiral_lists_segment_pairs_linearly(
+        monkeypatch, tmp_path, capsys):
+    """render on W1 whose vanishing path of a folds back on itself (it
+    runs out to (-3/4, 0) and back to (-5/8, 0)), towering a:b at level
+    m = 96 / 192 / 384: wrap refuses the spiral of an illegal source with
+    the full check's error, over the O(m) pairs its proof leaves open and
+    the pairs among the source's head and join, where the full check would
+    list the O(m^2) spiral pairs whose boxes meet."""
+    listed = [0]
+
+    def listing(hs, pairs, real=first_contact):
+        pairs = list(pairs)
+        listed[0] += len(pairs)
+        return real(hs, pairs)
+    for mod in (disc, wrapping):
+        monkeypatch.setattr(mod, "first_contact", listing)
+    counts = []
+    for m in (96, 192, 384):
+        cfg = _edited(tmp_path, "W1", "crit a = A | 1/2",
+                      "crit a = A | 1/2 | -3/4 0 ; -5/8 0",
+                      "towers = b:b a:a a:b", "towers = a:b",
+                      "levels = 0 1 2 3", f"levels = {m}")
+        listed[0] = 0
+        assert main(["render", str(cfg), "--svg", str(tmp_path / "svg")]) == 1
+        assert capsys.readouterr().err == (
+            "error[NonEmbeddableInput]: arc folds back onto itself at vertex"
+            " (-3/4, 0)\n")
+        counts.append(listed[0])
+    assert all(n > 0 for n in counts), counts
+    assert all(m <= PER_DOUBLING * n for n, m in zip(counts, counts[1:])), \
+        counts
